@@ -1,0 +1,135 @@
+#!/usr/bin/env python
+"""Regenerate the golden result digests under ``tests/goldens/``.
+
+The repo's contract is *fixed seed → bit-identical results*.  Each golden
+case is one tiny ``ExperimentConfig``; what is stored is the SHA-256 of
+``json.dumps(result_to_dict(result), sort_keys=True)`` (the formula
+``bench/child.py`` uses for ``sim.digest``) plus the event count and the
+simulated makespan, so a changed digest also says roughly *what* moved.
+``tests/test_golden.py`` re-runs every case and compares; this script is the
+only way to change a stored value, so an intended behaviour change shows up
+as a reviewed diff of ``tests/goldens/digests.json``.
+
+The digests depend on floating-point kernels, so the file records the numpy
+version it was generated under and the test skips under any other.
+
+Usage::
+
+    python scripts/regen_goldens.py            # rewrite tests/goldens/digests.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Any, Dict
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = REPO_ROOT / "tests" / "goldens" / "digests.json"
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy  # noqa: E402
+
+from repro.core.config import (  # noqa: E402
+    ExperimentConfig,
+    cifar10_workload,
+    gpu_cluster_configs,
+)
+from repro.core.reporting import result_to_dict  # noqa: E402
+from repro.core.runner import ExperimentRunner  # noqa: E402
+
+MODES = ("sync", "async", "semi", "hierarchical", "gossip")
+
+#: per-variant ``ExperimentConfig`` keywords, by ``event_streams`` setting.
+#: Link-level faults (outages, partitions) need the fabric, so the
+#: constant-cost faulted variant is churn only.
+VARIANTS: Dict[str, Dict[bool, Dict[str, Any]]] = {
+    "clean": {
+        True: dict(storage_replicas=2),
+        False: {},
+    },
+    "faulted": {
+        True: dict(
+            storage_replicas=2,
+            replication_mode="lazy",
+            churn_rate=0.25,
+            replica_outages=2,
+            outage_duration_s=15,
+            wan_partitions=1,
+            partition_duration_s=15,
+            fault_seed=1,
+        ),
+        False: dict(churn_rate=0.25, fault_seed=1),
+    },
+    "sampled": {
+        True: dict(storage_replicas=2, population=40, clients_per_round=3),
+        False: dict(population=40, clients_per_round=3),
+    },
+}
+
+
+def golden_cases() -> Dict[str, Dict[str, Any]]:
+    """Case name -> keywords for :func:`build_config`, in a stable order."""
+    cases: Dict[str, Dict[str, Any]] = {}
+    for mode in MODES:
+        for streams in (True, False):
+            for variant, by_streams in VARIANTS.items():
+                name = f"{mode}-{'streams' if streams else 'constant'}-{variant}"
+                cases[name] = dict(mode=mode, event_streams=streams, **by_streams[streams])
+    for scoring in ("multikrum", "cosine"):
+        cases[f"sync-streams-{scoring}"] = dict(mode="sync", scoring_algorithm=scoring)
+    # Twelve dense clusters: the free-running modes key their events by
+    # cluster name, and "agg1, agg10, agg11, agg12, agg2, ..." sorts
+    # differently from the slot index — every slot ties at t = 0, so the
+    # order decides who queues behind whom on the shared storage link.
+    for mode in ("async", "semi", "gossip"):
+        cases[f"{mode}-streams-dense12"] = dict(mode=mode, clusters=12, clients=1)
+    return cases
+
+
+def build_config(name: str, clusters: int = 3, clients: int = 2, **overrides: Any) -> ExperimentConfig:
+    """The tiny two-round federation every golden case is a variation of."""
+    return ExperimentConfig(
+        name=name,
+        workload=cifar10_workload(
+            rounds=2, samples_per_class=6, image_size=8, learning_rate=0.05
+        ),
+        clusters=gpu_cluster_configs(num_clusters=clusters, num_clients=clients),
+        rounds=2,
+        seed=3,
+        partitioning="iid",
+        **overrides,
+    )
+
+
+def run_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one case; returns its digest, event count and makespan."""
+    runner = ExperimentRunner(build_config(name, **overrides))
+    document = result_to_dict(runner.run())
+    events = int(document["chain_metrics"]["transactions_processed"])
+    if runner.comm is not None:
+        events += len(runner.comm.network.scheduler.log)
+    return {
+        "digest": hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode("utf-8")
+        ).hexdigest(),
+        "events": events,
+        "makespan_s": max(a["total_time"] for a in document["aggregators"]),
+    }
+
+
+def main() -> int:
+    cases = {name: run_case(name, overrides) for name, overrides in golden_cases().items()}
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    with GOLDEN_PATH.open("w", encoding="utf-8") as handle:
+        json.dump({"numpy": numpy.__version__, "cases": cases}, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(cases)} golden cases to {GOLDEN_PATH.relative_to(REPO_ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,44 @@
+"""Golden digests: fixed seed → bit-identical results, checked in.
+
+Every case of ``scripts/regen_goldens.py`` is re-run and its result digest,
+event count and makespan compared with ``tests/goldens/digests.json``.  A
+mismatch means behaviour changed; if that was intended, regenerate the file
+with the script so the change is reviewed as a diff.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "regen_goldens", REPO_ROOT / "scripts" / "regen_goldens.py"
+)
+regen_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen_goldens)
+
+GOLDENS = json.loads(regen_goldens.GOLDEN_PATH.read_text(encoding="utf-8"))
+CASES = regen_goldens.golden_cases()
+
+pytestmark = pytest.mark.skipif(
+    numpy.__version__ != GOLDENS["numpy"],
+    reason=(
+        f"goldens were generated under numpy {GOLDENS['numpy']}, "
+        f"this is {numpy.__version__}: digests depend on the floating-point kernels"
+    ),
+)
+
+
+def test_golden_file_covers_exactly_the_declared_cases():
+    assert sorted(GOLDENS["cases"]) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_case_reproduces(name):
+    assert regen_goldens.run_case(name, CASES[name]) == GOLDENS["cases"][name]
