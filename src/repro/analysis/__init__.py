@@ -49,7 +49,6 @@ The linter rules:
              conventions without an explicit conversion
 ``UNIT002``  magic unit-conversion constants (``1e6``, ``4e6``, ``20e6``)
              outside :mod:`repro.simnet.units`
-``UNIT003``  reads of the deprecated ``*_mbps`` alias spelling
 ``UNIT004``  suffixed names assigned/passed from names of a different (or
              no) dimension without a conversion
 ``WIRE001``  ``ExperimentConfig`` fields unreachable from any CLI

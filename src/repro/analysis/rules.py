@@ -450,13 +450,10 @@ def _check_mutable_defaults(ctx: LintContext) -> List[Finding]:
 
 # ----------------------------------------------------------------- UNIT rules
 #: suffix → dimension, longest suffix first so ``_bytes_per_s`` wins over
-#: ``_s`` and ``_mbytes_per_s`` over ``_bytes_per_s``.  ``_mbps`` is the
-#: deprecated alias spelling of megabytes/s (UNIT003 bans reading it; the
-#: dimension is still tracked so mixed arithmetic is caught either way).
+#: ``_s`` and ``_mbytes_per_s`` over ``_bytes_per_s``.
 UNIT_SUFFIXES: Tuple[Tuple[str, str], ...] = (
     ("_mbytes_per_s", "megabytes/s"),
     ("_bytes_per_s", "bytes/s"),
-    ("_mbps", "megabytes/s"),
     ("_bytes", "bytes"),
     ("_mb", "megabytes"),
     ("_count", "count"),
@@ -565,41 +562,6 @@ def _check_conversion_literals(ctx: LintContext) -> List[Finding]:
                         "bytes_over_bandwidth, bytes_over_scaled_bandwidth, ...)",
                     )
                 )
-    return findings
-
-
-def _check_deprecated_alias(ctx: LintContext) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            # Only *reads* are uses; the Store contexts are the shim
-            # definitions themselves (the deprecated dataclass field, the
-            # alias property) which have to keep the old spelling.
-            if not isinstance(getattr(node, "ctx", None), ast.Load):
-                continue
-            name = node.id if isinstance(node, ast.Name) else node.attr
-            if name.endswith("_mbps"):
-                findings.append(
-                    ctx.finding(
-                        node,
-                        "UNIT003",
-                        f"'{name}' is a deprecated megabits-looking alias (the "
-                        "unit is megabytes/s); read the *_mbytes_per_s field "
-                        "instead",
-                    )
-                )
-        elif isinstance(node, ast.Call):
-            for keyword in node.keywords:
-                if keyword.arg is not None and keyword.arg.endswith("_mbps"):
-                    findings.append(
-                        ctx.finding(
-                            keyword.value,
-                            "UNIT003",
-                            f"keyword '{keyword.arg}' passes through the "
-                            "deprecated alias; use the *_mbytes_per_s "
-                            "parameter instead",
-                        )
-                    )
     return findings
 
 
@@ -815,29 +777,6 @@ register_rule(
             "replaced.\n\n"
             "    rate = bw * 1_000_000                          # UNIT002\n"
             "    rate = units.mbytes_per_s_to_bytes_per_s(bw)   # clean"
-        ),
-    )
-)
-register_rule(
-    Rule(
-        code="UNIT003",
-        name="deprecated-mbps-alias",
-        summary=(
-            "reads of the deprecated *_mbps aliases (bandwidth_mbps, "
-            "link_bandwidth_mbps) inside src/repro"
-        ),
-        check=_check_deprecated_alias,
-        explain=(
-            "The *_mbps names always held mega**bytes**/s — the PR 3 units "
-            "trap. They survive only as deprecated read aliases for "
-            "downstream users; first-party code must not read or pass them, "
-            "or the DeprecationWarning churn hides real warnings and the "
-            "trap stays live.\n\n"
-            "Fix: read the *_mbytes_per_s field. The alias shims themselves "
-            "carry inline '# detlint: ignore[UNIT003]' markers — the only "
-            "two justified reads in the tree.\n\n"
-            "    bw = profile.bandwidth_mbps           # UNIT003\n"
-            "    bw = profile.bandwidth_mbytes_per_s   # clean"
         ),
     )
 )

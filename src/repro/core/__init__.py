@@ -9,7 +9,8 @@ decentralized cross-silo federated-learning framework described in the paper:
   (:mod:`repro.core.aggregator`),
 * accuracy and MultiKRUM scoring (:mod:`repro.core.scorer`),
 * aggregation and scoring policies (:mod:`repro.core.policies`),
-* synchronous and asynchronous orchestration (:mod:`repro.core.orchestrator`),
+* the orchestrator that drives any registered round policy
+  (:mod:`repro.core.orchestrator`),
 * Byzantine attacks (:mod:`repro.core.attacks`),
 * the baselines UnifyFL is compared against (:mod:`repro.core.baselines`), and
 * the experiment runner and result/table utilities
@@ -55,14 +56,7 @@ from repro.core.multimodel import (
     MultiModelParticipant,
     MultiModelRoundRecord,
 )
-from repro.core.orchestrator import (
-    AsyncOrchestrator,
-    GossipOrchestrator,
-    HierarchicalOrchestrator,
-    OrchestrationResult,
-    SemiSyncOrchestrator,
-    SyncOrchestrator,
-)
+from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.policies import (
     AboveAverage,
     AboveMedian,
@@ -142,12 +136,8 @@ __all__ = [
     "MultiModelCollaboration",
     "MultiModelParticipant",
     "MultiModelRoundRecord",
-    "AsyncOrchestrator",
-    "GossipOrchestrator",
-    "HierarchicalOrchestrator",
     "OrchestrationResult",
-    "SemiSyncOrchestrator",
-    "SyncOrchestrator",
+    "Orchestrator",
     "AboveAverage",
     "AboveMedian",
     "AboveSelf",

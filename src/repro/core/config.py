@@ -9,7 +9,6 @@ orchestration mode (Sync / Async), per-aggregator aggregation strategy
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -129,7 +128,7 @@ def validate_semi_params(
     """Shared bounds check for the semi-sync knobs (single source of truth).
 
     ``None`` values are skipped — config-level validation passes through
-    unresolved optionals, while the orchestrator validates resolved values.
+    unresolved optionals, while the semi policy validates resolved values.
     """
     if quorum_k is not None and not 1 <= quorum_k <= num_clusters:
         raise ValueError("quorum_k must be between 1 and the number of clusters")
@@ -228,9 +227,6 @@ class ExperimentConfig:
     #: mega**bytes** per simulated second (1 MB = 1e6 bytes); ``None`` uses
     #: the cluster's hardware profile bandwidth unchanged.
     link_bandwidth_mbytes_per_s: Optional[float] = None
-    #: deprecated alias of ``link_bandwidth_mbytes_per_s`` (the unit was
-    #: always megabytes/s despite the Mbps-looking name).
-    link_bandwidth_mbps: Optional[float] = None
     #: event streams only: one-way latency override of every cluster↔storage
     #: link, in simulated seconds; ``None`` uses the profile latency.
     link_latency_s: Optional[float] = None
@@ -361,15 +357,6 @@ class ExperimentConfig:
             raise ValueError("round_budget must be at least 1 when set")
         if self.gossip_fanout < 0:
             raise ValueError("gossip_fanout must be non-negative")
-        if self.link_bandwidth_mbps is not None:  # detlint: ignore[UNIT003] (alias shim)
-            warnings.warn(
-                "link_bandwidth_mbps is deprecated (the unit is megabytes/s); "
-                "use link_bandwidth_mbytes_per_s",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.link_bandwidth_mbytes_per_s is None:
-                self.link_bandwidth_mbytes_per_s = self.link_bandwidth_mbps  # detlint: ignore[UNIT003]
         if self.link_bandwidth_mbytes_per_s is not None and self.link_bandwidth_mbytes_per_s <= 0:
             raise ValueError("link_bandwidth_mbytes_per_s must be positive when set")
         if self.link_latency_s is not None and self.link_latency_s < 0:

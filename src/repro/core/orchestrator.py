@@ -1,70 +1,34 @@
 """Orchestration of a UnifyFL federation (Sections 3.2 / 3.3).
 
-The orchestrator in UnifyFL is logically the smart contract; these classes
-drive the protocol steps against the contract and manage the simulated time
-of every cluster.  Since the discrete-event refactor they are thin facades:
-each one owns a :class:`~repro.sched.kernel.SimulationKernel` and installs a
-*round policy* (:mod:`repro.sched.policies`) that expresses its mode as an
-event stream:
-
-* :class:`SyncOrchestrator` — all clusters move through the training and
-  scoring phases together.  Each phase has a fixed duration (provisioned from
-  the timing model, or supplied explicitly); clusters that finish early idle
-  until the phase window closes, and a cluster whose work exceeds the window
-  *straggles*: its model is only submitted in the next round.
-* :class:`AsyncOrchestrator` — clusters run independently.  Each cluster is
-  an event stream keyed by its simulated clock; the heap always dispatches
-  the earliest one (O(log n), replacing the old per-step O(n) scan).  When a
-  model CID is submitted the contract immediately assigns scorers, and
-  scorers handle their queue the next time they are idle.
-* :class:`SemiSyncOrchestrator` — bounded-staleness buffered-async
-  (FedBuff-style): clusters free-run like Async, but a logical round only
-  closes once ``quorum_k`` clusters have submitted or ``max_staleness``
-  simulated seconds elapse, and a cluster that already fed the open round
-  waits for the close before training again.
-* :class:`HierarchicalOrchestrator` — clusters grouped by topology site run
-  cheap LAN-priced local aggregation rounds; one rotating leader per site
-  submits over WAN/chain per global round, under a per-cluster round budget.
-* :class:`GossipOrchestrator` — barrier-free epidemic rounds: each cluster
-  pulls ``gossip_fanout`` deterministic seeded peers' published models,
-  merges locally, trains and re-publishes.
-
-Every orchestration mode registers itself with the round-policy registry
-(:mod:`repro.sched.registry`) at the bottom of this module; the runner, the
-``ExperimentConfig`` validation, the CLI ``--mode`` choices and the
-contract's behaviour profile are all derived from those registrations.
+The orchestrator in UnifyFL is logically the smart contract; the one
+:class:`Orchestrator` here drives the protocol steps against the contract
+and manages the simulated time of every cluster.  It owns the plumbing every
+mode shares — contract registration, the
+:class:`~repro.sched.kernel.SimulationKernel`, the result document — and is
+handed a *policy builder*: any callable that turns the run's
+:class:`~repro.sched.policies.OrchestrationContext` into a
+:class:`~repro.sched.policies.RoundPolicy`.  What a mode *is* (lock-step
+windows, free-running slots, quorum closes, site leaders, gossip fanout)
+lives entirely in its policy; a policy class itself is a valid builder
+(``Orchestrator(..., AsyncRoundPolicy)``), ``functools.partial`` or a lambda
+binds constructor arguments, and the
+:class:`~repro.sched.registry.PolicySpec` factories the experiment runner
+dispatches through are builders too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.runner import ClientPopulation
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
 from repro.core.aggregator import AggregatorRoundRecord, UnifyFLAggregator
+from repro.core.config import ExperimentConfig
 from repro.core.timing import ClusterTimingModel
 from repro.sched.actors import CommFabric
 from repro.sched.kernel import SimulationKernel
-from repro.core.config import ExperimentConfig, majority_quorum, validate_semi_params
-from repro.sched.policies import (
-    AsyncRoundPolicy,
-    GossipRoundPolicy,
-    HierarchicalRoundPolicy,
-    OrchestrationContext,
-    RoundPolicy,
-    SemiSyncRoundPolicy,
-    SyncRoundPolicy,
-)
-from repro.sched.registry import (
-    ContractProfile,
-    PolicyBuildContext,
-    PolicySpec,
-    register_policy,
-)
+from repro.sched.policies import OrchestrationContext, Roster, RoundPolicy, StaticRoster
 
 
 @dataclass
@@ -85,10 +49,8 @@ class OrchestrationResult:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
-class _BaseOrchestrator:
-    """Shared plumbing: validation, registration, kernel driving, results."""
-
-    mode = "base"
+class Orchestrator:
+    """Drives one federation under whatever round policy it is handed."""
 
     def __init__(
         self,
@@ -96,8 +58,10 @@ class _BaseOrchestrator:
         driver_account: Account,
         aggregators: Sequence[UnifyFLAggregator],
         timing_model: ClusterTimingModel,
+        policy: Callable[[OrchestrationContext], RoundPolicy],
         comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
+        roster: Optional[Roster] = None,
+        config: Optional[ExperimentConfig] = None,
     ):
         if not aggregators:
             raise ValueError("an orchestrator needs at least one aggregator")
@@ -106,15 +70,18 @@ class _BaseOrchestrator:
             raise ValueError("aggregator names must be unique")
         self.chain = chain
         self.driver = driver_account
-        #: sampled federations keep the *live* list the population appends
-        #: to, so clusters that materialise mid-run show up in the results;
-        #: the classic shape copies, as the list is fixed for the whole run.
-        self.population = population
-        self.aggregators = aggregators if population is not None else list(aggregators)
+        #: kept by reference: a sampled roster appends the clusters it
+        #: materialises mid-run to this list, so they show up in the results.
+        self.aggregators = aggregators
         self.timing = timing_model
+        self.policy_builder = policy
         #: event-stream communication fabric shared with the aggregators, or
         #: ``None`` for the constant-cost timing path.
         self.comm = comm
+        #: who occupies which slot per round; a dense federation is the
+        #: identity roster over ``aggregators``.
+        self.roster = roster if roster is not None else StaticRoster(aggregators)
+        self.config = config
         self._idle_totals: Dict[str, float] = {a.name: 0.0 for a in aggregators}
         self._straggles: Dict[str, int] = {a.name: 0 for a in aggregators}
         self.kernel: Optional[SimulationKernel] = None
@@ -130,37 +97,31 @@ class _BaseOrchestrator:
                 aggregator.register(mine=False)
         self.chain.mine_until_empty()
 
-    def _context(self, num_rounds: int) -> OrchestrationContext:
-        return OrchestrationContext(
-            chain=self.chain,
-            driver=self.driver,
-            aggregators=self.aggregators,
-            timing=self.timing,
-            num_rounds=num_rounds,
-            idle_totals=self._idle_totals,
-            straggles=self._straggles,
-            comm=self.comm,
-            population=self.population,
-        )
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        raise NotImplementedError
-
     def run(self, num_rounds: int) -> OrchestrationResult:
-        """Drive the federation until every cluster completed ``num_rounds``."""
+        """Drive the federation until every slot completed ``num_rounds``."""
         if num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
         self.register_all()
         self.kernel = SimulationKernel()
         self.kernel.sanitizer = self.sanitizer
-        policy = self._build_policy(self._context(num_rounds))
+        policy = self.policy_builder(
+            OrchestrationContext(
+                chain=self.chain,
+                driver=self.driver,
+                aggregators=self.aggregators,
+                timing=self.timing,
+                num_rounds=num_rounds,
+                roster=self.roster,
+                idle_totals=self._idle_totals,
+                straggles=self._straggles,
+                comm=self.comm,
+                config=self.config,
+            )
+        )
         policy.install(self.kernel)
         self.kernel.run()
         policy.finalize()
-        return self._result(num_rounds, policy)
-
-    def _result(self, rounds: int, policy: Optional[RoundPolicy] = None) -> OrchestrationResult:
-        extras = dict(policy.extras()) if policy is not None else {}
+        extras = dict(policy.extras())
         # Memory behaviour of the per-aggregator model caches: hit rate says
         # how much IPFS traffic the LRU absorbed, evictions say whether the
         # working set outgrew its bound.
@@ -169,291 +130,11 @@ class _BaseOrchestrator:
             a.weights_cache_evictions for a in self.aggregators
         )
         return OrchestrationResult(
-            mode=self.mode,
-            rounds_completed=rounds,
+            mode=policy.mode,
+            rounds_completed=num_rounds,
             histories={a.name: list(a.history) for a in self.aggregators},
             total_times={a.name: a.total_time() for a in self.aggregators},
             idle_times=dict(self._idle_totals),
             straggler_counts=dict(self._straggles),
             extras=extras,
         )
-
-
-class SyncOrchestrator(_BaseOrchestrator):
-    """Lock-step orchestration with fixed phase windows."""
-
-    mode = "sync"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        training_window: Optional[float] = None,
-        scoring_window: Optional[float] = None,
-        scoring_algorithm: str = "accuracy",
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        clusters = [a.config for a in aggregators]
-        # ``is not None`` rather than truthiness: an explicit window of 0.0 is
-        # a (degenerate but meaningful) operator choice, not "use the default".
-        if training_window is not None:
-            self.training_window = training_window
-        else:
-            self.training_window = timing_model.expected_training_window(clusters)
-        if scoring_window is not None:
-            self.scoring_window = scoring_window
-        else:
-            self.scoring_window = timing_model.expected_scoring_window(
-                clusters, algorithm=scoring_algorithm
-            )
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return SyncRoundPolicy(
-            ctx, training_window=self.training_window, scoring_window=self.scoring_window
-        )
-
-
-class AsyncOrchestrator(_BaseOrchestrator):
-    """Event-driven orchestration where every cluster proceeds at its own pace."""
-
-    mode = "async"
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return AsyncRoundPolicy(ctx)
-
-
-class SemiSyncOrchestrator(_BaseOrchestrator):
-    """Quorum/staleness-bounded buffered-async orchestration (FedBuff-style)."""
-
-    mode = "semi"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        quorum_k: Optional[int] = None,
-        max_staleness: Optional[float] = None,
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        clusters = [a.config for a in aggregators]
-        # Default quorum: a majority of clusters, mirroring the scorer-majority
-        # rule of the contract.  Default staleness bound: one provisioned sync
-        # training window — the round never lags a full lock-step phase behind.
-        self.quorum_k = quorum_k if quorum_k is not None else majority_quorum(len(clusters))
-        if max_staleness is not None:
-            self.max_staleness = max_staleness
-        else:
-            self.max_staleness = timing_model.expected_training_window(clusters)
-        # Fail fast at construction; the policy re-runs the same shared check.
-        validate_semi_params(self.quorum_k, self.max_staleness, len(clusters))
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return SemiSyncRoundPolicy(
-            ctx, quorum_k=self.quorum_k, max_staleness=self.max_staleness
-        )
-
-
-class HierarchicalOrchestrator(_BaseOrchestrator):
-    """Two-tier orchestration: local site rounds under a thin global tier."""
-
-    mode = "hierarchical"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        num_sites: int = 1,
-        local_rounds_per_global: int = 2,
-        round_budget: Optional[int] = None,
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        if num_sites < 1:
-            raise ValueError("num_sites must be at least 1")
-        if local_rounds_per_global < 1:
-            raise ValueError("local_rounds_per_global must be at least 1")
-        if round_budget is not None and round_budget < 1:
-            raise ValueError("round_budget must be at least 1 when set")
-        self.num_sites = num_sites
-        self.local_rounds_per_global = local_rounds_per_global
-        self.round_budget = round_budget
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return HierarchicalRoundPolicy(
-            ctx,
-            num_sites=self.num_sites,
-            local_rounds_per_global=self.local_rounds_per_global,
-            round_budget=self.round_budget,
-        )
-
-
-class GossipOrchestrator(_BaseOrchestrator):
-    """Barrier-free epidemic orchestration with a deterministic seeded fanout."""
-
-    mode = "gossip"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        fanout: int = 2,
-        seed: int = 0,
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        if fanout < 0:
-            raise ValueError("gossip fanout must be non-negative")
-        self.fanout = fanout
-        self.seed = seed
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return GossipRoundPolicy(ctx, fanout=self.fanout, seed=self.seed)
-
-
-# --------------------------------------------------------------------------
-# Built-in registrations: every consumer of "what modes exist" (runner
-# dispatch, ExperimentConfig validation, CLI --mode choices, contract
-# behaviour) derives its view from these specs.
-# --------------------------------------------------------------------------
-
-def _reject_similarity_scoring(config: ExperimentConfig) -> None:
-    """Free-running modes never see a whole round at once."""
-    if config.scoring_algorithm in ("multikrum", "cosine"):
-        raise ValueError(
-            "similarity-based scoring needs all models of a round at once and is only "
-            "supported in sync mode"
-        )
-
-
-def _sync_factory(build: PolicyBuildContext) -> SyncOrchestrator:
-    config = build.config
-    return SyncOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        training_window=config.phase_duration if config else None,
-        scoring_window=config.phase_duration if config else None,
-        scoring_algorithm=config.scoring_algorithm if config else "accuracy",
-        comm=build.comm,
-        population=build.population,
-    )
-
-
-def _async_factory(build: PolicyBuildContext) -> AsyncOrchestrator:
-    return AsyncOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        comm=build.comm,
-        population=build.population,
-    )
-
-
-def _semi_factory(build: PolicyBuildContext) -> SemiSyncOrchestrator:
-    config = build.config
-    return SemiSyncOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        quorum_k=config.semi_quorum_k if config else None,
-        max_staleness=config.max_staleness if config else None,
-        comm=build.comm,
-        population=build.population,
-    )
-
-
-def _hierarchical_factory(build: PolicyBuildContext) -> HierarchicalOrchestrator:
-    config = build.config
-    # Site grouping mirrors the event-stream fabric's round-robin assignment
-    # of clusters to storage replicas, so a "group" is exactly the set of
-    # clusters sharing a storage site (one group when replicas are off); the
-    # policy clamps the count to the federation size.
-    return HierarchicalOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        num_sites=config.storage_replicas if config else 1,
-        local_rounds_per_global=config.local_rounds_per_global if config else 2,
-        round_budget=config.round_budget if config else None,
-        comm=build.comm,
-        population=build.population,
-    )
-
-
-def _gossip_factory(build: PolicyBuildContext) -> GossipOrchestrator:
-    config = build.config
-    return GossipOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        fanout=config.gossip_fanout if config else 2,
-        seed=config.seed if config else 0,
-        comm=build.comm,
-        population=build.population,
-    )
-
-
-register_policy(PolicySpec(
-    name="sync",
-    factory=_sync_factory,
-    description="lock-step phases with fixed training/scoring windows",
-    contract=ContractProfile(phase_gated=True),
-))
-register_policy(PolicySpec(
-    name="async",
-    factory=_async_factory,
-    description="free-running clusters, scorers assigned at submission",
-    validate=_reject_similarity_scoring,
-    contract=ContractProfile(assigns_scorers_on_submit=True),
-))
-register_policy(PolicySpec(
-    name="semi",
-    factory=_semi_factory,
-    description="buffered-async rounds closed by quorum or staleness expiry",
-    # The quorum/staleness bounds check is mode-agnostic and already runs
-    # unconditionally in ExperimentConfig.__post_init__ (the knobs can be
-    # set, and are range-checked, on any config).
-    validate=_reject_similarity_scoring,
-    contract=ContractProfile(assigns_scorers_on_submit=True, buffered=True),
-))
-register_policy(PolicySpec(
-    name="hierarchical",
-    factory=_hierarchical_factory,
-    description="per-site local rounds, one leader submission per site per global round",
-    validate=_reject_similarity_scoring,
-    contract=ContractProfile(assigns_scorers_on_submit=True),
-))
-register_policy(PolicySpec(
-    name="gossip",
-    factory=_gossip_factory,
-    description="barrier-free seeded peer exchanges, per-cluster convergence",
-    validate=_reject_similarity_scoring,
-    contract=ContractProfile(),
-))

@@ -9,9 +9,10 @@
    the UnifyFL contract, and start one IPFS node per organisation joined into
    a swarm;
 3. build the clusters: clients, scorer, strategy, policies, optional attack;
-4. drive the federation with the orchestrator the round-policy registry
-   builds for the configured mode (sync / async / semi / hierarchical /
-   gossip, plus anything registered downstream); and
+4. drive the federation with the :class:`~repro.core.orchestrator.Orchestrator`
+   under the round policy the registry builds for the configured mode (sync /
+   async / semi / hierarchical / gossip, plus anything registered
+   downstream); and
 5. collect an :class:`~repro.core.results.ExperimentResult` with per-aggregator
    metrics, chain/storage overhead counters and the resource report.
 
@@ -39,7 +40,7 @@ from repro.core.baselines import (
 )
 from repro.core.config import ClusterConfig, ExperimentConfig, WorkloadConfig
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import OrchestrationResult
+from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.results import AggregatorResult, ExperimentResult
 from repro.core.sampling import ClientSampler
 from repro.core.scorer import build_scorer
@@ -51,7 +52,7 @@ from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.models import Model, build_model
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
-from repro.sched.registry import PolicyBuildContext, get_policy
+from repro.sched.registry import get_policy
 from repro.simnet.faults import FaultPlan, ResiliencePolicy
 from repro.simnet.network import NetworkLink, Topology
 from repro.simnet.resources import ResourceMonitor
@@ -77,6 +78,11 @@ class ClientPopulation:
     Cohorts come from :class:`~repro.core.sampling.ClientSampler`, so *who*
     participates in round ``r`` is a pure function of ``(sampling_seed, r)``
     — independent of materialisation order and of any other RNG stream.
+
+    This is the rotating implementation of the round policies'
+    :class:`~repro.sched.policies.Roster` seam (the dense one is
+    :class:`~repro.sched.policies.StaticRoster`): member ``j`` of a round's
+    cohort occupies slot ``j``.
     """
 
     def __init__(self, runner: "ExperimentRunner"):
@@ -108,9 +114,17 @@ class ClientPopulation:
         self._rounds[round_number] = members
         return members
 
-    def addresses(self, round_number: int) -> List[str]:
-        """The chain addresses of a round's cohort."""
+    def slot_key(self, slot: int) -> str:
+        """Slots outlive their occupants, so events are keyed by slot index."""
+        return f"lane-{slot}"
+
+    def cohort_addresses(self, round_number: int) -> List[str]:
+        """The chain addresses of a round's cohort (declared on-chain per round)."""
         return [a.address for a in self.round_aggregators(round_number)]
+
+    def joined_mid_run(self, aggregator: UnifyFLAggregator) -> bool:
+        """A cluster with no history was materialised for the round in flight."""
+        return not aggregator.history
 
     def _materialise(self, index: int) -> UnifyFLAggregator:
         existing = self._by_index.get(index)
@@ -520,14 +534,29 @@ class ExperimentRunner:
         return aggregator
 
     # --------------------------------------------------------------------- run
+    def _rounds(self, rounds: Optional[int]) -> int:
+        """``config.rounds`` unless overridden (``is not None``, not
+        truthiness: an explicit 0 must be rejected, not replaced)."""
+        return self.config.rounds if rounds is None else rounds
+
     def run(self, rounds: Optional[int] = None) -> ExperimentResult:
         """Execute the experiment and return its result."""
         if self.chain is None or not self.aggregators:
             self.build()
         assert self.chain is not None and self._driver_account is not None
-        rounds = rounds or self.config.rounds
+        rounds = self._rounds(rounds)
 
-        orchestrator = self._build_orchestrator()
+        # No mode ladder: the registered spec's factory is the policy builder.
+        orchestrator = Orchestrator(
+            self.chain,
+            self._driver_account,
+            self.aggregators,
+            self.timing_model,
+            get_policy(self.config.mode).factory,
+            comm=self.comm,
+            roster=self.population,
+            config=self.config,
+        )
         orchestrator.sanitizer = self.sanitizer
         orchestration = orchestrator.run(rounds)
         self._record_daemon_overhead(rounds)
@@ -557,25 +586,6 @@ class ExperimentRunner:
         stats = pstats.Stats(profiler, stream=buffer)
         stats.strip_dirs().sort_stats(sort).print_stats(top)
         return result, buffer.getvalue()
-
-    def _build_orchestrator(self):
-        """Dispatch the configured mode through the round-policy registry.
-
-        No hard-coded mode ladder: the registered spec's factory receives
-        one :class:`~repro.sched.registry.PolicyBuildContext` and builds the
-        orchestrator itself, so new modes plug in without runner edits.
-        """
-        assert self.chain is not None and self._driver_account is not None
-        build = PolicyBuildContext(
-            chain=self.chain,
-            driver=self._driver_account,
-            aggregators=self.aggregators,
-            timing=self.timing_model,
-            comm=self.comm,
-            config=self.config,
-            population=self.population,
-        )
-        return get_policy(self.config.mode).factory(build)
 
     def _record_daemon_overhead(self, rounds: int) -> None:
         if self.monitor is None:
@@ -667,7 +677,7 @@ class ExperimentRunner:
             self.test_data,
             timing_model=self.timing_model,
         )
-        return baseline.run(rounds or self.config.rounds, seed=self.config.seed)
+        return baseline.run(self._rounds(rounds), seed=self.config.seed)
 
     def run_centralized_baseline(self, rounds: Optional[int] = None) -> BaselineResult:
         """Run the HBFL-style centralized multilevel baseline."""
@@ -679,7 +689,7 @@ class ExperimentRunner:
             self.test_data,
             timing_model=self.timing_model,
         )
-        return baseline.run(rounds or self.config.rounds, seed=self.config.seed)
+        return baseline.run(self._rounds(rounds), seed=self.config.seed)
 
     def run_single_level_baseline(self, rounds: Optional[int] = None) -> BaselineResult:
         """Run flat single-level FL over all clients of all clusters."""
@@ -689,7 +699,7 @@ class ExperimentRunner:
         baseline = SingleLevelFL(
             self.config.workload, all_clients, self.model_template, self.test_data
         )
-        return baseline.run(rounds or self.config.rounds, seed=self.config.seed)
+        return baseline.run(self._rounds(rounds), seed=self.config.seed)
 
 
 def run_experiment(config: ExperimentConfig, rounds: Optional[int] = None) -> ExperimentResult:

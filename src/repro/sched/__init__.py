@@ -13,10 +13,11 @@ quorum/staleness-bounded rounds (semi-sync).
   async, semi-sync, hierarchical, gossip) plus the
   :class:`~repro.sched.policies.RoundPolicy` base class for writing new ones.
 * :mod:`repro.sched.registry` — the pluggable round-policy registry:
-  policies register a name, a config-validation hook and a factory over one
-  :class:`~repro.sched.registry.PolicyBuildContext`; runner dispatch, config
-  validation, CLI mode choices and the contract's behaviour profile all
-  derive from the registrations.
+  policies register a name, a config-validation hook and a factory that
+  builds the policy from one
+  :class:`~repro.sched.policies.OrchestrationContext`; runner dispatch,
+  config validation, CLI mode choices and the contract's behaviour profile
+  all derive from the registrations.
 * :mod:`repro.sched.actors` — network and chain actors that promote model
   transfers and contract calls to first-class event streams (link contention
   over a replicated storage topology with on-the-books replication traffic —
@@ -35,15 +36,15 @@ from repro.sched.policies import (
     GossipRoundPolicy,
     HierarchicalRoundPolicy,
     OrchestrationContext,
+    Roster,
     RoundPolicy,
     SemiSyncRoundPolicy,
+    StaticRoster,
     SyncRoundPolicy,
 )
 from repro.sched.registry import (
     ContractProfile,
-    PolicyBuildContext,
     PolicySpec,
-    build_orchestrator,
     get_policy,
     register_policy,
     registered_modes,
@@ -61,12 +62,12 @@ __all__ = [
     "HierarchicalRoundPolicy",
     "NetworkActor",
     "OrchestrationContext",
-    "PolicyBuildContext",
     "PolicySpec",
+    "Roster",
     "RoundPolicy",
     "SemiSyncRoundPolicy",
+    "StaticRoster",
     "SyncRoundPolicy",
-    "build_orchestrator",
     "get_policy",
     "register_policy",
     "registered_modes",

@@ -29,9 +29,19 @@ expresses it as events on a :class:`~repro.sched.kernel.SimulationKernel`:
 
 Writing a new mode means subclassing :class:`RoundPolicy`, scheduling initial
 events in :meth:`~RoundPolicy.install`, letting handlers schedule their
-successors — and registering a :class:`~repro.sched.registry.PolicySpec` so
-the runner, config validation, CLI and contract all pick the mode up without
-edits.  See ``docs/scheduling.md`` for a walk-through.
+successors — and registering one :class:`~repro.sched.registry.PolicySpec`
+whose factory returns the policy, so the runner, config validation, CLI and
+contract all pick the mode up without edits.  The built-in modes register
+themselves at the bottom of this module.  See ``docs/scheduling.md`` for a
+walk-through.
+
+**One slot model.**  Every federation is a fixed number of *slots*; the
+context's :class:`Roster` says which cluster occupies slot ``j`` in round
+``r``.  A dense cross-silo run is the degenerate roster whose slot ``j`` is
+permanently cluster ``j`` (:class:`StaticRoster`); a sampled run's roster is
+the lazy :class:`~repro.core.runner.ClientPopulation`, whose occupants rotate
+as the sampler draws them.  Policies only ever iterate slots, so there is one
+code path for both shapes.
 
 When the :class:`OrchestrationContext` carries a
 :class:`~repro.sched.actors.CommFabric`, the policies consume the network and
@@ -47,35 +57,84 @@ bit-identical constant-cost runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.sched.kernel import SimulationKernel
+from repro.sched.registry import ContractProfile, PolicySpec, register_policy
 
-# No module-level repro.core imports here: repro.core.__init__ imports the
-# orchestrators, which import this module — eager imports in both directions
-# would break whichever package is imported first.  Runtime needs are imported
-# inside the handful of methods that use them.
+# No module-level repro.core imports here: repro.core imports this package,
+# so eager imports in both directions would break whichever package is
+# imported first.  Runtime needs are imported inside the handful of methods
+# that use them.
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.chain.account import Account
     from repro.chain.blockchain import Blockchain
     from repro.core.aggregator import UnifyFLAggregator
-    from repro.core.runner import ClientPopulation
+    from repro.core.config import ExperimentConfig
     from repro.core.timing import ClusterTimingModel, RoundTiming
     from repro.sched.actors import CommFabric
 
 
+class Roster(Protocol):
+    """Who occupies which slot in which round — the dense/sampled seam."""
+
+    #: number of slots, i.e. clusters active in any one round.
+    cohort_size: int
+
+    def round_aggregators(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
+        """The round's occupants, indexed by slot."""
+
+    def slot_key(self, slot: int) -> str:
+        """The kernel tie-break key of the slot's events."""
+
+    def cohort_addresses(self, round_number: int) -> Optional[List[str]]:
+        """The addresses to declare on-chain for the round; ``None`` if fixed."""
+
+    def joined_mid_run(self, aggregator: "UnifyFLAggregator") -> bool:
+        """Whether catching ``aggregator``'s clock up is *not* idle waiting."""
+
+
+class StaticRoster:
+    """The dense roster: slot ``j`` is permanently cluster ``j``.
+
+    Events keep the cluster *name* as tie-break key, no cohort is ever
+    published (the contract's default scope is every registered cluster) and
+    every wait is real idle time — the clusters exist from the start.
+    """
+
+    def __init__(self, aggregators: Sequence["UnifyFLAggregator"]):
+        self.aggregators = aggregators
+        self.cohort_size = len(aggregators)
+
+    def round_aggregators(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
+        return self.aggregators
+
+    def slot_key(self, slot: int) -> str:
+        return self.aggregators[slot].name
+
+    def cohort_addresses(self, round_number: int) -> Optional[List[str]]:
+        return None
+
+    def joined_mid_run(self, aggregator: "UnifyFLAggregator") -> bool:
+        return False
+
+
 @dataclass
 class OrchestrationContext:
-    """Everything a round policy needs to drive a federation."""
+    """Everything a round policy needs to be built and to drive a federation."""
 
     chain: "Blockchain"
     driver: "Account"
+    #: the clusters that exist *so far*: the whole federation in a dense
+    #: run, the live list a sampled roster appends to as it materialises.
+    #: Per-round participants always come from ``roster``.
     aggregators: Sequence["UnifyFLAggregator"]
     timing: "ClusterTimingModel"
     num_rounds: int
-    #: shared per-aggregator accumulators, owned by the orchestrator facade.
+    roster: Roster
+    #: shared per-aggregator accumulators, owned by the orchestrator.
     idle_totals: Dict[str, float] = field(default_factory=dict)
     straggles: Dict[str, int] = field(default_factory=dict)
     #: the event-stream communication fabric, or ``None`` for constant costs.
@@ -83,15 +142,18 @@ class OrchestrationContext:
     #: (startTraining / startScoring / endRound / closeSemiRound) as chain
     #: events and predict submission costs from the live link schedule.
     comm: Optional["CommFabric"] = None
-    #: the lazy virtual-cluster population of a sampled federation, or
-    #: ``None`` for the fully-materialised cross-silo shape.  When set,
-    #: ``aggregators`` is the live list of clusters materialised *so far*;
-    #: policies must draw each round's participants from the population.
-    population: Optional["ClientPopulation"] = None
+    #: the experiment configuration registered factories read their knobs
+    #: from; ``None`` when an orchestrator is assembled by hand around an
+    #: explicit policy builder.
+    config: Optional["ExperimentConfig"] = None
 
     def add_idle(self, name: str, waited: float) -> None:
         """Accumulate ``waited`` idle seconds against aggregator ``name``."""
         self.idle_totals[name] = self.idle_totals.get(name, 0.0) + waited
+
+    def cluster_configs(self) -> list:
+        """The configs of the clusters that exist so far (window provisioning)."""
+        return [a.config for a in self.aggregators]
 
 
 class RoundPolicy:
@@ -102,17 +164,18 @@ class RoundPolicy:
     def __init__(self, ctx: OrchestrationContext):
         self.ctx = ctx
         self.kernel: Optional[SimulationKernel] = None
-        #: sampled federations: highest round whose cohort was published to
-        #: the contract (guards setActiveCohort to once per round).
+        #: highest round whose cohort was published to the contract (guards
+        #: setActiveCohort to once per round).
         self._cohort_round_sent = 0
-        #: sampled free-running modes run the cohort as *lanes*: lane ``j``
-        #: executes global rounds 1..num_rounds, occupied in round ``r`` by
-        #: member ``j`` of round ``r``'s cohort.  The lane's timeline is
-        #: continuous — a new occupant starts where the previous one left
-        #: off — so the federation keeps a constant ``cohort_size`` degree
-        #: of parallelism while the participants rotate underneath it.
-        self._lane_round: Dict[int, int] = {}
-        self._lane_time: Dict[int, float] = {}
+        #: free-running modes run every slot as its own event stream: slot
+        #: ``j`` executes global rounds 1..num_rounds, occupied in round
+        #: ``r`` by member ``j`` of round ``r``'s roster.  The slot's
+        #: timeline is continuous — a new occupant starts where the previous
+        #: one left off — so the federation keeps a constant ``cohort_size``
+        #: degree of parallelism while the participants may rotate
+        #: underneath it.
+        self._slot_round: Dict[int, int] = {}
+        self._slot_time: Dict[int, float] = {}
 
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the policy's initial events on ``kernel``."""
@@ -126,43 +189,75 @@ class RoundPolicy:
         return {}
 
     # ------------------------------------------------------------ shared steps
-    def _participants(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
-        """The clusters taking part in a round (the cohort when sampled)."""
-        if self.ctx.population is None:
-            return self.ctx.aggregators
-        return self.ctx.population.round_aggregators(round_number)
-
     def _update_active_cohort(self, round_number: int) -> None:
-        """Publish a sampled round's cohort addresses to the contract.
+        """Publish a rotating round's cohort addresses to the contract.
 
         Scorer assignment is scoped to the declared set, so a cluster that
         was not drawn this round is never drafted as a scorer.  Called at
         every round start but published at most once per round (free-running
-        lanes all pass through here); bookkeeping only — no simulated cost
+        slots all pass through here); bookkeeping only — no simulated cost
         is charged, the declaration piggybacks on the round's driver
-        traffic.  No-op in non-sampled runs.
+        traffic.  A fixed roster declares nothing.
         """
-        if self.ctx.population is None or round_number <= self._cohort_round_sent:
+        if round_number <= self._cohort_round_sent:
             return
         self._cohort_round_sent = round_number
-        addresses = self.ctx.population.addresses(round_number)
+        addresses = self.ctx.roster.cohort_addresses(round_number)
+        if addresses is None:
+            return
         self.ctx.chain.send(
             self.ctx.driver, "unifyfl", "setActiveCohort", {"addresses": addresses}
         )
         self.ctx.chain.mine_until_empty()
 
-    def _lane_occupant(self, lane: int, round_number: int) -> "UnifyFLAggregator":
-        """Lane ``lane``'s occupant for a sampled round, aligned to lane time.
+    def _barrier_wait(self, aggregator: "UnifyFLAggregator", barrier: float) -> float:
+        """Advance a participant to a round-start barrier; returns its idle.
 
-        A newly-materialised cluster starts at clock 0 and is advanced to
-        the lane's timeline (no idle is booked — it did not exist before); a
-        re-sampled cluster may already be past the lane time, in which case
-        it simply carries on from its own clock.
+        A cluster the roster materialised for this round advances from
+        clock 0 without having waited — it did not exist before.
         """
-        assert self.ctx.population is not None
-        aggregator = self.ctx.population.round_aggregators(round_number)[lane]
-        aggregator.clock.advance_to(self._lane_time.get(lane, 0.0))
-        return aggregator
+        fresh = self.ctx.roster.joined_mid_run(aggregator)
+        waited = aggregator.clock.advance_to(barrier)
+        return 0.0 if fresh else waited
+
+    # ------------------------------------------------------ free-running slots
+    def _activate(self, slot: int) -> None:
+        """One self-paced round of ``slot`` (free-running modes implement it)."""
+        raise NotImplementedError
+
+    def _arm_slots(self) -> None:
+        """Arm every slot's first activation at its first occupant's clock."""
+        for slot, occupant in enumerate(self.ctx.roster.round_aggregators(1)):
+            self._schedule_slot(slot, occupant)
+
+    def _schedule_slot(self, slot: int, occupant: "UnifyFLAggregator") -> None:
+        """Continue ``slot``'s timeline from its current occupant's clock.
+
+        The next round's occupant may be a different cluster; re-arming is
+        an O(log n) heap push, not a rescan of every cluster.
+        """
+        assert self.kernel is not None
+        self._slot_time[slot] = occupant.clock.now()
+        self.kernel.schedule_at(
+            self._slot_time[slot],
+            lambda: self._activate(slot),
+            key=self.ctx.roster.slot_key(slot),
+        )
+
+    def _enter_round(self, slot: int) -> Tuple[int, "UnifyFLAggregator"]:
+        """Advance ``slot`` to its next global round: ``(round, occupant)``.
+
+        The occupant is aligned to the slot's timeline: a newly-materialised
+        cluster starts at clock 0 and is advanced to the slot's time (no idle
+        is booked — it did not exist before); a re-sampled cluster may
+        already be past it, in which case it simply carries on from its own
+        clock.  A permanent occupant is always exactly at its slot's time.
+        """
+        round_number = self._slot_round.get(slot, 0) + 1
+        self._slot_round[slot] = round_number
+        aggregator = self.ctx.roster.round_aggregators(round_number)[slot]
+        aggregator.clock.advance_to(self._slot_time[slot])
+        return round_number, aggregator
 
     def _driver_chain_op(self, kind: str, at: float, num_transactions: int = 1) -> float:
         """Charge one driver (orchestrator) transaction to the chain stream.
@@ -244,25 +339,34 @@ class SyncRoundPolicy(RoundPolicy):
     def __init__(
         self,
         ctx: OrchestrationContext,
-        training_window: float,
-        scoring_window: float,
+        training_window: Optional[float] = None,
+        scoring_window: Optional[float] = None,
+        scoring_algorithm: str = "accuracy",
     ):
         super().__init__(ctx)
+        # ``is not None`` rather than truthiness: an explicit window of 0.0 is
+        # a (degenerate but meaningful) operator choice, not "use the default"
+        # — which is the window the timing model provisions for the clusters.
+        if training_window is None:
+            training_window = ctx.timing.expected_training_window(ctx.cluster_configs())
+        if scoring_window is None:
+            scoring_window = ctx.timing.expected_scoring_window(
+                ctx.cluster_configs(), algorithm=scoring_algorithm
+            )
         self.training_window = training_window
         self.scoring_window = scoring_window
         #: clusters that missed the submission window and owe a late submission.
-        self.pending_late: Dict[str, bool] = {a.name: False for a in ctx.aggregators}
+        self.pending_late: Dict[str, bool] = {}
         self._round_timings: Dict[str, "RoundTiming"] = {}
         self._straggled: Dict[str, bool] = {}
         self._offline: Dict[str, bool] = {}
-        #: the clusters participating in the round in flight — the full
-        #: federation normally, the sampled cohort when a population is set.
-        self._active: Sequence["UnifyFLAggregator"] = ctx.aggregators
+        #: the occupants of the round in flight.
+        self._active: Sequence["UnifyFLAggregator"] = ()
 
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the first round start at the initial barrier time."""
         self.kernel = kernel
-        barrier = max(a.clock.now() for a in self._participants(1))
+        barrier = max(a.clock.now() for a in self.ctx.roster.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="sync-round")
 
     # ------------------------------------------------------------ phase events
@@ -271,15 +375,13 @@ class SyncRoundPolicy(RoundPolicy):
         from repro.core.timing import RoundTiming
 
         assert self.kernel is not None
-        participants = self._participants(round_number)
+        participants = self.ctx.roster.round_aggregators(round_number)
         self._active = participants
         self._update_active_cohort(round_number)
-        barrier = max(a.clock.now() for a in participants)
-        if self.ctx.population is not None:
-            # A sampled cohort may consist entirely of clusters whose clocks
-            # lag the federation (fresh, or idle since an earlier round);
-            # the round still starts no earlier than the previous round end.
-            barrier = max(barrier, self.kernel.now())
+        # A rotating cohort may consist entirely of clusters whose clocks lag
+        # the federation (fresh, or idle since an earlier round); the round
+        # still starts no earlier than the previous round end.
+        barrier = max(self.kernel.now(), *(a.clock.now() for a in participants))
         self.ctx.chain.send(self.ctx.driver, "unifyfl", "startTraining")
         self.ctx.chain.mine_until_empty()
         # Event streams: training starts when the startTraining transaction is
@@ -287,11 +389,7 @@ class SyncRoundPolicy(RoundPolicy):
         phase_start = barrier + self._driver_chain_op("startTraining", barrier)
         barrier_waits: Dict[str, float] = {}
         for aggregator in participants:
-            waited = aggregator.clock.advance_to(phase_start)
-            if self.ctx.population is not None and not aggregator.history:
-                # A newly-materialised cluster advancing from clock 0 to the
-                # current barrier did not wait — it did not exist before.
-                waited = 0.0
+            waited = self._barrier_wait(aggregator, phase_start)
             self.ctx.add_idle(aggregator.name, waited)
             barrier_waits[aggregator.name] = waited
         self._round_timings = {}
@@ -401,63 +499,22 @@ class SyncRoundPolicy(RoundPolicy):
 
 
 class AsyncRoundPolicy(RoundPolicy):
-    """Free-running clusters; the earliest heap event is always next (3.3)."""
+    """Free-running slots; the earliest heap event is always next (3.3)."""
 
     mode = "async"
 
-    def __init__(self, ctx: OrchestrationContext):
-        super().__init__(ctx)
-        self.rounds_done: Dict[str, int] = {a.name: 0 for a in ctx.aggregators}
-
     def install(self, kernel: SimulationKernel) -> None:
-        """Arm every cluster's first activation at its own local clock."""
+        """Arm every slot's first activation at its occupant's local clock."""
         self.kernel = kernel
-        if self.ctx.population is not None:
-            # Sampled: one free-running lane per cohort slot; occupants
-            # rotate per round as the sampler draws them.
-            for lane in range(self.ctx.population.cohort_size):
-                self._lane_round[lane] = 0
-                kernel.schedule_at(
-                    0.0, lambda l=lane: self._activate_lane(l), key=f"lane-{lane}"
-                )
-            return
-        for aggregator in self.ctx.aggregators:
-            kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda a=aggregator: self._activate(a),
-                key=aggregator.name,
-            )
+        self._arm_slots()
 
-    def _activate(self, aggregator: "UnifyFLAggregator") -> None:
-        assert self.kernel is not None
-        round_number = self.rounds_done[aggregator.name] + 1
-        self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = round_number
-        if round_number < self.ctx.num_rounds:
-            # Re-arm this cluster at its new local time: an O(log n) push,
-            # not an O(n) rescan of every aggregator.
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate(aggregator),
-                key=aggregator.name,
-            )
-
-    def _activate_lane(self, lane: int) -> None:
-        """Sampled-mode lane step: one self-paced round by the lane's occupant."""
-        assert self.kernel is not None
-        round_number = self._lane_round[lane] + 1
-        self._lane_round[lane] = round_number
+    def _activate(self, slot: int) -> None:
+        """One self-paced round by the slot's occupant."""
+        round_number, aggregator = self._enter_round(slot)
         self._update_active_cohort(round_number)
-        aggregator = self._lane_occupant(lane, round_number)
         self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = self.rounds_done.get(aggregator.name, 0) + 1
-        self._lane_time[lane] = aggregator.clock.now()
         if round_number < self.ctx.num_rounds:
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate_lane(lane),
-                key=f"lane-{lane}",
-            )
+            self._schedule_slot(slot, aggregator)
 
     def finalize(self) -> None:
         """Drain leftover assigned scoring once every cluster finished."""
@@ -480,19 +537,26 @@ class SemiSyncRoundPolicy(RoundPolicy):
     def __init__(
         self,
         ctx: OrchestrationContext,
-        quorum_k: int,
-        max_staleness: float,
+        quorum_k: Optional[int] = None,
+        max_staleness: Optional[float] = None,
     ):
         super().__init__(ctx)
-        from repro.core.config import validate_semi_params
+        from repro.core.config import majority_quorum, validate_semi_params
 
-        validate_semi_params(quorum_k, max_staleness, len(ctx.aggregators))
+        slots = ctx.roster.cohort_size
+        # Default quorum: a majority of the slots, mirroring the
+        # scorer-majority rule of the contract.  Default staleness bound: one
+        # provisioned sync training window — the round never lags a full
+        # lock-step phase behind.
+        if quorum_k is None:
+            quorum_k = majority_quorum(slots)
+        if max_staleness is None:
+            max_staleness = ctx.timing.expected_training_window(ctx.cluster_configs())
+        validate_semi_params(quorum_k, max_staleness, slots)
         self.quorum_k = quorum_k
         self.max_staleness = max_staleness
-        self.rounds_done: Dict[str, int] = {a.name: 0 for a in ctx.aggregators}
-        #: clusters waiting for the open round to close before re-activating,
-        #: as name -> (aggregator, lane); lane is ``None`` outside sampled
-        #: mode, where clusters are their own permanent lane.
+        #: submitters waiting for the open round to close before their slot
+        #: re-activates, as name -> (aggregator, slot).
         self._blocked: Dict[str, tuple] = {}
         #: semi round each cluster's latest submission was buffered into.
         self._submitted_round: Dict[str, int] = {}
@@ -505,6 +569,9 @@ class SemiSyncRoundPolicy(RoundPolicy):
         #: landed yet: the next landing closes the round immediately, so a
         #: round never stays open past max_staleness once it has content.
         self._deadline_passed = False
+        #: slots that completed their last round.  Finished state is per
+        #: *slot*: the slot retires, its last occupant does not block other
+        #: slots it may later join.
         self._finished: set = set()
         self._timeout_event = None
         #: audit trail of round closures:
@@ -518,7 +585,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
 
     # ----------------------------------------------------------------- install
     def install(self, kernel: SimulationKernel) -> None:
-        """Configure the contract's quorum, arm every cluster and the timeout."""
+        """Configure the contract's quorum, arm every slot and the timeout."""
         self.kernel = kernel
         self.ctx.chain.send(
             self.ctx.driver, "unifyfl", "configureSemiRound", {"quorum_k": self.quorum_k}
@@ -527,25 +594,12 @@ class SemiSyncRoundPolicy(RoundPolicy):
         # Recorded for the chain accounting; nobody waits on the configuration
         # transaction (clusters start from their own clocks regardless).
         self._driver_chain_op("configureSemiRound", 0.0)
-        if self.ctx.population is not None:
-            for lane in range(self.ctx.population.cohort_size):
-                self._lane_round[lane] = 0
-                kernel.schedule_at(
-                    0.0, lambda l=lane: self._activate_lane(l), key=f"lane-{lane}"
-                )
-            self._arm_timeout()
-            return
-        for aggregator in self.ctx.aggregators:
-            kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda a=aggregator: self._activate(a),
-                key=aggregator.name,
-            )
+        self._arm_slots()
         self._arm_timeout()
 
     # ------------------------------------------------------------------ events
-    def _activate(self, aggregator: "UnifyFLAggregator") -> None:
-        """Run one self-paced cluster round starting at this event's time.
+    def _activate(self, slot: int) -> None:
+        """Run one self-paced round by the slot's occupant, from this event's time.
 
         The round's work is atomic (it advances the cluster's *local* clock
         past the kernel's global time), so quorum bookkeeping is deferred to a
@@ -554,74 +608,39 @@ class SemiSyncRoundPolicy(RoundPolicy):
         correctly ordered on the global timeline.
         """
         assert self.kernel is not None
-        round_number = self.rounds_done[aggregator.name] + 1
+        round_number, aggregator = self._enter_round(slot)
+        self._update_active_cohort(round_number)
         submitted = self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = round_number
         done = round_number >= self.ctx.num_rounds
         if done:
-            self._finished.add(aggregator.name)
+            self._finished.add(slot)
 
         if submitted:
             status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
             self._submitted_round[aggregator.name] = status["round"]
             self.kernel.schedule_at(
                 aggregator.clock.now(),
-                lambda: self._on_submission(aggregator),
-                key=aggregator.name,
+                lambda: self._on_submission(aggregator, slot),
+                key=self.ctx.roster.slot_key(slot),
             )
         elif not done:
             # Offline round: nothing was submitted, keep free-running.
-            self._reactivate(aggregator)
+            self._schedule_slot(slot, aggregator)
 
         if self._all_finished() and self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
 
-    def _activate_lane(self, lane: int) -> None:
-        """Sampled-mode lane step: one self-paced round by the lane's occupant."""
+    def _on_submission(self, aggregator: "UnifyFLAggregator", slot: int) -> None:
+        """The occupant's submission lands (in global time): close or wait."""
         assert self.kernel is not None
-        round_number = self._lane_round[lane] + 1
-        self._lane_round[lane] = round_number
-        self._update_active_cohort(round_number)
-        aggregator = self._lane_occupant(lane, round_number)
-        submitted = self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = self.rounds_done.get(aggregator.name, 0) + 1
-        done = round_number >= self.ctx.num_rounds
-        if done:
-            # Finished state is tracked per *lane*: the lane retires, its
-            # last occupant does not block other lanes it may later join.
-            self._finished.add(lane)
-        self._lane_time[lane] = aggregator.clock.now()
-
-        if submitted:
-            status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
-            self._submitted_round[aggregator.name] = status["round"]
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._on_submission(aggregator, lane=lane),
-                key=f"lane-{lane}",
-            )
-        elif not done:
-            self._reactivate(aggregator, lane=lane)
-
-        if self._all_finished() and self._timeout_event is not None:
-            self._timeout_event.cancel()
-            self._timeout_event = None
-
-    def _on_submission(
-        self, aggregator: "UnifyFLAggregator", lane: Optional[int] = None
-    ) -> None:
-        """The cluster's submission lands (in global time): close or wait."""
-        assert self.kernel is not None
-        done = (lane in self._finished) if lane is not None else (
-            aggregator.name in self._finished
-        )
+        done = slot in self._finished
         status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
         if status["round"] > self._submitted_round.get(aggregator.name, 0):
             # The round this cluster fed was closed while its submission was
-            # in flight — it is free to continue immediately.
+            # in flight — its slot is free to continue immediately.
             if not done:
-                self._reactivate(aggregator, lane=lane)
+                self._schedule_slot(slot, aggregator)
             return
         self._landed += 1
         if self._landed >= self.quorum_k:
@@ -630,16 +649,16 @@ class SemiSyncRoundPolicy(RoundPolicy):
                 # The quorum-triggering cluster waits for closeSemiRound
                 # finality exactly like every blocked waiter — closing the
                 # round is not a licence to skip the consensus wait.
-                self._release(aggregator, release_time, lane=lane)
+                self._release(aggregator, slot, release_time)
         elif self._deadline_passed:
             # The round is already past its staleness deadline; this first
             # landing gives it content, so it closes right away.
             release_time = self._close_round(reason="staleness")
             if not done:
-                self._release(aggregator, release_time, lane=lane)
+                self._release(aggregator, slot, release_time)
         elif not done:
             # Submitted to a round that is still open: wait for the close.
-            self._blocked[aggregator.name] = (aggregator, lane)
+            self._blocked[aggregator.name] = (aggregator, slot)
 
     def _on_timeout(self) -> None:
         assert self.kernel is not None
@@ -654,26 +673,6 @@ class SemiSyncRoundPolicy(RoundPolicy):
             self._deadline_passed = True
 
     # --------------------------------------------------------------- internals
-    def _reactivate(
-        self, aggregator: "UnifyFLAggregator", lane: Optional[int] = None
-    ) -> None:
-        assert self.kernel is not None
-        if lane is not None:
-            # Sampled mode: the *lane* continues from this occupant's clock;
-            # the next round's occupant may be a different cluster.
-            self._lane_time[lane] = aggregator.clock.now()
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate_lane(lane),
-                key=f"lane-{lane}",
-            )
-            return
-        self.kernel.schedule_at(
-            aggregator.clock.now(),
-            lambda: self._activate(aggregator),
-            key=aggregator.name,
-        )
-
     def _arm_timeout(self) -> None:
         assert self.kernel is not None
         self._timeout_event = self.kernel.schedule_after(
@@ -681,12 +680,9 @@ class SemiSyncRoundPolicy(RoundPolicy):
         )
 
     def _release(
-        self,
-        aggregator: "UnifyFLAggregator",
-        release_time: float,
-        lane: Optional[int] = None,
+        self, aggregator: "UnifyFLAggregator", slot: int, release_time: float
     ) -> None:
-        """Advance a same-round submitter to the close's finality and re-arm it.
+        """Advance a same-round submitter to the close's finality and re-arm its slot.
 
         Shared by blocked waiters and the cluster whose landing triggered the
         close, so every submitter of a round resumes no earlier than
@@ -697,7 +693,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
         self.ctx.add_idle(aggregator.name, waited)
         if aggregator.history:
             aggregator.history[-1].timing.idle_time += waited
-        self._reactivate(aggregator, lane=lane)
+        self._schedule_slot(slot, aggregator)
 
     def _close_round(self, reason: str) -> float:
         """Close the open semi round on the contract and release waiters.
@@ -728,14 +724,12 @@ class SemiSyncRoundPolicy(RoundPolicy):
             self._timeout_event = None
 
         blocked = [self._blocked.pop(name) for name in sorted(self._blocked)]
-        for aggregator, lane in blocked:
-            self._release(aggregator, release_time, lane=lane)
+        for aggregator, slot in blocked:
+            self._release(aggregator, slot, release_time)
         return release_time
 
     def _all_finished(self) -> bool:
-        if self.ctx.population is not None:
-            return len(self._finished) == self.ctx.population.cohort_size
-        return len(self._finished) == len(self.ctx.aggregators)
+        return len(self._finished) == self.ctx.roster.cohort_size
 
     # ----------------------------------------------------------------- results
     def finalize(self) -> None:
@@ -796,20 +790,22 @@ class HierarchicalRoundPolicy(RoundPolicy):
         round_budget: Optional[int] = None,
     ):
         super().__init__(ctx)
-        # Range validation lives in HierarchicalOrchestrator (and, for
-        # experiment configs, in ExperimentConfig); the policy trusts its
-        # inputs and only clamps the site count to the federation size.
-        aggregators = list(ctx.aggregators)
-        self.num_sites = max(1, min(num_sites, len(aggregators)))
+        if num_sites < 1:
+            raise ValueError("num_sites must be at least 1")
+        if local_rounds_per_global < 1:
+            raise ValueError("local_rounds_per_global must be at least 1")
+        if round_budget is not None and round_budget < 1:
+            raise ValueError("round_budget must be at least 1 when set")
+        # The site count is clamped to the number of slots.
+        self.num_sites = min(num_sites, ctx.roster.cohort_size)
         self.local_rounds = local_rounds_per_global
         self.round_budget = round_budget
-        #: groups[s] = clusters whose home site is s (fabric round-robin order).
-        self.groups: List[List["UnifyFLAggregator"]] = [[] for _ in range(self.num_sites)]
-        for i, aggregator in enumerate(aggregators):
-            self.groups[i % self.num_sites].append(aggregator)
-        self.budget_left: Dict[str, Optional[int]] = {
-            a.name: round_budget for a in aggregators
-        }
+        #: groups[s] = the round in flight's occupants whose home site is s:
+        #: the same ``slot % num_sites`` round-robin the fabric assigns home
+        #: replicas with, rebuilt each round because occupants may rotate.
+        self.groups: List[List["UnifyFLAggregator"]] = []
+        #: local training rounds each budgeted cluster still has.
+        self.budget_left: Dict[str, int] = {}
         #: (global_round, local_round) at which each cluster ran dry.
         self.budget_exhausted_at: Dict[str, tuple] = {}
         #: audit trail of leader elections: (global_round, site_index, name).
@@ -833,7 +829,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the first global round at the initial barrier time."""
         self.kernel = kernel
-        barrier = max(a.clock.now() for a in self._participants(1))
+        barrier = max(a.clock.now() for a in self.ctx.roster.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="hier-round")
 
     # ---------------------------------------------------------- helper pricing
@@ -877,26 +873,17 @@ class HierarchicalRoundPolicy(RoundPolicy):
         from repro.core.timing import RoundTiming
 
         assert self.kernel is not None
-        participants = list(self._participants(global_round))
+        participants = self.ctx.roster.round_aggregators(global_round)
         self._update_active_cohort(global_round)
-        sampled = self.ctx.population is not None
-        if sampled:
-            # Cohorts change per round: site groups are rebuilt each round
-            # with the same ``i % num_sites`` round-robin over the cohort.
-            self.groups = [[] for _ in range(self.num_sites)]
-            for i, aggregator in enumerate(participants):
-                self.groups[i % self.num_sites].append(aggregator)
-        barrier = max(a.clock.now() for a in participants)
-        if sampled:
-            barrier = max(barrier, self.kernel.now())
+        self.groups = [[] for _ in range(self.num_sites)]
+        for slot, aggregator in enumerate(participants):
+            self.groups[slot % self.num_sites].append(aggregator)
+        # As in sync: a rotating cohort's clocks may all lag the federation.
+        barrier = max(self.kernel.now(), *(a.clock.now() for a in participants))
         timings: Dict[str, "RoundTiming"] = {}
         available: Dict[str, bool] = {}
         for aggregator in participants:
-            waited = aggregator.clock.advance_to(barrier)
-            if sampled and not aggregator.history:
-                # A freshly materialised cohort member did not exist before
-                # this barrier; catching its clock up is not idle waiting.
-                waited = 0.0
+            waited = self._barrier_wait(aggregator, barrier)
             self.ctx.add_idle(aggregator.name, waited)
             self.tier_totals["global_idle_time"] += waited
             timings[aggregator.name] = RoundTiming(idle_time=waited)
@@ -1083,8 +1070,6 @@ class GossipRoundPolicy(RoundPolicy):
             raise ValueError("gossip fanout must be non-negative")
         self.fanout = fanout
         self.seed = seed
-        self.rounds_done: Dict[str, int] = {a.name: 0 for a in ctx.aggregators}
-        self._index: Dict[str, int] = {a.name: i for i, a in enumerate(ctx.aggregators)}
         #: publication history per cluster, as (cid, publish_time) in time
         #: order.  A puller sees the peer's *latest visible* publication —
         #: the last one whose publish time its own clock has passed — so a
@@ -1098,87 +1083,33 @@ class GossipRoundPolicy(RoundPolicy):
 
     # ----------------------------------------------------------------- install
     def install(self, kernel: SimulationKernel) -> None:
-        """Arm every cluster's first activation at its own local clock."""
+        """Arm every slot's first activation at its occupant's local clock."""
         self.kernel = kernel
-        if self.ctx.population is not None:
-            for lane in range(self.ctx.population.cohort_size):
-                self._lane_round[lane] = 0
-                kernel.schedule_at(
-                    0.0, lambda l=lane: self._activate_lane(l), key=f"lane-{lane}"
-                )
-            return
-        for aggregator in self.ctx.aggregators:
-            kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda a=aggregator: self._activate(a),
-                key=aggregator.name,
-            )
+        self._arm_slots()
 
     # ------------------------------------------------------------------ events
-    def _select_peers(self, aggregator: "UnifyFLAggregator", round_number: int) -> List["UnifyFLAggregator"]:
-        """The deterministic seeded fanout draw for one (cluster, round)."""
-        others = [a for a in self.ctx.aggregators if a.name != aggregator.name]
-        k = min(self.fanout, len(others))
-        if k <= 0:
-            return []
-        rng = np.random.default_rng(
-            [self.seed, round_number, self._index[aggregator.name]]
-        )
-        chosen = sorted(rng.choice(len(others), size=k, replace=False).tolist())
-        return [others[i] for i in chosen]
+    def _select_peers(self, slot: int, round_number: int) -> List["UnifyFLAggregator"]:
+        """The deterministic seeded fanout draw for one (slot, round).
 
-    def _select_lane_peers(
-        self,
-        participants: Sequence["UnifyFLAggregator"],
-        lane: int,
-        round_number: int,
-    ) -> List["UnifyFLAggregator"]:
-        """Sampled-mode fanout draw: peers come from the round's cohort.
-
-        The draw is keyed on the *lane* (the cohort slot), not the cluster,
-        so it is independent of which virtual cluster happens to occupy the
-        slot this round.
+        Peers come from the round's other occupants.  The draw is keyed on
+        the *slot*, not the cluster, so it is independent of which cluster
+        happens to occupy the slot this round.
         """
-        others = [a for i, a in enumerate(participants) if i != lane]
+        participants = self.ctx.roster.round_aggregators(round_number)
+        others = [a for i, a in enumerate(participants) if i != slot]
         k = min(self.fanout, len(others))
         if k <= 0:
             return []
-        rng = np.random.default_rng([self.seed, round_number, lane])
+        rng = np.random.default_rng([self.seed, round_number, slot])
         chosen = sorted(rng.choice(len(others), size=k, replace=False).tolist())
         return [others[i] for i in chosen]
 
-    def _activate(self, aggregator: "UnifyFLAggregator") -> None:
-        assert self.kernel is not None
-        round_number = self.rounds_done[aggregator.name] + 1
-        self.rounds_done[aggregator.name] = round_number
-        done = round_number >= self.ctx.num_rounds
-        self._run_round(
-            aggregator, round_number, self._select_peers(aggregator, round_number)
-        )
-        if not done:
-            self._reactivate(aggregator)
-
-    def _activate_lane(self, lane: int) -> None:
-        """Sampled-mode lane step: one gossip round by the lane's occupant."""
-        assert self.kernel is not None
-        assert self.ctx.population is not None
-        round_number = self._lane_round[lane] + 1
-        self._lane_round[lane] = round_number
-        participants = self.ctx.population.round_aggregators(round_number)
-        aggregator = self._lane_occupant(lane, round_number)
-        self.rounds_done[aggregator.name] = self.rounds_done.get(aggregator.name, 0) + 1
-        self._run_round(
-            aggregator,
-            round_number,
-            self._select_lane_peers(participants, lane, round_number),
-        )
-        self._lane_time[lane] = aggregator.clock.now()
+    def _activate(self, slot: int) -> None:
+        """One gossip round by the slot's occupant."""
+        round_number, aggregator = self._enter_round(slot)
+        self._run_round(aggregator, round_number, self._select_peers(slot, round_number))
         if round_number < self.ctx.num_rounds:
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate_lane(lane),
-                key=f"lane-{lane}",
-            )
+            self._schedule_slot(slot, aggregator)
 
     def _run_round(
         self,
@@ -1245,14 +1176,6 @@ class GossipRoundPolicy(RoundPolicy):
                 return cid
         return None
 
-    def _reactivate(self, aggregator: "UnifyFLAggregator") -> None:
-        assert self.kernel is not None
-        self.kernel.schedule_at(
-            aggregator.clock.now(),
-            lambda: self._activate(aggregator),
-            key=aggregator.name,
-        )
-
     # ----------------------------------------------------------------- results
     def extras(self) -> Dict[str, object]:
         """Per-exchange breakdown: who pulled from whom, at what cost."""
@@ -1272,3 +1195,75 @@ class GossipRoundPolicy(RoundPolicy):
             "per_cluster_final_accuracy": final_accuracy,
             "exchanges": list(self.exchange_log),
         }
+
+
+# --------------------------------------------------------------------------
+# Built-in registrations: every consumer of "what modes exist" (runner
+# dispatch, ExperimentConfig validation, CLI --mode choices, contract
+# behaviour) derives its view from these specs.  Each factory maps the
+# experiment configuration's knobs onto its policy's constructor.
+# --------------------------------------------------------------------------
+
+def _reject_similarity_scoring(config: "ExperimentConfig") -> None:
+    """Free-running modes never see a whole round at once."""
+    if config.scoring_algorithm in ("multikrum", "cosine"):
+        raise ValueError(
+            "similarity-based scoring needs all models of a round at once and is only "
+            "supported in sync mode"
+        )
+
+
+register_policy(PolicySpec(
+    name="sync",
+    factory=lambda ctx: SyncRoundPolicy(
+        ctx,
+        training_window=ctx.config.phase_duration,
+        scoring_window=ctx.config.phase_duration,
+        scoring_algorithm=ctx.config.scoring_algorithm,
+    ),
+    description="lock-step phases with fixed training/scoring windows",
+    contract=ContractProfile(phase_gated=True),
+))
+register_policy(PolicySpec(
+    name="async",
+    factory=AsyncRoundPolicy,
+    description="free-running clusters, scorers assigned at submission",
+    validate=_reject_similarity_scoring,
+    contract=ContractProfile(assigns_scorers_on_submit=True),
+))
+register_policy(PolicySpec(
+    name="semi",
+    factory=lambda ctx: SemiSyncRoundPolicy(
+        ctx, quorum_k=ctx.config.semi_quorum_k, max_staleness=ctx.config.max_staleness
+    ),
+    description="buffered-async rounds closed by quorum or staleness expiry",
+    # The quorum/staleness bounds check is mode-agnostic and already runs
+    # unconditionally in ExperimentConfig.__post_init__ (the knobs can be
+    # set, and are range-checked, on any config).
+    validate=_reject_similarity_scoring,
+    contract=ContractProfile(assigns_scorers_on_submit=True, buffered=True),
+))
+register_policy(PolicySpec(
+    name="hierarchical",
+    # Site grouping mirrors the event-stream fabric's round-robin assignment
+    # of clusters to storage replicas, so a "group" is exactly the set of
+    # clusters sharing a storage site (one group when replicas are off).
+    factory=lambda ctx: HierarchicalRoundPolicy(
+        ctx,
+        num_sites=ctx.config.storage_replicas,
+        local_rounds_per_global=ctx.config.local_rounds_per_global,
+        round_budget=ctx.config.round_budget,
+    ),
+    description="per-site local rounds, one leader submission per site per global round",
+    validate=_reject_similarity_scoring,
+    contract=ContractProfile(assigns_scorers_on_submit=True),
+))
+register_policy(PolicySpec(
+    name="gossip",
+    factory=lambda ctx: GossipRoundPolicy(
+        ctx, fanout=ctx.config.gossip_fanout, seed=ctx.config.seed
+    ),
+    description="barrier-free seeded peer exchanges, per-cluster convergence",
+    validate=_reject_similarity_scoring,
+    contract=ContractProfile(),
+))

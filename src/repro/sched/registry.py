@@ -1,18 +1,14 @@
 """The round-policy registry: orchestration modes as pluggable plugins.
 
-Before this module existed, adding an orchestration mode meant editing four
-parallel hard-coded lists: the ``if mode == ...`` ladder in
-``ExperimentRunner._build_orchestrator``, the closed mode tuple in
-``ExperimentConfig`` validation, the ``--mode`` choices of the CLI and the
-``MODES`` tuple of the smart contract.  The registry collapses all four into
-one source of truth: a policy *registers itself* with a name, an optional
-config-validation hook, a factory, and the contract-behaviour profile its
-mode needs — and every consumer derives its view from the registration:
+One source of truth for "what modes exist": a mode *registers* a name, a
+factory that builds its :class:`~repro.sched.policies.RoundPolicy`, an
+optional config-validation hook and the contract-behaviour profile it needs
+— and every consumer derives its view from the registration:
 
-* :class:`~repro.core.runner.ExperimentRunner` dispatches through
-  :func:`get_policy` and calls the spec's ``factory`` with a single
-  :class:`PolicyBuildContext` (replacing the old positional ``common``
-  tuple);
+* :class:`~repro.core.runner.ExperimentRunner` looks the configured mode up
+  with :func:`get_policy` and hands the spec's ``factory`` to the one
+  :class:`~repro.core.orchestrator.Orchestrator`, which calls it with the
+  run's :class:`~repro.sched.policies.OrchestrationContext`;
 * :class:`~repro.core.config.ExperimentConfig` validates ``mode`` against
   :func:`registered_modes` at construction time and runs the spec's
   ``validate`` hook, so an unknown mode fails fast with the list of
@@ -23,25 +19,20 @@ mode needs — and every consumer derives its view from the registration:
   whether scorers are assigned at submission time, and whether the semi-sync
   buffer machinery is live.
 
-The registry itself is domain-agnostic and imports nothing from
-``repro.core`` at module level (the core package imports *us*); the built-in
-policies register themselves when :mod:`repro.core.orchestrator` is
-imported, which :func:`_load_builtins` triggers lazily on first lookup.
+The registry itself is domain-agnostic and imports nothing from ``repro`` at
+module level.  The built-in modes register themselves at the bottom of
+:mod:`repro.sched.policies`, which the ``repro.sched`` package imports — so
+they are present before anything can reach this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.chain.account import Account
-    from repro.chain.blockchain import Blockchain
-    from repro.core.aggregator import UnifyFLAggregator
     from repro.core.config import ExperimentConfig
-    from repro.core.runner import ClientPopulation
-    from repro.core.timing import ClusterTimingModel
-    from repro.sched.actors import CommFabric
+    from repro.sched.policies import OrchestrationContext, RoundPolicy
 
 
 @dataclass(frozen=True)
@@ -69,40 +60,15 @@ class ContractProfile:
     buffered: bool = False
 
 
-@dataclass
-class PolicyBuildContext:
-    """Everything a registered policy factory gets to build its orchestrator.
-
-    One dataclass instead of the old positional ``(chain, driver,
-    aggregators, timing)`` tuple, so factories pick what they need by name
-    and new fields never ripple through every call site.
-    """
-
-    chain: "Blockchain"
-    driver: "Account"
-    aggregators: Sequence["UnifyFLAggregator"]
-    timing: "ClusterTimingModel"
-    #: the event-stream communication fabric, or ``None`` for constant costs.
-    comm: Optional["CommFabric"] = None
-    #: the full experiment configuration; ``None`` when an orchestrator is
-    #: built programmatically outside an :class:`ExperimentRunner`.
-    config: Optional["ExperimentConfig"] = None
-    #: the lazy virtual-cluster population of a sampled federation, or
-    #: ``None`` for the classic fully-materialised cross-silo shape.  When
-    #: set, ``aggregators`` is the *live* list the population appends to and
-    #: holds only the clusters materialised so far (round 1's cohort at
-    #: build time).
-    population: Optional["ClientPopulation"] = None
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """One registered orchestration mode.
 
     Attributes:
         name: the mode string (``ExperimentConfig.mode`` / CLI ``--mode``).
-        factory: builds the mode's orchestrator from a
-            :class:`PolicyBuildContext`.
+        factory: builds the mode's round policy from the run's
+            :class:`~repro.sched.policies.OrchestrationContext` (whose
+            ``config`` carries the experiment's knobs).
         description: one-line summary surfaced by CLI help and docs.
         validate: optional hook run at ``ExperimentConfig`` construction;
             raises ``ValueError`` on a configuration the mode cannot run.
@@ -110,7 +76,7 @@ class PolicySpec:
     """
 
     name: str
-    factory: Callable[[PolicyBuildContext], Any]
+    factory: Callable[["OrchestrationContext"], "RoundPolicy"]
     description: str = ""
     validate: Optional[Callable[["ExperimentConfig"], None]] = None
     contract: ContractProfile = field(default_factory=ContractProfile)
@@ -118,7 +84,6 @@ class PolicySpec:
 
 #: the registry proper, in registration order (which fixes CLI choice order).
 _REGISTRY: Dict[str, PolicySpec] = {}
-_builtins_loaded = False
 
 
 def register_policy(spec: PolicySpec) -> PolicySpec:
@@ -134,29 +99,13 @@ def unregister_policy(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
-def _load_builtins() -> None:
-    """Import the module that registers the built-in modes, once.
-
-    ``repro.core.orchestrator`` registers sync/async/semi/hierarchical/gossip
-    at import time; importing it lazily (function-level) keeps this module
-    free of ``repro.core`` imports and therefore cycle-free.
-    """
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    import repro.core.orchestrator  # noqa: F401  (registers the built-ins)
-
-
 def registered_modes() -> List[str]:
     """Names of every registered mode, in registration order."""
-    _load_builtins()
     return list(_REGISTRY)
 
 
 def get_policy(name: str) -> PolicySpec:
     """Look up one mode's spec; unknown names list what *is* registered."""
-    _load_builtins()
     spec = _REGISTRY.get(name)
     if spec is None:
         known = ", ".join(f"'{mode}'" for mode in _REGISTRY)
@@ -169,10 +118,3 @@ def validate_mode_config(config: "ExperimentConfig") -> None:
     spec = get_policy(config.mode)
     if spec.validate is not None:
         spec.validate(config)
-
-
-def build_orchestrator(build: PolicyBuildContext) -> Any:
-    """Dispatch a build context to its mode's registered factory."""
-    if build.config is None:
-        raise ValueError("build_orchestrator needs a PolicyBuildContext with a config")
-    return get_policy(build.config.mode).factory(build)

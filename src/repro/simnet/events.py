@@ -8,8 +8,9 @@ orchestration layer scale to large federations.
 
 Ordering is total and deterministic: events are popped by
 ``(time, priority, key, seq)``.  ``key`` is a caller-chosen label (the
-orchestrators use the actor name) so that simultaneous events resolve in a
-reproducible, machine-independent order, exactly mirroring the
+round policies use the roster's slot key — the actor name in a dense run) so
+that simultaneous events resolve in a reproducible, machine-independent
+order, exactly mirroring the
 ``min(..., key=lambda a: (a.clock.now(), a.name))`` tie-breaking of the old
 scan-based loops.
 """

@@ -16,7 +16,6 @@ appears in the reproduction exactly as it does on real hardware.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict
 
@@ -32,8 +31,7 @@ class HardwareProfile:
     #: reference CNN workload; larger models scale time by parameter ratio.
     samples_per_second: float
     #: sustained network bandwidth in **megabytes** per simulated second
-    #: (1 MB = 1e6 bytes).  Formerly misleadingly named ``bandwidth_mbps``,
-    #: which survives as a deprecated read alias.
+    #: (1 MB = 1e6 bytes).
     bandwidth_mbytes_per_s: float
     #: one-way network latency to cluster peers, in simulated seconds.
     latency_s: float
@@ -53,21 +51,6 @@ class HardwareProfile:
         if model_scale <= 0:
             raise ValueError("model_scale must be positive")
         return (num_samples * epochs * model_scale) / self.samples_per_second
-
-    @property
-    def bandwidth_mbps(self) -> float:
-        """Deprecated alias of :attr:`bandwidth_mbytes_per_s`.
-
-        The historical name suggested megabits/s, but the value has always
-        been mega**bytes** per simulated second.
-        """
-        warnings.warn(
-            "HardwareProfile.bandwidth_mbps is deprecated (the unit is megabytes/s); "
-            "use bandwidth_mbytes_per_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.bandwidth_mbytes_per_s
 
     def transfer_time(self, num_bytes: int) -> float:
         """Simulated seconds to move ``num_bytes`` to or from this device."""

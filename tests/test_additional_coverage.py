@@ -5,6 +5,8 @@ and invariants of the contract under randomised interleavings.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,12 @@ from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
 from repro.core.config import ClusterConfig, ExperimentConfig, cifar10_workload, edge_cluster_configs
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import SyncOrchestrator
+from repro.core.orchestrator import Orchestrator
 from repro.core.runner import ExperimentRunner, run_experiment
 from repro.core.scorer import MultiKRUMScorer
 from repro.core.timing import ClusterTimingModel
 from repro.ipfs.cid import parse_cid
+from repro.sched.policies import SyncRoundPolicy
 
 
 # --------------------------------------------------------------------- helpers
@@ -40,13 +43,12 @@ class TestStragglerHandling:
         """A cluster that misses the window still gets its model on chain one round later."""
         runner = ExperimentRunner(tiny_config("straggler", rounds=3))
         runner.build()
-        orchestrator = SyncOrchestrator(
+        orchestrator = Orchestrator(
             runner.chain,
             runner._driver_account,
             runner.aggregators,
             runner.timing_model,
-            training_window=0.5,  # far below any cluster's training time
-            scoring_window=10.0,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=10.0),
         )
         result = orchestrator.run(3)
         # Every cluster straggled in (at least) the first two rounds...
@@ -60,13 +62,12 @@ class TestStragglerHandling:
     def test_straggled_rounds_flagged_in_history(self):
         runner = ExperimentRunner(tiny_config("straggler-flag", rounds=2))
         runner.build()
-        orchestrator = SyncOrchestrator(
+        orchestrator = Orchestrator(
             runner.chain,
             runner._driver_account,
             runner.aggregators,
             runner.timing_model,
-            training_window=0.5,
-            scoring_window=10.0,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=10.0),
         )
         orchestrator.run(2)
         flags = [record.straggled for aggregator in runner.aggregators for record in aggregator.history]
@@ -75,13 +76,12 @@ class TestStragglerHandling:
     def test_generous_window_produces_no_stragglers(self):
         runner = ExperimentRunner(tiny_config("no-straggler", rounds=2))
         runner.build()
-        orchestrator = SyncOrchestrator(
+        orchestrator = Orchestrator(
             runner.chain,
             runner._driver_account,
             runner.aggregators,
             runner.timing_model,
-            training_window=10_000.0,
-            scoring_window=10_000.0,
+            partial(SyncRoundPolicy, training_window=10_000.0, scoring_window=10_000.0),
         )
         result = orchestrator.run(2)
         assert all(count == 0 for count in result.straggler_counts.values())

@@ -275,28 +275,6 @@ class TestUNIT002ConversionLiterals:
         assert codes_of(lint_source(source, path="src/repro/other.py")) == ["UNIT002"]
 
 
-class TestUNIT003DeprecatedAlias:
-    def test_flags_reads_and_keyword_passthrough(self):
-        source = (
-            "def f(profile):\n"
-            "    bw = profile.bandwidth_mbps\n"
-            "    return make_link(bandwidth_mbps=bw)\n"
-        )
-        report = lint_source(source, path="src/repro/example.py", codes=("UNIT003",))
-        assert codes_of(report) == ["UNIT003"]
-        assert len(report.findings) == 2
-
-    def test_the_shim_definition_itself_passes(self):
-        # Store contexts are the alias definitions, which must keep the
-        # old spelling for backward compatibility.
-        source = "link_bandwidth_mbps = None\n"
-        assert lint_source(source, path="src/repro/example.py").findings == []
-
-    def test_canonical_spelling_passes(self):
-        source = "def f(profile):\n    return profile.bandwidth_mbytes_per_s\n"
-        assert lint_source(source, path="src/repro/example.py").findings == []
-
-
 class TestUNIT004SuffixAssignment:
     def test_flags_unsuffixed_and_cross_unit_sources(self):
         source = (
@@ -702,7 +680,6 @@ class TestRuleRegistry:
             "DET005",
             "UNIT001",
             "UNIT002",
-            "UNIT003",
             "UNIT004",
             "WIRE001",
             "WIRE002",
@@ -721,7 +698,6 @@ class TestRuleRegistry:
         assert expand_selectors(["UNIT"]) == [
             "UNIT001",
             "UNIT002",
-            "UNIT003",
             "UNIT004",
         ]
         assert expand_selectors(["WIRE", "DET001"]) == [

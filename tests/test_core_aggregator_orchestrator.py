@@ -1,6 +1,8 @@
-"""Tests for the UnifyFL aggregator and the Sync/Async orchestrators."""
+"""Tests for the UnifyFL aggregator and the orchestrator under the sync/async/semi policies."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from repro.core.aggregator import UnifyFLAggregator
 from repro.core.attacks import SignFlipAttack
 from repro.core.config import ClusterConfig, cifar10_workload
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import AsyncOrchestrator, SemiSyncOrchestrator, SyncOrchestrator
+from repro.core.orchestrator import Orchestrator
 from repro.core.scorer import AccuracyScorer
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.partition import IIDPartitioner
@@ -20,8 +22,29 @@ from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.models import SimpleCNN
 from repro.ml.tensor_utils import weights_allclose
+from repro.sched.policies import (
+    AsyncRoundPolicy,
+    GossipRoundPolicy,
+    HierarchicalRoundPolicy,
+    OrchestrationContext,
+    SemiSyncRoundPolicy,
+    StaticRoster,
+    SyncRoundPolicy,
+)
 from repro.simnet.hardware import DOCKER_CONTAINER, EDGE_CPU_NODE
 from repro.simnet.resources import ResourceMonitor
+
+
+def policy_context(chain, driver, aggregators, timing, num_rounds=1):
+    """The context an orchestrator would hand a policy builder for a dense run."""
+    return OrchestrationContext(
+        chain=chain,
+        driver=driver,
+        aggregators=aggregators,
+        timing=timing,
+        num_rounds=num_rounds,
+        roster=StaticRoster(aggregators),
+    )
 
 
 def build_federation(mode="sync", num_clusters=3, malicious=(), monitor=None, seed=0):
@@ -209,35 +232,36 @@ class TestAggregatorUnit:
 class TestSyncOrchestrator:
     def test_two_rounds_complete(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         result = orchestrator.run(2)
         assert result.rounds_completed == 2
         assert all(len(h) == 2 for h in result.histories.values())
 
     def test_all_aggregators_share_the_same_total_time(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         result = orchestrator.run(2)
         times = list(result.total_times.values())
         assert max(times) - min(times) < 1e-6
 
     def test_idle_time_recorded(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         result = orchestrator.run(1)
         assert any(idle > 0 for idle in result.idle_times.values())
 
     def test_every_aggregator_scored_peers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        SyncOrchestrator(chain, driver, aggregators, timing).run(1)
+        Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy).run(1)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert len(records) == 3
         assert all(len(r["scores"]) == 2 for r in records)
 
     def test_tight_window_causes_stragglers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.5, scoring_window=5.0
+        orchestrator = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
         )
         result = orchestrator.run(2)
         assert sum(result.straggler_counts.values()) > 0
@@ -245,13 +269,22 @@ class TestSyncOrchestrator:
     def test_requires_aggregators(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
         with pytest.raises(ValueError):
-            SyncOrchestrator(chain, driver, [], timing)
+            Orchestrator(chain, driver, [], timing, SyncRoundPolicy)
 
     def test_rejects_zero_rounds(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         with pytest.raises(ValueError):
             orchestrator.run(0)
+
+    def test_runner_does_not_mistake_zero_rounds_for_the_default(self, tiny_experiment_config):
+        # Regression: `rounds or config.rounds` silently ran config.rounds.
+        from repro.core.runner import ExperimentRunner
+
+        runner = ExperimentRunner(tiny_experiment_config)
+        for run in (runner.run, runner.run_no_collab_baseline, runner.run_centralized_baseline):
+            with pytest.raises(ValueError, match="num_rounds must be positive"):
+                run(rounds=0)
 
 
 class TestSyncStragglerPath:
@@ -259,8 +292,9 @@ class TestSyncStragglerPath:
 
     def test_stragglers_submit_their_stale_model_next_round(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.5, scoring_window=5.0
+        orchestrator = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
         )
         result = orchestrator.run(2)
         # The window is far too tight for anyone: every cluster straggles in
@@ -276,8 +310,9 @@ class TestSyncStragglerPath:
 
     def test_late_submissions_carry_the_next_round_number(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.5, scoring_window=5.0
+        Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
         ).run(2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert records and all(r["round"] == 2 for r in records)
@@ -286,20 +321,60 @@ class TestSyncStragglerPath:
         # Regression: `training_window=0.0` used to be silently replaced by the
         # provisioned default because of a truthiness check.
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.0, scoring_window=0.0
-        )
-        assert orchestrator.training_window == 0.0
-        assert orchestrator.scoring_window == 0.0
-        result = orchestrator.run(1)
+        zero_windows = partial(SyncRoundPolicy, training_window=0.0, scoring_window=0.0)
+        policy = zero_windows(policy_context(chain, driver, aggregators, timing))
+        assert policy.training_window == 0.0
+        assert policy.scoring_window == 0.0
+        result = Orchestrator(chain, driver, aggregators, timing, zero_windows).run(1)
         # A zero-length window means nobody can ever submit in time.
         assert all(count == 1 for count in result.straggler_counts.values())
+
+
+class TestPolicyConstructorDefaults:
+    """Defaults and range checks live in the policy that uses them."""
+
+    def _context(self, mode):
+        chain, driver, aggregators, timing, _ = build_federation(mode=mode)
+        return policy_context(chain, driver, aggregators, timing), aggregators, timing
+
+    def test_sync_windows_default_to_the_provisioned_ones(self):
+        ctx, aggregators, timing = self._context("sync")
+        clusters = [a.config for a in aggregators]
+        policy = SyncRoundPolicy(ctx, scoring_algorithm="multikrum")
+        assert policy.training_window == timing.expected_training_window(clusters)
+        assert policy.scoring_window == timing.expected_scoring_window(
+            clusters, algorithm="multikrum"
+        )
+
+    def test_semi_defaults_to_a_majority_quorum_and_one_training_window(self):
+        ctx, aggregators, timing = self._context("semi")
+        policy = SemiSyncRoundPolicy(ctx)
+        assert policy.quorum_k == len(aggregators) // 2 + 1
+        assert policy.max_staleness == timing.expected_training_window(
+            [a.config for a in aggregators]
+        )
+
+    def test_hierarchical_rejects_out_of_range_parameters(self):
+        ctx, aggregators, _ = self._context("hierarchical")
+        with pytest.raises(ValueError, match="num_sites"):
+            HierarchicalRoundPolicy(ctx, num_sites=0)
+        with pytest.raises(ValueError, match="local_rounds_per_global"):
+            HierarchicalRoundPolicy(ctx, local_rounds_per_global=0)
+        with pytest.raises(ValueError, match="round_budget"):
+            HierarchicalRoundPolicy(ctx, round_budget=0)
+        # More sites than clusters is clamped, not rejected.
+        assert HierarchicalRoundPolicy(ctx, num_sites=99).num_sites == len(aggregators)
+
+    def test_gossip_rejects_a_negative_fanout(self):
+        ctx, _, _ = self._context("gossip")
+        with pytest.raises(ValueError, match="fanout"):
+            GossipRoundPolicy(ctx, fanout=-1)
 
 
 class TestAsyncOrchestrator:
     def test_two_rounds_complete(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        orchestrator = AsyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy)
         result = orchestrator.run(2)
         assert result.rounds_completed == 2
         assert all(len(h) == 2 for h in result.histories.values())
@@ -312,26 +387,26 @@ class TestAsyncOrchestrator:
         aggregators[0].config = ClusterConfig(
             name=aggregators[0].config.name, num_clients=2, client_profile=RASPBERRY_PI_400
         )
-        result = AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         times = sorted(result.total_times.values())
         assert times[-1] > times[0]
 
     def test_async_faster_than_sync(self):
         sync_chain, sync_driver, sync_aggs, sync_timing, _ = build_federation(mode="sync", seed=2)
-        sync_result = SyncOrchestrator(sync_chain, sync_driver, sync_aggs, sync_timing).run(2)
+        sync_result = Orchestrator(sync_chain, sync_driver, sync_aggs, sync_timing, SyncRoundPolicy).run(2)
         async_chain, async_driver, async_aggs, async_timing, _ = build_federation(mode="async", seed=2)
-        async_result = AsyncOrchestrator(async_chain, async_driver, async_aggs, async_timing).run(2)
+        async_result = Orchestrator(async_chain, async_driver, async_aggs, async_timing, AsyncRoundPolicy).run(2)
         assert max(async_result.total_times.values()) < max(sync_result.total_times.values())
 
     def test_scores_eventually_submitted(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert any(len(r["scores"]) > 0 for r in records)
 
     def test_no_idle_time_in_async(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        result = AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         assert all(idle == 0.0 for idle in result.idle_times.values())
 
     def test_round_timings_account_for_every_clock_second(self):
@@ -340,14 +415,14 @@ class TestAsyncOrchestrator:
         # the cluster's total time.  The drain is now folded into the last
         # round record and the books balance exactly.
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        result = AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         for aggregator in aggregators:
             recorded = sum(r.timing.total_time for r in result.histories[aggregator.name])
             assert recorded == pytest.approx(aggregator.total_time(), abs=1e-9)
 
     def test_scheduling_goes_through_the_event_kernel(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        orchestrator = AsyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy)
         orchestrator.run(2)
         assert orchestrator.kernel is not None
         # One activation event per cluster round, all dispatched via the heap.
@@ -369,15 +444,16 @@ class TestSemiSyncOrchestrator:
 
     def test_rounds_complete_for_every_cluster(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
         assert result.mode == "semi"
         assert result.rounds_completed == 2
         assert all(len(h) == 2 for h in result.histories.values())
 
     def test_quorum_waits_produce_bounded_idle(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=2
+        result = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SemiSyncRoundPolicy, quorum_k=2),
         ).run(3)
         # Someone waited for a round to close (unlike async)...
         assert sum(result.idle_times.values()) > 0.0
@@ -390,16 +466,18 @@ class TestSemiSyncOrchestrator:
 
     def test_quorum_of_one_degenerates_to_async(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=1
+        result = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SemiSyncRoundPolicy, quorum_k=1),
         ).run(2)
         assert all(idle == 0.0 for idle in result.idle_times.values())
         assert result.extras["staleness_closures"] == 0
 
     def test_small_staleness_bound_forces_staleness_closures(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=3, max_staleness=4.0
+        result = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SemiSyncRoundPolicy, quorum_k=3, max_staleness=4.0),
         ).run(2)
         assert result.extras["staleness_closures"] > 0
 
@@ -408,15 +486,16 @@ class TestSemiSyncOrchestrator:
         # expires on an empty round; the round must then close as soon as one
         # submission lands, never by quorum.
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=3, max_staleness=0.5
+        result = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SemiSyncRoundPolicy, quorum_k=3, max_staleness=0.5),
         ).run(2)
         assert result.extras["quorum_closures"] == 0
         assert result.extras["staleness_closures"] == result.extras["rounds_closed"] > 0
 
     def test_closures_are_recorded_in_time_order(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(3)
+        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(3)
         closures = result.extras["closures"]
         assert len(closures) == result.extras["rounds_closed"] >= 1
         close_times = [c[1] for c in closures]
@@ -425,7 +504,7 @@ class TestSemiSyncOrchestrator:
 
     def test_round_timings_account_for_every_clock_second(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
         for aggregator in aggregators:
             recorded = sum(r.timing.total_time for r in result.histories[aggregator.name])
             assert recorded == pytest.approx(aggregator.total_time(), abs=1e-9)
@@ -433,7 +512,7 @@ class TestSemiSyncOrchestrator:
     def test_deterministic_for_a_fixed_seed(self):
         def run(seed):
             chain, driver, aggregators, timing = self._heterogeneous(seed=seed)
-            result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+            result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
             return (
                 result.total_times,
                 result.idle_times,
@@ -446,16 +525,17 @@ class TestSemiSyncOrchestrator:
 
     def test_invalid_parameters_rejected(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        with pytest.raises(ValueError):
-            SemiSyncOrchestrator(chain, driver, aggregators, timing, quorum_k=0)
-        with pytest.raises(ValueError):
-            SemiSyncOrchestrator(chain, driver, aggregators, timing, quorum_k=len(aggregators) + 1)
-        with pytest.raises(ValueError):
-            SemiSyncOrchestrator(chain, driver, aggregators, timing, max_staleness=0.0)
+        ctx = policy_context(chain, driver, aggregators, timing)
+        with pytest.raises(ValueError, match="quorum_k"):
+            SemiSyncRoundPolicy(ctx, quorum_k=0)
+        with pytest.raises(ValueError, match="quorum_k"):
+            SemiSyncRoundPolicy(ctx, quorum_k=len(aggregators) + 1)
+        with pytest.raises(ValueError, match="max_staleness"):
+            SemiSyncRoundPolicy(ctx, max_staleness=0.0)
 
     def test_scores_eventually_submitted(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert any(len(r["scores"]) > 0 for r in records)
 

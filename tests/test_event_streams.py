@@ -607,14 +607,6 @@ class TestEventStreamExperiments:
         with pytest.raises(ValueError):
             tiny_config("async", event_streams=True, wan_bandwidth_mbytes_per_s=0.0)
 
-    def test_deprecated_bandwidth_alias_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            config = tiny_config("async", event_streams=True, link_bandwidth_mbps=0.25)
-        # The deprecated Mbps-named knob feeds the megabytes/s field.
-        assert config.link_bandwidth_mbytes_per_s == 0.25
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            tiny_config("async", event_streams=True, link_bandwidth_mbps=0.0)
-
 
 def test_format_comm_table_without_streams():
     result = ExperimentRunner(tiny_config("async", event_streams=False)).run()
@@ -627,41 +619,36 @@ class TestSemiSyncReleaseTiming:
         """Regression: the quorum-triggering cluster must wait for
         closeSemiRound finality exactly like every blocked waiter — it used
         to be reactivated from its own clock, skipping the consensus wait."""
-        from repro.core.orchestrator import SemiSyncOrchestrator
+        from repro.core.orchestrator import Orchestrator
         from repro.sched.policies import SemiSyncRoundPolicy
 
         resumed = []
 
         class RecordingPolicy(SemiSyncRoundPolicy):
-            def _on_submission(self, aggregator, lane=None):
+            def _on_submission(self, aggregator, slot):
                 before = len(self.closures)
-                super()._on_submission(aggregator, lane=lane)
-                if len(self.closures) > before and aggregator.name not in self._finished:
+                super()._on_submission(aggregator, slot)
+                if len(self.closures) > before and slot not in self._finished:
                     # This cluster's landing closed the round and it resumes.
                     release_time = self.closures[-1][4]
                     resumed.append(("closer", aggregator.name, aggregator.clock.now(), release_time))
 
             def _close_round(self, reason):
-                blocked = [waiter for waiter, _lane in self._blocked.values()]
+                blocked = [waiter for waiter, _slot in self._blocked.values()]
                 release_time = super()._close_round(reason)
                 for waiter in blocked:
                     resumed.append(("waiter", waiter.name, waiter.clock.now(), release_time))
                 return release_time
 
-        class RecordingOrchestrator(SemiSyncOrchestrator):
-            def _build_policy(self, ctx):
-                return RecordingPolicy(
-                    ctx, quorum_k=self.quorum_k, max_staleness=self.max_staleness
-                )
-
         config = tiny_config("semi", event_streams=True)
         runner = ExperimentRunner(config)
         runner.build()
-        orchestration = RecordingOrchestrator(
+        orchestration = Orchestrator(
             runner.chain,
             runner._driver_account,
             runner.aggregators,
             runner.timing_model,
+            RecordingPolicy,
             comm=runner.comm,
         ).run(config.rounds)
 

@@ -90,11 +90,6 @@ class TestHardwareProfiles:
         assert profile.transfer_time(16_000_000) == pytest.approx(0.5 + 2.0)
         assert GPU_NODE.transfer_time(125_000_000) == pytest.approx(GPU_NODE.latency_s + 1.0)
 
-    def test_bandwidth_mbps_is_a_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning):
-            value = GPU_NODE.bandwidth_mbps
-        assert value == GPU_NODE.bandwidth_mbytes_per_s
-
     def test_lookup_by_name(self):
         assert profile_by_name("jetson-nano") is JETSON_NANO
         with pytest.raises(ValueError):

@@ -12,10 +12,6 @@ at the offending helper directly.
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.simnet.units import (
@@ -26,8 +22,6 @@ from repro.simnet.units import (
     float32_model_bytes,
     mbytes_per_s_to_bytes_per_s,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: awkward float operands: non-dyadic, tiny, huge, and typical config values.
 BANDWIDTHS = [94.0, 12.5, 0.1, 3.337, 1e-9, 7.25e8, 1.0000000000000002]
@@ -64,38 +58,3 @@ class TestBitIdentity:
         for parameters in (0, 1, 62006, 1_200_000):
             assert float32_model_bytes(parameters) == int(parameters * 4)
             assert isinstance(float32_model_bytes(parameters), int)
-
-
-class TestDeprecationHygiene:
-    def test_importing_the_tree_raises_no_deprecation_warnings(self):
-        # The alias shims (bandwidth_mbps and friends) must warn on *use*,
-        # never on import: CI runs this same guard so a future module-level
-        # alias read cannot slip in.
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::DeprecationWarning",
-                "-c",
-                "import repro.cli, repro.core.config, repro.simnet.hardware",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_alias_use_still_warns(self):
-        from repro.simnet.hardware import HardwareProfile
-
-        profile = HardwareProfile(
-            name="fixture",
-            samples_per_second=1000.0,
-            bandwidth_mbytes_per_s=94.0,
-            latency_s=0.01,
-            memory_mb=1024.0,
-            train_cpu_percent=50.0,
-        )
-        with pytest.warns(DeprecationWarning):
-            assert profile.bandwidth_mbps == 94.0  # detlint: ignore[UNIT003]
