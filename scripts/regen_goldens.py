@@ -4,11 +4,13 @@
 The repo's contract is *fixed seed → bit-identical results*.  Each golden
 case is one tiny ``ExperimentConfig``; what is stored is the SHA-256 of
 ``json.dumps(result_to_dict(result), sort_keys=True)`` (the formula
-``bench/child.py`` uses for ``sim.digest``) plus the event count and the
-simulated makespan, so a changed digest also says roughly *what* moved.
-``tests/test_golden.py`` re-runs every case and compares; this script is the
-only way to change a stored value, so an intended behaviour change shows up
-as a reviewed diff of ``tests/goldens/digests.json``.
+``bench/child.py`` uses for ``sim.digest``) plus the fields a reviewer needs
+to see *what* moved when the digest does: the event count, the simulated
+makespan, every aggregator's total time and final global accuracy/loss, and
+the fabric's queueing and chain-wait totals.  ``tests/test_golden.py`` re-runs
+every case and reports the differing fields; this script is the only way to
+change a stored value, so an intended behaviour change shows up as a reviewed
+field-level diff of ``tests/goldens/digests.json``.
 
 The digests depend on floating-point kernels, so the file records the numpy
 version it was generated under and the test skips under any other.
@@ -24,7 +26,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "goldens" / "digests.json"
@@ -106,19 +108,40 @@ def build_config(name: str, clusters: int = 3, clients: int = 2, **overrides: An
 
 
 def run_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one case; returns its digest, event count and makespan."""
+    """Run one case; returns its digest and the fields that explain a change."""
     runner = ExperimentRunner(build_config(name, **overrides))
     document = result_to_dict(runner.run())
     events = int(document["chain_metrics"]["transactions_processed"])
     if runner.comm is not None:
         events += len(runner.comm.network.scheduler.log)
+    comm = document["comm_metrics"]
     return {
         "digest": hashlib.sha256(
             json.dumps(document, sort_keys=True).encode("utf-8")
         ).hexdigest(),
         "events": events,
         "makespan_s": max(a["total_time"] for a in document["aggregators"]),
+        "aggregators": {
+            a["name"]: {
+                key: a[key] for key in ("total_time", "global_accuracy", "global_loss")
+            }
+            for a in document["aggregators"]
+        },
+        # Absent (not zero) for a run that exports no fabric totals.
+        **{key: comm[key] for key in ("network_queued", "chain_wait") if key in comm},
     }
+
+
+def differing_fields(expected: Any, actual: Any, path: str = "") -> List[str]:
+    """``path: expected -> actual`` for every leaf two golden records disagree on."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        lines: List[str] = []
+        for key in sorted(set(expected) | set(actual)):
+            lines += differing_fields(
+                expected.get(key, "<absent>"), actual.get(key, "<absent>"), f"{path}.{key}".lstrip(".")
+            )
+        return lines
+    return [] if expected == actual else [f"{path}: {expected!r} -> {actual!r}"]
 
 
 def main() -> int:

@@ -1,9 +1,10 @@
 """Golden digests: fixed seed → bit-identical results, checked in.
 
-Every case of ``scripts/regen_goldens.py`` is re-run and its result digest,
-event count and makespan compared with ``tests/goldens/digests.json``.  A
-mismatch means behaviour changed; if that was intended, regenerate the file
-with the script so the change is reviewed as a diff.
+Every case of ``scripts/regen_goldens.py`` is re-run and its record (result
+digest, event count, makespan, per-aggregator time/accuracy/loss, fabric
+queueing and chain-wait totals) compared with ``tests/goldens/digests.json``.
+A mismatch lists the fields that moved; if the change was intended,
+regenerate the file with the script so it is reviewed as a diff.
 """
 
 from __future__ import annotations
@@ -41,4 +42,7 @@ def test_golden_file_covers_exactly_the_declared_cases():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_case_reproduces(name):
-    assert regen_goldens.run_case(name, CASES[name]) == GOLDENS["cases"][name]
+    moved = regen_goldens.differing_fields(
+        GOLDENS["cases"][name], regen_goldens.run_case(name, CASES[name])
+    )
+    assert not moved, f"{name} (golden -> this run):\n  " + "\n  ".join(moved)
