@@ -73,8 +73,8 @@ def test_semi_staleness_sweep(benchmark, report):
                 "rounds_closed": extras["rounds_closed"],
                 "quorum_closures": extras["quorum_closures"],
                 "staleness_closures": extras["staleness_closures"],
-                "network_queued_s": result.comm_metrics.get("network_queued", 0.0),
-                "chain_wait_s": result.comm_metrics.get("chain_wait", 0.0),
+                "network_queued_s": result.comm_metrics["network_queued"],
+                "chain_wait_s": result.comm_metrics["chain_wait"],
             }
         )
 
@@ -129,10 +129,10 @@ def test_semi_staleness_sweep(benchmark, report):
         for staleness in STALENESS_BOUNDS:
             constant = by_key[("constant", quorum_k, staleness)]
             streamed = by_key[("event_streams", quorum_k, staleness)]
-            # Only the event-stream variant observes chain finality waits;
-            # the constant variant never populates comm metrics.
+            # Both variants pay for chain finality; only the event-stream
+            # one can queue (the constant fabric's endpoints are unbounded).
             assert streamed["chain_wait_s"] > 0.0
-            assert constant["chain_wait_s"] == 0.0
+            assert constant["chain_wait_s"] > 0.0
             assert constant["network_queued_s"] == 0.0
     # Every configuration keeps accuracy in the same band: bounded staleness
     # trades waiting for freshness, not for model quality.

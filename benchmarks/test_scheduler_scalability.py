@@ -144,7 +144,7 @@ def test_sampled_population_materialises_only_cohorts(benchmark, report):
         start = time.perf_counter()
         result = runner.run()
         wall = time.perf_counter() - start
-        events = len(runner.comm.network.scheduler.log) if runner.comm is not None else 0
+        events = len(runner.comm.network.scheduler.log)
         return result, runner, wall, events
 
     result, runner, wall, events = run_once(benchmark, run)

@@ -46,8 +46,8 @@ from repro.core.runner import ExperimentRunner  # noqa: E402
 MODES = ("sync", "async", "semi", "hierarchical", "gossip")
 
 #: per-variant ``ExperimentConfig`` keywords, by ``event_streams`` setting.
-#: Link-level faults (outages, partitions) need the fabric, so the
-#: constant-cost faulted variant is churn only.
+#: Link-level faults (outages, partitions) need ``event_streams=True``, so
+#: the constant-cost faulted variant is churn only.
 VARIANTS: Dict[str, Dict[bool, Dict[str, Any]]] = {
     "clean": {
         True: dict(storage_replicas=2),
@@ -111,9 +111,9 @@ def run_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
     """Run one case; returns its digest and the fields that explain a change."""
     runner = ExperimentRunner(build_config(name, **overrides))
     document = result_to_dict(runner.run())
-    events = int(document["chain_metrics"]["transactions_processed"])
-    if runner.comm is not None:
-        events += len(runner.comm.network.scheduler.log)
+    events = int(document["chain_metrics"]["transactions_processed"]) + len(
+        runner.comm.network.scheduler.log
+    )
     comm = document["comm_metrics"]
     return {
         "digest": hashlib.sha256(
@@ -127,8 +127,8 @@ def run_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
             }
             for a in document["aggregators"]
         },
-        # Absent (not zero) for a run that exports no fabric totals.
-        **{key: comm[key] for key in ("network_queued", "chain_wait") if key in comm},
+        "network_queued": comm["network_queued"],
+        "chain_wait": comm["chain_wait"],
     }
 
 
@@ -138,7 +138,9 @@ def differing_fields(expected: Any, actual: Any, path: str = "") -> List[str]:
         lines: List[str] = []
         for key in sorted(set(expected) | set(actual)):
             lines += differing_fields(
-                expected.get(key, "<absent>"), actual.get(key, "<absent>"), f"{path}.{key}".lstrip(".")
+                expected.get(key, "<absent>"),
+                actual.get(key, "<absent>"),
+                f"{path}.{key}" if path else key,
             )
         return lines
     return [] if expected == actual else [f"{path}: {expected!r} -> {actual!r}"]

@@ -47,7 +47,7 @@ from repro.core.config import (
     tiny_imagenet_workload,
 )
 from repro.analysis.cli import add_lint_parser, command_lint
-from repro.core.policies import available_aggregation_policies, available_scoring_policies
+from repro.core.selection import available_aggregation_policies, available_scoring_policies
 from repro.core.reporting import save_result_json, save_results_csv
 from repro.core.results import (
     format_comm_table,
@@ -163,8 +163,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--block-period", type=float, default=2.0, dest="block_period",
-        help="simulated seconds between chain blocks in the constant-cost "
-        "timing model (event streams use --block-interval)",
+        help="simulated seconds between chain blocks (the whole chain-interaction "
+        "constant with --no-event-streams; the block grid's default spacing otherwise)",
     )
     parser.add_argument(
         "--monitor-resources", action=argparse.BooleanOptionalAction,
@@ -199,54 +199,55 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--event-streams", action=argparse.BooleanOptionalAction, dest="event_streams",
         default=True,
         help="model network transfers and contract calls as contended event streams "
-        "(link queueing + block-interval/consensus chain delays); on by default, "
-        "disable with --no-event-streams for the constant-cost timing model",
+        "(link queueing + block-interval/consensus chain delays); on by default. "
+        "--no-event-streams runs the same fabric at constant cost: nothing queues, "
+        "a chain interaction costs n*TX + block period, phase control is free",
     )
     parser.add_argument(
         "--link-bandwidth", type=float, default=None, dest="link_bandwidth_mbytes_per_s",
-        help="event streams: cap each cluster's storage link at this many megabytes "
+        help="cap each cluster's storage link at this many megabytes "
         "(not megabits) per simulated second (default: the hardware profile's bandwidth)",
     )
     parser.add_argument(
         "--link-latency", type=float, default=None, dest="link_latency_s",
-        help="event streams: override the one-way storage-link latency in seconds",
+        help="override the one-way storage-link latency in seconds",
     )
     parser.add_argument(
         "--block-interval", type=float, default=None, dest="block_interval",
-        help="event streams: seconds between chain block boundaries (default: the "
-        "experiment's block period)",
+        help="event streams only: seconds between chain block boundaries (default: "
+        "the experiment's block period)",
     )
     parser.add_argument(
         "--storage-replicas", type=int, default=1, dest="storage_replicas",
-        help="event streams: number of storage replica sites (default 1: the single "
+        help="number of storage replica sites (default 1: the single "
         "shared endpoint); clusters are assigned to sites round-robin",
     )
     parser.add_argument(
         "--replica-capacity", type=int, default=1, dest="replica_capacity",
-        help="event streams: parallel transfers each storage replica serves at once",
+        help="event streams only: parallel transfers each storage replica serves at once",
     )
     parser.add_argument(
         "--replica-selection", choices=list(REPLICA_SELECTIONS), default="affinity",
         dest="replica_selection",
-        help="event streams: replica picked per transfer — the cluster's own site "
+        help="replica picked per transfer — the cluster's own site "
         "(affinity) or the deterministically least-loaded one",
     )
     parser.add_argument(
         "--replication-mode", choices=list(REPLICATION_MODES), default="eager",
         dest="replication_mode",
-        help="event streams: how uploads reach the other storage replicas — pushed "
+        help="how uploads reach the other storage replicas — pushed "
         "to every peer right after the upload (eager), fetched on demand when a "
         "download misses (lazy), or never (none: downloads are pinned to the "
         "origin replica)",
     )
     parser.add_argument(
         "--wan-latency", type=float, default=0.05, dest="wan_latency_s",
-        help="event streams: one-way latency of the WAN link between replica sites, "
+        help="one-way latency of the WAN link between replica sites, "
         "in seconds",
     )
     parser.add_argument(
         "--wan-bandwidth", type=float, default=50.0, dest="wan_bandwidth_mbytes_per_s",
-        help="event streams: bandwidth of the WAN link between replica sites, in "
+        help="bandwidth of the WAN link between replica sites, in "
         "megabytes (not megabits) per simulated second",
     )
     parser.add_argument(
@@ -256,7 +257,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--replica-outages", type=int, default=0, dest="replica_outages",
-        help="fault injection (event streams): storage-replica outage episodes, "
+        help="fault injection (event streams only): storage-replica outage episodes, "
         "dealt round-robin over the replicas at seeded start times",
     )
     parser.add_argument(
@@ -266,7 +267,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--wan-partitions", type=int, default=0, dest="wan_partitions",
-        help="fault injection (event streams): pairwise WAN partition episodes "
+        help="fault injection (event streams only): pairwise WAN partition episodes "
         "between replica sites (needs --storage-replicas >= 2)",
     )
     parser.add_argument(
@@ -397,9 +398,8 @@ def _command_run(args: argparse.Namespace) -> int:
     print()
     print(f"Mean global accuracy : {result.mean_global_accuracy * 100:.2f} %")
     print(f"Federation makespan  : {result.max_total_time:.0f} simulated seconds")
-    if result.comm_metrics:
-        print()
-        print(format_comm_table(result))
+    print()
+    print(format_comm_table(result))
     policy_table = format_policy_table(result)
     if policy_table:
         print()

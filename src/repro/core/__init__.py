@@ -8,7 +8,7 @@ decentralized cross-silo federated-learning framework described in the paper:
 * the cluster aggregator with its trainer/scorer duality
   (:mod:`repro.core.aggregator`),
 * accuracy and MultiKRUM scoring (:mod:`repro.core.scorer`),
-* aggregation and scoring policies (:mod:`repro.core.policies`),
+* aggregation and scoring policies (:mod:`repro.core.selection`),
 * the orchestrator that drives any registered round policy
   (:mod:`repro.core.orchestrator`),
 * Byzantine attacks (:mod:`repro.core.attacks`),
@@ -57,7 +57,7 @@ from repro.core.multimodel import (
     MultiModelRoundRecord,
 )
 from repro.core.orchestrator import OrchestrationResult, Orchestrator
-from repro.core.policies import (
+from repro.core.selection import (
     AboveAverage,
     AboveMedian,
     AboveSelf,

@@ -16,12 +16,11 @@ All durations are tracked on the aggregator's simulated clock through the
 :class:`~repro.core.timing.ClusterTimingModel`, and resource usage samples are
 pushed to the shared :class:`~repro.simnet.resources.ResourceMonitor`.
 
-When the experiment enables event streams, the aggregator charges its
-pull/store/chain costs through the shared
-:class:`~repro.sched.actors.CommFabric` instead of the constant-cost timing
-model: uploads and downloads queue on contended links, and contract calls
-wait for the next sealed block.  With no fabric attached (the default) the
-constant-cost arithmetic is byte-for-byte the same as before.
+Pull/store/chain costs are charged through the federation's shared
+:class:`~repro.sched.actors.CommFabric`: by default uploads and downloads
+queue on contended links and contract calls wait for the next sealed block;
+on the degenerate :meth:`~repro.sched.actors.CommFabric.constant_cost` fabric
+each costs its wire time / ``n * TX + block_period`` and nothing queues.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
 from repro.core.attacks import ModelPoisoningAttack
 from repro.core.config import ClusterConfig, WorkloadConfig
-from repro.core.policies import (
+from repro.core.selection import (
     AggregationPolicy,
     CandidateModel,
     ScoringPolicy,
@@ -97,13 +96,13 @@ class UnifyFLAggregator:
         clients: Sequence[Client],
         scorer: Scorer,
         eval_data: Dataset,
+        comm: CommFabric,
         timing_model: Optional[ClusterTimingModel] = None,
         strategy: Optional[Strategy] = None,
         aggregation_policy: Optional[AggregationPolicy] = None,
         scoring_policy: Optional[ScoringPolicy] = None,
         attack: Optional[ModelPoisoningAttack] = None,
         resource_monitor: Optional[ResourceMonitor] = None,
-        comm: Optional["CommFabric"] = None,
         seed: int = 0,
         faults: Optional["FaultPlan"] = None,
         streaming_aggregation: bool = False,
@@ -132,8 +131,7 @@ class UnifyFLAggregator:
         self.scoring_policy = scoring_policy or build_scoring_policy(config.scoring_policy)
         self.attack = attack
         self.monitor = resource_monitor
-        #: the shared event-stream communication fabric, or ``None`` for the
-        #: constant-cost timing path (the default).
+        #: the federation's shared communication fabric.
         self.comm = comm
         #: the run's fault plan; churn draws come from it (``None`` when the
         #: experiment injects no faults).
@@ -317,14 +315,11 @@ class UnifyFLAggregator:
         else:
             self.global_weights = [np.array(w, copy=True) for w in self.local_weights]
 
-        if self.comm is not None:
-            # CIDs identify the artifacts so the fabric can gate each fetch
-            # on the object's availability at the serving replica.
-            timing.pull_time = self.comm.download(
-                self.name, num_pulled, at=self.clock.now(), object_ids=pulled_cids
-            )
-        else:
-            timing.pull_time = self.timing.transfer_time(self.config.aggregator_profile, num_pulled)
+        # CIDs identify the artifacts so the fabric can gate each fetch on the
+        # object's availability at the serving replica.
+        timing.pull_time = self.comm.download(
+            self.name, num_pulled, at=self.clock.now(), object_ids=pulled_cids
+        )
         timing.aggregation_time = self.timing.aggregation_time(self.config, num_pulled + 1)
         self.clock.advance(timing.pull_time + timing.aggregation_time)
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.12)
@@ -354,17 +349,11 @@ class UnifyFLAggregator:
             weights = self.attack.poison(weights, rng=self._rng)
         payload = weights_to_bytes(weights)
         cid = self.ipfs.add(payload)
-        if self.comm is not None:
-            now = self.clock.now()
-            timing.store_time = self.comm.upload(
-                self.name, 1, at=now, object_ids=[str(cid)]
-            )
-            timing.chain_time = self.comm.chain_op(
-                "submitModel", self.name, at=now + timing.store_time
-            )
-        else:
-            timing.store_time = self.timing.transfer_time(self.config.aggregator_profile, 1)
-            timing.chain_time = self.timing.chain_interaction_time(1)
+        now = self.clock.now()
+        timing.store_time = self.comm.upload(self.name, 1, at=now, object_ids=[str(cid)])
+        timing.chain_time = self.comm.chain_op(
+            "submitModel", self.name, at=now + timing.store_time
+        )
         self.clock.advance(timing.store_time + timing.chain_time)
         self.chain.send(
             self.account,
@@ -416,18 +405,12 @@ class UnifyFLAggregator:
         if mine and scored:
             self.chain.mine_until_empty()
         timing.scoring_time = self.timing.scoring_time(self.config, scored, algorithm=self.scorer.name)
-        if self.comm is not None:
-            now = self.clock.now()
-            timing.pull_time = self.comm.download(
-                self.name, scored, at=now, object_ids=scored_cids
-            )
-            timing.chain_time = self.comm.chain_op(
-                "submitScore", self.name, at=now + timing.pull_time + timing.scoring_time,
-                num_transactions=scored,
-            )
-        else:
-            timing.pull_time = self.timing.transfer_time(self.config.aggregator_profile, scored)
-            timing.chain_time = self.timing.chain_interaction_time(scored) if scored else 0.0
+        now = self.clock.now()
+        timing.pull_time = self.comm.download(self.name, scored, at=now, object_ids=scored_cids)
+        timing.chain_time = self.comm.chain_op(
+            "submitScore", self.name, at=now + timing.pull_time + timing.scoring_time,
+            num_transactions=scored,
+        )
         self.clock.advance(timing.total_time)
         self._record_resources("scorer", cpu=self.config.aggregator_profile.train_cpu_percent * 0.3)
         self._scored_this_round = scored

@@ -28,7 +28,7 @@ class FrameworkCapabilities:
 
 def unifyfl_capabilities() -> FrameworkCapabilities:
     """UnifyFL's row, derived from the implemented components."""
-    from repro.core.policies import available_aggregation_policies, available_scoring_policies
+    from repro.core.selection import available_aggregation_policies, available_scoring_policies
     from repro.sched.registry import registered_modes
 
     # Table 2 compares on the paper's two modes; the row lists whichever of

@@ -216,61 +216,61 @@ class ExperimentConfig:
     #: communication fabric.  Never perturbs the timeline — a sanitized run
     #: is bit-identical to an unsanitized one (CLI ``--sanitize``).
     sanitize: bool = False
-    #: model network transfers and contract calls as first-class event streams
-    #: (link contention + block-interval/consensus chain delays) instead of
-    #: per-interaction constants.  On by default since the hot-path
-    #: acceleration pass; set ``False`` (CLI ``--no-event-streams``) for the
-    #: constant-cost arithmetic of the earliest releases, which stays
-    #: bit-identical for a fixed seed.
+    #: model network transfers and contract calls as contended event streams
+    #: (link contention + block-interval/consensus chain delays).  ``False``
+    #: (CLI ``--no-event-streams``) runs the same fabric at constant cost —
+    #: exactly three differences: endpoint capacity is unbounded (no
+    #: contention), a chain interaction costs ``n·TX + block_period`` (no
+    #: quantisation, no consensus delay), driver phase control is free.  The
+    #: topology knobs below apply on both settings; ``replica_capacity``,
+    #: ``block_interval`` and the link-level faults need ``True``.
     event_streams: bool = True
-    #: event streams only: bandwidth cap of each cluster↔storage link, in
-    #: mega**bytes** per simulated second (1 MB = 1e6 bytes); ``None`` uses
-    #: the cluster's hardware profile bandwidth unchanged.
+    #: bandwidth cap of each cluster↔storage link, in mega**bytes** per
+    #: simulated second (1 MB = 1e6 bytes); ``None`` uses the cluster's
+    #: hardware profile bandwidth unchanged.
     link_bandwidth_mbytes_per_s: Optional[float] = None
-    #: event streams only: one-way latency override of every cluster↔storage
-    #: link, in simulated seconds; ``None`` uses the profile latency.
+    #: one-way latency override of every cluster↔storage link, in simulated
+    #: seconds; ``None`` uses the profile latency.
     link_latency_s: Optional[float] = None
-    #: event streams only: seconds between block boundaries on the chain
-    #: actor's grid; ``None`` uses ``block_period``.
+    #: ``event_streams=True`` only: seconds between block boundaries on the
+    #: chain actor's grid; ``None`` uses ``block_period``.
     block_interval: Optional[float] = None
-    #: event streams only: number of storage replicas models are distributed
-    #: to.  1 keeps the single shared endpoint; with more, clusters are
-    #: assigned to replica sites round-robin and reach remote sites over WAN
-    #: links.
+    #: number of storage replicas models are distributed to.  1 keeps the
+    #: single shared endpoint; with more, clusters are assigned to replica
+    #: sites round-robin and reach remote sites over WAN links.
     storage_replicas: int = 1
-    #: event streams only: parallel transfers each storage replica can serve
-    #: at once (the LinkScheduler endpoint capacity).
+    #: ``event_streams=True`` only: parallel transfers each storage replica
+    #: can serve at once (the LinkScheduler endpoint capacity).
     replica_capacity: int = 1
-    #: event streams only: how the network actor picks a replica per
-    #: transfer — "affinity" (the cluster's own site) or "least-loaded"
-    #: (deterministic smallest estimated completion time: backlog per
-    #: capacity slot plus path wire time).
+    #: how the network actor picks a replica per transfer — "affinity" (the
+    #: cluster's own site) or "least-loaded" (deterministic smallest
+    #: estimated completion time: backlog per capacity slot plus path wire
+    #: time).
     replica_selection: str = "affinity"
-    #: event streams only: how uploaded artifacts reach the other storage
-    #: replicas — "eager" (origin pushes to every peer right after the
-    #: upload commits), "lazy" (a download miss triggers an on-demand
-    #: origin→replica fetch the downloader waits behind) or "none"
-    #: (downloads are pinned to the origin replica).  Irrelevant with a
-    #: single replica.
+    #: how uploaded artifacts reach the other storage replicas — "eager"
+    #: (origin pushes to every peer right after the upload commits), "lazy"
+    #: (a download miss triggers an on-demand origin→replica fetch the
+    #: downloader waits behind) or "none" (downloads are pinned to the
+    #: origin replica).  Irrelevant with a single replica.
     replication_mode: str = "eager"
-    #: event streams only: one-way latency of the WAN link between two
-    #: replica sites, in simulated seconds.
+    #: one-way latency of the WAN link between two replica sites, in
+    #: simulated seconds.
     wan_latency_s: float = 0.05
-    #: event streams only: bandwidth of the WAN link between two replica
-    #: sites, in megabytes per simulated second.
+    #: bandwidth of the WAN link between two replica sites, in megabytes per
+    #: simulated second.
     wan_bandwidth_mbytes_per_s: float = 50.0
     #: fault injection: probability that a given cluster drops out of a
     #: given round entirely (seeded, deterministic per ``(cluster, round)``;
     #: on top of any per-cluster ``availability`` draw).  0 disables churn.
     churn_rate: float = 0.0
-    #: fault injection, event streams only: number of storage-replica outage
-    #: episodes (dealt round-robin over the replicas, each starting at a
+    #: fault injection, ``event_streams=True`` only: number of storage-replica
+    #: outage episodes (dealt round-robin over the replicas, each starting at a
     #: seeded point in the run and recovering after ``outage_duration_s``).
     replica_outages: int = 0
     #: simulated seconds one replica outage lasts before scheduled recovery.
     outage_duration_s: float = 60.0
-    #: fault injection, event streams only: number of pairwise WAN partition
-    #: episodes between replica sites (needs ``storage_replicas >= 2``).
+    #: fault injection, ``event_streams=True`` only: number of pairwise WAN
+    #: partition episodes between replica sites (needs ``storage_replicas >= 2``).
     wan_partitions: int = 0
     #: simulated seconds one WAN partition lasts before healing.
     partition_duration_s: float = 60.0
@@ -385,13 +385,19 @@ class ExperimentConfig:
             raise ValueError("wan_partitions must be non-negative")
         if self.partition_duration_s <= 0:
             raise ValueError("partition_duration_s must be positive")
-        if self.replica_outages > 0 and not self.event_streams:
-            raise ValueError("replica outages need event_streams=True (link-level faults)")
-        if self.wan_partitions > 0:
-            if not self.event_streams:
+        if not self.event_streams:
+            # The constant-cost fabric has no queue for a capacity to bound, no
+            # block grid for an interval to space and no link-level faults.
+            if self.replica_capacity != 1:
+                raise ValueError("replica_capacity needs event_streams=True (unbounded otherwise)")
+            if self.block_interval is not None:
+                raise ValueError("block_interval needs event_streams=True (set block_period)")
+            if self.replica_outages > 0:
+                raise ValueError("replica outages need event_streams=True (link-level faults)")
+            if self.wan_partitions > 0:
                 raise ValueError("WAN partitions need event_streams=True (link-level faults)")
-            if self.storage_replicas < 2:
-                raise ValueError("WAN partitions need at least two storage replicas")
+        if self.wan_partitions > 0 and self.storage_replicas < 2:
+            raise ValueError("WAN partitions need at least two storage replicas")
         if self.retry_max < 0:
             raise ValueError("retry_max must be non-negative")
         if self.backoff_base_s <= 0:

@@ -59,7 +59,6 @@ class Orchestrator:
         aggregators: Sequence[UnifyFLAggregator],
         timing_model: ClusterTimingModel,
         policy: Callable[[OrchestrationContext], RoundPolicy],
-        comm: Optional[CommFabric] = None,
         roster: Optional[Roster] = None,
         config: Optional[ExperimentConfig] = None,
     ):
@@ -75,9 +74,12 @@ class Orchestrator:
         self.aggregators = aggregators
         self.timing = timing_model
         self.policy_builder = policy
-        #: event-stream communication fabric shared with the aggregators, or
-        #: ``None`` for the constant-cost timing path.
-        self.comm = comm
+        #: the communication fabric the aggregators charge through; the
+        #: policies price the driver's phase control and their peer exchanges
+        #: on the same one.
+        self.comm: CommFabric = aggregators[0].comm
+        if any(a.comm is not self.comm for a in aggregators):
+            raise ValueError("the aggregators of one federation must share one CommFabric")
         #: who occupies which slot per round; a dense federation is the
         #: identity roster over ``aggregators``.
         self.roster = roster if roster is not None else StaticRoster(aggregators)
@@ -112,9 +114,9 @@ class Orchestrator:
                 timing=self.timing,
                 num_rounds=num_rounds,
                 roster=self.roster,
+                comm=self.comm,
                 idle_totals=self._idle_totals,
                 straggles=self._straggles,
-                comm=self.comm,
                 config=self.config,
             )
         )

@@ -138,9 +138,9 @@ _CSV_COLUMNS = [
     "global_loss",
     "local_accuracy",
     "local_loss",
-    # Run-level event-stream totals (repeated on every aggregator row; empty
-    # for constant-cost runs) so topology sweeps can compare queueing from the
-    # flat CSV alone.
+    # Run-level fabric totals (repeated on every aggregator row; queueing is
+    # zero on constant-cost runs) so topology sweeps can compare queueing from
+    # the flat CSV alone.
     "network_queued_s",
     "chain_wait_s",
     # Inter-replica propagation traffic (eager pushes + lazy fetches).
@@ -152,8 +152,7 @@ _CSV_COLUMNS = [
     "exchange_time_s",
     "exchange_count",
     "wan_bytes",
-    # Fault-injection / resilience accounting (zeros on fault-free event-stream
-    # runs, empty without a fabric unless churn ran on the constant path).
+    # Fault-injection / resilience accounting (zeros on fault-free runs).
     "retries",
     "breaker_open_s",
     "failovers",
@@ -206,24 +205,21 @@ def save_results_csv(results: Iterable[ExperimentResult], path: PathLike) -> Pat
         writer.writeheader()
         for result in results:
             comm = result.comm_metrics
-            # Churn on the constant-cost path exports drop accounting without
-            # any stream totals; keep the stream columns empty there.
-            streams = "network_queued" in comm
             for aggregator in result.aggregators:
                 writer.writerow(
                     {
-                        "network_queued_s": f"{comm['network_queued']:.3f}" if streams else "",
-                        "chain_wait_s": f"{comm['chain_wait']:.3f}" if streams else "",
-                        "replication_time_s": f"{comm.get('replication_time', 0.0):.3f}" if streams else "",
-                        "replication_queued_s": f"{comm.get('replication_queued', 0.0):.3f}" if streams else "",
-                        "replication_count": f"{comm.get('replication_count', 0.0):.0f}" if streams else "",
-                        "exchange_time_s": f"{comm.get('exchange_time', 0.0):.3f}" if streams else "",
-                        "exchange_count": f"{comm.get('exchange_count', 0.0):.0f}" if streams else "",
-                        "wan_bytes": f"{comm.get('wan_bytes', 0.0):.0f}" if streams else "",
-                        "retries": f"{comm.get('retries', 0.0):.0f}" if comm else "",
-                        "breaker_open_s": f"{comm.get('breaker_open_s', 0.0):.3f}" if comm else "",
-                        "failovers": f"{comm.get('failovers', 0.0):.0f}" if comm else "",
-                        "dropped_clients": f"{comm.get('dropped_clients', 0.0):.0f}" if comm else "",
+                        "network_queued_s": f"{comm['network_queued']:.3f}",
+                        "chain_wait_s": f"{comm['chain_wait']:.3f}",
+                        "replication_time_s": f"{comm['replication_time']:.3f}",
+                        "replication_queued_s": f"{comm['replication_queued']:.3f}",
+                        "replication_count": f"{comm['replication_count']:.0f}",
+                        "exchange_time_s": f"{comm['exchange_time']:.3f}",
+                        "exchange_count": f"{comm['exchange_count']:.0f}",
+                        "wan_bytes": f"{comm['wan_bytes']:.0f}",
+                        "retries": f"{comm['retries']:.0f}",
+                        "breaker_open_s": f"{comm['breaker_open_s']:.3f}",
+                        "failovers": f"{comm['failovers']:.0f}",
+                        "dropped_clients": f"{comm['dropped_clients']:.0f}",
                         "experiment": result.name,
                         "mode": result.mode,
                         "partitioning": result.partitioning,

@@ -55,8 +55,8 @@ class ExperimentResult:
     #: mode-specific annotations from the round policy (e.g. semi-sync
     #: quorum/staleness closure statistics).
     orchestration_extras: Dict[str, object] = field(default_factory=dict)
-    #: per-phase communication/chain accounting from the event-stream fabric
-    #: (empty unless the experiment ran with ``event_streams=True``).
+    #: per-phase communication/chain accounting from the run's fabric
+    #: (``CommFabric.summary``; queueing is zero on the constant-cost one).
     comm_metrics: Dict[str, float] = field(default_factory=dict)
     #: sampled-federation metadata — population size, per-round cohort size,
     #: sampling seed and how many virtual clusters actually materialised.
@@ -116,23 +116,21 @@ def format_resource_table(reports: Dict[str, ResourceReport]) -> str:
 
 
 def format_comm_table(result: ExperimentResult) -> str:
-    """Render the event-stream per-phase communication / chain report.
+    """Render the per-phase communication / chain report.
 
     Shows wire vs queued seconds for uploads and downloads, the finality wait
     of each chain-interaction kind, and the block span — the observable cost
-    of modelling the middle tier as event streams rather than constants.
+    of the middle tier (a constant-cost run shows zero queueing and no
+    driver rows).
     """
     metrics = result.comm_metrics
-    if not metrics:
-        return "Communication report: run with event_streams=True to collect per-phase I/O."
     header = f"{'Stream':<28}{'Time (s)':>12}{'Queued (s)':>12}{'Events':>10}"
     lines = [f"Communication / chain event streams ({result.name})", header, "-" * len(header)]
     for phase in ("upload", "download", "replication", "exchange"):
-        if f"{phase}_time" in metrics:
-            lines.append(
-                f"{'network ' + phase:<28}{metrics[f'{phase}_time']:>12.2f}"
-                f"{metrics[f'{phase}_queued']:>12.2f}{metrics[f'{phase}_count']:>10.0f}"
-            )
+        lines.append(
+            f"{'network ' + phase:<28}{metrics[f'{phase}_time']:>12.2f}"
+            f"{metrics[f'{phase}_queued']:>12.2f}{metrics[f'{phase}_count']:>10.0f}"
+        )
     replicas = sorted(
         key[len("replica_"):-len("_time")]
         for key in metrics

@@ -160,8 +160,10 @@ class ExperimentRunner:
         self.swarm: Optional[IPFSSwarm] = None
         self.aggregators: List[UnifyFLAggregator] = []
         self._driver_account: Optional[Account] = None
-        #: shared network/chain event-stream fabric (``event_streams=True`` only).
-        self.comm: Optional[CommFabric] = None
+        #: the federation's network/chain fabric, stood up by :meth:`build`:
+        #: contended streams, or their constant-cost configuration with
+        #: ``event_streams=False``.
+        self.comm: CommFabric
         #: the run's deterministic fault schedule (``None`` unless the
         #: configuration injects churn, outages or partitions).
         self.fault_plan: Optional[FaultPlan] = None
@@ -313,51 +315,38 @@ class ExperimentRunner:
             bandwidth_mbytes_per_s=bandwidth_mbytes_per_s,
         )
 
-    def _build_comm_fabric(self) -> Optional[CommFabric]:
-        """Stand up the event-stream fabric when the experiment asks for one.
+    def _build_comm_fabric(self) -> CommFabric:
+        """Stand up the federation's communication fabric.
 
         The storage layout is a :class:`~repro.simnet.network.Topology`:
         ``storage_replicas`` replica sites (each serving ``replica_capacity``
-        parallel transfers), clusters assigned to sites round-robin over a LAN
-        link with their aggregator profile's latency/bandwidth (optionally
-        capped by ``link_bandwidth_mbytes_per_s`` / overridden by
-        ``link_latency_s``), and WAN links between sites
-        (``wan_latency_s`` / ``wan_bandwidth_mbytes_per_s``).  With one
-        replica of capacity 1 this degenerates to the single serial
-        :data:`~repro.sched.actors.STORAGE_ENDPOINT` of earlier releases,
-        bit-identically: an *uncontended* transfer costs exactly what the
-        constant model charged — only queueing and chain quantisation add
-        time on top.
+        parallel transfers) and WAN links between sites (``wan_latency_s`` /
+        ``wan_bandwidth_mbytes_per_s``); clusters join as they materialise
+        (:meth:`_materialise_cluster`).  With one replica of capacity 1 this
+        is the single serial :data:`~repro.sched.actors.STORAGE_ENDPOINT`.
 
         With several replicas, replication is on the books: an upload lands
         on one site only and ``replication_mode`` (eager / lazy / none)
         governs how — and whether — the artifact reaches the others, as real
         WAN transfers downloads are availability-gated on (the aggregators
         thread IPFS CIDs through the fabric for this).
+
+        ``event_streams=False`` builds the same layout through
+        :meth:`~repro.sched.actors.CommFabric.constant_cost`: every transfer
+        costs its wire time, every chain interaction ``n·TX + block_period``,
+        phase control is free — an *uncontended* transfer costs the same on
+        both settings, only queueing and chain quantisation differ.
         """
         config = self.config
-        if not config.event_streams:
-            return None
         topology = Topology(
             default_wan_link=NetworkLink.from_mbytes_per_s(
                 latency_s=config.wan_latency_s,
                 bandwidth_mbytes_per_s=config.wan_bandwidth_mbytes_per_s,
             )
         )
-        num_replicas = config.storage_replicas
-        replica_names = self._replica_names()
-        for name in replica_names:
+        for name in self._replica_names():
             topology.add_replica(name, capacity=config.replica_capacity)
-        if not config.has_sampling:
-            # Sampled federations attach cluster endpoints lazily as their
-            # virtual clusters materialise (NetworkActor.attach_cluster).
-            for i, cluster in enumerate(config.clusters):
-                topology.add_cluster(
-                    cluster.name,
-                    replica_names[i % num_replicas],
-                    self._cluster_link(cluster),
-                )
-        network_actor = NetworkActor(
+        network_options = dict(
             topology=topology,
             model_bytes=self.timing_model.nominal_model_bytes,
             selection=config.replica_selection,
@@ -372,6 +361,8 @@ class ExperimentRunner:
             ),
             resilience_seed=config.seed,
         )
+        if not config.event_streams:
+            return CommFabric.constant_cost(block_period=config.block_period, **network_options)
         # ``is not None`` rather than truthiness: an explicit block_interval of
         # 0 is rejected by config validation, but the same falsy-zero trap bit
         # the sync windows once already — don't leave it armed here.
@@ -386,7 +377,7 @@ class ExperimentRunner:
             block_interval=block_interval,
             consensus_delay=consensus_delay(organisations, block_interval),
         )
-        return CommFabric(network_actor, chain_actor)
+        return CommFabric(NetworkActor(**network_options), chain_actor)
 
     def build(self) -> None:
         """Instantiate the chain, storage swarm and every aggregator.
@@ -422,13 +413,11 @@ class ExperimentRunner:
         self.comm = self._build_comm_fabric()
         if self.config.sanitize:
             self.sanitizer = SimulationSanitizer()
-            if self.comm is not None:
-                self.comm.sanitizer = self.sanitizer
-                self.comm.network.scheduler.sanitizer = self.sanitizer
-        if self.comm is not None:
-            # Chain-side emission hook: every sealed block feeds the chain
-            # actor's observed-block counters for the comm report.
-            self.chain.add_block_listener(self.comm.chain.observe_block)
+            self.comm.sanitizer = self.sanitizer
+            self.comm.network.scheduler.sanitizer = self.sanitizer
+        # Chain-side emission hook: every sealed block feeds the chain
+        # actor's observed-block counters for the comm report.
+        self.chain.add_block_listener(self.comm.chain.observe_block)
 
         self.aggregators = []
         if self.config.has_sampling:
@@ -446,6 +435,7 @@ class ExperimentRunner:
                     score_data=self.cluster_score_data[cluster.name],
                     seed=self.config.seed + i,
                     client_index=i,
+                    site=i,
                 )
             )
 
@@ -456,11 +446,21 @@ class ExperimentRunner:
         score_data: Dataset,
         seed: int,
         client_index: int,
+        site: int,
         client_partitions: Optional[List[Dataset]] = None,
         streaming_aggregation: bool = False,
     ) -> UnifyFLAggregator:
-        """Stand up one cluster: IPFS node, clients, scorer, aggregator."""
+        """Stand up one cluster: fabric endpoint, IPFS node, clients, scorer, aggregator.
+
+        The cluster joins the fabric at storage replica ``site`` modulo the
+        replica count — the round-robin the hierarchical policy groups by —
+        over the LAN link its aggregator profile implies.
+        """
         assert self.chain is not None and self.swarm is not None
+        replicas = self.comm.network.replicas
+        self.comm.network.attach_cluster(
+            cluster.name, replicas[site % len(replicas)], self._cluster_link(cluster)
+        )
         node = self.swarm.create_node(f"{cluster.name}-ipfs")
         clients = self._build_clients(cluster, client_index, partitions=client_partitions)
         scorer = build_scorer(
@@ -495,9 +495,8 @@ class ExperimentRunner:
         (round-robin over the configured cluster shapes), draws its own
         account/aggregator/client seeds from ranges disjoint from the eager
         path's, re-partitions the template's data shard for its clients, and
-        registers itself on the contract and — when event streams are on —
-        the communication fabric.  Streaming aggregation is enabled so a
-        large cohort aggregates in O(1) model-sized buffers.
+        registers itself on the contract.  Streaming aggregation is enabled
+        so a large cohort aggregates in O(1) model-sized buffers.
         """
         assert self.chain is not None
         config = self.config
@@ -519,16 +518,10 @@ class ExperimentRunner:
             score_data=self.cluster_score_data[template.name],
             seed=config.seed + 1000 + index,
             client_index=1000 + index,
+            site=index,
             client_partitions=partitions,
             streaming_aggregation=True,
         )
-        if self.comm is not None:
-            replica_names = self._replica_names()
-            self.comm.network.attach_cluster(
-                cluster.name,
-                replica_names[index % config.storage_replicas],
-                self._cluster_link(cluster),
-            )
         aggregator.register(mine=True)
         self.aggregators.append(aggregator)
         return aggregator
@@ -553,7 +546,6 @@ class ExperimentRunner:
             self.aggregators,
             self.timing_model,
             get_policy(self.config.mode).factory,
-            comm=self.comm,
             roster=self.population,
             config=self.config,
         )
@@ -621,11 +613,6 @@ class ExperimentRunner:
             "transfer_count": float(len(self.swarm.transfers)),
         }
         resource_reports = self.monitor.full_report() if self.monitor and len(self.monitor) else {}
-        comm_metrics = self.comm.summary() if self.comm is not None else {}
-        if self.fault_plan is not None and self.comm is None:
-            # Constant-cost path with churn enabled: no fabric exists, but the
-            # drop accounting still belongs in the exported metrics.
-            comm_metrics["dropped_clients"] = float(self.fault_plan.dropped_clients)
         sampling: Dict[str, float] = {}
         if self.population is not None:
             sampling = {
@@ -645,7 +632,7 @@ class ExperimentRunner:
             storage_metrics=storage_metrics,
             resource_reports=resource_reports,
             orchestration_extras=dict(orchestration.extras),
-            comm_metrics=comm_metrics,
+            comm_metrics=self.comm.summary(),
             sampling=sampling,
         )
 

@@ -184,7 +184,7 @@ def _bench_experiment(config, profile: bool = False) -> Dict[str, object]:
     else:
         runner.run()
     wall = time.perf_counter() - start
-    events = len(runner.comm.network.scheduler.log) if runner.comm is not None else 0
+    events = len(runner.comm.network.scheduler.log)
     if runner.chain is not None:
         events += int(runner.chain.metrics.as_dict().get("transactions_processed", 0))
     return {
@@ -243,7 +243,7 @@ runner.build()
 start = time.perf_counter()
 result = runner.run()
 wall = time.perf_counter() - start
-events = len(runner.comm.network.scheduler.log) if runner.comm is not None else 0
+events = len(runner.comm.network.scheduler.log)
 if runner.chain is not None:
     events += int(runner.chain.metrics.as_dict().get("transactions_processed", 0))
 print(json.dumps({

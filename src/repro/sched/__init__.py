@@ -22,8 +22,8 @@ quorum/staleness-bounded rounds (semi-sync).
   transfers and contract calls to first-class event streams (link contention
   over a replicated storage topology with on-the-books replication traffic —
   eager pushes, lazy fetches, availability-gated downloads — block-interval
-  quantisation, Clique consensus delay), enabled per experiment with
-  ``event_streams=True``.
+  quantisation, Clique consensus delay); ``event_streams=False`` runs the
+  same actors in their constant-cost configuration.
 
 See ``docs/scheduling.md`` and ``docs/architecture.md`` for the design and a
 guide to custom policies.

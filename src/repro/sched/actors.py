@@ -1,9 +1,8 @@
 """Network and chain actors: middle-tier I/O as first-class event streams.
 
-Before this module existed, every model transfer and every contract call was
-a *constant* added to an aggregator's clock (``ClusterTimingModel``'s
-``transfer_time`` / ``chain_interaction_time``).  That hides two effects the
-middleware literature insists the middle tier must expose:
+Every model transfer and every contract call of a run is an event on one
+:class:`CommFabric`.  Pricing them as per-interaction constants instead
+hides effects the middleware literature insists the middle tier must expose:
 
 * **Link contention** — several clusters pushing or pulling model weights
   through the shared storage fabric queue behind each other.  The
@@ -32,10 +31,11 @@ middleware literature insists the middle tier must expose:
 
 Both actors keep an append-only event log, so a run can report *per-phase*
 communication and chain time (see ``CommFabric.summary``) instead of folding
-everything into one opaque number.  The round policies and the aggregator
-consume these streams when an experiment runs with ``event_streams=True``
-(the default); with the flag off the constant-cost path is untouched and
-runs stay bit-identical to previous releases.
+everything into one opaque number.
+
+Constant-cost runs (``event_streams=False``: the paper's Table 5/6 numbers,
+the contention-free baselines) ride the *same* actors in the degenerate
+configuration :meth:`CommFabric.constant_cost` builds.
 """
 
 from __future__ import annotations
@@ -137,6 +137,8 @@ class NetworkActor:
             the layer even under faults — transfers then wait out outages on
             the link schedule (the degraded baseline).
         resilience_seed: seeds the deterministic backoff-jitter stream.
+        unbounded: infinite capacity on every endpoint — same links, replica
+            choice and replication traffic, but no transfer waits for another.
     """
 
     def __init__(
@@ -149,6 +151,7 @@ class NetworkActor:
         faults: Optional[FaultPlan] = None,
         resilience: Optional[ResiliencePolicy] = None,
         resilience_seed: int = 0,
+        unbounded: bool = False,
     ):
         if model_bytes <= 0:
             raise ValueError("model_bytes must be positive")
@@ -160,10 +163,10 @@ class NetworkActor:
             raise ValueError("pass either a network or a topology, not both")
         self.topology = topology
         if topology is not None:
-            self.scheduler = topology.build_scheduler()
+            self.scheduler = topology.build_scheduler(unbounded=unbounded)
             self.replicas: List[str] = topology.replicas
         else:
-            self.scheduler = LinkScheduler(network)
+            self.scheduler = LinkScheduler(network, unbounded=unbounded)
             self.replicas = [STORAGE_ENDPOINT]
         self.selection = selection
         self.replication_mode = replication_mode
@@ -218,10 +221,10 @@ class NetworkActor:
                     self.scheduler.set_partition(site_a, site_b, windows)
 
     def attach_cluster(self, name: str, replica: str, link=None) -> None:
-        """Register a cluster endpoint that materialised after construction.
+        """Register a cluster endpoint: the one way a cluster joins the fabric.
 
-        Sampled federations create virtual clusters lazily, so the fabric
-        must accept new endpoints mid-run: the cluster is added to the
+        Called as each cluster materialises — up front for a dense
+        federation, mid-run for a sampled one: the cluster is added to the
         topology, its composed cluster↔replica links are installed on the
         live scheduler's network (the topology's resolver only covers
         schedulers built *after* ``add_cluster``), and — when a fault plan is
@@ -287,20 +290,35 @@ class NetworkActor:
         downloading = phase == "download" and self.directory.known(object_id)
         if downloading and self.replication_mode == "none":
             return None
+        return self._least_loaded(
+            endpoint,
+            at,
+            object_id if downloading else None,
+            lambda replica: replica != exclude
+            and self._path_ok(endpoint, replica, at)
+            and self._breaker(replica).would_allow(at),
+        )
+
+    def _least_loaded(
+        self, endpoint: str, at: float, gated_object: Optional[str], admit=None
+    ) -> Optional[str]:
+        """The admitted replica with the smallest estimated completion time.
+
+        Cost is the backlog per capacity slot (zero when unbounded: there is
+        no queue to stand in) plus the path wire time, plus — downloading
+        ``gated_object`` — the wait until it is available there; declaration
+        order breaks ties.  ``admit`` filters candidates (``None``: all).
+        """
         best: Optional[Tuple[float, int]] = None
         chosen: Optional[str] = None
         for index, replica in enumerate(self.replicas):
-            if replica == exclude:
-                continue
-            if not self._path_ok(endpoint, replica, at):
-                continue
-            if not self._breaker(replica).would_allow(at):
+            if admit is not None and not admit(replica):
                 continue
             backlog = self.scheduler.outstanding_backlog(replica, at)
             wire = self.scheduler.network.transfer_time(endpoint, replica, self.model_bytes)
             cost = backlog / self.scheduler.capacity(replica) + wire
-            if downloading:
-                cost += self._availability_lag(object_id, replica, at)
+            if gated_object is not None:
+                cost += self._availability_lag(gated_object, replica, at)
             key = (cost, index)
             if best is None or key < best:
                 best = key
@@ -389,18 +407,8 @@ class NetworkActor:
         if self.selection == "affinity":
             assert self.topology is not None
             return self.topology.home_replica(endpoint)
-        best: Optional[Tuple[float, int]] = None
-        chosen = self.replicas[0]
-        for index, replica in enumerate(self.replicas):
-            backlog = self.scheduler.outstanding_backlog(replica, at)
-            wire = self.scheduler.network.transfer_time(endpoint, replica, self.model_bytes)
-            cost = backlog / self.scheduler.capacity(replica) + wire
-            if downloading:
-                cost += self._availability_lag(object_id, replica, at)
-            key = (cost, index)
-            if best is None or key < best:
-                best = key
-                chosen = replica
+        chosen = self._least_loaded(endpoint, at, object_id if downloading else None)
+        assert chosen is not None
         return chosen
 
     def _endpoint_site(self, endpoint: str) -> Optional[str]:
@@ -731,22 +739,28 @@ class ChainActor:
     boundary after it is ready, and becomes final ``consensus_delay`` seconds
     later (Clique seal verification + amortised out-of-turn wiggle).  Two
     interactions that are ready before the same boundary share a block — the
-    chain-time quantisation the constant-cost model flattened into a single
-    ``block_period`` constant.
+    chain-time quantisation a per-interaction constant flattens away.
 
     Args:
         block_interval: seconds between block boundaries (Clique ``period``).
         consensus_delay: extra seconds from boundary to finality; see
             :func:`repro.chain.clique.consensus_delay`.
+        quantised: ``False`` takes the grid away — an interaction is final
+            one ``block_interval`` after it is ready, i.e. costs exactly
+            ``n * TX_COST_S + block_interval`` (``block_index`` then names
+            the grid block it *would* have ridden).
     """
 
-    def __init__(self, block_interval: float, consensus_delay: float = 0.0):
+    def __init__(
+        self, block_interval: float, consensus_delay: float = 0.0, quantised: bool = True
+    ):
         if block_interval <= 0:
             raise ValueError("block_interval must be positive")
         if consensus_delay < 0:
             raise ValueError("consensus_delay must be non-negative")
         self.block_interval = float(block_interval)
         self.consensus_delay = float(consensus_delay)
+        self.quantised = quantised
         #: append-only log of every committed interaction.
         self.log: List[ChainOp] = []
         #: blocks observed from the simulated chain via the emission hook
@@ -765,6 +779,8 @@ class ChainActor:
         # (which would make it final after only the consensus delay, before
         # any block interval has elapsed).
         block_index = max(1, int(math.ceil(ready / self.block_interval)))
+        if not self.quantised:
+            return ready + self.block_interval + self.consensus_delay, block_index
         sealed = block_index * self.block_interval + self.consensus_delay
         return sealed, block_index
 
@@ -817,19 +833,49 @@ class ChainActor:
 class CommFabric:
     """The communication fabric: one facade over both event-stream actors.
 
-    An experiment with ``event_streams=True`` owns exactly one fabric; the
-    aggregators charge their pull/store/chain costs through it and the round
-    policies query it for submission estimates, so every byte moved and every
-    transaction sealed shares a single contended timeline.
+    Every federation owns exactly one fabric; the aggregators charge their
+    pull/store/chain costs through it and the round policies query it for
+    submission estimates, so every byte moved and every transaction sealed
+    shares a single timeline — contended by default, or the degenerate
+    :meth:`constant_cost` configuration (the only one with
+    ``free_phase_control``: :meth:`driver_op` costs and logs nothing).
     """
 
-    def __init__(self, network_actor: NetworkActor, chain_actor: ChainActor):
+    def __init__(
+        self,
+        network_actor: NetworkActor,
+        chain_actor: ChainActor,
+        free_phase_control: bool = False,
+    ):
         self.network = network_actor
         self.chain = chain_actor
+        self.free_phase_control = free_phase_control
         #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
         #: when set, the fabric's running totals are re-checked for
         #: monotonicity after every operation (read-only).
         self.sanitizer = None
+
+    @classmethod
+    def constant_cost(
+        cls, model_bytes: int, block_period: float, topology: Optional[Topology] = None, **options
+    ) -> "CommFabric":
+        """The degenerate fabric: per-interaction constants, no contention.
+
+        The one place the configuration is spelled out (``event_streams=False``
+        runs and hand-assembled federations both come here) — three switches:
+        (a) unbounded endpoint capacity: a transfer costs its wire time and
+        never waits for another; (b) no block quantisation, no consensus
+        delay: a chain interaction costs ``n * TX_COST_S + block_period``;
+        (c) free driver phase control.  Everything else (``options`` are
+        :class:`NetworkActor` keywords) behaves as on any fabric.  Without a
+        ``topology`` storage is the single default endpoint; a cluster that
+        never attaches is priced on the default LAN link.
+        """
+        if topology is None:
+            topology = Topology().add_replica(STORAGE_ENDPOINT)
+        options.update(topology=topology, model_bytes=model_bytes, unbounded=True)
+        chain = ChainActor(block_period, quantised=False)
+        return cls(NetworkActor(**options), chain, free_phase_control=True)
 
     def _observe(self) -> None:
         if self.sanitizer is not None:
@@ -901,6 +947,14 @@ class CommFabric:
         return delay
 
     # ----------------------------------------------------------- policy-facing
+    def driver_op(self, kind: str, at: float, num_transactions: int = 1) -> float:
+        """Elapsed seconds until a driver phase-control transaction
+        (``startTraining`` / ``startScoring`` / ``endRound`` /
+        ``closeSemiRound``) is final; zero and unlogged when phase control is free."""
+        if self.free_phase_control:
+            return 0.0
+        return self.chain_op(kind, "driver", at=at, num_transactions=num_transactions)
+
     def estimate_submission(self, endpoint: str, at: float) -> float:
         """Predicted cost of a full model submission (upload + finality).
 

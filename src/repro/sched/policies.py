@@ -43,15 +43,14 @@ the lazy :class:`~repro.core.runner.ClientPopulation`, whose occupants rotate
 as the sampler draws them.  Policies only ever iterate slots, so there is one
 code path for both shapes.
 
-When the :class:`OrchestrationContext` carries a
-:class:`~repro.sched.actors.CommFabric`, the policies consume the network and
-chain *event streams* instead of constant per-interaction costs: phase
-transitions wait for their transactions to seal, submission-cost predictions
-read the live link schedule (including, under lazy replication, the possible
-on-demand fetch a consumer of the submission would wait behind), and the
-semi-sync quorum close releases waiters only at transaction finality.
-Without a fabric every hook degenerates to a zero-cost no-op, preserving
-bit-identical constant-cost runs.
+The policies consume the network and chain *event streams* of the context's
+:class:`~repro.sched.actors.CommFabric`: phase transitions wait for their
+transactions to seal, submission-cost predictions read the live link schedule
+(including, under lazy replication, the possible on-demand fetch a consumer
+of the submission would wait behind), and the semi-sync quorum close releases
+waiters only at transaction finality.  On the degenerate constant-cost fabric
+the same calls return per-interaction constants and free phase control — the
+policies never ask which fabric they are on.
 """
 
 from __future__ import annotations
@@ -134,14 +133,14 @@ class OrchestrationContext:
     timing: "ClusterTimingModel"
     num_rounds: int
     roster: Roster
+    #: the federation's communication fabric: policies charge the driver's
+    #: phase-control transactions (startTraining / startScoring / endRound /
+    #: closeSemiRound) and their peer exchanges to it and predict submission
+    #: costs from its link schedule.
+    comm: "CommFabric"
     #: shared per-aggregator accumulators, owned by the orchestrator.
     idle_totals: Dict[str, float] = field(default_factory=dict)
     straggles: Dict[str, int] = field(default_factory=dict)
-    #: the event-stream communication fabric, or ``None`` for constant costs.
-    #: When set, policies charge the driver's phase-control transactions
-    #: (startTraining / startScoring / endRound / closeSemiRound) as chain
-    #: events and predict submission costs from the live link schedule.
-    comm: Optional["CommFabric"] = None
     #: the experiment configuration registered factories read their knobs
     #: from; ``None`` when an orchestrator is assembled by hand around an
     #: explicit policy builder.
@@ -259,31 +258,6 @@ class RoundPolicy:
         aggregator.clock.advance_to(self._slot_time[slot])
         return round_number, aggregator
 
-    def _driver_chain_op(self, kind: str, at: float, num_transactions: int = 1) -> float:
-        """Charge one driver (orchestrator) transaction to the chain stream.
-
-        Returns the finality delay in event-stream mode, ``0.0`` in
-        constant-cost mode — phase-control transactions were always free
-        there, and staying free is what keeps default runs bit-identical.
-        """
-        if self.ctx.comm is None:
-            return 0.0
-        return self.ctx.comm.chain_op(kind, "driver", at=at, num_transactions=num_transactions)
-
-    def _submission_cost(self, aggregator: "UnifyFLAggregator") -> float:
-        """Predicted cost of submitting one model right now.
-
-        Event-stream mode chains the contended store, the chain finality
-        and — under lazy replication — the possible on-demand origin→peer
-        fetch a remote consumer would wait behind, so the sync straggler
-        decision does not declare a cluster window-safe on the strength of a
-        submission no other site could read in time.
-        """
-        if self.ctx.comm is not None:
-            return self.ctx.comm.estimate_submission(aggregator.name, aggregator.clock.now())
-        return self.ctx.timing.transfer_time(aggregator.config.aggregator_profile, 1) + \
-            self.ctx.timing.chain_interaction_time(1)
-
     def _free_running_round(self, aggregator: "UnifyFLAggregator", round_number: int) -> bool:
         """One self-paced cluster round (the async/semi work unit).
 
@@ -384,9 +358,9 @@ class SyncRoundPolicy(RoundPolicy):
         barrier = max(self.kernel.now(), *(a.clock.now() for a in participants))
         self.ctx.chain.send(self.ctx.driver, "unifyfl", "startTraining")
         self.ctx.chain.mine_until_empty()
-        # Event streams: training starts when the startTraining transaction is
-        # final on-chain, not the instant the driver broadcast it.
-        phase_start = barrier + self._driver_chain_op("startTraining", barrier)
+        # Training starts when the startTraining transaction is final
+        # on-chain, not the instant the driver broadcast it.
+        phase_start = barrier + self.ctx.comm.driver_op("startTraining", barrier)
         barrier_waits: Dict[str, float] = {}
         for aggregator in participants:
             waited = self._barrier_wait(aggregator, phase_start)
@@ -397,7 +371,7 @@ class SyncRoundPolicy(RoundPolicy):
         self._offline = {}
         for aggregator in participants:
             # The wait for the barrier / startTraining finality belongs to this
-            # round's books (zero in constant-cost mode, where clusters are
+            # round's books (zero with free phase control, where clusters are
             # already aligned when a round begins).
             timing = RoundTiming(idle_time=barrier_waits[aggregator.name])
             # Fault injection: an unavailable organisation (availability draw
@@ -420,7 +394,12 @@ class SyncRoundPolicy(RoundPolicy):
             timing.aggregation_time += pull_timing.aggregation_time + train_timing.aggregation_time
             timing.client_training_time += train_timing.client_training_time
             elapsed = aggregator.clock.now() - phase_start
-            submit_cost = self._submission_cost(aggregator)
+            # Store + finality + (lazy replication) the on-demand fetch a
+            # remote consumer would wait behind: a submission no other site
+            # could read in time has not made the window.
+            submit_cost = self.ctx.comm.estimate_submission(
+                aggregator.name, aggregator.clock.now()
+            )
             if elapsed + submit_cost <= self.training_window:
                 _, submit_timing = aggregator.submit_local_model()
                 timing.store_time += submit_timing.store_time
@@ -447,8 +426,8 @@ class SyncRoundPolicy(RoundPolicy):
         window_end = self.kernel.now()
         self.ctx.chain.send(self.ctx.driver, "unifyfl", "startScoring")
         self.ctx.chain.mine_until_empty()
-        # Event streams: scoring starts once startScoring is sealed on-chain.
-        scoring_start = window_end + self._driver_chain_op("startScoring", window_end)
+        # Scoring starts once startScoring is sealed on-chain.
+        scoring_start = window_end + self.ctx.comm.driver_op("startScoring", window_end)
         for aggregator in self._active:
             waited = aggregator.clock.advance_to(scoring_start)
             self.ctx.add_idle(aggregator.name, waited)
@@ -475,9 +454,9 @@ class SyncRoundPolicy(RoundPolicy):
         scoring_end = self.kernel.now()
         self.ctx.chain.send(self.ctx.driver, "unifyfl", "endRound")
         self.ctx.chain.mine_until_empty()
-        # Event streams: the round (and its reward bookkeeping) is only over
-        # once the endRound transaction is sealed.
-        round_end = scoring_end + self._driver_chain_op("endRound", scoring_end)
+        # The round (and its reward bookkeeping) is only over once the
+        # endRound transaction is sealed.
+        round_end = scoring_end + self.ctx.comm.driver_op("endRound", scoring_end)
         for aggregator in self._active:
             waited = aggregator.clock.advance_to(round_end)
             self.ctx.add_idle(aggregator.name, waited)
@@ -580,7 +559,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
         #: SemiRoundClosed buffered count when submissions were registered
         #: on-chain but still in flight at close time; "release_time" is the
         #: closeSemiRound finality every same-round submitter resumed at (it
-        #: equals close_time in constant-cost mode).
+        #: equals close_time when phase control is free).
         self.closures: List[tuple] = []
 
     # ----------------------------------------------------------------- install
@@ -593,7 +572,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
         self.ctx.chain.mine_until_empty()
         # Recorded for the chain accounting; nobody waits on the configuration
         # transaction (clusters start from their own clocks regardless).
-        self._driver_chain_op("configureSemiRound", 0.0)
+        self.ctx.comm.driver_op("configureSemiRound", 0.0)
         self._arm_slots()
         self._arm_timeout()
 
@@ -686,7 +665,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
 
         Shared by blocked waiters and the cluster whose landing triggered the
         close, so every submitter of a round resumes no earlier than
-        ``release_time`` (in constant-cost mode finality is instant and the
+        ``release_time`` (with free phase control finality is instant and the
         wait degenerates to zero).
         """
         waited = aggregator.clock.advance_to(release_time)
@@ -708,10 +687,10 @@ class SemiSyncRoundPolicy(RoundPolicy):
             self.ctx.driver, "unifyfl", "closeSemiRound", {"timestamp": close_time}
         )
         self.ctx.chain.mine_until_empty()
-        # Event streams: blocked clusters only learn of the close once the
+        # Blocked clusters only learn of the close once the
         # closeSemiRound transaction is sealed — the quorum close is itself a
         # chain event, so its consensus latency is part of their wait.
-        release_time = close_time + self._driver_chain_op("closeSemiRound", close_time)
+        release_time = close_time + self.ctx.comm.driver_op("closeSemiRound", close_time)
         self.closures.append((status["round"], close_time, reason, self._landed, release_time))
         self._landed = 0
         self._deadline_passed = False
@@ -754,7 +733,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
     """Two-tier rounds: local site aggregation under a thin global tier.
 
     Clusters are grouped by topology site (the same ``i % num_sites``
-    round-robin the event-stream fabric assigns home replicas with, so a
+    round-robin the fabric assigns home replicas with, so a
     group really is the set of clusters sharing a storage site).  One global
     round is:
 
@@ -771,8 +750,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
        transfers plus compute only;
     3. **global tier** — each group's leader submits the group model over
        the real storage/chain path (``submitModel``), paying WAN
-       replication, link contention and block-interval finality when event
-       streams are on.
+       replication, link contention and block-interval finality.
 
     A ``round_budget`` caps the total local training rounds each cluster
     contributes across the run: an exhausted cluster keeps receiving group
@@ -831,30 +809,6 @@ class HierarchicalRoundPolicy(RoundPolicy):
         self.kernel = kernel
         barrier = max(a.clock.now() for a in self.ctx.roster.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="hier-round")
-
-    # ---------------------------------------------------------- helper pricing
-    def _exchange(
-        self,
-        source: "UnifyFLAggregator",
-        destination: "UnifyFLAggregator",
-        payer: "UnifyFLAggregator",
-    ) -> float:
-        """Elapsed seconds to move one model ``source`` -> ``destination``.
-
-        ``payer`` is the cluster whose clock the caller advances by the
-        returned cost — the member pushing to its leader, or the member
-        waiting out the leader's broadcast.  The transfer is committed at
-        the payer's clock: by then the payload exists (a pusher just
-        trained; a broadcast receiver was first advanced to the leader's
-        clock), so the link reservation never precedes the model.  In
-        constant-cost mode the payer's own profile prices the transfer,
-        like every other legacy transfer.
-        """
-        if self.ctx.comm is not None:
-            return self.ctx.comm.exchange(
-                source.name, destination.name, at=payer.clock.now()
-            )
-        return self.ctx.timing.transfer_time(payer.config.aggregator_profile, 1)
 
     def _consume_budget(self, aggregator: "UnifyFLAggregator", global_round: int, local_round: int) -> bool:
         """Whether the cluster may train now; decrements the budget if so."""
@@ -949,13 +903,16 @@ class HierarchicalRoundPolicy(RoundPolicy):
         self.tier_totals["global_aggregation_time"] += pull_timing.aggregation_time
 
         # --- broadcast the merged global model to the group (LAN exchange).
+        # Every shuttle is committed at the clock of the member that pays for
+        # it: by then the payload exists (a pusher just trained, a receiver
+        # was first advanced to the leader's clock).
         followers = [m for m in members if m.name != leader.name]
         for member in followers:
             waited = member.clock.advance_to(leader.clock.now())
             self.ctx.add_idle(member.name, waited)
             timings[member.name].idle_time += waited
             self.tier_totals["local_idle_time"] += waited
-            elapsed = self._exchange(leader, member, payer=member)
+            elapsed = self.ctx.comm.exchange(leader.name, member.name, at=member.clock.now())
             member.clock.advance(elapsed)
             timings[member.name].exchange_time += elapsed
             self.tier_totals["global_broadcast_time"] += elapsed
@@ -978,7 +935,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
             for member in trained:
                 if member.name == leader.name:
                     continue
-                elapsed = self._exchange(member, leader, payer=member)
+                elapsed = self.ctx.comm.exchange(member.name, leader.name, at=member.clock.now())
                 member.clock.advance(elapsed)
                 timings[member.name].exchange_time += elapsed
                 self.tier_totals["local_exchange_time"] += elapsed
@@ -1003,7 +960,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
                 self.ctx.add_idle(member.name, waited)
                 timings[member.name].idle_time += waited
                 self.tier_totals["local_idle_time"] += waited
-                elapsed = self._exchange(leader, member, payer=member)
+                elapsed = self.ctx.comm.exchange(leader.name, member.name, at=member.clock.now())
                 member.clock.advance(elapsed)
                 timings[member.name].exchange_time += elapsed
                 self.tier_totals["local_exchange_time"] += elapsed
@@ -1055,7 +1012,7 @@ class GossipRoundPolicy(RoundPolicy):
     (cluster, round).  An exchange pulls the peer's last *published* model
     by CID through the storage fabric — so link contention,
     read-your-writes availability gating and lazy on-demand replication all
-    price the exchange when event streams are on — and the merged model is
+    price the exchange — and the merged model is
     trained and re-published (upload + ``submitModel`` finality).  With
     ``gossip_fanout=0`` nothing is exchanged and every cluster trains in
     isolation.  There is no global round to close, so convergence is a
@@ -1136,10 +1093,7 @@ class GossipRoundPolicy(RoundPolicy):
                 self.missed_exchanges += 1
                 continue
             weights = aggregator.fetch_weights(cid)
-            if self.ctx.comm is not None:
-                elapsed = self.ctx.comm.gossip_pull(aggregator.name, aggregator.clock.now(), cid)
-            else:
-                elapsed = self.ctx.timing.transfer_time(aggregator.config.aggregator_profile, 1)
+            elapsed = self.ctx.comm.gossip_pull(aggregator.name, aggregator.clock.now(), cid)
             aggregator.clock.advance(elapsed)
             timing.exchange_time += elapsed
             self.exchange_log.append((round_number, aggregator.name, peer.name, elapsed))
@@ -1245,7 +1199,7 @@ register_policy(PolicySpec(
 ))
 register_policy(PolicySpec(
     name="hierarchical",
-    # Site grouping mirrors the event-stream fabric's round-robin assignment
+    # Site grouping mirrors the fabric's round-robin assignment
     # of clusters to storage replicas, so a "group" is exactly the set of
     # clusters sharing a storage site (one group when replicas are off).
     factory=lambda ctx: HierarchicalRoundPolicy(

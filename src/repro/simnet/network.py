@@ -22,6 +22,7 @@ Two levels of fidelity live here:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
@@ -192,14 +193,21 @@ class LinkScheduler:
     totals are bit-identical to the naive from-scratch recomputation, which
     :class:`repro.simnet.reference.ReferenceLinkScheduler` keeps alive as
     the property-test oracle.
+
+    ``unbounded=True`` (constant-cost runs) gives every endpoint infinite
+    capacity: no reservation blocks another, a transfer starts when requested
+    (or at its ``earliest_start`` / after a fault window).  Reservations are
+    still logged, so totals, backlog and the sanitizer see the same books.
     """
 
     def __init__(
         self,
         network: Optional[NetworkModel] = None,
         capacities: Optional[Dict[str, int]] = None,
+        unbounded: bool = False,
     ):
         self.network = network or NetworkModel()
+        self.unbounded = unbounded
         #: busy intervals per endpoint, sorted by (start, end); with capacity
         #: c > 1 up to c of them may overlap at any instant.
         self._busy: Dict[str, List[Tuple[float, float]]] = {}
@@ -337,6 +345,8 @@ class LinkScheduler:
         """
         if capacity < 1:
             raise ValueError("endpoint capacity must be at least 1")
+        if self.unbounded:
+            raise ValueError("an unbounded scheduler has no endpoint capacities to set")
         if capacity < self.capacity(endpoint) and self._busy.get(endpoint):
             raise ValueError(
                 f"cannot lower the capacity of endpoint '{endpoint}' below "
@@ -359,8 +369,10 @@ class LinkScheduler:
         self._plan_cache.clear()
         self.epoch += 1
 
-    def capacity(self, endpoint: str) -> int:
-        """Parallel capacity of one endpoint (1 unless raised)."""
+    def capacity(self, endpoint: str) -> float:
+        """Parallel capacity of one endpoint (1 unless raised; ``inf`` when unbounded)."""
+        if self.unbounded:
+            return math.inf
         return self._capacity.get(endpoint, 1)
 
     def busy_intervals(self, endpoint: str) -> List[Tuple[float, float]]:
@@ -415,7 +427,7 @@ class LinkScheduler:
         valid, anything else drops it.
         """
         intervals = self._busy.get(endpoint)
-        if not intervals:
+        if not intervals or self.unbounded:
             return []
         cap = self.capacity(endpoint)
         if cap == 1:
@@ -800,6 +812,8 @@ class Topology:
         network.set_link_resolver(resolve)
         return network
 
-    def build_scheduler(self) -> LinkScheduler:
-        """A capacity-aware scheduler over the materialised network."""
-        return LinkScheduler(self.build_network(), capacities=dict(self._replicas))
+    def build_scheduler(self, unbounded: bool = False) -> LinkScheduler:
+        """A capacity-aware scheduler over the materialised network
+        (``unbounded=True`` drops every capacity, the replicas' included)."""
+        capacities = None if unbounded else dict(self._replicas)
+        return LinkScheduler(self.build_network(), capacities, unbounded=unbounded)

@@ -129,6 +129,14 @@ class TestSchedulerHook:
         with pytest.raises(SanitizerViolation, match="above its declared"):
             scheduler._commit(third)
 
+    def test_accepts_any_overlap_on_an_unbounded_scheduler(self):
+        scheduler = LinkScheduler(unbounded=True)
+        scheduler.sanitizer = SimulationSanitizer()
+        for destination in ("b", "c", "d"):
+            placed = scheduler.transfer("a", destination, 1_000_000, at=0.0)
+            assert placed.queued_time == 0.0
+        assert scheduler.sanitizer.checks["reservation"] == 3
+
     def test_trips_on_a_start_inside_a_fault_window(self):
         scheduler = self.build()
         scheduler.set_outages("b", [(10.0, 20.0)])
@@ -200,10 +208,16 @@ class TestSanitizedRuns:
         assert report["reservation"] > 0
         assert report["fabric"] > 0
 
+    @pytest.mark.parametrize("event_streams", [True, False])
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_sanitized_run_is_bit_identical(self, mode):
-        plain = ExperimentRunner(tiny_config(mode)).run()
-        sanitized = ExperimentRunner(tiny_config(mode, sanitize=True)).run()
+    def test_sanitized_run_is_bit_identical(self, mode, event_streams):
+        plain = ExperimentRunner(tiny_config(mode, event_streams=event_streams)).run()
+        sanitized_runner = ExperimentRunner(
+            tiny_config(mode, event_streams=event_streams, sanitize=True)
+        )
+        sanitized = sanitized_runner.run()
+        # The constant-cost fabric's I/O is under the sanitizer too.
+        assert sanitized_runner.sanitizer.checks["reservation"] > 0
         assert plain.comm_metrics == sanitized.comm_metrics
         assert plain.orchestration_extras == sanitized.orchestration_extras
         for a, b in zip(plain.aggregators, sanitized.aggregators):

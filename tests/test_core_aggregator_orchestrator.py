@@ -22,6 +22,7 @@ from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.models import SimpleCNN
 from repro.ml.tensor_utils import weights_allclose
+from repro.sched.actors import CommFabric
 from repro.sched.policies import (
     AsyncRoundPolicy,
     GossipRoundPolicy,
@@ -44,6 +45,7 @@ def policy_context(chain, driver, aggregators, timing, num_rounds=1):
         timing=timing,
         num_rounds=num_rounds,
         roster=StaticRoster(aggregators),
+        comm=aggregators[0].comm,
     )
 
 
@@ -61,6 +63,9 @@ def build_federation(mode="sync", num_clusters=3, malicious=(), monitor=None, se
     chain.register_account(driver)
     chain.deploy_contract(UnifyFLContract(mode=mode, scorer_seed=seed))
     swarm = IPFSSwarm()
+    # Hand-built federations share the constant-cost fabric; clusters that
+    # never attach are priced on its default LAN link.
+    comm = CommFabric.constant_cost(timing.nominal_model_bytes, timing.block_period)
 
     cluster_parts = IIDPartitioner(num_clusters, seed=seed).partition(train)
     score_parts = IIDPartitioner(num_clusters, seed=seed + 1).partition(test)
@@ -96,6 +101,7 @@ def build_federation(mode="sync", num_clusters=3, malicious=(), monitor=None, se
                 clients=clients,
                 scorer=AccuracyScorer(model, score_parts[i]),
                 eval_data=test,
+                comm=comm,
                 timing_model=timing,
                 attack=SignFlipAttack() if i in malicious else None,
                 resource_monitor=monitor,
@@ -216,6 +222,7 @@ class TestAggregatorUnit:
                 clients=source.clients,
                 scorer=source.scorer,
                 eval_data=test,
+                comm=source.comm,
                 timing_model=timing,
             )
 

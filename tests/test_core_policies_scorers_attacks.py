@@ -15,7 +15,7 @@ from repro.core.attacks import (
     available_attacks,
     build_attack,
 )
-from repro.core.policies import (
+from repro.core.selection import (
     AboveAverage,
     AboveMedian,
     AboveSelf,

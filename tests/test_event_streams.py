@@ -9,8 +9,9 @@ Covers, bottom-up:
 * end-to-end experiments with ``event_streams=True`` (the default since the
   hot-path acceleration pass) — chain-delay accounting inside round records
   and the per-phase communication report;
-* the guarantee that opting out with ``event_streams=False`` leaves results
-  bit-identical to the constant-cost path of the earliest releases.
+* ``event_streams=False`` as the degenerate configuration of the same fabric
+  (unbounded capacity, unquantised chain, free phase control) and its
+  conservation laws in all five modes.
 """
 
 from __future__ import annotations
@@ -185,6 +186,37 @@ class TestLinkSchedulerCapacity:
 
 
 # -------------------------------------------------------------------------------- topology
+class TestUnboundedScheduler:
+    def test_nothing_queues_and_wire_time_is_unchanged(self):
+        scheduler = LinkScheduler(make_network(), unbounded=True)
+        placed = [scheduler.transfer(f"c{i}", "storage", 2_000_000, at=0.0) for i in range(5)]
+        assert all(t.started_at == 0.0 and t.elapsed == 2.0 for t in placed)
+        assert scheduler.total_queued_time == 0.0
+        assert scheduler.total_wire_time == 10.0
+        # The books are still kept: reservations and backlog stay queryable.
+        assert len(scheduler.busy_intervals("storage")) == 5
+        assert scheduler.outstanding_backlog("storage", 1.0) == 5.0
+
+    def test_capacity_is_infinite_and_cannot_be_set(self):
+        scheduler = LinkScheduler(make_network(), unbounded=True)
+        assert scheduler.capacity("anything") == float("inf")
+        with pytest.raises(ValueError, match="unbounded"):
+            scheduler.set_capacity("storage", 2)
+
+    def test_availability_floor_and_fault_windows_still_hold(self):
+        scheduler = LinkScheduler(make_network(), unbounded=True)
+        scheduler.set_outages("storage", [(0.0, 4.0)])
+        waited = scheduler.transfer("c0", "storage", 1_000_000, at=1.0)
+        assert waited.started_at == 4.0
+        gated = scheduler.transfer("c1", "c2", 1_000_000, at=1.0, earliest_start=3.0)
+        assert gated.started_at == 3.0 and gated.queued_time == 2.0
+
+    def test_topology_drops_every_capacity(self):
+        topology = Topology().add_replica("r0", capacity=1).add_cluster("agg1", "r0")
+        scheduler = topology.build_scheduler(unbounded=True)
+        assert scheduler.capacity("r0") == scheduler.capacity("agg1") == float("inf")
+
+
 class TestTopology:
     def build_two_sites(self) -> Topology:
         topology = Topology(
@@ -295,6 +327,21 @@ class TestNetworkActorReplicas:
         topology.add_replica("site-a").add_replica("site-b")
         topology.add_cluster("agg1", "site-a").add_cluster("agg2", "site-b")
         return NetworkActor(topology=topology, model_bytes=1_000_000, selection=selection)
+
+    def test_least_loaded_on_an_unbounded_fabric_ranks_by_wire_time_alone(self):
+        topology = Topology(
+            default_link=NetworkLink(latency_s=0.0, bandwidth_bytes_per_s=1e6),
+            default_wan_link=NetworkLink(latency_s=0.5, bandwidth_bytes_per_s=1e6),
+        )
+        topology.add_replica("site-a").add_replica("site-b").add_cluster("agg1", "site-a")
+        actor = NetworkActor(
+            topology=topology, model_bytes=1_000_000, selection="least-loaded", unbounded=True
+        )
+        # However much backlog piles on the home replica, backlog / inf is 0:
+        # there is no queue to avoid, so the faster path always wins.
+        for _ in range(4):
+            assert actor.select_replica("agg1", at=0.0) == "site-a"
+            assert actor.upload("agg1", 1, at=0.0) == 1.0
 
     def test_affinity_routes_to_the_home_replica(self):
         actor = self.two_replica_actor("affinity")
@@ -472,6 +519,44 @@ class TestCommFabric:
         assert summary["chain_blocks_spanned"] == 1
 
 
+class TestConstantCostFabricUnit:
+    def test_unquantised_chain_costs_the_per_interaction_constant(self):
+        chain = ChainActor(block_interval=2.0, quantised=False)
+        for at, n in ((0.0, 1), (0.7, 3), (1.999, 1), (13.25, 2)):
+            assert chain.interact("submitScore", "agg1", at, n).delay == pytest.approx(
+                n * TX_COST_S + 2.0, rel=1e-12
+            )
+            assert chain.estimate(at, n) == pytest.approx(n * TX_COST_S + 2.0, rel=1e-12)
+
+    def test_constant_cost_constructor_sets_the_three_switches(self):
+        fabric = CommFabric.constant_cost(model_bytes=1_000_000, block_period=2.0)
+        assert fabric.network.replicas == [STORAGE_ENDPOINT]
+        assert fabric.network.scheduler.unbounded
+        assert not fabric.chain.quantised and fabric.chain.consensus_delay == 0.0
+        # Free phase control: no cost, no log entry, no chain_wait_<kind> key.
+        assert fabric.driver_op("startTraining", at=1.0) == 0.0
+        assert fabric.chain.log == []
+        assert "chain_wait_startTraining" not in fabric.summary()
+        # An endpoint that never attached rides the default LAN link.
+        assert fabric.upload("agg1", 1, at=0.0) == pytest.approx(0.005 + 1_000_000 / 100e6)
+        assert fabric.upload("agg2", 1, at=0.0) == fabric.upload("agg3", 1, at=0.0)
+        assert fabric.summary()["network_queued"] == 0.0
+
+    def test_driver_ops_are_charged_on_a_contended_fabric(self):
+        fabric = TestCommFabric().make_fabric()
+        assert fabric.driver_op("endRound", at=0.0) > 0.0
+        assert fabric.summary()["chain_ops_endRound"] == 1
+
+    def test_knobs_the_constant_fabric_cannot_honour_are_rejected(self):
+        with pytest.raises(ValueError, match="replica_capacity"):
+            tiny_config("async", event_streams=False, replica_capacity=2)
+        with pytest.raises(ValueError, match="block_interval"):
+            tiny_config("async", event_streams=False, block_interval=1.0)
+        # The topology knobs are honoured on both settings.
+        tiny_config("async", event_streams=False, storage_replicas=2, replication_mode="lazy",
+                    replica_selection="least-loaded", link_latency_s=0.01, wan_latency_s=0.1)
+
+
 # ------------------------------------------------------------------------------ end to end
 def tiny_config(mode: str, event_streams: bool, **kwargs) -> ExperimentConfig:
     return ExperimentConfig(
@@ -536,14 +621,21 @@ class TestEventStreamExperiments:
         assert slow.comm_metrics["chain_wait"] > fast.comm_metrics["chain_wait"]
         assert slow.max_total_time > fast.max_total_time
 
-    def test_off_mode_attaches_no_fabric_and_stays_identical(self):
+    def test_off_mode_rides_the_constant_cost_fabric_and_stays_identical(self):
         off_runner = ExperimentRunner(tiny_config("async", event_streams=False))
         off_result = off_runner.run()
-        assert off_runner.comm is None
-        assert all(a.comm is None for a in off_runner.aggregators)
-        assert off_result.comm_metrics == {}
+        # The same actors, in the degenerate configuration — three switches.
+        fabric = off_runner.comm
+        assert isinstance(fabric, CommFabric)
+        assert fabric.network.scheduler.unbounded
+        assert not fabric.chain.quantised and fabric.chain.consensus_delay == 0.0
+        assert fabric.free_phase_control
+        assert all(a.comm is fabric for a in off_runner.aggregators)
+        assert off_result.comm_metrics == fabric.summary()
+        assert off_result.comm_metrics["upload_count"] > 0
         # Same config again: the constant-cost path is deterministic.
         repeat = ExperimentRunner(tiny_config("async", event_streams=False)).run()
+        assert repeat.comm_metrics == off_result.comm_metrics
         for first, second in zip(off_result.aggregators, repeat.aggregators):
             assert first.total_time == second.total_time
             assert first.global_accuracy == second.global_accuracy
@@ -609,8 +701,81 @@ class TestEventStreamExperiments:
 
 
 def test_format_comm_table_without_streams():
-    result = ExperimentRunner(tiny_config("async", event_streams=False)).run()
-    assert "event_streams=True" in format_comm_table(result)
+    result = ExperimentRunner(tiny_config("sync", event_streams=False)).run()
+    table = format_comm_table(result)
+    # A populated report: real upload/chain rows, no driver phase-control
+    # rows (they are free and unlogged) and nothing queued anywhere.
+    assert "network upload" in table and "chain submitModel" in table
+    assert "chain startTraining" not in table and "chain endRound" not in table
+    total = next(line for line in table.splitlines() if line.startswith("total network"))
+    assert float(total.split()[3]) == 0.0
+
+
+ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
+
+
+def golden_sized_config(mode: str, **kwargs) -> ExperimentConfig:
+    """The 3×2 two-round federation of ``scripts/regen_goldens.py``, constant-cost."""
+    return ExperimentConfig(
+        name=f"constant-{mode}",
+        workload=cifar10_workload(rounds=2, samples_per_class=6, image_size=8, learning_rate=0.05),
+        clusters=gpu_cluster_configs(num_clusters=3, num_clients=2),
+        mode=mode,
+        rounds=2,
+        seed=3,
+        partitioning="iid",
+        event_streams=False,
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+class TestConstantCostRuns:
+    """Conservation laws of the degenerate fabric, in every mode."""
+
+    def test_nothing_queues(self, mode):
+        metrics = ExperimentRunner(golden_sized_config(mode)).run().comm_metrics
+        queued = {key: value for key, value in metrics.items() if key.endswith("_queued")}
+        assert "network_queued" in queued and len(queued) > 4
+        assert all(value == 0.0 for value in queued.values()), queued
+
+    def test_chain_wait_is_the_sum_of_per_interaction_constants(self, mode):
+        runner = ExperimentRunner(golden_sized_config(mode))
+        metrics = runner.run().comm_metrics
+        log = runner.comm.chain.log
+        assert log
+        expected = sum(op.num_transactions * TX_COST_S + runner.config.block_period for op in log)
+        assert metrics["chain_wait"] == pytest.approx(expected, rel=1e-9)
+        # Phase control is free and unlogged: only the clusters' own kinds.
+        kinds = {key[len("chain_wait_"):] for key in metrics if key.startswith("chain_wait_")}
+        assert kinds <= {"submitModel", "submitScore"}
+        assert all(op.endpoint != "driver" for op in log)
+
+    def test_round_records_account_for_every_second_on_the_wire(self, mode):
+        result = ExperimentRunner(golden_sized_config(mode)).run()
+        booked = sum(
+            record.timing.pull_time + record.timing.store_time + record.timing.exchange_time
+            for aggregator in result.aggregators
+            for record in aggregator.history
+        )
+        assert result.comm_metrics["replication_count"] == 0  # single replica
+        assert booked == pytest.approx(result.comm_metrics["network_time"], rel=1e-9)
+
+    def test_topology_knobs_are_honoured(self, mode):
+        base = ExperimentRunner(golden_sized_config(mode)).run()
+        spread = ExperimentRunner(
+            golden_sized_config(mode, storage_replicas=2, wan_latency_s=0.2)
+        ).run()
+        assert spread.comm_metrics["storage_replicas"] == 2
+        # Still no contention: uploads and eager pushes start on request.  A
+        # download may wait for its object to *arrive* (the read-your-writes
+        # gate books that as queued time), never behind other traffic.
+        assert spread.comm_metrics["upload_queued"] == 0.0
+        assert spread.comm_metrics["replication_queued"] == 0.0
+        if mode == "gossip" or spread.comm_metrics["download_count"] > 0:
+            # Models crossed sites: eager pushes are on the books.
+            assert spread.comm_metrics["replication_count"] > 0
+            assert spread.comm_metrics["wan_bytes"] > base.comm_metrics["wan_bytes"] == 0.0
 
 
 # --------------------------------------------------------------- semi-sync release timing
@@ -649,7 +814,6 @@ class TestSemiSyncReleaseTiming:
             runner.aggregators,
             runner.timing_model,
             RecordingPolicy,
-            comm=runner.comm,
         ).run(config.rounds)
 
         closures = orchestration.extras["closures"]
