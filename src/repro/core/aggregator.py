@@ -43,7 +43,7 @@ from repro.core.selection import (
     build_aggregation_policy,
     build_scoring_policy,
 )
-from repro.core.scorer import MultiKRUMScorer, Scorer
+from repro.core.scorer import Scorer
 from repro.core.timing import ClusterTimingModel, RoundTiming
 from repro.datasets.synthetic import Dataset
 from repro.fl.client import Client
@@ -381,7 +381,7 @@ class UnifyFLAggregator:
         if not assigned:
             return timing
         round_context: Optional[Dict[str, Weights]] = None
-        if isinstance(self.scorer, MultiKRUMScorer) or self.scorer.requires_full_round:
+        if self.scorer.requires_full_round:
             round_context = self._collect_round_weights()
         scored = 0
         scored_cids: List[str] = []

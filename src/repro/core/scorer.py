@@ -123,12 +123,15 @@ class MultiKRUMScorer(_FullRoundScorer):
     higher.  Scores are mapped into (0, 1] so they are comparable with
     accuracy-based scores for the aggregation policies.
 
-    The per-row selection is vectorised: the diagonal of the pairwise
-    distance matrix is masked with ``inf`` on a copy (self-distance is zero
-    and would otherwise always win), ``np.partition`` pulls each row's ``m``
-    nearest neighbours without a full sort, and a final ascending sort of
-    just those ``m`` columns reproduces the reference loop's summation order
-    so the result is bit-identical to :meth:`score_round_reference`.
+    The distance matrix is filled row by row over its upper triangle and
+    mirrored, so the largest temporary is ``(n - 1, D)`` rather than the
+    reference's ``(n, n, D)`` difference tensor (75 MB at n = 40 on the
+    benchmark CNN).  The per-row selection is vectorised: the diagonal of
+    the distance matrix holds ``inf`` (self-distance is zero and would
+    otherwise always win), ``np.partition`` pulls each row's ``m`` nearest
+    neighbours without a full sort, and a final ascending sort of just those
+    ``m`` columns reproduces the reference loop's summation order so the
+    result is bit-identical to :meth:`score_round_reference`.
     """
 
     name = "multikrum"
@@ -151,22 +154,28 @@ class MultiKRUMScorer(_FullRoundScorer):
         n = len(cids)
         if n == 1:
             return {cids[0]: 1.0}
-        # Pairwise squared distances.
-        diffs = vectors[:, None, :] - vectors[None, :, :]
-        sq_dists = (diffs**2).sum(axis=2)
+        # Pairwise squared distances, one upper-triangle row at a time: the
+        # (n, n, D) difference tensor of the reference is never built.  Each
+        # entry is the same contiguous length-D reduction and (a-b)² == (b-a)²
+        # exactly, so the mirrored matrix equals the reference's bit for bit.
+        # The diagonal stays inf (self-distance is zero and would otherwise
+        # always win), so partition only sees peers.
+        sq_dists = np.full((n, n), np.inf)
+        for i in range(n - 1):
+            row = ((vectors[i + 1 :] - vectors[i]) ** 2).sum(axis=1)
+            sq_dists[i, i + 1 :] = row
+            sq_dists[i + 1 :, i] = row
         closest = max(1, n - self.byzantine_tolerance - 2)
         m = min(closest, n - 1)
-        # Mask self-distances (diagonal zeros) so partition only sees peers.
-        masked = sq_dists.copy()
-        np.fill_diagonal(masked, np.inf)
-        nearest = np.partition(masked, m - 1, axis=1)[:, :m]
+        nearest = np.partition(sq_dists, m - 1, axis=1)[:, :m]
         # Ascending sort of the m selected columns matches the reference
         # loop's `others.sort()` summation order, keeping sums bit-identical.
         krum_sums = np.sort(nearest, axis=1).sum(axis=1)
         return self._normalise(cids, krum_sums)
 
     def score_round_reference(self, round_weights: Dict[str, Weights]) -> Dict[str, float]:
-        """The original per-row loop, retained as the equivalence oracle."""
+        """The original ``(n, n, D)`` difference tensor and per-row selection
+        loop, retained as the equivalence oracle."""
         if not round_weights:
             return {}
         cids = sorted(round_weights)

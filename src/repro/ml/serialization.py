@@ -20,6 +20,7 @@ the memo can never change a byte of output.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections import OrderedDict
 from typing import List, Sequence
@@ -143,13 +144,15 @@ def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
         if offset + nbytes > len(payload):
             raise SerializationError("truncated tensor data")
         dtype = _CODE_DTYPES[dtype_code]
-        expected = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
-        if nbytes != expected:
+        size = math.prod(shape)
+        if nbytes != size * dtype.itemsize:
             raise SerializationError(
                 f"tensor byte length {nbytes} does not match shape {shape} and dtype {dtype}"
             )
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype).reshape(shape)
-        weights.append(np.array(arr, copy=True))
+        # frombuffer views the payload in place (read-only); the one copy
+        # makes the tensor writable and independent of the payload.
+        view = np.frombuffer(payload, dtype=dtype, count=size, offset=offset)
+        weights.append(view.reshape(shape).copy())
         offset += nbytes
     if offset != len(payload):
         raise SerializationError("trailing bytes after the final tensor")

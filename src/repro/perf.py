@@ -19,16 +19,21 @@ The grid:
   event streams on, end to end through :class:`ExperimentRunner`.
 * ``hierarchical_2site`` / ``gossip_2site`` — the two federation modes over
   a 2-site replicated topology.
+* ``multikrum_40`` — one wide sync round's scoring: Multi-KRUM
+  ``score_round`` (upper-triangle distance rows) against
+  ``score_round_reference`` (the ``(n, n, D)`` difference tensor) for 40
+  models of the ``SimpleCNN`` the repository benchmark trains.  The two
+  score dicts must be equal; same ``baseline`` / ``speedup`` shape.
 * ``sampled_100k`` — a population-sampled cross-device run (100k virtual
   clusters, cohort 128) plus a population-1000 control with the same
   cohort, each in its own subprocess so both legs report their own peak
   RSS; the ``rss_ratio`` between them pins the O(cohort) memory claim.
 
 Events counted: for ``sched_800`` every scheduler API call the workload
-issues (backlog query, estimate, commit, totals read); for the experiment
-benchmarks every transfer committed on the fabric's scheduler.  Peak RSS is
-``ru_maxrss`` — a process-wide high-water mark, so later benchmarks inherit
-earlier peaks.
+issues (backlog query, estimate, commit, totals read); for ``multikrum_40``
+every model scored; for the experiment benchmarks every transfer committed
+on the fabric's scheduler.  Peak RSS is ``ru_maxrss`` — a process-wide
+high-water mark, so later benchmarks inherit earlier peaks.
 
 Use ``--quick`` for the CI smoke grid (same schema, smaller sizes) and
 ``--profile`` to print cProfile's top cumulative functions per experiment
@@ -149,6 +154,64 @@ def bench_sched_800(quick: bool = False) -> Dict[str, object]:
         },
         "speedup": round(ref_wall / wall, 2),
         "params": {"clusters": clusters, "rounds": rounds, "replicas": 4, "capacity": 4},
+    }
+
+
+# ------------------------------------------------------------ multikrum_40
+def bench_multikrum_40(quick: bool = False) -> Dict[str, object]:
+    """Triangular Multi-KRUM scoring vs its ``(n, n, D)`` tensor oracle.
+
+    ``peak_rss_kb`` is read after the optimised pass and before the
+    reference one, whose two 75 MB temporaries would otherwise own the
+    process high-water mark; the reference's own peak is kept under
+    ``baseline``.
+    """
+    import numpy as np
+
+    from repro.core.scorer import MultiKRUMScorer
+    from repro.ml.models import SimpleCNN
+
+    models = 40
+    repeats = 3 if quick else 20
+    rng = np.random.default_rng(0)
+    template = SimpleCNN(image_size=8, seed=0).get_weights()
+    round_weights = {
+        f"cid{i:03d}": [w + 0.05 * rng.standard_normal(w.shape) for w in template]
+        for i in range(models)
+    }
+    scorer = MultiKRUMScorer()
+
+    start = time.perf_counter()
+    for _ in range(repeats):
+        scores = scorer.score_round(round_weights)
+    wall = time.perf_counter() - start
+    peak_rss_kb = _peak_rss_kb()
+
+    ref_start = time.perf_counter()
+    for _ in range(repeats):
+        ref_scores = scorer.score_round_reference(round_weights)
+    ref_wall = time.perf_counter() - ref_start
+
+    if scores != ref_scores:
+        raise AssertionError("triangular and reference Multi-KRUM scores diverged")
+
+    events = repeats * models
+    return {
+        "events": events,
+        "wall_s": round(wall, 4),
+        "events_per_sec": round(events / wall, 1),
+        "peak_rss_kb": peak_rss_kb,
+        "baseline": {
+            "wall_s": round(ref_wall, 4),
+            "events_per_sec": round(events / ref_wall, 1),
+            "peak_rss_kb": _peak_rss_kb(),
+        },
+        "speedup": round(ref_wall / wall, 2),
+        "params": {
+            "models": models,
+            "parameters": sum(int(w.size) for w in template),
+            "repeats": repeats,
+        },
     }
 
 
@@ -319,6 +382,9 @@ def run_benchmarks(quick: bool = False, profile: bool = False) -> Dict[str, obje
     benchmarks["table3_event_stream"] = bench_table3(quick=quick, profile=profile)
     benchmarks["hierarchical_2site"] = bench_hierarchical_2site(quick=quick, profile=profile)
     benchmarks["gossip_2site"] = bench_gossip_2site(quick=quick, profile=profile)
+    # After the experiment entries: its reference pass raises the process
+    # high-water mark every later in-process ``peak_rss_kb`` would inherit.
+    benchmarks["multikrum_40"] = bench_multikrum_40(quick=quick)
     benchmarks["sampled_100k"] = bench_sampled_100k(quick=quick)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -343,9 +409,10 @@ def validate_document(document: Dict[str, object]) -> List[str]:
     version = document.get("schema_version")
     if version is not None and version not in (1, SCHEMA_VERSION):
         problems.append(f"unsupported schema version {version!r}")
-    sched = (document.get("benchmarks") or {}).get("sched_800")
-    if sched is not None and "speedup" not in sched:
-        problems.append("benchmark 'sched_800' missing key 'speedup'")
+    for name in ("sched_800", "multikrum_40"):
+        entry = (document.get("benchmarks") or {}).get(name)
+        if entry is not None and "speedup" not in entry:
+            problems.append(f"benchmark '{name}' missing key 'speedup'")
     sampled = (document.get("benchmarks") or {}).get("sampled_100k")
     if sampled is not None:
         if "rss_ratio" not in sampled:

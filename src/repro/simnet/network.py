@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .faults import merge_windows
@@ -177,10 +176,19 @@ class LinkScheduler:
       commits return the cached plan, and a ``transfer`` that follows a
       preview with identical arguments commits the already-computed plan
       instead of re-planning (the single-pass plan-and-commit path).
-    * The saturation sweep of a capacity > 1 endpoint and the backlog index
-      behind :meth:`outstanding_backlog` are cached per endpoint behind a
-      dirty flag: only a commit *touching that endpoint* invalidates them,
-      so an estimate storm between commits pays one sweep, not one per call.
+    * The saturation sweep of a capacity > 1 endpoint is cached per endpoint
+      behind a dirty flag: only a commit placed *into* that endpoint's
+      existing schedule invalidates it, so an estimate storm between commits
+      pays one sweep, not one per call.
+    * The backlog index behind :meth:`outstanding_backlog` is never rebuilt:
+      ``_commit`` keeps a running max of interval ends beside the sorted
+      timeline (O(1) on an append, a short forward fix-up on a mid-timeline
+      insert), a probe bisects straight into the timeline, and the
+      newest-first duration sums are accumulated lazily from the tail only
+      as far back as a probe reaches — a commit truncates them to the
+      intervals after the one it inserted.  Least-loaded selection probes
+      every replica and then commits, so an index dropped by each commit
+      would be rebuilt from the whole history once per transfer.
     * ``total_queued_time`` / ``total_wire_time`` are running counters
       updated at commit time (accumulated in log order, so they stay
       bit-identical to summing the log), never O(log-length) scans.
@@ -230,9 +238,12 @@ class LinkScheduler:
         #: merged saturated intervals per capacity>1 endpoint (dirty-flagged:
         #: absent means recompute on next use).
         self._saturated_cache: Dict[str, List[Tuple[float, float]]] = {}
-        #: per-endpoint ``(starts, suffix_durations, prefix_max_end)`` index
-        #: behind outstanding_backlog, same dirty-flag discipline.
-        self._backlog_cache: Dict[str, Tuple[List[float], List[float], List[float]]] = {}
+        #: per-endpoint ``(prefix_max_end, tail_sums)`` behind
+        #: outstanding_backlog, both maintained by ``_commit``:
+        #: ``prefix_max_end[i]`` is the latest end among ``_busy[:i + 1]``;
+        #: ``tail_sums[k]`` is the summed duration of the newest ``k + 1``
+        #: intervals, added newest-first, grown on demand by probes.
+        self._backlog_index: Dict[str, Tuple[List[float], List[float]]] = {}
         #: placement memo for the current epoch, keyed by
         #: ``(source, destination, num_bytes, at, floor)``.
         self._plan_cache: Dict[Tuple[str, str, int, float, float], ScheduledTransfer] = {}
@@ -383,28 +394,33 @@ class LinkScheduler:
         """Reserved seconds still scheduled at or after ``at`` on one endpoint.
 
         The load metric behind deterministic least-loaded replica selection.
-        Answered from a per-endpoint index — interval starts, suffix sums of
-        their durations, and a prefix-max of their ends — rebuilt only after
-        a commit touches the endpoint, so the per-round selection storm
-        bisects into the index instead of rescanning the reservation
-        history on every call.
+        A bisect into the endpoint's sorted timeline finds the intervals
+        starting at or after ``at``; their summed duration comes from the
+        newest-first tail sums, extended here only as far back as this probe
+        reaches (a later probe at a smaller ``at`` extends them further, a
+        commit truncates them).  Earlier intervals that still straddle
+        ``at`` are walked newest-first under the commit-maintained running
+        max of ends.  The additions happen in the order
+        :class:`~repro.simnet.reference.ReferenceLinkScheduler` performs
+        them, so the reading is bit-identical to its from-scratch answer.
         """
         intervals = self._busy.get(endpoint)
         if not intervals:
             return 0.0
-        index = self._backlog_cache.get(endpoint)
-        if index is None:
-            starts = [start for start, _ in intervals]
-            suffix = list(accumulate(end - start for start, end in reversed(intervals)))
-            suffix.reverse()
-            prefix_max_end = list(accumulate((end for _, end in intervals), max))
-            index = (starts, suffix, prefix_max_end)
-            self._backlog_cache[endpoint] = index
-        starts, suffix, prefix_max_end = index
-        first = bisect.bisect_left(starts, at)
+        prefix_max_end, tail_sums = self._backlog_index[endpoint]
+        count = len(intervals)
+        first = bisect.bisect_left(intervals, (at,))
         # Intervals starting at or after ``at`` contribute their whole
-        # duration: one suffix-sum lookup.
-        total = suffix[first] if first < len(starts) else 0.0
+        # duration: one tail-sum lookup once the tail reaches back to them.
+        total = 0.0
+        if first < count:
+            if len(tail_sums) < count - first:
+                running = tail_sums[-1] if tail_sums else 0.0
+                for i in range(count - 1 - len(tail_sums), first - 1, -1):
+                    start, end = intervals[i]
+                    running += end - start
+                    tail_sums.append(running)
+            total = tail_sums[count - first - 1]
         # Earlier intervals may still straddle ``at``; walk them newest-first
         # and stop once the running max end falls behind ``at``.
         for i in range(first - 1, -1, -1):
@@ -610,7 +626,26 @@ class LinkScheduler:
         interval = (scheduled.started_at, scheduled.finished_at)
         endpoints = {scheduled.source, scheduled.destination}
         for endpoint in endpoints:
-            bisect.insort(self._busy.setdefault(endpoint, []), interval)
+            busy = self._busy.get(endpoint)
+            if busy is None:
+                busy = self._busy[endpoint] = []
+                self._backlog_index[endpoint] = ([], [])
+            position = bisect.bisect_right(busy, interval)
+            busy.insert(position, interval)
+            # Backlog index: carry the running max of ends through the new
+            # slot (nothing to fix up on an append; on a mid-timeline insert
+            # only the entries the new end overtakes), and keep the tail sums
+            # that cover only intervals after it.
+            prefix_max_end, tail_sums = self._backlog_index[endpoint]
+            latest = scheduled.finished_at
+            if position and prefix_max_end[position - 1] > latest:
+                latest = prefix_max_end[position - 1]
+            prefix_max_end.insert(position, latest)
+            for i in range(position + 1, len(prefix_max_end)):
+                if prefix_max_end[i] >= latest:
+                    break
+                prefix_max_end[i] = latest
+            del tail_sums[len(busy) - 1 - position :]
             boundaries = self._boundaries.get(endpoint)
             if boundaries is not None:
                 bisect.insort(boundaries, (scheduled.started_at, 1))
@@ -624,7 +659,6 @@ class LinkScheduler:
             # Anything placed into the existing schedule drops it.
             if self.capacity(endpoint) > 1 and scheduled.started_at < previous_end:
                 self._saturated_cache.pop(endpoint, None)
-            self._backlog_cache.pop(endpoint, None)
         self.log.append(scheduled)
         # Accumulated in log-append order, so the running totals stay
         # bit-identical to summing the log.

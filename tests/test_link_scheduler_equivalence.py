@@ -1,8 +1,9 @@
 """Property test: the optimized LinkScheduler equals the from-scratch reference.
 
 Every acceleration inside :class:`repro.simnet.network.LinkScheduler` — the
-per-epoch plan memo, the dirty-flagged saturation and backlog caches, the
-tail-append fast path, the running totals — must be invisible: randomized
+per-epoch plan memo, the dirty-flagged saturation cache, the commit-maintained
+backlog index with its lazily grown tail sums, the tail-append fast path, the
+running totals — must be invisible: randomized
 transfer workloads driven through the optimized scheduler and through
 :class:`repro.simnet.reference.ReferenceLinkScheduler` have to produce
 bit-identical placements, backlog readings and queued/wire-time totals.
@@ -79,6 +80,61 @@ def test_serial_only_equivalence():
     rng, endpoints, fast, slow = _build_pair(seed=99, num_endpoints=4, max_capacity=1)
     _random_workload(rng, endpoints, fast, slow, operations=200)
     assert fast.log == slow.log
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_backlog_probes_between_commits_match_the_reference(seed):
+    """The commit-maintained backlog index under the probe pattern it serves.
+
+    After every commit the same endpoints are probed several times at
+    *decreasing* ``at`` — past the timeline, at its end, inside it, on an
+    interval start, before it — so each probe has to extend the lazy tail
+    sums further back than the previous one did.  The commits alternate
+    appends with mid-timeline inserts (a backwards ``now`` jump, then an
+    ``earliest_start`` floor) on a capacity-1 and a capacity-3 endpoint, so
+    the running max of ends is fixed up forward and the tail sums truncated
+    at every position.
+    """
+    rng = random.Random(seed)
+    network = NetworkModel(
+        default_link=NetworkLink(latency_s=0.002, bandwidth_bytes_per_s=50e6)
+    )
+    capacities = {"serial": 1, "wide": 3}
+    fast = LinkScheduler(network, capacities=dict(capacities))
+    slow = ReferenceLinkScheduler(network, capacities=dict(capacities))
+    endpoints = ["c0", "c1", "serial", "wide"]
+    now = 0.0
+    for step in range(150):
+        floor = None
+        if step % 3 == 0:
+            now += rng.uniform(0.0, 4.0)
+            at = now
+        elif step % 3 == 1:
+            at = max(0.0, now - rng.uniform(1.0, 15.0))
+        else:
+            at = max(0.0, now - rng.uniform(0.0, 10.0))
+            floor = at + rng.uniform(0.0, 6.0)
+        source = rng.choice(endpoints)
+        destination = rng.choice(["serial", "wide"])
+        num_bytes = rng.randint(1, 60_000_000)
+        assert fast.transfer(source, destination, num_bytes, at, earliest_start=floor) == (
+            slow.transfer(source, destination, num_bytes, at, earliest_start=floor)
+        )
+        timeline = fast.busy_intervals(destination)
+        horizon = max(end for _, end in timeline)
+        probes = [horizon + 5.0, horizon]
+        probes += sorted((rng.uniform(0.0, horizon) for _ in range(4)), reverse=True)
+        probes += [0.0, rng.choice(timeline)[0]]
+        for endpoint in endpoints:
+            for probe in probes:
+                assert fast.outstanding_backlog(endpoint, probe) == (
+                    slow.outstanding_backlog(endpoint, probe)
+                ), (step, endpoint, probe)
+        assert fast.total_queued_time == slow.total_queued_time
+        assert fast.total_wire_time == slow.total_wire_time
+    assert fast.log == slow.log
+    for endpoint in endpoints:
+        assert fast.busy_intervals(endpoint) == slow.busy_intervals(endpoint)
 
 
 def test_estimate_then_commit_reuses_plan():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,42 @@ class TestSerialization:
         payload = weights_to_bytes([np.ones(3)])
         with pytest.raises(SerializationError):
             weights_from_bytes(payload + b"xx")
+
+    def test_decoded_tensors_are_writable_and_own_their_data(self):
+        weights = [np.arange(6.0).reshape(2, 3), np.zeros((0, 4), dtype=np.float32)]
+        payload = weights_to_bytes(weights)
+        restored = weights_from_bytes(payload)
+        for original, tensor in zip(weights, restored):
+            assert tensor.shape == original.shape and tensor.dtype == original.dtype
+            assert tensor.flags.writeable and tensor.flags.owndata
+        restored[0][0, 0] = 99.0
+        # Mutating a decoded tensor never reaches the payload it came from.
+        assert weights_from_bytes(payload)[0][0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"UFLX" + struct.pack("<BI", 1, 0), "payload is not a UnifyFL weight container"),
+            (b"UFLW" + struct.pack("<BI", 2, 0), "unsupported weight container version 2"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + b"\x00", "truncated tensor header"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + struct.pack("<BB", 9, 1), "unknown dtype code 9"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + struct.pack("<BB", 0, 2) + b"\x00" * 4,
+             "truncated tensor shape"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + struct.pack("<BBI", 0, 1, 2) + b"\x00" * 4,
+             "truncated tensor length"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + struct.pack("<BBIQ", 0, 1, 2, 16) + b"\x00" * 8,
+             "truncated tensor data"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + struct.pack("<BBIQ", 0, 1, 2, 8) + b"\x00" * 8,
+             "tensor byte length 8 does not match shape (2,) and dtype float64"),
+            (b"UFLW" + struct.pack("<BI", 1, 1) + struct.pack("<BBQ", 1, 0, 8) + b"\x00" * 8,
+             "tensor byte length 8 does not match shape () and dtype float32"),
+            (b"UFLW" + struct.pack("<BI", 1, 0) + b"xx", "trailing bytes after the final tensor"),
+        ],
+    )
+    def test_every_malformed_payload_keeps_its_message(self, payload, message):
+        with pytest.raises(SerializationError) as excinfo:
+            weights_from_bytes(payload)
+        assert str(excinfo.value) == message
 
     def test_int_arrays_supported(self):
         weights = [np.arange(4, dtype=np.int64), np.arange(3, dtype=np.int32)]

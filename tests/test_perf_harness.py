@@ -35,6 +35,16 @@ class TestBenchHarness:
         assert entry["speedup"] > 0.5
         assert entry["events"] > 0
 
+    def test_quick_multikrum_benchmark_matches_reference(self):
+        entry = perf.bench_multikrum_40(quick=True)
+        for key in perf.BENCHMARK_KEYS:
+            assert key in entry
+        # The benchmark itself asserts equal score dicts; the tensor oracle
+        # must never be *faster* by more than noise.
+        assert entry["speedup"] > 0.5
+        assert entry["baseline"]["wall_s"] > 0
+        assert entry["params"] == {"models": 40, "parameters": 5858, "repeats": 3}
+
     def test_document_schema_roundtrip(self, tmp_path):
         document = {
             "schema_version": perf.SCHEMA_VERSION,
@@ -44,6 +54,10 @@ class TestBenchHarness:
                 "sched_800": {
                     "events": 10, "wall_s": 0.1, "events_per_sec": 100.0,
                     "peak_rss_kb": 1, "speedup": 2.0,
+                },
+                "multikrum_40": {
+                    "events": 120, "wall_s": 0.1, "events_per_sec": 1200.0,
+                    "peak_rss_kb": 1, "speedup": 5.0, "baseline": {"wall_s": 0.5},
                 },
             },
         }
@@ -57,6 +71,9 @@ class TestBenchHarness:
         assert any("wall_s" in p for p in problems)
         assert any("schema_version" in p for p in problems)
         assert any("speedup" in p for p in problems)
+        entry = {"events": 1, "wall_s": 0.1, "events_per_sec": 10.0, "peak_rss_kb": 1}
+        problems = perf.validate_document({"benchmarks": {"multikrum_40": entry}})
+        assert "benchmark 'multikrum_40' missing key 'speedup'" in problems
 
     def test_cli_has_bench_subcommand(self):
         parser = build_parser()

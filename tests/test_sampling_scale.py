@@ -15,6 +15,8 @@ Covers the cross-device-scale layer end to end:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from repro.core.reporting import load_result_json, result_to_dict, save_result_j
 from repro.core.runner import ExperimentRunner
 from repro.core.sampling import ClientSampler
 from repro.core.scorer import CosineSimilarityScorer, MultiKRUMScorer
+from repro.ml.models import SimpleCNN
 from repro.ml.tensor_utils import RunningWeightedAverage, average_weights
 from repro.simnet.faults import FaultPlan
 
@@ -180,6 +183,17 @@ def _random_round(rng, n, scale=1.0):
     }
 
 
+def _cnn_round(rng, n, dtype=np.float64):
+    """``n`` perturbed copies of the benchmark's CNN (D = 5 858 parameters)."""
+    template = SimpleCNN(image_size=8, seed=0).get_weights()
+    return {
+        f"cid{i:03d}": [
+            (w + 0.05 * rng.standard_normal(w.shape)).astype(dtype) for w in template
+        ]
+        for i in range(n)
+    }
+
+
 class TestVectorisedScorers:
     @pytest.mark.parametrize("tolerance", [0, 1, 3])
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
@@ -192,6 +206,45 @@ class TestVectorisedScorers:
         assert fast.keys() == slow.keys()
         for cid in fast:
             assert fast[cid] == slow[cid]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_triangular_multikrum_equals_the_tensor_reference(self, n):
+        """Row-by-row upper-triangle distances vs the ``(n, n, D)`` oracle, at a
+        reduction length where numpy's pairwise summation actually blocks."""
+        rng = np.random.default_rng(1000 + n)
+        one_duplicate = _cnn_round(rng, n)
+        one_duplicate["cid001"] = [w.copy() for w in one_duplicate["cid000"]]
+        identical = dict.fromkeys(one_duplicate, one_duplicate["cid000"])
+        rounds = {
+            "float64": _cnn_round(rng, n),
+            "float32": _cnn_round(rng, n, np.float32),
+            "one duplicate pair": one_duplicate,
+            "all identical (all-zero distances)": identical,
+        }
+        for tolerance in (0, 1, n):
+            scorer = MultiKRUMScorer(byzantine_tolerance=tolerance)
+            for label, round_weights in rounds.items():
+                fast = scorer.score_round(round_weights)
+                assert fast == scorer.score_round_reference(round_weights), (label, tolerance)
+        assert set(MultiKRUMScorer().score_round(identical).values()) == {1.0}
+
+    def test_multikrum_round_never_builds_the_difference_tensor(self):
+        """n = 40, D = 5 858: the ``(n, n, D)`` tensor and its square are
+        2 x 75 MB (144.8 MiB traced); the triangular rows stay under 6 MiB."""
+        round_weights = _cnn_round(np.random.default_rng(7), 40)
+        scorer = MultiKRUMScorer()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            scorer.score_round(round_weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - before < 16 * 2**20
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
     def test_cosine_exactly_matches_the_reference(self, n):
