@@ -132,7 +132,7 @@ def distill(
             student.network.train()
             logits = student.network.forward(x[idx])
             loss, grad = loss_fn.forward(logits, y[idx], soft_labels[idx])
-            student.network.backward(grad)
+            student.network.backward_parameters(grad)
             optimizer.step(student.network.parameters(), student.network.gradients())
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))

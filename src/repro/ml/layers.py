@@ -1,13 +1,20 @@
 """Neural-network layers with explicit forward and backward passes.
 
-Every layer stores what it needs from the forward pass to compute gradients
-in ``backward``.  Parameters and their gradients are exposed through
-``parameters()`` / ``gradients()`` so the optimizers in :mod:`repro.ml.optim`
-and the weight exchange in :mod:`repro.fl` can treat all layers uniformly.
+A layer keeps from a forward pass only what a later step consumes.  In
+training mode that is what ``backward`` needs (the im2col matrix, the argmax
+of each pooling window, the ReLU mask, the Dense input).  In evaluation mode
+no ``backward`` can follow, so the forward pass stores nothing and clears
+whatever an earlier training batch left behind: a model that has only been
+evaluated holds its weights and nothing else, and ``backward`` after an
+evaluation-mode forward raises instead of using a stale cache.  Parameters
+and their gradients are exposed through ``parameters()`` / ``gradients()`` so
+the optimizers in :mod:`repro.ml.optim` and the weight exchange in
+:mod:`repro.fl` can treat all layers uniformly.
 
-The convolution and pooling layers use an im2col formulation, which keeps the
-implementation vectorised enough that the federated experiments (hundreds of
-rounds over small synthetic images) complete quickly on a CPU.
+The convolution and pooling layers gather their windows through one strided
+view of the input and a single copy (im2col), which keeps the implementation
+vectorised enough that the federated experiments (hundreds of rounds over
+small synthetic images) complete quickly on a CPU.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class Layer:
@@ -25,14 +33,30 @@ class Layer:
     return aligned lists of arrays.
     """
 
-    #: whether the layer is in training mode (affects Dropout / BatchNorm).
+    #: whether the layer is in training mode: decides what :meth:`forward`
+    #: keeps for :meth:`backward`, and the behaviour of Dropout / BatchNorm.
     training: bool = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Set the parameter gradients and return the gradient w.r.t. the input.
+
+        Uses what the last *training-mode* :meth:`forward` stored.  An
+        evaluation-mode forward stores nothing and drops what was stored, so
+        calling this after one raises ``RuntimeError``.
+        """
         raise NotImplementedError
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """:meth:`backward` for a caller that has no use for the input gradient.
+
+        The first layer of a network is in that position on every training
+        step.  Layers whose input gradient is a separate computation
+        (:class:`Dense`, :class:`Conv2d`) override this to skip it.
+        """
+        self.backward(grad_output)
 
     def parameters(self) -> List[np.ndarray]:
         """Trainable parameter tensors (may be empty)."""
@@ -88,15 +112,18 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense expects input dim {self.weight.shape[0]}, got {x.shape[1]}"
             )
-        self._input = x
+        self._input = x if self.training else None
         return x @ self.weight + self.bias
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_parameters(grad_output)
+        return grad_output @ self.weight.T
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         self.grad_weight = self._input.T @ grad_output
         self.grad_bias = grad_output.sum(axis=0)
-        return grad_output @ self.weight.T
 
     def parameters(self) -> List[np.ndarray]:
         return [self.weight, self.bias]
@@ -112,8 +139,9 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -134,8 +162,9 @@ class Softmax(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         shifted = x - x.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        self._output = exp / exp.sum(axis=-1, keepdims=True)
-        return self._output
+        output = exp / exp.sum(axis=-1, keepdims=True)
+        self._output = output if self.training else None
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
@@ -152,7 +181,7 @@ class Flatten(Layer):
         self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input_shape = x.shape
+        self._input_shape = x.shape if self.training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -212,8 +241,9 @@ class BatchNorm1d(Layer):
         else:
             mean = self.running_mean
             var = self.running_var
-        x_hat = (x - mean) / np.sqrt(var + self.eps)
-        self._cache = (x_hat, var, x - mean)
+        centered = x - mean
+        x_hat = centered / np.sqrt(var + self.eps)
+        self._cache = (x_hat, var, centered) if self.training else None
         return self.gamma * x_hat + self.beta
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -236,23 +266,47 @@ class BatchNorm1d(Layer):
         return [self.grad_gamma, self.grad_beta]
 
 
+def _windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+    """Read-only (N, C, kernel, kernel, out_h, out_w) view of every window of ``x``."""
+    n, c = x.shape[:2]
+    s_n, s_c, s_h, s_w = x.strides
+    return as_strided(
+        x,
+        shape=(n, c, kernel, kernel, out_h, out_w),
+        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
+        writeable=False,
+    )
+
+
 def _im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Rearrange (N, C, H, W) image patches into columns for convolution."""
+    """Rearrange (N, C, H, W) image patches into columns for convolution.
+
+    Row ``(image, out_y, out_x)`` of the result holds that window's
+    ``C * kernel * kernel`` values.  The matrix is C-contiguous, except for a
+    single image: there it is the transpose of a C-contiguous
+    ``(C * kernel * kernel, out_h * out_w)`` matrix.  BLAS picks its
+    summation order from the operand layout, so that exception is part of the
+    fixed-seed contract (a minibatch of one is the tail of most partitions).
+    """
     n, c, h, w = x.shape
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel):
-        i_max = i + stride * out_h
-        for j in range(kernel):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
-    return cols, out_h, out_w
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    windows = _windows(x, kernel, stride, out_h, out_w)
+    if n == 1:
+        cols = np.empty((1, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+        cols[...] = windows
+        # Not a copy: (out_h, out_w) and (c, kernel, kernel) each merge into
+        # one axis of the buffer just filled.
+        return cols.transpose(0, 4, 5, 1, 2, 3).reshape(out_h * out_w, -1), out_h, out_w
+    cols = np.empty((n, out_h, out_w, c, kernel, kernel), dtype=x.dtype)
+    cols[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    return cols.reshape(n * out_h * out_w, -1), out_h, out_w
 
 
 def _col2im(
@@ -320,21 +374,15 @@ class Conv2d(Layer):
         w_col = self.weight.reshape(self.weight.shape[0], -1)
         out = cols @ w_col.T + self.bias
         n = x.shape[0]
-        self._cache = (cols, x.shape, out_h, out_w)
+        self._cache = (cols, x.shape, out_h, out_w) if self.training else None
         return out.reshape(n, out_h, out_w, -1).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cols, input_shape, out_h, out_w = self._cache
-        n = input_shape[0]
-        grad_cols = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, -1)
+        grad_cols = self._parameter_gradients(grad_output)
+        _, input_shape, out_h, out_w = self._cache
         w_col = self.weight.reshape(self.weight.shape[0], -1)
-        self.grad_weight = (grad_cols.T @ cols).reshape(self.weight.shape)
-        self.grad_bias = grad_cols.sum(axis=0)
-        grad_input_cols = grad_cols @ w_col
         return _col2im(
-            grad_input_cols,
+            grad_cols @ w_col,
             input_shape,
             self.kernel_size,
             self.stride,
@@ -342,6 +390,20 @@ class Conv2d(Layer):
             out_h,
             out_w,
         )
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        self._parameter_gradients(grad_output)
+
+    def _parameter_gradients(self, grad_output: np.ndarray) -> np.ndarray:
+        """Set ``grad_weight`` / ``grad_bias``; returns ``grad_output`` as columns."""
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        cols, input_shape, out_h, out_w = self._cache
+        n = input_shape[0]
+        grad_cols = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, -1)
+        self.grad_weight = (grad_cols.T @ cols).reshape(self.weight.shape)
+        self.grad_bias = grad_cols.sum(axis=0)
+        return grad_cols
 
     def parameters(self) -> List[np.ndarray]:
         return [self.weight, self.bias]
@@ -356,9 +418,11 @@ class MaxPool2d(Layer):
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         if kernel_size <= 0:
             raise ValueError("kernel_size must be positive")
+        if stride is not None and stride <= 0:
+            raise ValueError(f"stride must be positive (or None for kernel_size), got {stride}")
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, ...], int, int]] = None
+        self.stride = kernel_size if stride is None else stride
+        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], np.dtype, int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -367,25 +431,21 @@ class MaxPool2d(Layer):
         k, s = self.kernel_size, self.stride
         out_h = (h - k) // s + 1
         out_w = (w - k) // s + 1
-        # Treat each channel independently through im2col on a (N*C, 1, H, W) view.
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols, _, _ = _im2col(reshaped, k, s, 0)
-        cols = cols.reshape(n * c * out_h * out_w, k * k)
+        # One row per window, channels pooled independently.
+        cols = _windows(x, k, s, out_h, out_w).transpose(0, 1, 4, 5, 2, 3).reshape(-1, k * k)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (argmax, cols, x.shape, out_h, out_w)
+        self._cache = (argmax, x.shape, x.dtype, out_h, out_w) if self.training else None
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        argmax, cols, input_shape, out_h, out_w = self._cache
+        argmax, input_shape, dtype, out_h, out_w = self._cache
         n, c, h, w = input_shape
         k, s = self.kernel_size, self.stride
-        grad_cols = np.zeros_like(cols)
-        flat_grad = grad_output.reshape(-1)
-        grad_cols[np.arange(grad_cols.shape[0]), argmax] = flat_grad
-        grad_cols = grad_cols.reshape(n * c * out_h * out_w, 1 * k * k)
+        grad_cols = np.zeros((argmax.shape[0], k * k), dtype=dtype)
+        grad_cols[np.arange(argmax.shape[0]), argmax] = grad_output.reshape(-1)
         grad_input = _col2im(grad_cols, (n * c, 1, h, w), k, s, 0, out_h, out_w)
         return grad_input.reshape(n, c, h, w)
 
@@ -407,6 +467,11 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
         return grad_output
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        for layer in reversed(self.layers[1:]):
+            grad_output = layer.backward(grad_output)
+        self.layers[0].backward_parameters(grad_output)
 
     def parameters(self) -> List[np.ndarray]:
         params: List[np.ndarray] = []

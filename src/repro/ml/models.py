@@ -15,7 +15,8 @@ substitution is recorded in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,12 +61,21 @@ class Model:
         return int(sum(int(np.prod(p.shape)) for p in self.network.parameters()))
 
     # -- training / inference ----------------------------------------------
+    @contextmanager
+    def _evaluation_mode(self) -> Iterator[None]:
+        """Run the network in evaluation mode, then restore the mode it was in."""
+        was_training = self.network.training
+        self.network.eval()
+        try:
+            yield
+        finally:
+            if was_training:
+                self.network.train()
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Return raw logits for a batch of inputs (evaluation mode)."""
-        self.network.eval()
-        logits = self.network.forward(x)
-        self.network.train()
-        return logits
+        with self._evaluation_mode():
+            return self.network.forward(x)
 
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         """Return the argmax class label for each input."""
@@ -83,7 +93,7 @@ class Model:
         self.network.train()
         logits = self.network.forward(x)
         loss, grad = loss_fn.forward(logits, y)
-        self.network.backward(grad)
+        self.network.backward_parameters(grad)
         optimizer.step(self.network.parameters(), self.network.gradients())
         return loss
 
@@ -126,17 +136,16 @@ class Model:
         if len(x) == 0:
             raise ValueError("cannot evaluate on an empty dataset")
         loss_fn = loss_fn or CrossEntropyLoss()
-        self.network.eval()
         total_loss = 0.0
         correct = 0
-        for start in range(0, len(x), batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
-            logits = self.network.forward(xb)
-            loss, _ = loss_fn.forward(logits, yb)
-            total_loss += loss * len(xb)
-            correct += int((logits.argmax(axis=1) == yb).sum())
-        self.network.train()
+        with self._evaluation_mode():
+            for start in range(0, len(x), batch_size):
+                xb = x[start : start + batch_size]
+                yb = y[start : start + batch_size]
+                logits = self.network.forward(xb)
+                loss, _ = loss_fn.forward(logits, yb)
+                total_loss += loss * len(xb)
+                correct += int((logits.argmax(axis=1) == yb).sum())
         return total_loss / len(x), correct / len(x)
 
     def clone(self, rng: Optional[np.random.Generator] = None) -> "Model":

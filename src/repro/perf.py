@@ -24,16 +24,28 @@ The grid:
   ``score_round_reference`` (the ``(n, n, D)`` difference tensor) for 40
   models of the ``SimpleCNN`` the repository benchmark trains.  The two
   score dicts must be equal; same ``baseline`` / ``speedup`` shape.
+* ``cnn_step`` — the ML kernels at the shapes every run trains on: 200
+  ``train_batch`` calls at batch 5 and 50 ``evaluate`` calls on 100 samples
+  of the 8x8 ``SimpleCNN`` (fastest of three alternating passes), against
+  a twin built on the loop ``_im2col_reference`` / ``_col2im_reference``
+  oracles that ``tests/test_ml_layers.py`` keeps.  Weight bytes must be
+  equal; same ``baseline`` / ``speedup`` shape, plus ``retained_kb`` — the
+  array bytes the layers still hold after the last ``evaluate`` (0:
+  evaluation mode stores nothing).
 * ``sampled_100k`` — a population-sampled cross-device run (100k virtual
   clusters, cohort 128) plus a population-1000 control with the same
   cohort, each in its own subprocess so both legs report their own peak
-  RSS; the ``rss_ratio`` between them pins the O(cohort) memory claim.
+  RSS; the ``rss_ratio`` between them pins the O(cohort) memory claim and
+  ``rss_kb_per_cluster`` (peak minus post-import RSS, per materialised
+  cluster) says what one cohort member costs.
 
 Events counted: for ``sched_800`` every scheduler API call the workload
 issues (backlog query, estimate, commit, totals read); for ``multikrum_40``
-every model scored; for the experiment benchmarks every transfer committed
-on the fabric's scheduler.  Peak RSS is ``ru_maxrss`` — a process-wide
-high-water mark, so later benchmarks inherit earlier peaks.
+every model scored; for ``cnn_step`` every ``train_batch`` / ``evaluate``
+call; for the experiment benchmarks every transfer committed on the
+fabric's scheduler.  Peak RSS is ``ru_maxrss`` — a process-wide
+high-water mark, so later benchmarks inherit earlier peaks (and a
+subprocess its parent's, which is why ``sampled_100k`` runs first).
 
 Use ``--quick`` for the CI smoke grid (same schema, smaller sizes) and
 ``--profile`` to print cProfile's top cumulative functions per experiment
@@ -215,6 +227,106 @@ def bench_multikrum_40(quick: bool = False) -> Dict[str, object]:
     }
 
 
+# ---------------------------------------------------------------- cnn_step
+def retained_cache_bytes(network) -> int:
+    """Array bytes reachable from the private state of ``network``'s layers.
+
+    That is what the forward caches hold (im2col matrices, argmax indices,
+    masks, inputs); weights and gradients are public attributes and not
+    counted.
+    """
+    import numpy as np
+
+    def array_bytes(value) -> int:
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, (tuple, list)):
+            return sum(array_bytes(item) for item in value)
+        return 0
+
+    return sum(  # detlint: ignore[DET003]  (integers: order-exact)
+        array_bytes(value)
+        for layer in network.layers
+        for name, value in vars(layer).items()
+        if name.startswith("_")
+    )
+
+
+def _load_kernel_oracles():
+    """``tests/test_ml_layers.py`` of this checkout, which keeps the loop kernels.
+
+    The oracles are test code, not part of the package: nothing the
+    simulator runs can reach them, and the bench needs a checkout anyway
+    (it records the commit and writes ``BENCH_sched.json`` at its root).
+    """
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "tests" / "test_ml_layers.py"
+    spec = importlib.util.spec_from_file_location("repro_kernel_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_cnn_step(quick: bool = False) -> Dict[str, object]:
+    """Strided-gather ``SimpleCNN`` steps vs the loop-kernel oracle twin."""
+    import numpy as np
+
+    from repro.ml.models import SimpleCNN
+    from repro.ml.optim import SGD
+
+    oracles = _load_kernel_oracles()
+    train_steps = 40 if quick else 200
+    evaluations = 10 if quick else 50
+    rng = np.random.default_rng(0)
+    batches = [
+        (rng.normal(size=(5, 3, 8, 8)), rng.integers(0, 10, size=5)) for _ in range(train_steps)
+    ]
+    eval_x, eval_y = rng.normal(size=(100, 3, 8, 8)), rng.integers(0, 10, size=100)
+
+    def steps(model) -> float:
+        optimizer = SGD(learning_rate=0.05)
+        start = time.perf_counter()
+        for x, y in batches:
+            model.train_batch(x, y, optimizer)
+        for _ in range(evaluations):
+            model.evaluate(eval_x, eval_y)
+        return time.perf_counter() - start
+
+    model = SimpleCNN(image_size=8, seed=0)
+    twin = oracles.reference_twin(model)
+    # A pass is a quarter of a second, the size of this host's scheduling
+    # noise: alternate the two sides and keep each one's fastest pass.
+    passes = [(steps(model), steps(twin)) for _ in range(3)]
+    wall = min(own for own, _ in passes)
+    ref_wall = min(ref for _, ref in passes)
+    if oracles.weight_bytes(model) != oracles.weight_bytes(twin):
+        raise AssertionError("strided and loop-kernel training diverged")
+
+    events = train_steps + evaluations
+    return {
+        "events": events,
+        "wall_s": round(wall, 4),
+        "events_per_sec": round(events / wall, 1),
+        "peak_rss_kb": _peak_rss_kb(),
+        "retained_kb": round(retained_cache_bytes(model.network) / 1024, 1),
+        "baseline": {
+            "wall_s": round(ref_wall, 4),
+            "events_per_sec": round(events / ref_wall, 1),
+            "retained_kb": round(retained_cache_bytes(twin.network) / 1024, 1),
+        },
+        "speedup": round(ref_wall / wall, 2),
+        "params": {
+            "train_steps": train_steps,
+            "batch_size": 5,
+            "evaluations": evaluations,
+            "eval_samples": 100,
+            "passes": 3,
+        },
+    }
+
+
 # ------------------------------------------------------------- experiments
 def _experiment_config(name: str, mode: str, quick: bool, **overrides):
     from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
@@ -288,6 +400,7 @@ import json, resource, sys, time
 from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
 from repro.core.runner import ExperimentRunner
 
+import_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 population, cohort, rounds = (int(a) for a in sys.argv[1:4])
 config = ExperimentConfig(
     name=f"bench-sampled-{population}",
@@ -313,6 +426,7 @@ print(json.dumps({
     "events": events,
     "wall_s": round(wall, 4),
     "peak_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+    "import_rss_kb": import_rss_kb,
     "materialized_clusters": result.sampling.get("materialized_clusters", 0.0),
 }))
 """
@@ -350,7 +464,8 @@ def bench_sampled_100k(quick: bool = False) -> Dict[str, object]:
     Two subprocess legs: the headline population and a population-1000
     control with the *same* cohort.  Peak memory is O(cohort), so the legs'
     RSS ratio should sit near 1 — it is recorded as ``rss_ratio`` and CI
-    asserts it stays under 2.
+    asserts it stays under 2.  ``rss_kb_per_cluster`` is what the headline
+    leg's peak adds over its post-import RSS, per materialised cluster.
     """
     population = 10_000 if quick else 100_000
     cohort = 32 if quick else 128
@@ -370,6 +485,9 @@ def bench_sampled_100k(quick: bool = False) -> Dict[str, object]:
             "peak_rss_kb": control["peak_rss_kb"],
         },
         "rss_ratio": round(leg["peak_rss_kb"] / control["peak_rss_kb"], 3),
+        "rss_kb_per_cluster": round(
+            (leg["peak_rss_kb"] - leg["import_rss_kb"]) / leg["materialized_clusters"], 1
+        ),
         "params": {"population": population, "clients_per_round": cohort, "rounds": rounds},
     }
 
@@ -378,6 +496,11 @@ def bench_sampled_100k(quick: bool = False) -> Dict[str, object]:
 def run_benchmarks(quick: bool = False, profile: bool = False) -> Dict[str, object]:
     """Run the fixed grid and return the BENCH document."""
     benchmarks: Dict[str, Dict[str, object]] = {}
+    # First: ``ru_maxrss`` survives fork + exec, so a leg subprocess starts
+    # from this process's high-water mark.  Before anything has run that is
+    # below a leg's own import footprint; after ``multikrum_40`` it would be
+    # a 190 MB floor under both legs' peaks and their post-import baseline.
+    benchmarks["sampled_100k"] = bench_sampled_100k(quick=quick)
     benchmarks["sched_800"] = bench_sched_800(quick=quick)
     benchmarks["table3_event_stream"] = bench_table3(quick=quick, profile=profile)
     benchmarks["hierarchical_2site"] = bench_hierarchical_2site(quick=quick, profile=profile)
@@ -385,7 +508,7 @@ def run_benchmarks(quick: bool = False, profile: bool = False) -> Dict[str, obje
     # After the experiment entries: its reference pass raises the process
     # high-water mark every later in-process ``peak_rss_kb`` would inherit.
     benchmarks["multikrum_40"] = bench_multikrum_40(quick=quick)
-    benchmarks["sampled_100k"] = bench_sampled_100k(quick=quick)
+    benchmarks["cnn_step"] = bench_cnn_step(quick=quick)
     return {
         "schema_version": SCHEMA_VERSION,
         "commit": _git_commit(),
@@ -409,16 +532,21 @@ def validate_document(document: Dict[str, object]) -> List[str]:
     version = document.get("schema_version")
     if version is not None and version not in (1, SCHEMA_VERSION):
         problems.append(f"unsupported schema version {version!r}")
-    for name in ("sched_800", "multikrum_40"):
+    required = {
+        "sched_800": ("speedup",),
+        "multikrum_40": ("speedup",),
+        "cnn_step": ("speedup", "retained_kb"),
+        "sampled_100k": ("rss_ratio", "rss_kb_per_cluster"),
+    }
+    for name, keys in required.items():
         entry = (document.get("benchmarks") or {}).get(name)
-        if entry is not None and "speedup" not in entry:
-            problems.append(f"benchmark '{name}' missing key 'speedup'")
-    sampled = (document.get("benchmarks") or {}).get("sampled_100k")
-    if sampled is not None:
-        if "rss_ratio" not in sampled:
-            problems.append("benchmark 'sampled_100k' missing key 'rss_ratio'")
-        elif not isinstance(sampled["rss_ratio"], (int, float)):
-            problems.append("benchmark 'sampled_100k' key 'rss_ratio' is not numeric")
+        if entry is None:
+            continue
+        for key in keys:
+            if key not in entry:
+                problems.append(f"benchmark '{name}' missing key '{key}'")
+            elif not isinstance(entry[key], (int, float)):
+                problems.append(f"benchmark '{name}' key '{key}' is not numeric")
     return problems
 
 
@@ -456,6 +584,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         line = f"{name:<24}{entry['events']:>10} events  {entry['wall_s']:>9.3f} s  {entry['events_per_sec']:>12.1f} ev/s"
         if "speedup" in entry:
             line += f"  ({entry['speedup']:.2f}x vs reference)"
+        if "retained_kb" in entry:
+            line += f"  retained {entry['retained_kb']:.1f} KiB (reference {entry['baseline']['retained_kb']:.1f})"
+        if "rss_kb_per_cluster" in entry:
+            line += f"  {entry['rss_kb_per_cluster']:.1f} KiB RSS/cluster"
         print(line)
     print(f"BENCH document written to {args.out}")
     return 0

@@ -1,6 +1,15 @@
-"""Unit tests for the neural-network layers, including numeric gradient checks."""
+"""Unit tests for the neural-network layers, including numeric gradient checks.
+
+The loop ``_im2col`` / ``_col2im`` the layers used before the strided gather
+live on here as ``_im2col_reference`` / ``_col2im_reference``, together with
+the convolution and pooling layers built on them: the exact oracles the
+optimised kernels are compared with, value for value and layout for layout.
+"""
 
 from __future__ import annotations
+
+import itertools
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -11,11 +20,122 @@ from repro.ml.layers import (
     Dense,
     Dropout,
     Flatten,
+    Layer,
     MaxPool2d,
     ReLU,
     Sequential,
     Softmax,
+    _col2im,
+    _im2col,
 )
+from repro.ml.models import MiniVGG, Model, SimpleCNN
+from repro.ml.optim import SGD
+
+
+# ---------------------------------------------------------------- the oracles
+def _im2col_reference(
+    x: np.ndarray, kernel: int, stride: int, padding: int
+) -> Tuple[np.ndarray, int, int]:
+    """``np.pad``, then one slice assignment per kernel offset, then a transpose."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+    for i in range(kernel):
+        i_max = i + stride * out_h
+        for j in range(kernel):
+            j_max = j + stride * out_w
+            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
+    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    return cols, out_h, out_w
+
+
+def _col2im_reference(
+    cols: np.ndarray,
+    input_shape: Tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+    padding: int,
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """Accumulate overlapping patches, one slice addition per kernel offset."""
+    n, c, h, w = input_shape
+    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kernel):
+        i_max = i + stride * out_h
+        for j in range(kernel):
+            j_max = j + stride * out_w
+            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
+class ReferenceConv2d(Conv2d):
+    """``Conv2d`` as it was on the loop helpers: caches in every mode and
+    always computes the input gradient."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        cols, out_h, out_w = _im2col_reference(x, self.kernel_size, self.stride, self.padding)
+        w_col = self.weight.reshape(self.weight.shape[0], -1)
+        out = cols @ w_col.T + self.bias
+        self._cache = (cols, x.shape, out_h, out_w)
+        return out.reshape(x.shape[0], out_h, out_w, -1).transpose(0, 3, 1, 2)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        cols, input_shape, out_h, out_w = self._cache
+        n = input_shape[0]
+        grad_cols = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, -1)
+        w_col = self.weight.reshape(self.weight.shape[0], -1)
+        self.grad_weight = (grad_cols.T @ cols).reshape(self.weight.shape)
+        self.grad_bias = grad_cols.sum(axis=0)
+        return _col2im_reference(
+            grad_cols @ w_col, input_shape, self.kernel_size, self.stride, self.padding, out_h, out_w
+        )
+
+    backward_parameters = Layer.backward_parameters
+
+
+class ReferenceMaxPool2d(MaxPool2d):
+    """``MaxPool2d`` as it was: im2col over an (N*C, 1, H, W) reshape."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        k, s = self.kernel_size, self.stride
+        cols, out_h, out_w = _im2col_reference(x.reshape(n * c, 1, h, w), k, s, 0)
+        cols = cols.reshape(n * c * out_h * out_w, k * k)
+        argmax = cols.argmax(axis=1)
+        out = cols[np.arange(cols.shape[0]), argmax]
+        self._cache = (argmax, cols, x.shape, out_h, out_w)
+        return out.reshape(n, c, out_h, out_w)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        argmax, cols, input_shape, out_h, out_w = self._cache
+        n, c, h, w = input_shape
+        k, s = self.kernel_size, self.stride
+        grad_cols = np.zeros_like(cols)
+        grad_cols[np.arange(grad_cols.shape[0]), argmax] = grad_output.reshape(-1)
+        grad_input = _col2im_reference(grad_cols, (n * c, 1, h, w), k, s, 0, out_h, out_w)
+        return grad_input.reshape(n, c, h, w)
+
+
+def reference_twin(model: Model) -> Model:
+    """A copy of ``model`` whose convolution and pooling layers are the oracles."""
+    twin = model.clone()
+    for layer in twin.network.layers:
+        if isinstance(layer, Conv2d):
+            layer.__class__ = ReferenceConv2d
+        elif isinstance(layer, MaxPool2d):
+            layer.__class__ = ReferenceMaxPool2d
+    return twin
+
+
+def weight_bytes(model: Model) -> bytes:
+    return b"".join(w.tobytes() for w in model.get_weights())
 
 
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -294,6 +414,16 @@ class TestMaxPool:
         expected = np.array([[[[0.0, 0.0], [0.0, 10.0]]]])
         assert np.allclose(grad, expected)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rejects_nonpositive_stride(self, stride):
+        # ``stride or kernel_size`` used to turn 0 into kernel_size silently.
+        with pytest.raises(ValueError, match="stride"):
+            MaxPool2d(2, stride=stride)
+
+    def test_stride_defaults_to_kernel_size(self):
+        assert MaxPool2d(3).stride == 3
+        assert MaxPool2d(3, stride=1).stride == 1
+
     def test_gradient_matches_numeric(self):
         rng = np.random.default_rng(8)
         layer = MaxPool2d(2)
@@ -342,3 +472,139 @@ class TestSequential:
         grad = net.backward(np.ones_like(out))
         assert grad.shape == x.shape
         assert len(net.gradients()) == len(net.parameters()) == 4
+
+    @pytest.mark.parametrize(
+        "first, width",
+        [
+            (lambda rng: Dense(3, 5, rng=rng), 5),
+            (lambda rng: Sequential([Dense(3, 5, rng=rng), ReLU()]), 5),
+            (lambda rng: BatchNorm1d(3), 3),
+        ],
+        ids=["dense", "nested", "default-fallback"],
+    )
+    def test_backward_parameters_sets_the_same_gradients(self, first, width):
+        rng = np.random.default_rng(10)
+        net = Sequential([first(rng), ReLU(), Dense(width, 2, rng=rng)])
+        x = rng.normal(size=(4, 3))
+        grad = rng.normal(size=(4, 2))
+        net.forward(x)
+        net.backward(grad)
+        expected = [g.copy() for g in net.gradients()]
+        net.forward(x)
+        assert net.backward_parameters(grad) is None
+        for got, want in zip(net.gradients(), expected):
+            assert np.array_equal(got, want)
+
+    def test_backward_parameters_first_conv_matches_full_backward(self):
+        rng = np.random.default_rng(11)
+        net = Sequential([Conv2d(2, 3, kernel_size=3, padding=1, rng=rng), ReLU(), MaxPool2d(2)])
+        x = rng.normal(size=(3, 2, 4, 4))
+        grad = rng.normal(size=(3, 3, 2, 2))
+        net.forward(x)
+        net.backward(grad)
+        expected = [g.copy() for g in net.gradients()]
+        net.forward(x)
+        net.backward_parameters(grad)
+        for got, want in zip(net.gradients(), expected):
+            assert np.array_equal(got, want)
+
+
+# ------------------------------------------------- optimised kernels vs oracles
+_IMAGE_SHAPES = [(1, 1, 1), (1, 4, 4), (3, 8, 8), (6, 4, 4), (2, 5, 7), (3, 1, 1)]
+_KERNEL_GRID = [
+    (n, chw, kernel, stride, padding, dtype, transposed)
+    for n, chw, kernel, stride, padding, dtype, transposed in itertools.product(
+        (1, 2, 5, 256), _IMAGE_SHAPES, (1, 2, 3), (1, 2), (0, 1), (np.float32, np.float64), (False, True)
+    )
+    if min(chw[1:]) + 2 * padding >= kernel
+]
+
+
+def _grid_input(rng, n, chw, dtype, transposed):
+    c, h, w = chw
+    if transposed:
+        # The layout a convolution hands to the next layer: NHWC memory
+        # behind an (N, C, H, W) view.
+        return rng.normal(size=(n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+    return rng.normal(size=(n, c, h, w)).astype(dtype)
+
+
+class TestKernelsMatchTheLoopOracles:
+    def test_im2col_values_dtype_and_layout(self):
+        """Layout included: for one image the oracle returns a transposed
+        *view*, and BLAS sums a transposed operand in a different order."""
+        rng = np.random.default_rng(0)
+        for n, chw, kernel, stride, padding, dtype, transposed in _KERNEL_GRID:
+            x = _grid_input(rng, n, chw, dtype, transposed)
+            case = (n, chw, kernel, stride, padding, dtype.__name__, transposed)
+            want, want_h, want_w = _im2col_reference(x, kernel, stride, padding)
+            got, out_h, out_w = _im2col(x, kernel, stride, padding)
+            assert (out_h, out_w) == (want_h, want_w), case
+            assert got.dtype == want.dtype, case
+            assert np.array_equal(got, want), case
+            assert got.strides == want.strides, case
+            assert got.flags.c_contiguous == want.flags.c_contiguous, case
+            assert not np.shares_memory(got, x), case
+
+    def test_single_image_matrix_is_a_transposed_view(self):
+        cols, _, _ = _im2col(np.ones((1, 3, 8, 8)), 3, 1, 1)
+        assert cols.shape == (64, 27)
+        assert cols.flags.f_contiguous and not cols.flags.c_contiguous
+        cols, _, _ = _im2col(np.ones((2, 3, 8, 8)), 3, 1, 1)
+        assert cols.flags.c_contiguous
+
+    def test_col2im_values_and_dtype(self):
+        rng = np.random.default_rng(1)
+        for n, chw, kernel, stride, padding, dtype, _ in _KERNEL_GRID:
+            if n == 256:
+                continue
+            c, h, w = chw
+            out_h = (h + 2 * padding - kernel) // stride + 1
+            out_w = (w + 2 * padding - kernel) // stride + 1
+            cols = rng.normal(size=(n * out_h * out_w, c * kernel * kernel)).astype(dtype)
+            args = ((n, c, h, w), kernel, stride, padding, out_h, out_w)
+            want = _col2im_reference(cols, *args)
+            got = _col2im(cols, *args)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, chw, kernel, stride, padding)
+
+    def test_max_pool_forward_and_backward(self):
+        rng = np.random.default_rng(2)
+        for n, chw, kernel, stride, padding, dtype, transposed in _KERNEL_GRID:
+            if padding or n == 256:
+                continue
+            x = _grid_input(rng, n, chw, dtype, transposed)
+            x.flat[::5] = 0.0  # ties: the first maximum of a window wins
+            pool, oracle = MaxPool2d(kernel, stride), ReferenceMaxPool2d(kernel, stride)
+            out, want = pool.forward(x), oracle.forward(x)
+            case = (n, chw, kernel, stride, dtype.__name__, transposed)
+            assert out.dtype == want.dtype and np.array_equal(out, want), case
+            grad = rng.normal(size=out.shape).astype(dtype)
+            grad.flat[::3] = -0.0
+            got, want = pool.backward(grad), oracle.backward(grad)
+            assert got.dtype == want.dtype and np.array_equal(got, want), case
+            assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+    @pytest.mark.parametrize("samples", [36, 37], ids=["tail-of-one", "tail-of-two"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SimpleCNN(image_size=8, seed=0),
+            lambda: MiniVGG(image_size=8, num_classes=10, seed=0),
+        ],
+        ids=["simple_cnn", "mini_vgg"],
+    )
+    def test_trained_weights_are_bit_identical(self, build, samples):
+        """Three epochs at batch 5: 36 samples end on a batch of one image,
+        the layout trap; 37 on a batch of two."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(samples, 3, 8, 8))
+        y = rng.integers(0, 10, size=samples)
+        model = build()
+        oracle = reference_twin(model)
+        assert weight_bytes(model) == weight_bytes(oracle)
+        losses = model.fit(x, y, epochs=3, batch_size=5, optimizer=SGD(0.05), rng=np.random.default_rng(4))
+        want = oracle.fit(x, y, epochs=3, batch_size=5, optimizer=SGD(0.05), rng=np.random.default_rng(4))
+        assert losses == want
+        assert weight_bytes(model) == weight_bytes(oracle)
+        assert model.evaluate(x, y) == oracle.evaluate(x, y)
+        assert model.evaluate(x[:1], y[:1]) == oracle.evaluate(x[:1], y[:1])

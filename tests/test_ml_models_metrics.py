@@ -8,6 +8,7 @@ import pytest
 from repro.ml.metrics import accuracy_score, evaluate_model, top_k_accuracy
 from repro.ml.models import MLP, MiniVGG, SimpleCNN, available_models, build_model, count_parameters
 from repro.ml.optim import SGD
+from repro.perf import retained_cache_bytes
 
 
 class TestMLP:
@@ -103,6 +104,90 @@ class TestCNNModels:
         train, _ = tiny_image_dataset
         logits = small_cnn.predict(train.x[:6])
         assert np.array_equal(small_cnn.predict_classes(train.x[:6]), logits.argmax(axis=1))
+
+
+class TestEvaluationRetainsNothing:
+    """Evaluation mode keeps no forward cache; training mode keeps what backward needs."""
+
+    @pytest.fixture()
+    def batch(self):
+        rng = np.random.default_rng(0)
+        return rng.normal(size=(100, 3, 8, 8)), rng.integers(0, 10, size=100)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: SimpleCNN(image_size=8, seed=0), lambda: MiniVGG(image_size=8, num_classes=10, seed=0)],
+        ids=["simple_cnn", "mini_vgg"],
+    )
+    def test_no_array_survives_evaluate_or_predict(self, build, batch):
+        # The im2col / argmax / mask buffers of this one batch were 2.75 MiB
+        # per SimpleCNN, against 46 KB of weights.
+        x, y = batch
+        model = build()
+        model.train_batch(x[:5], y[:5], SGD(0.05))
+        assert retained_cache_bytes(model.network) > 0
+        model.evaluate(x, y)
+        assert retained_cache_bytes(model.network) == 0
+        model.train_batch(x[:5], y[:5], SGD(0.05))
+        model.predict(x)
+        assert retained_cache_bytes(model.network) == 0
+
+    def test_mlp_keeps_no_input_after_predict(self, small_mlp):
+        small_mlp.predict(np.ones((50, 10)))
+        assert retained_cache_bytes(small_mlp.network) == 0
+
+    def test_backward_after_evaluation_raises_instead_of_using_a_stale_cache(self, batch):
+        x, y = batch
+        model = SimpleCNN(image_size=8, seed=0)
+        model.train_batch(x[:5], y[:5], SGD(0.05))
+        model.network.eval()
+        logits = model.network.forward(x[:5])
+        for call in (model.network.backward, model.network.backward_parameters):
+            with pytest.raises(RuntimeError, match="backward called before forward"):
+                call(np.ones_like(logits))
+
+    def test_training_step_still_caches_and_backpropagates(self, batch):
+        x, y = batch
+        model = SimpleCNN(image_size=8, seed=0)
+        model.evaluate(x, y)
+        before = [w.copy() for w in model.get_weights()]
+        model.train_batch(x[:5], y[:5], SGD(0.05))
+        assert retained_cache_bytes(model.network) > 0
+        assert any(not np.array_equal(a, b) for a, b in zip(before, model.get_weights()))
+        grad_input = model.network.backward(np.ones((5, 10)))
+        assert grad_input.shape == (5, 3, 8, 8)
+
+
+class TestEvaluationRestoresTheMode:
+    def test_training_network_comes_back_training(self, small_cnn, tiny_image_dataset):
+        train, _ = tiny_image_dataset
+        small_cnn.predict(train.x[:4])
+        small_cnn.evaluate(train.x[:4], train.y[:4])
+        assert small_cnn.network.training
+        assert all(layer.training for layer in small_cnn.network.layers)
+
+    def test_eval_network_stays_in_eval_mode(self, small_cnn, tiny_image_dataset):
+        # predict / evaluate used to call network.train() unconditionally.
+        train, _ = tiny_image_dataset
+        small_cnn.network.eval()
+        small_cnn.predict(train.x[:4])
+        assert not small_cnn.network.training
+        small_cnn.evaluate(train.x[:4], train.y[:4])
+        assert not small_cnn.network.training
+        assert not any(layer.training for layer in small_cnn.network.layers)
+
+    @pytest.mark.parametrize("was_training", [True, False])
+    def test_mode_is_restored_when_evaluation_raises(self, small_cnn, was_training):
+        if not was_training:
+            small_cnn.network.eval()
+        bad = np.ones((2, 5, 8, 8))  # wrong channel count
+        with pytest.raises(ValueError):
+            small_cnn.predict(bad)
+        assert small_cnn.network.training is was_training
+        with pytest.raises(ValueError):
+            small_cnn.evaluate(bad, np.zeros(2, dtype=int))
+        assert small_cnn.network.training is was_training
+        assert all(layer.training is was_training for layer in small_cnn.network.layers)
 
 
 class TestRegistry:

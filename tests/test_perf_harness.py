@@ -45,6 +45,21 @@ class TestBenchHarness:
         assert entry["baseline"]["wall_s"] > 0
         assert entry["params"] == {"models": 40, "parameters": 5858, "repeats": 3}
 
+    def test_quick_cnn_step_benchmark_matches_the_loop_oracles(self):
+        entry = perf.bench_cnn_step(quick=True)
+        for key in perf.BENCHMARK_KEYS:
+            assert key in entry
+        # The benchmark itself asserts equal weight bytes.  No speed-up
+        # floor here: under a multi-threaded BLAS either side can lose tens
+        # of milliseconds to thread wake-ups.
+        assert entry["speedup"] > 0
+        assert entry["retained_kb"] == 0.0
+        assert entry["baseline"]["retained_kb"] > 2000
+        assert entry["params"] == {
+            "train_steps": 40, "batch_size": 5, "evaluations": 10, "eval_samples": 100,
+            "passes": 3,
+        }
+
     def test_document_schema_roundtrip(self, tmp_path):
         document = {
             "schema_version": perf.SCHEMA_VERSION,
@@ -58,6 +73,14 @@ class TestBenchHarness:
                 "multikrum_40": {
                     "events": 120, "wall_s": 0.1, "events_per_sec": 1200.0,
                     "peak_rss_kb": 1, "speedup": 5.0, "baseline": {"wall_s": 0.5},
+                },
+                "cnn_step": {
+                    "events": 250, "wall_s": 0.1, "events_per_sec": 2500.0,
+                    "peak_rss_kb": 1, "speedup": 1.4, "retained_kb": 0.0,
+                },
+                "sampled_100k": {
+                    "events": 900, "wall_s": 2.0, "events_per_sec": 450.0,
+                    "peak_rss_kb": 1, "rss_ratio": 1.0, "rss_kb_per_cluster": 300.0,
                 },
             },
         }
@@ -74,6 +97,18 @@ class TestBenchHarness:
         entry = {"events": 1, "wall_s": 0.1, "events_per_sec": 10.0, "peak_rss_kb": 1}
         problems = perf.validate_document({"benchmarks": {"multikrum_40": entry}})
         assert "benchmark 'multikrum_40' missing key 'speedup'" in problems
+        problems = perf.validate_document({"benchmarks": {"cnn_step": entry, "sampled_100k": entry}})
+        for name, key in [
+            ("cnn_step", "speedup"),
+            ("cnn_step", "retained_kb"),
+            ("sampled_100k", "rss_ratio"),
+            ("sampled_100k", "rss_kb_per_cluster"),
+        ]:
+            assert f"benchmark '{name}' missing key '{key}'" in problems
+        problems = perf.validate_document(
+            {"benchmarks": {"sampled_100k": dict(entry, rss_ratio=1.0, rss_kb_per_cluster="n/a")}}
+        )
+        assert "benchmark 'sampled_100k' key 'rss_kb_per_cluster' is not numeric" in problems
 
     def test_cli_has_bench_subcommand(self):
         parser = build_parser()
