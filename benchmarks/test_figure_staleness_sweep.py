@@ -24,6 +24,7 @@ from pathlib import Path
 
 from benchmarks.conftest import edge_experiment, run_once
 from repro.core.runner import run_experiment
+from repro.sched.metrics import flat_row
 
 #: where the sweep's machine-readable results land.
 OUTPUT_PATH = Path(__file__).parent / "out" / "staleness_sweep.json"
@@ -73,8 +74,7 @@ def test_semi_staleness_sweep(benchmark, report):
                 "rounds_closed": extras["rounds_closed"],
                 "quorum_closures": extras["quorum_closures"],
                 "staleness_closures": extras["staleness_closures"],
-                "network_queued_s": result.comm_metrics["network_queued"],
-                "chain_wait_s": result.comm_metrics["chain_wait"],
+                **flat_row(result.comm_metrics, ["network_queued", "chain_wait"]),
             }
         )
 

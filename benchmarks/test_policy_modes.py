@@ -21,6 +21,7 @@ from pathlib import Path
 
 from benchmarks.conftest import edge_experiment, run_once
 from repro.core.runner import run_experiment
+from repro.sched.metrics import flat_row
 
 #: where the comparison's machine-readable results land.
 OUTPUT_PATH = Path(__file__).parent / "out" / "policy_modes.json"
@@ -52,20 +53,24 @@ def test_policy_mode_comparison(benchmark, report):
 
     rows = []
     for mode, result in results.items():
-        comm = result.comm_metrics
         rows.append(
             {
                 "mode": mode,
                 "mean_global_accuracy": result.mean_global_accuracy,
                 "makespan_s": result.max_total_time,
                 "total_idle_s": sum(a.idle_time for a in result.aggregators),
-                "wan_bytes": comm["wan_bytes"],
-                "upload_count": comm["upload_count"],
-                "exchange_count": comm["exchange_count"],
-                "replication_count": comm["replication_count"],
-                "chain_ops": comm["chain_ops"],
-                "network_queued_s": comm["network_queued"],
-                "chain_wait_s": comm["chain_wait"],
+                **flat_row(
+                    result.comm_metrics,
+                    [
+                        "wan_bytes",
+                        "upload_count",
+                        "exchange_count",
+                        "replication_count",
+                        "chain_ops",
+                        "network_queued",
+                        "chain_wait",
+                    ],
+                ),
             }
         )
 

@@ -28,6 +28,7 @@ from pathlib import Path
 from benchmarks.conftest import run_once
 from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
 from repro.core.runner import run_experiment
+from repro.sched.metrics import flat_row
 
 #: where the sweep's machine-readable results land.
 OUTPUT_PATH = Path(__file__).parent / "out" / "replication_sweep.json"
@@ -76,18 +77,22 @@ def test_replication_mode_sweep(benchmark, report):
 
     rows = []
     for (mode, replicas), result in grid.items():
-        metrics = result.comm_metrics
         rows.append(
             {
                 "replication_mode": mode,
                 "storage_replicas": replicas,
                 "makespan_s": result.max_total_time,
-                "replication_count": metrics["replication_count"],
-                "replication_time_s": metrics["replication_time"],
-                "replication_queued_s": metrics["replication_queued"],
-                "download_queued_s": metrics["download_queued"],
-                "network_queued_s": metrics["network_queued"],
-                "upload_count": metrics["upload_count"],
+                **flat_row(
+                    result.comm_metrics,
+                    [
+                        "replication_count",
+                        "replication_time",
+                        "replication_queued",
+                        "download_queued",
+                        "network_queued",
+                        "upload_count",
+                    ],
+                ),
             }
         )
 

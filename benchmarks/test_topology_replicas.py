@@ -23,6 +23,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
 from repro.core.runner import run_experiment
+from repro.sched.metrics import flat_row
 
 #: where the sweep's machine-readable results land.
 OUTPUT_PATH = Path(__file__).parent / "out" / "topology_sweep.json"
@@ -75,10 +76,10 @@ def test_topology_replica_capacity_sweep(benchmark, report):
                 "storage_replicas": replicas,
                 "replica_capacity": capacity,
                 "makespan_s": result.max_total_time,
-                "network_queued_s": metrics["network_queued"],
-                "upload_queued_s": metrics["upload_queued"],
-                "download_queued_s": metrics["download_queued"],
-                "network_time_s": metrics["network_time"],
+                **flat_row(
+                    metrics,
+                    ["network_queued", "upload_queued", "download_queued", "network_time"],
+                ),
                 "replica_transfer_counts": replica_counts,
             }
         )

@@ -7,10 +7,10 @@ case is one tiny ``ExperimentConfig``; what is stored is the SHA-256 of
 ``bench/child.py`` uses for ``sim.digest``) plus the fields a reviewer needs
 to see *what* moved when the digest does: the event count, the simulated
 makespan, every aggregator's total time and final global accuracy/loss, and
-the fabric's queueing and chain-wait totals.  ``tests/test_golden.py`` re-runs
-every case and reports the differing fields; this script is the only way to
-change a stored value, so an intended behaviour change shows up as a reviewed
-field-level diff of ``tests/goldens/digests.json``.
+the fabric totals declared ``golden`` in ``repro.sched.metrics``.
+``tests/test_golden.py`` re-runs every case and reports the differing fields;
+this script is the only way to change a stored value, so an intended behaviour
+change shows up as a reviewed field-level diff of ``tests/goldens/digests.json``.
 
 The digests depend on floating-point kernels, so the file records the numpy
 version it was generated under and the test skips under any other.
@@ -42,6 +42,7 @@ from repro.core.config import (  # noqa: E402
 )
 from repro.core.reporting import result_to_dict  # noqa: E402
 from repro.core.runner import ExperimentRunner  # noqa: E402
+from repro.sched.metrics import golden_names  # noqa: E402
 
 MODES = ("sync", "async", "semi", "hierarchical", "gossip")
 
@@ -150,8 +151,7 @@ def run_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
             }
             for a in document["aggregators"]
         },
-        "network_queued": comm["network_queued"],
-        "chain_wait": comm["chain_wait"],
+        **{name: comm[name] for name in golden_names()},
     }
 
 

@@ -17,7 +17,7 @@ it at the *source*:
   ``scope="project"`` receive a :class:`~repro.analysis.project.ProjectContext`
   spanning every scanned module and run once per ``lint_paths`` invocation,
   so they can check invariants no single file contains (config↔CLI wiring,
-  summary↔CSV schema, registry-backed CLI choices).
+  registry-backed CLI choices).
 * :mod:`repro.analysis.baseline` — the baseline file format: findings are
   fingerprinted by ``(path, code, source line)`` so entries survive
   unrelated line churn; entries whose source line disappeared are **stale**
@@ -54,9 +54,6 @@ The linter rules:
 ``WIRE001``  ``ExperimentConfig`` fields unreachable from any CLI
              ``add_argument`` dest and unvalidated in ``__post_init__``
              (cross-layer)
-``WIRE002``  stable ``CommFabric.summary`` keys missing from
-             ``_CSV_COLUMNS`` (modulo the ``_s`` suffix mapping) and not
-             explicitly exempted (cross-layer)
 ``WIRE003``  registry-backed CLI options restating their ``choices`` as
              literals instead of deriving them from the registry
 ========  =====================================================================

@@ -2,9 +2,8 @@
 
 The per-file rules in :mod:`repro.analysis.rules` see one module at a time;
 the invariants that rot first in this repo span *layers*: an
-``ExperimentConfig`` field nobody can set from the CLI, a
-``CommFabric.summary`` total the CSV exporter silently drops, a CLI
-``choices=`` list that drifts from the registry it mirrors.  This module
+``ExperimentConfig`` field nobody can set from the CLI, a CLI ``choices=``
+list that drifts from the registry it mirrors.  This module
 adds a second kind of rule — ``scope="project"`` — whose ``check`` receives
 a :class:`ProjectContext` holding **every module of the scan** and runs once
 per ``lint_paths`` invocation:
@@ -14,10 +13,6 @@ per ``lint_paths`` invocation:
     ``add_argument`` dest (passed through the ``ExperimentConfig(...)``
     construction in the CLI module), validated in ``__post_init__``, or
     baselined with a justification;
-``WIRE002``
-    every stable ``CommFabric.summary`` total key must appear in the CSV
-    schema (``_CSV_COLUMNS``, modulo the documented ``_s`` suffix mapping)
-    or be listed in ``_CSV_EXEMPT_SUMMARY_KEYS`` next to the schema;
 ``WIRE003``
     registry-backed CLI options (``--mode``, ``--replication-mode``,
     ``--replica-selection``) must derive their ``choices`` from the
@@ -45,11 +40,6 @@ REGISTRY_BACKED_OPTIONS: Dict[str, str] = {
     "--replication-mode": "repro.simnet.replication.REPLICATION_MODES",
     "--replica-selection": "repro.sched.actors.REPLICA_SELECTIONS",
 }
-
-#: summary-key f-string loops that expand over a static module constant;
-#: every other dynamic key (per-replica, per-chain-kind) is run-dependent
-#: and deliberately outside the stable CSV schema.
-_STATIC_KEY_DOMAINS = {"phase_totals": "TRANSFER_PHASES"}
 
 
 @dataclass(frozen=True)
@@ -90,32 +80,12 @@ class ProjectContext:
                     return module, node
         return None
 
-    def find_assignment(self, name: str) -> Optional[Tuple[ModuleInfo, ast.AST]]:
-        """A module-level ``name = value`` (or annotated) assignment anywhere."""
-        for module in self.modules:
-            value = _module_assignment(module.tree, name)
-            if value is not None:
-                return module, value
-        return None
-
     def cli_modules(self) -> List[ModuleInfo]:
         """Modules that build an argparse interface (contain ``add_argument``)."""
         return [m for m in self.modules if any(True for _ in _iter_add_argument(m.tree))]
 
 
 # ----------------------------------------------------------------- AST helpers
-def _module_assignment(tree: ast.Module, name: str) -> Optional[ast.AST]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name) and node.target.id == name:
-                return node.value
-    return None
-
-
 def _string_elements(node: ast.AST) -> Optional[List[str]]:
     """Strings of a List/Tuple/Set literal (unwrapping ``frozenset(...)``)."""
     if (
@@ -262,156 +232,6 @@ def _check_config_cli_wiring(project: ProjectContext) -> List[Finding]:
     return findings
 
 
-# --------------------------------------------------------------------- WIRE002
-def _summary_keys(module: ModuleInfo) -> List[Tuple[str, ast.AST]]:
-    """The stable keys ``summary()`` exports, each with its source node.
-
-    Static ``out["key"] = ...`` assigns are taken verbatim; f-string keys in
-    loops over ``phase_totals()`` expand over the module's
-    ``TRANSFER_PHASES`` constant (the phase set is closed); loops over the
-    per-replica / per-chain-kind totals produce run-dependent keys and are
-    skipped; ``out.update(self.network.resilience_totals())`` pulls the keys
-    of the dict literal that method returns.
-    """
-    summary_def: Optional[ast.FunctionDef] = None
-    helpers: Dict[str, ast.FunctionDef] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.FunctionDef):
-            helpers[node.name] = node
-            if node.name == "summary":
-                summary_def = node
-    if summary_def is None:
-        return []
-
-    domains: Dict[str, List[str]] = {}
-    for call_name, constant in _STATIC_KEY_DOMAINS.items():
-        value = _module_assignment(module.tree, constant)
-        elements = _string_elements(value) if value is not None else None
-        if elements is not None:
-            domains[call_name] = elements
-
-    keys: List[Tuple[str, ast.AST]] = []
-    for node in ast.walk(summary_def):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if not isinstance(target, ast.Subscript):
-                continue
-            slice_node = target.slice
-            if isinstance(slice_node, ast.Constant) and isinstance(slice_node.value, str):
-                keys.append((slice_node.value, node))
-        elif isinstance(node, ast.For):
-            domain = _loop_domain(node, domains)
-            if domain is None:
-                continue
-            loop_var = _first_loop_name(node.target)
-            for sub in ast.walk(node):
-                if not (isinstance(sub, ast.Assign) and len(sub.targets) == 1):
-                    continue
-                target = sub.targets[0]
-                if not isinstance(target, ast.Subscript):
-                    continue
-                pattern = _fstring_pattern(target.slice, loop_var)
-                if pattern is None:
-                    continue
-                prefix, suffix = pattern
-                for value in domain:
-                    keys.append((prefix + value + suffix, sub))
-        elif isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "update"
-                and len(node.args) == 1
-                and isinstance(node.args[0], ast.Call)
-                and isinstance(node.args[0].func, ast.Attribute)
-            ):
-                helper = helpers.get(node.args[0].func.attr)
-                if helper is not None:
-                    keys.extend((key, node) for key in _returned_dict_keys(helper))
-    return keys
-
-
-def _loop_domain(node: ast.For, domains: Dict[str, List[str]]) -> Optional[List[str]]:
-    for sub in ast.walk(node.iter):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            if sub.func.attr in domains:
-                return domains[sub.func.attr]
-    return None
-
-
-def _first_loop_name(target: ast.AST) -> Optional[str]:
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(target, ast.Tuple) and target.elts and isinstance(target.elts[0], ast.Name):
-        return target.elts[0].id
-    return None
-
-
-def _fstring_pattern(node: ast.AST, loop_var: Optional[str]) -> Optional[Tuple[str, str]]:
-    """``f"{var}_time"`` → ``("", "_time")`` when ``var`` is the loop variable."""
-    if not isinstance(node, ast.JoinedStr) or loop_var is None:
-        return None
-    prefix, suffix = "", ""
-    seen_var = False
-    for part in node.values:
-        if isinstance(part, ast.Constant) and isinstance(part.value, str):
-            if seen_var:
-                suffix += part.value
-            else:
-                prefix += part.value
-        elif isinstance(part, ast.FormattedValue):
-            if seen_var or not isinstance(part.value, ast.Name):
-                return None
-            if part.value.id != loop_var:
-                return None
-            seen_var = True
-        else:
-            return None
-    return (prefix, suffix) if seen_var else None
-
-
-def _returned_dict_keys(func: ast.FunctionDef) -> List[str]:
-    keys: List[str] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.append(key.value)
-    return keys
-
-
-def _check_summary_csv_schema(project: ProjectContext) -> List[Finding]:
-    csv_located = project.find_assignment("_CSV_COLUMNS")
-    if csv_located is None:
-        return []
-    csv_module, csv_value = csv_located
-    columns = _string_elements(csv_value)
-    if columns is None:
-        return []
-    column_set = set(columns)
-
-    exempt: Set[str] = set()
-    exempt_value = _module_assignment(csv_module.tree, "_CSV_EXEMPT_SUMMARY_KEYS")
-    if exempt_value is not None:
-        exempt = set(_string_elements(exempt_value) or [])
-
-    findings: List[Finding] = []
-    for module in project.modules:
-        for key, node in _summary_keys(module):
-            if key in column_set or f"{key}_s" in column_set or key in exempt:
-                continue
-            findings.append(
-                module.finding(
-                    node,
-                    "WIRE002",
-                    f"summary key '{key}' is exported by CommFabric.summary "
-                    "but appears in neither _CSV_COLUMNS (directly or via the "
-                    f"'{key}_s' suffix mapping) nor _CSV_EXEMPT_SUMMARY_KEYS "
-                    "— the CSV schema silently dropped it",
-                )
-            )
-    return findings
-
-
 # --------------------------------------------------------------------- WIRE003
 def _check_registry_backed_choices(project: ProjectContext) -> List[Finding]:
     findings: List[Finding] = []
@@ -474,30 +294,6 @@ register_rule(
             "dead wiring.\n\n"
             "Fix: add the flag (and pass it in _build_config), validate the "
             "field, or baseline it with a written justification."
-        ),
-    )
-)
-register_rule(
-    Rule(
-        code="WIRE002",
-        name="summary-csv-schema",
-        summary=(
-            "stable CommFabric.summary keys missing from _CSV_COLUMNS "
-            "(modulo the _s suffix mapping) and not explicitly exempted"
-        ),
-        check=_check_summary_csv_schema,
-        scope="project",
-        explain=(
-            "_CSV_COLUMNS tracks CommFabric.summary by convention only: a "
-            "new summary total that never gains a column is silently absent "
-            "from every exported CSV. The rule statically expands the "
-            "stable summary keys — literal out[...] assigns, the "
-            "phase-totals f-string loop over TRANSFER_PHASES, and the "
-            "resilience_totals() dict — and requires each to appear in "
-            "_CSV_COLUMNS (directly or as key+'_s') or in "
-            "_CSV_EXEMPT_SUMMARY_KEYS, the reviewed opt-out list next to "
-            "the schema. Per-replica and per-chain-kind keys are "
-            "run-dependent and out of scope."
         ),
     )
 )

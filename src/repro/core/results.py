@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.aggregator import AggregatorRoundRecord
+from repro.sched.metrics import comm_table
 from repro.simnet.resources import ResourceReport
 
 
@@ -121,78 +122,20 @@ def format_comm_table(result: ExperimentResult) -> str:
     Shows wire vs queued seconds for uploads and downloads, the finality wait
     of each chain-interaction kind, and the block span — the observable cost
     of the middle tier (a constant-cost run shows zero queueing and no
-    driver rows).
+    driver rows).  Rows and closing lines come from
+    :func:`repro.sched.metrics.comm_table`.
     """
-    metrics = result.comm_metrics
     header = f"{'Stream':<28}{'Time (s)':>12}{'Queued (s)':>12}{'Events':>10}"
-    lines = [f"Communication / chain event streams ({result.name})", header, "-" * len(header)]
-    for phase in ("upload", "download", "replication", "exchange"):
-        lines.append(
-            f"{'network ' + phase:<28}{metrics[f'{phase}_time']:>12.2f}"
-            f"{metrics[f'{phase}_queued']:>12.2f}{metrics[f'{phase}_count']:>10.0f}"
-        )
-    replicas = sorted(
-        key[len("replica_"):-len("_time")]
-        for key in metrics
-        if key.startswith("replica_")
-        and key.endswith("_time")
-        and not key.endswith("_replication_time")
-    )
-    for replica in replicas:
-        lines.append(
-            f"{'replica ' + replica:<28}{metrics[f'replica_{replica}_time']:>12.2f}"
-            f"{metrics[f'replica_{replica}_queued']:>12.2f}"
-            f"{metrics[f'replica_{replica}_count']:>10.0f}"
-        )
-    for replica in replicas:
-        # Propagation traffic *into* each site (eager pushes + lazy fetches);
-        # only shown when any replication actually flowed.
-        count = metrics.get(f"replica_{replica}_replication_count", 0.0)
-        if count:
-            lines.append(
-                f"{'replicate -> ' + replica:<28}"
-                f"{metrics[f'replica_{replica}_replication_time']:>12.2f}"
-                f"{metrics[f'replica_{replica}_replication_queued']:>12.2f}"
-                f"{count:>10.0f}"
-            )
-    kinds = sorted(
-        key[len("chain_wait_"):] for key in metrics if key.startswith("chain_wait_")
-    )
-    for kind in kinds:
-        lines.append(
-            f"{'chain ' + kind:<28}{metrics[f'chain_wait_{kind}']:>12.2f}"
-            f"{'—':>12}{metrics[f'chain_ops_{kind}']:>10.0f}"
-        )
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'total network':<28}{metrics.get('network_time', 0.0):>12.2f}"
-        f"{metrics.get('network_queued', 0.0):>12.2f}"
-        f"{metrics.get('upload_count', 0.0) + metrics.get('download_count', 0.0):>10.0f}"
-    )
-    lines.append(
-        f"{'total chain wait':<28}{metrics.get('chain_wait', 0.0):>12.2f}"
-        f"{'—':>12}{metrics.get('chain_ops', 0.0):>10.0f}"
-    )
-    lines.append(f"blocks spanned: {metrics.get('chain_blocks_spanned', 0.0):.0f}")
-    if metrics.get("wan_bytes"):
-        lines.append(f"WAN bytes moved: {metrics['wan_bytes']:.0f}")
-    fault_keys = (
-        "dropped_clients",
-        "retries",
-        "failovers",
-        "breaker_trips",
-        "fault_outage_s",
-        "fault_partition_s",
-    )
-    if any(metrics.get(key) for key in fault_keys):
-        lines.append(
-            f"faults: {metrics.get('dropped_clients', 0.0):.0f} dropped client-rounds, "
-            f"{metrics.get('retries', 0.0):.0f} retries "
-            f"({metrics.get('backoff_wait_s', 0.0):.1f}s backoff), "
-            f"{metrics.get('failovers', 0.0):.0f} failovers, "
-            f"{metrics.get('breaker_trips', 0.0):.0f} breaker trips "
-            f"({metrics.get('breaker_open_s', 0.0):.0f}s open)"
-        )
+    rule = "-" * len(header)
+
+    def render(row) -> str:
+        label, (time, queued, events) = row
+        queued_cell = f"{'—':>12}" if queued is None else f"{queued:>12.2f}"
+        return f"{label:<28}{time:>12.2f}{queued_cell}{events:>10.0f}"
+
+    rows, totals, closing = comm_table(result.comm_metrics)
+    lines = [f"Communication / chain event streams ({result.name})", header, rule]
+    lines += [render(row) for row in rows] + [rule] + [render(row) for row in totals] + closing
     return "\n".join(lines)
 
 

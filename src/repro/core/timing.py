@@ -11,8 +11,7 @@ size, and chain interactions add a small constant cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,18 +36,22 @@ class RoundTiming:
     exchange_time: float = 0.0
     idle_time: float = 0.0
 
+    def __iadd__(self, other: "RoundTiming") -> "RoundTiming":
+        """Fold another step's durations into this record, field by field."""
+        for field in fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
+        return self
+
     @property
     def active_time(self) -> float:
         """Time the cluster spends doing useful work (everything but idling)."""
-        return (
-            self.pull_time
-            + self.client_training_time
-            + self.aggregation_time
-            + self.store_time
-            + self.chain_time
-            + self.scoring_time
-            + self.exchange_time
-        )
+        # A plain left-to-right loop: the builtin sum() compensates float
+        # rounding since Python 3.12, which would move the last bit.
+        active = 0.0
+        for field in fields(self):
+            if field.name != "idle_time":
+                active += getattr(self, field.name)
+        return active
 
     @property
     def total_time(self) -> float:

@@ -47,8 +47,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chain.clique import TX_VALIDATION_COST_S as TX_COST_S
+from repro.sched import metrics
 from repro.simnet.faults import CircuitBreaker, FaultPlan, ResiliencePolicy
-from repro.simnet.network import LinkScheduler, NetworkModel, ScheduledTransfer, Topology
+from repro.simnet.network import ScheduledTransfer, Topology
 from repro.simnet.replication import REPLICATION_MODES, ReplicaDirectory
 
 #: endpoint name of the storage swarm in the single-replica (default) layout.
@@ -56,11 +57,6 @@ STORAGE_ENDPOINT = "storage"
 
 #: replica-selection policies understood by :class:`NetworkActor`.
 REPLICA_SELECTIONS = ("affinity", "least-loaded")
-
-#: transfer phases the network actor labels its events with.  "exchange" is
-#: peer-level model traffic (hierarchical intra-group shuttles, gossip pulls)
-#: as opposed to the cluster<->storage phases.
-TRANSFER_PHASES = ("upload", "download", "replication", "exchange")
 
 
 @dataclass(frozen=True)
@@ -96,22 +92,18 @@ class NetworkActor:
     """Schedules model-weight transfers as contended link events.
 
     The actor owns a :class:`~repro.simnet.network.LinkScheduler` and the
-    notion of *where models live*.  In the default layout clusters upload to
-    and download from the single shared :data:`STORAGE_ENDPOINT`; with a
-    :class:`~repro.simnet.network.Topology` the actor instead picks one of
-    several storage **replicas** per transfer — each with its own parallel
-    capacity — so the structural bottleneck of one serial backbone
-    disappears.  Either way, transfers that saturate an endpoint contend —
-    exactly the queueing the constant-cost model could not express.
+    notion of *where models live*: a :class:`~repro.simnet.network.Topology`
+    of storage **replicas**, each with its own parallel capacity, one of
+    which the actor picks per transfer.  The default layout is the topology
+    with the single replica :data:`STORAGE_ENDPOINT`.  Transfers that
+    saturate an endpoint contend — exactly the queueing the constant-cost
+    model could not express.
 
     Args:
-        network: link model for the single-endpoint layout (per-pair
-            latency/bandwidth with a default).  Mutually exclusive with
-            ``topology``.
+        topology: the storage layout; supplies the links, the replica
+            capacities and each cluster's home replica.
         model_bytes: serialized size of one full-scale model; every transfer
             moves a whole number of models.
-        topology: multi-replica storage layout; supplies the links, the
-            replica capacities and each cluster's home replica.
         selection: replica-selection policy — ``"affinity"`` always uses a
             cluster's home replica, ``"least-loaded"`` deterministically
             picks the replica with the smallest *estimated completion time*
@@ -143,9 +135,8 @@ class NetworkActor:
 
     def __init__(
         self,
-        network: Optional[NetworkModel] = None,
+        topology: Topology,
         model_bytes: int = 1,
-        topology: Optional[Topology] = None,
         selection: str = "affinity",
         replication_mode: str = "eager",
         faults: Optional[FaultPlan] = None,
@@ -159,15 +150,9 @@ class NetworkActor:
             raise ValueError(f"selection must be one of {REPLICA_SELECTIONS}")
         if replication_mode not in REPLICATION_MODES:
             raise ValueError(f"replication_mode must be one of {REPLICATION_MODES}")
-        if topology is not None and network is not None:
-            raise ValueError("pass either a network or a topology, not both")
         self.topology = topology
-        if topology is not None:
-            self.scheduler = topology.build_scheduler(unbounded=unbounded)
-            self.replicas: List[str] = topology.replicas
-        else:
-            self.scheduler = LinkScheduler(network, unbounded=unbounded)
-            self.replicas = [STORAGE_ENDPOINT]
+        self.scheduler = topology.build_scheduler(unbounded=unbounded)
+        self.replicas: List[str] = topology.replicas
         self.selection = selection
         self.replication_mode = replication_mode
         self.model_bytes = int(model_bytes)
@@ -175,7 +160,7 @@ class NetworkActor:
         #: layouts for transfers that carry object ids.
         self.directory = ReplicaDirectory()
         #: bytes this actor moved across a WAN hop (any transfer whose two
-        #: endpoints live at different topology sites); 0 without a topology.
+        #: endpoints live at different topology sites).
         self.wan_bytes = 0
         #: transfers committed *through this actor*, each paired with its
         #: phase label ("upload" / "download" / "replication").  Owned here
@@ -211,9 +196,8 @@ class NetworkActor:
             windows = self.faults.replica_windows(replica)
             if windows:
                 self.scheduler.set_outages(replica, windows)
-        if self.topology is not None:
-            for cluster in self.topology.clusters:
-                self.scheduler.set_site(cluster, self.topology.home_replica(cluster))
+        for cluster in self.topology.clusters:
+            self.scheduler.set_site(cluster, self.topology.home_replica(cluster))
         for i, site_a in enumerate(self.replicas):
             for site_b in self.replicas[i + 1 :]:
                 windows = self.faults.partition_windows(site_a, site_b)
@@ -230,14 +214,9 @@ class NetworkActor:
         schedulers built *after* ``add_cluster``), and — when a fault plan is
         active — its site registered so partition lookups resolve.
         """
-        if self.topology is None:
-            raise ValueError("attach_cluster needs a multi-replica topology")
         self.topology.add_cluster(name, replica, link=link)
-        if self.scheduler.network is not None:
-            for peer in self.replicas:
-                self.scheduler.network.set_link(
-                    name, peer, self.topology.path_link(name, peer)
-                )
+        for peer in self.replicas:
+            self.scheduler.network.set_link(name, peer, self.topology.path_link(name, peer))
         if self.faults is not None:
             self.scheduler.set_site(name, replica)
 
@@ -405,16 +384,13 @@ class NetworkActor:
             assert origin is not None
             return origin
         if self.selection == "affinity":
-            assert self.topology is not None
             return self.topology.home_replica(endpoint)
         chosen = self._least_loaded(endpoint, at, object_id if downloading else None)
         assert chosen is not None
         return chosen
 
     def _endpoint_site(self, endpoint: str) -> Optional[str]:
-        """The topology site an endpoint lives at (``None`` without a topology)."""
-        if self.topology is None:
-            return None
+        """The topology site an endpoint lives at (``None``: it never attached)."""
         if endpoint in self.topology.replicas:
             return endpoint
         try:
@@ -641,94 +617,59 @@ class NetworkActor:
         """Transfers committed through this actor, optionally phase-filtered."""
         return [t for t, p in self._events if phase is None or p == phase]
 
-    def phase_totals(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase ``{"time": wire seconds, "queued": queued seconds, "count": n}``.
+    def _totals(self, members, member_of) -> Dict[str, Dict[str, float]]:
+        """``{member: {"time", "queued", "count"}}`` over the committed transfers.
 
-        Every phase (upload / download / replication) is always present
-        (zeros when idle) so the exported metrics schema is stable across
-        runs.  For downloads, ``queued`` includes availability gating — the
+        ``member_of(transfer, phase)`` names the member an event counts
+        towards (anything else: nobody's).  Every member is always present
+        (zeros when idle) so the exported schema is stable across runs, and
+        each member's sums run in event order.
+        """
+        totals = {member: {"time": 0.0, "queued": 0.0, "count": 0.0} for member in members}
+        for transfer, phase in self._events:
+            bucket = totals.get(member_of(transfer, phase))
+            if bucket is not None:
+                bucket["time"] += transfer.duration
+                bucket["queued"] += transfer.queued_time
+                bucket["count"] += 1.0
+        return totals
+
+    def phase_totals(self) -> Dict[str, Dict[str, float]]:
+        """Wire seconds, queued seconds and transfer count per phase.
+
+        For downloads, ``queued`` includes availability gating — the
         read-your-writes wait for the object to arrive at the serving
         replica.
         """
-        totals: Dict[str, Dict[str, float]] = {
-            phase: {"time": 0.0, "queued": 0.0, "count": 0.0}
-            for phase in TRANSFER_PHASES
-        }
-        for transfer, phase in self._events:
-            bucket = totals[phase]
-            bucket["time"] += transfer.duration
-            bucket["queued"] += transfer.queued_time
-            bucket["count"] += 1.0
-        return totals
+        return self._totals(metrics.TRANSFER_PHASES, lambda transfer, phase: phase)
 
     def replica_totals(self) -> Dict[str, Dict[str, float]]:
-        """Per-replica ``{"time", "queued", "count"}`` over the caller-facing phases.
+        """The same totals per replica, over the transfers it *served*.
 
-        Counts the transfers each replica *served* (uploads into it,
-        downloads out of it); inter-replica propagation traffic is reported
-        separately by :meth:`replication_totals`.  Every declared replica is
-        always present (zeros when idle) so sweeps over replica counts export
-        a stable schema.
+        Uploads into it, downloads and gossip pulls out of it; inter-replica
+        propagation is :meth:`replication_totals`.
         """
-        totals: Dict[str, Dict[str, float]] = {
-            replica: {"time": 0.0, "queued": 0.0, "count": 0.0} for replica in self.replicas
-        }
-        for transfer, phase in self._events:
-            if phase == "replication":
-                continue
-            replica = transfer.destination if phase == "upload" else transfer.source
-            bucket = totals.get(replica)
-            if bucket is None:
-                continue
-            bucket["time"] += transfer.duration
-            bucket["queued"] += transfer.queued_time
-            bucket["count"] += 1.0
-        return totals
+        def served_by(transfer, phase):
+            if phase != "replication":
+                return transfer.destination if phase == "upload" else transfer.source
 
-    def resilience_totals(self) -> Dict[str, float]:
-        """Fault/resilience accounting, always present (zeros on the happy path).
-
-        ``retries`` / ``backoff_wait_s`` count the backoff attempts burned on
-        faulted paths, ``failovers`` the transfers re-aimed at an alternate
-        replica, ``breaker_trips`` / ``breaker_open_s`` /
-        ``breaker_fast_fails`` the circuit-breaker activity (open seconds are
-        each trip's guaranteed cooldown window), ``dropped_clients`` the
-        distinct ``(cluster, round)`` churn drops the plan injected, and
-        ``fault_outage_s`` / ``fault_partition_s`` the injected downtime
-        itself.
-        """
-        return {
-            "retries": float(self.retries),
-            "backoff_wait_s": self.backoff_wait_s,
-            "failovers": float(self.failovers),
-            "breaker_trips": float(sum(b.trips for _, b in sorted(self._breakers.items()))),
-            "breaker_open_s": float(sum(b.open_seconds for _, b in sorted(self._breakers.items()))),
-            "breaker_fast_fails": float(self.fast_fails),
-            "dropped_clients": float(self.faults.dropped_clients) if self.faults else 0.0,
-            "fault_outage_s": self.faults.outage_seconds if self.faults else 0.0,
-            "fault_partition_s": self.faults.partition_seconds if self.faults else 0.0,
-        }
+        return self._totals(self.replicas, served_by)
 
     def replication_totals(self) -> Dict[str, Dict[str, float]]:
-        """Per-replica propagation ``{"time", "queued", "count"}``, by receiving site.
+        """Propagation totals per *receiving* replica (eager pushes + lazy fetches)."""
+        return self._totals(
+            self.replicas, lambda t, phase: t.destination if phase == "replication" else None
+        )
 
-        Eager pushes and lazy fetches *into* each replica (the WAN traffic
-        that actually distributes an artifact).  Every declared replica is
-        always present (zeros when idle).
-        """
-        totals: Dict[str, Dict[str, float]] = {
-            replica: {"time": 0.0, "queued": 0.0, "count": 0.0} for replica in self.replicas
-        }
-        for transfer, phase in self._events:
-            if phase != "replication":
-                continue
-            bucket = totals.get(transfer.destination)
-            if bucket is None:
-                continue
-            bucket["time"] += transfer.duration
-            bucket["queued"] += transfer.queued_time
-            bucket["count"] += 1.0
-        return totals
+    @property
+    def breaker_trips(self) -> int:
+        """Circuit-breaker trips over all replicas."""
+        return sum(breaker.trips for _, breaker in sorted(self._breakers.items()))
+
+    @property
+    def breaker_open_s(self) -> float:
+        """Seconds breakers spent open (each trip's guaranteed cooldown window)."""
+        return sum((breaker.open_seconds for _, breaker in sorted(self._breakers.items())), 0.0)
 
 
 class ChainActor:
@@ -979,47 +920,23 @@ class CommFabric:
 
     # ---------------------------------------------------------------- reporting
     def summary(self) -> Dict[str, float]:
-        """Flat per-phase communication/chain accounting for result documents.
+        """Flat communication/chain accounting for result documents.
 
-        Keys are stable and JSON-friendly: ``upload_time`` / ``upload_queued``
-        / ``upload_count`` (ditto ``download_*``, ``replication_*`` for
-        inter-replica propagation traffic and ``exchange_*`` for peer-level
-        hierarchical/gossip traffic), ``wan_bytes`` for the bytes that
-        crossed a WAN hop, ``replica_<name>_time`` /
-        ``_queued`` / ``_count`` per storage replica plus
-        ``replica_<name>_replication_*`` propagation totals per receiving
-        site, ``chain_wait_<kind>`` and ``chain_ops_<kind>`` per interaction
-        kind, plus totals.  The fault/resilience keys (``retries``,
-        ``backoff_wait_s``, ``failovers``, ``breaker_trips``,
-        ``breaker_open_s``, ``breaker_fast_fails``, ``dropped_clients``,
-        ``fault_outage_s``, ``fault_partition_s``) are always exported —
-        zeros on the happy path — so the schema is stable with and without
-        injected faults.
+        One stable, JSON-friendly key per entry of
+        :data:`repro.sched.metrics.METRICS` (the reference table is in
+        ``docs/architecture.md``): per-phase, per-replica and per-chain-kind
+        totals, run totals, and the fault/resilience counters — always
+        exported, zeros on the happy path, so the schema is the same with and
+        without injected faults.
         """
         out: Dict[str, float] = {}
-        for phase, bucket in sorted(self.network.phase_totals().items()):
-            out[f"{phase}_time"] = bucket["time"]
-            out[f"{phase}_queued"] = bucket["queued"]
-            out[f"{phase}_count"] = bucket["count"]
-        for replica, bucket in sorted(self.network.replica_totals().items()):
-            out[f"replica_{replica}_time"] = bucket["time"]
-            out[f"replica_{replica}_queued"] = bucket["queued"]
-            out[f"replica_{replica}_count"] = bucket["count"]
-        for replica, bucket in sorted(self.network.replication_totals().items()):
-            out[f"replica_{replica}_replication_time"] = bucket["time"]
-            out[f"replica_{replica}_replication_queued"] = bucket["queued"]
-            out[f"replica_{replica}_replication_count"] = bucket["count"]
-        out["storage_replicas"] = float(len(self.network.replicas))
-        out["network_time"] = self.network.scheduler.total_wire_time
-        out["network_queued"] = self.network.scheduler.total_queued_time
-        out["wan_bytes"] = float(self.network.wan_bytes)
-        for kind, bucket in sorted(self.chain.kind_totals().items()):
-            out[f"chain_wait_{kind}"] = bucket["wait"]
-            out[f"chain_ops_{kind}"] = bucket["count"]
-        out["chain_wait"] = sum(op.delay for op in self.chain.log)
-        out["chain_ops"] = float(len(self.chain.log))
-        out["chain_blocks_spanned"] = float(self.chain.blocks_spanned)
-        out["chain_blocks_observed"] = float(self.chain.blocks_observed)
-        out["chain_transactions_observed"] = float(self.chain.transactions_observed)
-        out.update(self.network.resilience_totals())
+        for entry in metrics.METRICS:
+            if isinstance(entry, metrics.Metric):
+                # Counts and bytes live on the fabric as ints and are exported as floats.
+                value = entry.read(self)
+                out[entry.name] = value if entry.unit == "s" else float(value)
+                continue
+            for member, bucket in sorted(entry.read(self).items()):
+                for stat in entry.stats:
+                    out[entry.name(member, stat)] = bucket[stat.name]
         return out

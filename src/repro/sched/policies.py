@@ -273,19 +273,10 @@ class RoundPolicy:
             aggregator.record_round(round_number, RoundTiming(idle_time=downtime), offline=True)
             return False
         # Idle clusters first serve the scoring requests assigned to them.
-        score_timing = aggregator.score_assigned(before_time=now)
-        pull_timing = aggregator.build_global_model(before_time=aggregator.clock.now())
-        train_timing = aggregator.local_training_round()
-        _, submit_timing = aggregator.submit_local_model()
-
-        timing = RoundTiming(
-            pull_time=pull_timing.pull_time + score_timing.pull_time,
-            client_training_time=train_timing.client_training_time,
-            aggregation_time=pull_timing.aggregation_time + train_timing.aggregation_time,
-            store_time=submit_timing.store_time,
-            chain_time=submit_timing.chain_time + score_timing.chain_time,
-            scoring_time=score_timing.scoring_time,
-        )
+        timing = aggregator.score_assigned(before_time=now)
+        timing += aggregator.build_global_model(before_time=aggregator.clock.now())
+        timing += aggregator.local_training_round()
+        timing += aggregator.submit_local_model()[1]
         aggregator.record_round(round_number, timing, straggled=False)
         return True
 
@@ -300,9 +291,7 @@ class RoundPolicy:
             drain_timing = aggregator.score_assigned(before_time=aggregator.clock.now())
             if aggregator.history and drain_timing.total_time > 0:
                 last = aggregator.history[-1].timing
-                last.scoring_time += drain_timing.scoring_time
-                last.pull_time += drain_timing.pull_time
-                last.chain_time += drain_timing.chain_time
+                last += drain_timing
 
 
 class SyncRoundPolicy(RoundPolicy):
@@ -384,15 +373,10 @@ class SyncRoundPolicy(RoundPolicy):
             self._offline[aggregator.name] = False
             # A cluster that straggled last round submits its stale model first.
             if self.pending_late.get(aggregator.name, False):
-                cid, late_timing = aggregator.submit_local_model()
-                timing.store_time += late_timing.store_time
-                timing.chain_time += late_timing.chain_time
+                timing += aggregator.submit_local_model()[1]
                 self.pending_late[aggregator.name] = False
-            pull_timing = aggregator.build_global_model()
-            train_timing = aggregator.local_training_round()
-            timing.pull_time += pull_timing.pull_time
-            timing.aggregation_time += pull_timing.aggregation_time + train_timing.aggregation_time
-            timing.client_training_time += train_timing.client_training_time
+            timing += aggregator.build_global_model()
+            timing += aggregator.local_training_round()
             elapsed = aggregator.clock.now() - phase_start
             # Store + finality + (lazy replication) the on-demand fetch a
             # remote consumer would wait behind: a submission no other site
@@ -401,9 +385,7 @@ class SyncRoundPolicy(RoundPolicy):
                 aggregator.name, aggregator.clock.now()
             )
             if elapsed + submit_cost <= self.training_window:
-                _, submit_timing = aggregator.submit_local_model()
-                timing.store_time += submit_timing.store_time
-                timing.chain_time += submit_timing.chain_time
+                timing += aggregator.submit_local_model()[1]
                 self._straggled[aggregator.name] = False
             else:
                 # Missed the submission window: submit next round instead.
@@ -436,11 +418,7 @@ class SyncRoundPolicy(RoundPolicy):
         for aggregator in self._active:
             if self._offline.get(aggregator.name, False):
                 continue
-            score_timing = aggregator.score_assigned()
-            timing = self._round_timings[aggregator.name]
-            timing.scoring_time += score_timing.scoring_time
-            timing.pull_time += score_timing.pull_time
-            timing.chain_time += score_timing.chain_time
+            self._round_timings[aggregator.name] += aggregator.score_assigned()
 
         self.kernel.schedule_at(
             scoring_start + self.scoring_window,
@@ -849,10 +827,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
             if not available[aggregator.name]:
                 continue
             score_timing = aggregator.score_assigned(before_time=aggregator.clock.now())
-            timing = timings[aggregator.name]
-            timing.scoring_time += score_timing.scoring_time
-            timing.pull_time += score_timing.pull_time
-            timing.chain_time += score_timing.chain_time
+            timings[aggregator.name] += score_timing
             self.tier_totals["global_scoring_time"] += score_timing.total_time
 
         for site_index, group in enumerate(self.groups):
@@ -897,8 +872,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
         # --- global pull: the leader fetches the other groups' submissions.
         pull_timing = leader.build_global_model(before_time=leader.clock.now())
         leader_timing = timings[leader.name]
-        leader_timing.pull_time += pull_timing.pull_time
-        leader_timing.aggregation_time += pull_timing.aggregation_time
+        leader_timing += pull_timing
         self.tier_totals["global_pull_time"] += pull_timing.pull_time
         self.tier_totals["global_aggregation_time"] += pull_timing.aggregation_time
 
@@ -925,9 +899,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
                 if not self._consume_budget(member, global_round, local_round):
                     continue
                 train_timing = member.local_training_round()
-                timing = timings[member.name]
-                timing.client_training_time += train_timing.client_training_time
-                timing.aggregation_time += train_timing.aggregation_time
+                timings[member.name] += train_timing
                 self.tier_totals["local_training_time"] += train_timing.client_training_time
                 self.tier_totals["local_aggregation_time"] += train_timing.aggregation_time
                 trained.append(member)
@@ -968,8 +940,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
 
         # --- global tier: only the leader crosses WAN/chain.
         _, submit_timing = leader.submit_local_model()
-        leader_timing.store_time += submit_timing.store_time
-        leader_timing.chain_time += submit_timing.chain_time
+        leader_timing += submit_timing
         self.tier_totals["global_store_time"] += submit_timing.store_time
         self.tier_totals["global_chain_time"] += submit_timing.chain_time
 
@@ -1109,13 +1080,9 @@ class GossipRoundPolicy(RoundPolicy):
         aggregator.clock.advance(merge_time)
         timing.aggregation_time += merge_time
 
-        train_timing = aggregator.local_training_round()
-        timing.client_training_time += train_timing.client_training_time
-        timing.aggregation_time += train_timing.aggregation_time
-
+        timing += aggregator.local_training_round()
         cid, submit_timing = aggregator.submit_local_model()
-        timing.store_time += submit_timing.store_time
-        timing.chain_time += submit_timing.chain_time
+        timing += submit_timing
         self._published.setdefault(aggregator.name, []).append(
             (cid, aggregator.clock.now())
         )

@@ -437,64 +437,6 @@ class TestWIRE001ConfigCliWiring:
         assert report.suppressed == 1
 
 
-REPORTING_MODULE = """\
-_CSV_COLUMNS = [
-    "total_time_s",
-    "upload_time",
-    "download_time",
-]
-
-_CSV_EXEMPT_SUMMARY_KEYS = frozenset({"debug_counter"})
-"""
-
-FABRIC_MODULE = """\
-TRANSFER_PHASES = ("upload", "download")
-
-
-class Fabric:
-    def phase_totals(self):
-        return {}
-
-    def summary(self):
-        out = {}
-        out["total_time"] = 1.0
-        out["debug_counter"] = 2
-        out["orphan_total"] = 3.0
-        for phase, totals in self.phase_totals().items():
-            out[f"{phase}_time"] = totals
-        return out
-"""
-
-
-class TestWIRE002SummaryCsvSchema:
-    def test_orphan_summary_key_fires(self, tmp_path):
-        root = write_project(tmp_path, reporting=REPORTING_MODULE, fabric=FABRIC_MODULE)
-        report = lint_paths([root], codes=("WIRE002",))
-        assert codes_of(report) == ["WIRE002"]
-        assert len(report.findings) == 1
-        assert "orphan_total" in report.findings[0].message
-
-    def test_suffix_mapping_exemptions_and_fstring_expansion_pass(self, tmp_path):
-        # ``total_time`` matches via the _s mapping, ``debug_counter`` is
-        # exempt, and the f-string loop expands over TRANSFER_PHASES to
-        # upload_time/download_time which are columns.
-        clean_fabric = FABRIC_MODULE.replace('        out["orphan_total"] = 3.0\n', "")
-        root = write_project(tmp_path, reporting=REPORTING_MODULE, fabric=clean_fabric)
-        assert lint_paths([root], codes=("WIRE002",)).findings == []
-
-    def test_dropped_phase_column_fires_for_each_expanded_key(self, tmp_path):
-        narrow = REPORTING_MODULE.replace('    "download_time",\n', "")
-        clean_fabric = FABRIC_MODULE.replace('        out["orphan_total"] = 3.0\n', "")
-        root = write_project(tmp_path, reporting=narrow, fabric=clean_fabric)
-        report = lint_paths([root], codes=("WIRE002",))
-        assert len(report.findings) == 1
-        assert "download_time" in report.findings[0].message
-
-    def test_without_a_csv_schema_asserts_nothing(self, tmp_path):
-        root = write_project(tmp_path, fabric=FABRIC_MODULE)
-        assert lint_paths([root], codes=("WIRE002",)).findings == []
-
-
 class TestWIRE003RegistryBackedChoices:
     def test_literal_choices_fire(self, tmp_path):
         source = (
@@ -682,7 +624,6 @@ class TestRuleRegistry:
             "UNIT002",
             "UNIT004",
             "WIRE001",
-            "WIRE002",
             "WIRE003",
         ]
 
@@ -702,7 +643,6 @@ class TestRuleRegistry:
         ]
         assert expand_selectors(["WIRE", "DET001"]) == [
             "WIRE001",
-            "WIRE002",
             "WIRE003",
             "DET001",
         ]

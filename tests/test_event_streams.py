@@ -38,6 +38,12 @@ def make_network(bandwidth_bytes_per_s: float = 1e6, latency_s: float = 0.0) -> 
     )
 
 
+def make_topology() -> Topology:
+    """The default layout: one storage replica behind a 1 MB/s, zero-latency link."""
+    link = NetworkLink(latency_s=0.0, bandwidth_bytes_per_s=1e6)
+    return Topology(default_link=link).add_replica(STORAGE_ENDPOINT)
+
+
 # --------------------------------------------------------------------------- link scheduler
 class TestLinkScheduler:
     def test_uncontended_transfer_matches_constant_cost(self):
@@ -282,7 +288,7 @@ class TestTopology:
 # --------------------------------------------------------------------------- network actor
 class TestNetworkActor:
     def test_upload_download_streams_and_phase_totals(self):
-        actor = NetworkActor(make_network(), model_bytes=1_000_000)
+        actor = NetworkActor(make_topology(), model_bytes=1_000_000)
         up = actor.upload("agg1", 2, at=0.0)
         down = actor.download("agg2", 1, at=10.0)
         assert up == pytest.approx(2.0)    # two sequential 1s transfers
@@ -295,26 +301,26 @@ class TestNetworkActor:
         assert actor.transfers("download")[0].source == STORAGE_ENDPOINT
 
     def test_zero_models_is_free(self):
-        actor = NetworkActor(make_network(), model_bytes=1_000_000)
+        actor = NetworkActor(make_topology(), model_bytes=1_000_000)
         assert actor.upload("agg1", 0, at=0.0) == 0.0
         assert actor.download("agg1", 0, at=0.0) == 0.0
         assert actor.transfers() == []
 
     def test_contention_between_clusters_shows_in_elapsed(self):
-        actor = NetworkActor(make_network(), model_bytes=1_000_000)
+        actor = NetworkActor(make_topology(), model_bytes=1_000_000)
         actor.upload("agg1", 1, at=0.0)
         elapsed = actor.upload("agg2", 1, at=0.0)
         assert elapsed == pytest.approx(2.0)  # 1s queued + 1s wire
 
     def test_estimate_upload_pure(self):
-        actor = NetworkActor(make_network(), model_bytes=1_000_000)
+        actor = NetworkActor(make_topology(), model_bytes=1_000_000)
         est = actor.estimate_upload("agg1", at=0.0)
         assert est == pytest.approx(1.0)
         assert actor.transfers() == []
 
     def test_rejects_nonpositive_model_bytes(self):
         with pytest.raises(ValueError):
-            NetworkActor(make_network(), model_bytes=0)
+            NetworkActor(make_topology(), model_bytes=0)
 
 
 # ------------------------------------------------------------------ replica-aware network actor
@@ -397,15 +403,18 @@ class TestNetworkActorReplicas:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            NetworkActor(make_network(), topology=Topology().add_replica("s"))
-        with pytest.raises(ValueError):
-            NetworkActor(make_network(), selection="random")
+            NetworkActor(make_topology(), selection="random")
 
     def test_single_endpoint_actor_reports_one_replica(self):
-        actor = NetworkActor(make_network(), model_bytes=1_000_000)
+        actor = NetworkActor(make_topology(), model_bytes=1_000_000)
         actor.upload("agg1", 1, at=0.0)
         assert actor.replicas == [STORAGE_ENDPOINT]
         assert actor.replica_totals()[STORAGE_ENDPOINT]["count"] == 1
+        # The one-replica layout is an ordinary topology: clusters attach to it.
+        actor.attach_cluster(
+            "agg2", STORAGE_ENDPOINT, NetworkLink(latency_s=0.0, bandwidth_bytes_per_s=2e6)
+        )
+        assert actor.upload("agg2", 1, at=5.0) == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------------- chain actor
@@ -487,7 +496,7 @@ class TestChainActor:
 class TestCommFabric:
     def make_fabric(self) -> CommFabric:
         return CommFabric(
-            NetworkActor(make_network(), model_bytes=1_000_000),
+            NetworkActor(make_topology(), model_bytes=1_000_000),
             ChainActor(block_interval=2.0, consensus_delay=0.2),
         )
 
@@ -959,9 +968,9 @@ class TestFaultFreeBitIdentity:
                 for t, _ in actor._events
             ]
 
-        plain = NetworkActor(make_network(), model_bytes=1_000_000)
+        plain = NetworkActor(make_topology(), model_bytes=1_000_000)
         zeroed = NetworkActor(
-            make_network(), model_bytes=1_000_000, faults=FaultPlan(seed=7)
+            make_topology(), model_bytes=1_000_000, faults=FaultPlan(seed=7)
         )
         assert zeroed.faults is None  # zero plans are discarded at the door
         assert drive(plain) == drive(zeroed)

@@ -25,7 +25,7 @@ from repro.core.config import ExperimentConfig, cifar10_workload, edge_cluster_c
 from repro.core.reporting import save_results_csv
 from repro.core.results import format_comm_table
 from repro.core.runner import ExperimentRunner
-from repro.sched.actors import NetworkActor
+from repro.sched.actors import ChainActor, CommFabric, NetworkActor
 from repro.simnet.faults import (
     CircuitBreaker,
     FaultPlan,
@@ -397,19 +397,10 @@ class TestNetworkActorResilience:
 
     def test_resilience_totals_schema(self):
         actor = self.make_actor(self.outage_plan())
-        totals = actor.resilience_totals()
-        assert set(totals) == {
-            "retries",
-            "backoff_wait_s",
-            "failovers",
-            "breaker_trips",
-            "breaker_open_s",
-            "breaker_fast_fails",
-            "dropped_clients",
-            "fault_outage_s",
-            "fault_partition_s",
-        }
-        assert totals["fault_outage_s"] == pytest.approx(50.0)
+        summary = CommFabric(actor, ChainActor(block_interval=2.0)).summary()
+        assert summary["fault_outage_s"] == pytest.approx(50.0)
+        assert summary["fault_partition_s"] == 0.0
+        assert summary["retries"] == summary["breaker_trips"] == 0.0
 
 
 # ------------------------------------------------------------------------- configuration

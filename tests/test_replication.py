@@ -344,6 +344,21 @@ class TestReplicationExperiments:
         eager = ExperimentRunner(replicated_config(replication_mode="eager")).run()
         assert metrics["replication_count"] <= eager.comm_metrics["replication_count"]
 
+    def test_total_network_row_counts_the_transfers_its_times_cover(self):
+        """The row's time and queued cells are scheduler-wide; its event count
+        used to add uploads and downloads only, leaving the lazy fetches out."""
+        runner = ExperimentRunner(replicated_config(replication_mode="lazy"))
+        result = runner.run()
+        total_row = next(
+            line
+            for line in format_comm_table(result).splitlines()
+            if line.startswith("total network")
+        )
+        metrics = result.comm_metrics
+        assert metrics["replication_count"] > 0
+        assert int(total_row.split()[-1]) == len(runner.comm.network.scheduler.log)
+        assert int(total_row.split()[-1]) > metrics["upload_count"] + metrics["download_count"]
+
     def test_none_run_never_replicates(self):
         result = ExperimentRunner(replicated_config(replication_mode="none")).run()
         metrics = result.comm_metrics

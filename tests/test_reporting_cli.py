@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,7 +19,15 @@ from repro.core.reporting import (
     save_result_json,
     save_results_csv,
 )
-from repro.core.runner import run_experiment
+from repro.core.results import format_comm_table
+from repro.core.runner import ExperimentRunner, run_experiment
+from repro.sched import metrics
+
+_spec = importlib.util.spec_from_file_location(
+    "regen_goldens", Path(__file__).resolve().parent.parent / "scripts" / "regen_goldens.py"
+)
+regen_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen_goldens)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +105,104 @@ class TestCSVExport:
         assert rows[0]["replication_count"] == "0"
         assert rows[0]["retries"] == "0"
         assert rows[0]["dropped_clients"] == "0"
+
+
+# Captured on the commit before the exports were derived from
+# ``repro.sched.metrics``: column order, the ``_s`` naming and every cell
+# format of one streams-faulted and one constant-cost golden-shaped run.
+PINNED_CSV_HEADER = (
+    "experiment,mode,partitioning,scoring_algorithm,rounds,aggregator,policy,strategy,"
+    "total_time,idle_time,straggler_count,global_accuracy,global_loss,local_accuracy,local_loss,"
+    "network_queued_s,chain_wait_s,replication_time_s,replication_queued_s,replication_count,"
+    "exchange_time_s,exchange_count,wan_bytes,retries,breaker_open_s,failovers,dropped_clients"
+)
+PINNED_CSV_ROWS = {
+    "hierarchical-streams-faulted": (
+        "hierarchical-streams-faulted,hierarchical,iid,accuracy,2,agg1,all/mean,fedavg,"
+        "26.363,0.000,0,0.050000,2.325913,0.050000,2.325913,"
+        "57.731,11.382,0.110,19.034,2,0.030,5,1736000,4,120.000,5,1"
+    ),
+    "sync-constant-clean": (
+        "sync-constant-clean,sync,iid,accuracy,2,agg1,all/mean,fedavg,"
+        "15.786,3.783,0,0.100000,2.329646,0.130000,2.322261,"
+        "0.000,24.900,0.000,0.000,0,0.000,0,0,0,0.000,0,0"
+    ),
+}
+# Likewise, except the Events cell of "total network": 12 (uploads +
+# downloads only) before its three columns covered the same transfers.
+PINNED_COMM_TABLE = """\
+Communication / chain event streams (hierarchical-streams-faulted)
+Stream                          Time (s)  Queued (s)    Events
+--------------------------------------------------------------
+network upload                      0.07       19.44         4
+network download                    0.24       19.26         8
+network replication                 0.11       19.03         2
+network exchange                    0.03        0.00         5
+replica storage-0                   0.01       25.00         2
+replica storage-1                   0.30       13.70        10
+replicate -> storage-0              0.05       19.03         1
+replicate -> storage-1              0.05        0.00         1
+chain submitModel                   5.03           —         4
+chain submitScore                   6.35           —         4
+--------------------------------------------------------------
+total network                       0.45       57.73        19
+total chain wait                   11.38           —         8
+blocks spanned: 6
+WAN bytes moved: 1736000
+faults: 1 dropped client-rounds, 4 retries (3.2s backoff), 5 failovers, 2 breaker trips (120s open)"""
+
+
+@pytest.fixture(scope="module")
+def golden_runs():
+    """``{case: (runner, result)}`` for the two pinned golden-shaped runs."""
+    cases = regen_goldens.golden_cases()
+    runs = {}
+    for name in PINNED_CSV_ROWS:
+        runner = ExperimentRunner(regen_goldens.build_config(name, **cases[name]))
+        runs[name] = (runner, runner.run())
+    return runs
+
+
+@pytest.mark.skipif(
+    numpy.__version__ != json.loads(regen_goldens.GOLDEN_PATH.read_text())["numpy"],
+    reason="the pinned cells depend on the floating-point kernels, like the goldens",
+)
+class TestExportsDeriveFromTheDeclaration:
+    @pytest.mark.parametrize("name", list(PINNED_CSV_ROWS))
+    def test_csv_header_and_row_are_pinned(self, golden_runs, name, tmp_path):
+        path = save_results_csv([golden_runs[name][1]], tmp_path / "rows.csv")
+        header, first_row = path.read_text(encoding="utf-8").splitlines()[:2]
+        assert header == PINNED_CSV_HEADER
+        assert first_row == PINNED_CSV_ROWS[name]
+
+    def test_comm_table_is_pinned(self, golden_runs):
+        _, result = golden_runs["hierarchical-streams-faulted"]
+        assert format_comm_table(result) == PINNED_COMM_TABLE
+
+    @pytest.mark.parametrize("name", list(PINNED_CSV_ROWS))
+    def test_comm_metrics_are_exactly_the_declared_names(self, golden_runs, name):
+        runner, result = golden_runs[name]
+        declared = metrics.declared(
+            replica=runner.comm.network.replicas,
+            kind={op.kind for op in runner.comm.chain.log},
+        )
+        assert set(result.comm_metrics) == set(declared)
+
+    def test_a_new_total_is_one_line_of_the_declaration(self, golden_runs, monkeypatch, tmp_path):
+        dummy = metrics.Metric(
+            "dummy_total", "s", "a total nobody asked for", lambda fabric: 7.0,
+            csv=99, line=("dummy", "{:.1f}s of it"),
+        )
+        monkeypatch.setattr(metrics, "METRICS", metrics.METRICS + [dummy])
+        runner, result = golden_runs["sync-constant-clean"]
+        assert runner.comm.summary()["dummy_total"] == 7.0
+        result = dataclasses.replace(result, comm_metrics=runner.comm.summary())
+        assert result_to_dict(result)["comm_metrics"]["dummy_total"] == 7.0
+        path = save_results_csv([result], tmp_path / "rows.csv")
+        header, first_row = path.read_text(encoding="utf-8").splitlines()[:2]
+        assert header == PINNED_CSV_HEADER + ",dummy_total_s"
+        assert first_row == PINNED_CSV_ROWS["sync-constant-clean"] + ",7.000"
+        assert format_comm_table(result).endswith("\ndummy: 7.0s of it")
 
 
 class TestCLI:
