@@ -3,7 +3,7 @@
 A race-detector analogue for the discrete-event engine.  When enabled
 (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``) one
 :class:`SimulationSanitizer` instance is threaded through the run and hooked
-into three layers:
+into four layers:
 
 * the **kernel** (:meth:`check_event`): no event may commit in the simulated
   past — the event queue's ``(time, priority, key, seq)`` total order must
@@ -15,7 +15,10 @@ into three layers:
   blocked fault window of the path;
 * the **communication fabric** (:meth:`observe_fabric`, called after every
   fabric operation): the running totals the result documents are built from
-  (wire/queued time, WAN bytes, log lengths) only ever grow.
+  (wire/queued time, WAN bytes, log lengths) only ever grow;
+* the **evaluator** (:meth:`check_evaluation`, called on every hit of the
+  run's :class:`~repro.ml.evaluation.Evaluator` memo): the stored
+  ``(loss, accuracy)`` equals what the direct computation returns now.
 
 Every hook is strictly read-only — it inspects public state and raises
 :class:`SanitizerViolation` on the first broken invariant.  A sanitized run
@@ -25,7 +28,8 @@ pins for all five federation modes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import math
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 class SanitizerViolation(AssertionError):
@@ -47,7 +51,9 @@ class SimulationSanitizer:
     def __init__(self) -> None:
         #: checks performed, by hook name — the CLI prints this after a
         #: ``--sanitize`` run as evidence the sanitizer actually engaged.
-        self.checks: Dict[str, int] = {"event": 0, "reservation": 0, "fabric": 0}
+        self.checks: Dict[str, int] = {
+            "event": 0, "reservation": 0, "fabric": 0, "evaluation": 0,
+        }
         self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
 
     # ------------------------------------------------------------------ kernel
@@ -154,6 +160,31 @@ class SimulationSanitizer:
                         f"{before!r} -> {after!r}"
                     )
         self._fabric_watermarks[key] = current
+
+    # --------------------------------------------------------------- evaluator
+    def check_evaluation(
+        self,
+        fingerprint: str,
+        dataset: str,
+        stored: Sequence[float],
+        recomputed: Sequence[float],
+    ) -> None:
+        """Assert a memoised evaluation equals the direct computation.
+
+        Called by the evaluator on every memo hit with the tuple it is about
+        to return and the one it just recomputed for the same weights and
+        dataset (NaN equals NaN here: a poisoned model may have no finite
+        loss, and that repeats too).
+        """
+        self.checks["evaluation"] += 1
+        if not all(
+            a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(stored, recomputed)
+        ):
+            raise SanitizerViolation(
+                f"memoised evaluation of weights {fingerprint} on dataset "
+                f"'{dataset}' is {tuple(stored)!r}, but evaluating them now "
+                f"gives {tuple(recomputed)!r}"
+            )
 
     # --------------------------------------------------------------- reporting
     def report(self) -> Dict[str, int]:

@@ -12,6 +12,11 @@ both roles described in Section 3.1 of the paper:
   weights from IPFS, evaluates them with its scoring algorithm, and submits
   the scores.
 
+Both roles evaluate models — the global and local model each round, every
+pulled model when scoring by accuracy or loss — through the run's one
+:class:`~repro.ml.evaluation.Evaluator`, which computes each (weights,
+dataset) pair once; the aggregator itself holds weights, not models.
+
 All durations are tracked on the aggregator's simulated clock through the
 :class:`~repro.core.timing.ClusterTimingModel`, and resource usage samples are
 pushed to the shared :class:`~repro.simnet.resources.ResourceMonitor`.
@@ -48,7 +53,9 @@ from repro.core.timing import ClusterTimingModel, RoundTiming
 from repro.datasets.synthetic import Dataset
 from repro.fl.client import Client
 from repro.fl.strategy import Strategy, build_strategy
-from repro.ipfs.node import IPFSNode
+from repro.ipfs.cid import parse_cid
+from repro.ipfs.node import IPFSError, IPFSNode
+from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model
 from repro.ml.serialization import weights_from_bytes, weights_to_bytes
 from repro.sched.actors import CommFabric
@@ -62,6 +69,12 @@ Weights = List[np.ndarray]
 #: of CIDs, so the cache is an LRU bounded to the working set of a few rounds
 #: rather than the whole run's history.
 WEIGHTS_CACHE_CAPACITY = 32
+
+#: what fetching a model that cannot be had raises: the swarm does not hold
+#: the object (``IPFSError``), or the CID / the stored container is malformed
+#: (``ValueError``, which ``SerializationError`` subclasses).  Such a model
+#: goes unscored; anything else is a bug and propagates.
+_UNAVAILABLE_MODEL = (IPFSError, ValueError)
 
 
 @dataclass
@@ -106,6 +119,7 @@ class UnifyFLAggregator:
         seed: int = 0,
         faults: Optional["FaultPlan"] = None,
         streaming_aggregation: bool = False,
+        evaluator: Optional[Evaluator] = None,
     ):
         if not clients:
             raise ValueError("an aggregator needs at least one client")
@@ -116,8 +130,9 @@ class UnifyFLAggregator:
         self.account = account
         self.chain = chain
         self.ipfs = ipfs_node
-        self.model = model_template.clone()
-        self.eval_model = model_template.clone()
+        #: the run's shared evaluator; an aggregator assembled on its own
+        #: gets a private one.
+        self.evaluator = evaluator if evaluator is not None else Evaluator(model_template)
         self.clients = list(clients)
         self.scorer = scorer
         self.eval_data = eval_data
@@ -139,11 +154,14 @@ class UnifyFLAggregator:
         self.clock = SimClock()
         self._rng = np.random.default_rng(seed)
 
-        self.global_weights: Weights = self.model.get_weights()
-        self.local_weights: Weights = self.model.get_weights()
+        self.global_weights: Weights = model_template.get_weights()
+        self.local_weights: Weights = model_template.get_weights()
         self.history: List[AggregatorRoundRecord] = []
         self.own_cids: List[str] = []
         self._last_self_score: float = float("nan")
+        #: what the round in flight pulled and scored, for its round record.
+        self._pulled_this_round = 0
+        self._scored_this_round = 0
         self._weights_cache: "OrderedDict[str, Weights]" = OrderedDict()
         self.weights_cache_hits = 0
         self.weights_cache_evictions = 0
@@ -257,8 +275,6 @@ class UnifyFLAggregator:
             self._weights_cache.move_to_end(cid)
             self.weights_cache_hits += 1
             return cached
-        from repro.ipfs.cid import parse_cid
-
         payload = self.ipfs.get(parse_cid(cid))
         weights = weights_from_bytes(payload)
         self._cache_weights(cid, weights)
@@ -388,7 +404,7 @@ class UnifyFLAggregator:
         for cid in assigned:
             try:
                 weights = self.fetch_weights(cid)
-            except Exception:
+            except _UNAVAILABLE_MODEL:
                 continue
             scored_cids.append(cid)
             if round_context is not None:
@@ -431,15 +447,14 @@ class UnifyFLAggregator:
                 continue
             try:
                 round_weights[record["cid"]] = self.fetch_weights(record["cid"])
-            except Exception:
+            except _UNAVAILABLE_MODEL:
                 continue
         return round_weights
 
     # --------------------------------------------------------------- evaluation
     def evaluate_weights(self, weights: Weights) -> Dict[str, float]:
         """Loss and accuracy of a weight set on the shared evaluation dataset."""
-        self.eval_model.set_weights(weights)
-        loss, accuracy = self.eval_model.evaluate(self.eval_data.x, self.eval_data.y)
+        loss, accuracy = self.evaluator.evaluate(weights, self.eval_data)
         return {"loss": loss, "accuracy": accuracy}
 
     def record_round(
@@ -459,8 +474,8 @@ class UnifyFLAggregator:
             global_loss=global_metrics["loss"],
             local_accuracy=local_metrics["accuracy"],
             local_loss=local_metrics["loss"],
-            models_pulled=getattr(self, "_pulled_this_round", 0) if not offline else 0,
-            models_scored=getattr(self, "_scored_this_round", 0) if not offline else 0,
+            models_pulled=self._pulled_this_round if not offline else 0,
+            models_scored=self._scored_this_round if not offline else 0,
             timing=timing,
             sim_time=self.clock.now(),
             straggled=straggled,

@@ -164,20 +164,18 @@ class CentralizedMultilevelBaseline:
             for cluster in self.clusters:
                 server = servers[cluster.name]
                 server.global_weights = [np.array(w, copy=True) for w in global_weights]
-                server.run_round(rng=rng)
+                metrics = server.run_round(rng=rng)
                 cluster_weights.append(server.global_weights)
-                evaluation = server.evaluate()
-                cluster_metrics[cluster.name] = evaluation
+                cluster_metrics[cluster.name] = {"loss": metrics.loss, "accuracy": metrics.accuracy}
             global_weights = self.central_strategy.aggregate_weight_sets(global_weights, cluster_weights)
             eval_model.set_weights(global_weights)
-            loss, accuracy = eval_model.evaluate(self.eval_data.x, self.eval_data.y)
-            global_history.append(accuracy)
+            global_loss, global_accuracy = eval_model.evaluate(self.eval_data.x, self.eval_data.y)
+            global_history.append(global_accuracy)
             # Every cluster waits out the provisioned training window, then the
             # central reducer validates and aggregates before the next round.
             total_time += self._round_duration
 
-        eval_model.set_weights(global_weights)
-        global_loss, global_accuracy = eval_model.evaluate(self.eval_data.x, self.eval_data.y)
+        # The last round's evaluation is the final global model's.
         results = [
             BaselineClusterResult(
                 name=cluster.name,

@@ -50,6 +50,7 @@ from repro.datasets.synthetic import Dataset, SyntheticCIFAR10, SyntheticTinyIma
 from repro.chain.clique import consensus_delay
 from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
+from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model, build_model
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
 from repro.sched.registry import get_policy
@@ -145,6 +146,9 @@ class ExperimentRunner:
 
         self.train_data, self.test_data = self._build_dataset(config.workload, config.seed)
         self.model_template = self._build_model(config.workload, config.seed)
+        #: the run's one evaluation model and (weights, dataset) memo, shared
+        #: by every aggregator and scorer; ``calls`` / ``hits`` count its use.
+        self.evaluator = Evaluator(self.model_template)
         self.timing_model = ClusterTimingModel(
             config.workload, block_period=config.block_period, seed=config.seed
         )
@@ -415,6 +419,7 @@ class ExperimentRunner:
             self.sanitizer = SimulationSanitizer()
             self.comm.sanitizer = self.sanitizer
             self.comm.network.scheduler.sanitizer = self.sanitizer
+            self.evaluator.sanitizer = self.sanitizer
         # Chain-side emission hook: every sealed block feeds the chain
         # actor's observed-block counters for the comm report.
         self.chain.add_block_listener(self.comm.chain.observe_block)
@@ -467,6 +472,7 @@ class ExperimentRunner:
             self.config.scoring_algorithm,
             model_template=self.model_template,
             test_data=score_data,
+            evaluator=self.evaluator,
         )
         attack = build_attack(cluster.attack) if cluster.malicious else None
         return UnifyFLAggregator(
@@ -486,6 +492,7 @@ class ExperimentRunner:
             seed=seed,
             faults=self.fault_plan,
             streaming_aggregation=streaming_aggregation,
+            evaluator=self.evaluator,
         )
 
     def _materialise_virtual_cluster(self, index: int) -> UnifyFLAggregator:

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.synthetic import Dataset
+from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model
 from repro.ml.tensor_utils import flatten_weights
 
@@ -46,21 +47,40 @@ class Scorer:
         return {cid: self.score(w) for cid, w in round_weights.items()}
 
 
-class AccuracyScorer(Scorer):
+class _HeldOutSetScorer(Scorer):
+    """Shared plumbing for scorers that evaluate a model on the scorer's own
+    held-out test set.
+
+    Evaluations go through the run's shared
+    :class:`~repro.ml.evaluation.Evaluator`; a scorer built on its own gets
+    a private one over ``model_template``.
+    """
+
+    requires_full_round = False
+
+    def __init__(
+        self,
+        model_template: Model,
+        test_data: Dataset,
+        evaluator: Optional[Evaluator] = None,
+    ):
+        if len(test_data) == 0:
+            raise ValueError(f"{type(self).__name__} needs a non-empty test dataset")
+        self._evaluator = evaluator if evaluator is not None else Evaluator(model_template)
+        self._test_data = test_data
+
+    def _evaluate(self, weights: Weights) -> Tuple[float, float]:
+        """``(loss, accuracy)`` of ``weights`` on the scorer's test set."""
+        return self._evaluator.evaluate(weights, self._test_data)
+
+
+class AccuracyScorer(_HeldOutSetScorer):
     """Score a model by its accuracy on the scorer's local test dataset."""
 
     name = "accuracy"
-    requires_full_round = False
-
-    def __init__(self, model_template: Model, test_data: Dataset):
-        if len(test_data) == 0:
-            raise ValueError("AccuracyScorer needs a non-empty test dataset")
-        self._model = model_template.clone()
-        self._test_data = test_data
 
     def score(self, weights: Weights, context: Optional[Dict] = None) -> float:
-        self._model.set_weights(weights)
-        _, accuracy = self._model.evaluate(self._test_data.x, self._test_data.y)
+        _, accuracy = self._evaluate(weights)
         return float(accuracy)
 
     @property
@@ -205,7 +225,7 @@ class MultiKRUMScorer(_FullRoundScorer):
         return {cid: float(s) for cid, s in zip(cids, scores)}
 
 
-class LossScorer(Scorer):
+class LossScorer(_HeldOutSetScorer):
     """Score a model by the inverse of its loss on the scorer's test dataset.
 
     Like accuracy-based scoring, this works in both Sync and Async modes and
@@ -217,17 +237,9 @@ class LossScorer(Scorer):
     """
 
     name = "loss"
-    requires_full_round = False
-
-    def __init__(self, model_template: Model, test_data: Dataset):
-        if len(test_data) == 0:
-            raise ValueError("LossScorer needs a non-empty test dataset")
-        self._model = model_template.clone()
-        self._test_data = test_data
 
     def score(self, weights: Weights, context: Optional[Dict] = None) -> float:
-        self._model.set_weights(weights)
-        loss, _ = self._model.evaluate(self._test_data.x, self._test_data.y)
+        loss, _ = self._evaluate(weights)
         return float(1.0 / (1.0 + max(loss, 0.0)))
 
 
@@ -296,17 +308,22 @@ def build_scorer(
     model_template: Optional[Model] = None,
     test_data: Optional[Dataset] = None,
     byzantine_tolerance: int = 0,
+    evaluator: Optional[Evaluator] = None,
 ) -> Scorer:
-    """Construct a scorer by name (``accuracy``, ``loss``, ``multikrum`` or ``cosine``)."""
+    """Construct a scorer by name (``accuracy``, ``loss``, ``multikrum`` or ``cosine``).
+
+    ``evaluator`` is the run's shared evaluator for the two scorers that
+    evaluate models; without one each builds its own.
+    """
     key = name.lower()
     if key == "accuracy":
         if model_template is None or test_data is None:
             raise ValueError("accuracy scoring requires a model template and a test dataset")
-        return AccuracyScorer(model_template, test_data)
+        return AccuracyScorer(model_template, test_data, evaluator)
     if key == "loss":
         if model_template is None or test_data is None:
             raise ValueError("loss scoring requires a model template and a test dataset")
-        return LossScorer(model_template, test_data)
+        return LossScorer(model_template, test_data, evaluator)
     if key == "multikrum":
         return MultiKRUMScorer(byzantine_tolerance=byzantine_tolerance)
     if key == "cosine":

@@ -1,7 +1,8 @@
 """Tests for the simulation sanitizer (:mod:`repro.analysis.sanitizer`).
 
 The sanitizer must trip on artificially corrupted state at every hooked
-layer (kernel, link scheduler, fabric totals), stay silent across default
+layer (kernel, link scheduler, fabric totals; the evaluator's memo is in
+``tests/test_evaluation.py``), stay silent across default
 runs of every mode, and — the core contract — leave a sanitized run
 bit-identical to an unsanitized one.
 """
@@ -225,6 +226,23 @@ class TestSanitizedRuns:
             assert a.global_accuracy == b.global_accuracy
             assert a.global_loss == b.global_loss
             assert [r.sim_time for r in a.history] == [r.sim_time for r in b.history]
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_sanitized_sampled_run_rechecks_every_memoised_evaluation(self, mode):
+        # Sampled cohorts share scorer test sets and initial weights, so the
+        # run's Evaluator answers most requests from its memo; sanitized,
+        # each of those is recomputed and compared, and nothing moves.
+        from repro.core.reporting import result_to_dict
+
+        sampled = dict(population=1000, clients_per_round=8)
+        plain_runner = ExperimentRunner(tiny_config(mode, **sampled))
+        plain = plain_runner.run()
+        sanitized_runner = ExperimentRunner(tiny_config(mode, sanitize=True, **sampled))
+        sanitized = sanitized_runner.run()
+        assert result_to_dict(plain) == result_to_dict(sanitized)
+        hits = sanitized_runner.evaluator.hits
+        assert hits == plain_runner.evaluator.hits > 0
+        assert sanitized_runner.sanitizer.checks["evaluation"] == hits
 
     def test_sanitizer_works_under_fault_injection(self):
         # Outage windows and failover re-aims exercise the fault-window and

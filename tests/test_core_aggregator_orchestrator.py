@@ -186,6 +186,47 @@ class TestAggregatorUnit:
         assert scorer_agg.address in submission["scores"]
         assert 0.0 <= submission["scores"][scorer_agg.address] <= 1.0
 
+    def _assign(self, payload: bytes, stored: bool):
+        """Submit a model CID for ``payload`` — held by the submitter's node
+        or by nobody — and return the chain, the CID and its assigned scorer."""
+        from repro.ipfs.cid import compute_cid
+
+        chain, driver, aggregators, timing, _ = build_federation(mode="async")
+        for aggregator in aggregators:
+            aggregator.register()
+        cid = str(aggregators[0].ipfs.add(payload) if stored else compute_cid(payload))
+        chain.send(
+            aggregators[0].account, "unifyfl", "submitModel", {"cid": cid, "timestamp": 0.0}
+        )
+        chain.mine_until_empty()
+        submission = chain.call("unifyfl", "getSubmission", {"cid": cid})
+        scorer_agg = next(a for a in aggregators if a.address in submission["assigned_scorers"])
+        return chain, cid, scorer_agg
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_an_unavailable_or_malformed_model_goes_unscored(self, stored, monkeypatch):
+        # Nobody holds the object (IPFSError), or it is no weight container
+        # (SerializationError): the model is skipped, the scorer carries on.
+        chain, cid, scorer_agg = self._assign(b"not a weight container", stored)
+        fetched = []
+        fetch_weights = scorer_agg.fetch_weights
+        monkeypatch.setattr(
+            scorer_agg, "fetch_weights", lambda c: fetched.append(c) or fetch_weights(c)
+        )
+        scorer_agg.score_assigned()
+        assert fetched == [cid]
+        assert chain.call("unifyfl", "getSubmission", {"cid": cid})["scores"] == {}
+
+    def test_a_decoding_bug_is_not_recorded_as_an_unscored_model(self, monkeypatch):
+        chain, cid, scorer_agg = self._assign(b"decoded by the broken decoder", stored=True)
+
+        def broken_decoder(payload):
+            raise TypeError("a bug, not an unavailable model")
+
+        monkeypatch.setattr("repro.core.aggregator.weights_from_bytes", broken_decoder)
+        with pytest.raises(TypeError, match="a bug"):
+            scorer_agg.score_assigned()
+
     def test_record_round_tracks_metrics(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
         aggregator = aggregators[0]
@@ -218,7 +259,7 @@ class TestAggregatorUnit:
                 account=Account.create(seed=1),
                 chain=chain,
                 ipfs_node=source.ipfs,
-                model_template=source.model,
+                model_template=source.clients[0].model,
                 clients=source.clients,
                 scorer=source.scorer,
                 eval_data=test,

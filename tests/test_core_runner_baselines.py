@@ -179,6 +179,21 @@ class TestBaselines:
         assert baseline.total_time > 0
         assert len(baseline.global_accuracy_history) == 2
         assert all(c.global_accuracy == baseline.global_accuracy for c in baseline.clusters)
+        assert baseline.global_accuracy == baseline.global_accuracy_history[-1]
+
+    def test_centralized_baseline_evaluates_each_model_once(self, shared_sync_result, monkeypatch):
+        from repro.ml.models import Model
+
+        runner, _ = shared_sync_result
+        calls = []
+        evaluate = Model.evaluate
+        monkeypatch.setattr(
+            Model, "evaluate", lambda self, *a, **k: calls.append(self) or evaluate(self, *a, **k)
+        )
+        runner.run_centralized_baseline(rounds=2)
+        # Per round: every cluster's model and the merged global model; the
+        # final global model is the last round's, not evaluated again.
+        assert len(calls) == 2 * (len(runner.config.clusters) + 1)
 
     def test_single_level_baseline(self, shared_sync_result):
         runner, _ = shared_sync_result

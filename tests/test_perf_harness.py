@@ -133,6 +133,28 @@ class TestSerializationMemo:
         assert weights_fingerprint(a) != weights_fingerprint(c)
         assert weights_fingerprint(a) != weights_fingerprint(d)
 
+    def test_fingerprint_digest_is_pinned(self):
+        # The evaluation memo and the serialization memo key on this digest;
+        # the literals were taken before the per-dtype name lookup was cached.
+        # int16 and bool are coerced to float64, the 0-d and the strided
+        # tensor go through ascontiguousarray.
+        mixed = [
+            np.arange(6, dtype=np.int32).reshape(2, 3),
+            np.array([1.5, -2.0], dtype=np.float32),
+            np.array([[1, 2], [3, 4]], dtype=np.int16),
+            np.array(3.0),
+            np.array([True, False]),
+            np.arange(4, dtype=np.float64)[::2],
+        ]
+        assert weights_fingerprint(mixed) == (
+            "4609c84cf5190a5c623b815129e5a22f53984289aa59d54bc1928956ac9f6cdd"
+        )
+        assert weights_fingerprint([]) == (
+            "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"
+        )
+        # A dtype seen before (cached answer) hashes like the first time.
+        assert weights_fingerprint(mixed) == weights_fingerprint([w.copy() for w in mixed])
+
     def test_repeat_serialization_hits_the_memo(self):
         weights = [np.ones((4, 4), dtype=np.float32), np.zeros(3, dtype=np.int64)]
         first = weights_to_bytes(weights)
