@@ -3,7 +3,7 @@
 A race-detector analogue for the discrete-event engine.  When enabled
 (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``) one
 :class:`SimulationSanitizer` instance is threaded through the run and hooked
-into four layers:
+into six layers:
 
 * the **kernel** (:meth:`check_event`): no event may commit in the simulated
   past — the event queue's ``(time, priority, key, seq)`` total order must
@@ -18,7 +18,14 @@ into four layers:
   (wire/queued time, WAN bytes, log lengths) only ever grow;
 * the **evaluator** (:meth:`check_evaluation`, called on every hit of the
   run's :class:`~repro.ml.evaluation.Evaluator` memo): the stored
-  ``(loss, accuracy)`` equals what the direct computation returns now.
+  ``(loss, accuracy)`` equals what the direct computation returns now;
+* the **round scorer** (:meth:`check_round_scores`, called on every hit of
+  the run's shared full-round scorer memo): the stored per-CID scores equal
+  what ``score_round`` returns for that round now;
+* the **decoded-model table** (:meth:`check_decoded_model`, called on every
+  hit of the run's :class:`~repro.ml.serialization.DecodedModels`): the
+  shared tensors equal, in dtype, shape and bytes, a fresh decode of the
+  payload the caller just fetched.
 
 Every hook is strictly read-only — it inspects public state and raises
 :class:`SanitizerViolation` on the first broken invariant.  A sanitized run
@@ -28,7 +35,6 @@ pins for all five federation modes.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Sequence, Tuple
 
 
@@ -38,6 +44,12 @@ class SanitizerViolation(AssertionError):
     Subclasses :class:`AssertionError` deliberately: a violation means the
     engine itself is wrong, not that the experiment was misconfigured.
     """
+
+
+def _same_value(a: Any, b: Any) -> bool:
+    """Equality under which NaN equals NaN: a poisoned model may have no
+    finite loss or distance, and that repeats exactly too."""
+    return a == b or (a != a and b != b)
 
 
 class SimulationSanitizer:
@@ -53,6 +65,7 @@ class SimulationSanitizer:
         #: ``--sanitize`` run as evidence the sanitizer actually engaged.
         self.checks: Dict[str, int] = {
             "event": 0, "reservation": 0, "fabric": 0, "evaluation": 0,
+            "round_scores": 0, "decoded_model": 0,
         }
         self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
 
@@ -177,14 +190,65 @@ class SimulationSanitizer:
         loss, and that repeats too).
         """
         self.checks["evaluation"] += 1
-        if not all(
-            a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(stored, recomputed)
-        ):
+        if not all(_same_value(a, b) for a, b in zip(stored, recomputed)):
             raise SanitizerViolation(
                 f"memoised evaluation of weights {fingerprint} on dataset "
                 f"'{dataset}' is {tuple(stored)!r}, but evaluating them now "
                 f"gives {tuple(recomputed)!r}"
             )
+
+    # ------------------------------------------------------------ round scorer
+    def check_round_scores(
+        self,
+        cids: Sequence[str],
+        stored: Dict[str, float],
+        recomputed: Dict[str, float],
+    ) -> None:
+        """Assert a memoised round analysis equals the direct computation.
+
+        Called by a full-round scorer on every memo hit with the per-CID
+        scores it is about to read from and the ones ``score_round`` just
+        returned for the same round.
+        """
+        self.checks["round_scores"] += 1
+        moved = [
+            cid
+            for cid in sorted({*stored, *recomputed})
+            if not _same_value(stored.get(cid), recomputed.get(cid))
+        ]
+        if moved:
+            raise SanitizerViolation(
+                f"memoised scores of the {len(cids)}-model round differ from "
+                f"score_round's for {', '.join(moved)}: stored "
+                f"{[stored.get(cid) for cid in moved]!r}, recomputed "
+                f"{[recomputed.get(cid) for cid in moved]!r}"
+            )
+
+    # ----------------------------------------------------------- decoded models
+    def check_decoded_model(self, cid: str, stored: Sequence[Any], decoded: Sequence[Any]) -> None:
+        """Assert the shared decoded model of ``cid`` equals a fresh decode.
+
+        Called by the decoded-model table on every hit with the tensors it
+        is about to hand out and the ones just decoded from the payload the
+        caller fetched under the same CID.
+        """
+        self.checks["decoded_model"] += 1
+        if len(stored) != len(decoded):
+            raise SanitizerViolation(
+                f"shared decoded model {cid} holds {len(stored)} tensors, its "
+                f"payload decodes to {len(decoded)}"
+            )
+        for index, (held, fresh) in enumerate(zip(stored, decoded)):
+            if (
+                held.dtype != fresh.dtype
+                or held.shape != fresh.shape
+                or held.tobytes() != fresh.tobytes()
+            ):
+                raise SanitizerViolation(
+                    f"shared decoded model {cid}: tensor {index} "
+                    f"({held.dtype}, shape {held.shape}) no longer equals what its "
+                    f"payload decodes to ({fresh.dtype}, shape {fresh.shape})"
+                )
 
     # --------------------------------------------------------------- reporting
     def report(self) -> Dict[str, int]:

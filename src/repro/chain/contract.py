@@ -102,12 +102,20 @@ class Contract:
     # -- introspection -------------------------------------------------------
     @classmethod
     def callable_methods(cls) -> Dict[str, Callable]:
-        """All methods exposed to external callers."""
-        methods = {}
-        for attr in dir(cls):
-            candidate = getattr(cls, attr)
-            if callable(candidate) and getattr(candidate, "__contract_method__", False):
-                methods[attr] = candidate
+        """All methods exposed to external callers.
+
+        Walked once per contract class — every runtime dispatch asks — and
+        kept in the class's *own* ``__dict__``, so a subclass builds its own
+        table instead of inheriting its parent's.
+        """
+        methods = cls.__dict__.get("_callable_methods")
+        if methods is None:
+            methods = {}
+            for attr in dir(cls):
+                candidate = getattr(cls, attr)
+                if callable(candidate) and getattr(candidate, "__contract_method__", False):
+                    methods[attr] = candidate
+            cls._callable_methods = methods
         return methods
 
     @classmethod

@@ -57,7 +57,7 @@ from repro.ipfs.cid import parse_cid
 from repro.ipfs.node import IPFSError, IPFSNode
 from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model
-from repro.ml.serialization import weights_from_bytes, weights_to_bytes
+from repro.ml.serialization import DecodedModels, weights_to_bytes
 from repro.sched.actors import CommFabric
 from repro.simnet.clock import SimClock
 from repro.simnet.faults import FaultPlan
@@ -120,6 +120,7 @@ class UnifyFLAggregator:
         faults: Optional["FaultPlan"] = None,
         streaming_aggregation: bool = False,
         evaluator: Optional[Evaluator] = None,
+        decoded_models: Optional[DecodedModels] = None,
     ):
         if not clients:
             raise ValueError("an aggregator needs at least one client")
@@ -133,6 +134,9 @@ class UnifyFLAggregator:
         #: the run's shared evaluator; an aggregator assembled on its own
         #: gets a private one.
         self.evaluator = evaluator if evaluator is not None else Evaluator(model_template)
+        #: the run's table of decoded models (one read-only copy per CID,
+        #: shared by every aggregator); likewise private when built alone.
+        self.decoded_models = decoded_models if decoded_models is not None else DecodedModels()
         self.clients = list(clients)
         self.scorer = scorer
         self.eval_data = eval_data
@@ -268,7 +272,9 @@ class UnifyFLAggregator:
 
         Deserialized models sit in a CID-keyed LRU bounded to
         ``WEIGHTS_CACHE_CAPACITY`` entries; hit and eviction counts surface
-        in the orchestration result's extras.
+        in the orchestration result's extras.  Every miss pulls the payload
+        through this silo's IPFS node; the decoded list it yields is the
+        run's one read-only copy of that CID (:class:`DecodedModels`).
         """
         cached = self._weights_cache.get(cid)
         if cached is not None:
@@ -276,7 +282,7 @@ class UnifyFLAggregator:
             self.weights_cache_hits += 1
             return cached
         payload = self.ipfs.get(parse_cid(cid))
-        weights = weights_from_bytes(payload)
+        weights = self.decoded_models.decode(cid, payload)
         self._cache_weights(cid, weights)
         return weights
 
@@ -364,9 +370,9 @@ class UnifyFLAggregator:
         if self.config.malicious and self.attack is not None:
             weights = self.attack.poison(weights, rng=self._rng)
         payload = weights_to_bytes(weights)
-        cid = self.ipfs.add(payload)
+        cid = str(self.ipfs.add(payload))
         now = self.clock.now()
-        timing.store_time = self.comm.upload(self.name, 1, at=now, object_ids=[str(cid)])
+        timing.store_time = self.comm.upload(self.name, 1, at=now, object_ids=[cid])
         timing.chain_time = self.comm.chain_op(
             "submitModel", self.name, at=now + timing.store_time
         )
@@ -375,14 +381,16 @@ class UnifyFLAggregator:
             self.account,
             "unifyfl",
             "submitModel",
-            {"cid": str(cid), "timestamp": self.clock.now()},
+            {"cid": cid, "timestamp": self.clock.now()},
         )
         if mine:
             self.chain.mine_until_empty()
-        self.own_cids.append(str(cid))
-        self._cache_weights(str(cid), [np.array(w, copy=True) for w in weights])
+        self.own_cids.append(cid)
+        # Entered like any peer's fetch: what the submitter holds under the
+        # CID is the model every other silo decodes from it.
+        self._cache_weights(cid, self.decoded_models.decode(cid, payload))
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.05)
-        return str(cid), timing
+        return cid, timing
 
     # ------------------------------------------------------------------ scoring
     def score_assigned(self, before_time: Optional[float] = None, mine: bool = True) -> RoundTiming:
@@ -402,6 +410,11 @@ class UnifyFLAggregator:
         scored = 0
         scored_cids: List[str] = []
         for cid in assigned:
+            if round_context is not None and cid not in round_context:
+                # Still pending from a round this scorer sat out (churn): a
+                # round-wise algorithm cannot place it among another round's
+                # models, so it stays with its other assigned scorers.
+                continue
             try:
                 weights = self.fetch_weights(cid)
             except _UNAVAILABLE_MODEL:

@@ -43,7 +43,7 @@ from repro.core.contract import UnifyFLContract
 from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.results import AggregatorResult, ExperimentResult
 from repro.core.sampling import ClientSampler
-from repro.core.scorer import build_scorer
+from repro.core.scorer import FULL_ROUND_SCORERS, Scorer, build_scorer
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.partition import DirichletPartitioner, IIDPartitioner, ShardPartitioner
 from repro.datasets.synthetic import Dataset, SyntheticCIFAR10, SyntheticTinyImageNet
@@ -52,6 +52,7 @@ from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model, build_model
+from repro.ml.serialization import DecodedModels
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
 from repro.sched.registry import get_policy
 from repro.simnet.faults import FaultPlan, ResiliencePolicy
@@ -149,6 +150,16 @@ class ExperimentRunner:
         #: the run's one evaluation model and (weights, dataset) memo, shared
         #: by every aggregator and scorer; ``calls`` / ``hits`` count its use.
         self.evaluator = Evaluator(self.model_template)
+        #: the run's one decoded copy of every model some aggregator holds.
+        self.decoded_models = DecodedModels()
+        #: a scorer that analyses whole rounds owns no test set, so one
+        #: instance serves every cluster and its round memo is the run's:
+        #: a round is analysed once, not once per assigned scorer.
+        self.round_scorer: Optional[Scorer] = (
+            build_scorer(config.scoring_algorithm)
+            if config.scoring_algorithm in FULL_ROUND_SCORERS
+            else None
+        )
         self.timing_model = ClusterTimingModel(
             config.workload, block_period=config.block_period, seed=config.seed
         )
@@ -420,6 +431,9 @@ class ExperimentRunner:
             self.comm.sanitizer = self.sanitizer
             self.comm.network.scheduler.sanitizer = self.sanitizer
             self.evaluator.sanitizer = self.sanitizer
+            self.decoded_models.sanitizer = self.sanitizer
+            if self.round_scorer is not None:
+                self.round_scorer.sanitizer = self.sanitizer
         # Chain-side emission hook: every sealed block feeds the chain
         # actor's observed-block counters for the comm report.
         self.chain.add_block_listener(self.comm.chain.observe_block)
@@ -468,12 +482,14 @@ class ExperimentRunner:
         )
         node = self.swarm.create_node(f"{cluster.name}-ipfs")
         clients = self._build_clients(cluster, client_index, partitions=client_partitions)
-        scorer = build_scorer(
-            self.config.scoring_algorithm,
-            model_template=self.model_template,
-            test_data=score_data,
-            evaluator=self.evaluator,
-        )
+        scorer = self.round_scorer
+        if scorer is None:
+            scorer = build_scorer(
+                self.config.scoring_algorithm,
+                model_template=self.model_template,
+                test_data=score_data,
+                evaluator=self.evaluator,
+            )
         attack = build_attack(cluster.attack) if cluster.malicious else None
         return UnifyFLAggregator(
             config=cluster,
@@ -493,6 +509,7 @@ class ExperimentRunner:
             faults=self.fault_plan,
             streaming_aggregation=streaming_aggregation,
             evaluator=self.evaluator,
+            decoded_models=self.decoded_models,
         )
 
     def _materialise_virtual_cluster(self, index: int) -> UnifyFLAggregator:

@@ -18,7 +18,7 @@ lets the performance-based aggregation policies treat them uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -99,6 +99,10 @@ class _FullRoundScorer(Scorer):
     (CIDs are content hashes, so identical CID sets mean identical weights),
     and a repeated ``score`` call against the same round reuses the cached
     per-CID scores instead of re-running ``score_round``.
+
+    Such a scorer holds no dataset, no model, nothing per cluster, so the
+    runner hands one instance to every cluster: the memo is then the run's,
+    and the ``n`` scorers of a wide round share one analysis of it.
     """
 
     requires_full_round = True
@@ -108,10 +112,17 @@ class _FullRoundScorer(Scorer):
 
     def __init__(self) -> None:
         self._round_memo: Optional[Tuple[Tuple[str, ...], Dict[str, float]]] = None
+        #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
+        #: when set, every memo hit is recomputed and compared.
+        self.sanitizer: Optional[Any] = None
 
     def _round_scores(self, round_weights: Dict[str, Weights]) -> Dict[str, float]:
         fingerprint = tuple(sorted(round_weights))
         if self._round_memo is not None and self._round_memo[0] == fingerprint:
+            if self.sanitizer is not None:
+                self.sanitizer.check_round_scores(
+                    fingerprint, self._round_memo[1], self.score_round(round_weights)
+                )
             return self._round_memo[1]
         scores = self.score_round(round_weights)
         self._round_memo = (fingerprint, scores)
@@ -303,6 +314,22 @@ class CosineSimilarityScorer(_FullRoundScorer):
         return unit @ unit.T
 
 
+#: every scoring algorithm, by the name configurations use.
+SCORERS: Dict[str, Type[Scorer]] = {
+    cls.name: cls
+    for cls in (AccuracyScorer, LossScorer, MultiKRUMScorer, CosineSimilarityScorer)
+}
+
+#: the algorithms that analyse a whole round at once — therefore Sync-only
+#: (``sched.policies``), priced as a bandwidth-bound pass over flattened
+#: weights (``ClusterTimingModel.scoring_time``) and built once per run
+#: (``ExperimentRunner``).  Read off the classes: a scorer declaring
+#: ``requires_full_round = True`` is all three.
+FULL_ROUND_SCORERS: FrozenSet[str] = frozenset(
+    name for name, cls in SCORERS.items() if cls.requires_full_round
+)
+
+
 def build_scorer(
     name: str,
     model_template: Optional[Model] = None,
@@ -316,16 +343,13 @@ def build_scorer(
     evaluate models; without one each builds its own.
     """
     key = name.lower()
-    if key == "accuracy":
+    cls = SCORERS.get(key)
+    if cls is None:
+        raise ValueError(f"unknown scoring algorithm '{name}'")
+    if issubclass(cls, _HeldOutSetScorer):
         if model_template is None or test_data is None:
-            raise ValueError("accuracy scoring requires a model template and a test dataset")
-        return AccuracyScorer(model_template, test_data, evaluator)
-    if key == "loss":
-        if model_template is None or test_data is None:
-            raise ValueError("loss scoring requires a model template and a test dataset")
-        return LossScorer(model_template, test_data, evaluator)
-    if key == "multikrum":
+            raise ValueError(f"{key} scoring requires a model template and a test dataset")
+        return cls(model_template, test_data, evaluator)
+    if cls is MultiKRUMScorer:
         return MultiKRUMScorer(byzantine_tolerance=byzantine_tolerance)
-    if key == "cosine":
-        return CosineSimilarityScorer()
-    raise ValueError(f"unknown scoring algorithm '{name}'")
+    return cls()

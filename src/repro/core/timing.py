@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.chain.clique import TX_VALIDATION_COST_S
 from repro.core.config import ClusterConfig, WorkloadConfig
+from repro.core.scorer import FULL_ROUND_SCORERS
 from repro.simnet.hardware import HardwareProfile
 from repro.simnet.units import bytes_over_scaled_bandwidth, float32_model_bytes
 
@@ -133,7 +134,7 @@ class ClusterTimingModel:
         """Time for a scorer to evaluate ``num_models`` candidate models."""
         if num_models <= 0:
             return 0.0
-        if algorithm in ("multikrum", "cosine"):
+        if algorithm in FULL_ROUND_SCORERS:
             # Similarity computation over flattened weights: cheap, bandwidth-bound.
             per_model = bytes_over_scaled_bandwidth(
                 self.nominal_model_bytes,

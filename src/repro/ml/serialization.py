@@ -15,6 +15,10 @@ small LRU on :func:`weights_fingerprint` — a digest over the tensors' dtypes,
 shapes and raw buffers — and hand back the cached payload instead of packing
 the same megabytes again.  The payload for a given fingerprint is unique, so
 the memo can never change a byte of output.
+
+Deserialization is shared by content address instead: a run's
+:class:`DecodedModels` table holds the one decoded copy of each CID for as
+long as some aggregator still holds it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import functools
 import hashlib
 import math
 import struct
+import weakref
 from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,6 +175,61 @@ def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
     if offset != len(payload):
         raise SerializationError("trailing bytes after the final tensor")
     return weights
+
+
+class _DecodedWeights(list):
+    """A decoded weight list that can be weakly referenced (a ``list`` cannot)."""
+
+    __slots__ = ("__weakref__",)
+
+
+class DecodedModels:
+    """The one decoded copy of each content-addressed model, per run.
+
+    Every silo pulls "the latest set of models" by CID, and equal CIDs are
+    equal bytes, so the ``n`` aggregators of a wide round would each decode
+    and keep a private copy of the same ``n`` models.  Each still fetches its
+    own payload from its IPFS node (block transfer and per-block verification
+    are modelled and stay per silo); the table only makes the *decoded*
+    weight list of a CID one shared, read-only object.
+
+    The table is weak-valued: an entry lives exactly as long as somebody —
+    in practice some aggregator's bounded weights cache — holds the list, so
+    it needs no capacity of its own and a run never keeps more decoded
+    models resident than its aggregators' caches name.  A CID everyone has
+    dropped is simply decoded again on its next fetch.
+    """
+
+    def __init__(self) -> None:
+        self._models: "weakref.WeakValueDictionary[str, _DecodedWeights]" = (
+            weakref.WeakValueDictionary()
+        )
+        #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
+        #: when set, every hit also decodes the payload in hand and compares.
+        self.sanitizer: Optional[Any] = None
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+    def __contains__(self, cid: str) -> bool:
+        return cid in self._models
+
+    def decode(self, cid: str, payload: bytes) -> List[np.ndarray]:
+        """The decoded model of ``cid``, whose stored bytes are ``payload``.
+
+        The arrays are not writeable: every holder of the CID reads the same
+        memory.
+        """
+        weights = self._models.get(cid)
+        if weights is not None:
+            if self.sanitizer is not None:
+                self.sanitizer.check_decoded_model(cid, weights, weights_from_bytes(payload))
+            return weights
+        weights = _DecodedWeights(weights_from_bytes(payload))
+        for tensor in weights:
+            tensor.setflags(write=False)
+        self._models[cid] = weights
+        return weights
 
 
 def weights_checksum(weights: Sequence[np.ndarray]) -> str:

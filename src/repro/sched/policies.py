@@ -1127,7 +1127,9 @@ class GossipRoundPolicy(RoundPolicy):
 
 def _reject_similarity_scoring(config: "ExperimentConfig") -> None:
     """Free-running modes never see a whole round at once."""
-    if config.scoring_algorithm in ("multikrum", "cosine"):
+    from repro.core.scorer import FULL_ROUND_SCORERS
+
+    if config.scoring_algorithm in FULL_ROUND_SCORERS:
         raise ValueError(
             "similarity-based scoring needs all models of a round at once and is only "
             "supported in sync mode"

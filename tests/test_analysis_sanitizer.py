@@ -2,7 +2,8 @@
 
 The sanitizer must trip on artificially corrupted state at every hooked
 layer (kernel, link scheduler, fabric totals; the evaluator's memo is in
-``tests/test_evaluation.py``), stay silent across default
+``tests/test_evaluation.py``, the round-score memo and the decoded-model
+table in ``tests/test_shared_round_work.py``), stay silent across default
 runs of every mode, and — the core contract — leave a sanitized run
 bit-identical to an unsanitized one.
 """
@@ -23,10 +24,10 @@ ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
 
 
 def tiny_config(mode: str = "async", **kwargs) -> ExperimentConfig:
+    kwargs.setdefault("clusters", edge_cluster_configs(num_clients=2))
     return ExperimentConfig(
         name=f"sanitizer-{mode}",
         workload=cifar10_workload(rounds=2, samples_per_class=8, image_size=8),
-        clusters=edge_cluster_configs(num_clients=2),
         mode=mode,
         rounds=2,
         seed=5,
@@ -243,6 +244,25 @@ class TestSanitizedRuns:
         hits = sanitized_runner.evaluator.hits
         assert hits == plain_runner.evaluator.hits > 0
         assert sanitized_runner.sanitizer.checks["evaluation"] == hits
+
+    @pytest.mark.parametrize("scoring", ["multikrum", "cosine"])
+    def test_sanitized_wide_round_rechecks_both_shared_memos(self, scoring):
+        # Twelve scorers share one analysis of each round and one decoded
+        # copy of each model; sanitized, every such hit is recomputed /
+        # decoded again and compared, and nothing moves.
+        from repro.core.config import gpu_cluster_configs
+        from repro.core.reporting import result_to_dict
+
+        wide = dict(
+            clusters=gpu_cluster_configs(num_clusters=12, num_clients=1),
+            scoring_algorithm=scoring,
+        )
+        plain = ExperimentRunner(tiny_config("sync", **wide)).run()
+        sanitized_runner = ExperimentRunner(tiny_config("sync", sanitize=True, **wide))
+        sanitized = sanitized_runner.run()
+        assert result_to_dict(plain) == result_to_dict(sanitized)
+        checks = sanitized_runner.sanitizer.checks
+        assert checks["round_scores"] > 0 and checks["decoded_model"] > 0
 
     def test_sanitizer_works_under_fault_injection(self):
         # Outage windows and failover re-aims exercise the fault-window and

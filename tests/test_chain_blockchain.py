@@ -99,6 +99,40 @@ class TestContractRuntime:
         with pytest.raises(ContractError):
             Counter.is_view("missing")
 
+    def test_callable_methods_are_tabulated_once_per_class(self):
+        assert set(Counter.callable_methods()) == {"increment", "burn_gas", "get"}
+        assert Counter.callable_methods() is Counter.callable_methods()
+        assert Contract.callable_methods() == {}
+
+        # Defined after its parent was first queried: the subclass gets its
+        # own table — inherited methods, its override and its addition — and
+        # the parent's is left as it was.
+        class ResettableCounter(Counter):
+            name = "resettable"
+
+            @contract_method
+            def reset(self):
+                self.count = 0
+
+            @view_method
+            def increment(self, by: int = 1):
+                return self.count + by
+
+        assert set(ResettableCounter.callable_methods()) == {
+            "increment", "burn_gas", "get", "reset",
+        }
+        assert ResettableCounter.is_view("increment") is True
+        assert Counter.is_view("increment") is False
+        assert "reset" not in Counter.callable_methods()
+        runtime = ContractRuntime()
+        runtime.deploy(Counter())
+        runtime.deploy(ResettableCounter())
+        runtime.call("resettable", "reset")
+        with pytest.raises(ContractError, match="contract 'counter' has no external method 'reset'"):
+            runtime.call("counter", "reset")
+        with pytest.raises(ContractError, match="Counter has no external method 'missing'"):
+            Counter.is_view("missing")
+
     def test_ctx_unavailable_outside_call(self):
         contract = Counter()
         with pytest.raises(ContractError):
