@@ -3,7 +3,7 @@
 A race-detector analogue for the discrete-event engine.  When enabled
 (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``) one
 :class:`SimulationSanitizer` instance is threaded through the run and hooked
-into six layers:
+into seven layers:
 
 * the **kernel** (:meth:`check_event`): no event may commit in the simulated
   past — the event queue's ``(time, priority, key, seq)`` total order must
@@ -25,7 +25,11 @@ into six layers:
 * the **decoded-model table** (:meth:`check_decoded_model`, called on every
   hit of the run's :class:`~repro.ml.serialization.DecodedModels`): the
   shared tensors equal, in dtype, shape and bytes, a fresh decode of the
-  payload the caller just fetched.
+  payload the caller just fetched;
+* **local training** (:meth:`check_shared_training`, called after every
+  ``Client.fit`` an aggregator issues on the run's one training network):
+  the reported weights and metrics equal, byte for byte, those of the same
+  fit replayed on a fresh clone of the model template.
 
 Every hook is strictly read-only — it inspects public state and raises
 :class:`SanitizerViolation` on the first broken invariant.  A sanitized run
@@ -52,6 +56,11 @@ def _same_value(a: Any, b: Any) -> bool:
     return a == b or (a != a and b != b)
 
 
+def _same_tensor(a: Any, b: Any) -> bool:
+    """Equal dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class SimulationSanitizer:
     """Read-only invariant checks over a running simulation.
 
@@ -65,7 +74,7 @@ class SimulationSanitizer:
         #: ``--sanitize`` run as evidence the sanitizer actually engaged.
         self.checks: Dict[str, int] = {
             "event": 0, "reservation": 0, "fabric": 0, "evaluation": 0,
-            "round_scores": 0, "decoded_model": 0,
+            "round_scores": 0, "decoded_model": 0, "shared_training": 0,
         }
         self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
 
@@ -239,16 +248,42 @@ class SimulationSanitizer:
                 f"payload decodes to {len(decoded)}"
             )
         for index, (held, fresh) in enumerate(zip(stored, decoded)):
-            if (
-                held.dtype != fresh.dtype
-                or held.shape != fresh.shape
-                or held.tobytes() != fresh.tobytes()
-            ):
+            if not _same_tensor(held, fresh):
                 raise SanitizerViolation(
                     f"shared decoded model {cid}: tensor {index} "
                     f"({held.dtype}, shape {held.shape}) no longer equals what its "
                     f"payload decodes to ({fresh.dtype}, shape {fresh.shape})"
                 )
+
+    # ----------------------------------------------------------- local training
+    def check_shared_training(self, reported: Any, replayed: Any) -> None:
+        """Assert a fit on the run's shared network equals its private replay.
+
+        Called by an aggregator after every ``Client.fit`` with the
+        ``FitResult`` the client reported and the one its
+        :meth:`~repro.fl.client.Client.private_twin` — same partition, copies
+        of the generator, optimizer and DP mechanism taken before the fit —
+        produced from the same global weights on a fresh clone of the model
+        template.  A network that carries anything from one fit to the next
+        shows up here as differing bytes.
+        """
+        self.checks["shared_training"] += 1
+        moved = [
+            name
+            for name in sorted({*reported.metrics, *replayed.metrics})
+            if not _same_value(reported.metrics.get(name), replayed.metrics.get(name))
+        ]
+        if len(reported.weights) != len(replayed.weights) or not all(
+            map(_same_tensor, reported.weights, replayed.weights)
+        ):
+            moved.insert(0, "weights")
+        if moved:
+            raise SanitizerViolation(
+                f"client {reported.client_id} trained on the run's shared "
+                f"network reports {', '.join(moved)} differing from the same "
+                "fit replayed on a private clone of the model template: the "
+                "network carried state over from an earlier fit"
+            )
 
     # --------------------------------------------------------------- reporting
     def report(self) -> Dict[str, int]:

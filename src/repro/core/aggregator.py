@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.core.selection import (
 from repro.core.scorer import Scorer
 from repro.core.timing import ClusterTimingModel, RoundTiming
 from repro.datasets.synthetic import Dataset
-from repro.fl.client import Client
+from repro.fl.client import Client, FitResult
 from repro.fl.strategy import Strategy, build_strategy
 from repro.ipfs.cid import parse_cid
 from repro.ipfs.node import IPFSError, IPFSNode
@@ -157,6 +157,11 @@ class UnifyFLAggregator:
         self.faults = faults
         self.clock = SimClock()
         self._rng = np.random.default_rng(seed)
+        #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
+        #: when set, every client fit is replayed on a fresh clone of the
+        #: template and compared with what the client reported.
+        self.sanitizer: Optional[Any] = None
+        self.model_template = model_template
 
         self.global_weights: Weights = model_template.get_weights()
         self.local_weights: Weights = model_template.get_weights()
@@ -300,12 +305,12 @@ class UnifyFLAggregator:
         advances the aggregator's clock by it.
         """
         timing = RoundTiming()
-        needs_scores = self.aggregation_policy.name not in ("all", "random_k", "self")
+        needs_scores = self.aggregation_policy.needs_scores
         candidates = self.pull_candidates(before_time=before_time, prefer_scored=needs_scores)
         scored = self.scoring_policy.apply(candidates)
         # Filter: only models that received at least one score are considered,
         # except under the trivially-sampling policies which ignore scores.
-        usable = [c for c in scored if c.scores or self.aggregation_policy.name in ("all", "random_k", "self")]
+        usable = [c for c in scored if c.scores or not needs_scores]
         self_candidate = CandidateModel(
             cid="self",
             submitter=self.address,
@@ -352,7 +357,7 @@ class UnifyFLAggregator:
     def local_training_round(self) -> RoundTiming:
         """Run one round of FL with this cluster's clients on the global model."""
         timing = RoundTiming()
-        results = [client.fit(self.global_weights) for client in self.clients]
+        results = [self._fit(client) for client in self.clients]
         self.local_weights = self.strategy.aggregate(self.global_weights, results)
         timing.client_training_time = self.timing.client_training_time(self.config)
         timing.aggregation_time = self.timing.aggregation_time(self.config, len(results))
@@ -361,6 +366,21 @@ class UnifyFLAggregator:
             self._record_resources("client", cpu=self.config.client_profile.train_cpu_percent)
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.1)
         return timing
+
+    def _fit(self, client: Client) -> FitResult:
+        """One client's fit on the global model.
+
+        The runner's clients take turns on one network, which is sound only
+        while that network carries nothing between fits; under the sanitizer
+        each fit is therefore replayed by the client's twin on a private
+        clone of the template and must report the same bytes.
+        """
+        if self.sanitizer is None:
+            return client.fit(self.global_weights)
+        twin = client.private_twin(self.model_template.clone())
+        result = client.fit(self.global_weights)
+        self.sanitizer.check_shared_training(result, twin.fit(self.global_weights))
+        return result
 
     # --------------------------------------------------------------- submission
     def submit_local_model(self, mine: bool = True) -> tuple[str, RoundTiming]:

@@ -72,9 +72,12 @@ class ClientPopulation:
     The population itself is only a number (``config.population``); what
     exists in memory is the set of virtual clusters some round's cohort has
     actually drawn.  ``round_aggregators`` materialises a round's cohort on
-    first request (clients, models, IPFS node, contract registration) and
-    memoises both the cohort and every member, so a cluster re-sampled in a
-    later round is reused with its clock and history intact.  Peak memory is
+    first request (clients, IPFS node, contract registration) and memoises
+    both the cohort and every member, so a cluster re-sampled in a later
+    round is reused with its clock and history intact.  A materialised
+    cluster holds no network — its clients train on the runner's one
+    ``training_model`` — so what it costs is two weight lists, its clients'
+    partition views and generators, and its storage node.  Peak memory is
     therefore O(distinct sampled clusters), not O(population).
 
     Cohorts come from :class:`~repro.core.sampling.ClientSampler`, so *who*
@@ -150,6 +153,11 @@ class ExperimentRunner:
         #: the run's one evaluation model and (weights, dataset) memo, shared
         #: by every aggregator and scorer; ``calls`` / ``hits`` count its use.
         self.evaluator = Evaluator(self.model_template)
+        #: the run's one training network.  ``Client.fit`` installs the
+        #: global weights first and reads the trained ones out last, so no
+        #: client needs a network of its own: every client this runner builds
+        #: takes its turn on this one.
+        self.training_model = self.model_template.clone()
         #: the run's one decoded copy of every model some aggregator holds.
         self.decoded_models = DecodedModels()
         #: a scorer that analyses whole rounds owns no test set, so one
@@ -184,7 +192,8 @@ class ExperimentRunner:
         self.fault_plan: Optional[FaultPlan] = None
         #: read-only invariant checker (``config.sanitize=True`` only),
         #: created in :meth:`build` and hooked into the kernel, the link
-        #: scheduler and the fabric.
+        #: scheduler, the fabric, the run-wide memo tables and every
+        #: aggregator's client fits.
         self.sanitizer: Optional[SimulationSanitizer] = None
         #: sampled federations only: the lazy virtual-cluster factory
         #: (created in :meth:`build` when ``config.population`` is set).
@@ -263,6 +272,8 @@ class ExperimentRunner:
         index: int,
         partitions: Optional[List[Dataset]] = None,
     ) -> List[Client]:
+        """A cluster's clients: each its partition, generator, optimizer and
+        DP mechanism — and all of them the run's one ``training_model``."""
         workload = self.config.workload
         client_config = ClientConfig(
             local_epochs=workload.local_epochs,
@@ -275,17 +286,15 @@ class ExperimentRunner:
         )
         if partitions is None:
             partitions = self.cluster_client_data[cluster.name]
-        clients = []
-        for j, partition in enumerate(partitions):
-            clients.append(
-                Client(
-                    client_id=f"{cluster.name}-client{j}",
-                    model=self.model_template.clone(),
-                    train_data=partition,
-                    config=client_config,
-                )
+        return [
+            Client(
+                client_id=f"{cluster.name}-client{j}",
+                model=self.training_model,
+                train_data=partition,
+                config=client_config,
             )
-        return clients
+            for j, partition in enumerate(partitions)
+        ]
 
     def _replica_names(self) -> List[str]:
         """The storage replica endpoint names the event-stream layout declares."""
@@ -401,6 +410,11 @@ class ExperimentRunner:
         substrates but materialise no clusters up front: a
         :class:`ClientPopulation` creates each round's cohort lazily, so
         peak memory is O(active cohort) instead of O(population).
+
+        Either way a cluster is built around the run-wide structures made in
+        ``__init__`` — ``evaluator``, ``decoded_models``, ``round_scorer``,
+        ``training_model`` — and owns none of its own: the only networks a
+        run holds are the evaluator's and the training one.
         """
         clusters = self.config.clusters
         if self.config.has_sampling:
@@ -491,7 +505,7 @@ class ExperimentRunner:
                 evaluator=self.evaluator,
             )
         attack = build_attack(cluster.attack) if cluster.malicious else None
-        return UnifyFLAggregator(
+        aggregator = UnifyFLAggregator(
             config=cluster,
             workload=self.config.workload,
             account=account,
@@ -511,6 +525,8 @@ class ExperimentRunner:
             evaluator=self.evaluator,
             decoded_models=self.decoded_models,
         )
+        aggregator.sanitizer = self.sanitizer
+        return aggregator
 
     def _materialise_virtual_cluster(self, index: int) -> UnifyFLAggregator:
         """Create virtual cluster ``index`` of a sampled population.

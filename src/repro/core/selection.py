@@ -115,6 +115,10 @@ class AggregationPolicy:
     """Select which candidate models participate in the cross-silo aggregation."""
 
     name = "aggregation-policy"
+    #: whether selection reads the candidates' scores: a policy that does is
+    #: only shown models at least one scorer has scored, and prefers a peer's
+    #: latest scored submission over a newer unscored one.
+    needs_scores = True
 
     def select(
         self,
@@ -134,6 +138,7 @@ class PickAll(AggregationPolicy):
     """Aggregate every available model (the paper's *All* policy)."""
 
     name = "all"
+    needs_scores = False
 
     def select(self, candidates, self_candidate=None, rng=None):
         chosen = list(candidates)
@@ -146,6 +151,7 @@ class PickSelf(AggregationPolicy):
     """Do not collaborate: keep only the local model (the paper's *Self* policy)."""
 
     name = "self"
+    needs_scores = False
 
     def select(self, candidates, self_candidate=None, rng=None):
         return [self_candidate] if self_candidate is not None else []
@@ -155,6 +161,7 @@ class RandomK(AggregationPolicy):
     """Randomly sample ``k`` of the available peer models."""
 
     name = "random_k"
+    needs_scores = False
 
     def __init__(self, k: int = 2):
         if k <= 0:

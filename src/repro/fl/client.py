@@ -6,10 +6,18 @@ and return the updated weights together with sample counts and metrics —
 exactly the Flower ``fit``/``evaluate`` contract the paper's clients follow
 (Section 3.4.5: "clients operate as standard Flower clients and remain
 unaffected by the changes made to the aggregators").
+
+That contract makes the network a client trains on scratch space: ``fit``
+opens by installing the global weights and closes by reading the trained ones
+out, so nothing in the network survives from one fit to the next.  What a
+client *owns* is its partition, its generator, its optimizer and its DP
+mechanism; the network may be its own or one that every client of a run takes
+turns on (:class:`~repro.core.runner.ExperimentRunner` hands out one).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -65,7 +73,12 @@ class FitResult:
 
 
 class Client:
-    """An FL client owning a private data partition and a local model copy."""
+    """An FL client: a private data partition and the state local training advances.
+
+    ``model`` is the network ``fit`` and ``evaluate`` run on.  Both install
+    the weights they are given first, so the same ``Model`` object may serve
+    any number of clients one after another; the client keeps no weights.
+    """
 
     def __init__(
         self,
@@ -105,9 +118,21 @@ class Client:
         """Size of this client's private training partition."""
         return len(self.train_data)
 
-    def get_weights(self) -> List[np.ndarray]:
-        """Current local model weights."""
-        return self.model.get_weights()
+    def private_twin(self, model: Model) -> "Client":
+        """This client as it stands now, on a network of its own.
+
+        The twin reads the same partitions and carries copies of everything
+        a fit advances — generator, optimizer state, DP mechanism — so its
+        next ``fit`` replays this client's next ``fit`` without touching it
+        (the sanitizer's oracle for a network shared between clients).
+        """
+        twin = copy.copy(self)
+        twin.model = model
+        # One deepcopy, so the twin's DP mechanism draws from the twin's generator.
+        twin._rng, twin._optimizer, twin._dp_mechanism = copy.deepcopy(
+            (self._rng, self._optimizer, self._dp_mechanism)
+        )
+        return twin
 
     def fit(self, global_weights: List[np.ndarray]) -> FitResult:
         """Install the global weights, train locally, and return the update."""

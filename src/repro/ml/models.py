@@ -15,6 +15,7 @@ substitution is recorded in DESIGN.md.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -148,9 +149,16 @@ class Model:
                 correct += int((logits.argmax(axis=1) == yb).sum())
         return total_loss / len(x), correct / len(x)
 
-    def clone(self, rng: Optional[np.random.Generator] = None) -> "Model":
-        """Create a structurally identical model carrying a copy of the weights."""
-        raise NotImplementedError("clone is provided by concrete model classes")
+    def clone(self) -> "Model":
+        """An independent copy of this model, a pure function of its source.
+
+        The copy carries its own parameter tensors and its own copy of every
+        layer's other state — a ``Dropout`` generator at the source's
+        position, ``BatchNorm1d`` running statistics — so two clones of one
+        model, trained on the same inputs, end on the same bytes, and no
+        random initialisation is drawn only to be overwritten.
+        """
+        return copy.deepcopy(self)
 
 
 class MLP(Model):
@@ -163,7 +171,6 @@ class MLP(Model):
         num_classes: int = 2,
         seed: Optional[int] = None,
     ):
-        self._config = dict(input_dim=input_dim, hidden_dims=tuple(hidden_dims), num_classes=num_classes)
         rng = np.random.default_rng(seed)
         layers: List[Layer] = []
         prev = input_dim
@@ -173,11 +180,6 @@ class MLP(Model):
             prev = hidden
         layers.append(Dense(prev, num_classes, rng=rng))
         super().__init__(Sequential(layers), num_classes, (input_dim,))
-
-    def clone(self, rng: Optional[np.random.Generator] = None) -> "MLP":
-        copy = MLP(**self._config)
-        copy.set_weights(self.get_weights())
-        return copy
 
 
 class SimpleCNN(Model):
@@ -197,13 +199,6 @@ class SimpleCNN(Model):
         hidden_dim: int = 64,
         seed: Optional[int] = None,
     ):
-        self._config = dict(
-            in_channels=in_channels,
-            image_size=image_size,
-            num_classes=num_classes,
-            conv_channels=tuple(conv_channels),
-            hidden_dim=hidden_dim,
-        )
         rng = np.random.default_rng(seed)
         c1, c2 = conv_channels
         after_pool1 = image_size // 2
@@ -225,11 +220,6 @@ class SimpleCNN(Model):
         ]
         super().__init__(Sequential(layers), num_classes, (in_channels, image_size, image_size))
 
-    def clone(self, rng: Optional[np.random.Generator] = None) -> "SimpleCNN":
-        copy = SimpleCNN(**self._config)
-        copy.set_weights(self.get_weights())
-        return copy
-
 
 class MiniVGG(Model):
     """A scaled-down VGG used in place of the paper's 138M-parameter VGG16.
@@ -249,14 +239,6 @@ class MiniVGG(Model):
         dropout: float = 0.0,
         seed: Optional[int] = None,
     ):
-        self._config = dict(
-            in_channels=in_channels,
-            image_size=image_size,
-            num_classes=num_classes,
-            base_channels=base_channels,
-            hidden_dim=hidden_dim,
-            dropout=dropout,
-        )
         rng = np.random.default_rng(seed)
         c1, c2 = base_channels, base_channels * 2
         after_block1 = image_size // 2
@@ -283,11 +265,6 @@ class MiniVGG(Model):
             layers.append(Dropout(dropout, rng=rng))
         layers.append(Dense(hidden_dim, num_classes, rng=rng))
         super().__init__(Sequential(layers), num_classes, (in_channels, image_size, image_size))
-
-    def clone(self, rng: Optional[np.random.Generator] = None) -> "MiniVGG":
-        copy = MiniVGG(**self._config)
-        copy.set_weights(self.get_weights())
-        return copy
 
 
 _MODEL_REGISTRY: Dict[str, Callable[..., Model]] = {

@@ -167,22 +167,24 @@ class TestExactCounters:
         assert len(computed) == evaluator.calls - evaluator.hits
         assert sorted(computed) == sorted(set(requested))
 
-    def test_a_virtual_cluster_builds_one_model_per_client(self, monkeypatch):
+    def test_a_virtual_cluster_builds_no_model(self, monkeypatch):
         runner = ExperimentRunner(sampled_config("sync"))
         runner.build()
         clones = []
-        clone = SimpleCNN.clone
+        clone = Model.clone
 
-        def counting_clone(self, *args, **kwargs):
+        def counting_clone(self):
             clones.append(self)
-            return clone(self, *args, **kwargs)
+            return clone(self)
 
-        monkeypatch.setattr(SimpleCNN, "clone", counting_clone)
+        monkeypatch.setattr(Model, "clone", counting_clone)
         index = next(
             i for i in range(runner.config.population) if i not in runner.population._by_index
         )
         aggregator = runner._materialise_virtual_cluster(index)
-        assert len(clones) == aggregator.config.num_clients == len(aggregator.clients)
+        assert clones == []
+        assert len(aggregator.clients) == aggregator.config.num_clients
+        assert all(client.model is runner.training_model for client in aggregator.clients)
 
     def test_runners_share_no_evaluator_state(self):
         first_runner = ExperimentRunner(sampled_config("sync"))

@@ -96,6 +96,21 @@ class TestCNNModels:
         with pytest.raises(ValueError):
             MiniVGG(image_size=2, num_classes=10)
 
+    def test_clones_of_a_dropout_model_train_alike(self, tiny_image_dataset):
+        # A clone is a function of its source: the copies' Dropout generators
+        # start where the source's stands, not on OS entropy.
+        train, _ = tiny_image_dataset
+        model = MiniVGG(image_size=8, num_classes=10, dropout=0.5, seed=0)
+        before = model.get_weights()
+        trained = []
+        for clone in (model.clone(), model.clone()):
+            clone.fit(train.x[:20], train.y[:20], epochs=2, batch_size=5, rng=np.random.default_rng(1))
+            trained.append(clone.get_weights())
+        assert all(np.array_equal(a, b) for a, b in zip(*trained))
+        assert not all(np.array_equal(a, b) for a, b in zip(before, trained[0]))
+        # The source did not move while its clones trained.
+        assert all(np.array_equal(a, b) for a, b in zip(before, model.get_weights()))
+
     def test_simple_cnn_rejects_tiny_images(self):
         with pytest.raises(ValueError):
             SimpleCNN(image_size=2, num_classes=10)
