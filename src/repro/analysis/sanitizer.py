@@ -3,7 +3,7 @@
 A race-detector analogue for the discrete-event engine.  When enabled
 (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``) one
 :class:`SimulationSanitizer` instance is threaded through the run and hooked
-into seven layers:
+into eight layers:
 
 * the **kernel** (:meth:`check_event`): no event may commit in the simulated
   past — the event queue's ``(time, priority, key, seq)`` total order must
@@ -29,7 +29,11 @@ into seven layers:
 * **local training** (:meth:`check_shared_training`, called after every
   ``Client.fit`` an aggregator issues on the run's one training network):
   the reported weights and metrics equal, byte for byte, those of the same
-  fit replayed on a fresh clone of the model template.
+  fit replayed on a fresh clone of the model template;
+* **block storage** (:meth:`check_block_verification`, called whenever a
+  :class:`~repro.ipfs.blockstore.BlockStore` accepts a block because the
+  swarm's table remembers that very ``bytes`` object as verified): hashing
+  the block now gives the CID it is stored or served under.
 
 Every hook is strictly read-only — it inspects public state and raises
 :class:`SanitizerViolation` on the first broken invariant.  A sanitized run
@@ -75,6 +79,7 @@ class SimulationSanitizer:
         self.checks: Dict[str, int] = {
             "event": 0, "reservation": 0, "fabric": 0, "evaluation": 0,
             "round_scores": 0, "decoded_model": 0, "shared_training": 0,
+            "block_verification": 0,
         }
         self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
 
@@ -283,6 +288,22 @@ class SimulationSanitizer:
                 f"network reports {', '.join(moved)} differing from the same "
                 "fit replayed on a private clone of the model template: the "
                 "network carried state over from an earlier fit"
+            )
+
+    # ------------------------------------------------------------ block storage
+    def check_block_verification(self, node: str, cid: Any, recomputed: Any) -> None:
+        """Assert a block accepted by identity still hashes to its CID.
+
+        Called by the swarm's verified-block table on every acceptance
+        without a hash, with the holder of the block, the CID it is stored
+        or served under and the CID its bytes hash to now.
+        """
+        self.checks["block_verification"] += 1
+        if recomputed != cid:
+            raise SanitizerViolation(
+                f"node '{node}' accepted a block as the verified content of "
+                f"{cid}, but its bytes hash to {recomputed}: the table entry "
+                "does not belong to that object"
             )
 
     # --------------------------------------------------------------- reporting

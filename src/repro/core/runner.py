@@ -192,8 +192,8 @@ class ExperimentRunner:
         self.fault_plan: Optional[FaultPlan] = None
         #: read-only invariant checker (``config.sanitize=True`` only),
         #: created in :meth:`build` and hooked into the kernel, the link
-        #: scheduler, the fabric, the run-wide memo tables and every
-        #: aggregator's client fits.
+        #: scheduler, the fabric, the run-wide memo tables, the swarm's
+        #: verified-block table and every aggregator's client fits.
         self.sanitizer: Optional[SimulationSanitizer] = None
         #: sampled federations only: the lazy virtual-cluster factory
         #: (created in :meth:`build` when ``config.population`` is set).
@@ -446,6 +446,7 @@ class ExperimentRunner:
             self.comm.network.scheduler.sanitizer = self.sanitizer
             self.evaluator.sanitizer = self.sanitizer
             self.decoded_models.sanitizer = self.sanitizer
+            self.swarm.verified_blocks.sanitizer = self.sanitizer
             if self.round_scorer is not None:
                 self.round_scorer.sanitizer = self.sanitizer
         # Chain-side emission hook: every sealed block feeds the chain

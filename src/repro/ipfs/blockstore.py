@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.ipfs.cid import CID, compute_cid
 
@@ -19,6 +19,12 @@ DEFAULT_CHUNK_SIZE = 256 * 1024  # IPFS's default 256 KiB chunker
 
 #: recently chunked payloads remembered per store (see BlockStore.put).
 _PUT_MEMO_CAPACITY = 16
+
+
+def encode_manifest(chunk_cids: Sequence[CID], total_size: int) -> bytes:
+    """Canonical encoding of a root object (what the root CID addresses)."""
+    body = ",".join(c.value for c in chunk_cids) + f"|{total_size}"
+    return body.encode("utf-8")
 
 
 @dataclass
@@ -31,17 +37,50 @@ class ChunkedObject:
 
     def manifest_bytes(self) -> bytes:
         """Canonical encoding of the root object (what the root CID addresses)."""
-        body = ",".join(c.value for c in self.chunk_cids) + f"|{self.total_size}"
-        return body.encode("utf-8")
+        return encode_manifest(self.chunk_cids, self.total_size)
+
+
+class VerifiedBlocks:
+    """Block CID -> the ``bytes`` object that was hashed and found equal to it.
+
+    ``bytes`` cannot be mutated, so "this object hashes to this CID" stays
+    true wherever the object is handed (a simulated transfer hands over the
+    same object): a stored or served block can only go bad by being
+    *replaced*, a replacement is a different object, and a different object
+    is always hashed.  One table serves every store of a swarm, so a block
+    published once and pulled by many peers is hashed once.  The table holds
+    references, never copies.
+    """
+
+    def __init__(self) -> None:
+        self.entries: Dict[CID, bytes] = {}
+        #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
+        #: when set, every acceptance by identity also re-hashes the block.
+        self.sanitizer: Optional[Any] = None
+
+    def accepts(self, cid: CID, chunk: bytes, holder: str) -> bool:
+        """Whether ``chunk``, held or received by ``holder``, hashes to ``cid``."""
+        if self.entries.get(cid) is chunk:
+            if self.sanitizer is not None:
+                self.sanitizer.check_block_verification(holder, cid, compute_cid(chunk))
+            return True
+        if not cid.verify(chunk):
+            return False
+        self.entries[cid] = chunk
+        return True
 
 
 class BlockStore:
     """Hash-addressed storage of raw blocks plus root manifests."""
 
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE):
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE, holder: str = "store"):
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
+        #: who holds this store, for messages (the node id under a node).
+        self.holder = holder
+        #: private until the store's node joins a swarm, then the swarm's.
+        self.verified = VerifiedBlocks()
         self._blocks: Dict[CID, bytes] = {}
         self._objects: Dict[CID, ChunkedObject] = {}
         #: content -> root object LRU: republishing an unchanged payload
@@ -64,7 +103,8 @@ class BlockStore:
             if cached.cid in self._objects:
                 return cached
             # Deleted since it was memoized: reinstall the blocks with the
-            # already-computed CIDs.
+            # already-computed CIDs.  The slices are new objects nobody
+            # hashed, so they enter no table and are hashed on first read.
             offsets = range(0, max(cached.total_size, 1), self.chunk_size)
             for cid, start in zip(cached.chunk_cids, offsets):
                 self._blocks[cid] = content[start : start + self.chunk_size]
@@ -74,10 +114,11 @@ class BlockStore:
         for start in range(0, max(len(content), 1), self.chunk_size):
             chunk = content[start : start + self.chunk_size]
             cid = compute_cid(chunk)
-            self._blocks[cid] = chunk
+            # Hashed just now; keep the object a peer already entered for
+            # equal content, so the two stores do not take turns re-hashing.
+            self._blocks[cid] = self.verified.entries.setdefault(cid, chunk)
             chunk_cids.append(cid)
-        provisional = ChunkedObject(cid=compute_cid(b""), chunk_cids=chunk_cids, total_size=len(content))
-        root_cid = compute_cid(provisional.manifest_bytes())
+        root_cid = compute_cid(encode_manifest(chunk_cids, len(content)))
         obj = ChunkedObject(cid=root_cid, chunk_cids=chunk_cids, total_size=len(content))
         self._objects[root_cid] = obj
         self._put_memo[content] = obj
@@ -86,11 +127,24 @@ class BlockStore:
         return obj
 
     def put_object(self, obj: ChunkedObject, blocks: Dict[CID, bytes]) -> None:
-        """Install a chunked object replicated from another node."""
-        for cid, chunk in blocks.items():
-            if not cid.verify(chunk):
-                raise ValueError(f"block content does not match its CID {cid}")
-            self._blocks[cid] = chunk
+        """Install a chunked object replicated from another node.
+
+        All or nothing: every linked block is verified before any is stored.
+
+        Raises:
+            ValueError: when a block is missing, does not match its CID, or
+                the blocks do not add up to the object's size.
+        """
+        size = 0
+        for cid in obj.chunk_cids:
+            chunk = blocks.get(cid)
+            if chunk is None or not self.verified.accepts(cid, chunk, self.holder):
+                raise ValueError(f"block {cid} is missing or does not match its CID")
+            size += len(chunk)
+        if size != obj.total_size:
+            raise ValueError(f"blocks of {obj.cid} hold {size} bytes, not {obj.total_size}")
+        for cid in obj.chunk_cids:
+            self._blocks[cid] = blocks[cid]
         self._objects[obj.cid] = obj
 
     # -- reads ----------------------------------------------------------------
@@ -110,7 +164,7 @@ class BlockStore:
         parts: List[bytes] = []
         for chunk_cid in obj.chunk_cids:
             chunk = self._blocks.get(chunk_cid)
-            if chunk is None or not chunk_cid.verify(chunk):
+            if chunk is None or not self.verified.accepts(chunk_cid, chunk, self.holder):
                 return None
             parts.append(chunk)
         payload = b"".join(parts)
@@ -137,6 +191,7 @@ class BlockStore:
         for chunk_cid in obj.chunk_cids:
             if chunk_cid not in still_referenced:
                 self._blocks.pop(chunk_cid, None)
+                self.verified.entries.pop(chunk_cid, None)
         return True
 
     @property

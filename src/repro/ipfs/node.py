@@ -37,7 +37,7 @@ class IPFSNode:
         if not node_id:
             raise ValueError("node_id must be non-empty")
         self.node_id = node_id
-        self.store = BlockStore(chunk_size=chunk_size)
+        self.store = BlockStore(chunk_size=chunk_size, holder=node_id)
         self.pinned: Set[CID] = set()
         self.stats = NodeStats()
         self._swarm = None  # set when the node joins a swarm

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.ipfs.blockstore import VerifiedBlocks
 from repro.ipfs.cid import CID
 from repro.ipfs.node import IPFSError, IPFSNode
 
@@ -27,6 +28,11 @@ class IPFSSwarm:
     the role the Kademlia DHT plays in real IPFS.  ``fetch`` resolves a CID to
     a provider, transfers the blocks to the requesting node, verifies them
     against their hashes, and records the transfer for the overhead study.
+
+    Verification is remembered per ``bytes`` object in ``verified_blocks``,
+    the one table every member's store consults: a block is hashed when it
+    first enters the swarm, not again by every node that receives or reads
+    that same object.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
@@ -34,6 +40,7 @@ class IPFSSwarm:
         self._providers: Dict[CID, Set[str]] = {}
         self._clock = clock or (lambda: 0.0)
         self.transfers: List[TransferRecord] = []
+        self.verified_blocks = VerifiedBlocks()
 
     # -- membership -------------------------------------------------------------
     def add_node(self, node: IPFSNode) -> IPFSNode:
@@ -42,6 +49,8 @@ class IPFSSwarm:
             raise IPFSError(f"a node with id '{node.node_id}' is already in the swarm")
         self._nodes[node.node_id] = node
         node.join(self)
+        self.verified_blocks.entries.update(node.store.verified.entries)
+        node.store.verified = self.verified_blocks
         for cid in node.store.object_cids():
             self.announce_provider(cid, node.node_id)
         return node
@@ -82,8 +91,10 @@ class IPFSSwarm:
     def fetch(self, cid: CID, requester_id: str) -> bytes:
         """Transfer a CID's content to the requesting node and return it.
 
+        A provider whose blocks do not verify is passed over for the next.
+
         Raises:
-            IPFSError: when no provider holds the content or verification fails.
+            IPFSError: when no provider serves valid content for the CID.
         """
         requester = self.node(requester_id)
         for provider_id in self.providers(cid):
@@ -93,10 +104,12 @@ class IPFSSwarm:
             if provider is None or not provider.has_local(cid):
                 continue
             obj, blocks = provider._serve_blocks(cid)
-            requester._receive_blocks(obj, blocks)
+            try:
+                requester._receive_blocks(obj, blocks)
+            except ValueError:
+                continue  # nothing was installed: try the next provider
             payload = requester.store.get(cid)
-            if payload is None:
-                raise IPFSError(f"verification failed after transferring {cid}")
+            assert payload is not None  # installed whole and verified just above
             self.announce_provider(cid, requester_id)
             self.transfers.append(
                 TransferRecord(
@@ -108,7 +121,7 @@ class IPFSSwarm:
                 )
             )
             return payload
-        raise IPFSError(f"no provider in the swarm holds {cid}")
+        raise IPFSError(f"no provider in the swarm serves valid content for {cid}")
 
     # -- aggregate statistics -----------------------------------------------------
     def total_stored_bytes(self) -> int:

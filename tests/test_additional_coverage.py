@@ -20,7 +20,6 @@ from repro.core.orchestrator import Orchestrator
 from repro.core.runner import ExperimentRunner, run_experiment
 from repro.core.scorer import MultiKRUMScorer
 from repro.core.timing import ClusterTimingModel
-from repro.ipfs.cid import parse_cid
 from repro.sched.policies import SyncRoundPolicy
 
 
@@ -140,35 +139,6 @@ class TestChainUnderSustainedLoad:
         long = run_experiment(tiny_config("gas-long", rounds=3))
         assert long.chain_metrics["total_gas_used"] > short.chain_metrics["total_gas_used"]
         assert long.chain_metrics["blocks_mined"] > short.chain_metrics["blocks_mined"]
-
-
-class TestStorageLifecycle:
-    def test_models_replicated_and_garbage_collectable(self):
-        runner = ExperimentRunner(tiny_config("storage-gc", rounds=2))
-        runner.run()
-        records = runner.chain.call("unifyfl", "getLatestModelsWithScores")
-        assert records
-        # Unpin and GC everything on one node; its local store shrinks while the
-        # swarm still serves the content from the other organisations' nodes.
-        node = runner.aggregators[0].ipfs
-        before = node.stored_bytes
-        for cid in list(node.pinned):
-            node.unpin(cid)
-        removed = node.garbage_collect()
-        assert removed
-        assert node.stored_bytes < before
-        some_cid = parse_cid(records[0]["cid"])
-        payload = runner.aggregators[1].ipfs.get(some_cid)
-        assert payload  # still retrievable from the rest of the swarm
-
-    def test_every_submitted_cid_is_resolvable_by_every_org(self):
-        runner = ExperimentRunner(tiny_config("storage-resolve", rounds=2))
-        runner.run()
-        records = runner.chain.call("unifyfl", "getLatestModelsWithScores")
-        for record in records[:3]:
-            cid = parse_cid(record["cid"])
-            for aggregator in runner.aggregators:
-                assert aggregator.ipfs.get(cid)
 
 
 class TestContractInterleavingInvariants:

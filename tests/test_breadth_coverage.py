@@ -12,7 +12,6 @@ from repro.cli import build_parser
 from repro.core.config import ClusterConfig, ExperimentConfig, cifar10_workload, edge_cluster_configs
 from repro.core.results import format_comparison, format_run_table
 from repro.core.runner import ExperimentRunner, run_experiment
-from repro.ipfs.cid import compute_cid
 
 
 def small_experiment(name, clusters=None, **overrides):
@@ -102,25 +101,6 @@ class TestResultFormattingDetails:
     def test_aggregator_lookup_is_case_sensitive(self, result):
         with pytest.raises(KeyError):
             result.aggregator("AGG1")
-
-
-class TestSwarmProviderRecords:
-    def test_provider_records_track_replication(self, ipfs_swarm):
-        a = ipfs_swarm.node("node-a")
-        b = ipfs_swarm.node("node-b")
-        cid = a.add(b"replicate")
-        assert ipfs_swarm.providers(cid) == ["node-a"]
-        b.get(cid)
-        assert set(ipfs_swarm.providers(cid)) == {"node-a", "node-b"}
-
-    def test_unknown_cid_has_no_providers(self, ipfs_swarm):
-        assert ipfs_swarm.providers(compute_cid(b"never added")) == []
-
-    def test_withdraw_provider_removes_record(self, ipfs_swarm):
-        a = ipfs_swarm.node("node-a")
-        cid = a.add(b"short lived", pin=False)
-        a.garbage_collect()
-        assert ipfs_swarm.providers(cid) == []
 
 
 class TestCLIParser:
