@@ -30,7 +30,6 @@ each costs its wire time / ``n * TX + block_period`` and nothing queues.
 
 from __future__ import annotations
 
-import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -254,23 +253,17 @@ class UnifyFLAggregator:
                 continue
             if (record["round"], record["timestamp"]) > (existing["round"], existing["timestamp"]):
                 latest[record["submitter"]] = record
-        # Candidates are kept CID-sorted incrementally — each one drops into
-        # its slot via a bisect on the parallel key list — instead of a full
-        # re-sort of the list on every merge call.  Equal CIDs stay in
-        # insertion order, matching what a stable sort produced.
-        candidates: List[CandidateModel] = []
-        cids: List[str] = []
-        for record in latest.values():
-            candidate = CandidateModel(
+        candidates = [
+            CandidateModel(
                 cid=record["cid"],
                 submitter=record["submitter"],
                 round_number=record["round"],
                 scores=dict(record["scores"]),
             )
-            index = bisect.bisect_right(cids, candidate.cid)
-            cids.insert(index, candidate.cid)
-            candidates.insert(index, candidate)
-        return candidates
+            for record in latest.values()
+        ]
+        # Stable: equal CIDs stay in submitter insertion order.
+        return sorted(candidates, key=lambda candidate: candidate.cid)
 
     def fetch_weights(self, cid: str) -> Weights:
         """Retrieve and deserialize a model from the storage swarm.

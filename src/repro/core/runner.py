@@ -106,10 +106,6 @@ class ClientPopulation:
         """Number of distinct virtual clusters built so far."""
         return len(self._by_index)
 
-    def cohort_indices(self, round_number: int) -> Tuple[int, ...]:
-        """The virtual-cluster indices drawn for a round (no materialisation)."""
-        return self.sampler.cohort(round_number)
-
     def round_aggregators(self, round_number: int) -> List[UnifyFLAggregator]:
         """The round's cohort as live aggregators, materialising on demand."""
         cached = self._rounds.get(round_number)

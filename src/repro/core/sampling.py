@@ -22,7 +22,7 @@ churn Bernoulli draws by a single variate.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,9 +34,10 @@ _COHORT_STREAM = 0x5A
 class ClientSampler:
     """Seeded per-round cohort draw over a virtual population.
 
-    Cohorts are drawn without replacement, returned as sorted virtual
-    indices, and memoised per round: asking for round 3 before round 1
-    yields exactly the same cohorts as the natural order.
+    Cohorts are drawn without replacement and returned as sorted virtual
+    indices.  Each draw seeds its own generator from ``(seed, stream,
+    round)``, so asking for round 3 before round 1 yields exactly the same
+    cohorts as the natural order.
     """
 
     def __init__(self, population: int, cohort_size: int, seed: int):
@@ -47,17 +48,11 @@ class ClientSampler:
         self.population = population
         self.cohort_size = cohort_size
         self.seed = seed
-        self._memo: Dict[int, Tuple[int, ...]] = {}
 
     def cohort(self, round_number: int) -> Tuple[int, ...]:
         """Sorted virtual-cluster indices participating in ``round_number``."""
         if round_number < 1:
             raise ValueError("round_number must be at least 1")
-        cached = self._memo.get(round_number)
-        if cached is not None:
-            return cached
         rng = np.random.default_rng([self.seed, _COHORT_STREAM, round_number])
         drawn = rng.choice(self.population, size=self.cohort_size, replace=False)
-        indices = tuple(int(i) for i in np.sort(drawn))
-        self._memo[round_number] = indices
-        return indices
+        return tuple(int(i) for i in np.sort(drawn))

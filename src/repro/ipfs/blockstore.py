@@ -9,16 +9,12 @@ makes retrieval latency proportional to model size in the timing model).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.ipfs.cid import CID, compute_cid
 
 DEFAULT_CHUNK_SIZE = 256 * 1024  # IPFS's default 256 KiB chunker
-
-#: recently chunked payloads remembered per store (see BlockStore.put).
-_PUT_MEMO_CAPACITY = 16
 
 
 def encode_manifest(chunk_cids: Sequence[CID], total_size: int) -> bytes:
@@ -83,33 +79,14 @@ class BlockStore:
         self.verified = VerifiedBlocks()
         self._blocks: Dict[CID, bytes] = {}
         self._objects: Dict[CID, ChunkedObject] = {}
-        #: content -> root object LRU: republishing an unchanged payload
-        #: (stale global re-upload, gossip re-offer) skips re-chunking and
-        #: re-hashing.  Python caches a bytes object's hash, so a repeat
-        #: lookup with the same object is one dict probe.
-        self._put_memo: "OrderedDict[bytes, ChunkedObject]" = OrderedDict()
 
     # -- writes ---------------------------------------------------------------
     def put(self, content: bytes) -> ChunkedObject:
         """Chunk a payload, store every block, and return the root object.
 
-        Content-memoized: a payload put before returns its remembered root
-        object without re-chunking (re-installing the blocks only if the
-        object was deleted in between).
+        Every block is hashed on the way in, so whatever ``_blocks`` holds
+        was hashed by this store or accepted from the swarm's table.
         """
-        cached = self._put_memo.get(content)
-        if cached is not None:
-            self._put_memo.move_to_end(content)
-            if cached.cid in self._objects:
-                return cached
-            # Deleted since it was memoized: reinstall the blocks with the
-            # already-computed CIDs.  The slices are new objects nobody
-            # hashed, so they enter no table and are hashed on first read.
-            offsets = range(0, max(cached.total_size, 1), self.chunk_size)
-            for cid, start in zip(cached.chunk_cids, offsets):
-                self._blocks[cid] = content[start : start + self.chunk_size]
-            self._objects[cached.cid] = cached
-            return cached
         chunk_cids: List[CID] = []
         for start in range(0, max(len(content), 1), self.chunk_size):
             chunk = content[start : start + self.chunk_size]
@@ -121,9 +98,6 @@ class BlockStore:
         root_cid = compute_cid(encode_manifest(chunk_cids, len(content)))
         obj = ChunkedObject(cid=root_cid, chunk_cids=chunk_cids, total_size=len(content))
         self._objects[root_cid] = obj
-        self._put_memo[content] = obj
-        if len(self._put_memo) > _PUT_MEMO_CAPACITY:
-            self._put_memo.popitem(last=False)
         return obj
 
     def put_object(self, obj: ChunkedObject, blocks: Dict[CID, bytes]) -> None:

@@ -8,17 +8,10 @@ dtype, shape and raw bytes.  ``weights_checksum`` gives the stable digest the
 orchestrator and tests use to assert that every aggregator retrieved an
 identical model.
 
-Serialization is memoized by content: aggregators republish unchanged models
-round after round (a straggler's stale global, gossip re-offers, checksum
-probes next to uploads), so ``weights_to_bytes`` / ``weights_checksum`` key a
-small LRU on :func:`weights_fingerprint` — a digest over the tensors' dtypes,
-shapes and raw buffers — and hand back the cached payload instead of packing
-the same megabytes again.  The payload for a given fingerprint is unique, so
-the memo can never change a byte of output.
-
-Deserialization is shared by content address instead: a run's
-:class:`DecodedModels` table holds the one decoded copy of each CID for as
-long as some aggregator still holds it.
+Serialization packs on every call: a round's model is a new model, so no
+workload serializes the same weights twice.  Deserialization is shared by
+content address: a run's :class:`DecodedModels` table holds the one decoded
+copy of each CID for as long as some aggregator still holds it.
 """
 
 from __future__ import annotations
@@ -28,19 +21,12 @@ import hashlib
 import math
 import struct
 import weakref
-from collections import OrderedDict
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 _MAGIC = b"UFLW"
 _VERSION = 1
-
-#: fingerprint -> [payload, checksum-or-None] memo; bounded so long gossip
-#: runs with high model churn stay O(recent models) in memory.  The checksum
-#: slot fills lazily on the first ``weights_checksum`` for that content.
-_MEMO_CAPACITY = 16
-_memo: "OrderedDict[str, List]" = OrderedDict()
 
 _DTYPE_CODES = {
     "float64": 0,
@@ -87,7 +73,8 @@ def _fingerprint_dtype(dtype: np.dtype) -> Tuple[bytes, bool]:
     return b"float64", True
 
 
-def _serialize(weights: Sequence[np.ndarray]) -> bytes:
+def weights_to_bytes(weights: Sequence[np.ndarray]) -> bytes:
+    """Serialize a list of numpy arrays to a compact binary payload."""
     parts: List[bytes] = [_MAGIC, struct.pack("<BI", _VERSION, len(weights))]
     for tensor in weights:
         arr = np.ascontiguousarray(tensor)
@@ -101,34 +88,6 @@ def _serialize(weights: Sequence[np.ndarray]) -> bytes:
         parts.append(struct.pack("<Q", len(raw)))
         parts.append(raw)
     return b"".join(parts)
-
-
-def _memo_entry(weights: Sequence[np.ndarray]) -> List:
-    """The ``[payload, checksum-or-None]`` memo slot for ``weights``."""
-    fingerprint = weights_fingerprint(weights)
-    entry = _memo.get(fingerprint)
-    if entry is not None:
-        _memo.move_to_end(fingerprint)
-        return entry
-    entry = [_serialize(weights), None]
-    _memo[fingerprint] = entry
-    if len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
-    return entry
-
-
-def clear_serialization_memo() -> None:
-    """Drop every memoized payload (test isolation hook)."""
-    _memo.clear()
-
-
-def weights_to_bytes(weights: Sequence[np.ndarray]) -> bytes:
-    """Serialize a list of numpy arrays to a compact binary payload.
-
-    Content-memoized: re-serializing an unchanged model (same dtypes, shapes
-    and bytes) returns the cached payload after one fingerprint pass.
-    """
-    return _memo_entry(weights)[0]
 
 
 def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
@@ -233,13 +192,5 @@ class DecodedModels:
 
 
 def weights_checksum(weights: Sequence[np.ndarray]) -> str:
-    """Hex SHA-256 digest of the serialized weights (stable across processes).
-
-    Shares the serialization memo with :func:`weights_to_bytes`: a checksum
-    probe next to an upload of the same model hashes the payload once and
-    reuses it afterwards.
-    """
-    entry = _memo_entry(weights)
-    if entry[1] is None:
-        entry[1] = hashlib.sha256(entry[0]).hexdigest()
-    return entry[1]
+    """Hex SHA-256 digest of the serialized weights (stable across processes)."""
+    return hashlib.sha256(weights_to_bytes(weights)).hexdigest()

@@ -92,12 +92,15 @@ def _peak_rss_kb() -> int:
 
 # --------------------------------------------------------------- sched_800
 def _sched_workload(scheduler, clusters: int, rounds: int, replicas: List[str]) -> int:
-    """Replay the sync-mode scheduler storm; returns the event count.
+    """Replay a synthetic scheduler storm; returns the event count.
 
-    Mirrors what :class:`~repro.sched.actors.NetworkActor` and the sync
-    straggler decision do per round: every cluster scores each replica by
-    outstanding backlog + wire time, estimates its submission on the winner,
-    then commits the upload and reads the running totals.
+    Every cluster scores each replica by outstanding backlog + wire time
+    (what :class:`~repro.sched.actors.NetworkActor` does), then estimates and
+    commits an upload to the winner and reads the running totals.  That is
+    not a run's traffic: in a run only an in-window *sync* submission is
+    estimated and then uploaded at the same clock, and pulls — which are
+    never estimated — make up 97 % or more of the placements; here every
+    transfer is such a pair and there are no pulls.
     """
     capacity = {r: scheduler.capacity(r) for r in replicas}
     num_bytes = 25_000_000  # a ~25 MB model update

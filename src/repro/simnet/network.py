@@ -168,18 +168,14 @@ class LinkScheduler:
     ``NetworkModel.transfer_time`` — enabling contention never makes an
     isolated transfer slower, it only delays transfers that overlap.
 
-    Hot-path design (the sync straggler decision calls an estimate per
-    cluster per round, so planning dominates event-stream runs):
+    Hot-path design (every upload, pull and replication push is a placement,
+    and least-loaded selection probes every replica's backlog first):
 
-    * Placement queries are *memoized per commit epoch*: repeated
-      ``estimate`` / ``preview`` calls with the same arguments between two
-      commits return the cached plan, and a ``transfer`` that follows a
-      preview with identical arguments commits the already-computed plan
-      instead of re-planning (the single-pass plan-and-commit path).
-    * The saturation sweep of a capacity > 1 endpoint is cached per endpoint
-      behind a dirty flag: only a commit placed *into* that endpoint's
-      existing schedule invalidates it, so an estimate storm between commits
-      pays one sweep, not one per call.
+    * A request at or past everything committed on its endpoints (the common
+      causal case) starts when requested: one ``_max_end`` comparison per
+      endpoint, no sweep and no bisect.
+    * The saturation sweep of a capacity > 1 endpoint walks boundaries that
+      ``_commit`` keeps sorted, so a placement never re-sorts the history.
     * The backlog index behind :meth:`outstanding_backlog` is never rebuilt:
       ``_commit`` keeps a running max of interval ends beside the sorted
       timeline (O(1) on an append, a short forward fix-up on a mid-timeline
@@ -192,13 +188,10 @@ class LinkScheduler:
     * ``total_queued_time`` / ``total_wire_time`` are running counters
       updated at commit time (accumulated in log order, so they stay
       bit-identical to summing the log), never O(log-length) scans.
-    * A commit whose reservation starts at or after everything already
-      committed on the endpoint (the common causal case) appends to the
-      timeline and cannot create a new saturated region, so the cached
-      sweep stays valid.
 
-    Every cache is an *acceleration* only: placements, queued-time and
-    totals are bit-identical to the naive from-scratch recomputation, which
+    These maintained structures are *accelerations* only: placements,
+    queued-time and totals are bit-identical to the naive from-scratch
+    recomputation, which
     :class:`repro.simnet.reference.ReferenceLinkScheduler` keeps alive as
     the property-test oracle.
 
@@ -227,26 +220,17 @@ class LinkScheduler:
         self._boundaries: Dict[str, List[Tuple[float, int]]] = {}
         #: committed transfers, in request order (the transfer event log).
         self.log: List[ScheduledTransfer] = []
-        #: commit epoch: bumped by every mutation (transfer / set_capacity);
-        #: exposed so callers can key their own memoization on it.
-        self.epoch = 0
         self._queued_total = 0.0
         self._wire_total = 0.0
         #: latest committed finish time per endpoint (0.0 when idle) — the
         #: O(1) "is this placement past the whole timeline?" fast path.
         self._max_end: Dict[str, float] = {}
-        #: merged saturated intervals per capacity>1 endpoint (dirty-flagged:
-        #: absent means recompute on next use).
-        self._saturated_cache: Dict[str, List[Tuple[float, float]]] = {}
         #: per-endpoint ``(prefix_max_end, tail_sums)`` behind
         #: outstanding_backlog, both maintained by ``_commit``:
         #: ``prefix_max_end[i]`` is the latest end among ``_busy[:i + 1]``;
         #: ``tail_sums[k]`` is the summed duration of the newest ``k + 1``
         #: intervals, added newest-first, grown on demand by probes.
         self._backlog_index: Dict[str, Tuple[List[float], List[float]]] = {}
-        #: placement memo for the current epoch, keyed by
-        #: ``(source, destination, num_bytes, at, floor)``.
-        self._plan_cache: Dict[Tuple[str, str, int, float, float], ScheduledTransfer] = {}
         #: fault-injected downtime windows per endpoint (merged, sorted);
         #: empty dict on the happy path so planning never pays for faults.
         self._outages: Dict[str, List[Tuple[float, float]]] = {}
@@ -276,14 +260,10 @@ class LinkScheduler:
             self._outages[endpoint] = merged
         else:
             self._outages.pop(endpoint, None)
-        self._plan_cache.clear()
-        self.epoch += 1
 
     def set_site(self, endpoint: str, site: str) -> None:
         """Map ``endpoint`` onto a site label for partition lookups."""
         self._sites[endpoint] = site
-        self._plan_cache.clear()
-        self.epoch += 1
 
     def set_partition(self, site_a: str, site_b: str, windows: List[Tuple[float, float]]) -> None:
         """Declare severed-WAN windows between two sites (order-insensitive).
@@ -300,8 +280,6 @@ class LinkScheduler:
             self._partitions[key] = merged
         else:
             self._partitions.pop(key, None)
-        self._plan_cache.clear()
-        self.epoch += 1
 
     def outage_windows(self, endpoint: str) -> List[Tuple[float, float]]:
         """The declared downtime windows of one endpoint."""
@@ -374,11 +352,6 @@ class LinkScheduler:
             self._boundaries[endpoint] = boundaries
         else:
             self._boundaries.pop(endpoint, None)
-        # A capacity change redraws the endpoint's saturation picture and
-        # stales every memoized placement.
-        self._saturated_cache.pop(endpoint, None)
-        self._plan_cache.clear()
-        self.epoch += 1
 
     def capacity(self, endpoint: str) -> float:
         """Parallel capacity of one endpoint (1 unless raised; ``inf`` when unbounded)."""
@@ -438,9 +411,7 @@ class LinkScheduler:
         (capacity-1 placement stays bit-identical to the pre-capacity
         scheduler).  For ``c > 1`` a sweep over the incrementally-maintained
         reservation boundaries finds the regions with ``>= c`` concurrent
-        transfers — only those block a new reservation.  The sweep result is
-        cached per endpoint; commits that merely extend the timeline keep it
-        valid, anything else drops it.
+        transfers — only those block a new reservation.
         """
         intervals = self._busy.get(endpoint)
         if not intervals or self.unbounded:
@@ -448,9 +419,6 @@ class LinkScheduler:
         cap = self.capacity(endpoint)
         if cap == 1:
             return intervals
-        cached = self._saturated_cache.get(endpoint)
-        if cached is not None:
-            return cached
         # Sorted with the -1 before the +1 at equal times: a reservation
         # ending exactly when another starts never saturates the instant
         # between them.
@@ -466,7 +434,6 @@ class LinkScheduler:
                 if time > block_start:
                     saturated.append((block_start, time))
                 block_start = None
-        self._saturated_cache[endpoint] = saturated
         return saturated
 
     @staticmethod
@@ -535,19 +502,12 @@ class LinkScheduler:
         earliest_start: Optional[float] = None,
     ) -> ScheduledTransfer:
         floor = at if earliest_start is None else max(at, earliest_start)
-        # Placements are pure functions of the committed schedule, so a repeat
-        # query between two commits (the sync straggler loop estimates every
-        # cluster, then commits the winner) returns the memoized plan.
-        key = (source, destination, num_bytes, at, floor)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
         duration = self.network.transfer_time(source, destination, num_bytes)
         endpoints = [source] if source == destination else [source, destination]
         start = self._earliest_start(
             endpoints, floor, duration, self._fault_windows(source, destination)
         )
-        scheduled = ScheduledTransfer(
+        return ScheduledTransfer(
             source=source,
             destination=destination,
             num_bytes=num_bytes,
@@ -555,8 +515,6 @@ class LinkScheduler:
             started_at=start,
             finished_at=start + duration,
         )
-        self._plan_cache[key] = scheduled
-        return scheduled
 
     def preview(
         self,
@@ -611,12 +569,7 @@ class LinkScheduler:
         at: float,
         earliest_start: Optional[float] = None,
     ) -> ScheduledTransfer:
-        """Single-pass plan + commit.
-
-        Reuses the placement memoized by a preceding ``preview`` /
-        ``estimate`` with the same arguments at the current epoch — the
-        estimate-then-commit pattern every actor follows plans exactly once.
-        """
+        """Plan a placement and commit it."""
         scheduled = self._plan(source, destination, num_bytes, at, earliest_start)
         self._commit(scheduled)
         return scheduled
@@ -650,22 +603,13 @@ class LinkScheduler:
             if boundaries is not None:
                 bisect.insort(boundaries, (scheduled.started_at, 1))
                 bisect.insort(boundaries, (scheduled.finished_at, -1))
-            previous_end = self._max_end.get(endpoint, 0.0)
-            if scheduled.finished_at > previous_end:
+            if scheduled.finished_at > self._max_end.get(endpoint, 0.0):
                 self._max_end[endpoint] = scheduled.finished_at
-            # A reservation starting at or after everything already committed
-            # on the endpoint only extends the timeline — it cannot raise
-            # concurrency anywhere, so the cached saturation sweep survives.
-            # Anything placed into the existing schedule drops it.
-            if self.capacity(endpoint) > 1 and scheduled.started_at < previous_end:
-                self._saturated_cache.pop(endpoint, None)
         self.log.append(scheduled)
         # Accumulated in log-append order, so the running totals stay
         # bit-identical to summing the log.
         self._queued_total += scheduled.queued_time
         self._wire_total += scheduled.duration
-        self._plan_cache.clear()
-        self.epoch += 1
         if self.sanitizer is not None:
             self.sanitizer.check_reservation(self, scheduled)
 

@@ -1,14 +1,15 @@
 """From-scratch reference scheduler: the oracle behind the fast one.
 
 :class:`ReferenceLinkScheduler` recomputes every placement query from the
-committed reservations alone — no saturation cache, no backlog index, no
-plan memo, no running totals, no tail fast path.  It is the pre-acceleration
-behaviour kept alive for two jobs:
+committed reservations alone — no backlog index, no running totals, no tail
+fast path; everything else (the saturation sweep, fault windows, ``_plan``)
+it inherits.  It is the pre-acceleration behaviour kept alive for two jobs:
 
 * the property test (``tests/test_link_scheduler_equivalence.py``) drives
   randomized workloads through both schedulers and asserts bit-identical
-  placements and totals, so every cache in :class:`~repro.simnet.network.
-  LinkScheduler` stays an acceleration rather than a semantic change;
+  placements and totals, so every maintained structure in
+  :class:`~repro.simnet.network.LinkScheduler` stays an acceleration rather
+  than a semantic change;
 * the perf harness (``repro bench``) replays the same workload through both
   and reports the measured speedup, pinning the trajectory in
   ``BENCH_sched.json``.
@@ -25,7 +26,7 @@ import bisect
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
-from .network import LinkScheduler, ScheduledTransfer
+from .network import LinkScheduler
 
 
 class ReferenceLinkScheduler(LinkScheduler):
@@ -50,64 +51,28 @@ class ReferenceLinkScheduler(LinkScheduler):
                 total += end - at
         return total
 
-    def _saturated_intervals(self, endpoint: str) -> List[Tuple[float, float]]:
-        """The capacity sweep, rerun on every call."""
-        intervals = self._busy.get(endpoint)
-        if not intervals:
-            return []
-        cap = self.capacity(endpoint)
-        if cap == 1:
-            return intervals
-        boundaries = self._boundaries[endpoint]
-        saturated: List[Tuple[float, float]] = []
-        active = 0
-        block_start: Optional[float] = None
-        for time, delta in boundaries:
-            active += delta
-            if active >= cap and block_start is None:
-                block_start = time
-            elif active < cap and block_start is not None:
-                if time > block_start:
-                    saturated.append((block_start, time))
-                block_start = None
-        return saturated
-
-    def _earliest_start(self, endpoints: List[str], at: float, duration: float) -> float:
+    def _earliest_start(
+        self,
+        endpoints: List[str],
+        at: float,
+        duration: float,
+        fault_windows: Optional[List[Tuple[float, float]]] = None,
+    ) -> float:
         """The jump loop without the past-the-timeline fast path."""
-        blocked = {endpoint: self._saturated_intervals(endpoint) for endpoint in endpoints}
+        blocked = [self._saturated_intervals(endpoint) for endpoint in endpoints]
+        if fault_windows is not None:
+            blocked.append(fault_windows)
         start = at
         moved = True
         while moved:
             moved = False
-            for endpoint in endpoints:
-                conflict_end = self._conflict_end(blocked[endpoint], start, duration)
+            for intervals in blocked:
+                conflict_end = self._conflict_end(intervals, start, duration)
                 if conflict_end is not None:
                     start = conflict_end
                     moved = True
                     break
         return start
-
-    def _plan(
-        self,
-        source: str,
-        destination: str,
-        num_bytes: int,
-        at: float,
-        earliest_start: Optional[float] = None,
-    ) -> ScheduledTransfer:
-        """Every query replans from scratch — no per-epoch memo."""
-        duration = self.network.transfer_time(source, destination, num_bytes)
-        endpoints = [source] if source == destination else [source, destination]
-        floor = at if earliest_start is None else max(at, earliest_start)
-        start = self._earliest_start(endpoints, floor, duration)
-        return ScheduledTransfer(
-            source=source,
-            destination=destination,
-            num_bytes=num_bytes,
-            requested_at=at,
-            started_at=start,
-            finished_at=start + duration,
-        )
 
     @property
     def total_queued_time(self) -> float:

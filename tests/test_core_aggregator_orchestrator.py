@@ -165,6 +165,20 @@ class TestAggregatorUnit:
         # The merged model is no longer identical to agg0's own local model.
         assert not weights_allclose(aggregators[0].global_weights, aggregators[0].local_weights)
 
+    def test_pull_candidates_are_cid_sorted_with_ties_in_contract_order(self, monkeypatch):
+        # The contract refuses a CID twice, so the records are handed over
+        # directly: three submitters, the first and the last with one CID.
+        chain, driver, aggregators, timing, _ = build_federation(mode="async")
+        records = [
+            {"cid": cid, "submitter": submitter, "round": 1, "timestamp": stamp, "scores": {}}
+            for cid, submitter, stamp in [("Qm-m", "0xc", 1.0), ("Qm-a", "0xb", 2.0), ("Qm-m", "0xa", 3.0)]
+        ]
+        monkeypatch.setattr(chain, "call", lambda *args, **kwargs: records)
+        candidates = aggregators[0].pull_candidates()
+        assert [(c.cid, c.submitter) for c in candidates] == [
+            ("Qm-a", "0xb"), ("Qm-m", "0xc"), ("Qm-m", "0xa"),
+        ]
+
     def test_local_training_round_changes_local_weights(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
         aggregator = aggregators[0]

@@ -220,6 +220,26 @@ class TestBlockStore:
         assert store.get(obj.cid) == payload
 
 
+class TestBlockStoreRepeatedPut:
+    def test_repeat_put_returns_same_root(self):
+        store = BlockStore(chunk_size=8)
+        payload = b"x" * 30
+        first = store.put(payload)
+        second = store.put(b"x" * 30)
+        assert first.cid == second.cid
+        assert store.object_count == 1
+
+    def test_put_after_delete_reinstalls_blocks(self):
+        store = BlockStore(chunk_size=8)
+        payload = b"y" * 20
+        obj = store.put(payload)
+        assert store.delete(obj.cid)
+        assert store.get(obj.cid) is None
+        again = store.put(payload)
+        assert again.cid == obj.cid
+        assert store.get(again.cid) == payload
+
+
 class TestNodeAndSwarm:
     def test_add_and_get_local(self, ipfs_swarm):
         node = ipfs_swarm.node("node-a")
@@ -503,18 +523,19 @@ class TestVerifiedTableLifecycle:
         a.garbage_collect()
         assert set(swarm.verified_blocks.entries) == set(a.store.get_object(kept).chunk_cids)
 
-    def test_a_reinstalled_payload_is_hashed_on_first_read(self, hashes):
+    def test_a_re_added_payload_is_hashed_on_the_way_in(self, hashes):
         swarm = small_swarm("a")
         a = swarm.node("a")
         cid = a.add(self.PAYLOAD, pin=False)
         a.garbage_collect()
         hashes.clear()
-        assert a.add(self.PAYLOAD) == cid  # the put memo: no chunking, no hashing
-        assert hashes == [] and swarm.verified_blocks.entries == {}
+        assert a.add(self.PAYLOAD) == cid
+        assert len(hashes) == 4  # three blocks, then the root manifest
+        # Whatever a store holds was hashed on the way in.
+        assert set(a.store._blocks) <= set(swarm.verified_blocks.entries)
         assert a.get(cid) == self.PAYLOAD
-        assert len(hashes) == 3
         assert a.get(cid) == self.PAYLOAD
-        assert len(hashes) == 3
+        assert len(hashes) == 4
 
     def test_a_node_joining_with_content_brings_its_entries(self, hashes):
         late = IPFSNode("late", chunk_size=4)

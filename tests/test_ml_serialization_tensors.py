@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as npst
 from repro.ml.serialization import (
     SerializationError,
     weights_checksum,
+    weights_fingerprint,
     weights_from_bytes,
     weights_to_bytes,
 )
@@ -124,6 +126,52 @@ class TestSerialization:
         weights = [np.ones(3, dtype=np.float16)]
         restored = weights_from_bytes(weights_to_bytes(weights))
         assert restored[0].dtype == np.float64
+
+
+class TestSerializationByContent:
+    def test_fingerprint_separates_content(self):
+        a = [np.arange(6, dtype=np.float32).reshape(2, 3)]
+        b = [np.arange(6, dtype=np.float32).reshape(2, 3)]
+        c = [np.arange(6, dtype=np.float32).reshape(3, 2)]
+        d = [np.arange(6, dtype=np.float64).reshape(2, 3)]
+        assert weights_fingerprint(a) == weights_fingerprint(b)
+        assert weights_fingerprint(a) != weights_fingerprint(c)
+        assert weights_fingerprint(a) != weights_fingerprint(d)
+
+    def test_fingerprint_digest_is_pinned(self):
+        # The evaluation memo keys on this digest; the literals were taken
+        # before the per-dtype name lookup was cached.  int16 and bool are
+        # coerced to float64, the 0-d and the strided tensor go through
+        # ascontiguousarray.
+        mixed = [
+            np.arange(6, dtype=np.int32).reshape(2, 3),
+            np.array([1.5, -2.0], dtype=np.float32),
+            np.array([[1, 2], [3, 4]], dtype=np.int16),
+            np.array(3.0),
+            np.array([True, False]),
+            np.arange(4, dtype=np.float64)[::2],
+        ]
+        assert weights_fingerprint(mixed) == (
+            "4609c84cf5190a5c623b815129e5a22f53984289aa59d54bc1928956ac9f6cdd"
+        )
+        assert weights_fingerprint([]) == (
+            "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"
+        )
+        # A dtype seen before (cached answer) hashes like the first time.
+        assert weights_fingerprint(mixed) == weights_fingerprint([w.copy() for w in mixed])
+
+    def test_checksum_shares_the_payload_memo(self):
+        weights = [np.full((5,), 2.5, dtype=np.float64)]
+        checksum = weights_checksum(weights)
+        assert checksum == hashlib.sha256(weights_to_bytes(weights)).hexdigest()
+        assert weights_checksum([w.copy() for w in weights]) == checksum
+
+    def test_mutated_weights_reserialize(self):
+        weights = [np.ones(4, dtype=np.float32)]
+        before = weights_to_bytes(weights)
+        weights[0][0] = 7.0
+        after = weights_to_bytes(weights)
+        assert before != after
 
 
 class TestTensorUtils:

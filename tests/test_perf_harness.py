@@ -1,28 +1,17 @@
-"""Tests for the perf-trajectory harness and the hot-path memoization layers.
+"""Tests for the perf-trajectory harness.
 
 The CI ``bench`` job runs ``repro bench --quick`` and validates the written
 document with :func:`repro.perf.validate_document`; these tests pin that
 contract (schema keys, scheduler equivalence inside the benchmark, CLI
-wiring) plus the caches the acceleration pass added around serialization,
-the blockstore and the aggregator's weights LRU.
+wiring) plus the counters of the aggregator's weights LRU.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-import pytest
-
 from repro import perf
 from repro.cli import build_parser
-from repro.ipfs.blockstore import BlockStore
-from repro.ml.serialization import (
-    clear_serialization_memo,
-    weights_checksum,
-    weights_fingerprint,
-    weights_to_bytes,
-)
 
 
 class TestBenchHarness:
@@ -118,85 +107,6 @@ class TestBenchHarness:
         assert args.out == "x.json"
         run_args = parser.parse_args(["run", "--profile"])
         assert run_args.profile is True
-
-
-class TestSerializationMemo:
-    def setup_method(self):
-        clear_serialization_memo()
-
-    def test_fingerprint_separates_content(self):
-        a = [np.arange(6, dtype=np.float32).reshape(2, 3)]
-        b = [np.arange(6, dtype=np.float32).reshape(2, 3)]
-        c = [np.arange(6, dtype=np.float32).reshape(3, 2)]
-        d = [np.arange(6, dtype=np.float64).reshape(2, 3)]
-        assert weights_fingerprint(a) == weights_fingerprint(b)
-        assert weights_fingerprint(a) != weights_fingerprint(c)
-        assert weights_fingerprint(a) != weights_fingerprint(d)
-
-    def test_fingerprint_digest_is_pinned(self):
-        # The evaluation memo and the serialization memo key on this digest;
-        # the literals were taken before the per-dtype name lookup was cached.
-        # int16 and bool are coerced to float64, the 0-d and the strided
-        # tensor go through ascontiguousarray.
-        mixed = [
-            np.arange(6, dtype=np.int32).reshape(2, 3),
-            np.array([1.5, -2.0], dtype=np.float32),
-            np.array([[1, 2], [3, 4]], dtype=np.int16),
-            np.array(3.0),
-            np.array([True, False]),
-            np.arange(4, dtype=np.float64)[::2],
-        ]
-        assert weights_fingerprint(mixed) == (
-            "4609c84cf5190a5c623b815129e5a22f53984289aa59d54bc1928956ac9f6cdd"
-        )
-        assert weights_fingerprint([]) == (
-            "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"
-        )
-        # A dtype seen before (cached answer) hashes like the first time.
-        assert weights_fingerprint(mixed) == weights_fingerprint([w.copy() for w in mixed])
-
-    def test_repeat_serialization_hits_the_memo(self):
-        weights = [np.ones((4, 4), dtype=np.float32), np.zeros(3, dtype=np.int64)]
-        first = weights_to_bytes(weights)
-        second = weights_to_bytes([w.copy() for w in weights])
-        assert first == second
-        # Same fingerprint -> the exact cached payload object comes back.
-        assert second is first
-
-    def test_checksum_shares_the_payload_memo(self):
-        weights = [np.full((5,), 2.5, dtype=np.float64)]
-        checksum = weights_checksum(weights)
-        import hashlib
-
-        assert checksum == hashlib.sha256(weights_to_bytes(weights)).hexdigest()
-        assert weights_checksum([w.copy() for w in weights]) == checksum
-
-    def test_mutated_weights_reserialize(self):
-        weights = [np.ones(4, dtype=np.float32)]
-        before = weights_to_bytes(weights)
-        weights[0][0] = 7.0
-        after = weights_to_bytes(weights)
-        assert before != after
-
-
-class TestBlockStorePutMemo:
-    def test_repeat_put_returns_same_root(self):
-        store = BlockStore(chunk_size=8)
-        payload = b"x" * 30
-        first = store.put(payload)
-        second = store.put(b"x" * 30)
-        assert first.cid == second.cid
-        assert store.object_count == 1
-
-    def test_put_after_delete_reinstalls_blocks(self):
-        store = BlockStore(chunk_size=8)
-        payload = b"y" * 20
-        obj = store.put(payload)
-        assert store.delete(obj.cid)
-        assert store.get(obj.cid) is None
-        again = store.put(payload)
-        assert again.cid == obj.cid
-        assert store.get(again.cid) == payload
 
 
 def test_weights_cache_counters_surface_in_extras():

@@ -43,10 +43,16 @@ class TestClientSampler:
         for r in (5, 3, 1, 4, 2):
             assert shuffled.cohort(r) == forward[r]
 
-    def test_cohorts_are_memoised_and_well_formed(self):
+    def test_round_three_before_round_one_on_a_fresh_sampler(self):
+        natural = ClientSampler(population=1000, cohort_size=16, seed=3)
+        first, third = natural.cohort(1), natural.cohort(3)
+        fresh = ClientSampler(population=1000, cohort_size=16, seed=3)
+        assert (fresh.cohort(3), fresh.cohort(1)) == (third, first)
+
+    def test_cohorts_are_repeatable_and_well_formed(self):
         sampler = ClientSampler(population=100, cohort_size=10, seed=0)
         cohort = sampler.cohort(2)
-        assert sampler.cohort(2) is cohort
+        assert sampler.cohort(2) == cohort
         assert len(cohort) == 10
         assert len(set(cohort)) == 10
         assert list(cohort) == sorted(cohort)
