@@ -11,18 +11,23 @@ and their gradients are exposed through ``parameters()`` / ``gradients()`` so
 the optimizers in :mod:`repro.ml.optim` and the weight exchange in
 :mod:`repro.fl` can treat all layers uniformly.
 
-The convolution and pooling layers gather their windows through one strided
-view of the input and a single copy (im2col), which keeps the implementation
-vectorised enough that the federated experiments (hundreds of rounds over
-small synthetic images) complete quickly on a CPU.
+The convolution and pooling layers gather their windows with one ``np.take``
+(im2col) and scatter gradients back with one ``np.add.at`` (col2im), both
+through index tables that depend only on the geometry (channels, padded
+height and width, kernel, stride and, for the scatter, the batch size).  A
+layer builds each table on first use and keeps it, read-only, in its own
+``_index_tables`` dict: geometry, not batch data, so it is neither cleared by
+an evaluation-mode forward nor counted as a retained cache.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+
+#: A layer's index tables, keyed by the geometry each one serves.
+IndexTables = Dict[Tuple, np.ndarray]
 
 
 class Layer:
@@ -266,26 +271,38 @@ class BatchNorm1d(Layer):
         return [self.grad_gamma, self.grad_beta]
 
 
-def _windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Read-only (N, C, kernel, kernel, out_h, out_w) view of every window of ``x``."""
-    n, c = x.shape[:2]
-    s_n, s_c, s_h, s_w = x.strides
-    return as_strided(
-        x,
-        shape=(n, c, kernel, kernel, out_h, out_w),
-        strides=(s_n, s_c, s_h, s_w, s_h * stride, s_w * stride),
-        writeable=False,
-    )
+def _index_table(tables: IndexTables, key: Tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """``tables[key]``, built by ``build`` and made read-only on first use."""
+    table = tables.get(key)
+    if table is None:
+        table = np.ascontiguousarray(build())
+        table.setflags(write=False)
+        tables[key] = table
+    return table
+
+
+def _window_offsets(
+    channels: int, height: int, width: int, kernel: int, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Flat offset into one C-contiguous (channels, height, width) image of
+    every window element, shaped (channels, kernel, kernel, out_h, out_w)."""
+    c = np.arange(channels).reshape(-1, 1, 1, 1, 1) * (height * width)
+    ky = np.arange(kernel).reshape(1, -1, 1, 1, 1)
+    kx = np.arange(kernel).reshape(1, 1, -1, 1, 1)
+    oy = np.arange(out_h).reshape(1, 1, 1, -1, 1) * stride
+    ox = np.arange(out_w).reshape(1, 1, 1, 1, -1) * stride
+    return c + (oy + ky) * width + ox + kx
 
 
 def _im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
+    x: np.ndarray, kernel: int, stride: int, padding: int, tables: IndexTables
 ) -> Tuple[np.ndarray, int, int]:
     """Rearrange (N, C, H, W) image patches into columns for convolution.
 
     Row ``(image, out_y, out_x)`` of the result holds that window's
-    ``C * kernel * kernel`` values.  The matrix is C-contiguous, except for a
-    single image: there it is the transpose of a C-contiguous
+    ``C * kernel * kernel`` values, gathered by one ``np.take`` through a
+    table from ``tables``.  The matrix is C-contiguous, except for a single
+    image: there it is the transpose of a C-contiguous
     ``(C * kernel * kernel, out_h * out_w)`` matrix.  BLAS picks its
     summation order from the operand layout, so that exception is part of the
     fixed-seed contract (a minibatch of one is the tail of most partitions).
@@ -297,16 +314,17 @@ def _im2col(
         padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding:-padding, padding:-padding] = x
         x = padded
-    windows = _windows(x, kernel, stride, out_h, out_w)
+    geometry = (c, x.shape[2], x.shape[3], kernel, stride, out_h, out_w)
     if n == 1:
-        cols = np.empty((1, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-        cols[...] = windows
+        table = _index_table(tables, ("im2col", 1) + geometry, lambda: _window_offsets(*geometry))
+        cols = np.take(x.reshape(1, -1), table, axis=1)
         # Not a copy: (out_h, out_w) and (c, kernel, kernel) each merge into
-        # one axis of the buffer just filled.
+        # one axis of the (1, c, kernel, kernel, out_h, out_w) buffer taken.
         return cols.transpose(0, 4, 5, 1, 2, 3).reshape(out_h * out_w, -1), out_h, out_w
-    cols = np.empty((n, out_h, out_w, c, kernel, kernel), dtype=x.dtype)
-    cols[...] = windows.transpose(0, 4, 5, 1, 2, 3)
-    return cols.reshape(n * out_h * out_w, -1), out_h, out_w
+    table = _index_table(
+        tables, ("im2col",) + geometry, lambda: _window_offsets(*geometry).transpose(3, 4, 0, 1, 2)
+    )
+    return np.take(x.reshape(n, -1), table, axis=1).reshape(n * out_h * out_w, -1), out_h, out_w
 
 
 def _col2im(
@@ -317,16 +335,28 @@ def _col2im(
     padding: int,
     out_h: int,
     out_w: int,
+    tables: IndexTables,
 ) -> np.ndarray:
-    """Inverse of :func:`_im2col`, accumulating overlapping patches."""
+    """Inverse of :func:`_im2col`, accumulating overlapping patches.
+
+    One ``np.add.at`` into a zeros buffer.  Its table lists the entries
+    kernel offset by kernel offset, (ky, kx) outermost, so every element
+    sums its contributions in the same order as one slice addition per
+    offset would — the same floating-point result, ``-0.0`` included.
+    """
     n, c, h, w = input_shape
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kernel):
-        i_max = i + stride * out_h
-        for j in range(kernel):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+    height, width = h + 2 * padding, w + 2 * padding
+
+    def build() -> np.ndarray:
+        image = np.arange(n).reshape(-1, 1, 1, 1, 1, 1) * (c * height * width)
+        offsets = image + _window_offsets(c, height, width, kernel, stride, out_h, out_w)
+        return offsets.transpose(2, 3, 0, 1, 4, 5).reshape(-1)
+
+    table = _index_table(tables, ("col2im", n, c, height, width, kernel, stride, out_h, out_w), build)
+    padded = np.zeros((n, c, height, width), dtype=cols.dtype)
+    # Entries in the table's order: (ky, kx, image, channel, out_y, out_x).
+    values = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(4, 5, 0, 3, 1, 2)
+    np.add.at(padded.reshape(-1), table, values.reshape(-1))
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
@@ -362,6 +392,7 @@ class Conv2d(Layer):
         self.padding = padding
         self.kernel_size = kernel_size
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int], int, int]] = None
+        self._index_tables: IndexTables = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -370,7 +401,9 @@ class Conv2d(Layer):
             raise ValueError(
                 f"Conv2d expects {self.weight.shape[1]} input channels, got {x.shape[1]}"
             )
-        cols, out_h, out_w = _im2col(x, self.kernel_size, self.stride, self.padding)
+        cols, out_h, out_w = _im2col(
+            x, self.kernel_size, self.stride, self.padding, self._index_tables
+        )
         w_col = self.weight.reshape(self.weight.shape[0], -1)
         out = cols @ w_col.T + self.bias
         n = x.shape[0]
@@ -389,6 +422,7 @@ class Conv2d(Layer):
             self.padding,
             out_h,
             out_w,
+            self._index_tables,
         )
 
     def backward_parameters(self, grad_output: np.ndarray) -> None:
@@ -423,6 +457,7 @@ class MaxPool2d(Layer):
         self.kernel_size = kernel_size
         self.stride = kernel_size if stride is None else stride
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], np.dtype, int, int]] = None
+        self._index_tables: IndexTables = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -431,8 +466,15 @@ class MaxPool2d(Layer):
         k, s = self.kernel_size, self.stride
         out_h = (h - k) // s + 1
         out_w = (w - k) // s + 1
-        # One row per window, channels pooled independently.
-        cols = _windows(x, k, s, out_h, out_w).transpose(0, 1, 4, 5, 2, 3).reshape(-1, k * k)
+        # One row per window, (channel, out_y, out_x) order: channels pooled
+        # independently.
+        geometry = (c, h, w, k, s, out_h, out_w)
+        table = _index_table(
+            self._index_tables,
+            ("pool",) + geometry,
+            lambda: _window_offsets(*geometry).transpose(0, 3, 4, 1, 2),
+        )
+        cols = np.take(x.reshape(n, -1), table, axis=1).reshape(-1, k * k)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         self._cache = (argmax, x.shape, x.dtype, out_h, out_w) if self.training else None
@@ -446,7 +488,9 @@ class MaxPool2d(Layer):
         k, s = self.kernel_size, self.stride
         grad_cols = np.zeros((argmax.shape[0], k * k), dtype=dtype)
         grad_cols[np.arange(argmax.shape[0]), argmax] = grad_output.reshape(-1)
-        grad_input = _col2im(grad_cols, (n * c, 1, h, w), k, s, 0, out_h, out_w)
+        grad_input = _col2im(
+            grad_cols, (n * c, 1, h, w), k, s, 0, out_h, out_w, self._index_tables
+        )
         return grad_input.reshape(n, c, h, w)
 
 

@@ -31,7 +31,8 @@ The grid:
   oracles that ``tests/test_ml_layers.py`` keeps.  Weight bytes must be
   equal; same ``baseline`` / ``speedup`` shape, plus ``retained_kb`` — the
   array bytes the layers still hold after the last ``evaluate`` (0:
-  evaluation mode stores nothing).
+  evaluation mode stores nothing, and index tables are geometry, not
+  batch data).
 * ``sampled_100k`` — a population-sampled cross-device run (100k virtual
   clusters, cohort 128) plus a population-1000 control with the same
   cohort, each in its own subprocess so both legs report their own peak
@@ -231,18 +232,26 @@ def bench_multikrum_40(quick: bool = False) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------- cnn_step
+#: Private layer attributes that hold no batch data: ``Conv2d`` /
+#: ``MaxPool2d`` index tables are a function of the input geometry alone.
+GEOMETRY_ATTRIBUTES = frozenset({"_index_tables"})
+
+
 def retained_cache_bytes(network) -> int:
     """Array bytes reachable from the private state of ``network``'s layers.
 
     That is what the forward caches hold (im2col matrices, argmax indices,
     masks, inputs); weights and gradients are public attributes and not
-    counted.
+    counted, and neither are the :data:`GEOMETRY_ATTRIBUTES`, excluded by
+    name — every other private container, dicts included, is counted.
     """
     import numpy as np
 
     def array_bytes(value) -> int:
         if isinstance(value, np.ndarray):
             return value.nbytes
+        if isinstance(value, dict):
+            value = list(value.values())
         if isinstance(value, (tuple, list)):
             return sum(array_bytes(item) for item in value)
         return 0
@@ -251,7 +260,7 @@ def retained_cache_bytes(network) -> int:
         array_bytes(value)
         for layer in network.layers
         for name, value in vars(layer).items()
-        if name.startswith("_")
+        if name.startswith("_") and name not in GEOMETRY_ATTRIBUTES
     )
 
 
@@ -273,7 +282,7 @@ def _load_kernel_oracles():
 
 
 def bench_cnn_step(quick: bool = False) -> Dict[str, object]:
-    """Strided-gather ``SimpleCNN`` steps vs the loop-kernel oracle twin."""
+    """Index-table ``SimpleCNN`` steps vs the loop-kernel oracle twin."""
     import numpy as np
 
     from repro.ml.models import SimpleCNN
@@ -305,7 +314,7 @@ def bench_cnn_step(quick: bool = False) -> Dict[str, object]:
     wall = min(own for own, _ in passes)
     ref_wall = min(ref for _, ref in passes)
     if oracles.weight_bytes(model) != oracles.weight_bytes(twin):
-        raise AssertionError("strided and loop-kernel training diverged")
+        raise AssertionError("index-table and loop-kernel training diverged")
 
     events = train_steps + evaluations
     return {

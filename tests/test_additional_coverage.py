@@ -207,18 +207,3 @@ class TestTimingModelShapes:
         slowest = max(timing.client_training_time(c, jitter=False) for c in clusters)
         assert window >= 1.3 * slowest
 
-
-class TestDPInFederation:
-    def test_dp_cluster_interoperates_with_plain_clusters(self):
-        clusters = edge_cluster_configs(num_clients=2)
-        clusters[0].dp_clip_norm = 5.0
-        clusters[0].dp_noise_multiplier = 0.05
-        result = run_experiment(tiny_config("dp-federation", clusters=clusters))
-        assert len(result.aggregators) == 3
-        assert all(len(a.history) == 2 for a in result.aggregators)
-
-    def test_invalid_dp_cluster_config_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(name="bad", dp_clip_norm=-1.0)
-        with pytest.raises(ValueError):
-            ClusterConfig(name="bad", dp_noise_multiplier=-0.1)

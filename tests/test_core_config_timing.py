@@ -53,6 +53,12 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(name="agg1", policy_k=0)
 
+    def test_differential_privacy_validation(self):
+        with pytest.raises(ValueError, match="dp_clip_norm"):
+            ClusterConfig(name="bad", dp_clip_norm=-1.0)
+        with pytest.raises(ValueError, match="dp_noise_multiplier"):
+            ClusterConfig(name="bad", dp_noise_multiplier=-0.1)
+
 
 class TestExperimentConfig:
     def test_valid_config(self, tiny_workload):

@@ -1,9 +1,10 @@
 """Unit tests for the neural-network layers, including numeric gradient checks.
 
-The loop ``_im2col`` / ``_col2im`` the layers used before the strided gather
-live on here as ``_im2col_reference`` / ``_col2im_reference``, together with
-the convolution and pooling layers built on them: the exact oracles the
-optimised kernels are compared with, value for value and layout for layout.
+The loop ``_im2col`` / ``_col2im`` the layers used before the index-table
+gather and scatter live on here as ``_im2col_reference`` /
+``_col2im_reference``, together with the convolution and pooling layers
+built on them: the exact oracles the optimised kernels are compared with,
+value for value and layout for layout.
 """
 
 from __future__ import annotations
@@ -534,11 +535,12 @@ class TestKernelsMatchTheLoopOracles:
         """Layout included: for one image the oracle returns a transposed
         *view*, and BLAS sums a transposed operand in a different order."""
         rng = np.random.default_rng(0)
+        tables = {}  # one for the whole grid: a key must tell every geometry apart
         for n, chw, kernel, stride, padding, dtype, transposed in _KERNEL_GRID:
             x = _grid_input(rng, n, chw, dtype, transposed)
             case = (n, chw, kernel, stride, padding, dtype.__name__, transposed)
             want, want_h, want_w = _im2col_reference(x, kernel, stride, padding)
-            got, out_h, out_w = _im2col(x, kernel, stride, padding)
+            got, out_h, out_w = _im2col(x, kernel, stride, padding, tables)
             assert (out_h, out_w) == (want_h, want_w), case
             assert got.dtype == want.dtype, case
             assert np.array_equal(got, want), case
@@ -547,14 +549,15 @@ class TestKernelsMatchTheLoopOracles:
             assert not np.shares_memory(got, x), case
 
     def test_single_image_matrix_is_a_transposed_view(self):
-        cols, _, _ = _im2col(np.ones((1, 3, 8, 8)), 3, 1, 1)
+        cols, _, _ = _im2col(np.ones((1, 3, 8, 8)), 3, 1, 1, {})
         assert cols.shape == (64, 27)
         assert cols.flags.f_contiguous and not cols.flags.c_contiguous
-        cols, _, _ = _im2col(np.ones((2, 3, 8, 8)), 3, 1, 1)
+        cols, _, _ = _im2col(np.ones((2, 3, 8, 8)), 3, 1, 1, {})
         assert cols.flags.c_contiguous
 
     def test_col2im_values_and_dtype(self):
         rng = np.random.default_rng(1)
+        tables = {}
         for n, chw, kernel, stride, padding, dtype, _ in _KERNEL_GRID:
             if n == 256:
                 continue
@@ -562,10 +565,13 @@ class TestKernelsMatchTheLoopOracles:
             out_h = (h + 2 * padding - kernel) // stride + 1
             out_w = (w + 2 * padding - kernel) // stride + 1
             cols = rng.normal(size=(n * out_h * out_w, c * kernel * kernel)).astype(dtype)
+            cols.flat[::3] = -0.0  # an element whose every term is -0.0 sums to +0.0
             args = ((n, c, h, w), kernel, stride, padding, out_h, out_w)
             want = _col2im_reference(cols, *args)
-            got = _col2im(cols, *args)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (n, chw, kernel, stride, padding)
+            got = _col2im(cols, *args, tables)
+            case = (n, chw, kernel, stride, padding, dtype.__name__)
+            assert got.dtype == want.dtype and np.array_equal(got, want), case
+            assert np.array_equal(np.signbit(got), np.signbit(want)), case
 
     def test_max_pool_forward_and_backward(self):
         rng = np.random.default_rng(2)
@@ -584,7 +590,11 @@ class TestKernelsMatchTheLoopOracles:
             assert got.dtype == want.dtype and np.array_equal(got, want), case
             assert np.array_equal(np.signbit(got), np.signbit(want)), case
 
-    @pytest.mark.parametrize("samples", [36, 37], ids=["tail-of-one", "tail-of-two"])
+    @pytest.mark.parametrize(
+        "samples",
+        [35, 36, 37, 38, 39],
+        ids=["no-tail", "tail-of-one", "tail-of-two", "tail-of-three", "tail-of-four"],
+    )
     @pytest.mark.parametrize(
         "build",
         [
@@ -594,8 +604,9 @@ class TestKernelsMatchTheLoopOracles:
         ids=["simple_cnn", "mini_vgg"],
     )
     def test_trained_weights_are_bit_identical(self, build, samples):
-        """Three epochs at batch 5: 36 samples end on a batch of one image,
-        the layout trap; 37 on a batch of two."""
+        """Three epochs at batch 5: 35 samples end on a full batch, 36 on a
+        batch of one image (the layout trap), 37-39 on batches of two to four
+        — every tail size, so every scatter table a fit builds is checked."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(samples, 3, 8, 8))
         y = rng.integers(0, 10, size=samples)
@@ -608,3 +619,41 @@ class TestKernelsMatchTheLoopOracles:
         assert weight_bytes(model) == weight_bytes(oracle)
         assert model.evaluate(x, y) == oracle.evaluate(x, y)
         assert model.evaluate(x[:1], y[:1]) == oracle.evaluate(x[:1], y[:1])
+
+    def test_tables_follow_the_input_geometry(self):
+        """One layer of each kind meets two geometries in turn (and a batch of
+        one): every output and gradient matches the oracle, and every table
+        the layer remembers is read-only and equals the one a fresh layer
+        builds for that geometry."""
+        rng = np.random.default_rng(5)
+
+        def conv(cls):
+            return cls(3, 4, kernel_size=3, padding=1, rng=np.random.default_rng(6))
+
+        layers = [(conv(Conv2d), conv(ReferenceConv2d), lambda: conv(Conv2d), set())]
+        layers.append((MaxPool2d(2), ReferenceMaxPool2d(2), lambda: MaxPool2d(2), set()))
+        for shape in [(5, 3, 8, 8), (2, 3, 6, 10), (5, 3, 8, 8), (1, 3, 6, 10)]:
+            x = rng.normal(size=shape)
+            x.flat[::5] = 0.0
+            for layer, oracle, build, built in layers:
+                out, want = layer.forward(x), oracle.forward(x)
+                assert np.array_equal(out, want), (type(layer).__name__, shape)
+                grad = rng.normal(size=out.shape)
+                grad.flat[::3] = -0.0
+                got, want = layer.backward(grad), oracle.backward(grad)
+                assert np.array_equal(got, want), (type(layer).__name__, shape)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                fresh = build()
+                fresh.forward(x)
+                fresh.backward(grad)
+                assert fresh._index_tables, type(layer).__name__
+                for key, table in fresh._index_tables.items():
+                    assert np.array_equal(layer._index_tables[key], table), key
+                built.update(fresh._index_tables)
+        for layer, _, _, built in layers:
+            # No table beyond those some fresh layer built for its geometry.
+            assert set(layer._index_tables) == built
+            for table in layer._index_tables.values():
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[...] = 0

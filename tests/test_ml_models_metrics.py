@@ -147,6 +147,18 @@ class TestEvaluationRetainsNothing:
         model.predict(x)
         assert retained_cache_bytes(model.network) == 0
 
+    def test_index_tables_are_excluded_by_name_and_nothing_else_is(self, batch):
+        x, y = batch
+        model = SimpleCNN(image_size=8, seed=0)
+        model.evaluate(x, y)
+        conv = model.network.layers[0]
+        assert conv._index_tables and retained_cache_bytes(model.network) == 0
+        # The same arrays under any other private name are batch data.
+        conv._kept = dict(conv._index_tables)
+        assert retained_cache_bytes(model.network) == sum(
+            table.nbytes for table in conv._index_tables.values()
+        )
+
     def test_mlp_keeps_no_input_after_predict(self, small_mlp):
         small_mlp.predict(np.ones((50, 10)))
         assert retained_cache_bytes(small_mlp.network) == 0

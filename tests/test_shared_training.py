@@ -208,6 +208,15 @@ class TestARunIsTheSameOnPrivateClones:
         shared, private = self.shared_and_private(dense_config(clusters=3, clients=2, dp=True))
         assert shared == private
 
+    def test_with_one_private_cluster_among_plain_ones(self):
+        config = dense_config(clusters=3, clients=2)
+        private_cluster = dataclasses.replace(config.clusters[0], dp_clip_norm=5.0, dp_noise_multiplier=0.05)
+        config = dataclasses.replace(config, clusters=[private_cluster] + config.clusters[1:])
+        shared, private = self.shared_and_private(config)
+        assert shared == private
+        assert len(shared["aggregators"]) == 3
+        assert all(len(a["history"]) == 2 for a in shared["aggregators"])
+
     @pytest.mark.parametrize(
         "baseline",
         ["run_no_collab_baseline", "run_centralized_baseline", "run_single_level_baseline"],
