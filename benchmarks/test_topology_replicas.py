@@ -22,8 +22,8 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
-from repro.core.runner import run_experiment
-from repro.sched.metrics import flat_row
+from repro.core.runner import ExperimentRunner
+from repro.sched.metrics import flat_row, members
 
 #: where the sweep's machine-readable results land.
 OUTPUT_PATH = Path(__file__).parent / "out" / "topology_sweep.json"
@@ -53,10 +53,16 @@ def topology_experiment(replicas: int, capacity: int) -> ExperimentConfig:
     )
 
 
+def run_topology(replicas: int, capacity: int):
+    """The run's result and the names of its storage replicas."""
+    runner = ExperimentRunner(topology_experiment(replicas, capacity))
+    return runner.run(), runner.comm.network.replicas
+
+
 def test_topology_replica_capacity_sweep(benchmark, report):
     def run():
         return {
-            (replicas, capacity): run_experiment(topology_experiment(replicas, capacity))
+            (replicas, capacity): run_topology(replicas, capacity)
             for replicas in REPLICA_COUNTS
             for capacity in CAPACITIES
         }
@@ -64,13 +70,15 @@ def test_topology_replica_capacity_sweep(benchmark, report):
     grid = run_once(benchmark, run)
 
     rows = []
-    for (replicas, capacity), result in grid.items():
+    for (replicas, capacity), (result, replica_names) in grid.items():
         metrics = result.comm_metrics
         replica_counts = {
-            key[len("replica_"):-len("_count")]: metrics[key]
-            for key in metrics
-            if key.startswith("replica_") and key.endswith("_count")
+            replica: metrics[f"replica_{replica}_count"]
+            for replica in members(metrics, "replica")
         }
+        # One entry per storage replica of the run, nothing parsed from a
+        # neighbouring family's keys.
+        assert sorted(replica_counts) == sorted(replica_names), replica_counts
         rows.append(
             {
                 "storage_replicas": replicas,

@@ -35,8 +35,7 @@ The linter rules:
 
 ========  =====================================================================
 ``DET001``  wall-clock / entropy APIs (``time.time``, ``datetime.now``,
-            ``os.urandom``, ``uuid.uuid4``, ...; the counter clocks are
-            allowed only in :mod:`repro.perf`)
+            ``time.perf_counter``, ``os.urandom``, ``uuid.uuid4``, ...)
 ``DET002``  unseeded RNG construction and ambient global-RNG calls
             (``random.Random()``, ``np.random.default_rng()``,
             module-level ``random.*`` / ``np.random.*``)

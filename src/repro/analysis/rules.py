@@ -196,17 +196,9 @@ WALL_CLOCK_APIS = {
     "uuid.uuid4": "reads the OS entropy pool",
 }
 
-#: the counter clocks measurement harnesses legitimately need; allowed only
-#: in the modules listed in :data:`PERF_COUNTER_MODULES`.
-PERF_COUNTER_APIS = frozenset(
-    {"time.monotonic", "time.monotonic_ns", "time.perf_counter", "time.perf_counter_ns"}
-)
-PERF_COUNTER_MODULES = ("repro/perf.py",)
-
 
 def _check_wall_clock(ctx: LintContext) -> List[Finding]:
     findings: List[Finding] = []
-    perf_exempt = ctx.in_module(*PERF_COUNTER_MODULES)
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -217,8 +209,6 @@ def _check_wall_clock(ctx: LintContext) -> List[Finding]:
         if reason is None and dotted.startswith("secrets."):
             reason = "reads the OS entropy pool"
         if reason is None:
-            continue
-        if perf_exempt and dotted in PERF_COUNTER_APIS:
             continue
         findings.append(
             ctx.finding(
@@ -629,9 +619,9 @@ register_rule(
         code="DET001",
         name="wall-clock-or-entropy",
         summary=(
-            "wall-clock / entropy APIs (time.time, datetime.now, os.urandom, "
-            "uuid.uuid4, ...) are banned in simulation code; the counter "
-            "clocks are allowed only in repro.perf"
+            "wall-clock / entropy APIs (time.time, datetime.now, "
+            "time.perf_counter, os.urandom, uuid.uuid4, ...) are banned in "
+            "simulation code"
         ),
         check=_check_wall_clock,
         explain=(
@@ -641,8 +631,9 @@ register_rule(
             "timeline, so the same seed stops producing the same result.\n\n"
             "Fix: take time from the simulation clock (SimClock.now) and "
             "randomness from an explicitly seeded numpy Generator. The "
-            "counter clocks (time.perf_counter, time.monotonic) are allowed "
-            "only in repro/perf.py, the measurement harness.\n\n"
+            "counter clocks (time.perf_counter, time.monotonic) are host "
+            "state too: timing a run belongs outside the package, in "
+            "bench/.\n\n"
             "    import time\n"
             "    stamp = time.time()          # DET001\n"
             "    stamp = clock.now()          # clean"

@@ -361,22 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("policies", help="list the available aggregation and scoring policies")
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the perf-trajectory benchmark grid and write BENCH_sched.json"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke grid: same benchmarks and schema, smaller sizes",
-    )
-    bench_parser.add_argument(
-        "--profile", action="store_true",
-        help="print cProfile top cumulative functions for each experiment benchmark",
-    )
-    bench_parser.add_argument(
-        "--out", default="BENCH_sched.json",
-        help="output path for the BENCH document (default: BENCH_sched.json)",
-    )
-
     add_lint_parser(subparsers)
     return parser
 
@@ -446,17 +430,6 @@ def _command_policies(_: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.perf import main as bench_main
-
-    argv: List[str] = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.profile:
-        argv.append("--profile")
-    return bench_main(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -467,8 +440,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_compare(args)
     if args.command == "policies":
         return _command_policies(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "lint":
         return command_lint(args)
     parser.error(f"unknown command {args.command!r}")

@@ -207,7 +207,7 @@ def golden_names() -> List[str]:
     return [entry.name for entry in METRICS if isinstance(entry, Metric) and entry.golden]
 
 
-def _members(metrics: Mapping[str, float], domain: str) -> Sequence[str]:
+def members(metrics: Mapping[str, float], domain: str) -> Sequence[str]:
     """A domain's members in an exported dict (closed domains: the constant)."""
     if domain in CLOSED_DOMAINS:
         return CLOSED_DOMAINS[domain]
@@ -244,7 +244,7 @@ def comm_table(metrics: Mapping[str, float]) -> Tuple[List[Row], List[Row], List
                 label, fragment = entry.line
                 fragments.setdefault(label, []).append((fragment, metrics[entry.name]))
             continue
-        for member in _members(metrics, entry.domain):
+        for member in members(metrics, entry.domain):
             cells: List[Optional[float]] = [None] * 3
             for stat in entry.stats:
                 cells[stat.column] = metrics[entry.name(member, stat)]

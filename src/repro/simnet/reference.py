@@ -3,16 +3,12 @@
 :class:`ReferenceLinkScheduler` recomputes every placement query from the
 committed reservations alone — no backlog index, no running totals, no tail
 fast path; everything else (the saturation sweep, fault windows, ``_plan``)
-it inherits.  It is the pre-acceleration behaviour kept alive for two jobs:
-
-* the property test (``tests/test_link_scheduler_equivalence.py``) drives
-  randomized workloads through both schedulers and asserts bit-identical
-  placements and totals, so every maintained structure in
-  :class:`~repro.simnet.network.LinkScheduler` stays an acceleration rather
-  than a semantic change;
-* the perf harness (``repro bench``) replays the same workload through both
-  and reports the measured speedup, pinning the trajectory in
-  ``BENCH_sched.json``.
+it inherits.  It is the pre-acceleration behaviour, kept alive as the oracle
+of the equivalence tests (``tests/test_link_scheduler_equivalence.py``):
+they drive randomized workloads, clean and faulted, through both schedulers
+and assert bit-identical placements and totals, so every maintained
+structure in :class:`~repro.simnet.network.LinkScheduler` stays an
+acceleration rather than a semantic change.
 
 The numeric decompositions (suffix-sum-plus-straddle backlog, log-order
 totals) deliberately mirror the optimized code term for term: floating-point

@@ -66,14 +66,20 @@ class TestDET001WallClock:
         report = lint_source(source, path="src/repro/example.py")
         assert codes_of(report) == ["DET001"]
 
-    def test_perf_counter_allowed_only_in_perf_module(self):
+    def test_counter_clocks_are_flagged_in_every_module(self):
         source = (
             "import time\n"
             "def measure():\n"
-            "    return time.perf_counter()\n"
+            "    return time.perf_counter(), time.monotonic()\n"
         )
-        assert lint_source(source, path="src/repro/perf.py").findings == []
-        assert codes_of(lint_source(source, path="src/repro/other.py")) == ["DET001"]
+        paths = {
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+        }
+        paths.add("src/repro/perf.py")  # the module the rule once exempted
+        for path in sorted(paths):
+            report = lint_source(source, path=path)
+            assert [f.code for f in report.findings] == ["DET001", "DET001"], path
 
     def test_lookalike_method_on_local_object_is_not_flagged(self):
         source = (

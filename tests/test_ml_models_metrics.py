@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _memory import retained_cache_bytes
 
 from repro.ml.metrics import accuracy_score, evaluate_model, top_k_accuracy
 from repro.ml.models import MLP, MiniVGG, SimpleCNN, available_models, build_model, count_parameters
 from repro.ml.optim import SGD
-from repro.perf import retained_cache_bytes
 
 
 class TestMLP:

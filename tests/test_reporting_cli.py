@@ -205,6 +205,43 @@ class TestExportsDeriveFromTheDeclaration:
         assert format_comm_table(result).endswith("\ndummy: 7.0s of it")
 
 
+class TestDomainMembers:
+    """``metrics.members`` reads a run's replicas and call kinds back out of its
+    exported keys; the comm table and the sweeps in ``benchmarks/`` rely on it."""
+
+    @pytest.mark.parametrize("name", list(PINNED_CSV_ROWS))
+    def test_members_are_the_runs_replicas_and_call_kinds(self, golden_runs, name):
+        runner, result = golden_runs[name]
+        assert metrics.members(result.comm_metrics, "replica") == sorted(runner.comm.network.replicas)
+        assert metrics.members(result.comm_metrics, "kind") == sorted(
+            {op.kind for op in runner.comm.chain.log}
+        )
+        assert metrics.members(result.comm_metrics, "phase") == metrics.TRANSFER_PHASES
+
+    @pytest.mark.parametrize("name", list(PINNED_CSV_ROWS))
+    def test_members_expand_back_to_exactly_the_exported_keys(self, golden_runs, name):
+        exported = golden_runs[name][1].comm_metrics
+        declared = metrics.declared(
+            replica=metrics.members(exported, "replica"),
+            kind=metrics.members(exported, "kind"),
+        )
+        assert set(declared) == set(exported)
+
+    def test_a_nested_family_adds_no_phantom_member(self):
+        # ``replica_a_replication_count`` also starts with ``replica_`` and
+        # ends with ``_count``: a prefix/suffix parse of the served-transfers
+        # family would report a replica named ``a_replication``.
+        exported = {
+            f"replica_{replica}_{nested}{stat}": 1.0
+            for replica in ("a", "b")
+            for nested in ("", "replication_")
+            for stat in ("time", "queued", "count")
+        }
+        naive = {key[len("replica_"):-len("_count")] for key in exported if key.endswith("_count")}
+        assert "a_replication" in naive
+        assert metrics.members(exported, "replica") == ["a", "b"]
+
+
 class TestCLI:
     def test_parser_has_subcommands(self):
         parser = build_parser()
@@ -212,6 +249,13 @@ class TestCLI:
         assert args.command == "run"
         assert args.rounds == 3
         assert args.mode == "sync"
+        assert parser.parse_args(["run", "--profile"]).profile is True
+
+    def test_bench_is_not_a_command(self, capsys):
+        # Benchmarks live in bench/run.py, outside the package.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_policies_command(self, capsys):
         exit_code = main(["policies"])

@@ -333,6 +333,42 @@ class TestSampledExperiments:
         assert result.sampling["clients_per_round"] == float(config.clients_per_round)
         assert all(a.history for a in result.aggregators)
 
+    def test_peak_memory_per_cluster_does_not_grow_with_the_population(self):
+        """The O(cohort) memory claim, host-independent: ``tracemalloc`` counts
+        Python allocations, not the allocator's or the OS's view of them.
+
+        Per cluster is what the run's traced peak adds over the built
+        federation (datasets, template, evaluator), divided by the clusters
+        the run materialised: two weight lists (its global and local model),
+        its clients' partitions and generators, its IPFS node, plus its
+        share of the run's one decoded copy of each pulled model.  A cluster
+        owns no network: the evaluation model, the decoded models and the
+        training network are the run's.  About 125 KiB per cluster at either
+        population (563 when every client clones its own network); the
+        ceiling is 15 % above.
+        """
+        kib_per_cluster = {}
+        for population in (1_000, 100_000):
+            runner = ExperimentRunner(_sampled_config("sync", population=population, cohort=32))
+            was_tracing = tracemalloc.is_tracing()
+            if not was_tracing:
+                tracemalloc.start()
+            try:
+                runner.build()
+                built, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                result = runner.run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            materialized = int(result.sampling["materialized_clusters"])
+            assert materialized == 64  # two cohorts of 32, whatever the population
+            kib_per_cluster[population] = (peak - built) / 1024 / materialized
+        small, large = kib_per_cluster[1_000], kib_per_cluster[100_000]
+        assert abs(large - small) <= 0.05 * small, kib_per_cluster
+        assert max(small, large) <= 145, kib_per_cluster
+
     def test_sampled_runs_are_reproducible(self):
         first = ExperimentRunner(_sampled_config("sync")).run()
         second = ExperimentRunner(_sampled_config("sync")).run()

@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import SanitizerViolation, SimulationSanitizer
 from repro.core import aggregator as aggregator_module
-from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
+from repro.core.config import (
+    ExperimentConfig,
+    cifar10_workload,
+    edge_cluster_configs,
+    gpu_cluster_configs,
+)
 from repro.core.reporting import result_to_dict
 from repro.core.runner import ExperimentRunner
 from repro.core.scorer import (
@@ -157,6 +162,20 @@ class TestExactCountersOnAWideRun:
             first, second = shared.run(), private.run()
         assert first.orchestration_extras["weights_cache_evictions"] > 0
         assert result_to_dict(first) == result_to_dict(second)
+
+    def test_weights_cache_counters_surface_in_extras(self):
+        config = ExperimentConfig(
+            name="lru-extras",
+            workload=cifar10_workload(rounds=2, samples_per_class=8, image_size=8),
+            clusters=edge_cluster_configs(num_clients=2),
+            mode="async",
+            rounds=2,
+            seed=1,
+            event_streams=False,
+        )
+        extras = ExperimentRunner(config).run().orchestration_extras
+        assert extras["weights_cache_hits"] >= 0
+        assert extras["weights_cache_evictions"] == 0  # tiny run: nothing evicted
 
 
 # ------------------------------------------------------------------ lifetime

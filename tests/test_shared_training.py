@@ -17,6 +17,7 @@ import types
 
 import numpy as np
 import pytest
+from _memory import retained_cache_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from repro.core.runner import ExperimentRunner
 from repro.fl.client import Client, ClientConfig, FitResult
 from repro.ml.layers import Conv2d, Dropout, Layer
 from repro.ml.models import Model, SimpleCNN
-from repro.perf import retained_cache_bytes
 
 
 ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
