@@ -10,18 +10,14 @@ it at the *source*:
   **static analyzer** (the ``repro lint`` CLI subcommand) with a rule
   registry, per-rule codes in three families (``DET`` determinism, ``UNIT``
   unit/dimension discipline, ``WIRE`` cross-layer wiring), family selectors
-  (``--select UNIT``), long-form rationales (``--explain CODE``), inline
-  ``# detlint: ignore[RULE]`` suppressions and a checked-in baseline file
-  for the findings that are individually justified.
+  (``--select UNIT``), long-form rationales (``--explain CODE``) and one
+  way to silence a finding: an inline ``# detlint: ignore[RULE]`` on its
+  line, so the verdict is the same from any working directory.
 * :mod:`repro.analysis.project` — the **cross-layer pass**: rules with
   ``scope="project"`` receive a :class:`~repro.analysis.project.ProjectContext`
   spanning every scanned module and run once per ``lint_paths`` invocation,
   so they can check invariants no single file contains (config↔CLI wiring,
   registry-backed CLI choices).
-* :mod:`repro.analysis.baseline` — the baseline file format: findings are
-  fingerprinted by ``(path, code, source line)`` so entries survive
-  unrelated line churn; entries whose source line disappeared are **stale**
-  and fail the lint until pruned with ``--update-baseline``.
 * :mod:`repro.analysis.sanitizer` — a runtime **simulation sanitizer**
   (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``): strictly
   read-only assertions hooked into the discrete-event kernel, the link
@@ -58,7 +54,6 @@ The linter rules:
 ========  =====================================================================
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, save_baseline
 from repro.analysis.linter import Finding, LintReport, lint_paths, lint_source
 from repro.analysis.project import ProjectContext
 from repro.analysis.rules import (
@@ -71,7 +66,6 @@ from repro.analysis.rules import (
 from repro.analysis.sanitizer import SanitizerViolation, SimulationSanitizer
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "ProjectContext",
@@ -83,7 +77,5 @@ __all__ = [
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_rule",
-    "save_baseline",
 ]

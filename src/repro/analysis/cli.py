@@ -1,12 +1,11 @@
 """The ``repro lint`` subcommand: run the determinism linter from the CLI.
 
 Kept in the analysis package so :mod:`repro.cli` only wires the subparser;
-the linter, the baseline handling and the exit-code contract all live next
-to the rules they expose.
+the linter and the exit-code contract live next to the rules they expose.
 
-Exit codes: ``0`` clean (nothing beyond suppressions and the baseline),
-``1`` findings surfaced or stale baseline entries, ``2`` a file failed to
-parse or an unknown rule code was named (``--select``/``--explain``).
+Exit codes: ``0`` clean (nothing beyond inline suppressions), ``1`` findings
+surfaced, ``2`` a file failed to parse (or could not be read) or an unknown
+rule code was named (``--select``/``--explain``).
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ import argparse
 import json
 from typing import List, Optional
 
-from repro.analysis.baseline import Baseline, load_baseline, save_baseline
 from repro.analysis.linter import LintReport, lint_paths
 from repro.analysis.rules import all_rules, expand_selectors, get_rule
 
 DEFAULT_LINT_PATHS = ["src/repro"]
-DEFAULT_BASELINE = "detlint.baseline.json"
 
 
 def add_lint_parser(subparsers) -> argparse.ArgumentParser:
@@ -31,9 +28,9 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
         description=(
             "Scan Python sources for constructs that break the repo's core "
             "invariants: determinism (DET), unit/dimension discipline (UNIT) "
-            "and cross-layer config/CLI/schema wiring (WIRE). Findings can "
-            "be suppressed inline with '# detlint: ignore[CODE]' or "
-            "justified in a checked-in baseline file."
+            "and cross-layer config/CLI/schema wiring (WIRE). A finding is "
+            "suppressed only inline, with '# detlint: ignore[CODE]' on its "
+            "line."
         ),
     )
     parser.add_argument(
@@ -56,28 +53,6 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
         metavar="CODE",
         default=None,
         help="print the long-form rationale and fix guidance for one rule code, then exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of justified findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        metavar="NOTE",
-        default=None,
-        help=(
-            "rewrite the baseline file: keep the existing notes of findings "
-            "that still match, record new findings with NOTE as the "
-            "justification, and prune stale entries; then exit 0 (review "
-            "the diff before committing)"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -114,7 +89,7 @@ def _print_explain(code: str) -> int:
     return 0
 
 
-def _report_json(report: LintReport, stale: List[dict]) -> str:
+def _report_json(report: LintReport) -> str:
     return json.dumps(
         {
             "findings": [
@@ -130,9 +105,7 @@ def _report_json(report: LintReport, stale: List[dict]) -> str:
             ],
             "files_scanned": report.files_scanned,
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
             "parse_errors": report.parse_errors,
-            "stale_baseline_entries": stale,
         },
         indent=2,
     )
@@ -155,63 +128,21 @@ def command_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc}")
             return 2
 
-    baseline: Optional[Baseline] = None
-    if not args.no_baseline and args.update_baseline is None:
-        baseline = load_baseline(args.baseline)
-
-    report = lint_paths(args.paths, codes=codes, baseline=baseline)
-
-    if args.update_baseline is not None:
-        existing = load_baseline(args.baseline)
-        stale_keys = {
-            (entry["path"], entry["code"], entry["snippet"])
-            for entry in existing.stale_entries(args.paths)
-        }
-        updated = Baseline()
-        for finding in report.findings:
-            # A finding already justified keeps its note; only genuinely new
-            # entries take the NOTE given on the command line.
-            updated.add(finding, note=existing.note_for(finding) or args.update_baseline)
-        # Entries outside this run's --select (or outside its paths) are
-        # still live justifications — carry them over unless their source
-        # line is gone.
-        for key, note in existing.entries.items():
-            if key not in stale_keys and key not in updated.entries:
-                updated.entries[key] = note
-        save_baseline(updated, args.baseline)
-        pruned = len([key for key in existing.entries if key in stale_keys])
-        print(
-            f"wrote {len(updated)} entr{'y' if len(updated) == 1 else 'ies'} "
-            f"to {args.baseline} ({pruned} stale pruned)"
-        )
-        return 0
-
-    # A baseline entry whose source line no longer exists is a lie about the
-    # current tree: surface it and fail, exactly like a finding.
-    stale: List[dict] = baseline.stale_entries(args.paths) if baseline is not None else []
+    report = lint_paths(args.paths, codes=codes)
 
     if args.format == "json":
-        print(_report_json(report, stale))
+        print(_report_json(report))
     else:
         for finding in report.findings:
             print(finding.render())
-        for entry in stale:
-            print(
-                f"stale baseline entry: {entry['path']} {entry['code']} "
-                f"{entry['snippet']!r} — source line no longer exists "
-                "(prune with --update-baseline)"
-            )
         for error in report.parse_errors:
             print(f"parse error: {error}")
-        tail = (
+        print(
             f"{report.files_scanned} file(s) scanned, "
             f"{len(report.findings)} finding(s), "
-            f"{report.suppressed} suppressed inline, "
-            f"{report.baselined} baselined, "
-            f"{len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'}"
+            f"{report.suppressed} suppressed inline"
         )
-        print(tail)
 
     if report.parse_errors:
         return 2
-    return 0 if not report.findings and not stale else 1
+    return 0 if not report.findings else 1

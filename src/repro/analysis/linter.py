@@ -2,14 +2,11 @@
 
 The linter parses each module once, runs every registered rule
 (:mod:`repro.analysis.rules`) over the tree and filters the raw findings
-through the two suppression channels:
-
-* **inline** — ``# detlint: ignore[DET001]`` (or ``ignore[DET001,DET003]``)
-  on the offending line suppresses those codes for that line only;
-  ``# detlint: skip-file`` anywhere in a file skips the whole module.
-* **baseline** — a checked-in JSON file (:mod:`repro.analysis.baseline`) of
-  individually justified findings, fingerprinted by
-  ``(path, code, stripped source line)`` so entries survive line churn.
+through the one suppression channel: ``# detlint: ignore[DET001]`` (or
+``ignore[DET001,DET003]``) on the offending line suppresses those codes for
+that line only.  The marker lives on the line it excuses, so editing or
+deleting that line shows up in the same diff, and the verdict never depends
+on the directory the linter runs from.
 
 Everything else surfaces in the :class:`LintReport` and fails the build.
 """
@@ -20,14 +17,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.analysis.baseline import Baseline
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 #: inline suppression syntax: ``# detlint: ignore[DET001]`` / ``ignore[DET001, DET003]``.
 _IGNORE_RE = re.compile(r"#\s*detlint:\s*ignore\[([A-Z0-9,\s]+)\]")
-_SKIP_FILE_RE = re.compile(r"#\s*detlint:\s*skip-file\b")
 
 
 @dataclass(frozen=True, order=True)
@@ -41,10 +34,6 @@ class Finding:
     message: str
     snippet: str = ""
 
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used by the baseline file."""
-        return (self.path.replace("\\", "/"), self.code, self.snippet)
-
     def render(self) -> str:
         """One-line human-readable form (``path:line:col: CODE message``)."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -57,34 +46,29 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when nothing surfaced beyond suppressions and the baseline."""
+        """True when nothing surfaced beyond inline suppressions."""
         return not self.findings and not self.parse_errors
 
     def extend(self, other: "LintReport") -> None:
         self.findings.extend(other.findings)
         self.files_scanned += other.files_scanned
         self.suppressed += other.suppressed
-        self.baselined += other.baselined
         self.parse_errors.extend(other.parse_errors)
 
 
-def _inline_suppressions(lines: Sequence[str]) -> Tuple[bool, Dict[int, Set[str]]]:
-    """Scan source lines for ``skip-file`` and per-line ``ignore[...]`` markers."""
+def _inline_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
+    """Map each line number carrying an ``ignore[...]`` marker to its codes."""
     per_line: Dict[int, Set[str]] = {}
-    skip_file = False
     for number, text in enumerate(lines, start=1):
-        if _SKIP_FILE_RE.search(text):
-            skip_file = True
         match = _IGNORE_RE.search(text)
         if match:
             codes = {code.strip() for code in match.group(1).split(",") if code.strip()}
             per_line.setdefault(number, set()).update(codes)
-    return skip_file, per_line
+    return per_line
 
 
 def lint_source(
@@ -98,8 +82,7 @@ def lint_source(
     (``["DET003"]``, ``["UNIT"]``, any order); by default every registered
     module-scope rule runs.  Project-scope rules (the WIRE family) need the
     whole scan and only run under :func:`lint_paths`.  Inline suppressions
-    are honoured; baseline filtering is the caller's concern (see
-    :func:`lint_paths`).
+    are honoured.
     """
     from repro.analysis import rules as _rules  # deferred: rules imports Finding
 
@@ -111,9 +94,7 @@ def lint_source(
         return report
 
     lines = source.splitlines()
-    skip_file, per_line = _inline_suppressions(lines)
-    if skip_file:
-        return report
+    per_line = _inline_suppressions(lines)
 
     selected = [rule for rule in _rules.all_rules() if rule.scope == "module"]
     if codes is not None:
@@ -151,15 +132,15 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
 def lint_paths(
     paths: Iterable[str],
     codes: Optional[Sequence[str]] = None,
-    baseline: Optional["Baseline"] = None,
 ) -> LintReport:
-    """Lint files and directories, filtering through an optional baseline.
+    """Lint files and directories.
 
     Runs every selected module-scope rule per file, then the project-scope
     rules (the cross-layer WIRE family) once over the whole scan.  Project
     findings honour the same inline suppressions as module findings: a
-    ``# detlint: ignore[WIRE001]`` on the anchor line (or ``skip-file`` in
-    the anchor module) suppresses them.
+    ``# detlint: ignore[WIRE001]`` on the anchor line suppresses them.  A
+    path that cannot be read (missing, or not UTF-8) is a parse error, like
+    a file that does not parse.
     """
     from repro.analysis import rules as _rules  # deferred: rules imports Finding
     from repro.analysis.project import ModuleInfo, ProjectContext
@@ -167,10 +148,17 @@ def lint_paths(
     selected = None if codes is None else _rules.expand_selectors(codes)
     report = LintReport()
     modules: List[ModuleInfo] = []
-    suppressions: Dict[str, Tuple[bool, Dict[int, Set[str]]]] = {}
+    suppressions: Dict[str, Dict[int, Set[str]]] = {}
     for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
         path = str(file_path)
+        try:
+            source = file_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            report.parse_errors.append(f"{path}: {exc.strerror}")
+            continue
+        except UnicodeDecodeError as exc:
+            report.parse_errors.append(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
+            continue
         report.extend(lint_source(source, path=path, codes=selected))
         try:
             tree = ast.parse(source, filename=path)
@@ -190,19 +178,9 @@ def lint_paths(
         project = ProjectContext(modules=modules)
         for rule in project_rules:
             for finding in rule.check(project):
-                skip_file, per_line = suppressions.get(finding.path, (False, {}))
-                if skip_file or finding.code in per_line.get(finding.line, set()):
+                if finding.code in suppressions.get(finding.path, {}).get(finding.line, set()):
                     report.suppressed += 1
                 else:
                     report.findings.append(finding)
         report.findings.sort()
-
-    if baseline is not None:
-        kept: List[Finding] = []
-        for finding in report.findings:
-            if baseline.contains(finding):
-                report.baselined += 1
-            else:
-                kept.append(finding)
-        report.findings = kept
     return report

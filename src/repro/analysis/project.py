@@ -12,7 +12,7 @@ per ``lint_paths`` invocation:
     every ``ExperimentConfig`` field must be reachable from a ``cli.py``
     ``add_argument`` dest (passed through the ``ExperimentConfig(...)``
     construction in the CLI module), validated in ``__post_init__``, or
-    baselined with a justification;
+    suppressed inline with a justifying comment;
 ``WIRE003``
     registry-backed CLI options (``--mode``, ``--replication-mode``,
     ``--replica-selection``) must derive their ``choices`` from the
@@ -225,7 +225,7 @@ def _check_config_cli_wiring(project: ProjectContext) -> List[Finding]:
                 "WIRE001",
                 f"ExperimentConfig field '{name}' is neither reachable from "
                 "a CLI add_argument dest nor validated in __post_init__ — "
-                "wire a CLI flag, validate it, or baseline it with a "
+                "wire a CLI flag, validate it, or suppress it inline with a "
                 "justification",
             )
         )
@@ -293,7 +293,8 @@ register_rule(
             "keyword reading args.X where no add_argument defines dest X is "
             "dead wiring.\n\n"
             "Fix: add the flag (and pass it in _build_config), validate the "
-            "field, or baseline it with a written justification."
+            "field, or suppress it inline with '# detlint: ignore[WIRE001]' "
+            "under a comment giving the justification."
         ),
     )
 )

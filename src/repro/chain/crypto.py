@@ -48,7 +48,8 @@ class KeyPair:
         if seed is None:
             import secrets
 
-            private = secrets.token_hex(32)
+            # Unseeded generate() is the opt-in entropy path; simulation call sites all pass a seed.
+            private = secrets.token_hex(32)  # detlint: ignore[DET001]
         else:
             private = hashlib.sha3_256(f"unifyfl-keypair-{seed}".encode()).hexdigest()
         public = keccak_hex(bytes.fromhex(private))

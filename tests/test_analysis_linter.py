@@ -2,29 +2,27 @@
 
 Each DET/UNIT rule gets a violating/clean fixture pair via ``lint_source``;
 the cross-layer WIRE rules get mini-project fixtures under ``tmp_path``
-driven through ``lint_paths``; the two suppression channels (inline ignores
-and the baseline file) round-trip; stale baseline entries are detected and
-pruned; the rule registry mirrors the policy registry's invariants; and —
-the CI contract — the shipped ``src/repro`` tree lints clean against the
-checked-in baseline under the full ``DET,UNIT,WIRE`` selection.
+driven through ``lint_paths``; inline ignores, the one suppression channel,
+are per line and per code; unreadable paths are parse errors; the rule
+registry mirrors the policy registry's invariants; and — the CI contract —
+the shipped ``src/repro`` tree lints clean under the full ``DET,UNIT,WIRE``
+selection, with the same verdict from any working directory.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    Baseline,
     Rule,
     all_rules,
     get_rule,
     lint_paths,
     lint_source,
-    load_baseline,
     register_rule,
-    save_baseline,
 )
 from repro.analysis.rules import expand_selectors, unregister_rule
 
@@ -345,10 +343,29 @@ class TestSuppressions:
         assert report.findings == []
         assert report.suppressed == 3
 
-    def test_skip_file_suppresses_the_whole_module(self):
-        source = "# detlint: skip-file\nimport time\nstamp = time.time()\n"
+    def test_marker_on_the_line_above_suppresses_nothing(self):
+        source = "import time\n# detlint: ignore[DET001]\nstamp = time.time()\n"
+        report = lint_source(source, path="src/repro/x.py")
+        assert [(f.line, f.code) for f in report.findings] == [(3, "DET001")]
+        assert report.suppressed == 0
+
+    def test_marker_tolerates_whitespace_around_codes(self):
+        source = "import time\nstamp = time.time()  #detlint:ignore[ DET002 , DET001 ]\n"
         report = lint_source(source, path="src/repro/x.py")
         assert report.findings == []
+        assert report.suppressed == 1
+
+    def test_lowercase_codes_suppress_nothing(self):
+        source = "import time\nstamp = time.time()  # detlint: ignore[det001]\n"
+        report = lint_source(source, path="src/repro/x.py")
+        assert codes_of(report) == ["DET001"]
+        assert report.suppressed == 0
+
+    def test_skip_file_marker_suppresses_nothing(self):
+        source = "# detlint: skip-file\nimport time\nstamp = time.time()\n"
+        report = lint_source(source, path="src/repro/x.py")
+        assert codes_of(report) == ["DET001"]
+        assert report.suppressed == 0
 
     def test_code_filter_restricts_the_run(self):
         source = "import time\nstamp = time.time()\ndef f(x=[]):\n    return x\n"
@@ -480,143 +497,6 @@ class TestWIRE003RegistryBackedChoices:
         assert lint_paths([root], codes=("WIRE003",)).findings == []
 
 
-# -------------------------------------------------------------------- baseline
-class TestBaseline:
-    def test_round_trip_and_filtering(self, tmp_path):
-        module = tmp_path / "mod.py"
-        module.write_text("import time\nstamp = time.time()\n")
-        report = lint_paths([str(module)])
-        assert len(report.findings) == 1
-
-        baseline = Baseline()
-        baseline.add(report.findings[0], note="fixture: intentionally nondeterministic")
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline, baseline_path)
-        reloaded = load_baseline(baseline_path)
-        assert len(reloaded) == 1
-
-        filtered = lint_paths([str(module)], baseline=reloaded)
-        assert filtered.findings == []
-        assert filtered.baselined == 1
-
-    def test_fingerprint_survives_line_churn(self, tmp_path):
-        module = tmp_path / "mod.py"
-        module.write_text("import time\nstamp = time.time()\n")
-        baseline = Baseline()
-        baseline.add(lint_paths([str(module)]).findings[0], note="pinned")
-        # Push the offending line down: the (path, code, snippet) fingerprint
-        # still matches even though the line number moved.
-        module.write_text("import time\n\n\n# padding\nstamp = time.time()\n")
-        filtered = lint_paths([str(module)], baseline=baseline)
-        assert filtered.findings == []
-        assert filtered.baselined == 1
-
-    def test_note_is_mandatory(self):
-        baseline = Baseline()
-        with pytest.raises(ValueError, match="justification"):
-            baseline.add(
-                lint_source("import time\nt = time.time()\n", path="x.py").findings[0],
-                note="   ",
-            )
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert len(load_baseline(tmp_path / "absent.json")) == 0
-
-    def test_unsupported_version_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
-
-# ---------------------------------------------------------- baseline staleness
-class TestBaselineStaleness:
-    def make_baseline(self, tmp_path):
-        module = tmp_path / "mod.py"
-        module.write_text("import time\nstamp = time.time()\n")
-        baseline = Baseline()
-        baseline.add(lint_paths([str(module)]).findings[0], note="fixture justification")
-        return module, baseline
-
-    def test_fixed_violation_turns_the_entry_stale(self, tmp_path):
-        module, baseline = self.make_baseline(tmp_path)
-        assert baseline.stale_entries([str(module)]) == []
-        module.write_text("stamp = None\n")  # the violation is gone
-        stale = baseline.stale_entries([str(module)])
-        assert len(stale) == 1
-        assert stale[0]["code"] == "DET001"
-        assert stale[0]["note"] == "fixture justification"
-
-    def test_deleted_file_under_a_scanned_dir_is_stale(self, tmp_path):
-        module, baseline = self.make_baseline(tmp_path)
-        module.unlink()
-        (tmp_path / "other.py").write_text("x = 1\n")
-        assert len(baseline.stale_entries([str(tmp_path)])) == 1
-
-    def test_entries_outside_the_scan_are_never_judged(self, tmp_path):
-        _, baseline = self.make_baseline(tmp_path)
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        (elsewhere / "clean.py").write_text("x = 1\n")
-        assert baseline.stale_entries([str(elsewhere)]) == []
-
-    def test_staleness_is_independent_of_rule_selection(self, tmp_path):
-        # A UNIT-only run must not condemn a DET baseline entry that is
-        # still live: staleness is line-presence, not finding-presence.
-        module, baseline = self.make_baseline(tmp_path)
-        assert baseline.stale_entries([str(module)]) == []
-        report = lint_paths([str(module)], codes=("UNIT",), baseline=baseline)
-        assert report.findings == []
-
-    def test_cli_exits_1_and_lists_stale_entries(self, tmp_path, capsys):
-        from repro.cli import main
-
-        module, baseline = self.make_baseline(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline, baseline_path)
-        module.write_text("stamp = None\n")
-        assert main(["lint", str(module), "--baseline", str(baseline_path)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "DET001" in out
-
-    def test_cli_update_baseline_prunes_stale_and_preserves_notes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        # Two violations, baselined with distinct notes.
-        keep = tmp_path / "keep.py"
-        keep.write_text("import time\nstamp = time.time()\n")
-        fix = tmp_path / "fix.py"
-        fix.write_text("import os\ntoken = os.urandom(8)\n")
-        baseline = Baseline()
-        baseline.add(lint_paths([str(keep)]).findings[0], note="keep: justified forever")
-        baseline.add(lint_paths([str(fix)]).findings[0], note="fix: temporary")
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline, baseline_path)
-
-        fix.write_text("token = None\n")  # the second violation is fixed
-        assert (
-            main(
-                [
-                    "lint",
-                    str(tmp_path),
-                    "--baseline",
-                    str(baseline_path),
-                    "--update-baseline",
-                    "NOTE",
-                ]
-            )
-            == 0
-        )
-        assert "1 stale pruned" in capsys.readouterr().out
-        updated = load_baseline(baseline_path)
-        assert len(updated) == 1
-        ((entry, note),) = updated.entries.items()
-        assert entry[0].endswith("keep.py")
-        assert note == "keep: justified forever"  # not clobbered by NOTE
-        assert main(["lint", str(tmp_path), "--baseline", str(baseline_path)]) == 0
-
-
 # --------------------------------------------------------------- rule registry
 class TestRuleRegistry:
     def test_builtin_rules_are_registered_in_order(self):
@@ -677,11 +557,78 @@ class TestRuleRegistry:
 
 # ------------------------------------------------------------ the CI contract
 class TestShippedTreeLintsClean:
-    def test_src_repro_is_clean_against_the_checked_in_baseline(self):
-        baseline = load_baseline(REPO_ROOT / "detlint.baseline.json")
-        report = lint_paths([str(REPO_ROOT / "src" / "repro")], baseline=baseline)
+    def test_src_repro_is_clean_with_inline_suppressions_only(self):
+        report = lint_paths([str(REPO_ROOT / "src" / "repro")])
         assert report.parse_errors == []
         assert report.findings == [], "\n".join(f.render() for f in report.findings)
+        assert report.suppressed == 5
+
+    def test_verdict_does_not_depend_on_the_working_directory(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(REPO_ROOT / "src")
+        assert main(["lint", "repro", "--select", "DET,UNIT,WIRE"]) == 0
+        assert "0 finding(s), 5 suppressed inline" in capsys.readouterr().out
+
+    def test_baseline_flag_is_an_argparse_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src/repro", "--baseline", "detlint.baseline.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--no-baseline", "--update-baseline"])
+    def test_other_baseline_flags_are_argparse_errors(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src/repro", flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_entropy_path_is_the_one_suppression_in_chain_crypto(self):
+        crypto = REPO_ROOT / "src" / "repro" / "chain" / "crypto.py"
+        report = lint_paths([str(crypto)], codes=["DET"])
+        assert report.findings == []
+        assert report.suppressed == 1
+        # The marker excuses exactly its own line: strip it and DET001 fires there.
+        source = crypto.read_text(encoding="utf-8")
+        marked = [n for n, line in enumerate(source.splitlines(), 1) if "detlint: ignore" in line]
+        assert len(marked) == 1
+        assert "secrets.token_hex(32)" in source.splitlines()[marked[0] - 1]
+        stripped = source.replace("  # detlint: ignore[DET001]", "")
+        unmarked = lint_source(stripped, path=str(crypto), codes=["DET"])
+        assert [(f.line, f.code) for f in unmarked.findings] == [(marked[0], "DET001")]
+
+    def test_cli_json_report_has_no_baseline_keys(self, tmp_path, capsys):
+        from repro.cli import main
+
+        module = tmp_path / "excused.py"
+        module.write_text("import time\nstamp = time.time()  # detlint: ignore[DET001]\n")
+        assert main(["lint", str(module), "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert set(document) == {"findings", "files_scanned", "suppressed", "parse_errors"}
+        assert document["suppressed"] == 1
+        assert document["findings"] == []
+
+    def test_cli_json_parse_error_names_the_path(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "gone.py"
+        assert main(["lint", str(missing), "--format", "json"]) == 2
+        document = json.loads(capsys.readouterr().out)
+        assert document["parse_errors"] == [f"{missing}: No such file or directory"]
+
+    def test_unreadable_file_does_not_stop_the_scan(self, tmp_path):
+        (tmp_path / "a_latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
+        (tmp_path / "b_bad.py").write_text("import time\nstamp = time.time()\n")
+        report = lint_paths([str(tmp_path)])
+        assert len(report.parse_errors) == 1
+        assert report.parse_errors[0].startswith(f"{tmp_path / 'a_latin1.py'}: not UTF-8")
+        assert [(Path(f.path).name, f.code) for f in report.findings] == [("b_bad.py", "DET001")]
+        assert report.files_scanned == 1
+        assert not report.ok
 
     def test_cli_lint_subcommand_exits_clean(self, monkeypatch, capsys):
         from repro.cli import main
@@ -695,31 +642,24 @@ class TestShippedTreeLintsClean:
 
         module = tmp_path / "bad.py"
         module.write_text("import time\nstamp = time.time()\n")
-        assert main(["lint", str(module), "--no-baseline"]) == 1
+        assert main(["lint", str(module)]) == 1
         assert "DET001" in capsys.readouterr().out
 
-    def test_cli_update_baseline_round_trips(self, tmp_path, capsys):
+    def test_cli_missing_path_is_a_parse_error_exit_2(self, tmp_path, capsys):
         from repro.cli import main
 
-        module = tmp_path / "bad.py"
-        module.write_text("import time\nstamp = time.time()\n")
-        baseline_path = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(module),
-                    "--baseline",
-                    str(baseline_path),
-                    "--update-baseline",
-                    "fixture entry",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["lint", str(module), "--baseline", str(baseline_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
+        missing = tmp_path / "does" / "not" / "exist"
+        assert main(["lint", str(missing)]) == 2
+        assert f"parse error: {missing}: No such file or directory" in capsys.readouterr().out
+
+    def test_cli_non_utf8_file_is_a_parse_error_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        module = tmp_path / "latin1.py"
+        module.write_bytes(b"name = '\xe9t\xe9'\n")
+        assert main(["lint", str(module)]) == 2
+        out = capsys.readouterr().out
+        assert f"parse error: {module}: not UTF-8" in out
 
     def test_cli_list_rules(self, capsys):
         from repro.cli import main
@@ -739,7 +679,7 @@ class TestShippedTreeLintsClean:
             "def f(bw):\n"
             "    return bw * 1e6\n"
         )
-        assert main(["lint", str(module), "--select", "UNIT", "--no-baseline"]) == 1
+        assert main(["lint", str(module), "--select", "UNIT"]) == 1
         out = capsys.readouterr().out
         assert "UNIT002" in out
         assert "DET001" not in out

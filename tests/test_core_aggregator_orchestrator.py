@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.attacks import SignFlipAttack
 from repro.core.config import ClusterConfig, cifar10_workload
 from repro.core.contract import UnifyFLContract
 from repro.core.orchestrator import Orchestrator
+from repro.core.runner import ExperimentRunner, run_experiment
 from repro.core.scorer import AccuracyScorer
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.partition import IIDPartitioner
@@ -621,3 +623,21 @@ class TestSemiSyncOrchestrator:
         assert extras["rounds_closed"] == len(extras["closures"]) >= 1
         document = load_result_json(save_result_json(result, tmp_path / "semi.json"))
         assert document["orchestration_extras"]["rounds_closed"] == extras["rounds_closed"]
+
+
+class TestOrchestrationResultBookkeeping:
+    def test_histories_and_totals_consistent(self, tiny_experiment_config):
+        result = ExperimentRunner(dataclasses.replace(tiny_experiment_config, rounds=3)).run()
+        for aggregator in result.aggregators:
+            assert len(aggregator.history) == 3
+            # Simulated time is monotonically non-decreasing across rounds.
+            times = [record.sim_time for record in aggregator.history]
+            assert times == sorted(times)
+            # The reported total time matches the aggregator's final clock.
+            assert aggregator.total_time == pytest.approx(times[-1])
+
+    def test_idle_time_only_reported_for_sync(self, tiny_experiment_config):
+        sync_result = run_experiment(tiny_experiment_config)
+        async_result = run_experiment(dataclasses.replace(tiny_experiment_config, mode="async"))
+        assert any(a.idle_time > 0 for a in sync_result.aggregators)
+        assert all(a.idle_time == 0 for a in async_result.aggregators)

@@ -8,6 +8,7 @@ from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
 from repro.chain.events import EventFilter
 from repro.core.contract import UnifyFLContract
+from repro.core.runner import ExperimentRunner
 
 
 def _register(chain, accounts):
@@ -379,3 +380,27 @@ class TestViews:
     def test_contract_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             UnifyFLContract(mode="turbo")
+
+
+class TestEventLogDetails:
+    """The events a whole sync run leaves on the chain."""
+
+    def test_round_lifecycle_events_in_order(self, tiny_experiment_config):
+        runner = ExperimentRunner(tiny_experiment_config)
+        runner.run()
+        chain = runner.chain
+        start_training = chain.events(EventFilter(name="StartTraining"))
+        start_scoring = chain.events(EventFilter(name="StartScoring"))
+        round_ended = chain.events(EventFilter(name="RoundEnded"))
+        assert len(start_training) == len(start_scoring) == len(round_ended) == 2
+        # Per round: training starts before scoring which ends before RoundEnded.
+        for training, scoring, ended in zip(start_training, start_scoring, round_ended):
+            assert training.block_number <= scoring.block_number <= ended.block_number
+
+    def test_scorer_assignment_events_reference_registered_aggregators(self, tiny_experiment_config):
+        runner = ExperimentRunner(tiny_experiment_config)
+        runner.run()
+        chain = runner.chain
+        registered = set(chain.call("unifyfl", "getAggregators"))
+        for event in chain.events(EventFilter(name="ScorersAssigned")):
+            assert set(event.payload["scorers"]) <= registered

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.core.attacks import (
     available_attacks,
     build_attack,
 )
+from repro.core.config import ClusterConfig, edge_cluster_configs
 from repro.core.selection import (
     AboveAverage,
     AboveMedian,
@@ -33,6 +36,7 @@ from repro.core.selection import (
     build_aggregation_policy,
     build_scoring_policy,
 )
+from repro.core.runner import run_experiment
 from repro.core.scorer import AccuracyScorer, MultiKRUMScorer, build_scorer
 from repro.ml.models import MLP
 
@@ -305,3 +309,33 @@ class TestAttacks:
             GaussianNoiseAttack(noise_scale=0.0)
         with pytest.raises(ValueError):
             ScalingAttack(factor=0.0)
+
+
+class TestRemainingPoliciesEndToEnd:
+    @pytest.mark.parametrize("policy", ["random_k", "above_self", "above_median"])
+    def test_policy_runs_in_full_experiment(self, policy, tiny_experiment_config):
+        clusters = edge_cluster_configs(num_clients=2)
+        for cluster in clusters:
+            cluster.aggregation_policy = policy
+            cluster.policy_k = 2
+        result = run_experiment(dataclasses.replace(tiny_experiment_config, clusters=clusters))
+        assert len(result.aggregators) == 3
+        assert all(policy in a.policy for a in result.aggregators)
+
+    @pytest.mark.parametrize("scoring_policy", ["median", "min", "max"])
+    def test_scoring_policy_runs_in_full_experiment(self, scoring_policy, tiny_experiment_config):
+        clusters = edge_cluster_configs(num_clients=2)
+        for cluster in clusters:
+            cluster.scoring_policy = scoring_policy
+        result = run_experiment(dataclasses.replace(tiny_experiment_config, clusters=clusters))
+        assert all(scoring_policy in a.policy for a in result.aggregators)
+
+    def test_mixed_policies_within_one_federation(self, tiny_experiment_config):
+        clusters = [
+            ClusterConfig(name="a", num_clients=2, aggregation_policy="random_k", policy_k=1, scoring_policy="min"),
+            ClusterConfig(name="b", num_clients=2, aggregation_policy="above_self", scoring_policy="max"),
+            ClusterConfig(name="c", num_clients=2, aggregation_policy="above_median", scoring_policy="median"),
+        ]
+        result = run_experiment(dataclasses.replace(tiny_experiment_config, clusters=clusters))
+        labels = {a.policy for a in result.aggregators}
+        assert len(labels) == 3

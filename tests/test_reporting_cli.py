@@ -19,7 +19,7 @@ from repro.core.reporting import (
     save_result_json,
     save_results_csv,
 )
-from repro.core.results import format_comm_table
+from repro.core.results import format_comm_table, format_comparison, format_run_table
 from repro.core.runner import ExperimentRunner, run_experiment
 from repro.sched import metrics
 
@@ -242,7 +242,45 @@ class TestDomainMembers:
         assert metrics.members(exported, "replica") == ["a", "b"]
 
 
+class TestResultFormattingDetails:
+    def test_run_table_has_one_row_per_aggregator(self, small_result):
+        table = format_run_table(small_result)
+        data_rows = [line for line in table.splitlines() if line.startswith("agg")]
+        assert len(data_rows) == len(small_result.aggregators)
+
+    def test_run_table_percent_toggle(self, small_result):
+        with_percent = format_run_table(small_result, percent=True)
+        without_percent = format_run_table(small_result, percent=False)
+        assert with_percent != without_percent
+
+    def test_comparison_defaults_to_result_names(self, small_result):
+        assert small_result.name in format_comparison([small_result])
+
+    def test_aggregator_lookup_is_case_sensitive(self, small_result):
+        with pytest.raises(KeyError):
+            small_result.aggregator("AGG1")
+
+
 class TestCLI:
+    def test_run_defaults(self):
+        args = build_parser().parse_args(["run"])
+        assert args.mode == "async"
+        assert args.workload == "cifar10"
+        assert args.testbed == "edge"
+
+    def test_gpu_testbed_options(self):
+        args = build_parser().parse_args(
+            ["run", "--testbed", "gpu", "--workload", "tiny_imagenet", "--clusters", "4", "--scoring", "multikrum"]
+        )
+        assert args.testbed == "gpu"
+        assert args.clusters == 4
+        assert args.scoring == "multikrum"
+
+    def test_compare_accepts_common_arguments(self):
+        args = build_parser().parse_args(["compare", "--rounds", "4", "--alpha", "0.1"])
+        assert args.rounds == 4
+        assert args.alpha == 0.1
+
     def test_parser_has_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["run", "--rounds", "3", "--mode", "sync"])
@@ -250,6 +288,10 @@ class TestCLI:
         assert args.rounds == 3
         assert args.mode == "sync"
         assert parser.parse_args(["run", "--profile"]).profile is True
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["deploy"])
 
     def test_bench_is_not_a_command(self, capsys):
         # Benchmarks live in bench/run.py, outside the package.
