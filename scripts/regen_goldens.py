@@ -90,6 +90,19 @@ def golden_cases() -> Dict[str, Dict[str, Any]]:
     # order decides who queues behind whom on the shared storage link.
     for mode in ("async", "semi", "gossip"):
         cases[f"{mode}-streams-dense12"] = dict(mode=mode, clusters=12, clients=1)
+    # The bench's ``wide_sync`` shape in miniature: twelve Multi-KRUM
+    # scorers over four replicas of capacity 2, picked least-loaded.  The
+    # only case whose placements run the capacity > 1 saturation sweep, and
+    # nearly all of them with the request time inside the replica's history.
+    cases["sync-streams-wide-cap2"] = dict(
+        mode="sync",
+        clusters=12,
+        clients=1,
+        scoring_algorithm="multikrum",
+        storage_replicas=4,
+        replica_capacity=2,
+        replica_selection="least-loaded",
+    )
     # The bench's ``silo_modes`` shape and seed: Dirichlet partitions of
     # 26, 21, 21, 21, 16 and 16 samples end on a minibatch of one.  With a
     # single image the im2col matrix is handed to BLAS as a transposed view,
