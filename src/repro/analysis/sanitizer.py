@@ -3,7 +3,7 @@
 A race-detector analogue for the discrete-event engine.  When enabled
 (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``) one
 :class:`SimulationSanitizer` instance is threaded through the run and hooked
-into eight layers:
+into ten places:
 
 * the **kernel** (:meth:`check_event`): no event may commit in the simulated
   past — the event queue's ``(time, priority, key, seq)`` total order must
@@ -13,6 +13,10 @@ into eight layers:
   are well-formed (no queue-jumping, no negative wire time), never push an
   endpoint above its declared parallel capacity, and never start inside a
   blocked fault window of the path;
+* **windowed placements** (:meth:`check_placement_window`, called on every
+  placement that sweeps a capacity > 1 endpoint from the request time on):
+  the start equals the one the full saturation sweep of
+  :class:`~repro.simnet.reference.ReferenceLinkScheduler` gives;
 * the **communication fabric** (:meth:`observe_fabric`, called after every
   fabric operation): the running totals the result documents are built from
   (wire/queued time, WAN bytes, log lengths) only ever grow;
@@ -33,7 +37,10 @@ into eight layers:
 * **block storage** (:meth:`check_block_verification`, called whenever a
   :class:`~repro.ipfs.blockstore.BlockStore` accepts a block because the
   swarm's table remembers that very ``bytes`` object as verified): hashing
-  the block now gives the CID it is stored or served under.
+  the block now gives the CID it is stored or served under;
+* the **chain** (:meth:`check_tx_identity`, called for every transaction of
+  a block being sealed): hashing the transaction's fields now gives the
+  ``tx_hash`` it was stored with when it was built.
 
 Every hook is strictly read-only — it inspects public state and raises
 :class:`SanitizerViolation` on the first broken invariant.  A sanitized run
@@ -43,7 +50,9 @@ pins for all five federation modes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.simnet.reference import ReferenceLinkScheduler
 
 
 class SanitizerViolation(AssertionError):
@@ -79,7 +88,7 @@ class SimulationSanitizer:
         self.checks: Dict[str, int] = {
             "event": 0, "reservation": 0, "fabric": 0, "evaluation": 0,
             "round_scores": 0, "decoded_model": 0, "shared_training": 0,
-            "block_verification": 0,
+            "block_verification": 0, "placement_window": 0, "tx_identity": 0,
         }
         self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
 
@@ -157,6 +166,44 @@ class SimulationSanitizer:
                     f"reservations at t={time!r}, above its declared "
                     f"capacity {capacity}"
                 )
+
+    def check_placement_window(
+        self,
+        scheduler: Any,
+        endpoints: Sequence[str],
+        at: float,
+        duration: float,
+        fault_windows: Optional[List[Tuple[float, float]]],
+        start: float,
+    ) -> None:
+        """Assert a placement swept from ``at`` on starts where the full sweep does.
+
+        Called from ``LinkScheduler._earliest_start`` with the start it is
+        about to return.  Only placements touching a capacity > 1 endpoint
+        are checked: a serial endpoint blocks on its raw reservations, which
+        have no window.
+        """
+        windowed = [
+            endpoint
+            for endpoint in endpoints
+            if 1 < scheduler.capacity(endpoint) < float("inf")
+        ]
+        if not windowed:
+            return
+        self.checks["placement_window"] += 1
+        blocked = [
+            ReferenceLinkScheduler._saturated_intervals(scheduler, endpoint, at)
+            for endpoint in endpoints
+        ]
+        if fault_windows is not None:
+            blocked.append(fault_windows)
+        expected = scheduler._first_fit(blocked, at, duration)
+        if expected != start:
+            raise SanitizerViolation(
+                f"placement on endpoint '{', '.join(windowed)}' requested at "
+                f"t={at!r} starts at t={start!r} with the sweep begun at the "
+                f"request, but at t={expected!r} with the full saturation sweep"
+            )
 
     # ------------------------------------------------------------------ fabric
     def observe_fabric(self, fabric: Any) -> None:
@@ -304,6 +351,21 @@ class SimulationSanitizer:
                 f"node '{node}' accepted a block as the verified content of "
                 f"{cid}, but its bytes hash to {recomputed}: the table entry "
                 "does not belong to that object"
+            )
+
+    # ------------------------------------------------------------------- chain
+    def check_tx_identity(self, stored: str, recomputed: str) -> None:
+        """Assert a transaction still hashes to the ``tx_hash`` it was built with.
+
+        Called by the chain for every transaction of a block it seals, with
+        the hash stored at construction and the one its fields hash to now.
+        """
+        self.checks["tx_identity"] += 1
+        if recomputed != stored:
+            raise SanitizerViolation(
+                f"transaction {stored} now hashes to {recomputed}: its fields "
+                "changed after the hash was taken, so its receipt and the "
+                "block's transactions root name a different transaction"
             )
 
     # --------------------------------------------------------------- reporting

@@ -6,7 +6,8 @@ that stack whose behaviour UnifyFL observes:
 
 * :mod:`repro.chain.crypto` — hashing and simulated key pairs / signatures.
 * :mod:`repro.chain.account` — externally owned accounts with nonces.
-* :mod:`repro.chain.transaction` — signed transactions carrying contract calls.
+* :mod:`repro.chain.transaction` — signed, immutable transactions carrying
+  contract calls, each encoded and hashed once.
 * :mod:`repro.chain.block` — block headers and bodies linked by parent hash.
 * :mod:`repro.chain.clique` — the Clique PoA sealer rotation and validation.
 * :mod:`repro.chain.blockchain` — the chain itself: a transaction pool,

@@ -25,7 +25,7 @@ from repro.chain.account import Account
 from repro.chain.block import Block, BlockHeader
 from repro.chain.clique import CliqueEngine, CliqueError
 from repro.chain.contract import Contract, ContractError, ContractRuntime, GasExhaustedError
-from repro.chain.crypto import verify_signature
+from repro.chain.crypto import verify_signed_bytes
 from repro.chain.events import Event, EventBus, EventFilter
 from repro.chain.transaction import Transaction, TransactionReceipt
 
@@ -85,6 +85,9 @@ class Blockchain:
         self._expected_nonces: Dict[str, int] = {}
         #: callbacks fired after every sealed block (see :meth:`add_block_listener`).
         self._block_listeners: List[Callable[[Block], None]] = []
+        #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
+        #: when set, every transaction is re-hashed from its fields at seal.
+        self.sanitizer: Optional[Any] = None
         self.blocks: List[Block] = [self._genesis_block()]
 
     # -- setup ---------------------------------------------------------------
@@ -133,10 +136,10 @@ class Blockchain:
         account = self._known_accounts.get(tx.sender)
         if account is None:
             raise BlockchainError(f"unknown sender {tx.sender}; register the account first")
-        if not verify_signature(
+        if not verify_signed_bytes(
             account.keypair.public_key,
             account.keypair.private_key,
-            tx.signing_payload(),
+            tx.signing_bytes,
             tx.signature,
         ):
             raise BlockchainError(f"invalid signature on transaction from {tx.sender}")
@@ -181,6 +184,9 @@ class Blockchain:
         timestamp = self._clock()
         included = list(self._pending)
         self._pending.clear()
+        if self.sanitizer is not None:
+            for tx in included:
+                self.sanitizer.check_tx_identity(tx.tx_hash, tx.compute_hash())
 
         receipts: List[TransactionReceipt] = []
         block_gas = 0

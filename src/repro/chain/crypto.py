@@ -23,10 +23,14 @@ def keccak_hex(data: bytes) -> str:
     return hashlib.sha3_256(data).hexdigest()
 
 
+def canonical_bytes(payload: Any) -> bytes:
+    """The canonical encoding of a JSON-serialisable payload (sorted keys)."""
+    return json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+
+
 def hash_payload(payload: Any) -> str:
     """Deterministically hash a JSON-serialisable payload."""
-    encoded = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-    return keccak_hex(encoded)
+    return keccak_hex(canonical_bytes(payload))
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,11 @@ class KeyPair:
 
 def sign_payload(private_key: str, payload: Any) -> str:
     """Produce a signature binding ``payload`` to the key's address."""
-    message = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+    return sign_bytes(private_key, canonical_bytes(payload))
+
+
+def sign_bytes(private_key: str, message: bytes) -> str:
+    """Sign an already canonical encoding (see :func:`canonical_bytes`)."""
     return hmac.new(bytes.fromhex(private_key), message, hashlib.sha3_256).hexdigest()
 
 
@@ -76,9 +84,16 @@ def verify_signature(public_key: str, private_key_hint: str, payload: Any, signa
     This mirrors the trust model of a permissioned PoA chain where validator
     identities are registered out of band.
     """
+    return verify_signed_bytes(public_key, private_key_hint, canonical_bytes(payload), signature)
+
+
+def verify_signed_bytes(
+    public_key: str, private_key_hint: str, message: bytes, signature: str
+) -> bool:
+    """:func:`verify_signature` over an already canonical encoding."""
     if keccak_hex(bytes.fromhex(private_key_hint)) != public_key:
         return False
-    expected = sign_payload(private_key_hint, payload)
+    expected = sign_bytes(private_key_hint, message)
     return hmac.compare_digest(expected, signature)
 
 

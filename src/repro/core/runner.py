@@ -443,6 +443,7 @@ class ExperimentRunner:
             self.evaluator.sanitizer = self.sanitizer
             self.decoded_models.sanitizer = self.sanitizer
             self.swarm.verified_blocks.sanitizer = self.sanitizer
+            self.chain.sanitizer = self.sanitizer
             if self.round_scorer is not None:
                 self.round_scorer.sanitizer = self.sanitizer
         # Chain-side emission hook: every sealed block feeds the chain

@@ -175,7 +175,11 @@ class LinkScheduler:
       causal case) starts when requested: one ``_max_end`` comparison per
       endpoint, no sweep and no bisect.
     * The saturation sweep of a capacity > 1 endpoint walks boundaries that
-      ``_commit`` keeps sorted, so a placement never re-sorts the history.
+      ``_commit`` keeps sorted, so a placement never re-sorts the history,
+      and it walks only those at or after the request time: the
+      reservations still running then are counted off the backlog index
+      below, so a placement costs what lies ahead of it, not everything the
+      endpoint has carried.
     * The backlog index behind :meth:`outstanding_backlog` is never rebuilt:
       ``_commit`` keeps a running max of interval ends beside the sorted
       timeline (O(1) on an append, a short forward fix-up on a mid-timeline
@@ -404,14 +408,25 @@ class LinkScheduler:
                 total += end - at
         return total
 
-    def _saturated_intervals(self, endpoint: str) -> List[Tuple[float, float]]:
-        """Maximal intervals where the endpoint is at capacity.
+    def _saturated_intervals(self, endpoint: str, at: float) -> List[Tuple[float, float]]:
+        """Intervals where the endpoint is at capacity, as seen from ``at``.
 
         For a serial endpoint these are the raw reservations themselves
         (capacity-1 placement stays bit-identical to the pre-capacity
         scheduler).  For ``c > 1`` a sweep over the incrementally-maintained
         reservation boundaries finds the regions with ``>= c`` concurrent
         transfers — only those block a new reservation.
+
+        The sweep starts at ``at``, not at the beginning of the history: a
+        placement never starts before ``at``, so no earlier boundary can
+        move it.  The reservations still running at ``at`` come from the
+        backlog index, and if they already fill the endpoint the open block
+        is reported from the latest of their starts — a stretch the endpoint
+        is saturated over, strictly before ``at``, so a transfer requested
+        inside the block (even a zero-length one) conflicts with it exactly
+        as with the block's true start.
+        :class:`~repro.simnet.reference.ReferenceLinkScheduler` keeps the
+        full sweep as the oracle.
         """
         intervals = self._busy.get(endpoint)
         if not intervals or self.unbounded:
@@ -419,14 +434,28 @@ class LinkScheduler:
         cap = self.capacity(endpoint)
         if cap == 1:
             return intervals
+        # Reservations starting before ``at`` that end at or after it are
+        # the ones the sweep would count as active on reaching ``at`` (an
+        # end exactly at ``at`` is among the boundaries swept below).  Walk
+        # them newest-first until the running max of ends falls behind.
+        prefix_max_end = self._backlog_index[endpoint][0]
+        active = 0
+        latest_start: Optional[float] = None
+        for i in range(bisect.bisect_left(intervals, (at,)) - 1, -1, -1):
+            if prefix_max_end[i] < at:
+                break
+            start, end = intervals[i]
+            if end >= at:
+                active += 1
+                if latest_start is None:
+                    latest_start = start
+        block_start = latest_start if active >= cap else None
         # Sorted with the -1 before the +1 at equal times: a reservation
         # ending exactly when another starts never saturates the instant
         # between them.
         boundaries = self._boundaries[endpoint]
         saturated: List[Tuple[float, float]] = []
-        active = 0
-        block_start: Optional[float] = None
-        for time, delta in boundaries:
+        for time, delta in boundaries[bisect.bisect_left(boundaries, (at, -1)) :]:
             active += delta
             if active >= cap and block_start is None:
                 block_start = time
@@ -476,17 +505,29 @@ class LinkScheduler:
             at >= self._max_end.get(endpoint, 0.0) for endpoint in endpoints
         ):
             return at
-        blocked = [self._saturated_intervals(endpoint) for endpoint in endpoints]
+        blocked = [self._saturated_intervals(endpoint, at) for endpoint in endpoints]
         if fault_windows is not None:
             blocked.append(fault_windows)
+        start = self._first_fit(blocked, at, duration)
+        if self.sanitizer is not None:
+            self.sanitizer.check_placement_window(
+                self, endpoints, at, duration, fault_windows, start
+            )
+        return start
+
+    @classmethod
+    def _first_fit(
+        cls, blocked: List[List[Tuple[float, float]]], at: float, duration: float
+    ) -> float:
+        """First start ``>= at`` whose ``duration`` overlaps no blocked interval."""
         start = at
         moved = True
         while moved:
             moved = False
             for intervals in blocked:
-                conflict_end = self._conflict_end(intervals, start, duration)
+                conflict_end = cls._conflict_end(intervals, start, duration)
                 if conflict_end is not None:
-                    # Overlaps a saturated region: jump past it and re-check
+                    # Overlaps a blocked region: jump past it and re-check
                     # every interval list from the new start.
                     start = conflict_end
                     moved = True

@@ -2,13 +2,15 @@
 
 :class:`ReferenceLinkScheduler` recomputes every placement query from the
 committed reservations alone — no backlog index, no running totals, no tail
-fast path; everything else (the saturation sweep, fault windows, ``_plan``)
-it inherits.  It is the pre-acceleration behaviour, kept alive as the oracle
-of the equivalence tests (``tests/test_link_scheduler_equivalence.py``):
-they drive randomized workloads, clean and faulted, through both schedulers
-and assert bit-identical placements and totals, so every maintained
-structure in :class:`~repro.simnet.network.LinkScheduler` stays an
-acceleration rather than a semantic change.
+fast path, and a saturation sweep over the whole boundary history rather
+than from the request time on; everything else (fault windows, the
+first-fit jump loop, ``_plan``) it inherits.  It is the pre-acceleration
+behaviour, kept alive as the oracle of the equivalence tests
+(``tests/test_link_scheduler_equivalence.py``): they drive randomized
+workloads, clean and faulted, through both schedulers and assert
+bit-identical placements and totals, so every maintained structure in
+:class:`~repro.simnet.network.LinkScheduler` stays an acceleration rather
+than a semantic change.
 
 The numeric decompositions (suffix-sum-plus-straddle backlog, log-order
 totals) deliberately mirror the optimized code term for term: floating-point
@@ -47,6 +49,37 @@ class ReferenceLinkScheduler(LinkScheduler):
                 total += end - at
         return total
 
+    def _saturated_intervals(self, endpoint: str, at: float) -> List[Tuple[float, float]]:
+        """The saturation sweep over every boundary the endpoint has had.
+
+        Ignores ``at``: blocks that closed long before the request are swept
+        (and returned) as well, which is what makes this the oracle for the
+        windowed sweep.  The simulation sanitizer re-derives windowed
+        placements from it too.
+        """
+        intervals = self._busy.get(endpoint)
+        if not intervals or self.unbounded:
+            return []
+        cap = self.capacity(endpoint)
+        if cap == 1:
+            return intervals
+        # Sorted with the -1 before the +1 at equal times: a reservation
+        # ending exactly when another starts never saturates the instant
+        # between them.
+        boundaries = self._boundaries[endpoint]
+        saturated: List[Tuple[float, float]] = []
+        active = 0
+        block_start: Optional[float] = None
+        for time, delta in boundaries:
+            active += delta
+            if active >= cap and block_start is None:
+                block_start = time
+            elif active < cap and block_start is not None:
+                if time > block_start:
+                    saturated.append((block_start, time))
+                block_start = None
+        return saturated
+
     def _earliest_start(
         self,
         endpoints: List[str],
@@ -55,20 +88,10 @@ class ReferenceLinkScheduler(LinkScheduler):
         fault_windows: Optional[List[Tuple[float, float]]] = None,
     ) -> float:
         """The jump loop without the past-the-timeline fast path."""
-        blocked = [self._saturated_intervals(endpoint) for endpoint in endpoints]
+        blocked = [self._saturated_intervals(endpoint, at) for endpoint in endpoints]
         if fault_windows is not None:
             blocked.append(fault_windows)
-        start = at
-        moved = True
-        while moved:
-            moved = False
-            for intervals in blocked:
-                conflict_end = self._conflict_end(intervals, start, duration)
-                if conflict_end is not None:
-                    start = conflict_end
-                    moved = True
-                    break
-        return start
+        return self._first_fit(blocked, at, duration)
 
     @property
     def total_queued_time(self) -> float:

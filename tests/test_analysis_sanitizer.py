@@ -1,7 +1,8 @@
 """Tests for the simulation sanitizer (:mod:`repro.analysis.sanitizer`).
 
 The sanitizer must trip on artificially corrupted state at every hooked
-layer (kernel, link scheduler, fabric totals; the evaluator's memo is in
+layer (kernel, link scheduler and its windowed sweep, fabric totals, chain
+transaction hashes; the evaluator's memo is in
 ``tests/test_evaluation.py``, the round-score memo and the decoded-model
 table in ``tests/test_shared_round_work.py``), stay silent across default
 runs of every mode, and — the core contract — leave a sanitized run
@@ -15,16 +16,19 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis import SanitizerViolation, SimulationSanitizer
+from repro.chain.blockchain import Blockchain
+from repro.chain.contract import Contract, contract_method
 from repro.core.config import ExperimentConfig, cifar10_workload, edge_cluster_configs
 from repro.core.runner import ExperimentRunner
 from repro.sched.kernel import SimulationKernel
-from repro.simnet.network import LinkScheduler, ScheduledTransfer
+from repro.simnet.network import LinkScheduler, NetworkLink, NetworkModel, ScheduledTransfer
 
 ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
 
 
 def tiny_config(mode: str = "async", **kwargs) -> ExperimentConfig:
     kwargs.setdefault("clusters", edge_cluster_configs(num_clients=2))
+    kwargs.setdefault("storage_replicas", 2)
     return ExperimentConfig(
         name=f"sanitizer-{mode}",
         workload=cifar10_workload(rounds=2, samples_per_class=8, image_size=8),
@@ -32,7 +36,6 @@ def tiny_config(mode: str = "async", **kwargs) -> ExperimentConfig:
         rounds=2,
         seed=5,
         monitor_resources=False,
-        storage_replicas=2,
         **kwargs,
     )
 
@@ -157,6 +160,79 @@ class TestSchedulerHook:
         assert scheduler.sanitizer.checks["reservation"] == 1
 
 
+# ---------------------------------------------------- placement window hook
+class TestPlacementWindowHook:
+    def build(self) -> LinkScheduler:
+        # One megabyte a second: the first two transfers fill 'wide' over [0, 5).
+        network = NetworkModel(NetworkLink(latency_s=0.0, bandwidth_bytes_per_s=1e6))
+        scheduler = LinkScheduler(network, capacities={"wide": 2})
+        scheduler.sanitizer = SimulationSanitizer()
+        for i, at in enumerate((0.0, 0.0, 1.0)):
+            scheduler.transfer(f"c{i}", "wide", 5_000_000, at)
+        return scheduler
+
+    def test_checks_placements_into_a_wide_endpoint_history(self):
+        scheduler = self.build()
+        before = scheduler.sanitizer.checks["placement_window"]
+        scheduler.preview("late", "wide", 1_000_000, 0.5)
+        scheduler.transfer("late", "wide", 1_000_000, 0.5)
+        assert scheduler.sanitizer.checks["placement_window"] == before + 2
+
+    def test_serial_placements_have_no_window_to_check(self):
+        scheduler = LinkScheduler()
+        scheduler.sanitizer = SimulationSanitizer()
+        for at in (5.0, 0.0, 1.0):
+            scheduler.transfer("a", "b", 1_000_000, at)
+        assert scheduler.sanitizer.checks["placement_window"] == 0
+
+    def test_trips_when_the_window_loses_a_saturated_block(self):
+        scheduler = self.build()
+        # A windowed sweep that forgets the blocks still open at ``at``.
+        scheduler._saturated_intervals = lambda endpoint, at: []
+        with pytest.raises(
+            SanitizerViolation, match=r"endpoint 'wide' requested at t=0\.5 .* full saturation sweep"
+        ):
+            scheduler.preview("late", "wide", 1_000_000, 0.5)
+
+
+# --------------------------------------------------------------- chain hook
+class Ledger(Contract):
+    name = "ledger"
+
+    def __init__(self):
+        super().__init__()
+        self.entries = []
+
+    @contract_method
+    def record(self, values):
+        self.entries.append(list(values))
+
+
+class TestTxIdentityHook:
+    def build(self, validator_accounts) -> Blockchain:
+        chain = Blockchain(validator_accounts)
+        chain.deploy_contract(Ledger())
+        chain.sanitizer = SimulationSanitizer()
+        return chain
+
+    def test_every_sealed_transaction_is_rehashed(self, validator_accounts):
+        chain = self.build(validator_accounts)
+        for values in ([1], [2, 3], []):
+            chain.send(validator_accounts[0], "ledger", "record", {"values": values})
+        chain.mine_block()
+        assert chain.sanitizer.checks["tx_identity"] == 3
+        assert chain.verify_chain()
+
+    def test_trips_on_arguments_mutated_after_submission(self, validator_accounts):
+        chain = self.build(validator_accounts)
+        values = [1, 2]
+        tx_hash = chain.send(validator_accounts[0], "ledger", "record", {"values": values})
+        # ``args`` is a read-only copy of the top level only.
+        values.append(3)
+        with pytest.raises(SanitizerViolation, match=f"transaction {tx_hash} now hashes to"):
+            chain.mine_block()
+
+
 # -------------------------------------------------------------- fabric hook
 class TestFabricHook:
     def fake_fabric(self) -> SimpleNamespace:
@@ -263,6 +339,31 @@ class TestSanitizedRuns:
         assert result_to_dict(plain) == result_to_dict(sanitized)
         checks = sanitized_runner.sanitizer.checks
         assert checks["round_scores"] > 0 and checks["decoded_model"] > 0
+
+    def test_sanitized_wide_capacity_two_run_rechecks_windows_and_tx_hashes(self):
+        # Four replicas of capacity 2 picked least-loaded: placements land
+        # inside the replicas' histories, so every one is swept from its
+        # request time and re-derived from the full sweep; every sealed
+        # transaction is re-hashed.  Nothing moves.
+        from repro.core.config import gpu_cluster_configs
+        from repro.core.reporting import result_to_dict
+
+        wide = dict(
+            clusters=gpu_cluster_configs(num_clusters=12, num_clients=1),
+            scoring_algorithm="multikrum",
+            storage_replicas=4,
+            replica_capacity=2,
+            replica_selection="least-loaded",
+        )
+        plain = ExperimentRunner(tiny_config("sync", **wide)).run()
+        sanitized_runner = ExperimentRunner(tiny_config("sync", sanitize=True, **wide))
+        sanitized = sanitized_runner.run()
+        assert result_to_dict(plain) == result_to_dict(sanitized)
+        checks = sanitized_runner.sanitizer.checks
+        assert checks["placement_window"] > 0
+        assert checks["tx_identity"] == sanitized.chain_metrics["transactions_processed"] + (
+            sanitized.chain_metrics["transactions_failed"]
+        )
 
     def test_sanitizer_works_under_fault_injection(self):
         # Outage windows and failover re-aims exercise the fault-window and

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.chain.account import Account
@@ -16,6 +18,7 @@ from repro.chain.contract import (
 )
 from repro.chain.events import EventFilter
 from repro.chain.transaction import Transaction
+from repro.core.runner import ExperimentRunner, run_experiment
 
 
 class Counter(Contract):
@@ -181,8 +184,10 @@ class TestBlockchain:
 
     def test_bad_signature_rejected(self, blockchain, validator_accounts):
         blockchain.deploy_contract(Counter())
-        tx = Transaction.create(validator_accounts[0], "counter", "increment", {})
-        tx.signature = "00" * 32
+        tx = dataclasses.replace(
+            Transaction.create(validator_accounts[0], "counter", "increment", {}),
+            signature="00" * 32,
+        )
         with pytest.raises(BlockchainError):
             blockchain.submit_transaction(tx)
 
@@ -283,3 +288,24 @@ class TestBlockchain:
         blockchain.send(outsider, "counter", "increment", {"by": 4})
         blockchain.mine_block()
         assert blockchain.call("counter", "get") == 4
+
+
+class TestChainUnderSustainedLoad:
+    def test_many_rounds_grow_and_verify_chain(self, tiny_experiment_config):
+        runner = ExperimentRunner(
+            dataclasses.replace(tiny_experiment_config, name="sustained", rounds=4, seed=31)
+        )
+        runner.run()
+        chain = runner.chain
+        assert chain.height > 10
+        assert chain.verify_chain()
+        # Clique rotation: no single validator sealed more than ~2/3 of blocks.
+        sealers = [block.header.sealer for block in chain.blocks[1:]]
+        most_common = max(sealers.count(s) for s in set(sealers))
+        assert most_common <= 2 * len(sealers) / 3
+
+    def test_gas_accounting_grows_with_activity(self, tiny_experiment_config):
+        short = run_experiment(dataclasses.replace(tiny_experiment_config, rounds=1, seed=31))
+        long = run_experiment(dataclasses.replace(tiny_experiment_config, rounds=3, seed=31))
+        assert long.chain_metrics["total_gas_used"] > short.chain_metrics["total_gas_used"]
+        assert long.chain_metrics["blocks_mined"] > short.chain_metrics["blocks_mined"]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.chain.account import Account
 from repro.chain.block import Block, BlockHeader
+from repro.chain.blockchain import Blockchain, BlockchainError
 from repro.chain.clique import CliqueEngine, CliqueError
 from repro.chain.crypto import (
     KeyPair,
@@ -88,9 +92,7 @@ class TestTransaction:
     def test_hash_includes_signature(self):
         account = Account.create(seed=2)
         tx = Transaction.create(account, "c", "m", {})
-        original_hash = tx.tx_hash
-        tx.signature = "0" * 64
-        assert tx.tx_hash != original_hash
+        assert dataclasses.replace(tx, signature="0" * 64).tx_hash != tx.tx_hash
 
     def test_rejects_nonpositive_gas(self):
         account = Account.create(seed=3)
@@ -101,6 +103,48 @@ class TestTransaction:
         account = Account.create(seed=4)
         tx = Transaction.create(account, "c", "m", {"payload": "x" * 100})
         assert tx.estimated_size_bytes() > 100
+
+    def test_fields_cannot_be_assigned(self):
+        tx = Transaction.create(Account.create(seed=5), "c", "m", {"a": 1})
+        for name, value in (("signature", "0" * 64), ("args", {}), ("nonce", 9), ("tx_hash", "0x")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tx, name, value)
+
+    def test_args_are_a_read_only_copy(self):
+        args = {"a": 1}
+        tx = Transaction.create(Account.create(seed=6), "c", "m", args)
+        args["a"] = 2
+        assert tx.args == {"a": 1}
+        with pytest.raises(TypeError):
+            tx.args["a"] = 3
+
+    def test_tx_hash_is_the_hash_of_the_fields_and_signature(self):
+        tx = Transaction.create(Account.create(seed=7), "c", "m", {"cid": "Qm1", "score": 0.5})
+        fields = {
+            "sender": tx.sender,
+            "nonce": tx.nonce,
+            "contract": "c",
+            "method": "m",
+            "args": {"cid": "Qm1", "score": 0.5},
+            "gas_limit": tx.gas_limit,
+        }
+        assert tx.tx_hash == "0x" + hash_payload({**fields, "signature": tx.signature})
+        assert tx.tx_hash == tx.compute_hash()
+        assert tx.signature == sign_payload(Account.create(seed=7).keypair.private_key, fields)
+
+    def test_estimated_size_matches_the_unsorted_encoding(self):
+        tx = Transaction.create(Account.create(seed=8), "c", "m", {"z": [1, 2.5], "a": "x" * 40})
+        assert tx.estimated_size_bytes() == len(json.dumps(tx.signing_payload(), default=str)) + 64
+
+    @pytest.mark.parametrize(
+        "tamper", [{"signature": "0" * 64}, {"args": {"by": 100}}], ids=["signature", "args"]
+    )
+    def test_replaced_copy_is_rejected_at_submit(self, tamper, validator_accounts):
+        chain = Blockchain(validator_accounts)
+        tx = Transaction.create(validator_accounts[0], "c", "m", {"by": 1})
+        with pytest.raises(BlockchainError, match="invalid signature"):
+            chain.submit_transaction(dataclasses.replace(tx, **tamper))
+        assert chain.submit_transaction(tx) == tx.tx_hash
 
 
 class TestBlocks:

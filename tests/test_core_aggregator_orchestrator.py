@@ -393,6 +393,15 @@ class TestSyncStragglerPath:
         # A zero-length window means nobody can ever submit in time.
         assert all(count == 1 for count in result.straggler_counts.values())
 
+    def test_generous_window_produces_no_stragglers(self):
+        chain, driver, aggregators, timing, _ = build_federation(mode="sync")
+        result = Orchestrator(
+            chain, driver, aggregators, timing,
+            partial(SyncRoundPolicy, training_window=10_000.0, scoring_window=10_000.0),
+        ).run(2)
+        assert all(count == 0 for count in result.straggler_counts.values())
+        assert not any(h.straggled for history in result.histories.values() for h in history)
+
 
 class TestPolicyConstructorDefaults:
     """Defaults and range checks live in the policy that uses them."""

@@ -170,3 +170,26 @@ class TestTimingModel:
     def test_chain_interaction_includes_block_period(self):
         timing = ClusterTimingModel(cifar10_workload(), block_period=2.0)
         assert timing.chain_interaction_time(1) >= 2.0
+
+
+class TestTimingModelShapes:
+    def test_gpu_round_dominated_by_training_not_chain(self):
+        timing = ClusterTimingModel(tiny_imagenet_workload(), block_period=2.0, seed=0)
+        cluster = gpu_cluster_configs(num_clusters=1)[0]
+        training = timing.client_training_time(cluster, jitter=False)
+        chain = timing.chain_interaction_time(2)
+        assert training > 10 * chain
+
+    def test_edge_rpi_cluster_is_the_straggler(self):
+        timing = ClusterTimingModel(cifar10_workload(), seed=0)
+        clusters = edge_cluster_configs()
+        times = {c.name: timing.client_training_time(c, jitter=False) for c in clusters}
+        # agg1 hosts the Raspberry Pi clients in the edge configuration.
+        assert times["agg1"] == max(times.values())
+
+    def test_sync_window_covers_straggler_with_margin(self):
+        timing = ClusterTimingModel(cifar10_workload(), seed=0)
+        clusters = edge_cluster_configs()
+        window = timing.expected_training_window(clusters)
+        slowest = max(timing.client_training_time(c, jitter=False) for c in clusters)
+        assert window >= 1.3 * slowest

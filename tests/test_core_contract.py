@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
@@ -404,3 +406,41 @@ class TestEventLogDetails:
         registered = set(chain.call("unifyfl", "getAggregators"))
         for event in chain.events(EventFilter(name="ScorersAssigned")):
             assert set(event.payload["scorers"]) <= registered
+
+
+class TestContractInterleavingInvariants:
+    @settings(max_examples=15, deadline=None)
+    @given(order=st.permutations([0, 1, 2]), seed=st.integers(0, 1000))
+    def test_submission_order_never_changes_scorer_majority(self, order, seed):
+        """Whatever order organisations submit in, every model gets exactly
+        N//2+1 scorers and never its own submitter."""
+        accounts = [Account.create(label=f"a{i}", seed=2000 + seed * 10 + i) for i in range(3)]
+        chain = Blockchain(accounts, block_period=1.0)
+        chain.deploy_contract(UnifyFLContract(mode="async", scorer_seed=seed))
+        _register(chain, accounts)
+        cids = ["Qm" + f"{i}{seed}".ljust(64, "f")[:64] for i in range(3)]
+        for index in order:
+            chain.send(accounts[index], "unifyfl", "submitModel", {"cid": cids[index]})
+            chain.mine_until_empty()
+        for index, cid in enumerate(cids):
+            submission = chain.call("unifyfl", "getSubmission", {"cid": cid})
+            assert len(submission["assigned_scorers"]) == 2
+            assert accounts[index].address not in submission["assigned_scorers"]
+
+    @settings(max_examples=10, deadline=None)
+    @given(scores=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_all_submitted_scores_are_preserved_exactly(self, scores):
+        accounts = [Account.create(label=f"b{i}", seed=3000 + i) for i in range(3)]
+        chain = Blockchain(accounts, block_period=1.0)
+        chain.deploy_contract(UnifyFLContract(mode="async", scorer_seed=1))
+        _register(chain, accounts)
+        cid = "Qm" + "ab" * 32
+        chain.send(accounts[0], "unifyfl", "submitModel", {"cid": cid})
+        chain.mine_until_empty()
+        submission = chain.call("unifyfl", "getSubmission", {"cid": cid})
+        by_address = {a.address: a for a in accounts}
+        for scorer_address, value in zip(submission["assigned_scorers"], scores):
+            chain.send(by_address[scorer_address], "unifyfl", "submitScore", {"cid": cid, "score": value})
+        chain.mine_until_empty()
+        stored = chain.call("unifyfl", "getSubmission", {"cid": cid})["scores"]
+        assert sorted(stored.values()) == sorted(float(v) for v in scores)

@@ -17,7 +17,7 @@ from repro.core.attacks import (
     available_attacks,
     build_attack,
 )
-from repro.core.config import ClusterConfig, edge_cluster_configs
+from repro.core.config import ClusterConfig, cifar10_workload, edge_cluster_configs
 from repro.core.selection import (
     AboveAverage,
     AboveMedian,
@@ -36,7 +36,7 @@ from repro.core.selection import (
     build_aggregation_policy,
     build_scoring_policy,
 )
-from repro.core.runner import run_experiment
+from repro.core.runner import ExperimentRunner, run_experiment
 from repro.core.scorer import AccuracyScorer, MultiKRUMScorer, build_scorer
 from repro.ml.models import MLP
 
@@ -339,3 +339,41 @@ class TestRemainingPoliciesEndToEnd:
         result = run_experiment(dataclasses.replace(tiny_experiment_config, clusters=clusters))
         labels = {a.policy for a in result.aggregators}
         assert len(labels) == 3
+
+
+class TestMultiKRUMEndToEnd:
+    def test_multikrum_downranks_byzantine_model_on_chain(self, tiny_experiment_config):
+        clusters = [
+            ClusterConfig(name="h1", num_clients=2, aggregation_policy="above_median"),
+            ClusterConfig(name="h2", num_clients=2, aggregation_policy="above_median"),
+            ClusterConfig(name="h3", num_clients=2, aggregation_policy="above_median"),
+            ClusterConfig(
+                name="evil", num_clients=2, aggregation_policy="above_median",
+                malicious=True, attack="scaling",
+            ),
+        ]
+        config = dataclasses.replace(
+            tiny_experiment_config,
+            name="multikrum-byzantine",
+            clusters=clusters,
+            scoring_algorithm="multikrum",
+            workload=cifar10_workload(rounds=2, samples_per_class=14, image_size=8, learning_rate=0.05),
+            seed=31,
+        )
+        runner = ExperimentRunner(config)
+        runner.run()
+        records = runner.chain.call("unifyfl", "getLatestModelsWithScores")
+        evil_address = runner.accounts["evil"].address
+        evil_scores = [s for r in records if r["submitter"] == evil_address for s in r["scores"].values()]
+        honest_scores = [s for r in records if r["submitter"] != evil_address for s in r["scores"].values()]
+        assert evil_scores and honest_scores
+        # The scaled (outlier) model sits far from the honest majority in weight
+        # space, so MultiKRUM gives it the lowest similarity scores.
+        assert np.mean(evil_scores) < np.mean(honest_scores)
+
+    def test_multikrum_scorer_used_by_aggregators(self, tiny_experiment_config):
+        runner = ExperimentRunner(
+            dataclasses.replace(tiny_experiment_config, scoring_algorithm="multikrum", seed=31)
+        )
+        runner.build()
+        assert all(isinstance(a.scorer, MultiKRUMScorer) for a in runner.aggregators)

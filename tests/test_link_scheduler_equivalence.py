@@ -19,10 +19,10 @@ from repro.simnet.network import LinkScheduler, NetworkLink, NetworkModel
 from repro.simnet.reference import ReferenceLinkScheduler
 
 
-def _build_pair(seed: int, num_endpoints: int, max_capacity: int):
+def _build_pair(seed: int, num_endpoints: int, max_capacity: int, latency_s: float = 0.002):
     rng = random.Random(seed)
     network = NetworkModel(
-        default_link=NetworkLink(latency_s=0.002, bandwidth_bytes_per_s=50e6)
+        default_link=NetworkLink(latency_s=latency_s, bandwidth_bytes_per_s=50e6)
     )
     endpoints = [f"e{i}" for i in range(num_endpoints)]
     capacities = {name: rng.randint(1, max_capacity) for name in endpoints}
@@ -31,14 +31,20 @@ def _build_pair(seed: int, num_endpoints: int, max_capacity: int):
     return rng, endpoints, fast, slow
 
 
-def _random_workload(rng, endpoints, fast, slow, operations: int):
-    """Drive both schedulers through one interleaved random op stream."""
+def _random_workload(rng, endpoints, fast, slow, operations: int, empty_share: float = 0.0):
+    """Drive both schedulers through one interleaved random op stream.
+
+    ``empty_share`` of the transfers carry no bytes (zero wire time on a
+    zero-latency network).
+    """
     now = 0.0
     for _ in range(operations):
         op = rng.random()
         source = rng.choice(endpoints)
         destination = rng.choice(endpoints)
         num_bytes = rng.randint(1, 60_000_000)
+        if empty_share and rng.random() < empty_share:
+            num_bytes = 0
         # Mostly forward-moving time with occasional jumps back, so both the
         # tail-append fast path and the into-the-schedule placements run.
         now = max(0.0, now + rng.uniform(-2.0, 6.0))
@@ -91,6 +97,16 @@ def test_randomized_equivalence(seed, faulted):
     assert fast.log == slow.log
     for endpoint in endpoints:
         assert fast.busy_intervals(endpoint) == slow.busy_intervals(endpoint)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_length_transfers_match_the_reference(seed):
+    """Zero-length placements inside saturated blocks, clean and faulted."""
+    rng, endpoints, fast, slow = _build_pair(seed, num_endpoints=4, max_capacity=3, latency_s=0.0)
+    if seed % 2:
+        _install_random_faults(rng, endpoints, (fast, slow))
+    _random_workload(rng, endpoints, fast, slow, operations=220, empty_share=0.3)
+    assert fast.log == slow.log
 
 
 def test_serial_only_equivalence():
@@ -188,3 +204,98 @@ def test_running_totals_match_log_sums():
         fast.transfer(rng.choice(endpoints), rng.choice(endpoints), rng.randint(1, 40_000_000), now)
     assert fast.total_queued_time == sum(t.queued_time for t in fast.log)
     assert fast.total_wire_time == sum(t.duration for t in fast.log)
+
+
+# ------------------------------------------------ the sweep from the request
+# A wide (capacity > 1) endpoint's saturation sweep starts at the request
+# time; the reference sweeps its whole history.  One megabyte is one second
+# on the zero-latency link below, and every transfer comes from its own
+# serial source, so only the wide endpoint can hold a placement back.
+
+
+def _window_pair(**capacities):
+    network = NetworkModel(default_link=NetworkLink(latency_s=0.0, bandwidth_bytes_per_s=1e6))
+    return LinkScheduler(network, capacities=dict(capacities)), ReferenceLinkScheduler(
+        network, capacities=dict(capacities)
+    )
+
+
+def _same(pair, action, *args, **kwargs):
+    """Run one scheduler call on both; they must agree exactly."""
+    fast, slow = pair
+    answer = getattr(fast, action)(*args, **kwargs)
+    assert answer == getattr(slow, action)(*args, **kwargs), (action, args, kwargs)
+    return answer
+
+
+def _load(pair, destination, spans):
+    """Commit ``(at, seconds)`` transfers into ``destination``, one source each."""
+    for i, (at, seconds) in enumerate(spans):
+        _same(pair, "transfer", f"src{len(pair[0].log)}-{i}", destination, int(seconds * 1e6), at)
+
+
+def _probe(pair, destination, at, seconds_options=(0.0, 0.5, 2.0, 7.0)):
+    """Preview and estimate every duration at ``at``; returns the starts."""
+    starts = []
+    for seconds in seconds_options:
+        planned = _same(pair, "preview", "probe", destination, int(seconds * 1e6), at)
+        _same(pair, "estimate", "probe", destination, int(seconds * 1e6), at)
+        starts.append(planned.started_at)
+    return starts
+
+
+def test_window_request_exactly_on_a_boundary_time():
+    pair = _window_pair(wide=2)
+    _load(pair, "wide", [(0.0, 4.0), (1.0, 5.0), (4.0, 3.0), (6.0, 2.0)])
+    boundaries = sorted({t for start, end in pair[0].busy_intervals("wide") for t in (start, end)})
+    for at in boundaries:
+        _probe(pair, "wide", at)
+    # The bytes at a boundary commit the same slot too.
+    _same(pair, "transfer", "late", "wide", 1_500_000, 4.0)
+    assert pair[0].log == pair[1].log
+
+
+def test_window_saturated_block_straddling_the_request():
+    pair = _window_pair(wide=2)
+    _load(pair, "wide", [(0.0, 10.0), (2.0, 6.0), (12.0, 1.0)])
+    # Saturated over [2, 8): a request at 5 waits for the block's end.
+    assert _probe(pair, "wide", 5.0) == [8.0, 8.0, 8.0, 8.0]
+    _same(pair, "transfer", "mid", "wide", 3_000_000, 5.0)
+    # Placed at 8, so now saturated over [2, 8) and [8, 10): a request at 9,
+    # a zero-length one included, waits for 10.
+    assert _probe(pair, "wide", 9.0) == [10.0, 10.0, 10.0, 10.0]
+    assert pair[0].log == pair[1].log
+
+
+def test_window_block_ending_exactly_at_the_request():
+    pair = _window_pair(wide=2)
+    _load(pair, "wide", [(0.0, 5.0), (1.0, 4.0), (5.0, 3.0)])
+    # Saturated over [1, 5) only: at t = 5 one slot is taken, one is free.
+    assert _probe(pair, "wide", 5.0) == [5.0, 5.0, 5.0, 5.0]
+    _same(pair, "transfer", "edge", "wide", 2_000_000, 5.0)
+    # Now a block opens at t = 5 itself: [5, 7).  A zero-length transfer at
+    # its very start still fits; anything longer waits for 7.
+    assert _probe(pair, "wide", 5.0) == [5.0, 7.0, 7.0, 7.0]
+
+
+def test_window_capacity_raised_after_traffic():
+    pair = _window_pair()
+    _load(pair, "wide", [(0.0, 3.0), (0.0, 3.0), (1.0, 2.0)])
+    for scheduler in pair:
+        scheduler.set_capacity("wide", 3)
+    for at in (0.0, 1.5, 2.0, 4.0, 6.0, 7.9, 8.0):
+        _probe(pair, "wide", at)
+    _load(pair, "wide", [(2.0, 2.0), (0.5, 1.0), (3.0, 4.0)])
+    for at in (0.0, 2.5, 5.0):
+        _probe(pair, "wide", at)
+    assert pair[0].log == pair[1].log
+
+
+def test_window_request_before_the_whole_timeline():
+    pair = _window_pair(wide=2)
+    _load(pair, "wide", [(50.0, 10.0), (52.0, 10.0), (70.0, 1.0), (70.0, 2.0)])
+    # Saturated over [52, 60) and [70, 71): whatever ends by 52 fits before
+    # the history, anything longer is pushed past both blocks.
+    assert _probe(pair, "wide", 0.0, seconds_options=(0.0, 52.0, 53.0)) == [0.0, 0.0, 71.0]
+    _same(pair, "transfer", "early", "wide", 55_000_000, 0.0)
+    assert pair[0].log == pair[1].log
