@@ -7,17 +7,15 @@ by bit-identity tests comparing whole result documents.  This package guards
 it at the *source*:
 
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.linter` — an AST-based
-  **static analyzer** (the ``repro lint`` CLI subcommand) with a rule
-  registry, per-rule codes in three families (``DET`` determinism, ``UNIT``
-  unit/dimension discipline, ``WIRE`` cross-layer wiring), family selectors
-  (``--select UNIT``), long-form rationales (``--explain CODE``) and one
-  way to silence a finding: an inline ``# detlint: ignore[RULE]`` on its
-  line, so the verdict is the same from any working directory.
-* :mod:`repro.analysis.project` — the **cross-layer pass**: rules with
-  ``scope="project"`` receive a :class:`~repro.analysis.project.ProjectContext`
-  spanning every scanned module and run once per ``lint_paths`` invocation,
-  so they can check invariants no single file contains (config↔CLI wiring,
-  registry-backed CLI choices).
+  **static analyzer** (the ``repro lint`` CLI subcommand) that checks one
+  file at a time, with a rule registry, per-rule codes in two families
+  (``DET`` determinism, ``UNIT`` unit/dimension discipline), family
+  selectors (``--select UNIT``), long-form rationales (``--explain CODE``)
+  and one way to silence a finding: an inline ``# detlint: ignore[RULE]``
+  on its line, so the verdict is the same from any working directory.
+  That the CLI sets every ``ExperimentConfig`` field and offers every
+  registered choice is checked by running the parser, in
+  ``tests/test_reporting_cli.py``, not by a lint rule.
 * :mod:`repro.analysis.sanitizer` — a runtime **simulation sanitizer**
   (``ExperimentConfig(sanitize=True)`` / ``repro run --sanitize``): strictly
   read-only assertions hooked into the discrete-event kernel, the link
@@ -46,16 +44,10 @@ The linter rules:
              outside :mod:`repro.simnet.units`
 ``UNIT004``  suffixed names assigned/passed from names of a different (or
              no) dimension without a conversion
-``WIRE001``  ``ExperimentConfig`` fields unreachable from any CLI
-             ``add_argument`` dest and unvalidated in ``__post_init__``
-             (cross-layer)
-``WIRE003``  registry-backed CLI options restating their ``choices`` as
-             literals instead of deriving them from the registry
 ========  =====================================================================
 """
 
 from repro.analysis.linter import Finding, LintReport, lint_paths, lint_source
-from repro.analysis.project import ProjectContext
 from repro.analysis.rules import (
     Rule,
     all_rules,
@@ -68,7 +60,6 @@ from repro.analysis.sanitizer import SanitizerViolation, SimulationSanitizer
 __all__ = [
     "Finding",
     "LintReport",
-    "ProjectContext",
     "Rule",
     "SanitizerViolation",
     "SimulationSanitizer",

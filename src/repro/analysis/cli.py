@@ -24,13 +24,12 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     """Register the ``lint`` subcommand on an existing subparser collection."""
     parser = subparsers.add_parser(
         "lint",
-        help="run the static analyzer (DET/UNIT/WIRE rule families) over simulation code",
+        help="run the static analyzer (DET/UNIT rule families) over simulation code",
         description=(
-            "Scan Python sources for constructs that break the repo's core "
-            "invariants: determinism (DET), unit/dimension discipline (UNIT) "
-            "and cross-layer config/CLI/schema wiring (WIRE). A finding is "
-            "suppressed only inline, with '# detlint: ignore[CODE]' on its "
-            "line."
+            "Scan Python sources, one file at a time, for constructs that "
+            "break the repo's core invariants: determinism (DET) and "
+            "unit/dimension discipline (UNIT). A finding is suppressed only "
+            "inline, with '# detlint: ignore[CODE]' on its line."
         ),
     )
     parser.add_argument(
@@ -45,7 +44,7 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated rule codes or families to run — 'DET003', "
-            "'UNIT', 'DET,WIRE' (default: all registered rules)"
+            "'UNIT', 'DET,UNIT' (default: all registered rules)"
         ),
     )
     parser.add_argument(
@@ -80,7 +79,7 @@ def _print_explain(code: str) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    print(f"{rule.code}  {rule.name}  [{rule.scope} scope]")
+    print(f"{rule.code}  {rule.name}")
     print(f"    {rule.summary}")
     if rule.explain:
         print()

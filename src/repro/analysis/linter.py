@@ -76,13 +76,11 @@ def lint_source(
     path: str = "<string>",
     codes: Optional[Sequence[str]] = None,
 ) -> LintReport:
-    """Lint one module's source text with the **module-scope** rules.
+    """Lint one module's source text.
 
     ``codes`` restricts the run to a subset of rule codes or families
     (``["DET003"]``, ``["UNIT"]``, any order); by default every registered
-    module-scope rule runs.  Project-scope rules (the WIRE family) need the
-    whole scan and only run under :func:`lint_paths`.  Inline suppressions
-    are honoured.
+    rule runs.  Inline suppressions are honoured.
     """
     from repro.analysis import rules as _rules  # deferred: rules imports Finding
 
@@ -96,7 +94,7 @@ def lint_source(
     lines = source.splitlines()
     per_line = _inline_suppressions(lines)
 
-    selected = [rule for rule in _rules.all_rules() if rule.scope == "module"]
+    selected = _rules.all_rules()
     if codes is not None:
         wanted = set(_rules.expand_selectors(codes))  # unknown selectors raise
         selected = [rule for rule in selected if rule.code in wanted]
@@ -133,22 +131,15 @@ def lint_paths(
     paths: Iterable[str],
     codes: Optional[Sequence[str]] = None,
 ) -> LintReport:
-    """Lint files and directories.
+    """Lint files and directories, one file at a time.
 
-    Runs every selected module-scope rule per file, then the project-scope
-    rules (the cross-layer WIRE family) once over the whole scan.  Project
-    findings honour the same inline suppressions as module findings: a
-    ``# detlint: ignore[WIRE001]`` on the anchor line suppresses them.  A
-    path that cannot be read (missing, or not UTF-8) is a parse error, like
-    a file that does not parse.
+    A path that cannot be read (missing, or not UTF-8) is a parse error,
+    like a file that does not parse.
     """
     from repro.analysis import rules as _rules  # deferred: rules imports Finding
-    from repro.analysis.project import ModuleInfo, ProjectContext
 
     selected = None if codes is None else _rules.expand_selectors(codes)
     report = LintReport()
-    modules: List[ModuleInfo] = []
-    suppressions: Dict[str, Dict[int, Set[str]]] = {}
     for file_path in iter_python_files(paths):
         path = str(file_path)
         try:
@@ -160,27 +151,4 @@ def lint_paths(
             report.parse_errors.append(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
             continue
         report.extend(lint_source(source, path=path, codes=selected))
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # already recorded as a parse error by lint_source
-        lines = tuple(source.splitlines())
-        normalized = path.replace("\\", "/")
-        modules.append(ModuleInfo(path=normalized, tree=tree, lines=lines))
-        suppressions[normalized] = _inline_suppressions(lines)
-
-    project_rules = [
-        rule
-        for rule in _rules.all_rules()
-        if rule.scope == "project" and (selected is None or rule.code in selected)
-    ]
-    if project_rules and modules:
-        project = ProjectContext(modules=modules)
-        for rule in project_rules:
-            for finding in rule.check(project):
-                if finding.code in suppressions.get(finding.path, {}).get(finding.line, set()):
-                    report.suppressed += 1
-                else:
-                    report.findings.append(finding)
-        report.findings.sort()
     return report

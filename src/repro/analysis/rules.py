@@ -104,20 +104,16 @@ def _build_import_map(tree: ast.AST) -> Dict[str, str]:
 class Rule:
     """One registered lint rule.
 
-    ``scope`` is ``"module"`` for per-file AST rules (``check`` receives a
-    :class:`LintContext`) or ``"project"`` for whole-program rules run once
-    per lint invocation (``check`` receives a
-    :class:`repro.analysis.project.ProjectContext` spanning every scanned
-    module).  ``explain`` is the long-form text ``repro lint --explain CODE``
-    prints: what the rule guards, why it matters here, and how to fix a hit.
+    ``check`` receives the :class:`LintContext` of one module.  ``explain``
+    is the long-form text ``repro lint --explain CODE`` prints: what the
+    rule guards, why it matters here, and how to fix a hit.
     """
 
     code: str
     name: str
     summary: str
-    check: Callable[..., List[Finding]]
+    check: Callable[[LintContext], List[Finding]]
     explain: str = ""
-    scope: str = "module"
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -154,7 +150,7 @@ def expand_selectors(selectors: Sequence[str]) -> List[str]:
     """Expand ``--select`` entries into concrete rule codes.
 
     A selector is either an exact code (``DET001``) or a **family prefix**
-    (``DET``, ``UNIT``, ``WIRE``) selecting every registered code that
+    (``DET``, ``UNIT``) selecting every registered code that
     starts with it.  Unknown selectors raise rather than silently no-op.
     """
     codes: List[str] = []
@@ -793,8 +789,3 @@ register_rule(
         ),
     )
 )
-
-# The WIRE cross-layer rules live next to the whole-program pass; importing
-# the module here keeps the registry complete whenever any rule is consulted
-# (the import sits after every name it needs is defined).
-from repro.analysis import project as _project  # noqa: E402,F401

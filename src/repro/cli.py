@@ -24,9 +24,11 @@ without writing Python::
     python -m repro.cli compare --workload cifar10 --rounds 6   # sync vs async vs semi vs baselines
     python -m repro.cli policies                                 # list available policies and modes
 
-The ``--mode`` choices come straight from the round-policy registry
-(:mod:`repro.sched.registry`): registering a new policy makes it runnable
-from here with no CLI changes.
+Every registry-backed ``choices=`` comes straight from its registry —
+``--mode`` from the round-policy registry (:mod:`repro.sched.registry`),
+``--policy`` / ``--scoring-policy`` from :mod:`repro.core.selection`,
+``--scoring`` from ``SCORERS`` — so registering a new policy or scorer
+makes it runnable from here with no CLI changes.
 
 The same entry point is installed as the ``repro`` console script
 (``pip install -e .`` then ``repro run --mode semi ...``).
@@ -39,6 +41,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core.config import (
+    EDGE_CLIENT_PROFILES,
     ClusterConfig,
     ExperimentConfig,
     cifar10_workload,
@@ -57,6 +60,7 @@ from repro.core.results import (
     format_run_table,
 )
 from repro.core.runner import ExperimentRunner
+from repro.core.scorer import SCORERS
 from repro.sched.actors import REPLICA_SELECTIONS
 from repro.sched.registry import get_policy, registered_modes
 from repro.simnet.replication import REPLICATION_MODES
@@ -81,8 +85,13 @@ def _build_workload(args: argparse.Namespace):
 
 def _build_clusters(args: argparse.Namespace) -> List[ClusterConfig]:
     if args.testbed == "edge":
-        clusters = edge_cluster_configs(num_clients=args.clients, policy=args.policy, policy_k=args.policy_k)
-        return clusters[: args.clusters] if args.clusters <= len(clusters) else clusters
+        clusters = edge_cluster_configs(
+            num_clients=args.clients,
+            policy=args.policy,
+            policy_k=args.policy_k,
+            scoring_policy=args.scoring_policy,
+        )
+        return clusters[: args.clusters]
     return gpu_cluster_configs(
         num_clusters=args.clusters,
         num_clients=args.clients,
@@ -143,14 +152,23 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", choices=["cifar10", "tiny_imagenet"], default="cifar10")
     parser.add_argument("--testbed", choices=["edge", "gpu"], default="edge")
     parser.add_argument("--rounds", type=int, default=6)
-    parser.add_argument("--clusters", type=int, default=3, help="number of organisations")
+    parser.add_argument(
+        "--clusters", type=int, default=3,
+        help=f"number of organisations (at most {len(EDGE_CLIENT_PROFILES)} on the edge testbed)",
+    )
     parser.add_argument("--clients", type=int, default=3, help="clients per organisation")
     parser.add_argument("--partitioning", choices=["iid", "dirichlet", "shard"], default="dirichlet")
     parser.add_argument("--alpha", type=float, default=0.5, help="Dirichlet concentration for NIID splits")
-    parser.add_argument("--policy", default="top_k", help="aggregation policy for every organisation")
+    parser.add_argument(
+        "--policy", choices=available_aggregation_policies(), default="top_k",
+        help="aggregation policy for every organisation",
+    )
     parser.add_argument("--policy-k", type=int, default=2, dest="policy_k")
-    parser.add_argument("--scoring-policy", default="mean", dest="scoring_policy")
-    parser.add_argument("--scoring", choices=["accuracy", "loss", "multikrum", "cosine"], default="accuracy")
+    parser.add_argument(
+        "--scoring-policy", choices=available_scoring_policies(), default="mean",
+        dest="scoring_policy",
+    )
+    parser.add_argument("--scoring", choices=list(SCORERS), default="accuracy")
     parser.add_argument("--samples-per-class", type=int, default=24, dest="samples_per_class")
     parser.add_argument("--image-size", type=int, default=8, dest="image_size")
     parser.add_argument("--num-classes", type=int, default=10, dest="num_classes")
@@ -434,6 +452,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("run", "compare") and args.testbed == "edge":
+        nodes = len(EDGE_CLIENT_PROFILES)
+        if args.clusters > nodes:
+            parser.error(
+                f"--clusters {args.clusters} exceeds the edge testbed's {nodes} nodes "
+                "(use --testbed gpu for more organisations)"
+            )
     if args.command == "run":
         return _command_run(args)
     if args.command == "compare":

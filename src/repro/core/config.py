@@ -467,16 +467,21 @@ def gpu_cluster_configs(
     return clusters
 
 
-def edge_cluster_configs(num_clients: int = 3, policy: str = "top_k", policy_k: int = 2) -> List[ClusterConfig]:
+#: the client hardware of the edge testbed's nodes, one cluster per node.
+EDGE_CLIENT_PROFILES = (RASPBERRY_PI_400, JETSON_NANO, DOCKER_CONTAINER)
+
+
+def edge_cluster_configs(
+    num_clients: int = 3, policy: str = "top_k", policy_k: int = 2, scoring_policy: str = "mean"
+) -> List[ClusterConfig]:
     """Cluster configs matching the paper's heterogeneous 3-node edge testbed.
 
     Each aggregator runs on a CPU node; its clients are homogeneous within a
     cluster but differ across clusters (Raspberry Pi 400, Jetson Nano, Docker),
     as described in Section 4.1.
     """
-    client_profiles = [RASPBERRY_PI_400, JETSON_NANO, DOCKER_CONTAINER]
     clusters: List[ClusterConfig] = []
-    for i, profile in enumerate(client_profiles):
+    for i, profile in enumerate(EDGE_CLIENT_PROFILES):
         clusters.append(
             ClusterConfig(
                 name=f"agg{i + 1}",
@@ -484,7 +489,7 @@ def edge_cluster_configs(num_clients: int = 3, policy: str = "top_k", policy_k: 
                 strategy="fedavg",
                 aggregation_policy=policy,
                 policy_k=policy_k,
-                scoring_policy="mean",
+                scoring_policy=scoring_policy,
                 aggregator_profile=EDGE_CPU_NODE,
                 client_profile=profile,
             )

@@ -1,12 +1,11 @@
 """Tests for the static analyzer (:mod:`repro.analysis`).
 
 Each DET/UNIT rule gets a violating/clean fixture pair via ``lint_source``;
-the cross-layer WIRE rules get mini-project fixtures under ``tmp_path``
-driven through ``lint_paths``; inline ignores, the one suppression channel,
-are per line and per code; unreadable paths are parse errors; the rule
-registry mirrors the policy registry's invariants; and — the CI contract —
-the shipped ``src/repro`` tree lints clean under the full ``DET,UNIT,WIRE``
-selection, with the same verdict from any working directory.
+inline ignores, the one suppression channel, are per line and per code;
+unreadable paths are parse errors; the rule registry mirrors the policy
+registry's invariants; and — the CI contract — the shipped ``src/repro``
+tree lints clean under the full ``DET,UNIT`` selection, with the same
+verdict from any working directory.
 """
 
 from __future__ import annotations
@@ -375,128 +374,6 @@ class TestSuppressions:
             lint_source(source, path="src/repro/x.py", codes=("DET999",))
 
 
-# -------------------------------------------------- cross-layer WIRE fixtures
-CONFIG_MODULE = """\
-from dataclasses import dataclass
-
-
-@dataclass
-class ExperimentConfig:
-    rounds: int = 3
-    block_period: float = 2.0
-    orphan_knob: float = 1.0
-
-    def __post_init__(self):
-        if self.block_period <= 0:
-            raise ValueError("block_period must be positive")
-"""
-
-CLI_MODULE = """\
-import argparse
-
-from config import ExperimentConfig
-
-
-def build_parser():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--rounds", type=int, default=3)
-    return parser
-
-
-def build(argv=None):
-    args = build_parser().parse_args(argv)
-    return ExperimentConfig(rounds=args.rounds)
-"""
-
-
-def write_project(tmp_path, **modules):
-    for name, source in modules.items():
-        (tmp_path / f"{name}.py").write_text(source)
-    return str(tmp_path)
-
-
-class TestWIRE001ConfigCliWiring:
-    def test_orphan_config_field_fires(self, tmp_path):
-        # The acceptance-criterion fixture: ``orphan_knob`` has no CLI flag
-        # and no __post_init__ validation, so the cross-layer pass flags it.
-        root = write_project(tmp_path, config=CONFIG_MODULE, cli=CLI_MODULE)
-        report = lint_paths([root], codes=("WIRE001",))
-        assert codes_of(report) == ["WIRE001"]
-        assert len(report.findings) == 1
-        assert "orphan_knob" in report.findings[0].message
-        assert report.findings[0].path.endswith("config.py")
-
-    def test_validated_or_wired_fields_pass(self, tmp_path):
-        # ``rounds`` is passed through the CLI construction and
-        # ``block_period`` is validated in __post_init__ — neither fires.
-        clean_config = CONFIG_MODULE.replace("    orphan_knob: float = 1.0\n", "")
-        root = write_project(tmp_path, config=clean_config, cli=CLI_MODULE)
-        assert lint_paths([root], codes=("WIRE001",)).findings == []
-
-    def test_dead_wiring_fires_on_undefined_dest(self, tmp_path):
-        dead_cli = CLI_MODULE.replace(
-            "ExperimentConfig(rounds=args.rounds)",
-            "ExperimentConfig(rounds=args.round_count)",
-        )
-        root = write_project(tmp_path, config=CONFIG_MODULE, cli=dead_cli)
-        report = lint_paths([root], codes=("WIRE001",))
-        messages = [finding.message for finding in report.findings]
-        assert any("args.round_count" in message for message in messages)
-
-    def test_config_without_cli_module_asserts_nothing(self, tmp_path):
-        # Cross-layer by definition: a lone config fixture with no argparse
-        # module in the scan must not condemn every field.
-        root = write_project(tmp_path, config=CONFIG_MODULE)
-        assert lint_paths([root], codes=("WIRE001",)).findings == []
-
-    def test_inline_ignore_suppresses_project_findings(self, tmp_path):
-        suppressed = CONFIG_MODULE.replace(
-            "    orphan_knob: float = 1.0",
-            "    orphan_knob: float = 1.0  # detlint: ignore[WIRE001]",
-        )
-        root = write_project(tmp_path, config=suppressed, cli=CLI_MODULE)
-        report = lint_paths([root], codes=("WIRE001",))
-        assert report.findings == []
-        assert report.suppressed == 1
-
-
-class TestWIRE003RegistryBackedChoices:
-    def test_literal_choices_fire(self, tmp_path):
-        source = (
-            "import argparse\n"
-            "parser = argparse.ArgumentParser()\n"
-            "parser.add_argument('--replication-mode', choices=['eager', 'lazy'])\n"
-        )
-        root = write_project(tmp_path, cli=source)
-        report = lint_paths([root], codes=("WIRE003",))
-        assert codes_of(report) == ["WIRE003"]
-        assert "REPLICATION_MODES" in report.findings[0].message
-
-    def test_missing_choices_fire(self, tmp_path):
-        source = (
-            "import argparse\n"
-            "parser = argparse.ArgumentParser()\n"
-            "parser.add_argument('--mode')\n"
-        )
-        root = write_project(tmp_path, cli=source)
-        report = lint_paths([root], codes=("WIRE003",))
-        assert codes_of(report) == ["WIRE003"]
-        assert "no choices=" in report.findings[0].message
-
-    def test_registry_derived_choices_pass(self, tmp_path):
-        source = (
-            "import argparse\n"
-            "from repro.simnet.replication import REPLICATION_MODES\n"
-            "from repro.sched.registry import registered_modes\n"
-            "parser = argparse.ArgumentParser()\n"
-            "parser.add_argument('--mode', choices=registered_modes())\n"
-            "parser.add_argument('--replication-mode', choices=list(REPLICATION_MODES))\n"
-            "parser.add_argument('--other', choices=['a', 'b'])\n"
-        )
-        root = write_project(tmp_path, cli=source)
-        assert lint_paths([root], codes=("WIRE003",)).findings == []
-
-
 # --------------------------------------------------------------- rule registry
 class TestRuleRegistry:
     def test_builtin_rules_are_registered_in_order(self):
@@ -509,13 +386,7 @@ class TestRuleRegistry:
             "UNIT001",
             "UNIT002",
             "UNIT004",
-            "WIRE001",
-            "WIRE003",
         ]
-
-    def test_wire_rules_are_project_scoped(self):
-        assert get_rule("WIRE001").scope == "project"
-        assert get_rule("UNIT001").scope == "module"
 
     def test_every_rule_ships_an_explanation(self):
         for rule in all_rules():
@@ -527,9 +398,10 @@ class TestRuleRegistry:
             "UNIT002",
             "UNIT004",
         ]
-        assert expand_selectors(["WIRE", "DET001"]) == [
-            "WIRE001",
-            "WIRE003",
+        assert expand_selectors(["UNIT", "DET001"]) == [
+            "UNIT001",
+            "UNIT002",
+            "UNIT004",
             "DET001",
         ]
         with pytest.raises(ValueError, match="unknown rule or family"):
@@ -567,7 +439,7 @@ class TestShippedTreeLintsClean:
         from repro.cli import main
 
         monkeypatch.chdir(REPO_ROOT / "src")
-        assert main(["lint", "repro", "--select", "DET,UNIT,WIRE"]) == 0
+        assert main(["lint", "repro", "--select", "DET,UNIT"]) == 0
         assert "0 finding(s), 5 suppressed inline" in capsys.readouterr().out
 
     def test_baseline_flag_is_an_argparse_error(self, capsys):
@@ -695,11 +567,11 @@ class TestShippedTreeLintsClean:
     def test_cli_explain_known_code(self, capsys):
         from repro.cli import main
 
-        assert main(["lint", "--explain", "WIRE001"]) == 0
+        assert main(["lint", "--explain", "UNIT001"]) == 0
         out = capsys.readouterr().out
-        assert "WIRE001" in out
-        assert "config-cli-wiring" in out
-        assert "__post_init__" in out
+        assert "UNIT001" in out
+        assert "mixed-unit-arithmetic" in out
+        assert "repro.simnet.units" in out
 
     def test_cli_explain_unknown_code_exits_2(self, capsys):
         from repro.cli import main

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _build_config, build_parser, main
 from repro.core.config import ExperimentConfig, cifar10_workload, edge_cluster_configs
 from repro.core.reporting import (
     load_result_json,
@@ -21,7 +22,12 @@ from repro.core.reporting import (
 )
 from repro.core.results import format_comm_table, format_comparison, format_run_table
 from repro.core.runner import ExperimentRunner, run_experiment
+from repro.core.scorer import SCORERS
+from repro.core.selection import available_aggregation_policies, available_scoring_policies
 from repro.sched import metrics
+from repro.sched.actors import REPLICA_SELECTIONS
+from repro.sched.registry import registered_modes
+from repro.simnet.replication import REPLICATION_MODES
 
 _spec = importlib.util.spec_from_file_location(
     "regen_goldens", Path(__file__).resolve().parent.parent / "scripts" / "regen_goldens.py"
@@ -335,3 +341,155 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "Sync UnifyFL" in output
         assert "Centralized multilevel" in output
+
+
+# --------------------------------------------------------------- CLI wiring
+#: one ``repro run`` argv per ``ExperimentConfig`` field that moves the field
+#: off the value the CLI defaults give it.
+FIELD_ARGV = {
+    "workload": ["--workload", "tiny_imagenet"],
+    "clusters": ["--clients", "2"],
+    "mode": ["--mode", "sync"],
+    "partitioning": ["--partitioning", "iid"],
+    "dirichlet_alpha": ["--alpha", "0.1"],
+    "scoring_algorithm": ["--scoring", "loss"],
+    "rounds": ["--rounds", "3"],
+    "seed": ["--seed", "7"],
+    "phase_duration": ["--phase-duration", "30"],
+    "semi_quorum_k": ["--semi-quorum-k", "2"],
+    "max_staleness": ["--max-staleness", "60"],
+    "local_rounds_per_global": ["--local-rounds-per-global", "3"],
+    "round_budget": ["--round-budget", "4"],
+    "gossip_fanout": ["--gossip-fanout", "1"],
+    "block_period": ["--block-period", "3"],
+    "monitor_resources": ["--no-monitor-resources"],
+    "sanitize": ["--sanitize"],
+    "event_streams": ["--no-event-streams"],
+    "link_bandwidth_mbytes_per_s": ["--link-bandwidth", "10"],
+    "link_latency_s": ["--link-latency", "0.2"],
+    "block_interval": ["--block-interval", "1.5"],
+    "storage_replicas": ["--storage-replicas", "2"],
+    "replica_capacity": ["--replica-capacity", "2"],
+    "replica_selection": ["--replica-selection", "least-loaded"],
+    "replication_mode": ["--replication-mode", "lazy"],
+    "wan_latency_s": ["--wan-latency", "0.1"],
+    "wan_bandwidth_mbytes_per_s": ["--wan-bandwidth", "25"],
+    "churn_rate": ["--churn-rate", "0.1"],
+    "replica_outages": ["--replica-outages", "1"],
+    "outage_duration_s": ["--outage-duration", "30"],
+    "wan_partitions": ["--wan-partitions", "1", "--storage-replicas", "2"],
+    "partition_duration_s": ["--partition-duration", "30"],
+    "fault_seed": ["--fault-seed", "9"],
+    "retry_max": ["--retry-max", "1"],
+    "backoff_base_s": ["--backoff-base", "0.25"],
+    "backoff_jitter": ["--backoff-jitter", "0.2"],
+    "breaker_threshold": ["--breaker-threshold", "2"],
+    "breaker_cooldown_s": ["--breaker-cooldown", "30"],
+    "population": ["--population", "10", "--clients-per-round", "2"],
+    "clients_per_round": ["--population", "10", "--clients-per-round", "2"],
+    "sample_fraction": ["--population", "10", "--sample-fraction", "0.5"],
+    "sampling_seed": ["--population", "10", "--clients-per-round", "2", "--sampling-seed", "4"],
+}
+
+#: ``ExperimentConfig`` fields no flag sets, each with the reason.
+CLI_EXEMPT_FIELDS = {
+    "name": "the subcommand passes it in ('cli-<workload>-<mode>', 'cli-sync', ...)",
+}
+
+#: the ``ClusterConfig`` fields the CLI sets on every organisation.
+CLUSTER_FIELD_ARGV = {
+    "num_clients": ["--clients", "2"],
+    "aggregation_policy": ["--policy", "all"],
+    "policy_k": ["--policy-k", "3"],
+    "scoring_policy": ["--scoring-policy", "median"],
+}
+
+#: ``repro run`` options whose choices have no registry to equal; every
+#: choice they list must build a valid ``ExperimentConfig`` instead.
+UNREGISTERED_CHOICES = ("--workload", "--partitioning", "--testbed")
+
+
+def _config_from(argv):
+    return _build_config(build_parser().parse_args(["run", *argv]), name="wiring")
+
+
+def _run_choices():
+    """``{option: choices}`` for every option of ``repro run`` that has choices."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    run = subparsers.choices["run"]
+    return {a.option_strings[0]: list(a.choices) for a in run._actions if a.choices is not None}
+
+
+class TestCLIWiring:
+    """``repro run`` sets every config field and offers every registered choice.
+
+    Checked by running ``build_parser`` and ``_build_config``: a dropped
+    keyword, a read of a dest no flag defines, a field with no flag or a
+    ``choices=`` list that differs from its registry fails here.
+    """
+
+    def test_every_field_has_a_flag_or_an_exemption(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert set(FIELD_ARGV).isdisjoint(CLI_EXEMPT_FIELDS)
+        assert set(FIELD_ARGV) | set(CLI_EXEMPT_FIELDS) == fields
+
+    @pytest.mark.parametrize("field", sorted(FIELD_ARGV))
+    def test_flag_moves_its_field(self, field):
+        default = _config_from([])
+        changed = _config_from(FIELD_ARGV[field])
+        assert getattr(changed, field) != getattr(default, field)
+
+    @pytest.mark.parametrize("testbed", ["edge", "gpu"])
+    @pytest.mark.parametrize("field", sorted(CLUSTER_FIELD_ARGV))
+    def test_flag_moves_its_cluster_field(self, field, testbed):
+        before = [getattr(c, field) for c in _config_from(["--testbed", testbed]).clusters]
+        changed = _config_from(["--testbed", testbed, *CLUSTER_FIELD_ARGV[field]])
+        after = [getattr(c, field) for c in changed.clusters]
+        assert len(after) == len(before)
+        assert all(new != old for new, old in zip(after, before)), (before, after)
+
+    def test_choices_equal_their_registries(self):
+        registries = {
+            "--mode": registered_modes(),
+            "--replication-mode": list(REPLICATION_MODES),
+            "--replica-selection": list(REPLICA_SELECTIONS),
+            "--scoring": list(SCORERS),
+            "--policy": available_aggregation_policies(),
+            "--scoring-policy": available_scoring_policies(),
+        }
+        choices = _run_choices()
+        assert set(choices) == set(registries) | set(UNREGISTERED_CHOICES)
+        differing = {
+            option: (choices[option], registry)
+            for option, registry in registries.items()
+            if sorted(choices[option]) != sorted(registry)
+        }
+        assert differing == {}
+
+    def test_unregistered_choices_each_build_a_valid_config(self):
+        choices = _run_choices()
+        for option in UNREGISTERED_CHOICES:
+            for choice in choices[option]:
+                assert isinstance(_config_from([option, choice]), ExperimentConfig)
+
+    @pytest.mark.parametrize(
+        "argv", [["--policy", "bogus"], ["--scoring-policy", "bogus", "--testbed", "gpu"]]
+    )
+    def test_unknown_policy_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", *argv])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_edge_testbed_rejects_more_clusters_than_nodes(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--clusters", "5", "--rounds", "1", "--samples-per-class", "4"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--clusters 5" in err and "edge testbed's 3 nodes" in err
+
+    def test_cluster_count_is_honoured_within_each_testbed(self):
+        assert len(_config_from(["--clusters", "2"]).clusters) == 2
+        assert len(_config_from(["--testbed", "gpu", "--clusters", "5"]).clusters) == 5
