@@ -17,17 +17,36 @@ through index tables that depend only on the geometry (channels, padded
 height and width, kernel, stride and, for the scatter, the batch size).  A
 layer builds each table on first use and keeps it, read-only, in its own
 ``_index_tables`` dict: geometry, not batch data, so it is neither cleared by
-an evaluation-mode forward nor counted as a retained cache.
+an evaluation-mode forward nor counted as a retained cache.  A deep copy of
+the layer shares the frozen tables.
+
+The activation kernels avoid a data-dependent select.  ``ReLU`` is an
+``fmax`` against 0.0 followed by ``+= 0.0``.  In evaluation mode
+``MaxPool2d`` takes a running ``np.maximum`` over the k² strided window
+views of its input, with no gather, argmax or table, whenever that is
+bit-equal to the first-argmax gather: no element has its sign bit set (every
+ReLU output qualifies) and no NaN reaches the output.  Every other input,
+and every training-mode forward, goes through the gather, which copies an
+NHWC-layout input into image order first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-#: A layer's index tables, keyed by the geometry each one serves.
-IndexTables = Dict[Tuple, np.ndarray]
+
+class IndexTables(dict):
+    """A layer's index tables, keyed by the geometry each one serves.
+
+    The tables are read-only, so a deep copy of a layer (``Model.clone``)
+    shares them: the copy gets a dict of its own over the same frozen
+    arrays, not writeable copies of them.
+    """
+
+    def __deepcopy__(self, memo: dict) -> "IndexTables":
+        return IndexTables(self)
 
 
 class Layer:
@@ -144,9 +163,12 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
-        self._mask = mask if self.training else None
-        return np.where(mask, x, 0.0)
+        self._mask = x > 0 if self.training else None
+        # Bit-equal to ``np.where(x > 0, x, 0.0)`` without its data-dependent
+        # select: ``fmax`` maps NaN to 0.0, and adding +0.0 turns -0.0 into +0.0.
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -392,7 +414,7 @@ class Conv2d(Layer):
         self.padding = padding
         self.kernel_size = kernel_size
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int], int, int]] = None
-        self._index_tables: IndexTables = {}
+        self._index_tables = IndexTables()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -405,7 +427,8 @@ class Conv2d(Layer):
             x, self.kernel_size, self.stride, self.padding, self._index_tables
         )
         w_col = self.weight.reshape(self.weight.shape[0], -1)
-        out = cols @ w_col.T + self.bias
+        out = cols @ w_col.T
+        out += self.bias
         n = x.shape[0]
         self._cache = (cols, x.shape, out_h, out_w) if self.training else None
         return out.reshape(n, out_h, out_w, -1).transpose(0, 3, 1, 2)
@@ -446,6 +469,35 @@ class Conv2d(Layer):
         return [self.grad_weight, self.grad_bias]
 
 
+def _window_maximum(
+    x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> Optional[np.ndarray]:
+    """Max pooling as a running ``np.maximum`` over the k² strided window
+    views, or ``None`` where that could differ from the first-argmax gather.
+
+    The two agree bit for bit when no element has its sign bit set and no
+    NaN reaches the output: among non-negative, non-NaN floats equal values
+    have equal bits, so which of a window's maxima wins cannot show.  A
+    ``-0.0`` tying a ``+0.0``, or a NaN, is left to the gather.
+    """
+    if np.signbit(x).any():
+        return None
+    rows, cols = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    views = (
+        x[:, :, ky : ky + rows : stride, kx : kx + cols : stride]
+        for ky in range(kernel)
+        for kx in range(kernel)
+    )
+    # Reduce in the input's memory order (NHWC behind a convolution), then
+    # hand on the C-contiguous layout the gather returns.
+    out = np.array(next(views), order="K")
+    for view in views:
+        np.maximum(out, view, out=out)
+    if np.isnan(out).any():
+        return None
+    return np.ascontiguousarray(out)
+
+
 class MaxPool2d(Layer):
     """Max pooling over non-overlapping or strided windows of a 4-D input."""
 
@@ -457,7 +509,7 @@ class MaxPool2d(Layer):
         self.kernel_size = kernel_size
         self.stride = kernel_size if stride is None else stride
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], np.dtype, int, int]] = None
-        self._index_tables: IndexTables = {}
+        self._index_tables = IndexTables()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -466,6 +518,11 @@ class MaxPool2d(Layer):
         k, s = self.kernel_size, self.stride
         out_h = (h - k) // s + 1
         out_w = (w - k) // s + 1
+        if not self.training:
+            self._cache = None
+            out = _window_maximum(x, k, s, out_h, out_w)
+            if out is not None:
+                return out
         # One row per window, (channel, out_y, out_x) order: channels pooled
         # independently.
         geometry = (c, h, w, k, s, out_h, out_w)

@@ -657,3 +657,146 @@ class TestKernelsMatchTheLoopOracles:
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[...] = 0
+
+
+# ------------------------------------------- branch-free activation kernels
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float array, so NaN payloads and ``-0.0`` compare."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _special_values(dtype) -> np.ndarray:
+    tiny = np.finfo(dtype).smallest_subnormal
+    nan = np.array(np.nan, dtype=dtype)
+    return np.array(
+        [nan, -nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny, -3 * tiny], dtype=dtype
+    )
+
+
+# Padding 0 of the shared grid, plus an overlapping window on an image whose
+# last row and column no window covers.
+_POOL_GRID = [
+    (n, chw, kernel, stride, dtype, transposed)
+    for n, chw, kernel, stride, padding, dtype, transposed in _KERNEL_GRID
+    if padding == 0
+] + [(4, (5, 9, 12), 3, 2, dtype, True) for dtype in (np.float32, np.float64)]
+
+
+class TestBranchFreeActivations:
+    """``ReLU`` and evaluation-mode ``MaxPool2d`` against the kernels they
+    replaced, bit for bit: ``np.where(x > 0, x, 0.0)`` and the first-argmax
+    gather."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["nchw", "nhwc"])
+    # An odd size leaves a tail to numpy's scalar loop, whose ``fmax`` may
+    # return -0.0 for (-0.0, 0.0) where the vector loop returns +0.0.
+    @pytest.mark.parametrize("n, chw", [(5, (3, 4, 6)), (3, (1, 5, 7))], ids=["even", "odd"])
+    def test_relu_is_bit_equal_to_the_select(self, dtype, transposed, n, chw):
+        special = _special_values(dtype)
+        assert np.signbit(special[1]) and not np.signbit(special[0])  # NaN of both signs
+        x = _grid_input(np.random.default_rng(9), n, chw, dtype, transposed)
+        x.flat[: special.size] = special
+        x.flat[special.size :: 3] = -0.0
+        x.flat[x.size - 1] = -0.0  # last in memory order too, in both layouts
+        grad = np.random.default_rng(10).normal(size=x.shape).astype(dtype)
+        want = np.where(x > 0, x, 0.0)
+        for training in (True, False):
+            layer = ReLU()
+            layer.training = training
+            got = layer.forward(x)
+            assert got.dtype == want.dtype == dtype
+            assert got.strides == want.strides
+            assert np.array_equal(_bits(got), _bits(want))
+            if training:
+                assert np.array_equal(layer._mask, x > 0)
+                assert np.array_equal(_bits(layer.backward(grad)), _bits(grad * (x > 0)))
+            else:
+                assert layer._mask is None
+                with pytest.raises(RuntimeError):
+                    layer.backward(grad)
+
+    def test_pool_takes_the_window_maximum_on_relu_output(self):
+        rng = np.random.default_rng(11)
+        for n, chw, kernel, stride, dtype, transposed in _POOL_GRID:
+            x = ReLU().forward(_grid_input(rng, n, chw, dtype, transposed))  # +0.0 ties
+            x.flat[::7] = np.inf
+            case = (n, chw, kernel, stride, dtype.__name__, transposed)
+            pool = MaxPool2d(kernel, stride)
+            pool.eval()
+            got = pool.forward(x)
+            # The maximum, not a fallback to the gather: no table was built.
+            assert not pool._index_tables, case
+            self._assert_matches_the_gather(pool, x, got, case)
+
+    def test_pool_gathers_signed_zeros_negatives_and_nan(self):
+        rng = np.random.default_rng(12)
+        for n, chw, kernel, stride, dtype, transposed in _POOL_GRID:
+            signed = ReLU().forward(_grid_input(rng, n, chw, dtype, transposed))
+            signed.flat[::5] = -0.0  # ties between -0.0 and +0.0: the first wins
+            negative = _grid_input(rng, n, chw, dtype, transposed)
+            negative.flat[::4] = -np.abs(negative.flat[::4])
+            negative_nan = negative.copy()
+            negative_nan.flat[::11] = np.copysign(np.nan, -1.0)
+            unsigned_nan = ReLU().forward(_grid_input(rng, n, chw, dtype, transposed))
+            unsigned_nan.flat[::3] = np.nan  # no sign bit anywhere, but NaN ...
+            nan = np.isnan(unsigned_nan)
+            payloads = _bits(unsigned_nan)
+            payloads[nan] |= np.arange(1, nan.sum() + 1).astype(payloads.dtype)  # ... told apart
+            for name, x in [
+                ("signed zeros", signed),
+                ("negatives", negative),
+                ("negative NaN", negative_nan),
+                ("unsigned NaN", unsigned_nan),
+            ]:
+                case = (n, chw, kernel, stride, dtype.__name__, transposed, name)
+                pool = MaxPool2d(kernel, stride)
+                pool.eval()
+                got = pool.forward(x)
+                gathered = x is not unsigned_nan or np.isnan(got).any()
+                assert bool(pool._index_tables) == gathered, case
+                self._assert_matches_the_gather(pool, x, got, case)
+
+    @staticmethod
+    def _assert_matches_the_gather(pool, x, got, case):
+        kernel, stride = pool.kernel_size, pool.stride
+        training = MaxPool2d(kernel, stride).forward(x)
+        oracle = ReferenceMaxPool2d(kernel, stride).forward(x)
+        for want in (training, oracle):
+            assert got.dtype == want.dtype and got.shape == want.shape, case
+            assert np.array_equal(_bits(got), _bits(want)), case
+        assert got.flags.c_contiguous, case
+        with pytest.raises(RuntimeError):
+            pool.backward(np.ones_like(got))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SimpleCNN(image_size=8, seed=0), lambda: MiniVGG(image_size=8, num_classes=10, seed=0)],
+    ids=["simple_cnn", "mini_vgg"],
+)
+def test_clone_of_a_used_model_keeps_its_tables_read_only(build):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(12, 3, 8, 8))
+    y = rng.integers(0, 10, size=12)
+    model = build()
+    model.fit(x, y, epochs=1, batch_size=5, optimizer=SGD(0.05))
+    model.evaluate(x, y)
+    clone = model.clone()
+    pairs = [
+        (source._index_tables, copy._index_tables)
+        for source, copy in zip(model.network.layers, clone.network.layers)
+        if isinstance(source, (Conv2d, MaxPool2d))
+    ]
+    assert pairs and all(tables for tables, _ in pairs)
+    for tables, copied in pairs:
+        assert copied is not tables and copied.keys() == tables.keys()
+        for key, table in copied.items():
+            assert not table.flags.writeable, key
+            assert np.array_equal(table, tables[key]), key
+            with pytest.raises(ValueError):
+                table[...] = 0
+    # A table the clone builds later is its own.
+    clone.evaluate(x[:1], y[:1])
+    assert any(copied.keys() != tables.keys() for tables, copied in pairs)
+    assert clone.evaluate(x, y) == model.evaluate(x, y)
