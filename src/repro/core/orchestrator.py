@@ -124,13 +124,6 @@ class Orchestrator:
         self.kernel.run()
         policy.finalize()
         extras = dict(policy.extras())
-        # Memory behaviour of the per-aggregator model caches: hit rate says
-        # how much IPFS traffic the LRU absorbed, evictions say whether the
-        # working set outgrew its bound.
-        extras["weights_cache_hits"] = sum(a.weights_cache_hits for a in self.aggregators)
-        extras["weights_cache_evictions"] = sum(
-            a.weights_cache_evictions for a in self.aggregators
-        )
         return OrchestrationResult(
             mode=policy.mode,
             rounds_completed=num_rounds,
