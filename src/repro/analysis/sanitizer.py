@@ -26,7 +26,7 @@ into ten places:
 * the **round scorer** (:meth:`check_round_scores`, called on every hit of
   the run's shared full-round scorer memo): the stored per-CID scores equal
   what ``score_round`` returns for that round now;
-* the **decoded-model table** (:meth:`check_decoded_model`, called on every
+* the **decoded-model store** (:meth:`check_decoded_model`, called on every
   hit of the run's :class:`~repro.ml.serialization.DecodedModels`): the
   shared tensors equal, in dtype, shape and bytes, a fresh decode of the
   payload the caller just fetched;

@@ -57,10 +57,6 @@ class CliqueEngine:
         """Sorted list of authorised sealer addresses."""
         return list(self._signer_order)
 
-    def is_authorized(self, address: str) -> bool:
-        """Whether an address belongs to the signer set."""
-        return address in self._signers
-
     def in_turn_signer(self, block_number: int) -> str:
         """The address whose turn it is to seal ``block_number``."""
         return self._signer_order[block_number % len(self._signer_order)]

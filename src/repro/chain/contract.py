@@ -146,11 +146,6 @@ class ContractRuntime:
             raise ContractError(f"no contract deployed under the name '{name}'")
         return self._contracts[name]
 
-    @property
-    def deployed_names(self) -> List[str]:
-        """Names of all deployed contracts."""
-        return sorted(self._contracts)
-
     def call(
         self,
         contract_name: str,

@@ -30,7 +30,6 @@ each costs its wire time / ``n * TX + block_period`` and nothing queues.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -63,11 +62,6 @@ from repro.simnet.faults import FaultPlan
 from repro.simnet.resources import ResourceMonitor
 
 Weights = List[np.ndarray]
-
-#: deserialized models kept per aggregator; long gossip runs touch hundreds
-#: of CIDs, so the cache is an LRU bounded to the working set of a few rounds
-#: rather than the whole run's history.
-WEIGHTS_CACHE_CAPACITY = 32
 
 #: what fetching a model that cannot be had raises: the swarm does not hold
 #: the object (``IPFSError``), or the CID / the stored container is malformed
@@ -133,9 +127,12 @@ class UnifyFLAggregator:
         #: the run's shared evaluator; an aggregator assembled on its own
         #: gets a private one.
         self.evaluator = evaluator if evaluator is not None else Evaluator(model_template)
-        #: the run's table of decoded models (one read-only copy per CID,
-        #: shared by every aggregator); likewise private when built alone.
-        self.decoded_models = decoded_models if decoded_models is not None else DecodedModels()
+        #: the run's store of decoded models (one read-only copy per CID,
+        #: shared by every aggregator); likewise private when built alone,
+        #: sized for one slot's two rounds.
+        self.decoded_models = (
+            decoded_models if decoded_models is not None else DecodedModels(capacity=2)
+        )
         self.clients = list(clients)
         self.scorer = scorer
         self.eval_data = eval_data
@@ -170,9 +167,6 @@ class UnifyFLAggregator:
         #: what the round in flight pulled and scored, for its round record.
         self._pulled_this_round = 0
         self._scored_this_round = 0
-        self._weights_cache: "OrderedDict[str, Weights]" = OrderedDict()
-        self.weights_cache_hits = 0
-        self.weights_cache_evictions = 0
 
     # ------------------------------------------------------------------ identity
     @property
@@ -268,28 +262,12 @@ class UnifyFLAggregator:
     def fetch_weights(self, cid: str) -> Weights:
         """Retrieve and deserialize a model from the storage swarm.
 
-        Deserialized models sit in a CID-keyed LRU bounded to
-        ``WEIGHTS_CACHE_CAPACITY`` entries; hit and eviction counts surface
-        in the orchestration result's extras.  Every miss pulls the payload
-        through this silo's IPFS node; the decoded list it yields is the
-        run's one read-only copy of that CID (:class:`DecodedModels`).
+        Every fetch pulls the payload through this silo's IPFS node; the
+        decoded list is the run's one read-only copy of that CID
+        (:class:`DecodedModels`), decoded again only if the store has
+        evicted it.
         """
-        cached = self._weights_cache.get(cid)
-        if cached is not None:
-            self._weights_cache.move_to_end(cid)
-            self.weights_cache_hits += 1
-            return cached
-        payload = self.ipfs.get(parse_cid(cid))
-        weights = self.decoded_models.decode(cid, payload)
-        self._cache_weights(cid, weights)
-        return weights
-
-    def _cache_weights(self, cid: str, weights: Weights) -> None:
-        self._weights_cache[cid] = weights
-        self._weights_cache.move_to_end(cid)
-        while len(self._weights_cache) > WEIGHTS_CACHE_CAPACITY:
-            self._weights_cache.popitem(last=False)
-            self.weights_cache_evictions += 1
+        return self.decoded_models.decode(cid, self.ipfs.get(parse_cid(cid)))
 
     def build_global_model(self, before_time: Optional[float] = None) -> RoundTiming:
         """Pull peer models, apply the policies, and merge into the global model.
@@ -399,9 +377,9 @@ class UnifyFLAggregator:
         if mine:
             self.chain.mine_until_empty()
         self.own_cids.append(cid)
-        # Entered like any peer's fetch: what the submitter holds under the
+        # Entered like any peer's fetch: what the submitter reads under the
         # CID is the model every other silo decodes from it.
-        self._cache_weights(cid, self.decoded_models.decode(cid, payload))
+        self.decoded_models.decode(cid, payload)
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.05)
         return cid, timing
 

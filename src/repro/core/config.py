@@ -131,7 +131,7 @@ def validate_semi_params(
     unresolved optionals, while the semi policy validates resolved values.
     """
     if quorum_k is not None and not 1 <= quorum_k <= num_clusters:
-        raise ValueError("quorum_k must be between 1 and the number of clusters")
+        raise ValueError("semi_quorum_k must be between 1 and the number of clusters")
     if max_staleness is not None and max_staleness <= 0:
         raise ValueError("max_staleness must be positive")
 
@@ -323,9 +323,9 @@ class ExperimentConfig:
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
         if not self.clusters:
-            raise ValueError("at least one cluster is required")
+            raise ValueError("clusters must hold at least one cluster")
         if len({c.name for c in self.clusters}) != len(self.clusters):
-            raise ValueError("cluster names must be unique")
+            raise ValueError("clusters must have unique names")
         if self.population is None:
             if self.clients_per_round is not None or self.sample_fraction is not None:
                 raise ValueError(
@@ -393,11 +393,11 @@ class ExperimentConfig:
             if self.block_interval is not None:
                 raise ValueError("block_interval needs event_streams=True (set block_period)")
             if self.replica_outages > 0:
-                raise ValueError("replica outages need event_streams=True (link-level faults)")
+                raise ValueError("replica_outages need event_streams=True (link-level faults)")
             if self.wan_partitions > 0:
-                raise ValueError("WAN partitions need event_streams=True (link-level faults)")
+                raise ValueError("wan_partitions need event_streams=True (link-level faults)")
         if self.wan_partitions > 0 and self.storage_replicas < 2:
-            raise ValueError("WAN partitions need at least two storage replicas")
+            raise ValueError("wan_partitions need storage_replicas of at least 2")
         if self.retry_max < 0:
             raise ValueError("retry_max must be non-negative")
         if self.backoff_base_s <= 0:

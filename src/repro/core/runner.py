@@ -154,8 +154,11 @@ class ExperimentRunner:
         #: client needs a network of its own: every client this runner builds
         #: takes its turn on this one.
         self.training_model = self.model_template.clone()
-        #: the run's one decoded copy of every model some aggregator holds.
-        self.decoded_models = DecodedModels()
+        #: the run's one decoded copy of each model, for the models of two
+        #: rounds: this round's submissions and the previous round's.
+        self.decoded_models = DecodedModels(
+            capacity=2 * (config.cohort_size or len(config.clusters))
+        )
         #: a scorer that analyses whole rounds owns no test set, so one
         #: instance serves every cluster and its round memo is the run's:
         #: a round is analysed once, not once per assigned scorer.

@@ -83,11 +83,6 @@ class AccuracyScorer(_HeldOutSetScorer):
         _, accuracy = self._evaluate(weights)
         return float(accuracy)
 
-    @property
-    def test_set_size(self) -> int:
-        """Number of evaluation samples the scorer owns (drives scoring cost)."""
-        return len(self._test_data)
-
 
 class _FullRoundScorer(Scorer):
     """Shared plumbing for similarity scorers that need the whole round.

@@ -54,10 +54,6 @@ class TrainingHistory:
         """Loss series over rounds."""
         return [r.loss for r in self.rounds]
 
-    def sim_times(self) -> List[float]:
-        """Simulated completion time of each round."""
-        return [r.sim_time for r in self.rounds]
-
     def rounds_to_reach(self, target_accuracy: float) -> Optional[int]:
         """First round number whose accuracy meets the target, if any."""
         for metrics in self.rounds:

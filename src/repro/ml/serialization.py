@@ -10,8 +10,8 @@ identical model.
 
 Serialization packs on every call: a round's model is a new model, so no
 workload serializes the same weights twice.  Deserialization is shared by
-content address: a run's :class:`DecodedModels` table holds the one decoded
-copy of each CID for as long as some aggregator still holds it.
+content address: a run's :class:`DecodedModels` store holds one decoded copy
+of each recently fetched CID.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import hashlib
 import math
 import struct
-import weakref
+from collections import OrderedDict
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,12 +136,6 @@ def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
     return weights
 
 
-class _DecodedWeights(list):
-    """A decoded weight list that can be weakly referenced (a ``list`` cannot)."""
-
-    __slots__ = ("__weakref__",)
-
-
 class DecodedModels:
     """The one decoded copy of each content-addressed model, per run.
 
@@ -149,20 +143,19 @@ class DecodedModels:
     equal bytes, so the ``n`` aggregators of a wide round would each decode
     and keep a private copy of the same ``n`` models.  Each still fetches its
     own payload from its IPFS node (block transfer and per-block verification
-    are modelled and stay per silo); the table only makes the *decoded*
+    are modelled and stay per silo); the store only makes the *decoded*
     weight list of a CID one shared, read-only object.
 
-    The table is weak-valued: an entry lives exactly as long as somebody —
-    in practice some aggregator's bounded weights cache — holds the list, so
-    it needs no capacity of its own and a run never keeps more decoded
-    models resident than its aggregators' caches name.  A CID everyone has
-    dropped is simply decoded again on its next fetch.
+    The store is a CID-keyed LRU of at most ``capacity`` models.  The runner
+    sizes it from the configuration: two rounds of submissions (this round's
+    and the one before), the models a round mostly reads.  A CID that was
+    evicted is simply decoded again on its next fetch, to equal tensors, so
+    the bound decides memory and never a result.
     """
 
-    def __init__(self) -> None:
-        self._models: "weakref.WeakValueDictionary[str, _DecodedWeights]" = (
-            weakref.WeakValueDictionary()
-        )
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._models: "OrderedDict[str, List[np.ndarray]]" = OrderedDict()
         #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
         #: when set, every hit also decodes the payload in hand and compares.
         self.sanitizer: Optional[Any] = None
@@ -181,13 +174,16 @@ class DecodedModels:
         """
         weights = self._models.get(cid)
         if weights is not None:
+            self._models.move_to_end(cid)
             if self.sanitizer is not None:
                 self.sanitizer.check_decoded_model(cid, weights, weights_from_bytes(payload))
             return weights
-        weights = _DecodedWeights(weights_from_bytes(payload))
+        weights = weights_from_bytes(payload)
         for tensor in weights:
             tensor.setflags(write=False)
         self._models[cid] = weights
+        if len(self._models) > self.capacity:
+            self._models.popitem(last=False)
         return weights
 
 

@@ -1131,8 +1131,8 @@ def _reject_similarity_scoring(config: "ExperimentConfig") -> None:
 
     if config.scoring_algorithm in FULL_ROUND_SCORERS:
         raise ValueError(
-            "similarity-based scoring needs all models of a round at once and is only "
-            "supported in sync mode"
+            f"scoring_algorithm {config.scoring_algorithm!r} needs all models of a round "
+            f"at once and is only supported in sync mode, not mode {config.mode!r}"
         )
 
 

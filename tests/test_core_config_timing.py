@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.core.config import (
@@ -89,6 +91,75 @@ class TestExperimentConfig:
     def test_rejects_empty_clusters(self, tiny_workload):
         with pytest.raises(ValueError):
             ExperimentConfig(name="x", workload=tiny_workload, clusters=[])
+
+
+#: one bad value per check of ``ExperimentConfig.__post_init__``, with the
+#: fields its rejection must name.
+REJECTIONS = [
+    (dict(partitioning="stripes"), ("partitioning",)),
+    (dict(scoring_algorithm="median"), ("scoring_algorithm",)),
+    (dict(rounds=0), ("rounds",)),
+    (dict(clusters=[]), ("clusters",)),
+    (dict(clusters=[ClusterConfig(name="agg1"), ClusterConfig(name="agg1")]), ("clusters",)),
+    (dict(clients_per_round=2), ("clients_per_round", "population")),
+    (dict(sampling_seed=1), ("sampling_seed", "population")),
+    (dict(population=0, clients_per_round=1), ("population",)),
+    (dict(population=10), ("clients_per_round", "sample_fraction")),
+    (dict(population=10, clients_per_round=11), ("clients_per_round",)),
+    (dict(population=10, sample_fraction=1.5), ("sample_fraction",)),
+    (dict(semi_quorum_k=4), ("semi_quorum_k",)),
+    (dict(max_staleness=0.0), ("max_staleness",)),
+    (dict(local_rounds_per_global=0), ("local_rounds_per_global",)),
+    (dict(round_budget=0), ("round_budget",)),
+    (dict(gossip_fanout=-1), ("gossip_fanout",)),
+    (dict(link_bandwidth_mbytes_per_s=0.0), ("link_bandwidth_mbytes_per_s",)),
+    (dict(link_latency_s=-1.0), ("link_latency_s",)),
+    (dict(block_interval=0.0), ("block_interval",)),
+    (dict(storage_replicas=0), ("storage_replicas",)),
+    (dict(replica_capacity=0), ("replica_capacity",)),
+    (dict(replica_selection="random"), ("replica_selection",)),
+    (dict(replication_mode="gossip"), ("replication_mode",)),
+    (dict(wan_latency_s=-1.0), ("wan_latency_s",)),
+    (dict(wan_bandwidth_mbytes_per_s=0.0), ("wan_bandwidth_mbytes_per_s",)),
+    (dict(churn_rate=1.0), ("churn_rate",)),
+    (dict(replica_outages=-1), ("replica_outages",)),
+    (dict(outage_duration_s=0.0), ("outage_duration_s",)),
+    (dict(wan_partitions=-1), ("wan_partitions",)),
+    (dict(partition_duration_s=0.0), ("partition_duration_s",)),
+    (dict(event_streams=False, replica_capacity=2), ("replica_capacity", "event_streams")),
+    (dict(event_streams=False, block_interval=1.0), ("block_interval", "event_streams")),
+    (dict(event_streams=False, replica_outages=1), ("replica_outages", "event_streams")),
+    (
+        dict(event_streams=False, wan_partitions=1, storage_replicas=2),
+        ("wan_partitions", "event_streams"),
+    ),
+    (dict(wan_partitions=1), ("wan_partitions", "storage_replicas")),
+    (dict(retry_max=-1), ("retry_max",)),
+    (dict(backoff_base_s=0.0), ("backoff_base_s",)),
+    (dict(backoff_jitter=-0.1), ("backoff_jitter",)),
+    (dict(breaker_threshold=0), ("breaker_threshold",)),
+    (dict(breaker_cooldown_s=0.0), ("breaker_cooldown_s",)),
+    # Raised by what __post_init__ calls: the registry and a mode's hook.
+    (dict(mode="eventual"), ("mode",)),
+    (dict(mode="async", scoring_algorithm="multikrum"), ("scoring_algorithm", "mode")),
+]
+
+
+class TestEveryRejectionNamesItsField:
+    def test_every_check_has_a_case(self):
+        checks = inspect.getsource(ExperimentConfig.__post_init__).count("raise ValueError")
+        # validate_semi_params checks two fields; the mode registry adds two.
+        assert len(REJECTIONS) == checks + 2 + 2
+
+    @pytest.mark.parametrize(
+        "overrides, fields", REJECTIONS, ids=[" ".join(sorted(o)) for o, _ in REJECTIONS]
+    )
+    def test_the_message_names_the_field(self, tiny_workload, overrides, fields):
+        kwargs = dict(name="x", workload=tiny_workload, clusters=edge_cluster_configs())
+        kwargs.update(overrides)
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig(**kwargs)
+        assert all(field in str(raised.value) for field in fields), str(raised.value)
 
 
 class TestClusterFactories:

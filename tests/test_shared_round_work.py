@@ -5,12 +5,12 @@ its ``n`` scorers.  The run therefore keeps one decoded copy per CID
 (:class:`repro.ml.serialization.DecodedModels`) and analyses each round once
 (one shared full-round scorer).  Both must be invisible — every result equals
 what private copies and private scorers produce — and the counters must be
-exact: nothing modelled (IPFS reads, LRU hits and evictions) is skipped.
+exact: nothing modelled (every fetch's IPFS read) is skipped, and the store's
+bound decides how often a model is decoded, never a result.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import SanitizerViolation, SimulationSanitizer
-from repro.core import aggregator as aggregator_module
+from repro.core.aggregator import UnifyFLAggregator
 from repro.core.config import (
     ExperimentConfig,
     cifar10_workload,
@@ -88,11 +88,11 @@ def small_weights(seed: int, dtype=np.float64):
 # ------------------------------------------------------------ exact counters
 class TestExactCountersOnAWideRun:
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_a_round_is_analysed_once_and_a_held_model_decoded_once(self, seed, monkeypatch):
-        analysed, requested, decodes, gets = [], [], [], []
+    def test_a_round_is_analysed_once_and_a_stored_model_decoded_once(self, seed, monkeypatch):
+        analysed, requested, decodes = [], [], []
         runner = ExperimentRunner(wide_config(seed))
         score_round, score = MultiKRUMScorer.score_round, _FullRoundScorer.score
-        decode, from_bytes, get = DecodedModels.decode, serialization.weights_from_bytes, IPFSNode.get
+        decode, from_bytes = DecodedModels.decode, serialization.weights_from_bytes
         decoding = []
 
         def counting_score_round(self, round_weights):
@@ -104,38 +104,68 @@ class TestExactCountersOnAWideRun:
             return score(self, weights, context)
 
         def tracking_decode(self, cid, payload):
-            decoding.append(cid)
+            decoding.append((cid, cid in self))
             try:
                 return decode(self, cid, payload)
             finally:
                 decoding.pop()
 
         def counting_from_bytes(payload):
-            holders = sum(decoding[-1] in a._weights_cache for a in runner.aggregators)
-            decodes.append((decoding[-1], holders))
+            decodes.append(decoding[-1])
             return from_bytes(payload)
-
-        def counting_get(self, cid, *args, **kwargs):
-            gets.append(str(cid))
-            return get(self, cid, *args, **kwargs)
 
         monkeypatch.setattr(MultiKRUMScorer, "score_round", counting_score_round)
         monkeypatch.setattr(_FullRoundScorer, "score", recording_score)
         monkeypatch.setattr(DecodedModels, "decode", tracking_decode)
         monkeypatch.setattr(serialization, "weights_from_bytes", counting_from_bytes)
-        monkeypatch.setattr(IPFSNode, "get", counting_get)
-        result = runner.run()
+        runner.run()
 
         # One analysis per distinct round, however many scorers asked.
         assert sorted(analysed) == sorted(set(requested))
         assert len(requested) > len(analysed) >= 2
-        # No model is decoded while some aggregator already holds its CID,
-        # yet every LRU miss still read its payload from its own IPFS node.
-        assert decodes and all(holders == 0 for _, holders in decodes)
-        assert {cid for cid, _ in decodes} == set(gets)
-        hits = result.orchestration_extras["weights_cache_hits"]
-        fetches = len(gets) + hits
-        assert len(decodes) < len(gets) < fetches
+        # Two rounds of twelve submissions fit the store (2 x 12 slots): no
+        # model is decoded while the store holds its CID, and none twice.
+        submitted = {cid for a in runner.aggregators for cid in a.own_cids}
+        assert len(submitted) <= runner.decoded_models.capacity == 24
+        assert not any(stored for _, stored in decodes)
+        assert sorted(cid for cid, _ in decodes) == sorted(submitted)
+
+    def test_every_fetch_reads_once_through_its_own_node(self, monkeypatch):
+        # The store shares decoded lists, never IPFS reads: each fetch gets
+        # its payload from the fetching silo's node.  Re-reading a CID the
+        # silo already holds is local, so the result (storage metrics
+        # included) equals that of a run whose silos read each CID once.
+        fetches, gets = [], []
+        fetch, get = UnifyFLAggregator.fetch_weights, IPFSNode.get
+
+        def counting_fetch(self, cid):
+            fetches.append((self.ipfs, cid))
+            return fetch(self, cid)
+
+        def counting_get(self, cid):
+            gets.append((self, str(cid)))
+            return get(self, cid)
+
+        monkeypatch.setattr(IPFSNode, "get", counting_get)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(UnifyFLAggregator, "fetch_weights", counting_fetch)
+            every_fetch_reads = ExperimentRunner(wide_config()).run()
+        assert fetches and gets == fetches
+        fetch_reads = len(gets)
+
+        held = {}
+
+        def read_once_per_silo(self, cid):
+            if (self.name, cid) not in held:
+                held[self.name, cid] = fetch(self, cid)
+            return held[self.name, cid]
+
+        gets.clear()
+        monkeypatch.setattr(UnifyFLAggregator, "fetch_weights", read_once_per_silo)
+        read_once = ExperimentRunner(wide_config()).run()
+        assert len(gets) < fetch_reads
+        assert read_once.storage_metrics == every_fetch_reads.storage_metrics
+        assert result_to_dict(read_once) == result_to_dict(every_fetch_reads)
 
     def test_every_aggregator_reads_the_same_read_only_tensors(self):
         runner = ExperimentRunner(wide_config())
@@ -148,77 +178,80 @@ class TestExactCountersOnAWideRun:
                 with pytest.raises(ValueError, match="read-only"):
                     tensor[...] = 0.0
 
-    def test_the_lru_bookkeeping_is_that_of_private_copies(self):
-        # Hits and evictions are modelled (they are in the result JSON): the
-        # table must not turn a miss into a hit.  12-model rounds against a
-        # capacity of 8 make every cache cycle.
-        shared = ExperimentRunner(wide_config())
-        private = ExperimentRunner(wide_config())
-        private.build()
-        for aggregator in private.aggregators:
-            aggregator.decoded_models = DecodedModels()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(aggregator_module, "WEIGHTS_CACHE_CAPACITY", 8)
-            first, second = shared.run(), private.run()
-        assert first.orchestration_extras["weights_cache_evictions"] > 0
-        assert result_to_dict(first) == result_to_dict(second)
+    def test_the_bound_never_changes_a_result(self, monkeypatch):
+        decodes = []
+        from_bytes = serialization.weights_from_bytes
 
-    def test_weights_cache_counters_surface_in_extras(self):
+        def counting_from_bytes(payload):
+            decodes.append(payload)
+            return from_bytes(payload)
+
+        monkeypatch.setattr(serialization, "weights_from_bytes", counting_from_bytes)
+        default = ExperimentRunner(wide_config()).run()
+        default_decodes = len(decodes)
+        decodes.clear()
+        starved = ExperimentRunner(wide_config())
+        starved.decoded_models.capacity = 1
+        result = starved.run()
+        assert len(decodes) > default_decodes  # evicted models were decoded again
+        assert result_to_dict(result) == result_to_dict(default)
+
+    @pytest.mark.parametrize("mode", ["sync", "async", "semi", "hierarchical", "gossip"])
+    def test_no_host_counter_reaches_the_result(self, mode):
         config = ExperimentConfig(
-            name="lru-extras",
-            workload=cifar10_workload(rounds=2, samples_per_class=8, image_size=8),
+            name=f"extras-{mode}",
+            workload=cifar10_workload(rounds=2, samples_per_class=6, image_size=8),
             clusters=edge_cluster_configs(num_clients=2),
-            mode="async",
+            mode=mode,
             rounds=2,
             seed=1,
-            event_streams=False,
         )
         extras = ExperimentRunner(config).run().orchestration_extras
-        assert extras["weights_cache_hits"] >= 0
-        assert extras["weights_cache_evictions"] == 0  # tiny run: nothing evicted
+        assert not [key for key in extras if key.startswith("weights_cache")]
 
 
-# ------------------------------------------------------------------ lifetime
-class TestDecodedModelLifetime:
-    def test_an_entry_lives_exactly_as_long_as_somebody_holds_it(self):
-        table = DecodedModels()
-        weights = small_weights(0)
-        payload = weights_to_bytes(weights)
-        held = table.decode("cid-a", payload)
-        assert table.decode("cid-a", payload) is held
-        assert "cid-a" in table and len(table) == 1
-        snapshot = [tensor.copy() for tensor in held]
-        del held
-        gc.collect()
-        assert "cid-a" not in table and len(table) == 0
-        again = table.decode("cid-a", payload)
-        assert same_tensors(again, snapshot)
+# ---------------------------------------------------------------- the store
+class TestDecodedModelStore:
+    def test_the_runner_bounds_the_store_at_two_rounds_of_slots(self):
+        assert ExperimentRunner(wide_config()).decoded_models.capacity == 2 * 12
+        sampled = wide_config(population=40, clients_per_round=5)
+        assert ExperimentRunner(sampled).decoded_models.capacity == 2 * 5
+
+    def test_one_model_past_the_bound_evicts_the_oldest(self):
+        runner, (publisher, first, second) = built_aggregators()
+        table = runner.decoded_models
+        assert table.capacity == 2 * 3
+        cids = [
+            str(publisher.ipfs.add(weights_to_bytes(small_weights(seed))))
+            for seed in range(table.capacity + 1)
+        ]
+        for cid in cids[:-1]:
+            assert first.fetch_weights(cid) is second.fetch_weights(cid)
+        assert len(table) == table.capacity
+        first.fetch_weights(cids[-1])
+        assert cids[0] not in table and cids[-1] in table
+        assert len(table) == table.capacity
+        # A re-fetch decodes the payload again, to an equal read-only model,
+        # and that entry now pushes out the next oldest.
+        again = second.fetch_weights(cids[0])
+        assert same_tensors(again, small_weights(0))
+        assert not any(tensor.flags.writeable for tensor in again)
+        assert cids[0] in table and cids[1] not in table
+
+    def test_a_hit_refreshes_its_entry(self):
+        table = DecodedModels(capacity=2)
+        payloads = [weights_to_bytes(small_weights(seed)) for seed in range(3)]
+        held = table.decode("cid-0", payloads[0])
+        table.decode("cid-1", payloads[1])
+        assert table.decode("cid-0", payloads[0]) is held
+        table.decode("cid-2", payloads[2])
+        assert "cid-0" in table and "cid-1" not in table
 
     def test_a_malformed_payload_enters_nothing(self):
-        table = DecodedModels()
+        table = DecodedModels(capacity=2)
         with pytest.raises(serialization.SerializationError):
             table.decode("cid-a", b"not a weight container")
         assert len(table) == 0
-
-    def test_the_table_forgets_what_every_lru_dropped(self, monkeypatch):
-        monkeypatch.setattr(aggregator_module, "WEIGHTS_CACHE_CAPACITY", 2)
-        runner, (publisher, first, second) = built_aggregators()
-        table = runner.decoded_models
-        cids = [
-            str(publisher.ipfs.add(weights_to_bytes(small_weights(seed)))) for seed in range(3)
-        ]
-        for cid in cids[:2]:
-            assert first.fetch_weights(cid) is second.fetch_weights(cid)
-        assert len(table) == 2
-        first.fetch_weights(cids[2])  # evicts cids[0] from `first` only
-        gc.collect()
-        assert cids[0] in table and len(table) == 3
-        second.fetch_weights(cids[2])  # now nobody holds cids[0]
-        gc.collect()
-        assert cids[0] not in table and len(table) == 2
-        assert (first.weights_cache_evictions, second.weights_cache_evictions) == (1, 1)
-        # A later fetch decodes the payload again, to an equal model.
-        assert same_tensors(first.fetch_weights(cids[0]), small_weights(0))
 
     def test_a_submitter_holds_the_model_its_peers_decode(self):
         # The container coerces float16 to float64: under one CID the
@@ -228,7 +261,6 @@ class TestDecodedModelLifetime:
         submitter.local_weights = [w.astype(np.float16) for w in submitter.local_weights]
         cid, _ = submitter.submit_local_model()
         own, pulled = submitter.fetch_weights(cid), peer.fetch_weights(cid)
-        assert submitter.weights_cache_hits == 1  # served from its own cache
         assert same_tensors(own, pulled)
         assert not any(w.flags.writeable for w in own)
 
@@ -381,7 +413,7 @@ class TestSanitizerIsTheOracle:
             sanitizer.check_round_scores(("a", "b"), {"a": float("nan"), "b": 0.5}, {"a": 0.25, "b": 0.5})
 
     def test_an_honest_table_hit_is_decoded_again_and_passes(self):
-        table = DecodedModels()
+        table = DecodedModels(capacity=2)
         table.sanitizer = SimulationSanitizer()
         payload = weights_to_bytes(small_weights(1, np.float32))
         held = table.decode("cid-a", payload)
@@ -389,8 +421,21 @@ class TestSanitizerIsTheOracle:
         assert table.decode("cid-a", payload) is held
         assert table.sanitizer.checks["decoded_model"] == 1
 
+    def test_a_sanitized_run_checks_every_store_hit(self, monkeypatch):
+        lookups = []
+        decode = DecodedModels.decode
+
+        def counting_decode(self, cid, payload):
+            lookups.append(cid in self)
+            return decode(self, cid, payload)
+
+        monkeypatch.setattr(DecodedModels, "decode", counting_decode)
+        runner = ExperimentRunner(wide_config(sanitize=True))
+        runner.run()
+        assert runner.sanitizer.checks["decoded_model"] == sum(lookups) > 0
+
     def test_a_tampered_tensor_raises_naming_the_cid(self):
-        table = DecodedModels()
+        table = DecodedModels(capacity=2)
         table.sanitizer = SimulationSanitizer()
         payload = weights_to_bytes(small_weights(1))
         held = table.decode("cid-a", payload)
