@@ -536,8 +536,7 @@ class ExperimentRunner:
         (round-robin over the configured cluster shapes), draws its own
         account/aggregator/client seeds from ranges disjoint from the eager
         path's, re-partitions the template's data shard for its clients, and
-        registers itself on the contract.  Streaming aggregation is enabled
-        so a large cohort aggregates in O(1) model-sized buffers.
+        registers itself on the contract.
         """
         assert self.chain is not None
         config = self.config
@@ -561,7 +560,6 @@ class ExperimentRunner:
             client_index=1000 + index,
             site=index,
             client_partitions=partitions,
-            streaming_aggregation=True,
         )
         aggregator.register(mine=True)
         self.aggregators.append(aggregator)
