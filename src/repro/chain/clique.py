@@ -71,8 +71,7 @@ class CliqueEngine:
         limit = len(self._signer_order) // 2
         if limit == 0:
             return False
-        recent = list(chain)[-limit:]
-        return any(block.header.sealer == address for block in recent)
+        return any(block.header.sealer == address for block in chain[-limit:])
 
     def select_sealer(self, chain: Sequence[Block], block_number: int) -> str:
         """Choose the sealer for the next block.

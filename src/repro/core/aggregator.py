@@ -111,7 +111,6 @@ class UnifyFLAggregator:
         resource_monitor: Optional[ResourceMonitor] = None,
         seed: int = 0,
         faults: Optional["FaultPlan"] = None,
-        streaming_aggregation: bool = False,
         evaluator: Optional[Evaluator] = None,
         decoded_models: Optional[DecodedModels] = None,
     ):
@@ -137,9 +136,7 @@ class UnifyFLAggregator:
         self.scorer = scorer
         self.eval_data = eval_data
         self.timing = timing_model or ClusterTimingModel(workload)
-        self.strategy = strategy or build_strategy(
-            config.strategy, streaming=streaming_aggregation
-        )
+        self.strategy = strategy or build_strategy(config.strategy)
         self.aggregation_policy = aggregation_policy or build_aggregation_policy(
             config.aggregation_policy, k=config.policy_k
         )
@@ -297,18 +294,12 @@ class UnifyFLAggregator:
 
         num_pulled = len(peer_candidates)
         if peer_candidates:
-            # Stream the pulled models into the strategy one at a time: a
-            # streaming-capable strategy folds each contributor in place, so
-            # peak memory stays O(1) models instead of O(round).  The paper's
-            # step (5) still applies — the local model always participates,
-            # appended after the peers exactly as the stacked path did.
-            def _contributions():
-                for candidate in peer_candidates:
-                    yield self.fetch_weights(candidate.cid), 1.0
-                yield self.local_weights, 1.0
-
+            # The paper's step (5): the pulled models and, after them, the
+            # local model, merged with equal coefficients.
+            contributions = [(self.fetch_weights(c.cid), 1.0) for c in peer_candidates]
+            contributions.append((self.local_weights, 1.0))
             self.global_weights = self.strategy.aggregate_stream(
-                self.local_weights, _contributions()
+                self.local_weights, contributions
             )
         else:
             self.global_weights = [np.array(w, copy=True) for w in self.local_weights]

@@ -25,7 +25,6 @@ from repro.fl.client import Client
 from repro.fl.server import FLServer
 from repro.fl.strategy import FedAvg, Strategy, build_strategy
 from repro.ml.models import Model
-from repro.ml.tensor_utils import average_weights
 
 
 @dataclass
@@ -167,7 +166,9 @@ class CentralizedMultilevelBaseline:
                 metrics = server.run_round(rng=rng)
                 cluster_weights.append(server.global_weights)
                 cluster_metrics[cluster.name] = {"loss": metrics.loss, "accuracy": metrics.accuracy}
-            global_weights = self.central_strategy.aggregate_weight_sets(global_weights, cluster_weights)
+            global_weights = self.central_strategy.aggregate_stream(
+                global_weights, [(w, 1.0) for w in cluster_weights]
+            )
             eval_model.set_weights(global_weights)
             global_loss, global_accuracy = eval_model.evaluate(self.eval_data.x, self.eval_data.y)
             global_history.append(global_accuracy)

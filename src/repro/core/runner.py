@@ -482,7 +482,6 @@ class ExperimentRunner:
         client_index: int,
         site: int,
         client_partitions: Optional[List[Dataset]] = None,
-        streaming_aggregation: bool = False,
     ) -> UnifyFLAggregator:
         """Stand up one cluster: fabric endpoint, IPFS node, clients, scorer, aggregator.
 
@@ -522,7 +521,6 @@ class ExperimentRunner:
             comm=self.comm,
             seed=seed,
             faults=self.fault_plan,
-            streaming_aggregation=streaming_aggregation,
             evaluator=self.evaluator,
             decoded_models=self.decoded_models,
         )

@@ -11,17 +11,22 @@ aggregator owns its own strategy instance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.fl.client import FitResult
 from repro.ml.optim import Adagrad, Optimizer, Yogi
-from repro.ml.tensor_utils import RunningWeightedAverage, subtract_weights
+from repro.ml.tensor_utils import average_weights, subtract_weights
 
 
 class Strategy:
-    """Base class: combine client fit results into new global weights."""
+    """Base class: merge weighted models into new global weights.
+
+    A strategy implements one method, :meth:`aggregate_stream`, over
+    ``(weights, coefficient)`` pairs; :meth:`aggregate` adapts client fit
+    results to it, weighting each by its sample count.
+    """
 
     name = "strategy"
 
@@ -30,102 +35,41 @@ class Strategy:
         current_weights: List[np.ndarray],
         results: Sequence[FitResult],
     ) -> List[np.ndarray]:
-        """Produce new global weights from the previous weights and updates."""
-        raise NotImplementedError
-
-    def aggregate_weight_sets(
-        self,
-        current_weights: List[np.ndarray],
-        weight_sets: Sequence[List[np.ndarray]],
-        coefficients: Optional[Sequence[float]] = None,
-    ) -> List[np.ndarray]:
-        """Aggregate raw weight lists (used for cross-silo global aggregation).
-
-        UnifyFL's aggregators re-use their in-cluster strategy when combining
-        the *global* models pulled from other silos, so this entry point takes
-        plain weight lists instead of :class:`FitResult` objects.
-        """
-        results = [
-            FitResult(client_id=f"peer-{i}", weights=w, num_samples=1)
-            for i, w in enumerate(weight_sets)
-        ]
-        if coefficients is not None:
-            if len(coefficients) != len(results):
-                raise ValueError("coefficients must match the number of weight sets")
-            for result, coef in zip(results, coefficients):
-                result.num_samples = max(1, int(round(float(coef) * 1000)))
-        return self.aggregate(current_weights, results)
+        """Produce new global weights from the previous weights and client updates."""
+        return self.aggregate_stream(
+            current_weights, [(r.weights, float(r.num_samples)) for r in results]
+        )
 
     def aggregate_stream(
         self,
         current_weights: List[np.ndarray],
         contributions: Iterable[Tuple[List[np.ndarray], float]],
     ) -> List[np.ndarray]:
-        """Aggregate ``(weights, coefficient)`` pairs from a lazy producer.
+        """Merge ``(weights, coefficient)`` pairs into new global weights.
 
-        The streaming entry point of the aggregation path: the aggregator
-        feeds pulled peer models through here one at a time so a strategy
-        that can fold contributors in place (``FedAvg`` with
-        ``streaming=True``) never holds the whole round in memory.  The
-        base implementation simply materialises the pairs and delegates to
-        :meth:`aggregate_weight_sets`, which keeps the server-side optimizer
-        strategies working unchanged.
+        With no contributions the result is a copy of ``current_weights``.
+        UnifyFL's aggregators re-use their in-cluster strategy when combining
+        the global models pulled from other silos, passing each with
+        coefficient 1.
         """
-        weight_sets: List[List[np.ndarray]] = []
-        coefficients: List[float] = []
-        for weights, coefficient in contributions:
-            weight_sets.append(weights)
-            coefficients.append(float(coefficient))
-        if not weight_sets:
-            return [np.array(w, copy=True) for w in current_weights]
-        # Pass coefficients only when they carry information: an all-ones
-        # vector must take the historical no-coefficient path so the
-        # num_samples quantisation cannot perturb bit-identical results.
-        if all(c == 1.0 for c in coefficients):
-            return self.aggregate_weight_sets(current_weights, weight_sets)
-        return self.aggregate_weight_sets(current_weights, weight_sets, coefficients)
+        raise NotImplementedError
 
 
 class FedAvg(Strategy):
-    """Sample-count-weighted averaging of client models.
-
-    Aggregation runs through :class:`RunningWeightedAverage`.  With
-    ``streaming=False`` (the default) the accumulator's exact mode delegates
-    to the historical stacked contraction, so results are bit-identical to
-    every earlier release.  With ``streaming=True`` contributors are folded
-    in place as they arrive — O(1) model-sized buffers instead of a stack of
-    the whole round — at the cost of the last bit versus the BLAS
-    contraction; the sampled-federation path opts in.
-    """
+    """Coefficient-weighted averaging of models (sample counts for clients)."""
 
     name = "fedavg"
-
-    def __init__(self, streaming: bool = False):
-        self.streaming = streaming
-
-    def aggregate(
-        self,
-        current_weights: List[np.ndarray],
-        results: Sequence[FitResult],
-    ) -> List[np.ndarray]:
-        if not results:
-            return [np.array(w, copy=True) for w in current_weights]
-        accumulator = RunningWeightedAverage(exact=not self.streaming)
-        for result in results:
-            accumulator.add(result.weights, float(result.num_samples))
-        return accumulator.finalize()
 
     def aggregate_stream(
         self,
         current_weights: List[np.ndarray],
         contributions: Iterable[Tuple[List[np.ndarray], float]],
     ) -> List[np.ndarray]:
-        accumulator = RunningWeightedAverage(exact=not self.streaming)
-        for weights, coefficient in contributions:
-            accumulator.add(weights, float(coefficient))
-        if accumulator.count == 0:
+        pairs = list(contributions)
+        if not pairs:
             return [np.array(w, copy=True) for w in current_weights]
-        return accumulator.finalize()
+        weight_sets, coefficients = zip(*pairs)
+        return average_weights(weight_sets, coefficients)
 
 
 class _ServerOptStrategy(Strategy):
@@ -134,14 +78,15 @@ class _ServerOptStrategy(Strategy):
     def __init__(self, optimizer: Optimizer):
         self._optimizer = optimizer
 
-    def aggregate(
+    def aggregate_stream(
         self,
         current_weights: List[np.ndarray],
-        results: Sequence[FitResult],
+        contributions: Iterable[Tuple[List[np.ndarray], float]],
     ) -> List[np.ndarray]:
-        if not results:
+        pairs = list(contributions)
+        if not pairs:
             return [np.array(w, copy=True) for w in current_weights]
-        averaged = FedAvg().aggregate(current_weights, results)
+        averaged = FedAvg().aggregate_stream(current_weights, pairs)
         # Pseudo-gradient: the negative of the average client movement.
         pseudo_grad = subtract_weights(current_weights, averaged)
         new_weights = [np.array(w, copy=True) for w in current_weights]
@@ -178,17 +123,9 @@ _STRATEGIES: Dict[str, type] = {
 }
 
 
-def build_strategy(name: str, streaming: bool = False, **kwargs) -> Strategy:
-    """Construct a strategy by name (``fedavg``, ``fedyogi``, ``fedadagrad``).
-
-    ``streaming=True`` opts ``fedavg`` into the in-place accumulator (used
-    by sampled federations); the server-side optimizer strategies ignore it
-    because their pseudo-gradient step needs the full averaged model anyway.
-    """
+def build_strategy(name: str, **kwargs) -> Strategy:
+    """Construct a strategy by name (``fedavg``, ``fedyogi``, ``fedadagrad``)."""
     key = name.lower()
     if key not in _STRATEGIES:
         raise ValueError(f"unknown strategy '{name}'; available: {sorted(_STRATEGIES)}")
-    strategy = _STRATEGIES[key](**kwargs)
-    if streaming and isinstance(strategy, FedAvg):
-        strategy.streaming = True
-    return strategy
+    return _STRATEGIES[key](**kwargs)

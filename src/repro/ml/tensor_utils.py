@@ -80,7 +80,7 @@ def average_weights(
 
     Raises:
         ValueError: if ``weight_sets`` is empty, coefficient length mismatches,
-            or the coefficients sum to zero.
+            a coefficient is negative, or the coefficients sum to zero.
     """
     if not weight_sets:
         raise ValueError("average_weights requires at least one weight set")
@@ -88,6 +88,8 @@ def average_weights(
         coefficients = [1.0] * len(weight_sets)
     if len(coefficients) != len(weight_sets):
         raise ValueError("coefficients must match the number of weight sets")
+    if min(coefficients) < 0:
+        raise ValueError("coefficients must be non-negative")
     total = float(sum(coefficients))
     if total <= 0:
         raise ValueError("coefficients must sum to a positive value")
@@ -96,113 +98,21 @@ def average_weights(
     for weights in weight_sets[1:]:
         _check_compatible(first, weights)
     # One stacked contraction per layer instead of a per-contributor Python
-    # loop: contributors go on axis 0, the float64 coefficient vector
-    # contracts them away in a single BLAS-backed pass.  The result is cast
-    # to the dtype scalar-times-array accumulation would have produced
-    # (floats keep their width, integer layers average in float64).
+    # loop: contributors go on axis 0 and the float64 coefficient row
+    # contracts them away in one BLAS-backed ``dot`` -- the exact call
+    # ``np.tensordot(normalised, stacked, axes=1)`` makes after its reshapes.
+    # The result is cast to the dtype scalar-times-array accumulation would
+    # have produced (floats keep their width, integer layers average in
+    # float64).
+    row = normalised.reshape(1, len(weight_sets))
     result: Weights = []
     for i in range(len(first)):
-        stacked = np.stack([np.asarray(weights[i]) for weights in weight_sets])
+        stacked = np.array([weights[i] for weights in weight_sets])
         target = np.result_type(first[i].dtype, np.result_type(stacked.dtype, 1.0))
-        layer = np.tensordot(normalised, stacked.astype(np.float64, copy=False), axes=1)
+        flat = stacked.reshape(len(weight_sets), -1).astype(np.float64, copy=False)
+        layer = np.dot(row, flat).reshape(stacked.shape[1:])
         result.append(layer.astype(target, copy=False))
     return result
-
-
-class RunningWeightedAverage:
-    """Streaming weighted accumulator over contributor weight lists.
-
-    ``average_weights`` stacks every contributor before contracting, so its
-    transient footprint is O(contributors × model).  At sampled-federation
-    scale (hundreds of cohort members aggregating each round) the stack is
-    the aggregation path's peak allocation; this accumulator folds each
-    contributor in as it arrives and keeps only O(1) model-sized buffers.
-
-    Two modes:
-
-    * ``exact=True`` (the default): contributors are *buffered by reference*
-      and finalisation delegates to :func:`average_weights`, so the result
-      is bit-identical to the historical stacked contraction.  This is the
-      mode the non-sampled aggregation path uses — existing runs stay
-      reproducible to the last bit.
-    * ``exact=False``: true in-place streaming — ``acc += c_i * w_i`` per
-      contributor in float64.  This is NOT bit-identical to the stacked
-      ``np.tensordot`` contraction (BLAS contracts with fused
-      multiply-adds, an operand order no sequence of separate NumPy
-      multiply/add ops reproduces; the difference is ~1 ULP).  The sampled
-      path opts in, trading the last bit for O(1) memory.
-
-    Both modes preserve the dtype-promotion rule of ``average_weights``:
-    float layers keep their width, integer layers average in float64.
-    """
-
-    def __init__(self, exact: bool = True):
-        self.exact = exact
-        self._count = 0
-        self._total = 0.0
-        # exact mode: contributor references + raw coefficients.
-        self._weight_sets: List[Sequence[np.ndarray]] = []
-        self._coefficients: List[float] = []
-        # streaming mode: running float64 sums plus the dtype bookkeeping
-        # needed to reproduce average_weights' promotion rule.
-        self._sums: List[np.ndarray] | None = None
-        self._template: Sequence[np.ndarray] | None = None
-        self._stacked_dtypes: List[np.dtype] | None = None
-
-    @property
-    def count(self) -> int:
-        """Number of contributors folded in so far."""
-        return self._count
-
-    def add(self, weights: Sequence[np.ndarray], coefficient: float = 1.0) -> None:
-        """Fold one contributor into the running average."""
-        if coefficient < 0:
-            raise ValueError("coefficients must be non-negative")
-        self._count += 1
-        self._total += float(coefficient)
-        if self.exact:
-            self._weight_sets.append(weights)
-            self._coefficients.append(float(coefficient))
-            return
-        arrays = [np.asarray(w) for w in weights]
-        if self._sums is None:
-            self._template = arrays
-            self._stacked_dtypes = [a.dtype for a in arrays]
-            self._sums = [
-                a.astype(np.float64, copy=True) * float(coefficient) for a in arrays
-            ]
-            return
-        _check_compatible(self._template, arrays)
-        assert self._stacked_dtypes is not None
-        for i, (acc, a) in enumerate(zip(self._sums, arrays)):
-            self._stacked_dtypes[i] = np.result_type(self._stacked_dtypes[i], a.dtype)
-            acc += a.astype(np.float64, copy=False) * float(coefficient)
-
-    def finalize(self) -> Weights:
-        """Return the weighted average of every contributor added so far.
-
-        Raises:
-            ValueError: if no contributors were added or the coefficients
-                sum to zero.
-        """
-        if self._count == 0:
-            raise ValueError("RunningWeightedAverage.finalize requires at least one contributor")
-        if self.exact:
-            return average_weights(self._weight_sets, self._coefficients)
-        if self._total <= 0:
-            raise ValueError("coefficients must sum to a positive value")
-        assert (
-            self._sums is not None
-            and self._template is not None
-            and self._stacked_dtypes is not None
-        )
-        result: Weights = []
-        for template_layer, stacked_dtype, acc in zip(
-            self._template, self._stacked_dtypes, self._sums
-        ):
-            target = np.result_type(template_layer.dtype, np.result_type(stacked_dtype, 1.0))
-            result.append((acc / self._total).astype(target, copy=False))
-        return result
 
 
 def weights_norm(weights: Sequence[np.ndarray]) -> float:

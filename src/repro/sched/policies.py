@@ -919,7 +919,9 @@ class HierarchicalRoundPolicy(RoundPolicy):
             self.tier_totals["local_idle_time"] += waited
             weight_sets = [m.local_weights for m in trained if m.name != leader.name]
             weight_sets.append(leader.local_weights)
-            group_model = leader.strategy.aggregate_weight_sets(leader.local_weights, weight_sets)
+            group_model = leader.strategy.aggregate_stream(
+                leader.local_weights, [(w, 1.0) for w in weight_sets]
+            )
             merge_time = self.ctx.timing.aggregation_time(leader.config, len(weight_sets))
             leader.clock.advance(merge_time)
             leader_timing.aggregation_time += merge_time
@@ -1071,8 +1073,9 @@ class GossipRoundPolicy(RoundPolicy):
             peer_weight_sets.append(weights)
 
         if peer_weight_sets:
-            aggregator.global_weights = aggregator.strategy.aggregate_weight_sets(
-                aggregator.local_weights, peer_weight_sets + [aggregator.local_weights]
+            aggregator.global_weights = aggregator.strategy.aggregate_stream(
+                aggregator.local_weights,
+                [(w, 1.0) for w in peer_weight_sets + [aggregator.local_weights]],
             )
         else:
             aggregator.global_weights = [np.array(w, copy=True) for w in aggregator.local_weights]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 
 import pytest
 
@@ -263,6 +264,44 @@ class TestClique:
         assert engine.recently_sealed([previous_block], sealer)
         next_sealer = engine.select_sealer([previous_block], 2)
         assert next_sealer != sealer
+
+    def test_recently_sealed_reads_only_the_chain_tail(self):
+        """The recent-sealing rule looks at the last ``N // 2`` blocks only;
+        copying the whole chain for it made sealing O(height) per block."""
+
+        class TailOnlyChain(Sequence):
+            def __init__(self, blocks):
+                self._blocks = blocks
+
+            def __len__(self):
+                return len(self._blocks)
+
+            def __getitem__(self, index):
+                return self._blocks[index]
+
+            def __iter__(self):
+                raise AssertionError("the whole chain was iterated")
+
+        signers = [Account.create(label=f"signer{i}", seed=300 + i) for i in range(5)]
+        engine = CliqueEngine(signers)
+        blocks = [
+            Block(
+                header=BlockHeader(
+                    number=n,
+                    parent_hash="0x0",
+                    timestamp=float(n),
+                    sealer=engine.in_turn_signer(n),
+                    transactions_root="r",
+                )
+            )
+            for n in range(1, 501)
+        ]
+        chain = TailOnlyChain(blocks)
+        # limit = 5 // 2 = 2: the sealers of blocks 499 and 500 must wait.
+        assert engine.recently_sealed(chain, engine.in_turn_signer(500))
+        assert engine.recently_sealed(chain, engine.in_turn_signer(499))
+        assert not engine.recently_sealed(chain, engine.in_turn_signer(498))
+        assert engine.select_sealer(chain, 501) == engine.in_turn_signer(501)
 
     def test_seal_delay_out_of_turn_longer(self, validator_accounts):
         engine = CliqueEngine(validator_accounts, block_period=2.0)

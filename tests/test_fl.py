@@ -117,16 +117,32 @@ class TestStrategies:
             weights = strategy.aggregate(weights, results)
         assert np.all(weights[0] > 0)
 
-    def test_aggregate_weight_sets_with_coefficients(self):
-        strategy = FedAvg()
+    def test_aggregate_stream_weights_by_coefficient(self):
         current = [np.zeros(2)]
-        sets = [[np.full(2, 1.0)], [np.full(2, 3.0)]]
-        merged = strategy.aggregate_weight_sets(current, sets, coefficients=[0.75, 0.25])
+        pairs = [([np.full(2, 1.0)], 0.75), ([np.full(2, 3.0)], 0.25)]
+        merged = FedAvg().aggregate_stream(current, pairs)
         assert np.allclose(merged[0], 1.5)
 
-    def test_aggregate_weight_sets_coefficient_mismatch(self):
-        with pytest.raises(ValueError):
-            FedAvg().aggregate_weight_sets([np.zeros(2)], [[np.zeros(2)]], coefficients=[1.0, 2.0])
+    @pytest.mark.parametrize("strategy", [FedAvg, FedYogi, FedAdagrad])
+    def test_aggregate_is_aggregate_stream_over_sample_counts(self, strategy):
+        base = [np.zeros((2, 3)), np.ones(4)]
+        results = self._make_results(base, deltas=[0.3, -1.7, 2.2], samples=[4, 1, 9])
+        pairs = [(r.weights, float(r.num_samples)) for r in results]
+        via_results = strategy().aggregate(base, results)
+        via_pairs = strategy().aggregate_stream(base, pairs)
+        for got, want in zip(via_results, via_pairs):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("strategy", [FedAvg, FedYogi, FedAdagrad])
+    def test_aggregate_stream_without_contributions_keeps_weights(self, strategy):
+        base = [np.ones(3)]
+        instance = strategy()
+        assert weights_allclose(instance.aggregate_stream(base, iter(())), base)
+        # No optimizer step either: a later round sees a fresh server state.
+        results = self._make_results(base, deltas=[1.0], samples=[1])
+        after_empty = instance.aggregate(base, results)
+        fresh = strategy().aggregate(base, results)
+        assert weights_allclose(after_empty, fresh, atol=0.0)
 
     def test_build_strategy(self):
         assert isinstance(build_strategy("fedavg"), FedAvg)

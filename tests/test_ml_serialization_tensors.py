@@ -209,6 +209,11 @@ class TestTensorUtils:
         avg = average_weights([a, b], coefficients=[3, 1])
         assert np.allclose(avg[0], [1.0])
 
+    def test_average_promotes_integer_layers(self):
+        (layer,) = average_weights([[np.array([2, 4], dtype=np.int64)], [np.array([4, 8], dtype=np.int64)]])
+        assert layer.dtype == np.float64
+        assert np.array_equal(layer, [3.0, 6.0])
+
     def test_average_rejects_empty(self):
         with pytest.raises(ValueError):
             average_weights([])
@@ -216,6 +221,12 @@ class TestTensorUtils:
     def test_average_rejects_zero_coefficients(self):
         with pytest.raises(ValueError):
             average_weights([[np.zeros(1)]], coefficients=[0.0])
+        with pytest.raises(ValueError):
+            average_weights([[np.ones(3)], [np.ones(3)]], coefficients=[0.0, 0.0])
+
+    def test_average_rejects_negative_coefficients(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            average_weights([[np.ones(3)], [np.ones(3)]], coefficients=[2.0, -1.0])
 
     def test_average_rejects_mismatched_coefficients(self):
         with pytest.raises(ValueError):
@@ -261,3 +272,49 @@ class TestTensorUtils:
     def test_norm_scales_linearly(self, weights, factor):
         scaled = scale_weights(weights, factor)
         assert weights_norm(scaled) == pytest.approx(factor * weights_norm(weights), rel=1e-6, abs=1e-9)
+
+
+def _tensordot_average(weight_sets, coefficients):
+    """The stacked ``np.tensordot`` formulation of ``average_weights``: the
+    oracle its ``np.dot`` contraction must match bit for bit."""
+    total = float(sum(coefficients))
+    normalised = np.array([float(c) / total for c in coefficients], dtype=np.float64)
+    result = []
+    for i in range(len(weight_sets[0])):
+        stacked = np.stack([np.asarray(weights[i]) for weights in weight_sets])
+        target = np.result_type(weight_sets[0][i].dtype, np.result_type(stacked.dtype, 1.0))
+        layer = np.tensordot(normalised, stacked.astype(np.float64, copy=False), axes=1)
+        result.append(layer.astype(target, copy=False))
+    return result
+
+
+class TestAverageWeightsContraction:
+    @staticmethod
+    def _contributor(rng):
+        signed = rng.standard_normal((3, 4)) * 3
+        signed[0] = -0.0
+        signed[1, :2] = 0.0
+        return [
+            signed,
+            (rng.standard_normal(5) * 3).astype(np.float32),
+            rng.integers(-50, 50, size=(2, 2), dtype=np.int64),
+            np.full(3, -0.0),
+            np.array(rng.standard_normal()),
+        ]
+
+    @pytest.mark.parametrize("weighting", ["uniform", "unequal"])
+    def test_bit_identical_to_the_tensordot_oracle(self, weighting):
+        rng = np.random.default_rng(35)
+        for k in range(1, 71):
+            sets = [self._contributor(rng) for _ in range(k)]
+            if weighting == "uniform":
+                coefficients = [1.0] * k
+            else:
+                coefficients = list(rng.uniform(0.01, 40.0, size=k))
+            produced = average_weights(sets, coefficients)
+            expected = _tensordot_average(sets, coefficients)
+            assert len(produced) == len(expected)
+            for got, want in zip(produced, expected):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), k
+                # tobytes() compares signs of zero too, which == does not.
+                assert got.tobytes() == want.tobytes(), k

@@ -1,16 +1,15 @@
-"""Sampled federations, streaming aggregation and vectorised scoring.
+"""Sampled federations and vectorised scoring.
 
 Covers the cross-device-scale layer end to end:
 
 * :class:`~repro.core.sampling.ClientSampler` — seeded, call-order-independent
   cohorts that never perturb the fault plan's churn stream;
-* :class:`~repro.ml.tensor_utils.RunningWeightedAverage` — the streaming
-  aggregation accumulator, bit-identical to ``average_weights`` in exact mode;
 * the vectorised MultiKRUM / cosine ``score_round`` implementations against
   their retained reference loops, with ``==`` per score;
 * the lazy cluster factory — sampled experiments materialise O(cohort)
-  clusters across every registered mode, reproducibly, and export their
-  sampling metadata in the (version 2) JSON document.
+  clusters across every registered mode, reproducibly, merge pulled models
+  with the same ``average_weights`` arithmetic as a dense run, and export
+  their sampling metadata in the (version 2) JSON document.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.aggregator import UnifyFLAggregator
 from repro.core.config import (
     ExperimentConfig,
     cifar10_workload,
@@ -30,7 +30,7 @@ from repro.core.runner import ExperimentRunner
 from repro.core.sampling import ClientSampler
 from repro.core.scorer import CosineSimilarityScorer, MultiKRUMScorer
 from repro.ml.models import SimpleCNN
-from repro.ml.tensor_utils import RunningWeightedAverage, average_weights
+from repro.ml.tensor_utils import average_weights
 from repro.simnet.faults import FaultPlan
 
 
@@ -92,87 +92,6 @@ class TestClientSampler:
             sampler.cohort(r)  # the draw the churn stream must not feel
             for c in clusters:
                 assert interleaved_plan.cluster_offline(c, r) == baseline[(c, r)]
-
-
-# ------------------------------------------------- streaming aggregation
-def _random_weight_sets(rng, contributors, dtypes=(np.float32, np.float64)):
-    shapes = [(4, 3), (7,), (2, 2, 2)]
-    sets = []
-    for _ in range(contributors):
-        sets.append(
-            [
-                (rng.standard_normal(shape) * 3).astype(dtype)
-                for shape, dtype in zip(shapes, list(dtypes) * 2)
-            ]
-        )
-    return sets
-
-
-class TestRunningWeightedAverage:
-    def test_exact_mode_is_bit_identical_to_average_weights(self):
-        rng = np.random.default_rng(11)
-        for contributors in (1, 2, 5, 9):
-            sets = _random_weight_sets(rng, contributors)
-            coefficients = [float(c) for c in rng.integers(1, 50, size=contributors)]
-            accumulator = RunningWeightedAverage()
-            for weights, coefficient in zip(sets, coefficients):
-                accumulator.add(weights, coefficient)
-            expected = average_weights(sets, coefficients)
-            produced = accumulator.finalize()
-            assert len(produced) == len(expected)
-            for got, want in zip(produced, expected):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-
-    def test_exact_mode_unweighted_matches_plain_average(self):
-        rng = np.random.default_rng(5)
-        sets = _random_weight_sets(rng, 4)
-        accumulator = RunningWeightedAverage()
-        for weights in sets:
-            accumulator.add(weights)
-        expected = average_weights(sets)
-        for got, want in zip(accumulator.finalize(), expected):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-    def test_streaming_mode_matches_a_scalar_reference(self):
-        rng = np.random.default_rng(23)
-        sets = _random_weight_sets(rng, 6)
-        coefficients = [float(c) for c in rng.integers(1, 20, size=6)]
-        accumulator = RunningWeightedAverage(exact=False)
-        for weights, coefficient in zip(sets, coefficients):
-            accumulator.add(weights, coefficient)
-        produced = accumulator.finalize()
-        exact = average_weights(sets, coefficients)
-        total = sum(coefficients)
-        for layer in range(len(sets[0])):
-            reference = sum(
-                np.asarray(sets[i][layer], dtype=np.float64) * coefficients[i]
-                for i in range(len(sets))
-            ) / total
-            assert np.allclose(produced[layer], reference, rtol=1e-6, atol=1e-7)
-            # Streaming keeps the promotion rule of the stacked contraction.
-            assert produced[layer].dtype == exact[layer].dtype
-
-    def test_streaming_mode_promotes_integer_layers(self):
-        accumulator = RunningWeightedAverage(exact=False)
-        accumulator.add([np.array([2, 4], dtype=np.int64)])
-        accumulator.add([np.array([4, 8], dtype=np.int64)])
-        (layer,) = accumulator.finalize()
-        exact = average_weights([[np.array([2, 4], dtype=np.int64)], [np.array([4, 8], dtype=np.int64)]])
-        assert layer.dtype == exact[0].dtype
-        assert np.allclose(layer, [3.0, 6.0])
-
-    def test_error_paths(self):
-        accumulator = RunningWeightedAverage()
-        with pytest.raises(ValueError):
-            accumulator.finalize()
-        with pytest.raises(ValueError):
-            accumulator.add([np.ones(3)], coefficient=-1.0)
-        streaming = RunningWeightedAverage(exact=False)
-        streaming.add([np.ones(3)], coefficient=0.0)
-        with pytest.raises(ValueError):
-            streaming.finalize()
 
 
 # ------------------------------------------------------ vectorised scoring
@@ -333,6 +252,41 @@ class TestSampledExperiments:
         assert result.sampling["clients_per_round"] == float(config.clients_per_round)
         assert all(a.history for a in result.aggregators)
 
+    def test_virtual_clusters_merge_through_average_weights(self, monkeypatch):
+        """One aggregation arithmetic: a virtual cluster's global model is,
+        bit for bit, ``average_weights`` of exactly the models it pulled
+        followed by its local model -- what a dense cluster computes."""
+        build = UnifyFLAggregator.build_global_model
+        fetch = UnifyFLAggregator.fetch_weights
+        merged = []
+
+        def checked_build(aggregator, *args, **kwargs):
+            pulled = []
+
+            def recording_fetch(cid):
+                weights = fetch(aggregator, cid)
+                pulled.append(weights)
+                return weights
+
+            local = aggregator.local_weights
+            aggregator.fetch_weights = recording_fetch
+            try:
+                timing = build(aggregator, *args, **kwargs)
+            finally:
+                del aggregator.fetch_weights
+            if pulled:
+                expected = average_weights(pulled + [local])
+                assert len(aggregator.global_weights) == len(expected)
+                for got, want in zip(aggregator.global_weights, expected):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), aggregator.name
+                merged.append(aggregator.name)
+            return timing
+
+        monkeypatch.setattr(UnifyFLAggregator, "build_global_model", checked_build)
+        ExperimentRunner(_sampled_config("sync", population=40, cohort=6)).run()
+        assert merged and all("-p" in name for name in merged), merged
+
     def test_peak_memory_per_cluster_does_not_grow_with_the_population(self):
         """The O(cohort) memory claim, host-independent: ``tracemalloc`` counts
         Python allocations, not the allocator's or the OS's view of them.
@@ -343,7 +297,7 @@ class TestSampledExperiments:
         its clients' partitions and generators, its IPFS node, plus its
         share of the run's one decoded copy of each pulled model.  A cluster
         owns no network: the evaluation model, the decoded models and the
-        training network are the run's.  About 125 KiB per cluster at either
+        training network are the run's.  About 122 KiB per cluster at either
         population (563 when every client clones its own network); the
         ceiling is 15 % above.
         """
