@@ -22,7 +22,10 @@ into ten places:
   (wire/queued time, WAN bytes, log lengths) only ever grow;
 * the **evaluator** (:meth:`check_evaluation`, called on every hit of the
   run's :class:`~repro.ml.evaluation.Evaluator` memo): the stored
-  ``(loss, accuracy)`` equals what the direct computation returns now;
+  ``(loss, accuracy)`` equals what the direct computation returns now; every
+  evaluation computed from a held plan equals a plan-free ``Model.evaluate``
+  (:meth:`check_evaluation_plan`), and a CID that names a fingerprint names
+  the one its weights hash to now (:meth:`check_evaluation_cid`);
 * the **round scorer** (:meth:`check_round_scores`, called on every hit of
   the run's shared full-round scorer memo): the stored per-CID scores equal
   what ``score_round`` returns for that round now;
@@ -87,8 +90,9 @@ class SimulationSanitizer:
         #: ``--sanitize`` run as evidence the sanitizer actually engaged.
         self.checks: Dict[str, int] = {
             "event": 0, "reservation": 0, "fabric": 0, "evaluation": 0,
-            "round_scores": 0, "decoded_model": 0, "shared_training": 0,
-            "block_verification": 0, "placement_window": 0, "tx_identity": 0,
+            "evaluation_plan": 0, "evaluation_cid": 0, "round_scores": 0,
+            "decoded_model": 0, "shared_training": 0, "block_verification": 0,
+            "placement_window": 0, "tx_identity": 0,
         }
         self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
 
@@ -256,6 +260,33 @@ class SimulationSanitizer:
                 f"memoised evaluation of weights {fingerprint} on dataset "
                 f"'{dataset}' is {tuple(stored)!r}, but evaluating them now "
                 f"gives {tuple(recomputed)!r}"
+            )
+
+    def check_evaluation_plan(
+        self,
+        fingerprint: str,
+        dataset: str,
+        planned: Sequence[float],
+        plan_free: Sequence[float],
+    ) -> None:
+        """Assert an evaluation computed from a held plan equals a plan-free
+        ``Model.evaluate`` of the same weights on the same dataset."""
+        self.checks["evaluation_plan"] += 1
+        if not all(_same_value(a, b) for a, b in zip(planned, plan_free)):
+            raise SanitizerViolation(
+                f"evaluating weights {fingerprint} on dataset '{dataset}' from "
+                f"its held plan gives {tuple(planned)!r}, but without the plan "
+                f"{tuple(plan_free)!r}"
+            )
+
+    def check_evaluation_cid(self, cid: str, stored: str, fingerprint: str) -> None:
+        """Assert a CID the evaluator knows stands for one fingerprint: the
+        one it was first seen with is what the weights now under it hash to."""
+        self.checks["evaluation_cid"] += 1
+        if fingerprint != stored:
+            raise SanitizerViolation(
+                f"CID {cid} names weights {stored} in the evaluator, but the "
+                f"weights evaluated under it now fingerprint to {fingerprint}"
             )
 
     # ------------------------------------------------------------ round scorer

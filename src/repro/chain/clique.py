@@ -61,14 +61,20 @@ class CliqueEngine:
         """The address whose turn it is to seal ``block_number``."""
         return self._signer_order[block_number % len(self._signer_order)]
 
+    @property
+    def recent_window(self) -> int:
+        """How many of the newest blocks the recent-sealing rule reads:
+        ``len(signers) // 2``."""
+        return len(self._signer_order) // 2
+
     def recently_sealed(self, chain: Sequence[Block], address: str) -> bool:
-        """True if ``address`` sealed one of the last ``len(signers)//2`` blocks.
+        """True if ``address`` sealed one of the last :attr:`recent_window` blocks.
 
         Clique forbids a signer from sealing again before ``N/2 + 1`` other
         blocks have passed; with a small signer set this reduces to not
         sealing two consecutive blocks.
         """
-        limit = len(self._signer_order) // 2
+        limit = self.recent_window
         if limit == 0:
             return False
         return any(block.header.sealer == address for block in chain[-limit:])

@@ -405,7 +405,7 @@ class UnifyFLAggregator:
             if round_context is not None:
                 score = self.scorer.score(weights, context={"round_weights": round_context, "cid": cid})
             else:
-                score = self.scorer.score(weights)
+                score = self.scorer.score(weights, context={"cid": cid})
             self.chain.send(
                 self.account,
                 "unifyfl",

@@ -361,18 +361,26 @@ class UnifyFLContract(Contract):
             before_time: only include submissions / scores visible at this
                 simulated time (used by asynchronous aggregators).
             exclude_submitter: optionally hide one submitter's own models.
+
+        Rounds are walked newest first through ``round_submissions``, so a
+        record is built only for a submission that is returned: the window
+        ends ``max_rounds`` below the newest round holding a visible one.
         """
         records: List[Dict[str, Any]] = []
-        for submission in self.submissions.values():
-            if before_time is not None and submission.timestamp > before_time:
-                continue
-            if exclude_submitter and submission.submitter == exclude_submitter:
-                continue
-            records.append(submission.as_record(before_time))
+        newest: Optional[int] = None
+        for round_number in sorted(self.round_submissions, reverse=True):
+            if newest is not None and max_rounds > 0 and round_number <= newest - max_rounds:
+                break
+            for cid in self.round_submissions[round_number]:
+                submission = self.submissions[cid]
+                if before_time is not None and submission.timestamp > before_time:
+                    continue
+                if exclude_submitter and submission.submitter == exclude_submitter:
+                    continue
+                records.append(submission.as_record(before_time))
+            if records and newest is None:
+                newest = round_number
         records.sort(key=lambda r: (-r["round"], r["timestamp"], r["cid"]))
-        if max_rounds > 0 and records:
-            newest = records[0]["round"]
-            records = [r for r in records if r["round"] > newest - max_rounds]
         return records
 
     @view_method

@@ -53,7 +53,9 @@ class _HeldOutSetScorer(Scorer):
 
     Evaluations go through the run's shared
     :class:`~repro.ml.evaluation.Evaluator`; a scorer built on its own gets
-    a private one over ``model_template``.
+    a private one over ``model_template``.  ``context["cid"]``, when given,
+    is the CID the weights were fetched under; the evaluator takes it for
+    the weights' fingerprint.
     """
 
     requires_full_round = False
@@ -69,9 +71,10 @@ class _HeldOutSetScorer(Scorer):
         self._evaluator = evaluator if evaluator is not None else Evaluator(model_template)
         self._test_data = test_data
 
-    def _evaluate(self, weights: Weights) -> Tuple[float, float]:
+    def _evaluate(self, weights: Weights, context: Optional[Dict]) -> Tuple[float, float]:
         """``(loss, accuracy)`` of ``weights`` on the scorer's test set."""
-        return self._evaluator.evaluate(weights, self._test_data)
+        cid = context.get("cid") if context else None
+        return self._evaluator.evaluate(weights, self._test_data, cid)
 
 
 class AccuracyScorer(_HeldOutSetScorer):
@@ -80,7 +83,7 @@ class AccuracyScorer(_HeldOutSetScorer):
     name = "accuracy"
 
     def score(self, weights: Weights, context: Optional[Dict] = None) -> float:
-        _, accuracy = self._evaluate(weights)
+        _, accuracy = self._evaluate(weights, context)
         return float(accuracy)
 
 
@@ -245,7 +248,7 @@ class LossScorer(_HeldOutSetScorer):
     name = "loss"
 
     def score(self, weights: Weights, context: Optional[Dict] = None) -> float:
-        loss, _ = self._evaluate(weights)
+        loss, _ = self._evaluate(weights, context)
         return float(1.0 / (1.0 + max(loss, 0.0)))
 
 

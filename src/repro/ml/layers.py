@@ -21,13 +21,16 @@ an evaluation-mode forward nor counted as a retained cache.  A deep copy of
 the layer shares the frozen tables.
 
 The activation kernels avoid a data-dependent select.  ``ReLU`` is an
-``fmax`` against 0.0 followed by ``+= 0.0``.  In evaluation mode
-``MaxPool2d`` takes a running ``np.maximum`` over the k² strided window
-views of its input, with no gather, argmax or table, whenever that is
-bit-equal to the first-argmax gather: no element has its sign bit set (every
-ReLU output qualifies) and no NaN reaches the output.  Every other input,
-and every training-mode forward, goes through the gather, which copies an
-NHWC-layout input into image order first.
+``fmax`` against 0.0 followed by ``+= 0.0``.  In evaluation mode a
+``Sequential`` runs a ``ReLU`` directly followed by a ``MaxPool2d`` as a
+NaN-ignoring ``np.fmax`` over each window of the ReLU's input, then the ReLU
+on the pooled tensor (:meth:`MaxPool2d.forward_rectified`).  Any other
+evaluation-mode ``MaxPool2d`` takes a running ``np.maximum`` over the k²
+strided window views of its input, with no gather, argmax or table, whenever
+that is bit-equal to the first-argmax gather: no element has its sign bit
+set and no NaN reaches the output.  Every other input, and every
+training-mode forward, goes through the gather, which copies an NHWC-layout
+input into image order first.
 """
 
 from __future__ import annotations
@@ -417,20 +420,31 @@ class Conv2d(Layer):
         self._index_tables = IndexTables()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        cols, out_h, out_w = self.columns(x)
+        self._cache = (cols, x.shape, out_h, out_w) if self.training else None
+        return self._convolve(cols, x.shape[0], out_h, out_w)
+
+    def columns(self, x: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """The im2col matrix of ``x`` with the output height and width: the
+        part of :meth:`forward` that does not read the weights."""
         if x.ndim != 4:
             raise ValueError(f"Conv2d expects a 4-D input, got shape {x.shape}")
         if x.shape[1] != self.weight.shape[1]:
             raise ValueError(
                 f"Conv2d expects {self.weight.shape[1]} input channels, got {x.shape[1]}"
             )
-        cols, out_h, out_w = _im2col(
-            x, self.kernel_size, self.stride, self.padding, self._index_tables
-        )
+        return _im2col(x, self.kernel_size, self.stride, self.padding, self._index_tables)
+
+    def forward_columns(self, cols: np.ndarray, n: int, out_h: int, out_w: int) -> np.ndarray:
+        """:meth:`forward` of an ``n``-image batch from its :meth:`columns`,
+        keeping nothing for :meth:`backward` (evaluation mode)."""
+        self._cache = None
+        return self._convolve(cols, n, out_h, out_w)
+
+    def _convolve(self, cols: np.ndarray, n: int, out_h: int, out_w: int) -> np.ndarray:
         w_col = self.weight.reshape(self.weight.shape[0], -1)
         out = cols @ w_col.T
         out += self.bias
-        n = x.shape[0]
-        self._cache = (cols, x.shape, out_h, out_w) if self.training else None
         return out.reshape(n, out_h, out_w, -1).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -467,6 +481,17 @@ class Conv2d(Layer):
 
     def gradients(self) -> List[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
+
+
+def _fmax_taps(taps: List[np.ndarray]) -> np.ndarray:
+    """Element-wise ``np.fmax`` of equally shaped views, in a new array laid
+    out like them."""
+    if len(taps) == 1:
+        return np.array(taps[0], order="K")
+    out = np.fmax(taps[0], taps[1])
+    for tap in taps[2:]:
+        np.fmax(out, tap, out=out)
+    return out
 
 
 def _window_maximum(
@@ -512,12 +537,8 @@ class MaxPool2d(Layer):
         self._index_tables = IndexTables()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            raise ValueError("MaxPool2d expects a 4-D input")
-        n, c, h, w = x.shape
+        n, c, h, w, out_h, out_w = self._geometry(x)
         k, s = self.kernel_size, self.stride
-        out_h = (h - k) // s + 1
-        out_w = (w - k) // s + 1
         if not self.training:
             self._cache = None
             out = _window_maximum(x, k, s, out_h, out_w)
@@ -536,6 +557,44 @@ class MaxPool2d(Layer):
         out = cols[np.arange(cols.shape[0]), argmax]
         self._cache = (argmax, x.shape, x.dtype, out_h, out_w) if self.training else None
         return out.reshape(n, c, out_h, out_w)
+
+    def forward_rectified(self, x: np.ndarray) -> np.ndarray:
+        """Evaluation-mode ``forward(ReLU().forward(x))`` without the ReLU's
+        full-size pass or the sign and NaN scans.
+
+        The window maximum of the raw ``x`` is taken with ``np.fmax``, which
+        ignores NaN, and the ReLU (``fmax(·, 0.0) + 0.0``) is applied to the
+        pooled tensor.  That gives the same bits for every input.  A ReLU
+        output is a non-NaN float in [+0.0, +inf] with no ``-0.0``, so its
+        window maximum is ``max(0, the largest non-NaN element)``, written
+        +0.0 when that is zero.  ``fmax`` over the window yields the largest
+        non-NaN element whatever order it visits them in (NaN only when all
+        are NaN; either zero when ``-0.0`` ties ``+0.0``); the ReLU then maps
+        NaN, any zero and anything negative, ``-inf`` included, to +0.0 and
+        keeps anything positive, ``+inf`` included.
+
+        The order is rows of taps first, over whole image rows, then columns:
+        behind a convolution the input is NHWC memory, where a whole row of
+        one image is one contiguous run.
+        """
+        _, _, _, _, out_h, out_w = self._geometry(x)
+        self._cache = None
+        k, s = self.kernel_size, self.stride
+        rows, cols = s * (out_h - 1) + 1, s * (out_w - 1) + 1
+        tall = _fmax_taps([x[:, :, ky : ky + rows : s] for ky in range(k)])
+        out = _fmax_taps([tall[:, :, :, kx : kx + cols : s] for kx in range(k)])
+        # The ReLU writes the C-contiguous layout the gather returns.
+        rectified = np.fmax(out, 0.0, order="C")
+        rectified += 0.0
+        return rectified
+
+    def _geometry(self, x: np.ndarray) -> Tuple[int, int, int, int, int, int]:
+        """``(n, c, h, w, out_h, out_w)`` of pooling the 4-D input ``x``."""
+        if x.ndim != 4:
+            raise ValueError("MaxPool2d expects a 4-D input")
+        n, c, h, w = x.shape
+        k, s = self.kernel_size, self.stride
+        return n, c, h, w, (h - k) // s + 1, (w - k) // s + 1
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -560,8 +619,33 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            return self.infer(x)
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def infer(self, x: np.ndarray, start: int = 0) -> np.ndarray:
+        """Evaluation-mode forward of ``x`` through ``layers[start:]``.
+
+        A :class:`ReLU` directly followed by a :class:`MaxPool2d` runs as
+        :meth:`MaxPool2d.forward_rectified`: the same bits as the two
+        forwards one after the other.
+        """
+        if self.training:
+            raise RuntimeError("infer runs the network in evaluation mode only")
+        layers = self.layers
+        end = len(layers)
+        i = start
+        while i < end:
+            layer = layers[i]
+            if type(layer) is ReLU and i + 1 < end and type(layers[i + 1]) is MaxPool2d:
+                layer._mask = None
+                x = layers[i + 1].forward_rectified(x)
+                i += 2
+            else:
+                x = layer.forward(x)
+                i += 1
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -590,7 +674,8 @@ class Sequential(Layer):
         offset = 0
         for layer in self.layers:
             count = len(layer.parameters())
-            layer.set_parameters(params[offset : offset + count])
+            if count:
+                layer.set_parameters(params[offset : offset + count])
             offset += count
         if offset != len(params):
             raise ValueError(

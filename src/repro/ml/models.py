@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,42 @@ from repro.ml.layers import (
 )
 from repro.ml.losses import CrossEntropyLoss, Loss
 from repro.ml.optim import Optimizer, SGD
+
+
+class PlannedBatch(NamedTuple):
+    """One ``batch_size`` slice of an :class:`EvaluationPlan`."""
+
+    #: the first layer's im2col columns of the slice when that layer is a
+    #: :class:`Conv2d`, else the slice of ``x`` itself.
+    inputs: np.ndarray
+    #: ``(out_h, out_w)`` of the columns; ``None`` for a raw slice.
+    out_hw: Optional[Tuple[int, int]]
+    #: the slice of ``y``, checked to be 1-D, as long as the slice and
+    #: non-negative; ``label_max`` is its largest label.
+    labels: np.ndarray
+    label_max: int
+    #: ``np.arange(len(labels))``, the row index of the loss's gather.
+    rows: np.ndarray
+
+
+class EvaluationPlan(NamedTuple):
+    """What :meth:`Model.evaluate` computes on one labelled set before the
+    weights are read, built by :meth:`Model.evaluation_plan`."""
+
+    size: int
+    batch_size: int
+    #: ``(in_channels, kernel, stride, padding)`` of the convolution whose
+    #: columns the batches hold; ``None`` when they hold raw slices.
+    geometry: Optional[Tuple[int, int, int, int]]
+    batches: Tuple[PlannedBatch, ...]
+
+
+def _column_geometry(layer: Layer) -> Optional[Tuple[int, int, int, int]]:
+    """What a first layer's im2col columns depend on; ``None`` when it is
+    not a :class:`Conv2d`."""
+    if type(layer) is not Conv2d:
+        return None
+    return (layer.weight.shape[1], layer.kernel_size, layer.stride, layer.padding)
 
 
 class Model:
@@ -65,13 +101,14 @@ class Model:
     @contextmanager
     def _evaluation_mode(self) -> Iterator[None]:
         """Run the network in evaluation mode, then restore the mode it was in."""
-        was_training = self.network.training
+        if not self.network.training:
+            yield
+            return
         self.network.eval()
         try:
             yield
         finally:
-            if was_training:
-                self.network.train()
+            self.network.train()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Return raw logits for a batch of inputs (evaluation mode)."""
@@ -129,13 +166,30 @@ class Model:
         return epoch_losses
 
     def evaluate(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int = 256, loss_fn: Optional[Loss] = None
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        batch_size: int = 256,
+        loss_fn: Optional[Loss] = None,
+        plan: Optional[EvaluationPlan] = None,
     ) -> Tuple[float, float]:
-        """Return (loss, accuracy) over a labelled evaluation set."""
+        """Return (loss, accuracy) over a labelled evaluation set.
+
+        ``plan`` is :meth:`evaluation_plan` of the same ``(x, y,
+        batch_size)`` (its cross-entropy loss is the default one): each batch
+        then starts from the held first-layer columns and the loss from the
+        checked labels.  The result is the same bits.
+        """
         if len(x) != len(y):
             raise ValueError("x and y must have the same number of samples")
         if len(x) == 0:
             raise ValueError("cannot evaluate on an empty dataset")
+        if plan is not None:
+            if loss_fn is not None:
+                raise ValueError("an evaluation plan evaluates the default cross-entropy loss")
+            if (plan.size, plan.batch_size) != (len(x), batch_size):
+                raise ValueError("the evaluation plan was built for another set or batch size")
+            return self._evaluate_planned(plan)
         loss_fn = loss_fn or CrossEntropyLoss()
         total_loss = 0.0
         correct = 0
@@ -144,10 +198,63 @@ class Model:
                 xb = x[start : start + batch_size]
                 yb = y[start : start + batch_size]
                 logits = self.network.forward(xb)
-                loss, _ = loss_fn.forward(logits, yb)
-                total_loss += loss * len(xb)
+                total_loss += loss_fn.value(logits, yb) * len(xb)
                 correct += int((logits.argmax(axis=1) == yb).sum())
         return total_loss / len(x), correct / len(x)
+
+    def evaluation_plan(
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
+    ) -> EvaluationPlan:
+        """The part of :meth:`evaluate` on ``(x, y)`` that the weights do not
+        change, batch by batch: the first layer's im2col columns (when it is
+        a :class:`Conv2d`), the checked labels and their row index.
+
+        A plan serves every model whose first layer has the same
+        :func:`_column_geometry`; :meth:`evaluate` checks that.
+        """
+        if len(x) != len(y):
+            raise ValueError("x and y must have the same number of samples")
+        if len(x) == 0:
+            raise ValueError("cannot evaluate on an empty dataset")
+        first = self.network.layers[0]
+        geometry = _column_geometry(first)
+        batches = []
+        for start in range(0, len(x), batch_size):
+            xb = x[start : start + batch_size]
+            labels = np.asarray(y[start : start + batch_size])
+            if labels.ndim != 1 or labels.shape[0] != len(xb):
+                raise ValueError("targets must be a 1-D label array matching the batch size")
+            if labels.min() < 0:
+                raise ValueError("target labels out of range for the given logits")
+            if geometry is None:
+                inputs, out_hw = xb, None
+            else:
+                inputs, out_h, out_w = first.columns(xb)
+                out_hw = (out_h, out_w)
+            batches.append(
+                PlannedBatch(inputs, out_hw, labels, int(labels.max()), np.arange(len(xb)))
+            )
+        return EvaluationPlan(len(x), batch_size, geometry, tuple(batches))
+
+    def _evaluate_planned(self, plan: EvaluationPlan) -> Tuple[float, float]:
+        network = self.network
+        first = network.layers[0]
+        if plan.geometry != _column_geometry(first):
+            raise ValueError("the evaluation plan was built for another first layer")
+        total_loss = 0.0
+        correct = 0
+        with self._evaluation_mode():
+            for inputs, out_hw, labels, label_max, rows in plan.batches:
+                n = len(labels)
+                if out_hw is None:
+                    logits = network.infer(inputs)
+                else:
+                    logits = network.infer(first.forward_columns(inputs, n, *out_hw), 1)
+                if logits.ndim != 2 or label_max >= logits.shape[1]:
+                    raise ValueError("target labels out of range for the given logits")
+                total_loss += CrossEntropyLoss.checked_value(logits, labels, rows) * n
+                correct += int((logits.argmax(axis=1) == labels).sum())
+        return total_loss / plan.size, correct / plan.size
 
     def clone(self) -> "Model":
         """An independent copy of this model, a pure function of its source.

@@ -271,6 +271,36 @@ class TestBlockchain:
         blockchain.blocks[1].transactions = []
         assert not blockchain.verify_chain()
 
+    def test_verify_chain_hands_each_seal_only_the_recent_window(self, monkeypatch):
+        """Each seal is checked against the ``len(signers) // 2`` blocks the
+        recent-sealing rule reads; slicing the whole prefix for every block
+        copied n²/2 references to verify a chain of height n."""
+        signers = [Account.create(label=f"signer{i}", seed=400 + i) for i in range(5)]
+        chain = Blockchain(signers, block_period=1.0)
+        chain.deploy_contract(Counter())
+        for i in range(12):
+            chain.send(signers[i % 5], "counter", "increment", {"by": 1})
+            chain.mine_block()
+        window = chain.engine.recent_window
+        assert window == 2
+        seen = []
+        verify_seal = chain.engine.verify_seal
+
+        def recording_verify_seal(block, recent):
+            seen.append((block.number, [b.number for b in recent]))
+            return verify_seal(block, recent)
+
+        monkeypatch.setattr(chain.engine, "verify_seal", recording_verify_seal)
+        assert chain.verify_chain()
+        assert [number for number, _ in seen] == list(range(1, chain.height + 1))
+        assert all(recent == list(range(max(0, n - window), n)) for n, recent in seen)
+        # The window still catches a signer sealing twice within it: the
+        # newest block re-sealed by the sealer of the block before it.
+        header = chain.blocks[-1].header
+        header.sealer = chain.blocks[-2].header.sealer
+        chain.engine.seal(header)
+        assert not chain.verify_chain()
+
     def test_metrics_accumulate(self, blockchain, validator_accounts):
         blockchain.deploy_contract(Counter())
         blockchain.send(validator_accounts[0], "counter", "increment", {"by": 1})

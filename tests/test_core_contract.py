@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
 from repro.chain.events import EventFilter
-from repro.core.contract import UnifyFLContract
+from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
+from repro.core.contract import ModelSubmission, UnifyFLContract
 from repro.core.runner import ExperimentRunner
 
 
@@ -382,6 +383,95 @@ class TestViews:
     def test_contract_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             UnifyFLContract(mode="turbo")
+
+
+def latest_models_reference(contract, max_rounds=0, before_time=None, exclude_submitter=""):
+    """``getLatestModelsWithScores`` as it was: a record for every
+    submission ever made, then the newest ``max_rounds`` rounds kept."""
+    records = [
+        submission.as_record(before_time)
+        for submission in contract.submissions.values()
+        if not (before_time is not None and submission.timestamp > before_time)
+        and not (exclude_submitter and submission.submitter == exclude_submitter)
+    ]
+    records.sort(key=lambda r: (-r["round"], r["timestamp"], r["cid"]))
+    if max_rounds > 0 and records:
+        newest = records[0]["round"]
+        records = [r for r in records if r["round"] > newest - max_rounds]
+    return records
+
+
+#: (round, timestamp, submitter, ((scorer, score timestamp), ...)) per submission.
+submission_specs = st.lists(
+    st.tuples(
+        st.integers(1, 6),
+        st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+        st.sampled_from(["a", "b", "c"]),
+        st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([0.5, 3.0]))),
+    ),
+    max_size=14,
+)
+
+
+class TestLatestModelsView:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=submission_specs,
+        empty_rounds=st.lists(st.integers(1, 8), max_size=3),
+        max_rounds=st.integers(0, 3),
+        before_time=st.sampled_from([None, 0.0, 1.0, 2.0, 3.5]),
+        exclude_submitter=st.sampled_from(["", "a", "b"]),
+    )
+    def test_equals_building_every_record(
+        self, specs, empty_rounds, max_rounds, before_time, exclude_submitter
+    ):
+        """Walking rounds newest first returns exactly the old view, order
+        included, even when the newest rounds hold nothing visible."""
+        contract = UnifyFLContract(mode="async")
+        for round_number in empty_rounds:
+            contract.round_submissions.setdefault(round_number, [])
+        for index, (round_number, timestamp, submitter, scores) in enumerate(specs):
+            cid = f"Qm{index:064d}"
+            submission = ModelSubmission(cid, submitter, round_number, timestamp)
+            for scorer, score_time in scores:
+                submission.scores[scorer] = float(index)
+                submission.score_timestamps[scorer] = score_time
+            contract.submissions[cid] = submission
+            contract.round_submissions.setdefault(round_number, []).append(cid)
+        query = dict(
+            max_rounds=max_rounds, before_time=before_time, exclude_submitter=exclude_submitter
+        )
+        assert contract.getLatestModelsWithScores(**query) == latest_models_reference(
+            contract, **query
+        )
+
+    def test_record_builds_per_round_do_not_grow_with_run_length(self, monkeypatch):
+        """Host-independent guard: the view used to build a record for every
+        submission ever made, so a sync Multi-KRUM run of 6 single-client
+        clusters built 180 records per round at 4 rounds and 576 at 16."""
+        builds = []
+        as_record = ModelSubmission.as_record
+
+        def counting_as_record(self, *args, **kwargs):
+            builds.append(self.cid)
+            return as_record(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSubmission, "as_record", counting_as_record)
+        per_round = {}
+        for rounds in (4, 16):
+            builds.clear()
+            config = ExperimentConfig(
+                name=f"record-builds-{rounds}",
+                workload=cifar10_workload(rounds=rounds, samples_per_class=8, image_size=8),
+                clusters=gpu_cluster_configs(num_clusters=6, num_clients=1),
+                mode="sync",
+                rounds=rounds,
+                seed=0,
+                scoring_algorithm="multikrum",
+            )
+            ExperimentRunner(config).run()
+            per_round[rounds] = len(builds) / rounds
+        assert per_round[16] / per_round[4] <= 1.25, per_round
 
 
 class TestEventLogDetails:

@@ -3,11 +3,15 @@
 The memo must be invisible: whatever the order, repetition and eviction
 pattern of the requests, every answer equals what a fresh clone of the model
 template computes directly.  The counters must be exact: the model is run
-once per distinct (weights, dataset) pair and never otherwise.
+once per distinct (weights, dataset) pair and never otherwise.  The
+evaluation plan, the fused ReLU→pool forward and the value-only loss must be
+invisible too: bit for bit what every layer's own forward and the loss with
+its gradient give.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import OrderedDict
 from unittest import mock
@@ -23,7 +27,9 @@ from repro.core.reporting import result_to_dict
 from repro.core.runner import ExperimentRunner
 from repro.ml import evaluation
 from repro.ml.evaluation import Evaluator
-from repro.ml.models import MLP, Model, SimpleCNN
+from repro.ml.layers import Conv2d, Dense, Flatten, MaxPool2d, Sequential
+from repro.ml.losses import CrossEntropyLoss
+from repro.ml.models import MLP, MiniVGG, Model, SimpleCNN
 from repro.ml.serialization import weights_fingerprint
 
 
@@ -133,6 +139,13 @@ def sampled_config(mode: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def dense_config(mode: str) -> ExperimentConfig:
+    """Three clusters scoring each other's models by accuracy."""
+    return sampled_config(
+        mode, population=None, clients_per_round=None, scoring_algorithm="accuracy"
+    )
+
+
 def content_key(weights, buffer) -> tuple:
     """A (weights, dataset) key that shares nothing with the evaluator's."""
     digest = hashlib.sha256()
@@ -152,9 +165,9 @@ class TestExactCounters:
             computed.append(content_key(self.network.parameters(), x))
             return model_evaluate(self, x, y, *args, **kwargs)
 
-        def recording_evaluator_evaluate(self, weights, data):
+        def recording_evaluator_evaluate(self, weights, data, cid=None):
             requested.append(content_key(weights, data.x))
-            return evaluator_evaluate(self, weights, data)
+            return evaluator_evaluate(self, weights, data, cid)
 
         monkeypatch.setattr(Model, "evaluate", counting_model_evaluate)
         monkeypatch.setattr(Evaluator, "evaluate", recording_evaluator_evaluate)
@@ -231,3 +244,231 @@ class TestSanitizerIsTheOracle:
         sanitizer.check_evaluation("f" * 64, "d", (float("nan"), 0.1), (float("nan"), 0.1))
         with pytest.raises(SanitizerViolation):
             sanitizer.check_evaluation("f" * 64, "d", (float("nan"), 0.1), (0.3, 0.1))
+
+
+# ------------------------------------------------------------ planned evaluation
+def conv_then_pool(seed: int) -> Model:
+    """A pool straight after a convolution: no ReLU to fuse, the scanned path."""
+    rng = np.random.default_rng(seed)
+    network = Sequential(
+        [Conv2d(3, 4, 3, padding=1, rng=rng), MaxPool2d(2), Flatten(), Dense(4 * 4 * 4, 10, rng=rng)]
+    )
+    return Model(network, 10, (3, 8, 8))
+
+
+PLAN_MODELS = {
+    "simple_cnn": lambda seed: SimpleCNN(
+        image_size=8, conv_channels=(4, 8), hidden_dim=16, seed=seed
+    ),
+    # ReLU -> Conv -> ReLU -> Pool, and a dropout the evaluation must skip.
+    "mini_vgg": lambda seed: MiniVGG(
+        image_size=8, num_classes=10, base_channels=4, hidden_dim=16, dropout=0.25, seed=seed
+    ),
+    # The first layer is not a convolution: the plan holds no columns.
+    "mlp": lambda seed: MLP(input_dim=12, hidden_dims=(16,), num_classes=10, seed=seed),
+    "conv_then_pool": conv_then_pool,
+}
+
+
+def layer_by_layer(model: Model, x: np.ndarray) -> np.ndarray:
+    """Logits from every layer's own evaluation-mode forward: no plan, no
+    ReLU→pool fusion."""
+    network = model.network
+    network.eval()
+    for layer in network.layers:
+        x = layer.forward(x)
+    return x
+
+
+def evaluate_reference(model: Model, x, y, batch_size: int = 256):
+    """``Model.evaluate`` as it was: layer by layer, the loss from ``forward``."""
+    total_loss, correct = 0.0, 0
+    for start in range(0, len(x), batch_size):
+        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+        logits = layer_by_layer(model, xb)
+        loss, _ = CrossEntropyLoss().forward(logits, yb)
+        total_loss += loss * len(xb)
+        correct += int((logits.argmax(axis=1) == yb).sum())
+    return total_loss / len(x), correct / len(x)
+
+
+def bits(values) -> list:
+    return [int(np.array(v, dtype=np.float64).view(np.int64)) for v in values]
+
+
+class TestPlannedEvaluationIsInvisible:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PLAN_MODELS)),
+        n=st.sampled_from([1, 2, 5, 255, 256, 257, 300]),
+        specials=st.lists(
+            st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, -0.0]), max_size=12
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_a_plan_free_evaluation_bit_for_bit(self, name, n, specials, seed):
+        rng = np.random.default_rng(seed)
+        model = PLAN_MODELS[name](seed % 7)
+        model.set_weights(random_weights(model, seed))
+        x = rng.normal(0.0, 1.0, size=(n,) + model.input_shape)
+        x.flat[rng.integers(0, x.size, len(specials))] = specials
+        y = rng.integers(0, 10, size=n)
+
+        plan = model.evaluation_plan(x, y)
+        assert (plan.geometry is None) == (name == "mlp")
+        assert len(plan.batches) == -(-n // 256)
+        first = model.network.layers[0]
+        for start, batch in zip(range(0, n, 256), plan.batches):
+            xb = x[start : start + 256]
+            want = xb if plan.geometry is None else first.columns(xb)[0]
+            # Layout too: BLAS sums a single image's transposed columns in
+            # another order than a C-contiguous copy of them.
+            assert batch.inputs.strides == want.strides
+            assert np.array_equal(batch.inputs.view(np.int64), want.view(np.int64))
+        with np.errstate(all="ignore"):
+            planned = model.evaluate(x, y, plan=plan)
+            plan_free = model.clone().evaluate(x, y)
+            reference = evaluate_reference(model.clone(), x, y)
+            logits = model.predict(x)
+            reference_logits = layer_by_layer(model.clone(), x)
+        assert bits(planned) == bits(plan_free) == bits(reference)
+        assert np.array_equal(logits.view(np.int64), reference_logits.view(np.int64))
+        assert model.network.training  # evaluate and predict restore the mode
+
+    def test_a_plan_is_bound_to_its_set_batch_size_and_first_layer(self, tiny_image_dataset):
+        train, _ = tiny_image_dataset
+        model = SimpleCNN(image_size=8, seed=0)
+        plan = model.evaluation_plan(train.x, train.y, batch_size=64)
+        with pytest.raises(ValueError, match="another set or batch size"):
+            model.evaluate(train.x, train.y, plan=plan)
+        with pytest.raises(ValueError, match="another set or batch size"):
+            model.evaluate(train.x[:10], train.y[:10], batch_size=64, plan=plan)
+        with pytest.raises(ValueError, match="another first layer"):
+            wider = Model(
+                Sequential([Conv2d(3, 6, 5, padding=2), Flatten(), Dense(6 * 64, 10)]), 10, (3, 8, 8)
+            )
+            wider.evaluate(train.x, train.y, batch_size=64, plan=plan)
+        with pytest.raises(ValueError, match="default cross-entropy"):
+            model.evaluate(train.x, train.y, batch_size=64, loss_fn=CrossEntropyLoss(), plan=plan)
+
+    def test_plan_rejects_what_the_loss_rejects(self, tiny_image_dataset):
+        train, _ = tiny_image_dataset
+        model = SimpleCNN(image_size=8, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            model.evaluation_plan(train.x, -train.y)
+        too_large = model.evaluation_plan(train.x, train.y + 10)
+        with pytest.raises(ValueError, match="out of range"):
+            model.evaluate(train.x, train.y + 10, plan=too_large)
+        with pytest.raises(ValueError):
+            model.evaluation_plan(train.x, train.y[:-1])
+
+
+class TestEvaluatorPlans:
+    def test_plans_are_kept_for_the_two_latest_datasets(self, tiny_image_dataset):
+        train, test = tiny_image_dataset
+        third = test.subset(np.arange(5))
+        template = SimpleCNN(image_size=8, seed=0)
+        evaluator = Evaluator(template)
+        built = []
+        evaluation_plan = Model.evaluation_plan
+
+        def counting_plan(self, x, y, batch_size=256):
+            built.append(len(x))
+            return evaluation_plan(self, x, y, batch_size)
+
+        with mock.patch.object(Model, "evaluation_plan", counting_plan):
+            for seed, data in enumerate([train, test, train, third, test, third]):
+                weights = random_weights(template, seed)
+                assert evaluator.evaluate(weights, data) == direct(template, weights, data)
+        assert built == [len(train), len(test), len(third), len(test)]
+        assert [held for held, _ in evaluator._plans.values()] == [test, third]
+        assert not evaluator._model.network.training
+
+    def test_plans_are_built_inside_run_not_build(self):
+        runner = ExperimentRunner(sampled_config("sync"))
+        runner.build()
+        assert not runner.evaluator._plans
+        runner.run()
+        assert 0 < len(runner.evaluator._plans) <= 2
+
+    def test_a_cid_stands_for_the_weights_first_evaluated_under_it(self, small_mlp, tabular_dataset):
+        weights = small_mlp.get_weights()
+        evaluator = Evaluator(small_mlp)
+        first = evaluator.evaluate(weights, tabular_dataset)
+        with mock.patch.object(evaluation, "weights_fingerprint") as fingerprint:
+            fingerprint.return_value = weights_fingerprint(weights)
+            assert evaluator.evaluate(weights, tabular_dataset, cid="Qm1") == first
+            assert evaluator.evaluate(weights, tabular_dataset, cid="Qm1") == first
+        # Hashed once for the CID's first request; the key stays the
+        # fingerprint, so the request with and the one without a CID share it.
+        assert fingerprint.call_count == 1
+        assert (evaluator.calls, evaluator.hits) == (3, 2)
+
+    def test_scorers_fingerprint_each_fetched_model_once(self, monkeypatch):
+        fingerprinted = []
+        requests = []
+        evaluate = Evaluator.evaluate
+
+        def recording_evaluate(self, weights, data, cid=None):
+            requests.append(cid)
+            return evaluate(self, weights, data, cid)
+
+        def counting_fingerprint(weights):
+            fingerprinted.append(None)
+            return weights_fingerprint(weights)
+
+        monkeypatch.setattr(Evaluator, "evaluate", recording_evaluate)
+        monkeypatch.setattr(evaluation, "weights_fingerprint", counting_fingerprint)
+        config = dense_config("sync")
+        ExperimentRunner(config).run()
+        cids = [cid for cid in requests if cid is not None]
+        assert len(cids) > len(set(cids)) > 0
+        assert len(fingerprinted) == requests.count(None) + len(set(cids))
+
+
+class TestSanitizerChecksThePlanAndTheCid:
+    def test_every_planned_evaluation_is_recomputed_without_the_plan(self, tiny_image_dataset):
+        train, test = tiny_image_dataset
+        template = SimpleCNN(image_size=8, seed=0)
+        evaluator = Evaluator(template)
+        evaluator.sanitizer = SimulationSanitizer()
+        for seed, data in enumerate([train, test, train]):
+            evaluator.evaluate(random_weights(template, seed), data)
+        evaluator.evaluate(random_weights(template, 0), train)
+        assert evaluator.sanitizer.checks["evaluation_plan"] == 3
+        assert evaluator.sanitizer.checks["evaluation"] == 1
+
+    def test_a_corrupted_plan_raises(self, tiny_image_dataset):
+        train, _ = tiny_image_dataset
+        template = SimpleCNN(image_size=8, seed=0)
+        evaluator = Evaluator(template)
+        evaluator.sanitizer = SimulationSanitizer()
+        evaluator.evaluate(random_weights(template, 0), train)
+        ((_, plan),) = evaluator._plans.values()
+        plan.batches[0].inputs[0] += 1.0
+        with pytest.raises(SanitizerViolation, match="held plan") as raised:
+            evaluator.evaluate(random_weights(template, 1), train)
+        assert f"'{train.name}'" in str(raised.value)
+
+    def test_a_cid_that_names_two_fingerprints_raises(self, small_mlp, tabular_dataset):
+        evaluator = Evaluator(small_mlp)
+        evaluator.sanitizer = SimulationSanitizer()
+        first = random_weights(small_mlp, 1)
+        evaluator.evaluate(first, tabular_dataset, cid="QmX")
+        evaluator.evaluate(first, tabular_dataset, cid="QmX")
+        assert evaluator.sanitizer.checks["evaluation_cid"] == 1
+        with pytest.raises(SanitizerViolation, match="QmX") as raised:
+            evaluator.evaluate(random_weights(small_mlp, 2), tabular_dataset, cid="QmX")
+        assert weights_fingerprint(first) in str(raised.value)
+
+    def test_a_sanitized_dense_run_checks_every_computed_evaluation(self):
+        config = dense_config("async")
+        plain = ExperimentRunner(config)
+        plain_result = plain.run()
+        sanitized = ExperimentRunner(dataclasses.replace(config, sanitize=True))
+        sanitized_result = sanitized.run()
+        assert result_to_dict(plain_result) == result_to_dict(sanitized_result)
+        evaluator, checks = sanitized.evaluator, sanitized.sanitizer.checks
+        assert checks["evaluation_plan"] == evaluator.calls - evaluator.hits > 0
+        assert checks["evaluation"] == evaluator.hits
+        assert checks["evaluation_cid"] > 0

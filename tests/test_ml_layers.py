@@ -496,6 +496,49 @@ class TestSequential:
         for got, want in zip(net.gradients(), expected):
             assert np.array_equal(got, want)
 
+    def test_evaluation_fuses_only_a_relu_directly_before_a_pool(self, monkeypatch):
+        """In evaluation mode ReLU→MaxPool2d runs as ``forward_rectified``; a
+        pool after anything else keeps the scanned path; training fuses
+        nothing.  Every route returns what the layers' own forwards do."""
+        rng = np.random.default_rng(12)
+        net = Sequential(
+            [
+                Conv2d(2, 3, kernel_size=3, padding=1, rng=rng),
+                MaxPool2d(2),
+                ReLU(),
+                MaxPool2d(2),
+                Flatten(),
+                Dense(3 * 2 * 2, 4, rng=rng),
+            ]
+        )
+        x = rng.normal(size=(5, 2, 8, 8))
+        x[0, 0, :4, :4] = np.nan
+        routes = []
+        for name in ("forward", "forward_rectified"):
+            original = getattr(MaxPool2d, name)
+
+            def spy(self, h, _original=original, _name=name):
+                routes.append((net.layers.index(self), _name))
+                return _original(self, h)
+
+            monkeypatch.setattr(MaxPool2d, name, spy)
+        for layer in net.layers:
+            layer.eval()
+        layer_by_layer = x
+        for layer in net.layers:
+            layer_by_layer = layer.forward(layer_by_layer)
+        routes.clear()
+        net.eval()
+        assert np.array_equal(_bits(net.forward(x)), _bits(layer_by_layer))
+        assert routes == [(1, "forward"), (3, "forward_rectified")]
+        assert net.layers[2]._mask is None
+        routes.clear()
+        net.train()
+        net.forward(x)
+        assert routes == [(1, "forward"), (3, "forward")]
+        with pytest.raises(RuntimeError):
+            net.infer(x)
+
     def test_backward_parameters_first_conv_matches_full_backward(self):
         rng = np.random.default_rng(11)
         net = Sequential([Conv2d(2, 3, kernel_size=3, padding=1, rng=rng), ReLU(), MaxPool2d(2)])
@@ -756,6 +799,29 @@ class TestBranchFreeActivations:
                 gathered = x is not unsigned_nan or np.isnan(got).any()
                 assert bool(pool._index_tables) == gathered, case
                 self._assert_matches_the_gather(pool, x, got, case)
+
+    def test_rectified_pool_is_relu_then_pool(self):
+        """``forward_rectified`` (window ``fmax`` of the raw input, then the
+        ReLU) against a ReLU forward followed by the pooling it replaces."""
+        rng = np.random.default_rng(14)
+        for n, chw, kernel, stride, dtype, transposed in _POOL_GRID:
+            special = _special_values(dtype)
+            x = _grid_input(rng, n, chw, dtype, transposed)
+            x.flat[::4] = -np.abs(x.flat[::4])
+            x.flat[1::5] = -0.0
+            x.flat[2::5] = 0.0
+            x.flat[3::9] = special[rng.integers(0, special.size, x.flat[3::9].size)]
+            x[0, 0] = np.nan  # whole windows of NaN
+            x[-1, -1] = np.copysign(np.nan, -1.0)
+            for name, case_x in [("mixed", x), ("all -inf", np.full_like(x, -np.inf))]:
+                case = (n, chw, kernel, stride, dtype.__name__, transposed, name)
+                pool = MaxPool2d(kernel, stride)
+                pool.eval()
+                pool._cache = ("stale",)
+                got = pool.forward_rectified(case_x)
+                assert pool._cache is None and not pool._index_tables, case
+                rectified = ReLU().forward(case_x)
+                self._assert_matches_the_gather(pool, rectified, got, case)
 
     @staticmethod
     def _assert_matches_the_gather(pool, x, got, case):

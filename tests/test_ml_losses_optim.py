@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.losses import CrossEntropyLoss, MSELoss
 from repro.ml.optim import SGD, Adagrad, Adam, Yogi, build_optimizer
@@ -52,6 +54,54 @@ class TestCrossEntropy:
     def test_rejects_1d_logits(self):
         with pytest.raises(ValueError):
             CrossEntropyLoss().forward(np.zeros(3), np.array([0, 1, 2]))
+
+
+def _loss_bits(loss: float) -> int:
+    return int(np.array(loss, dtype=np.float64).view(np.int64))
+
+
+class TestLossValue:
+    """``value`` is ``forward``'s loss without the gradient, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 5, 255, 256, 257, 300]),
+        classes=st.integers(1, 12),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+        specials=st.lists(
+            st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0]), max_size=6
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cross_entropy_value_is_forward_loss(self, n, classes, scale, specials, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0.0, scale, size=(n, classes))
+        logits.flat[rng.integers(0, logits.size, len(specials))] = specials
+        targets = rng.integers(0, classes, size=n)
+        loss_fn = CrossEntropyLoss()
+        before = logits.copy()
+        with np.errstate(all="ignore"):  # inf - inf and log(0) are part of the grid
+            want, _ = loss_fn.forward(logits, targets)
+            value = loss_fn.value(logits, targets)
+            checked = CrossEntropyLoss.checked_value(logits, targets, np.arange(n))
+        assert _loss_bits(value) == _loss_bits(want)
+        assert _loss_bits(checked) == _loss_bits(want)
+        assert np.array_equal(logits, before, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "logits, targets",
+        [(np.zeros((2, 3)), np.array([0, 3])), (np.zeros((2, 3)), np.array([-1, 0])),
+         (np.zeros((2, 3)), np.array([0])), (np.zeros(3), np.array([0, 1, 2]))],
+        ids=["label-too-large", "negative-label", "mismatched-batch", "1d-logits"],
+    )
+    def test_value_rejects_what_forward_rejects(self, logits, targets):
+        with pytest.raises(ValueError):
+            CrossEntropyLoss().value(logits, targets)
+
+    def test_base_value_is_forward_loss(self):
+        predictions = np.array([[0.5, 2.0], [1.0, -1.0]])
+        targets = np.array([[0.0, 1.5], [1.0, 0.0]])
+        assert MSELoss().value(predictions, targets) == MSELoss().forward(predictions, targets)[0]
 
 
 class TestMSE:
