@@ -33,7 +33,7 @@ def _config(scoring: str, rounds: int = 5) -> ExperimentConfig:
         ClusterConfig(name="honest2", num_clients=2, aggregation_policy="above_average"),
         ClusterConfig(
             name="attacker", num_clients=2, aggregation_policy="above_average",
-            malicious=True, attack="sign_flip",
+            attack="sign_flip",
         ),
     ]
     return ExperimentConfig(

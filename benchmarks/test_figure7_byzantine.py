@@ -36,7 +36,6 @@ def _byzantine_config(
             num_clients=3,
             aggregation_policy=policy,
             policy_k=policy_k,
-            malicious=True,
             attack="sign_flip",
         ),
     ]

@@ -61,7 +61,6 @@ def replication_experiment(mode: str, replicas: int) -> ExperimentConfig:
         replication_mode=mode,
         wan_bandwidth_mbytes_per_s=WAN_BANDWIDTH,
         wan_latency_s=WAN_LATENCY,
-        monitor_resources=False,
     )
 
 

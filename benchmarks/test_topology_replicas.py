@@ -49,7 +49,6 @@ def topology_experiment(replicas: int, capacity: int) -> ExperimentConfig:
         link_bandwidth_mbytes_per_s=LINK_BANDWIDTH,
         storage_replicas=replicas,
         replica_capacity=capacity,
-        monitor_resources=False,
     )
 
 

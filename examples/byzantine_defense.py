@@ -38,7 +38,6 @@ def build_config(policy: str) -> ExperimentConfig:
             num_clients=3,
             aggregation_policy=policy,
             policy_k=3,
-            malicious=True,
             attack="sign_flip",
         ),
     ]

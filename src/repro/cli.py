@@ -11,7 +11,7 @@ without writing Python::
         --workload cifar10 --rounds 6                            # semi-sync (quorum/staleness)
 
     python -m repro.cli run --mode async --event-streams \
-        --link-bandwidth 10 --block-interval 2                   # contended I/O + chain delays
+        --link-bandwidth 10 --block-period 2                     # contended I/O + chain delays
 
     python -m repro.cli run --mode hierarchical --event-streams \
         --storage-replicas 2 --local-rounds-per-global 2         # per-site local rounds + leaders
@@ -118,11 +118,9 @@ def _build_config(args: argparse.Namespace, name: str, mode: Optional[str] = Non
         round_budget=args.round_budget,
         gossip_fanout=args.gossip_fanout,
         block_period=args.block_period,
-        monitor_resources=args.monitor_resources,
         event_streams=args.event_streams,
         link_bandwidth_mbytes_per_s=args.link_bandwidth_mbytes_per_s,
         link_latency_s=args.link_latency_s,
-        block_interval=args.block_interval,
         storage_replicas=args.storage_replicas,
         replica_capacity=args.replica_capacity,
         replica_selection=args.replica_selection,
@@ -143,7 +141,6 @@ def _build_config(args: argparse.Namespace, name: str, mode: Optional[str] = Non
         sanitize=args.sanitize,
         population=args.population,
         clients_per_round=args.clients_per_round,
-        sample_fraction=args.sample_fraction,
         sampling_seed=args.sampling_seed,
     )
 
@@ -181,14 +178,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--block-period", type=float, default=2.0, dest="block_period",
-        help="simulated seconds between chain blocks (the whole chain-interaction "
-        "constant with --no-event-streams; the block grid's default spacing otherwise)",
-    )
-    parser.add_argument(
-        "--monitor-resources", action=argparse.BooleanOptionalAction,
-        dest="monitor_resources", default=True,
-        help="sample resource usage for the Table-7-style overhead report "
-        "(disable with --no-monitor-resources)",
+        help="simulated seconds between chain blocks (the chain actor's block grid; "
+        "with --no-event-streams the whole chain-interaction constant)",
     )
     parser.add_argument(
         "--semi-quorum-k", type=int, default=None, dest="semi_quorum_k",
@@ -229,11 +220,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--link-latency", type=float, default=None, dest="link_latency_s",
         help="override the one-way storage-link latency in seconds",
-    )
-    parser.add_argument(
-        "--block-interval", type=float, default=None, dest="block_interval",
-        help="event streams only: seconds between chain block boundaries (default: "
-        "the experiment's block period)",
     )
     parser.add_argument(
         "--storage-replicas", type=int, default=1, dest="storage_replicas",
@@ -336,12 +322,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--clients-per-round", type=int, default=None, dest="clients_per_round",
-        help="sampled mode: absolute cohort size drawn each round (exactly "
-        "one of --clients-per-round / --sample-fraction with --population)",
-    )
-    parser.add_argument(
-        "--sample-fraction", type=float, default=None, dest="sample_fraction",
-        help="sampled mode: cohort size as a fraction of the population in (0, 1]",
+        help="sampled mode: cohort size drawn each round (required with --population)",
     )
     parser.add_argument(
         "--sampling-seed", type=int, default=None, dest="sampling_seed",

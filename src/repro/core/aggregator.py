@@ -63,6 +63,10 @@ from repro.simnet.resources import ResourceMonitor
 
 Weights = List[np.ndarray]
 
+#: stream tag folded into the seed of the generator behind an aggregator's
+#: simulated decisions: availability, ``random_k`` selection, poisoning.
+_DECISION_STREAM = 0xD1
+
 #: what fetching a model that cannot be had raises: the swarm does not hold
 #: the object (``IPFSError``), or the CID / the stored container is malformed
 #: (``ValueError``, which ``SerializationError`` subclasses).  Such a model
@@ -116,8 +120,6 @@ class UnifyFLAggregator:
     ):
         if not clients:
             raise ValueError("an aggregator needs at least one client")
-        if config.malicious and attack is None:
-            raise ValueError("a malicious cluster requires an attack instance")
         self.config = config
         self.workload = workload
         self.account = account
@@ -141,6 +143,8 @@ class UnifyFLAggregator:
             config.aggregation_policy, k=config.policy_k
         )
         self.scoring_policy = scoring_policy or build_scoring_policy(config.scoring_policy)
+        #: the poisoning this organisation applies to what it submits;
+        #: ``None`` for an honest one.
         self.attack = attack
         self.monitor = resource_monitor
         #: the federation's shared communication fabric.
@@ -149,7 +153,11 @@ class UnifyFLAggregator:
         #: experiment injects no faults).
         self.faults = faults
         self.clock = SimClock()
-        self._rng = np.random.default_rng(seed)
+        #: draws of the simulated decisions; nothing else advances it, so
+        #: sampling resources (or not) cannot move a result.
+        self._rng = np.random.default_rng([seed, _DECISION_STREAM])
+        #: the noise of the resource samples pushed to ``monitor``.
+        self._resource_rng = np.random.default_rng(seed)
         #: optional :class:`~repro.analysis.sanitizer.SimulationSanitizer`;
         #: when set, every client fit is replayed on a fresh clone of the
         #: template and compared with what the client reported.
@@ -157,7 +165,7 @@ class UnifyFLAggregator:
         self.model_template = model_template
 
         self.global_weights: Weights = model_template.get_weights()
-        self.local_weights: Weights = model_template.get_weights()
+        self.local_weights = model_template.get_weights()
         self.history: List[AggregatorRoundRecord] = []
         self.own_cids: List[str] = []
         self._last_self_score: float = float("nan")
@@ -174,6 +182,19 @@ class UnifyFLAggregator:
     def address(self) -> str:
         return self.account.address
 
+    # ------------------------------------------------------------------ models
+    @property
+    def local_weights(self) -> Weights:
+        """The cluster's latest locally aggregated model."""
+        return self._local_weights
+
+    @local_weights.setter
+    def local_weights(self, weights: Weights) -> None:
+        self._local_weights = weights
+        #: the CID these very weights were published under; ``None`` until
+        #: published, and for a poisoned submission, which publishes others.
+        self._local_cid: Optional[str] = None
+
     # ------------------------------------------------------------------ setup
     def register(self, mine: bool = True) -> None:
         """Register this aggregator with the orchestrator contract."""
@@ -188,11 +209,12 @@ class UnifyFLAggregator:
         ``config.availability < 1`` the organisation occasionally sits a whole
         round out (no training, no submission, no scoring).  When the run
         carries a :class:`~repro.simnet.faults.FaultPlan`, its seeded churn
-        draw for ``(cluster, round_number)`` is consulted first — a churned
-        round is offline regardless of the availability draw, and the drop
-        is accounted in the plan.  The legacy availability stream is only
-        advanced when it exists (``availability < 1``), so enabling churn
-        does not perturb availability-driven runs and vice versa.
+        draw for ``(cluster, round_number)`` decides too — a churned round is
+        offline regardless of the availability draw, and the drop is
+        accounted in the plan.  The availability draw is made whatever churn
+        decides, from the decision generator that resource sampling never
+        advances, so enabling churn does not perturb availability-driven runs
+        and vice versa.
         """
         available = True
         if self.config.availability < 1.0:
@@ -349,10 +371,12 @@ class UnifyFLAggregator:
         """Serialize the local model, add it to IPFS, and register the CID."""
         timing = RoundTiming()
         weights = self.local_weights
-        if self.config.malicious and self.attack is not None:
+        if self.attack is not None:
             weights = self.attack.poison(weights, rng=self._rng)
         payload = weights_to_bytes(weights)
         cid = str(self.ipfs.add(payload))
+        if weights is self.local_weights:
+            self._local_cid = cid
         now = self.clock.now()
         timing.store_time = self.comm.upload(self.name, 1, at=now, object_ids=[cid])
         timing.chain_time = self.comm.chain_op(
@@ -447,9 +471,12 @@ class UnifyFLAggregator:
         return round_weights
 
     # --------------------------------------------------------------- evaluation
-    def evaluate_weights(self, weights: Weights) -> Dict[str, float]:
-        """Loss and accuracy of a weight set on the shared evaluation dataset."""
-        loss, accuracy = self.evaluator.evaluate(weights, self.eval_data)
+    def evaluate_weights(self, weights: Weights, cid: Optional[str] = None) -> Dict[str, float]:
+        """Loss and accuracy of a weight set on the shared evaluation dataset.
+
+        ``cid``, when given, is the content address ``weights`` are stored under.
+        """
+        loss, accuracy = self.evaluator.evaluate(weights, self.eval_data, cid=cid)
         return {"loss": loss, "accuracy": accuracy}
 
     def record_round(
@@ -461,7 +488,7 @@ class UnifyFLAggregator:
     ) -> AggregatorRoundRecord:
         """Evaluate both models and append a round record to the history."""
         global_metrics = self.evaluate_weights(self.global_weights)
-        local_metrics = self.evaluate_weights(self.local_weights)
+        local_metrics = self.evaluate_weights(self.local_weights, cid=self._local_cid)
         self._last_self_score = local_metrics["accuracy"]
         record = AggregatorRoundRecord(
             round_number=round_number,
@@ -494,10 +521,13 @@ class UnifyFLAggregator:
         if self.monitor is None:
             return
         if process_type == "client":
-            memory = 0.20 * self.config.client_profile.memory_mb + self._rng.normal(0, 20)
+            memory = 0.20 * self.config.client_profile.memory_mb + self._resource_rng.normal(0, 20)
         elif process_type == "scorer":
-            memory = 900 + self._rng.normal(0, 60)
+            memory = 900 + self._resource_rng.normal(0, 60)
         else:
-            memory = min(0.75 * self.config.aggregator_profile.memory_mb, 9000 + self._rng.normal(0, 2500))
-        cpu_noisy = max(0.0, cpu + self._rng.normal(0, cpu * 0.35 + 1.0))
+            memory = min(
+                0.75 * self.config.aggregator_profile.memory_mb,
+                9000 + self._resource_rng.normal(0, 2500),
+            )
+        cpu_noisy = max(0.0, cpu + self._resource_rng.normal(0, cpu * 0.35 + 1.0))
         self.monitor.record(process_type, cpu_noisy, max(10.0, memory), sim_time=self.clock.now())

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.attacks import available_attacks
 from repro.sched.actors import REPLICA_SELECTIONS
 from repro.sched.registry import validate_mode_config
 from repro.simnet.replication import REPLICATION_MODES
@@ -148,8 +149,9 @@ class ClusterConfig:
     scoring_policy: str = "mean"
     aggregator_profile: HardwareProfile = EDGE_CPU_NODE
     client_profile: HardwareProfile = DOCKER_CONTAINER
-    malicious: bool = False
-    attack: str = "sign_flip"
+    #: name of the model-poisoning attack this organisation mounts
+    #: (:func:`repro.core.attacks.available_attacks`); ``None`` is honest.
+    attack: Optional[str] = None
     #: when set, this organisation's clients privatise their updates with the
     #: Gaussian DP mechanism (clip to this L2 norm, add calibrated noise).
     dp_clip_norm: Optional[float] = None
@@ -167,8 +169,12 @@ class ClusterConfig:
             raise ValueError("dp_clip_norm must be positive when set")
         if self.dp_noise_multiplier < 0:
             raise ValueError("dp_noise_multiplier must be non-negative")
+        if self.dp_noise_multiplier > 0 and self.dp_clip_norm is None:
+            raise ValueError("dp_noise_multiplier > 0 needs dp_clip_norm to be set")
         if not 0.0 < self.availability <= 1.0:
             raise ValueError("availability must be in (0, 1]")
+        if self.attack is not None and self.attack not in available_attacks():
+            raise ValueError(f"attack must be one of {available_attacks()}")
 
 
 @dataclass
@@ -208,9 +214,9 @@ class ExperimentConfig:
     #: gossip mode: peers each cluster exchanges models with per round
     #: (0 = fully isolated training).
     gossip_fanout: int = 2
+    #: simulated seconds between chain blocks: the Clique period, the
+    #: timing model's seal time and the chain actor's block grid.
     block_period: float = 2.0
-    #: sample resource usage for the Table 7 overhead report.
-    monitor_resources: bool = True
     #: attach the simulation sanitizer (:mod:`repro.analysis.sanitizer`):
     #: read-only invariant checks on the kernel, the link scheduler and the
     #: communication fabric.  Never perturbs the timeline — a sanitized run
@@ -222,8 +228,8 @@ class ExperimentConfig:
     #: exactly three differences: endpoint capacity is unbounded (no
     #: contention), a chain interaction costs ``n·TX + block_period`` (no
     #: quantisation, no consensus delay), driver phase control is free.  The
-    #: topology knobs below apply on both settings; ``replica_capacity``,
-    #: ``block_interval`` and the link-level faults need ``True``.
+    #: topology knobs below apply on both settings; ``replica_capacity`` and
+    #: the link-level faults need ``True``.
     event_streams: bool = True
     #: bandwidth cap of each cluster↔storage link, in mega**bytes** per
     #: simulated second (1 MB = 1e6 bytes); ``None`` uses the cluster's
@@ -232,9 +238,6 @@ class ExperimentConfig:
     #: one-way latency override of every cluster↔storage link, in simulated
     #: seconds; ``None`` uses the profile latency.
     link_latency_s: Optional[float] = None
-    #: ``event_streams=True`` only: seconds between block boundaries on the
-    #: chain actor's grid; ``None`` uses ``block_period``.
-    block_interval: Optional[float] = None
     #: number of storage replicas models are distributed to.  1 keeps the
     #: single shared endpoint; with more, clusters are assigned to replica
     #: sites round-robin and reach remote sites over WAN links.
@@ -301,12 +304,9 @@ class ExperimentConfig:
     #: and only the per-round sampled cohort materialises actors, models and
     #: datasets — peak memory is O(cohort), not O(population).
     population: Optional[int] = None
-    #: sampled mode: absolute cohort size drawn each round.  Exactly one of
-    #: ``clients_per_round`` / ``sample_fraction`` must be set with
+    #: sampled mode: cohort size drawn each round; required with
     #: ``population``.
     clients_per_round: Optional[int] = None
-    #: sampled mode: cohort size as a fraction of the population in (0, 1].
-    sample_fraction: Optional[float] = None
     #: seed of the per-round cohort draw (keyed ``[seed, round]`` so draws
     #: are independent of policy call order); ``None`` reuses the experiment
     #: ``seed``.  Kept separate from ``fault_seed`` so sampling never shifts
@@ -327,29 +327,21 @@ class ExperimentConfig:
         if len({c.name for c in self.clusters}) != len(self.clusters):
             raise ValueError("clusters must have unique names")
         if self.population is None:
-            if self.clients_per_round is not None or self.sample_fraction is not None:
-                raise ValueError(
-                    "clients_per_round / sample_fraction need population to be set"
-                )
+            if self.clients_per_round is not None:
+                raise ValueError("clients_per_round needs population to be set")
             if self.sampling_seed is not None:
                 raise ValueError("sampling_seed needs population to be set")
         else:
             if self.population < 1:
                 raise ValueError("population must be at least 1")
-            if (self.clients_per_round is None) == (self.sample_fraction is None):
-                raise ValueError(
-                    "sampled mode needs exactly one of clients_per_round or sample_fraction"
-                )
-            if self.clients_per_round is not None and not (
-                1 <= self.clients_per_round <= self.population
-            ):
+            if self.clients_per_round is None:
+                raise ValueError("sampled mode needs clients_per_round")
+            if not 1 <= self.clients_per_round <= self.population:
                 raise ValueError("clients_per_round must be in [1, population]")
-            if self.sample_fraction is not None and not 0.0 < self.sample_fraction <= 1.0:
-                raise ValueError("sample_fraction must be in (0, 1]")
         # Semi-sync quorum bounds check against the per-round federation size:
         # the cohort in sampled mode, the static cluster list otherwise.
         validate_semi_params(
-            self.semi_quorum_k, self.max_staleness, self.cohort_size or len(self.clusters)
+            self.semi_quorum_k, self.max_staleness, self.clients_per_round or len(self.clusters)
         )
         if self.local_rounds_per_global < 1:
             raise ValueError("local_rounds_per_global must be at least 1")
@@ -357,12 +349,12 @@ class ExperimentConfig:
             raise ValueError("round_budget must be at least 1 when set")
         if self.gossip_fanout < 0:
             raise ValueError("gossip_fanout must be non-negative")
+        if self.block_period <= 0:
+            raise ValueError("block_period must be positive")
         if self.link_bandwidth_mbytes_per_s is not None and self.link_bandwidth_mbytes_per_s <= 0:
             raise ValueError("link_bandwidth_mbytes_per_s must be positive when set")
         if self.link_latency_s is not None and self.link_latency_s < 0:
             raise ValueError("link_latency_s must be non-negative when set")
-        if self.block_interval is not None and self.block_interval <= 0:
-            raise ValueError("block_interval must be positive when set")
         if self.storage_replicas < 1:
             raise ValueError("storage_replicas must be at least 1")
         if self.replica_capacity < 1:
@@ -386,12 +378,10 @@ class ExperimentConfig:
         if self.partition_duration_s <= 0:
             raise ValueError("partition_duration_s must be positive")
         if not self.event_streams:
-            # The constant-cost fabric has no queue for a capacity to bound, no
-            # block grid for an interval to space and no link-level faults.
+            # The constant-cost fabric has no queue for a capacity to bound
+            # and no link-level faults.
             if self.replica_capacity != 1:
                 raise ValueError("replica_capacity needs event_streams=True (unbounded otherwise)")
-            if self.block_interval is not None:
-                raise ValueError("block_interval needs event_streams=True (set block_period)")
             if self.replica_outages > 0:
                 raise ValueError("replica_outages need event_streams=True (link-level faults)")
             if self.wan_partitions > 0:
@@ -427,16 +417,6 @@ class ExperimentConfig:
     def has_sampling(self) -> bool:
         """True when the run samples a per-round cohort from a virtual population."""
         return self.population is not None
-
-    @property
-    def cohort_size(self) -> Optional[int]:
-        """Resolved per-round cohort size, or ``None`` in the cross-silo shape."""
-        if self.population is None:
-            return None
-        if self.clients_per_round is not None:
-            return self.clients_per_round
-        assert self.sample_fraction is not None
-        return max(1, min(self.population, int(round(self.sample_fraction * self.population))))
 
 
 def gpu_cluster_configs(

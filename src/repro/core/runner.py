@@ -92,10 +92,10 @@ class ClientPopulation:
 
     def __init__(self, runner: "ExperimentRunner"):
         config = runner.config
-        assert config.population is not None and config.cohort_size is not None
+        assert config.population is not None and config.clients_per_round is not None
         self.runner = runner
         self.population_size = config.population
-        self.cohort_size = config.cohort_size
+        self.cohort_size = config.clients_per_round
         seed = config.sampling_seed if config.sampling_seed is not None else config.seed
         self.sampler = ClientSampler(config.population, self.cohort_size, seed)
         self._by_index: Dict[int, UnifyFLAggregator] = {}
@@ -142,7 +142,7 @@ class ExperimentRunner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._rng = np.random.default_rng(config.seed)
-        self.monitor = ResourceMonitor() if config.monitor_resources else None
+        self.monitor = ResourceMonitor()
 
         self.train_data, self.test_data = self._build_dataset(config.workload, config.seed)
         self.model_template = self._build_model(config.workload, config.seed)
@@ -157,7 +157,7 @@ class ExperimentRunner:
         #: the run's one decoded copy of each model, for the models of two
         #: rounds: this round's submissions and the previous round's.
         self.decoded_models = DecodedModels(
-            capacity=2 * (config.cohort_size or len(config.clusters))
+            capacity=2 * (config.clients_per_round or len(config.clusters))
         )
         #: a scorer that analyses whole rounds owns no test set, so one
         #: instance serves every cluster and its round memo is the run's:
@@ -386,19 +386,12 @@ class ExperimentRunner:
         )
         if not config.event_streams:
             return CommFabric.constant_cost(block_period=config.block_period, **network_options)
-        # ``is not None`` rather than truthiness: an explicit block_interval of
-        # 0 is rejected by config validation, but the same falsy-zero trap bit
-        # the sync windows once already — don't leave it armed here.
-        if config.block_interval is not None:
-            block_interval = config.block_interval
-        else:
-            block_interval = config.block_period
         # Consensus scales with the organisations active at once: the static
         # cluster count, or — sampled — the per-round cohort size.
-        organisations = config.cohort_size if config.has_sampling else len(config.clusters)
+        organisations = config.clients_per_round or len(config.clusters)
         chain_actor = ChainActor(
-            block_interval=block_interval,
-            consensus_delay=consensus_delay(organisations, block_interval),
+            block_interval=config.block_period,
+            consensus_delay=consensus_delay(organisations, config.block_period),
         )
         return CommFabric(NetworkActor(**network_options), chain_actor)
 
@@ -504,7 +497,7 @@ class ExperimentRunner:
                 test_data=score_data,
                 evaluator=self.evaluator,
             )
-        attack = build_attack(cluster.attack) if cluster.malicious else None
+        attack = build_attack(cluster.attack) if cluster.attack is not None else None
         aggregator = UnifyFLAggregator(
             config=cluster,
             workload=self.config.workload,
@@ -617,8 +610,6 @@ class ExperimentRunner:
         return result, buffer.getvalue()
 
     def _record_daemon_overhead(self, rounds: int) -> None:
-        if self.monitor is None:
-            return
         for _ in range(max(1, rounds)):
             for _ in self.aggregators:
                 self.monitor.record("geth", GETH_CPU_PERCENT + self._rng.normal(0, 0.03), GETH_MEMORY_MB + self._rng.normal(0, 0.4))
@@ -649,7 +640,7 @@ class ExperimentRunner:
             "transferred_bytes": float(self.swarm.total_transferred_bytes()),
             "transfer_count": float(len(self.swarm.transfers)),
         }
-        resource_reports = self.monitor.full_report() if self.monitor and len(self.monitor) else {}
+        resource_reports = self.monitor.full_report()
         sampling: Dict[str, float] = {}
         if self.population is not None:
             sampling = {

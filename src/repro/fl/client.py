@@ -60,6 +60,8 @@ class ClientConfig:
             raise ValueError("dp_clip_norm must be positive when set")
         if self.dp_noise_multiplier < 0:
             raise ValueError("dp_noise_multiplier must be non-negative")
+        if self.dp_noise_multiplier > 0 and self.dp_clip_norm is None:
+            raise ValueError("dp_noise_multiplier > 0 needs dp_clip_norm to be set")
 
 
 @dataclass

@@ -35,7 +35,6 @@ def tiny_config(mode: str = "async", **kwargs) -> ExperimentConfig:
         mode=mode,
         rounds=2,
         seed=5,
-        monitor_resources=False,
         **kwargs,
     )
 

@@ -51,8 +51,13 @@ def policy_context(chain, driver, aggregators, timing, num_rounds=1):
     )
 
 
-def build_federation(mode="sync", num_clusters=3, malicious=(), monitor=None, seed=0):
-    """Hand-assemble a small federation without the ExperimentRunner."""
+def build_federation(
+    mode="sync", num_clusters=3, malicious=(), monitor=None, seed=0, **cluster_options
+):
+    """Hand-assemble a small federation without the ExperimentRunner.
+
+    ``cluster_options`` override the ``ClusterConfig`` fields of every cluster.
+    """
     workload = cifar10_workload(rounds=2, samples_per_class=12, image_size=8)
     factory = SyntheticCIFAR10(image_size=8, samples_per_class=12, test_samples_per_class=4, seed=seed)
     train, test = factory.splits()
@@ -72,15 +77,16 @@ def build_federation(mode="sync", num_clusters=3, malicious=(), monitor=None, se
     cluster_parts = IIDPartitioner(num_clusters, seed=seed).partition(train)
     score_parts = IIDPartitioner(num_clusters, seed=seed + 1).partition(test)
 
+    options = {"aggregation_policy": "all", **cluster_options}
     aggregators = []
     for i in range(num_clusters):
         config = ClusterConfig(
             name=f"agg{i + 1}",
             num_clients=2,
-            aggregation_policy="all",
             aggregator_profile=EDGE_CPU_NODE,
             client_profile=DOCKER_CONTAINER,
-            malicious=(i in malicious),
+            attack="sign_flip" if i in malicious else None,
+            **options,
         )
         client_parts = IIDPartitioner(2, seed=seed + 10 + i).partition(cluster_parts[i])
         clients = [
@@ -264,25 +270,6 @@ class TestAggregatorUnit:
         aggregator.local_training_round()
         assert aggregator.total_time() > 0.0
 
-    def test_malicious_without_attack_rejected(self):
-        chain, driver, aggregators, timing, test = build_federation(mode="async")
-        source = aggregators[0]
-        bad_config = ClusterConfig(name="evil", num_clients=2, malicious=True)
-        with pytest.raises(ValueError):
-            UnifyFLAggregator(
-                config=bad_config,
-                workload=source.workload,
-                account=Account.create(seed=1),
-                chain=chain,
-                ipfs_node=source.ipfs,
-                model_template=source.clients[0].model,
-                clients=source.clients,
-                scorer=source.scorer,
-                eval_data=test,
-                comm=source.comm,
-                timing_model=timing,
-            )
-
     def test_resource_monitor_receives_samples(self):
         monitor = ResourceMonitor()
         chain, driver, aggregators, timing, _ = build_federation(mode="async", monitor=monitor)
@@ -291,6 +278,66 @@ class TestAggregatorUnit:
         aggregator.local_training_round()
         assert "client" in monitor.process_types()
         assert "agg" in monitor.process_types()
+
+    def test_resource_sampling_moves_no_simulated_decision(self):
+        # random_k selection and the availability draw share the decision
+        # generator; sampling resources must not advance it.
+        def histories(monitor):
+            chain, driver, aggregators, timing, _ = build_federation(
+                mode="async",
+                monitor=monitor,
+                aggregation_policy="random_k",
+                policy_k=1,
+                availability=0.6,
+            )
+            Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(3)
+            return [a.history for a in aggregators]
+
+        monitor = ResourceMonitor()
+        with_monitor = histories(monitor)
+        assert len(monitor) > 0
+        assert with_monitor == histories(None)
+        assert any(r.offline for history in with_monitor for r in history)
+
+    def _cidless_fingerprints(self, aggregator, monkeypatch):
+        """Record the CID of every fingerprint the run's evaluator takes."""
+        seen = []
+        fingerprint = aggregator.evaluator._fingerprint
+        monkeypatch.setattr(
+            aggregator.evaluator,
+            "_fingerprint",
+            lambda weights, cid: seen.append(cid) or fingerprint(weights, cid),
+        )
+        return seen
+
+    def test_record_round_names_the_published_local_model(self, monkeypatch):
+        from repro.core.timing import RoundTiming
+
+        chain, driver, aggregators, timing, _ = build_federation(mode="async")
+        aggregator = aggregators[0]
+        aggregator.register()
+        aggregator.local_training_round()
+        cid, _ = aggregator.submit_local_model()
+        seen = self._cidless_fingerprints(aggregator, monkeypatch)
+        aggregator.record_round(1, RoundTiming())
+        # The global model was never published; the local one was, under ``cid``.
+        assert seen == [None, cid]
+        # Trained again, the local weights are no longer what ``cid`` names.
+        aggregator.local_training_round()
+        aggregator.record_round(2, RoundTiming())
+        assert seen[2:] == [None, None]
+
+    def test_record_round_hashes_a_poisoned_clusters_local_model(self, monkeypatch):
+        from repro.core.timing import RoundTiming
+
+        chain, driver, aggregators, timing, _ = build_federation(mode="async", malicious=(0,))
+        aggregator = aggregators[0]
+        aggregator.register()
+        aggregator.submit_local_model()
+        seen = self._cidless_fingerprints(aggregator, monkeypatch)
+        aggregator.record_round(1, RoundTiming())
+        # What was published is the poisoned model, not ``local_weights``.
+        assert seen == [None, None]
 
 
 class TestSyncOrchestrator:
@@ -624,7 +671,6 @@ class TestSemiSyncOrchestrator:
             mode="semi",
             rounds=2,
             seed=1,
-            monitor_resources=False,
         )
         result = ExperimentRunner(config).run()
         extras = result.orchestration_extras

@@ -47,7 +47,7 @@ class TestClusterConfig:
         cluster = ClusterConfig(name="agg1")
         assert cluster.num_clients == 3
         assert cluster.strategy == "fedavg"
-        assert not cluster.malicious
+        assert cluster.attack is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,6 +60,15 @@ class TestClusterConfig:
             ClusterConfig(name="bad", dp_clip_norm=-1.0)
         with pytest.raises(ValueError, match="dp_noise_multiplier"):
             ClusterConfig(name="bad", dp_noise_multiplier=-0.1)
+        # Noise without clipping would train without privacy.
+        with pytest.raises(ValueError, match="dp_noise_multiplier.*dp_clip_norm"):
+            ClusterConfig(name="bad", dp_noise_multiplier=0.5)
+        ClusterConfig(name="ok", dp_clip_norm=1.0, dp_noise_multiplier=0.5)
+
+    def test_attack_validation(self):
+        assert ClusterConfig(name="evil", attack="sign_flip").attack == "sign_flip"
+        with pytest.raises(ValueError, match="attack"):
+            ClusterConfig(name="evil", attack="no_such_attack")
 
 
 class TestExperimentConfig:
@@ -104,17 +113,16 @@ REJECTIONS = [
     (dict(clients_per_round=2), ("clients_per_round", "population")),
     (dict(sampling_seed=1), ("sampling_seed", "population")),
     (dict(population=0, clients_per_round=1), ("population",)),
-    (dict(population=10), ("clients_per_round", "sample_fraction")),
+    (dict(population=10), ("clients_per_round",)),
     (dict(population=10, clients_per_round=11), ("clients_per_round",)),
-    (dict(population=10, sample_fraction=1.5), ("sample_fraction",)),
     (dict(semi_quorum_k=4), ("semi_quorum_k",)),
     (dict(max_staleness=0.0), ("max_staleness",)),
     (dict(local_rounds_per_global=0), ("local_rounds_per_global",)),
     (dict(round_budget=0), ("round_budget",)),
     (dict(gossip_fanout=-1), ("gossip_fanout",)),
+    (dict(block_period=0.0), ("block_period",)),
     (dict(link_bandwidth_mbytes_per_s=0.0), ("link_bandwidth_mbytes_per_s",)),
     (dict(link_latency_s=-1.0), ("link_latency_s",)),
-    (dict(block_interval=0.0), ("block_interval",)),
     (dict(storage_replicas=0), ("storage_replicas",)),
     (dict(replica_capacity=0), ("replica_capacity",)),
     (dict(replica_selection="random"), ("replica_selection",)),
@@ -127,7 +135,6 @@ REJECTIONS = [
     (dict(wan_partitions=-1), ("wan_partitions",)),
     (dict(partition_duration_s=0.0), ("partition_duration_s",)),
     (dict(event_streams=False, replica_capacity=2), ("replica_capacity", "event_streams")),
-    (dict(event_streams=False, block_interval=1.0), ("block_interval", "event_streams")),
     (dict(event_streams=False, replica_outages=1), ("replica_outages", "event_streams")),
     (
         dict(event_streams=False, wan_partitions=1, storage_replicas=2),

@@ -349,7 +349,7 @@ class TestMultiKRUMEndToEnd:
             ClusterConfig(name="h3", num_clients=2, aggregation_policy="above_median"),
             ClusterConfig(
                 name="evil", num_clients=2, aggregation_policy="above_median",
-                malicious=True, attack="scaling",
+                attack="scaling",
             ),
         ]
         config = dataclasses.replace(

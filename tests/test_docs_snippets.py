@@ -59,5 +59,5 @@ def test_cli_advertises_event_streams():
         timeout=120,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
     )
-    for flag in ("--event-streams", "--link-bandwidth", "--block-interval", "--mode"):
+    for flag in ("--event-streams", "--link-bandwidth", "--block-period", "--mode"):
         assert flag in proc.stdout

@@ -425,6 +425,25 @@ class TestEvaluatorPlans:
         assert len(cids) > len(set(cids)) > 0
         assert len(fingerprinted) == requests.count(None) + len(set(cids))
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_only_the_global_model_is_evaluated_without_a_cid(self, mode, monkeypatch):
+        # Each round record evaluates the global model, which is never
+        # published, and the local model, which is evaluated under its CID
+        # unless the cluster straggled and has not submitted it yet.
+        cidless = []
+        fingerprint = Evaluator._fingerprint
+
+        def recording_fingerprint(self, weights, cid):
+            if cid is None:
+                cidless.append(None)
+            return fingerprint(self, weights, cid)
+
+        monkeypatch.setattr(Evaluator, "_fingerprint", recording_fingerprint)
+        result = ExperimentRunner(dense_config(mode)).run()
+        history = [r for aggregator in result.aggregators for r in aggregator.history]
+        assert history and not any(r.offline for r in history)
+        assert len(cidless) == len(history) + sum(r.straggled for r in history)
+
 
 class TestSanitizerChecksThePlanAndTheCid:
     def test_every_planned_evaluation_is_recomputed_without_the_plan(self, tiny_image_dataset):

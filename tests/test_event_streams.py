@@ -559,8 +559,6 @@ class TestConstantCostFabricUnit:
     def test_knobs_the_constant_fabric_cannot_honour_are_rejected(self):
         with pytest.raises(ValueError, match="replica_capacity"):
             tiny_config("async", event_streams=False, replica_capacity=2)
-        with pytest.raises(ValueError, match="block_interval"):
-            tiny_config("async", event_streams=False, block_interval=1.0)
         # The topology knobs are honoured on both settings.
         tiny_config("async", event_streams=False, storage_replicas=2, replication_mode="lazy",
                     replica_selection="least-loaded", link_latency_s=0.01, wan_latency_s=0.1)
@@ -624,9 +622,9 @@ class TestEventStreamExperiments:
         assert throttled.comm_metrics["network_queued"] >= free.comm_metrics["network_queued"]
         assert throttled.max_total_time > free.max_total_time
 
-    def test_block_interval_knob_stretches_chain_wait(self):
-        fast = ExperimentRunner(tiny_config("async", event_streams=True, block_interval=0.5)).run()
-        slow = ExperimentRunner(tiny_config("async", event_streams=True, block_interval=30.0)).run()
+    def test_block_period_knob_stretches_chain_wait(self):
+        fast = ExperimentRunner(tiny_config("async", event_streams=True, block_period=0.5)).run()
+        slow = ExperimentRunner(tiny_config("async", event_streams=True, block_period=30.0)).run()
         assert slow.comm_metrics["chain_wait"] > fast.comm_metrics["chain_wait"]
         assert slow.max_total_time > fast.max_total_time
 
@@ -696,7 +694,7 @@ class TestEventStreamExperiments:
         with pytest.raises(ValueError):
             tiny_config("async", event_streams=True, link_latency_s=-0.1)
         with pytest.raises(ValueError):
-            tiny_config("async", event_streams=True, block_interval=0.0)
+            tiny_config("async", event_streams=True, block_period=0.0)
         with pytest.raises(ValueError):
             tiny_config("async", event_streams=True, storage_replicas=0)
         with pytest.raises(ValueError):
@@ -854,7 +852,6 @@ def contended_config(**kwargs) -> ExperimentConfig:
         seed=3,
         event_streams=True,
         link_bandwidth_mbytes_per_s=0.05,
-        monitor_resources=False,
         **kwargs,
     )
 

@@ -59,7 +59,6 @@ def fault_config(mode: str = "semi", **kwargs) -> ExperimentConfig:
         mode=mode,
         rounds=3,
         seed=3,
-        monitor_resources=False,
         **kwargs,
     )
 
@@ -494,10 +493,12 @@ class TestFaultExperiments:
                 runner.fault_plan.dropped_clients
             )
 
-    def test_churn_is_layered_on_availability(self):
+    @pytest.mark.parametrize("seed", [51, 56, 57, 60])
+    def test_churn_is_layered_on_availability(self, seed):
         """Churn draws are independent of the availability stream: enabling
         churn on an availability<1 run keeps the availability draws as-is
-        (same RNG stream) and only adds drops."""
+        (same RNG stream) and only adds drops — with resource sampling on,
+        whose noise comes from a generator of its own."""
         clusters = edge_cluster_configs(num_clients=2)
         for cluster in clusters:
             cluster.availability = 0.7
@@ -506,8 +507,7 @@ class TestFaultExperiments:
             clusters=clusters,
             mode="sync",
             rounds=4,
-            seed=51,
-            monitor_resources=False,
+            seed=seed,
         )
         plain = ExperimentRunner(ExperimentConfig(name="avail", **base)).run()
         churned = ExperimentRunner(

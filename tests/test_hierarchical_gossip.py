@@ -25,7 +25,6 @@ def config(mode: str, rounds: int = 2, seed: int = 5, **kwargs) -> ExperimentCon
         mode=mode,
         rounds=rounds,
         seed=seed,
-        monitor_resources=False,
         **kwargs,
     )
 
@@ -134,7 +133,6 @@ class TestHierarchical:
             mode="hierarchical",
             rounds=3,
             seed=5,
-            monitor_resources=False,
         )
         result = run_experiment(cfg)
         flaky = result.aggregator("agg3")

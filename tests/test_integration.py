@@ -176,7 +176,6 @@ class TestByzantineResilience:
                 num_clients=2,
                 aggregation_policy=policy,
                 policy_k=3,
-                malicious=True,
                 attack="sign_flip",
             ),
         ]

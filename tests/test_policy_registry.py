@@ -39,7 +39,6 @@ def tiny_config(mode: str, rounds: int = 2, seed: int = 3, **kwargs) -> Experime
         mode=mode,
         rounds=rounds,
         seed=seed,
-        monitor_resources=False,
         **kwargs,
     )
 

@@ -96,6 +96,8 @@ class TestDPClient:
             ClientConfig(dp_clip_norm=0.0)
         with pytest.raises(ValueError):
             ClientConfig(dp_noise_multiplier=-0.5)
+        with pytest.raises(ValueError, match="dp_noise_multiplier.*dp_clip_norm"):
+            ClientConfig(dp_noise_multiplier=0.5)
 
     def test_dp_client_reports_clipped_update(self, tabular_dataset):
         model = MLP(input_dim=10, hidden_dims=(16,), num_classes=3, seed=0)

@@ -314,7 +314,6 @@ def replicated_config(**kwargs) -> ExperimentConfig:
         event_streams=True,
         link_bandwidth_mbytes_per_s=0.05,
         storage_replicas=2,
-        monitor_resources=False,
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)

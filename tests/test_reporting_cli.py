@@ -362,12 +362,10 @@ FIELD_ARGV = {
     "round_budget": ["--round-budget", "4"],
     "gossip_fanout": ["--gossip-fanout", "1"],
     "block_period": ["--block-period", "3"],
-    "monitor_resources": ["--no-monitor-resources"],
     "sanitize": ["--sanitize"],
     "event_streams": ["--no-event-streams"],
     "link_bandwidth_mbytes_per_s": ["--link-bandwidth", "10"],
     "link_latency_s": ["--link-latency", "0.2"],
-    "block_interval": ["--block-interval", "1.5"],
     "storage_replicas": ["--storage-replicas", "2"],
     "replica_capacity": ["--replica-capacity", "2"],
     "replica_selection": ["--replica-selection", "least-loaded"],
@@ -387,7 +385,6 @@ FIELD_ARGV = {
     "breaker_cooldown_s": ["--breaker-cooldown", "30"],
     "population": ["--population", "10", "--clients-per-round", "2"],
     "clients_per_round": ["--population", "10", "--clients-per-round", "2"],
-    "sample_fraction": ["--population", "10", "--sample-fraction", "0.5"],
     "sampling_seed": ["--population", "10", "--clients-per-round", "2", "--sampling-seed", "4"],
 }
 

@@ -333,19 +333,6 @@ class TestSampledExperiments:
         reseeded = ExperimentRunner(_sampled_config("sync", sampling_seed=99)).run()
         assert {a.name for a in default.aggregators} != {a.name for a in reseeded.aggregators}
 
-    def test_sample_fraction_sets_the_cohort_size(self):
-        config = _sampled_config("sync")
-        fractional = ExperimentConfig(
-            **{
-                **{f.name: getattr(config, f.name) for f in config.__dataclass_fields__.values()},
-                "clients_per_round": None,
-                "sample_fraction": 0.2,
-            }
-        )
-        assert fractional.cohort_size == 6
-        result = ExperimentRunner(fractional).run()
-        assert result.sampling["clients_per_round"] == 6.0
-
     def test_json_export_carries_sampling_keys_and_schema_2(self, tmp_path):
         result = ExperimentRunner(_sampled_config("sync")).run()
         path = save_result_json(result, tmp_path / "sampled.json")
@@ -385,21 +372,14 @@ class TestSamplingConfigValidation:
         with pytest.raises(ValueError):
             self._base(clients_per_round=8)
         with pytest.raises(ValueError):
-            self._base(sample_fraction=0.1)
-        with pytest.raises(ValueError):
             self._base(sampling_seed=1)
 
-    def test_population_needs_exactly_one_cohort_knob(self):
-        with pytest.raises(ValueError):
+    def test_population_needs_clients_per_round(self):
+        with pytest.raises(ValueError, match="clients_per_round"):
             self._base(population=100)
-        with pytest.raises(ValueError):
-            self._base(population=100, clients_per_round=8, sample_fraction=0.1)
 
     def test_cohort_bounds_are_validated(self):
         with pytest.raises(ValueError):
             self._base(population=100, clients_per_round=101)
-        with pytest.raises(ValueError):
-            self._base(population=100, sample_fraction=1.5)
         config = self._base(population=100, clients_per_round=8)
         assert config.has_sampling
-        assert config.cohort_size == 8
