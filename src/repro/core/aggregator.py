@@ -56,6 +56,7 @@ from repro.ipfs.node import IPFSError, IPFSNode
 from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model
 from repro.ml.serialization import DecodedModels, weights_to_bytes
+from repro.ml.tensor_utils import read_only
 from repro.sched.actors import CommFabric
 from repro.simnet.clock import SimClock
 from repro.simnet.faults import FaultPlan
@@ -117,6 +118,7 @@ class UnifyFLAggregator:
         faults: Optional["FaultPlan"] = None,
         evaluator: Optional[Evaluator] = None,
         decoded_models: Optional[DecodedModels] = None,
+        initial_weights: Optional[Weights] = None,
     ):
         if not clients:
             raise ValueError("an aggregator needs at least one client")
@@ -164,8 +166,15 @@ class UnifyFLAggregator:
         self.sanitizer: Optional[Any] = None
         self.model_template = model_template
 
-        self.global_weights: Weights = model_template.get_weights()
-        self.local_weights = model_template.get_weights()
+        #: both models start as one list, the run's when the runner hands it
+        #: over (``initial_weights``), read-only like every list held here.
+        if initial_weights is None:
+            initial_weights = model_template.get_weights()
+        self.global_weights = initial_weights
+        self.local_weights = initial_weights
+        #: loss and accuracy of the global model ``record_round`` last
+        #: evaluated: what an offline round, which builds none, reports.
+        self._global_metrics: Dict[str, float] = {}
         self.history: List[AggregatorRoundRecord] = []
         self.own_cids: List[str] = []
         self._last_self_score: float = float("nan")
@@ -183,6 +192,23 @@ class UnifyFLAggregator:
         return self.account.address
 
     # ------------------------------------------------------------------ models
+    # Both models are shared, read-only lists: the setters mark every array
+    # assigned to them not writeable, so a holder aliases instead of copying
+    # and an in-place write raises.
+    @property
+    def global_weights(self) -> Optional[Weights]:
+        """The global model of the round in flight.
+
+        Set by :meth:`build_global_model` (or handed over by a round policy)
+        and dropped by :meth:`record_round` once an online round closes;
+        ``None`` between rounds.
+        """
+        return self._global_weights
+
+    @global_weights.setter
+    def global_weights(self, weights: Optional[Weights]) -> None:
+        self._global_weights = None if weights is None else read_only(weights)
+
     @property
     def local_weights(self) -> Weights:
         """The cluster's latest locally aggregated model."""
@@ -190,7 +216,7 @@ class UnifyFLAggregator:
 
     @local_weights.setter
     def local_weights(self, weights: Weights) -> None:
-        self._local_weights = weights
+        self._local_weights = read_only(weights)
         #: the CID these very weights were published under; ``None`` until
         #: published, and for a poisoned submission, which publishes others.
         self._local_cid: Optional[str] = None
@@ -324,7 +350,7 @@ class UnifyFLAggregator:
                 self.local_weights, contributions
             )
         else:
-            self.global_weights = [np.array(w, copy=True) for w in self.local_weights]
+            self.global_weights = self.local_weights
 
         # CIDs identify the artifacts so the fabric can gate each fetch on the
         # object's availability at the serving replica.
@@ -340,6 +366,11 @@ class UnifyFLAggregator:
     # ------------------------------------------------------------- local training
     def local_training_round(self) -> RoundTiming:
         """Run one round of FL with this cluster's clients on the global model."""
+        if self.global_weights is None:
+            raise RuntimeError(
+                f"{self.name} has no global model for the round in flight: "
+                "call build_global_model first"
+            )
         timing = RoundTiming()
         results = [self._fit(client) for client in self.clients]
         self.local_weights = self.strategy.aggregate(self.global_weights, results)
@@ -486,8 +517,18 @@ class UnifyFLAggregator:
         straggled: bool = False,
         offline: bool = False,
     ) -> AggregatorRoundRecord:
-        """Evaluate both models and append a round record to the history."""
-        global_metrics = self.evaluate_weights(self.global_weights)
+        """Evaluate both models and append a round record to the history.
+
+        An online round closes here, so its global model is dropped.  An
+        offline round built none and reports the global model this cluster
+        last evaluated (evaluation is pure, so these are the bits evaluating
+        it again would give).
+        """
+        if self.global_weights is not None:
+            self._global_metrics = self.evaluate_weights(self.global_weights)
+        if not offline:
+            self.global_weights = None
+        global_metrics = self._global_metrics
         local_metrics = self.evaluate_weights(self.local_weights, cid=self._local_cid)
         self._last_self_score = local_metrics["accuracy"]
         record = AggregatorRoundRecord(

@@ -161,20 +161,29 @@ class ClusterConfig:
     availability: float = 1.0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Check every field; the error names this cluster and the field.
+
+        A cluster is mutable, so :class:`ExperimentConfig` validates its
+        clusters again: a field edited after construction is checked too.
+        """
+        where = f"cluster {self.name!r}:"
         if self.num_clients <= 0:
-            raise ValueError("num_clients must be positive")
+            raise ValueError(f"{where} num_clients must be positive")
         if self.policy_k <= 0:
-            raise ValueError("policy_k must be positive")
+            raise ValueError(f"{where} policy_k must be positive")
         if self.dp_clip_norm is not None and self.dp_clip_norm <= 0:
-            raise ValueError("dp_clip_norm must be positive when set")
+            raise ValueError(f"{where} dp_clip_norm must be positive when set")
         if self.dp_noise_multiplier < 0:
-            raise ValueError("dp_noise_multiplier must be non-negative")
+            raise ValueError(f"{where} dp_noise_multiplier must be non-negative")
         if self.dp_noise_multiplier > 0 and self.dp_clip_norm is None:
-            raise ValueError("dp_noise_multiplier > 0 needs dp_clip_norm to be set")
+            raise ValueError(f"{where} dp_noise_multiplier > 0 needs dp_clip_norm to be set")
         if not 0.0 < self.availability <= 1.0:
-            raise ValueError("availability must be in (0, 1]")
+            raise ValueError(f"{where} availability must be in (0, 1]")
         if self.attack is not None and self.attack not in available_attacks():
-            raise ValueError(f"attack must be one of {available_attacks()}")
+            raise ValueError(f"{where} attack must be one of {available_attacks()}")
 
 
 @dataclass
@@ -326,6 +335,8 @@ class ExperimentConfig:
             raise ValueError("clusters must hold at least one cluster")
         if len({c.name for c in self.clusters}) != len(self.clusters):
             raise ValueError("clusters must have unique names")
+        for cluster in self.clusters:
+            cluster.validate()
         if self.population is None:
             if self.clients_per_round is not None:
                 raise ValueError("clients_per_round needs population to be set")

@@ -53,6 +53,7 @@ from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model, build_model
 from repro.ml.serialization import DecodedModels
+from repro.ml.tensor_utils import read_only
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
 from repro.sched.registry import get_policy
 from repro.simnet.faults import FaultPlan, ResiliencePolicy
@@ -76,9 +77,14 @@ class ClientPopulation:
     both the cohort and every member, so a cluster re-sampled in a later
     round is reused with its clock and history intact.  A materialised
     cluster holds no network — its clients train on the runner's one
-    ``training_model`` — so what it costs is two weight lists, its clients'
-    partition views and generators, and its storage node.  Peak memory is
-    therefore O(distinct sampled clusters), not O(population).
+    ``training_model`` — and no data rows: its clients hold row indices into
+    their template's shard and gather them only while they fit.  Between
+    rounds it holds one model of its own, its local one (it starts on the
+    run's shared, read-only initial list, and the global model of a round
+    lives only until ``record_round`` closes that round), so what it costs
+    is that model, its clients' indices, generators and optimizers, and its
+    storage node.  Peak memory is therefore O(distinct sampled clusters),
+    not O(population).
 
     Cohorts come from :class:`~repro.core.sampling.ClientSampler`, so *who*
     participates in round ``r`` is a pure function of ``(sampling_seed, r)``
@@ -154,6 +160,9 @@ class ExperimentRunner:
         #: client needs a network of its own: every client this runner builds
         #: takes its turn on this one.
         self.training_model = self.model_template.clone()
+        #: the template's weights, taken once: every aggregator starts with
+        #: its global and local model pointing at this read-only list.
+        self.initial_weights = read_only(self.model_template.get_weights())
         #: the run's one decoded copy of each model, for the models of two
         #: rounds: this round's submissions and the previous round's.
         self.decoded_models = DecodedModels(
@@ -173,7 +182,7 @@ class ExperimentRunner:
 
         (
             self.cluster_train_data,
-            self.cluster_client_data,
+            self.cluster_client_indices,
             self.cluster_score_data,
         ) = self._partition_data()
 
@@ -242,13 +251,17 @@ class ExperimentRunner:
         return ShardPartitioner(num_partitions, seed=self.config.seed)
 
     def _partition_data(self):
-        """Split the training data across clusters, clients and scorer test sets."""
+        """Split the training data across clusters, clients and scorer test sets.
+
+        A cluster's shard and its scorer's test set are datasets of their
+        own; a client's partition is row indices into its cluster's shard.
+        """
         clusters = self.config.clusters
         cluster_partitioner = self._cluster_partitioner(len(clusters))
         cluster_train = cluster_partitioner.partition(self.train_data)
 
         cluster_train_data: Dict[str, Dataset] = {}
-        cluster_client_data: Dict[str, List[Dataset]] = {}
+        cluster_client_indices: Dict[str, List[np.ndarray]] = {}
         cluster_score_data: Dict[str, Dataset] = {}
 
         # Scorer test sets: an IID slice of the held-out test data per cluster,
@@ -260,19 +273,21 @@ class ExperimentRunner:
             data = cluster_train[i]
             cluster_train_data[cluster.name] = data
             client_partitioner = IIDPartitioner(cluster.num_clients, seed=self.config.seed + 100 + i)
-            cluster_client_data[cluster.name] = client_partitioner.partition(data)
+            cluster_client_indices[cluster.name] = client_partitioner.partition_indices(data)
             cluster_score_data[cluster.name] = score_parts[i]
-        return cluster_train_data, cluster_client_data, cluster_score_data
+        return cluster_train_data, cluster_client_indices, cluster_score_data
 
     # ------------------------------------------------------------------ setup
     def _build_clients(
         self,
         cluster: ClusterConfig,
         index: int,
-        partitions: Optional[List[Dataset]] = None,
+        shard: Optional[Dataset] = None,
+        partitions: Optional[List[np.ndarray]] = None,
     ) -> List[Client]:
-        """A cluster's clients: each its partition, generator, optimizer and
-        DP mechanism — and all of them the run's one ``training_model``."""
+        """A cluster's clients: each its partition (row indices into the
+        cluster's ``shard``), generator, optimizer and DP mechanism — and all
+        of them the run's one ``training_model``."""
         workload = self.config.workload
         client_config = ClientConfig(
             local_epochs=workload.local_epochs,
@@ -283,16 +298,18 @@ class ExperimentRunner:
             dp_clip_norm=cluster.dp_clip_norm,
             dp_noise_multiplier=cluster.dp_noise_multiplier,
         )
-        if partitions is None:
-            partitions = self.cluster_client_data[cluster.name]
+        if shard is None:
+            shard = self.cluster_train_data[cluster.name]
+            partitions = self.cluster_client_indices[cluster.name]
         return [
             Client(
                 client_id=f"{cluster.name}-client{j}",
                 model=self.training_model,
-                train_data=partition,
+                train_data=shard,
                 config=client_config,
+                indices=indices,
             )
-            for j, partition in enumerate(partitions)
+            for j, indices in enumerate(partitions)
         ]
 
     def _replica_names(self) -> List[str]:
@@ -474,7 +491,8 @@ class ExperimentRunner:
         seed: int,
         client_index: int,
         site: int,
-        client_partitions: Optional[List[Dataset]] = None,
+        shard: Optional[Dataset] = None,
+        client_partitions: Optional[List[np.ndarray]] = None,
     ) -> UnifyFLAggregator:
         """Stand up one cluster: fabric endpoint, IPFS node, clients, scorer, aggregator.
 
@@ -488,7 +506,9 @@ class ExperimentRunner:
             cluster.name, replicas[site % len(replicas)], self._cluster_link(cluster)
         )
         node = self.swarm.create_node(f"{cluster.name}-ipfs")
-        clients = self._build_clients(cluster, client_index, partitions=client_partitions)
+        clients = self._build_clients(
+            cluster, client_index, shard=shard, partitions=client_partitions
+        )
         scorer = self.round_scorer
         if scorer is None:
             scorer = build_scorer(
@@ -516,6 +536,7 @@ class ExperimentRunner:
             faults=self.fault_plan,
             evaluator=self.evaluator,
             decoded_models=self.decoded_models,
+            initial_weights=self.initial_weights,
         )
         aggregator.sanitizer = self.sanitizer
         return aggregator
@@ -526,8 +547,8 @@ class ExperimentRunner:
         The virtual cluster clones the template at ``index % len(clusters)``
         (round-robin over the configured cluster shapes), draws its own
         account/aggregator/client seeds from ranges disjoint from the eager
-        path's, re-partitions the template's data shard for its clients, and
-        registers itself on the contract.
+        path's, re-partitions the template's data shard for its clients (as
+        row indices into it), and registers itself on the contract.
         """
         assert self.chain is not None
         config = self.config
@@ -542,7 +563,7 @@ class ExperimentRunner:
         client_partitioner = IIDPartitioner(
             cluster.num_clients, seed=config.seed + 100 + index
         )
-        partitions = client_partitioner.partition(self.cluster_train_data[template.name])
+        shard = self.cluster_train_data[template.name]
         aggregator = self._materialise_cluster(
             cluster,
             account=account,
@@ -550,7 +571,8 @@ class ExperimentRunner:
             seed=config.seed + 1000 + index,
             client_index=1000 + index,
             site=index,
-            client_partitions=partitions,
+            shard=shard,
+            client_partitions=client_partitioner.partition_indices(shard),
         )
         aggregator.register(mine=True)
         self.aggregators.append(aggregator)

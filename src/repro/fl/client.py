@@ -12,14 +12,17 @@ opens by installing the global weights and closes by reading the trained ones
 out, so nothing in the network survives from one fit to the next.  What a
 client *owns* is its partition, its generator, its optimizer and its DP
 mechanism; the network may be its own or one that every client of a run takes
-turns on (:class:`~repro.core.runner.ExperimentRunner` hands out one).
+turns on (:class:`~repro.core.runner.ExperimentRunner` hands out one).  The
+partition may likewise be a dataset of its own or rows of one its cluster's
+clients share: the runner's clients hold their cluster's shard and the row
+indices their partitioner drew, and gather the rows only while they fit.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +83,11 @@ class Client:
     ``model`` is the network ``fit`` and ``evaluate`` run on.  Both install
     the weights they are given first, so the same ``Model`` object may serve
     any number of clients one after another; the client keeps no weights.
+
+    The partition is ``train_data``, or with ``indices`` the rows of
+    ``train_data`` they name: ``fit`` gathers ``train_data.x[indices]`` /
+    ``train_data.y[indices]`` — the arrays ``train_data.subset(indices)``
+    holds — and keeps nothing afterwards.
     """
 
     def __init__(
@@ -89,12 +97,14 @@ class Client:
         train_data: Dataset,
         eval_data: Optional[Dataset] = None,
         config: Optional[ClientConfig] = None,
+        indices: Optional[np.ndarray] = None,
     ):
-        if len(train_data) == 0:
-            raise ValueError(f"client {client_id} has an empty training partition")
         self.client_id = client_id
         self.model = model
         self.train_data = train_data
+        self.indices = None if indices is None else np.asarray(indices, dtype=np.int64)
+        if self.num_samples == 0:
+            raise ValueError(f"client {client_id} has an empty training partition")
         self.eval_data = eval_data
         self.config = config or ClientConfig()
         self._rng = np.random.default_rng(self.config.seed)
@@ -118,12 +128,18 @@ class Client:
     @property
     def num_samples(self) -> int:
         """Size of this client's private training partition."""
-        return len(self.train_data)
+        return len(self.train_data) if self.indices is None else len(self.indices)
+
+    def partition(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This client's training samples and labels (gathered when index-held)."""
+        if self.indices is None:
+            return self.train_data.x, self.train_data.y
+        return self.train_data.x[self.indices], self.train_data.y[self.indices]
 
     def private_twin(self, model: Model) -> "Client":
         """This client as it stands now, on a network of its own.
 
-        The twin reads the same partitions and carries copies of everything
+        The twin reads the same partition and carries copies of everything
         a fit advances — generator, optimizer state, DP mechanism — so its
         next ``fit`` replays this client's next ``fit`` without touching it
         (the sanitizer's oracle for a network shared between clients).
@@ -139,9 +155,10 @@ class Client:
     def fit(self, global_weights: List[np.ndarray]) -> FitResult:
         """Install the global weights, train locally, and return the update."""
         self.model.set_weights(global_weights)
+        x, y = self.partition()
         losses = self.model.fit(
-            self.train_data.x,
-            self.train_data.y,
+            x,
+            y,
             epochs=self.config.local_epochs,
             batch_size=self.config.batch_size,
             optimizer=self._optimizer,
@@ -167,7 +184,10 @@ class Client:
         provided (the paper's scorers likewise use whatever held-out split the
         silo owns).
         """
-        data = self.eval_data if self.eval_data is not None and len(self.eval_data) else self.train_data
+        if self.eval_data is not None and len(self.eval_data):
+            x, y = self.eval_data.x, self.eval_data.y
+        else:
+            x, y = self.partition()
         self.model.set_weights(weights)
-        loss, accuracy = self.model.evaluate(data.x, data.y)
-        return {"loss": loss, "accuracy": accuracy, "num_samples": float(len(data))}
+        loss, accuracy = self.model.evaluate(x, y)
+        return {"loss": loss, "accuracy": accuracy, "num_samples": float(len(x))}

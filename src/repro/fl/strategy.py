@@ -47,7 +47,8 @@ class Strategy:
     ) -> List[np.ndarray]:
         """Merge ``(weights, coefficient)`` pairs into new global weights.
 
-        With no contributions the result is a copy of ``current_weights``.
+        With no contributions the result is ``current_weights`` itself: weight
+        lists are shared read-only, never written in place.
         UnifyFL's aggregators re-use their in-cluster strategy when combining
         the global models pulled from other silos, passing each with
         coefficient 1.
@@ -67,7 +68,7 @@ class FedAvg(Strategy):
     ) -> List[np.ndarray]:
         pairs = list(contributions)
         if not pairs:
-            return [np.array(w, copy=True) for w in current_weights]
+            return current_weights
         weight_sets, coefficients = zip(*pairs)
         return average_weights(weight_sets, coefficients)
 
@@ -85,7 +86,7 @@ class _ServerOptStrategy(Strategy):
     ) -> List[np.ndarray]:
         pairs = list(contributions)
         if not pairs:
-            return [np.array(w, copy=True) for w in current_weights]
+            return current_weights
         averaged = FedAvg().aggregate_stream(current_weights, pairs)
         # Pseudo-gradient: the negative of the average client movement.
         pseudo_grad = subtract_weights(current_weights, averaged)

@@ -25,6 +25,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ml.tensor_utils import read_only
+
 _MAGIC = b"UFLW"
 _VERSION = 1
 
@@ -178,9 +180,7 @@ class DecodedModels:
             if self.sanitizer is not None:
                 self.sanitizer.check_decoded_model(cid, weights, weights_from_bytes(payload))
             return weights
-        weights = weights_from_bytes(payload)
-        for tensor in weights:
-            tensor.setflags(write=False)
+        weights = read_only(weights_from_bytes(payload))
         self._models[cid] = weights
         if len(self._models) > self.capacity:
             self._models.popitem(last=False)

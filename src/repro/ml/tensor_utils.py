@@ -15,6 +15,18 @@ import numpy as np
 Weights = List[np.ndarray]
 
 
+def read_only(weights: Weights) -> Weights:
+    """Mark every tensor of ``weights`` not writeable and return the list.
+
+    A read-only weight list is shared instead of copied: a holder that needs
+    other values builds new arrays, and an in-place write raises instead of
+    changing the model under every other holder.
+    """
+    for tensor in weights:
+        tensor.setflags(write=False)
+    return weights
+
+
 def flatten_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate every parameter tensor into a single 1-D vector."""
     if not weights:

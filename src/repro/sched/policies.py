@@ -890,7 +890,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
             member.clock.advance(elapsed)
             timings[member.name].exchange_time += elapsed
             self.tier_totals["global_broadcast_time"] += elapsed
-            member.global_weights = [np.array(w, copy=True) for w in leader.global_weights]
+            member.global_weights = leader.global_weights
 
         # --- local tier: LAN-priced aggregation rounds around the leader.
         for local_round in range(1, self.local_rounds + 1):
@@ -927,7 +927,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
             leader_timing.aggregation_time += merge_time
             self.tier_totals["local_aggregation_time"] += merge_time
             leader.local_weights = group_model
-            leader.global_weights = [np.array(w, copy=True) for w in group_model]
+            leader.global_weights = group_model
             # ...and shuttles the merged group model back.
             for member in followers:
                 waited = member.clock.advance_to(leader.clock.now())
@@ -938,7 +938,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
                 member.clock.advance(elapsed)
                 timings[member.name].exchange_time += elapsed
                 self.tier_totals["local_exchange_time"] += elapsed
-                member.global_weights = [np.array(w, copy=True) for w in group_model]
+                member.global_weights = group_model
 
         # --- global tier: only the leader crosses WAN/chain.
         _, submit_timing = leader.submit_local_model()
@@ -1078,7 +1078,7 @@ class GossipRoundPolicy(RoundPolicy):
                 [(w, 1.0) for w in peer_weight_sets + [aggregator.local_weights]],
             )
         else:
-            aggregator.global_weights = [np.array(w, copy=True) for w in aggregator.local_weights]
+            aggregator.global_weights = aggregator.local_weights
         merge_time = self.ctx.timing.aggregation_time(aggregator.config, len(peer_weight_sets) + 1)
         aggregator.clock.advance(merge_time)
         timing.aggregation_time += merge_time

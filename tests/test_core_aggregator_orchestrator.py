@@ -322,7 +322,9 @@ class TestAggregatorUnit:
         aggregator.record_round(1, RoundTiming())
         # The global model was never published; the local one was, under ``cid``.
         assert seen == [None, cid]
-        # Trained again, the local weights are no longer what ``cid`` names.
+        # Trained again (on the next round's global model), the local
+        # weights are no longer what ``cid`` names.
+        aggregator.build_global_model()
         aggregator.local_training_round()
         aggregator.record_round(2, RoundTiming())
         assert seen[2:] == [None, None]

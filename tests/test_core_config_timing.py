@@ -152,11 +152,27 @@ REJECTIONS = [
 ]
 
 
+#: one bad value per check of ``ClusterConfig.validate``, set on a cluster
+#: *after* it was built (a cluster is mutable), with the field its rejection
+#: must name: ``(cluster index, field, value)``.
+CLUSTER_EDITS = [
+    (0, "num_clients", 0),
+    (1, "policy_k", 0),
+    (2, "dp_clip_norm", -1.0),
+    (0, "dp_noise_multiplier", -0.1),
+    (0, "dp_noise_multiplier", 0.5),
+    (1, "availability", 0.0),
+    (2, "attack", "nope"),
+]
+
+
 class TestEveryRejectionNamesItsField:
     def test_every_check_has_a_case(self):
         checks = inspect.getsource(ExperimentConfig.__post_init__).count("raise ValueError")
         # validate_semi_params checks two fields; the mode registry adds two.
         assert len(REJECTIONS) == checks + 2 + 2
+        cluster_checks = inspect.getsource(ClusterConfig.validate).count("raise ValueError")
+        assert len(CLUSTER_EDITS) == cluster_checks
 
     @pytest.mark.parametrize(
         "overrides, fields", REJECTIONS, ids=[" ".join(sorted(o)) for o, _ in REJECTIONS]
@@ -167,6 +183,20 @@ class TestEveryRejectionNamesItsField:
         with pytest.raises(ValueError) as raised:
             ExperimentConfig(**kwargs)
         assert all(field in str(raised.value) for field in fields), str(raised.value)
+
+    @pytest.mark.parametrize(
+        "index, field, value", CLUSTER_EDITS, ids=[f"{f}={v}" for _, f, v in CLUSTER_EDITS]
+    )
+    def test_an_edited_cluster_is_checked_and_named(self, tiny_workload, index, field, value):
+        clusters = edge_cluster_configs()
+        setattr(clusters[index], field, value)
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig(name="x", workload=tiny_workload, clusters=clusters)
+        message = str(raised.value)
+        assert clusters[index].name in message and field in message, message
+        # The same check rejects the value at construction.
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(name="built", **{field: value})
 
 
 class TestClusterFactories:

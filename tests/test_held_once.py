@@ -1,0 +1,181 @@
+"""Tests for what a cluster owns: each model once, each data row once.
+
+Weight lists are shared, read-only values: every aggregator starts on the
+runner's one initial list, policies hand models over by reference, and an
+in-place write raises instead of changing the model under another holder.
+A runner-built client holds its partition as row indices into its cluster's
+shard and gathers the rows only while it fits.  A cluster's global model
+lives only until ``record_round`` closes its round.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.aggregator import UnifyFLAggregator
+from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
+from repro.core.runner import ExperimentRunner
+from repro.core.timing import RoundTiming
+from repro.datasets.partition import IIDPartitioner
+from repro.ml.evaluation import Evaluator
+
+ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
+
+
+def config(mode: str = "sync", sampled: bool = False) -> ExperimentConfig:
+    kwargs = dict(
+        name=f"held-once-{mode}",
+        workload=cifar10_workload(rounds=2, samples_per_class=8, image_size=8),
+        clusters=gpu_cluster_configs(num_clusters=3, num_clients=2),
+        mode=mode,
+        rounds=2,
+        seed=0,
+        storage_replicas=2,
+    )
+    if sampled:
+        kwargs.update(population=1000, clients_per_round=6)
+    return ExperimentConfig(**kwargs)
+
+
+def assert_read_only(weights) -> None:
+    for tensor in weights:
+        assert not tensor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tensor.flat[0] = 0.0
+
+
+class TestOneInitialList:
+    @pytest.mark.parametrize("sampled", [False, True], ids=["dense", "sampled"])
+    def test_every_cluster_starts_on_the_runners_read_only_list(self, sampled):
+        runner = ExperimentRunner(config(sampled=sampled))
+        runner.build()
+        aggregators = (
+            runner.population.round_aggregators(1) if sampled else runner.aggregators
+        )
+        assert len(aggregators) >= 2
+        for aggregator in aggregators:
+            assert aggregator.global_weights is runner.initial_weights
+            assert aggregator.local_weights is runner.initial_weights
+        assert_read_only(runner.initial_weights)
+        # The one list holds the template's weights, which stay writeable.
+        template = runner.model_template.get_weights()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(runner.initial_weights, template))
+
+    def test_an_aggregator_built_alone_still_shares_one_list(self):
+        runner = ExperimentRunner(config())
+        runner.build()
+        built = runner.aggregators[0]
+        alone = UnifyFLAggregator(
+            config=built.config,
+            workload=built.workload,
+            account=built.account,
+            chain=built.chain,
+            ipfs_node=built.ipfs,
+            model_template=runner.model_template,
+            clients=built.clients,
+            scorer=built.scorer,
+            eval_data=built.eval_data,
+            comm=built.comm,
+        )
+        assert alone.global_weights is alone.local_weights
+        assert_read_only(alone.local_weights)
+
+
+class TestHeldWeightsAreReadOnly:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_every_model_a_round_holds_rejects_a_write(self, mode, monkeypatch):
+        """Whatever the policy hands over -- built, broadcast, merged or
+        aliased -- is read-only when a cluster trains on it and after."""
+        train = UnifyFLAggregator.local_training_round
+        trained = []
+
+        def checked_train(aggregator):
+            assert_read_only(aggregator.global_weights)
+            timing = train(aggregator)
+            assert_read_only(aggregator.local_weights)
+            trained.append(aggregator.name)
+            return timing
+
+        monkeypatch.setattr(UnifyFLAggregator, "local_training_round", checked_train)
+        runner = ExperimentRunner(config(mode, sampled=True))
+        runner.run()
+        assert trained
+        for aggregator in runner.aggregators:
+            assert_read_only(aggregator.local_weights)
+
+
+class TestIndexHeldPartitions:
+    @staticmethod
+    def assert_same_arrays(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["dense", "sampled"])
+    def test_a_gathered_partition_is_the_subset_in_bytes(self, sampled):
+        runner = ExperimentRunner(config(sampled=sampled))
+        runner.build()
+        aggregators = (
+            runner.population.round_aggregators(1) if sampled else runner.aggregators
+        )
+        shards = {id(shard) for shard in runner.cluster_train_data.values()}
+        for aggregator in aggregators:
+            for client in aggregator.clients:
+                # The client holds its cluster's shard and indices, no rows.
+                assert id(client.train_data) in shards
+                assert client.indices is not None
+                x, y = client.partition()
+                subset = client.train_data.subset(client.indices)
+                self.assert_same_arrays(x, subset.x)
+                self.assert_same_arrays(y, subset.y)
+                assert client.num_samples == len(subset)
+
+    def test_a_virtual_clusters_partitions_are_the_partitioners(self):
+        runner = ExperimentRunner(config(sampled=True))
+        runner.build()
+        index = runner.population.sampler.cohort(1)[0]
+        aggregator = runner.population.round_aggregators(1)[0]
+        template = runner.config.clusters[index % len(runner.config.clusters)]
+        parts = IIDPartitioner(
+            template.num_clients, seed=runner.config.seed + 100 + index
+        ).partition(runner.cluster_train_data[template.name])
+        assert len(parts) == len(aggregator.clients)
+        for client, part in zip(aggregator.clients, parts):
+            x, y = client.partition()
+            self.assert_same_arrays(x, part.x)
+            self.assert_same_arrays(y, part.y)
+
+
+class TestRoundScopedGlobalModel:
+    def test_record_round_releases_it_and_an_offline_record_reports_it(self):
+        runner = ExperimentRunner(config())
+        runner.build()
+        aggregator = runner.aggregators[0]
+        aggregator.register()
+        aggregator.build_global_model()
+        # No peer has submitted: the global model is the local one, not a copy.
+        assert aggregator.global_weights is aggregator.local_weights
+        saved = [np.array(w, copy=True) for w in aggregator.global_weights]
+        aggregator.local_training_round()
+        online = aggregator.record_round(1, RoundTiming())
+        assert aggregator.global_weights is None
+
+        offline = aggregator.record_round(2, RoundTiming(), offline=True)
+        # A fresh evaluator remembers nothing: this is a recomputation.
+        loss, accuracy = Evaluator(runner.model_template).evaluate(saved, runner.test_data)
+        assert (offline.global_loss, offline.global_accuracy) == (loss, accuracy)
+        assert (online.global_loss, online.global_accuracy) == (loss, accuracy)
+        assert aggregator.global_weights is None
+
+    def test_training_without_a_global_model_raises(self):
+        runner = ExperimentRunner(config())
+        runner.build()
+        aggregator = runner.aggregators[0]
+        aggregator.register()
+        aggregator.local_training_round()
+        aggregator.record_round(1, RoundTiming())
+        with pytest.raises(RuntimeError, match="build_global_model"):
+            aggregator.local_training_round()
+        aggregator.build_global_model()
+        aggregator.local_training_round()
