@@ -8,6 +8,10 @@ case is one tiny ``ExperimentConfig``; what is stored is the SHA-256 of
 to see *what* moved when the digest does: the event count, the simulated
 makespan, every aggregator's total time and final global accuracy/loss, and
 the fabric totals declared ``golden`` in ``repro.sched.metrics``.
+The paper's three baselines (no collaboration, the centralized multilevel
+oracle, flat single-level FL) have cases of their own: each stores the
+SHA-256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)`` and the
+final accuracies.
 ``tests/test_golden.py`` re-runs every case and reports the differing fields;
 this script is the only way to change a stored value, so an intended behaviour
 change shows up as a reviewed field-level diff of ``tests/goldens/digests.json``.
@@ -22,11 +26,13 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "goldens" / "digests.json"
@@ -121,6 +127,34 @@ def golden_cases() -> Dict[str, Dict[str, Any]]:
     return cases
 
 
+#: the runner method of each baseline, by the name its cases start with.
+BASELINES = {
+    "no_collab": "run_no_collab_baseline",
+    "centralized": "run_centralized_baseline",
+    "single_level": "run_single_level_baseline",
+}
+
+
+def baseline_cases() -> Dict[str, Dict[str, Any]]:
+    """Baseline case name -> keywords for :func:`build_config`.
+
+    Every baseline runs on the default shape and on four clusters of two
+    clients that alternate FedAvg and FedYogi, so a server-optimizer
+    strategy's state carries across rounds.
+    """
+    shapes: Dict[str, Dict[str, Any]] = {
+        "default": {},
+        "mixed4x2": dict(
+            clusters=4, clients=2, seed=2, strategies=("fedavg", "fedyogi") * 2
+        ),
+    }
+    return {
+        f"{baseline}-{shape}": dict(overrides)
+        for baseline in BASELINES
+        for shape, overrides in shapes.items()
+    }
+
+
 def build_config(
     name: str,
     clusters: int = 3,
@@ -128,6 +162,7 @@ def build_config(
     samples_per_class: int = 6,
     partitioning: str = "iid",
     seed: int = 3,
+    strategies: Optional[Sequence[str]] = None,
     **overrides: Any,
 ) -> ExperimentConfig:
     """The tiny two-round federation every golden case is a variation of."""
@@ -136,7 +171,9 @@ def build_config(
         workload=cifar10_workload(
             rounds=2, samples_per_class=samples_per_class, image_size=8, learning_rate=0.05
         ),
-        clusters=gpu_cluster_configs(num_clusters=clusters, num_clients=clients),
+        clusters=gpu_cluster_configs(
+            num_clusters=clusters, num_clients=clients, strategies=strategies
+        ),
         rounds=2,
         seed=seed,
         partitioning=partitioning,
@@ -168,6 +205,21 @@ def run_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def run_baseline_case(name: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one baseline case; returns its digest and final accuracies."""
+    runner = ExperimentRunner(build_config(name, **overrides))
+    result = getattr(runner, BASELINES[name.split("-")[0]])()
+    accuracies = {cluster.name: cluster.accuracy for cluster in result.clusters}
+    if not math.isnan(result.global_accuracy):
+        accuracies["global"] = result.global_accuracy
+    return {
+        "digest": hashlib.sha256(
+            json.dumps(dataclasses.asdict(result), sort_keys=True).encode("utf-8")
+        ).hexdigest(),
+        "accuracies": accuracies,
+    }
+
+
 def differing_fields(expected: Any, actual: Any, path: str = "") -> List[str]:
     """``path: expected -> actual`` for every leaf two golden records disagree on."""
     if isinstance(expected, dict) and isinstance(actual, dict):
@@ -184,11 +236,18 @@ def differing_fields(expected: Any, actual: Any, path: str = "") -> List[str]:
 
 def main() -> int:
     cases = {name: run_case(name, overrides) for name, overrides in golden_cases().items()}
+    baselines = {
+        name: run_baseline_case(name, overrides) for name, overrides in baseline_cases().items()
+    }
+    document = {"numpy": numpy.__version__, "cases": cases, "baselines": baselines}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     with GOLDEN_PATH.open("w", encoding="utf-8") as handle:
-        json.dump({"numpy": numpy.__version__, "cases": cases}, handle, indent=2, sort_keys=True)
+        json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(cases)} golden cases to {GOLDEN_PATH.relative_to(REPO_ROOT)}")
+    print(
+        f"wrote {len(cases)} golden cases and {len(baselines)} baseline cases "
+        f"to {GOLDEN_PATH.relative_to(REPO_ROOT)}"
+    )
     return 0
 
 
