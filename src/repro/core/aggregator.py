@@ -406,8 +406,6 @@ class UnifyFLAggregator:
             weights = self.attack.poison(weights, rng=self._rng)
         payload = weights_to_bytes(weights)
         cid = str(self.ipfs.add(payload))
-        if weights is self.local_weights:
-            self._local_cid = cid
         now = self.clock.now()
         timing.store_time = self.comm.upload(self.name, 1, at=now, object_ids=[cid])
         timing.chain_time = self.comm.chain_op(
@@ -425,7 +423,12 @@ class UnifyFLAggregator:
         self.own_cids.append(cid)
         # Entered like any peer's fetch: what the submitter reads under the
         # CID is the model every other silo decodes from it.
-        self.decoded_models.decode(cid, payload)
+        decoded = self.decoded_models.decode(cid, payload)
+        if weights is self.local_weights:
+            # An honest submission published the local model itself: hold
+            # the store's decoded list (equal bits) instead of a second one.
+            self.local_weights = decoded
+            self._local_cid = cid
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.05)
         return cid, timing
 

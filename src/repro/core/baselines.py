@@ -9,12 +9,18 @@
 * :class:`SingleLevelFL` — all clients of every organisation join one flat
   federation under a single aggregator (the 12-client comparison point of
   Section 4.2.3 and the scalability study of Section 4.2.6).
+
+Every silo round of a baseline is the one ``UnifyFLAggregator`` runs:
+``strategy.aggregate(weights, [client.fit(weights) for client in clients])``,
+starting from the runner's ``initial_weights``.  Every model is scored by the
+run's :class:`~repro.ml.evaluation.Evaluator`, so a baseline holds no network
+of its own and a model another baseline already scored is not scored again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,9 +28,10 @@ from repro.core.config import ClusterConfig, WorkloadConfig
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.synthetic import Dataset
 from repro.fl.client import Client
-from repro.fl.server import FLServer
 from repro.fl.strategy import FedAvg, Strategy, build_strategy
-from repro.ml.models import Model
+from repro.ml.evaluation import Evaluator
+
+Weights = List[np.ndarray]
 
 
 @dataclass
@@ -52,6 +59,24 @@ class BaselineResult:
     global_accuracy_history: List[float] = field(default_factory=list)
 
 
+def _train_silo(
+    clients: Sequence[Client],
+    strategy: Strategy,
+    weights: Weights,
+    evaluator: Evaluator,
+    eval_data: Dataset,
+    num_rounds: int,
+) -> List[Tuple[float, float]]:
+    """``(loss, accuracy)`` of a silo's model after each of ``num_rounds`` rounds."""
+    if num_rounds <= 0:
+        raise ValueError("num_rounds must be positive")
+    evaluations = []
+    for _ in range(num_rounds):
+        weights = strategy.aggregate(weights, [client.fit(weights) for client in clients])
+        evaluations.append(evaluator.evaluate(weights, eval_data))
+    return evaluations
+
+
 class NoCollabBaseline:
     """Independent per-cluster training with no cross-silo exchange."""
 
@@ -62,42 +87,41 @@ class NoCollabBaseline:
         workload: WorkloadConfig,
         clusters: Sequence[ClusterConfig],
         cluster_clients: Dict[str, List[Client]],
-        model_template: Model,
+        initial_weights: Weights,
+        evaluator: Evaluator,
         eval_data: Dataset,
         timing_model: Optional[ClusterTimingModel] = None,
     ):
         self.workload = workload
         self.clusters = list(clusters)
         self.cluster_clients = cluster_clients
-        self.model_template = model_template
+        self.initial_weights = initial_weights
+        self.evaluator = evaluator
         self.eval_data = eval_data
         self.timing = timing_model or ClusterTimingModel(workload)
 
-    def run(self, num_rounds: int, seed: int = 0) -> BaselineResult:
+    def run(self, num_rounds: int) -> BaselineResult:
         """Train every cluster independently for ``num_rounds`` rounds."""
-        if num_rounds <= 0:
-            raise ValueError("num_rounds must be positive")
         results: List[BaselineClusterResult] = []
         for cluster in self.clusters:
-            clients = self.cluster_clients[cluster.name]
-            server = FLServer(
-                server_id=cluster.name,
-                model_weights=self.model_template.get_weights(),
-                clients=clients,
-                strategy=build_strategy(cluster.strategy),
-                eval_data=self.eval_data,
-                eval_model=self.model_template.clone(),
+            evaluations = _train_silo(
+                self.cluster_clients[cluster.name],
+                build_strategy(cluster.strategy),
+                self.initial_weights,
+                self.evaluator,
+                self.eval_data,
+                num_rounds,
             )
-            history = server.run(num_rounds, seed=seed)
             per_round = self.timing.client_training_time(cluster, jitter=False) + \
                 self.timing.aggregation_time(cluster, cluster.num_clients)
+            loss, accuracy = evaluations[-1]
             results.append(
                 BaselineClusterResult(
                     name=cluster.name,
-                    accuracy=history.final_accuracy,
-                    loss=history.final_loss,
+                    accuracy=accuracy,
+                    loss=loss,
                     total_time=num_rounds * per_round,
-                    accuracy_history=history.accuracies(),
+                    accuracy_history=[a for _, a in evaluations],
                 )
             )
         return BaselineResult(
@@ -117,7 +141,8 @@ class CentralizedMultilevelBaseline:
         workload: WorkloadConfig,
         clusters: Sequence[ClusterConfig],
         cluster_clients: Dict[str, List[Client]],
-        model_template: Model,
+        initial_weights: Weights,
+        evaluator: Evaluator,
         eval_data: Dataset,
         timing_model: Optional[ClusterTimingModel] = None,
         central_strategy: Optional[Strategy] = None,
@@ -125,7 +150,8 @@ class CentralizedMultilevelBaseline:
         self.workload = workload
         self.clusters = list(clusters)
         self.cluster_clients = cluster_clients
-        self.model_template = model_template
+        self.initial_weights = initial_weights
+        self.evaluator = evaluator
         self.eval_data = eval_data
         self.timing = timing_model or ClusterTimingModel(workload)
         self.central_strategy = central_strategy or FedAvg()
@@ -137,40 +163,28 @@ class CentralizedMultilevelBaseline:
         self._round_duration = self.timing.expected_training_window(self.clusters) + \
             self.timing.expected_scoring_window(self.clusters)
 
-    def run(self, num_rounds: int, seed: int = 0) -> BaselineResult:
+    def run(self, num_rounds: int) -> BaselineResult:
         """Run multilevel FL: local FL per cluster, then central aggregation."""
         if num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
-        rng = np.random.default_rng(seed)
-        eval_model = self.model_template.clone()
-        global_weights = self.model_template.get_weights()
-        servers: Dict[str, FLServer] = {}
-        for cluster in self.clusters:
-            servers[cluster.name] = FLServer(
-                server_id=cluster.name,
-                model_weights=global_weights,
-                clients=self.cluster_clients[cluster.name],
-                strategy=build_strategy(cluster.strategy),
-                eval_data=self.eval_data,
-                eval_model=self.model_template.clone(),
-            )
-
-        cluster_metrics: Dict[str, Dict[str, float]] = {}
+        strategies = {cluster.name: build_strategy(cluster.strategy) for cluster in self.clusters}
+        global_weights = self.initial_weights
+        cluster_metrics: Dict[str, Tuple[float, float]] = {}
         global_history: List[float] = []
         total_time = 0.0
         for _ in range(num_rounds):
             cluster_weights = []
             for cluster in self.clusters:
-                server = servers[cluster.name]
-                server.global_weights = [np.array(w, copy=True) for w in global_weights]
-                metrics = server.run_round(rng=rng)
-                cluster_weights.append(server.global_weights)
-                cluster_metrics[cluster.name] = {"loss": metrics.loss, "accuracy": metrics.accuracy}
+                clients = self.cluster_clients[cluster.name]
+                weights = strategies[cluster.name].aggregate(
+                    global_weights, [client.fit(global_weights) for client in clients]
+                )
+                cluster_weights.append(weights)
+                cluster_metrics[cluster.name] = self.evaluator.evaluate(weights, self.eval_data)
             global_weights = self.central_strategy.aggregate_stream(
                 global_weights, [(w, 1.0) for w in cluster_weights]
             )
-            eval_model.set_weights(global_weights)
-            global_loss, global_accuracy = eval_model.evaluate(self.eval_data.x, self.eval_data.y)
+            global_loss, global_accuracy = self.evaluator.evaluate(global_weights, self.eval_data)
             global_history.append(global_accuracy)
             # Every cluster waits out the provisioned training window, then the
             # central reducer validates and aggregates before the next round.
@@ -180,8 +194,8 @@ class CentralizedMultilevelBaseline:
         results = [
             BaselineClusterResult(
                 name=cluster.name,
-                accuracy=cluster_metrics[cluster.name]["accuracy"],
-                loss=cluster_metrics[cluster.name]["loss"],
+                accuracy=cluster_metrics[cluster.name][1],
+                loss=cluster_metrics[cluster.name][0],
                 global_accuracy=global_accuracy,
                 global_loss=global_loss,
                 total_time=total_time,
@@ -205,39 +219,40 @@ class SingleLevelFL:
 
     def __init__(
         self,
-        workload: WorkloadConfig,
         clients: Sequence[Client],
-        model_template: Model,
+        initial_weights: Weights,
+        evaluator: Evaluator,
         eval_data: Dataset,
         strategy: Optional[Strategy] = None,
     ):
-        self.workload = workload
         self.clients = list(clients)
-        self.model_template = model_template
+        self.initial_weights = initial_weights
+        self.evaluator = evaluator
         self.eval_data = eval_data
         self.strategy = strategy or FedAvg()
 
-    def run(self, num_rounds: int, seed: int = 0) -> BaselineResult:
+    def run(self, num_rounds: int) -> BaselineResult:
         """Run flat FedAvg over all clients for ``num_rounds`` rounds."""
-        server = FLServer(
-            server_id="single-level",
-            model_weights=self.model_template.get_weights(),
-            clients=self.clients,
-            strategy=self.strategy,
-            eval_data=self.eval_data,
-            eval_model=self.model_template.clone(),
+        evaluations = _train_silo(
+            self.clients,
+            self.strategy,
+            self.initial_weights,
+            self.evaluator,
+            self.eval_data,
+            num_rounds,
         )
-        history = server.run(num_rounds, seed=seed)
+        loss, accuracy = evaluations[-1]
+        history = [a for _, a in evaluations]
         result = BaselineClusterResult(
             name="single-level",
-            accuracy=history.final_accuracy,
-            loss=history.final_loss,
-            accuracy_history=history.accuracies(),
+            accuracy=accuracy,
+            loss=loss,
+            accuracy_history=history,
         )
         return BaselineResult(
             baseline=self.name,
             clusters=[result],
-            global_accuracy=history.final_accuracy,
-            global_loss=history.final_loss,
-            global_accuracy_history=history.accuracies(),
+            global_accuracy=accuracy,
+            global_loss=loss,
+            global_accuracy_history=list(history),
         )

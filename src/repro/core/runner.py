@@ -710,11 +710,12 @@ class ExperimentRunner:
             self.config.workload,
             self.config.clusters,
             self._baseline_clients(),
-            self.model_template,
+            self.initial_weights,
+            self.evaluator,
             self.test_data,
             timing_model=self.timing_model,
         )
-        return baseline.run(self._rounds(rounds), seed=self.config.seed)
+        return baseline.run(self._rounds(rounds))
 
     def run_centralized_baseline(self, rounds: Optional[int] = None) -> BaselineResult:
         """Run the HBFL-style centralized multilevel baseline."""
@@ -722,21 +723,20 @@ class ExperimentRunner:
             self.config.workload,
             self.config.clusters,
             self._baseline_clients(),
-            self.model_template,
+            self.initial_weights,
+            self.evaluator,
             self.test_data,
             timing_model=self.timing_model,
         )
-        return baseline.run(self._rounds(rounds), seed=self.config.seed)
+        return baseline.run(self._rounds(rounds))
 
     def run_single_level_baseline(self, rounds: Optional[int] = None) -> BaselineResult:
         """Run flat single-level FL over all clients of all clusters."""
         all_clients: List[Client] = []
         for i, cluster in enumerate(self.config.clusters):
             all_clients.extend(self._build_clients(cluster, i))
-        baseline = SingleLevelFL(
-            self.config.workload, all_clients, self.model_template, self.test_data
-        )
-        return baseline.run(self._rounds(rounds), seed=self.config.seed)
+        baseline = SingleLevelFL(all_clients, self.initial_weights, self.evaluator, self.test_data)
+        return baseline.run(self._rounds(rounds))
 
 
 def run_experiment(config: ExperimentConfig, rounds: Optional[int] = None) -> ExperimentResult:

@@ -3,7 +3,7 @@
 Clients hold a private partition of the training data, receive global weights
 from their cluster's aggregator, train locally for a small number of epochs,
 and return the updated weights together with sample counts and metrics —
-exactly the Flower ``fit``/``evaluate`` contract the paper's clients follow
+exactly the Flower ``fit`` contract the paper's clients follow
 (Section 3.4.5: "clients operate as standard Flower clients and remain
 unaffected by the changes made to the aggregators").
 
@@ -80,9 +80,11 @@ class FitResult:
 class Client:
     """An FL client: a private data partition and the state local training advances.
 
-    ``model`` is the network ``fit`` and ``evaluate`` run on.  Both install
-    the weights they are given first, so the same ``Model`` object may serve
-    any number of clients one after another; the client keeps no weights.
+    ``model`` is the network ``fit`` runs on.  ``fit`` installs the weights it
+    is given first, so the same ``Model`` object may serve any number of
+    clients one after another; the client keeps no weights.  Models are
+    scored by whoever holds the evaluation data (the run's
+    :class:`~repro.ml.evaluation.Evaluator`), not by clients.
 
     The partition is ``train_data``, or with ``indices`` the rows of
     ``train_data`` they name: ``fit`` gathers ``train_data.x[indices]`` /
@@ -95,7 +97,6 @@ class Client:
         client_id: str,
         model: Model,
         train_data: Dataset,
-        eval_data: Optional[Dataset] = None,
         config: Optional[ClientConfig] = None,
         indices: Optional[np.ndarray] = None,
     ):
@@ -105,7 +106,6 @@ class Client:
         self.indices = None if indices is None else np.asarray(indices, dtype=np.int64)
         if self.num_samples == 0:
             raise ValueError(f"client {client_id} has an empty training partition")
-        self.eval_data = eval_data
         self.config = config or ClientConfig()
         self._rng = np.random.default_rng(self.config.seed)
         self._optimizer: Optimizer = self._build_optimizer()
@@ -176,18 +176,3 @@ class Client:
             num_samples=self.num_samples,
             metrics=metrics,
         )
-
-    def evaluate(self, weights: List[np.ndarray]) -> Dict[str, float]:
-        """Evaluate the given weights on this client's evaluation partition.
-
-        Falls back to the training partition when no evaluation data was
-        provided (the paper's scorers likewise use whatever held-out split the
-        silo owns).
-        """
-        if self.eval_data is not None and len(self.eval_data):
-            x, y = self.eval_data.x, self.eval_data.y
-        else:
-            x, y = self.partition()
-        self.model.set_weights(weights)
-        loss, accuracy = self.model.evaluate(x, y)
-        return {"loss": loss, "accuracy": accuracy, "num_samples": float(len(x))}

@@ -38,7 +38,7 @@ from repro.ml.layers import (
     Softmax,
 )
 from repro.ml.losses import CrossEntropyLoss, Loss, MSELoss
-from repro.ml.metrics import accuracy_score, evaluate_model, top_k_accuracy
+from repro.ml.metrics import accuracy_score, top_k_accuracy
 from repro.ml.models import (
     MLP,
     MiniVGG,
@@ -81,7 +81,6 @@ __all__ = [
     "Loss",
     "MSELoss",
     "accuracy_score",
-    "evaluate_model",
     "top_k_accuracy",
     "MLP",
     "MiniVGG",

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
-
-from repro.ml.models import Model
 
 
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -33,20 +29,3 @@ def top_k_accuracy(y_true: np.ndarray, logits: np.ndarray, k: int = 5) -> float:
     hits = (top_k == y_true[:, None]).any(axis=1)
     return float(hits.mean())
 
-
-def evaluate_model(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> Dict[str, float]:
-    """Evaluate a model and return a metrics dictionary.
-
-    Returns keys ``loss``, ``accuracy`` and ``top5_accuracy`` (the latter only
-    meaningful for multi-class problems, otherwise equal to accuracy).
-    """
-    loss, accuracy = model.evaluate(x, y, batch_size=batch_size)
-    logits = []
-    for start in range(0, len(x), batch_size):
-        logits.append(model.predict(x[start : start + batch_size]))
-    stacked = np.concatenate(logits, axis=0)
-    return {
-        "loss": loss,
-        "accuracy": accuracy,
-        "top5_accuracy": top_k_accuracy(y, stacked, k=5),
-    }

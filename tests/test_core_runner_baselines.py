@@ -181,19 +181,13 @@ class TestBaselines:
         assert all(c.global_accuracy == baseline.global_accuracy for c in baseline.clusters)
         assert baseline.global_accuracy == baseline.global_accuracy_history[-1]
 
-    def test_centralized_baseline_evaluates_each_model_once(self, shared_sync_result, monkeypatch):
-        from repro.ml.models import Model
-
+    def test_centralized_baseline_evaluates_each_model_once(self, shared_sync_result):
         runner, _ = shared_sync_result
-        calls = []
-        evaluate = Model.evaluate
-        monkeypatch.setattr(
-            Model, "evaluate", lambda self, *a, **k: calls.append(self) or evaluate(self, *a, **k)
-        )
+        calls = runner.evaluator.calls
         runner.run_centralized_baseline(rounds=2)
         # Per round: every cluster's model and the merged global model; the
         # final global model is the last round's, not evaluated again.
-        assert len(calls) == 2 * (len(runner.config.clusters) + 1)
+        assert runner.evaluator.calls - calls == 2 * (len(runner.config.clusters) + 1)
 
     def test_single_level_baseline(self, shared_sync_result):
         runner, _ = shared_sync_result

@@ -7,8 +7,6 @@ import pytest
 
 from repro.datasets.partition import IIDPartitioner
 from repro.fl.client import Client, ClientConfig, FitResult
-from repro.fl.history import RoundMetrics, TrainingHistory
-from repro.fl.server import FLServer
 from repro.fl.strategy import FedAdagrad, FedAvg, FedYogi, build_strategy
 from repro.ml.models import MLP
 from repro.ml.tensor_utils import weights_allclose
@@ -52,24 +50,11 @@ class TestClient:
         result = clients[0].fit(initial)
         assert not weights_allclose(initial, result.weights)
 
-    def test_evaluate_returns_metrics(self, fl_setup):
-        model, clients, _ = fl_setup
-        metrics = clients[0].evaluate(model.get_weights())
-        assert 0.0 <= metrics["accuracy"] <= 1.0
-        assert metrics["num_samples"] == clients[0].num_samples
-
     def test_empty_partition_rejected(self, fl_setup, tabular_dataset):
         model, _, _ = fl_setup
         empty = tabular_dataset.subset(np.array([], dtype=int))
         with pytest.raises(ValueError):
             Client("empty", model.clone(), empty)
-
-    def test_evaluate_prefers_eval_data(self, fl_setup, tabular_dataset):
-        model, _, _ = fl_setup
-        eval_subset = tabular_dataset.subset(np.arange(10))
-        client = Client("c", model.clone(), tabular_dataset, eval_data=eval_subset)
-        metrics = client.evaluate(model.get_weights())
-        assert metrics["num_samples"] == 10
 
 
 class TestStrategies:
@@ -150,65 +135,3 @@ class TestStrategies:
         assert isinstance(build_strategy("FedAdagrad"), FedAdagrad)
         with pytest.raises(ValueError):
             build_strategy("fedprox")
-
-
-class TestFLServer:
-    def test_round_improves_accuracy(self, fl_setup):
-        model, clients, dataset = fl_setup
-        server = FLServer("s", model.get_weights(), clients, eval_data=dataset, eval_model=model.clone())
-        initial = server.evaluate()["accuracy"]
-        server.run(5, seed=0)
-        assert server.history.final_accuracy > initial
-
-    def test_history_length_matches_rounds(self, fl_setup):
-        model, clients, dataset = fl_setup
-        server = FLServer("s", model.get_weights(), clients, eval_data=dataset, eval_model=model.clone())
-        server.run(3, seed=0)
-        assert len(server.history) == 3
-        assert server.current_round == 3
-
-    def test_client_fraction_selects_subset(self, fl_setup):
-        model, clients, dataset = fl_setup
-        server = FLServer("s", model.get_weights(), clients, eval_data=dataset, eval_model=model.clone())
-        metrics = server.run_round(client_fraction=0.34, rng=np.random.default_rng(0))
-        assert metrics.num_clients == 1
-
-    def test_invalid_fraction(self, fl_setup):
-        model, clients, dataset = fl_setup
-        server = FLServer("s", model.get_weights(), clients, eval_data=dataset, eval_model=model.clone())
-        with pytest.raises(ValueError):
-            server.run_round(client_fraction=0.0)
-
-    def test_requires_clients(self, fl_setup):
-        model, _, _ = fl_setup
-        with pytest.raises(ValueError):
-            FLServer("s", model.get_weights(), [])
-
-    def test_evaluate_without_eval_data_uses_clients(self, fl_setup):
-        model, clients, _ = fl_setup
-        server = FLServer("s", model.get_weights(), clients)
-        metrics = server.evaluate()
-        assert 0.0 <= metrics["accuracy"] <= 1.0
-
-
-class TestTrainingHistory:
-    def test_final_and_best(self):
-        history = TrainingHistory()
-        for i, acc in enumerate([0.1, 0.5, 0.3]):
-            history.record(RoundMetrics(round_number=i + 1, loss=1.0 - acc, accuracy=acc))
-        assert history.final_accuracy == pytest.approx(0.3)
-        assert history.best_accuracy == pytest.approx(0.5)
-        assert history.final_loss == pytest.approx(0.7)
-
-    def test_rounds_to_reach(self):
-        history = TrainingHistory()
-        for i, acc in enumerate([0.1, 0.4, 0.6]):
-            history.record(RoundMetrics(round_number=i + 1, loss=0.0, accuracy=acc))
-        assert history.rounds_to_reach(0.4) == 2
-        assert history.rounds_to_reach(0.9) is None
-
-    def test_empty_history(self):
-        history = TrainingHistory()
-        assert np.isnan(history.final_accuracy)
-        assert np.isnan(history.best_accuracy)
-        assert history.accuracies() == []

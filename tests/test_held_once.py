@@ -3,12 +3,16 @@
 Weight lists are shared, read-only values: every aggregator starts on the
 runner's one initial list, policies hand models over by reference, and an
 in-place write raises instead of changing the model under another holder.
+An honest cluster holds its published model as the run's one decoded copy.
 A runner-built client holds its partition as row indices into its cluster's
 shard and gathers the rows only while it fits.  A cluster's global model
-lives only until ``record_round`` closes its round.
+lives only until ``record_round`` closes its round.  The baselines train
+on the runner's one network and score with its one evaluator.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.core.runner import ExperimentRunner
 from repro.core.timing import RoundTiming
 from repro.datasets.partition import IIDPartitioner
 from repro.ml.evaluation import Evaluator
+from repro.ml.models import Model
 
 ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
 
@@ -179,3 +184,54 @@ class TestRoundScopedGlobalModel:
             aggregator.local_training_round()
         aggregator.build_global_model()
         aggregator.local_training_round()
+
+
+class TestPublishedOnce:
+    @staticmethod
+    def trained_aggregator(attack=None):
+        cfg = config()
+        if attack is not None:
+            first = dataclasses.replace(cfg.clusters[0], attack=attack)
+            cfg = dataclasses.replace(cfg, clusters=[first] + cfg.clusters[1:])
+        runner = ExperimentRunner(cfg)
+        runner.build()
+        aggregator = runner.aggregators[0]
+        aggregator.register()
+        aggregator.build_global_model()
+        aggregator.local_training_round()
+        return aggregator
+
+    def test_an_honest_submission_holds_the_decoded_copy(self):
+        aggregator = self.trained_aggregator()
+        trained = aggregator.local_weights
+        cid, _ = aggregator.submit_local_model()
+        # The local model is the list every peer's fetch of ``cid`` reads...
+        assert aggregator.local_weights is aggregator.fetch_weights(cid)
+        assert aggregator.local_weights is not trained
+        # ...with the trained bits, and still named by ``cid``.
+        assert [w.tobytes() for w in aggregator.local_weights] == [w.tobytes() for w in trained]
+        assert aggregator._local_cid == cid
+        assert_read_only(aggregator.local_weights)
+
+    def test_a_poisoned_submission_keeps_the_trained_list(self):
+        aggregator = self.trained_aggregator(attack="sign_flip")
+        trained = aggregator.local_weights
+        cid, _ = aggregator.submit_local_model()
+        # What was published is the poisoned model, not the local one.
+        assert aggregator.local_weights is trained
+        assert aggregator.fetch_weights(cid) is not trained
+        assert aggregator._local_cid is None
+
+
+class TestBaselinesHoldNoNetwork:
+    @pytest.mark.parametrize(
+        "baseline",
+        ["run_no_collab_baseline", "run_centralized_baseline", "run_single_level_baseline"],
+    )
+    def test_a_baseline_clones_no_model(self, baseline, monkeypatch):
+        runner = ExperimentRunner(config())
+        clones = []
+        clone = Model.clone
+        monkeypatch.setattr(Model, "clone", lambda self: clones.append(self) or clone(self))
+        getattr(runner, baseline)()
+        assert clones == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from _memory import retained_cache_bytes
 
-from repro.ml.metrics import accuracy_score, evaluate_model, top_k_accuracy
+from repro.ml.metrics import accuracy_score, top_k_accuracy
 from repro.ml.models import MLP, MiniVGG, SimpleCNN, available_models, build_model, count_parameters
 from repro.ml.optim import SGD
 
@@ -265,9 +265,3 @@ class TestMetrics:
     def test_top_k_invalid_k(self):
         with pytest.raises(ValueError):
             top_k_accuracy(np.array([0]), np.array([[1.0, 2.0]]), k=0)
-
-    def test_evaluate_model_keys(self, small_cnn, tiny_image_dataset):
-        _, test = tiny_image_dataset
-        report = evaluate_model(small_cnn, test.x, test.y)
-        assert set(report) == {"loss", "accuracy", "top5_accuracy"}
-        assert report["top5_accuracy"] >= report["accuracy"]

@@ -122,7 +122,8 @@ class TestDPClient:
 
     def test_dp_noise_degrades_but_does_not_break_learning(self, tabular_dataset):
         """Moderate DP noise: the federation still learns, just less sharply."""
-        from repro.fl.server import FLServer
+        from repro.core.baselines import SingleLevelFL
+        from repro.ml.evaluation import Evaluator
 
         model = MLP(input_dim=10, hidden_dims=(16,), num_classes=3, seed=0)
         parts = IIDPartitioner(3, seed=0).partition(tabular_dataset)
@@ -133,8 +134,8 @@ class TestDPClient:
                 dp_clip_norm=5.0 if dp else None, dp_noise_multiplier=0.05 if dp else 0.0,
             )
             clients = [Client(f"c{i}", model.clone(), p, config=config) for i, p in enumerate(parts)]
-            server = FLServer("s", model.get_weights(), clients, eval_data=tabular_dataset, eval_model=model.clone())
-            return server.run(6, seed=0).final_accuracy
+            federation = SingleLevelFL(clients, model.get_weights(), Evaluator(model), tabular_dataset)
+            return federation.run(6).global_accuracy
 
         noisy = run(dp=True)
         clean = run(dp=False)
