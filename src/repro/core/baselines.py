@@ -70,6 +70,8 @@ def _train_silo(
     """``(loss, accuracy)`` of a silo's model after each of ``num_rounds`` rounds."""
     if num_rounds <= 0:
         raise ValueError("num_rounds must be positive")
+    if not clients:
+        raise ValueError("a silo needs at least one client")
     evaluations = []
     for _ in range(num_rounds):
         weights = strategy.aggregate(weights, [client.fit(weights) for client in clients])

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.baselines import SingleLevelFL
 from repro.datasets.partition import IIDPartitioner
 from repro.fl.client import Client, ClientConfig, FitResult
 from repro.fl.strategy import FedAdagrad, FedAvg, FedYogi, build_strategy
+from repro.ml.evaluation import Evaluator
 from repro.ml.models import MLP
 from repro.ml.tensor_utils import weights_allclose
 
@@ -135,3 +137,39 @@ class TestStrategies:
         assert isinstance(build_strategy("FedAdagrad"), FedAdagrad)
         with pytest.raises(ValueError):
             build_strategy("fedprox")
+
+
+class TestSingleLevelFL:
+    """The flat federation runs the silo round ``strategy.aggregate(w, [c.fit(w) ...])``."""
+
+    def test_rounds_improve_accuracy(self, fl_setup):
+        model, clients, dataset = fl_setup
+        evaluator = Evaluator(model)
+        _, initial = evaluator.evaluate(model.get_weights(), dataset)
+        result = SingleLevelFL(clients, model.get_weights(), evaluator, dataset).run(5)
+        assert result.global_accuracy > initial
+
+    def test_history_length_matches_rounds(self, fl_setup):
+        model, clients, dataset = fl_setup
+        result = SingleLevelFL(clients, model.get_weights(), Evaluator(model), dataset).run(3)
+        assert len(result.global_accuracy_history) == 3
+        assert result.clusters[0].accuracy_history == result.global_accuracy_history
+        assert result.global_accuracy == result.global_accuracy_history[-1]
+
+    def test_scores_each_round_once_through_the_evaluator(self, fl_setup):
+        model, clients, dataset = fl_setup
+        evaluator = Evaluator(model)
+        SingleLevelFL(clients, model.get_weights(), evaluator, dataset).run(3)
+        assert evaluator.calls == 3
+
+    def test_invalid_rounds(self, fl_setup):
+        model, clients, dataset = fl_setup
+        federation = SingleLevelFL(clients, model.get_weights(), Evaluator(model), dataset)
+        with pytest.raises(ValueError):
+            federation.run(0)
+
+    def test_requires_clients(self, fl_setup):
+        model, _, dataset = fl_setup
+        federation = SingleLevelFL([], model.get_weights(), Evaluator(model), dataset)
+        with pytest.raises(ValueError):
+            federation.run(1)
