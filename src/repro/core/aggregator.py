@@ -39,18 +39,12 @@ from repro.chain.account import Account
 from repro.chain.blockchain import Blockchain
 from repro.core.attacks import ModelPoisoningAttack
 from repro.core.config import ClusterConfig, WorkloadConfig
-from repro.core.selection import (
-    AggregationPolicy,
-    CandidateModel,
-    ScoringPolicy,
-    build_aggregation_policy,
-    build_scoring_policy,
-)
+from repro.core.selection import CandidateModel, build_aggregation_policy, build_scoring_policy
 from repro.core.scorer import Scorer
 from repro.core.timing import ClusterTimingModel, RoundTiming
 from repro.datasets.synthetic import Dataset
-from repro.fl.client import Client, FitResult
-from repro.fl.strategy import Strategy, build_strategy
+from repro.fl.client import Client, fit_and_replay
+from repro.fl.strategy import build_strategy
 from repro.ipfs.cid import parse_cid
 from repro.ipfs.node import IPFSError, IPFSNode
 from repro.ml.evaluation import Evaluator
@@ -109,9 +103,6 @@ class UnifyFLAggregator:
         eval_data: Dataset,
         comm: CommFabric,
         timing_model: Optional[ClusterTimingModel] = None,
-        strategy: Optional[Strategy] = None,
-        aggregation_policy: Optional[AggregationPolicy] = None,
-        scoring_policy: Optional[ScoringPolicy] = None,
         attack: Optional[ModelPoisoningAttack] = None,
         resource_monitor: Optional[ResourceMonitor] = None,
         seed: int = 0,
@@ -140,11 +131,11 @@ class UnifyFLAggregator:
         self.scorer = scorer
         self.eval_data = eval_data
         self.timing = timing_model or ClusterTimingModel(workload)
-        self.strategy = strategy or build_strategy(config.strategy)
-        self.aggregation_policy = aggregation_policy or build_aggregation_policy(
+        self.strategy = build_strategy(config.strategy)
+        self.aggregation_policy = build_aggregation_policy(
             config.aggregation_policy, k=config.policy_k
         )
-        self.scoring_policy = scoring_policy or build_scoring_policy(config.scoring_policy)
+        self.scoring_policy = build_scoring_policy(config.scoring_policy)
         #: the poisoning this organisation applies to what it submits;
         #: ``None`` for an honest one.
         self.attack = attack
@@ -372,7 +363,10 @@ class UnifyFLAggregator:
                 "call build_global_model first"
             )
         timing = RoundTiming()
-        results = [self._fit(client) for client in self.clients]
+        results = [
+            fit_and_replay(client, self.global_weights, self.model_template, self.sanitizer)
+            for client in self.clients
+        ]
         self.local_weights = self.strategy.aggregate(self.global_weights, results)
         timing.client_training_time = self.timing.client_training_time(self.config)
         timing.aggregation_time = self.timing.aggregation_time(self.config, len(results))
@@ -382,23 +376,8 @@ class UnifyFLAggregator:
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.1)
         return timing
 
-    def _fit(self, client: Client) -> FitResult:
-        """One client's fit on the global model.
-
-        The runner's clients take turns on one network, which is sound only
-        while that network carries nothing between fits; under the sanitizer
-        each fit is therefore replayed by the client's twin on a private
-        clone of the template and must report the same bytes.
-        """
-        if self.sanitizer is None:
-            return client.fit(self.global_weights)
-        twin = client.private_twin(self.model_template.clone())
-        result = client.fit(self.global_weights)
-        self.sanitizer.check_shared_training(result, twin.fit(self.global_weights))
-        return result
-
     # --------------------------------------------------------------- submission
-    def submit_local_model(self, mine: bool = True) -> tuple[str, RoundTiming]:
+    def submit_local_model(self) -> tuple[str, RoundTiming]:
         """Serialize the local model, add it to IPFS, and register the CID."""
         timing = RoundTiming()
         weights = self.local_weights
@@ -418,8 +397,7 @@ class UnifyFLAggregator:
             "submitModel",
             {"cid": cid, "timestamp": self.clock.now()},
         )
-        if mine:
-            self.chain.mine_until_empty()
+        self.chain.mine_until_empty()
         self.own_cids.append(cid)
         # Entered like any peer's fetch: what the submitter reads under the
         # CID is the model every other silo decodes from it.
@@ -433,7 +411,7 @@ class UnifyFLAggregator:
         return cid, timing
 
     # ------------------------------------------------------------------ scoring
-    def score_assigned(self, before_time: Optional[float] = None, mine: bool = True) -> RoundTiming:
+    def score_assigned(self, before_time: Optional[float] = None) -> RoundTiming:
         """Score every model the contract has assigned to this aggregator."""
         timing = RoundTiming()
         assigned: List[str] = self.chain.call(
@@ -471,7 +449,7 @@ class UnifyFLAggregator:
                 {"cid": cid, "score": float(score), "timestamp": self.clock.now()},
             )
             scored += 1
-        if mine and scored:
+        if scored:
             self.chain.mine_until_empty()
         timing.scoring_time = self.timing.scoring_time(self.config, scored, algorithm=self.scorer.name)
         now = self.clock.now()

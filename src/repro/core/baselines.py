@@ -11,8 +11,10 @@
   Section 4.2.3 and the scalability study of Section 4.2.6).
 
 Every silo round of a baseline is the one ``UnifyFLAggregator`` runs:
-``strategy.aggregate(weights, [client.fit(weights) for client in clients])``,
-starting from the runner's ``initial_weights``.  Every model is scored by the
+``strategy.aggregate(weights, [fit(client, weights) for client in clients])``,
+starting from the runner's ``initial_weights``; the runner's ``fit`` is
+:func:`~repro.fl.client.fit_and_replay`, so a sanitized run replays every
+baseline fit as it does an aggregator's.  Every model is scored by the
 run's :class:`~repro.ml.evaluation.Evaluator`, so a baseline holds no network
 of its own and a model another baseline already scored is not scored again.
 """
@@ -20,14 +22,14 @@ of its own and a model another baseline already scored is not scored again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import ClusterConfig, WorkloadConfig
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.synthetic import Dataset
-from repro.fl.client import Client
+from repro.fl.client import Client, FitResult
 from repro.fl.strategy import FedAvg, Strategy, build_strategy
 from repro.ml.evaluation import Evaluator
 
@@ -66,6 +68,7 @@ def _train_silo(
     evaluator: Evaluator,
     eval_data: Dataset,
     num_rounds: int,
+    fit: Callable[[Client, Weights], FitResult] = Client.fit,
 ) -> List[Tuple[float, float]]:
     """``(loss, accuracy)`` of a silo's model after each of ``num_rounds`` rounds."""
     if num_rounds <= 0:
@@ -74,7 +77,7 @@ def _train_silo(
         raise ValueError("a silo needs at least one client")
     evaluations = []
     for _ in range(num_rounds):
-        weights = strategy.aggregate(weights, [client.fit(weights) for client in clients])
+        weights = strategy.aggregate(weights, [fit(client, weights) for client in clients])
         evaluations.append(evaluator.evaluate(weights, eval_data))
     return evaluations
 
@@ -93,6 +96,7 @@ class NoCollabBaseline:
         evaluator: Evaluator,
         eval_data: Dataset,
         timing_model: Optional[ClusterTimingModel] = None,
+        fit: Callable[[Client, Weights], FitResult] = Client.fit,
     ):
         self.workload = workload
         self.clusters = list(clusters)
@@ -101,6 +105,7 @@ class NoCollabBaseline:
         self.evaluator = evaluator
         self.eval_data = eval_data
         self.timing = timing_model or ClusterTimingModel(workload)
+        self.fit = fit
 
     def run(self, num_rounds: int) -> BaselineResult:
         """Train every cluster independently for ``num_rounds`` rounds."""
@@ -113,6 +118,7 @@ class NoCollabBaseline:
                 self.evaluator,
                 self.eval_data,
                 num_rounds,
+                self.fit,
             )
             per_round = self.timing.client_training_time(cluster, jitter=False) + \
                 self.timing.aggregation_time(cluster, cluster.num_clients)
@@ -148,6 +154,7 @@ class CentralizedMultilevelBaseline:
         eval_data: Dataset,
         timing_model: Optional[ClusterTimingModel] = None,
         central_strategy: Optional[Strategy] = None,
+        fit: Callable[[Client, Weights], FitResult] = Client.fit,
     ):
         self.workload = workload
         self.clusters = list(clusters)
@@ -157,6 +164,7 @@ class CentralizedMultilevelBaseline:
         self.eval_data = eval_data
         self.timing = timing_model or ClusterTimingModel(workload)
         self.central_strategy = central_strategy or FedAvg()
+        self.fit = fit
         # HBFL is itself a synchronous, blockchain-backed multilevel system: every
         # round all clusters train inside a provisioned phase window and the
         # reducer validates/aggregates before the next round starts.  The round
@@ -179,7 +187,7 @@ class CentralizedMultilevelBaseline:
             for cluster in self.clusters:
                 clients = self.cluster_clients[cluster.name]
                 weights = strategies[cluster.name].aggregate(
-                    global_weights, [client.fit(global_weights) for client in clients]
+                    global_weights, [self.fit(client, global_weights) for client in clients]
                 )
                 cluster_weights.append(weights)
                 cluster_metrics[cluster.name] = self.evaluator.evaluate(weights, self.eval_data)
@@ -226,12 +234,14 @@ class SingleLevelFL:
         evaluator: Evaluator,
         eval_data: Dataset,
         strategy: Optional[Strategy] = None,
+        fit: Callable[[Client, Weights], FitResult] = Client.fit,
     ):
         self.clients = list(clients)
         self.initial_weights = initial_weights
         self.evaluator = evaluator
         self.eval_data = eval_data
         self.strategy = strategy or FedAvg()
+        self.fit = fit
 
     def run(self, num_rounds: int) -> BaselineResult:
         """Run flat FedAvg over all clients for ``num_rounds`` rounds."""
@@ -242,6 +252,7 @@ class SingleLevelFL:
             self.evaluator,
             self.eval_data,
             num_rounds,
+            self.fit,
         )
         loss, accuracy = evaluations[-1]
         history = [a for _, a in evaluations]

@@ -9,12 +9,13 @@ orchestration mode (Sync / Async), per-aggregator aggregation strategy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import Field, dataclass, field, fields
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.attacks import available_attacks
+from repro.core.scorer import SCORERS
 from repro.sched.actors import REPLICA_SELECTIONS
-from repro.sched.registry import validate_mode_config
+from repro.sched.registry import registered_modes, validate_mode_config
 from repro.simnet.replication import REPLICATION_MODES
 from repro.simnet.hardware import (
     DOCKER_CONTAINER,
@@ -186,149 +187,187 @@ class ClusterConfig:
             raise ValueError(f"{where} attack must be one of {available_attacks()}")
 
 
+def knob(default: Any, help: str, **metadata: Any) -> Any:
+    """Declare a run knob: an :class:`ExperimentConfig` field with one description.
+
+    ``help`` is the knob's only description; ``repro run`` shows it and
+    derives the knob's flag from the field (:mod:`repro.cli`).  Optional
+    ``metadata``: ``choices`` closes the set of values — a collection, or a
+    callable returning one for a registry that may still grow — and
+    ``flag`` overrides the derived spelling.
+    """
+    return field(default=default, metadata={"help": help, **metadata})
+
+
+def knob_choices(knob_field: Field) -> Optional[Tuple[str, ...]]:
+    """The values a knob accepts, or ``None`` when its set is open."""
+    choices = knob_field.metadata.get("choices")
+    if callable(choices):
+        choices = choices()
+    return None if choices is None else tuple(choices)
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything needed to run one UnifyFL experiment end to end."""
+    """Everything needed to run one UnifyFL experiment end to end.
+
+    Every field after ``clusters`` is a run knob (:func:`knob`): declared
+    once here, with its help and any closed set of values, and taken from
+    there by the ``repro run`` / ``repro compare`` flags.
+    """
 
     name: str
     workload: WorkloadConfig
     clusters: List[ClusterConfig]
-    #: orchestration mode, validated against the round-policy registry
-    #: (:func:`repro.sched.registry.registered_modes`) — "sync", "async",
-    #: "semi", "hierarchical" and "gossip" are built in.
-    mode: str = "sync"
-    partitioning: str = "dirichlet"  # "iid", "dirichlet" or "shard"
-    dirichlet_alpha: float = 0.5
-    #: "accuracy" / "loss" work in every mode; "multikrum" / "cosine" are
-    #: similarity-based and therefore Sync-only (they need the whole round).
-    scoring_algorithm: str = "accuracy"
-    rounds: int = 10
-    seed: int = 0
-    #: fixed per-phase duration in simulated seconds for Sync mode; ``None``
-    #: means the orchestrator waits for the slowest aggregator (adaptive barrier).
-    phase_duration: Optional[float] = None
-    #: semi mode: how many clusters must submit before the round closes;
-    #: ``None`` means a majority (N // 2 + 1).
-    semi_quorum_k: Optional[int] = None
-    #: semi mode: simulated seconds after which an open round closes even
-    #: without a quorum; ``None`` provisions one expected sync training window.
-    max_staleness: Optional[float] = None
-    #: hierarchical mode: cheap LAN-priced local aggregation rounds each
-    #: site group runs per global round.
-    local_rounds_per_global: int = 2
-    #: hierarchical mode: cap on the total local training rounds each
-    #: cluster contributes across the run (``None`` = unbounded).  An
-    #: exhausted cluster keeps receiving group models but trains no further.
-    round_budget: Optional[int] = None
-    #: gossip mode: peers each cluster exchanges models with per round
-    #: (0 = fully isolated training).
-    gossip_fanout: int = 2
-    #: simulated seconds between chain blocks: the Clique period, the
-    #: timing model's seal time and the chain actor's block grid.
-    block_period: float = 2.0
-    #: attach the simulation sanitizer (:mod:`repro.analysis.sanitizer`):
-    #: read-only invariant checks on the kernel, the link scheduler and the
-    #: communication fabric.  Never perturbs the timeline — a sanitized run
-    #: is bit-identical to an unsanitized one (CLI ``--sanitize``).
-    sanitize: bool = False
-    #: model network transfers and contract calls as contended event streams
-    #: (link contention + block-interval/consensus chain delays).  ``False``
-    #: (CLI ``--no-event-streams``) runs the same fabric at constant cost —
-    #: exactly three differences: endpoint capacity is unbounded (no
-    #: contention), a chain interaction costs ``n·TX + block_period`` (no
-    #: quantisation, no consensus delay), driver phase control is free.  The
-    #: topology knobs below apply on both settings; ``replica_capacity`` and
-    #: the link-level faults need ``True``.
-    event_streams: bool = True
-    #: bandwidth cap of each cluster↔storage link, in mega**bytes** per
-    #: simulated second (1 MB = 1e6 bytes); ``None`` uses the cluster's
-    #: hardware profile bandwidth unchanged.
-    link_bandwidth_mbytes_per_s: Optional[float] = None
-    #: one-way latency override of every cluster↔storage link, in simulated
-    #: seconds; ``None`` uses the profile latency.
-    link_latency_s: Optional[float] = None
-    #: number of storage replicas models are distributed to.  1 keeps the
-    #: single shared endpoint; with more, clusters are assigned to replica
-    #: sites round-robin and reach remote sites over WAN links.
-    storage_replicas: int = 1
-    #: ``event_streams=True`` only: parallel transfers each storage replica
-    #: can serve at once (the LinkScheduler endpoint capacity).
-    replica_capacity: int = 1
-    #: how the network actor picks a replica per transfer — "affinity" (the
-    #: cluster's own site) or "least-loaded" (deterministic smallest
-    #: estimated completion time: backlog per capacity slot plus path wire
-    #: time).
-    replica_selection: str = "affinity"
-    #: how uploaded artifacts reach the other storage replicas — "eager"
-    #: (origin pushes to every peer right after the upload commits), "lazy"
-    #: (a download miss triggers an on-demand origin→replica fetch the
-    #: downloader waits behind) or "none" (downloads are pinned to the
-    #: origin replica).  Irrelevant with a single replica.
-    replication_mode: str = "eager"
-    #: one-way latency of the WAN link between two replica sites, in
-    #: simulated seconds.
-    wan_latency_s: float = 0.05
-    #: bandwidth of the WAN link between two replica sites, in megabytes per
-    #: simulated second.
-    wan_bandwidth_mbytes_per_s: float = 50.0
-    #: fault injection: probability that a given cluster drops out of a
-    #: given round entirely (seeded, deterministic per ``(cluster, round)``;
-    #: on top of any per-cluster ``availability`` draw).  0 disables churn.
-    churn_rate: float = 0.0
-    #: fault injection, ``event_streams=True`` only: number of storage-replica
-    #: outage episodes (dealt round-robin over the replicas, each starting at a
-    #: seeded point in the run and recovering after ``outage_duration_s``).
-    replica_outages: int = 0
-    #: simulated seconds one replica outage lasts before scheduled recovery.
-    outage_duration_s: float = 60.0
-    #: fault injection, ``event_streams=True`` only: number of pairwise WAN
-    #: partition episodes between replica sites (needs ``storage_replicas >= 2``).
-    wan_partitions: int = 0
-    #: simulated seconds one WAN partition lasts before healing.
-    partition_duration_s: float = 60.0
-    #: seed of the fault plan's random streams (churn draws, outage and
-    #: partition start times); ``None`` reuses the experiment ``seed``.
-    fault_seed: Optional[int] = None
-    #: resilience: failed transfer attempts retried (with exponential
-    #: backoff) before failing over to another replica.  0 switches the
-    #: resilience layer off entirely — transfers wait out faults on the
-    #: link schedule instead of retrying or failing over.
-    retry_max: int = 3
-    #: resilience: first backoff wait in simulated seconds (attempt *n*
-    #: waits ``backoff_base_s * 2**n``, plus jitter).
-    backoff_base_s: float = 0.5
-    #: resilience: uniform jitter fraction applied to each backoff wait
-    #: (deterministic, seeded).
-    backoff_jitter: float = 0.1
-    #: resilience: consecutive failures that trip a replica's circuit
-    #: breaker from closed to open.
-    breaker_threshold: int = 3
-    #: resilience: simulated seconds an open breaker fails fast before
-    #: admitting one half-open trial.
-    breaker_cooldown_s: float = 60.0
-    #: cross-device scale: total number of *virtual* clusters in the
-    #: federation.  ``None`` (the default) runs the classic cross-silo shape
-    #: where every entry of ``clusters`` materialises up front.  When set,
-    #: ``clusters`` become round-robin templates for the virtual population
-    #: and only the per-round sampled cohort materialises actors, models and
-    #: datasets — peak memory is O(cohort), not O(population).
-    population: Optional[int] = None
-    #: sampled mode: cohort size drawn each round; required with
-    #: ``population``.
-    clients_per_round: Optional[int] = None
-    #: seed of the per-round cohort draw (keyed ``[seed, round]`` so draws
-    #: are independent of policy call order); ``None`` reuses the experiment
-    #: ``seed``.  Kept separate from ``fault_seed`` so sampling never shifts
-    #: the churn Bernoulli stream.
-    sampling_seed: Optional[int] = None
+    mode: str = knob(
+        "sync", "orchestration mode, from the round-policy registry", choices=registered_modes
+    )
+    partitioning: str = knob(
+        "dirichlet", "how the training data is split across clusters",
+        choices=("iid", "dirichlet", "shard"),
+    )
+    dirichlet_alpha: float = knob(0.5, "Dirichlet concentration of the NIID split", flag="--alpha")
+    scoring_algorithm: str = knob(
+        "accuracy",
+        "how a scorer rates a model; multikrum and cosine compare whole rounds, so sync only",
+        choices=SCORERS,
+        flag="--scoring",
+    )
+    rounds: int = knob(10, "global rounds the run lasts")
+    seed: int = knob(0, "the experiment seed")
+    phase_duration: Optional[float] = knob(
+        None,
+        "sync mode: fixed per-phase duration in simulated seconds (unset: the "
+        "orchestrator waits for the slowest aggregator)",
+    )
+    semi_quorum_k: Optional[int] = knob(
+        None, "semi mode: clusters that must submit before a round closes (unset: a majority)"
+    )
+    max_staleness: Optional[float] = knob(
+        None,
+        "semi mode: simulated seconds after which an open round closes without a "
+        "quorum (unset: one expected sync training window)",
+    )
+    local_rounds_per_global: int = knob(
+        2, "hierarchical mode: LAN-priced local rounds each site group runs per global round"
+    )
+    round_budget: Optional[int] = knob(
+        None,
+        "hierarchical mode: cap on the local training rounds each cluster contributes "
+        "across the run (unset: unbounded); a spent cluster still receives group models",
+    )
+    gossip_fanout: int = knob(
+        2, "gossip mode: peers each cluster exchanges models with per round (0: isolated)"
+    )
+    block_period: float = knob(
+        2.0,
+        "simulated seconds between chain blocks: the Clique period, the timing model's "
+        "seal time and the chain actor's block grid",
+    )
+    sanitize: bool = knob(
+        False,
+        "attach the simulation sanitizer (repro.analysis.sanitizer): read-only invariant "
+        "checks that never perturb the timeline; a violation aborts the run",
+    )
+    event_streams: bool = knob(
+        True,
+        "model transfers and contract calls as contended event streams (link queueing, "
+        "block-interval and consensus chain delays); off runs the same fabric at "
+        "constant cost: nothing queues, a chain interaction costs n*TX + block_period, "
+        "phase control is free.  replica_capacity and the link-level faults need it on",
+    )
+    link_bandwidth_mbytes_per_s: Optional[float] = knob(
+        None,
+        "cap of each cluster-to-storage link, in megabytes (not megabits) per simulated "
+        "second (unset: the cluster's hardware profile bandwidth)",
+    )
+    link_latency_s: Optional[float] = knob(
+        None, "one-way latency of every cluster-to-storage link, in simulated seconds"
+    )
+    storage_replicas: int = knob(
+        1,
+        "storage replica sites: 1 is the single shared endpoint; with more, clusters are "
+        "assigned to sites round-robin and reach remote sites over WAN links",
+    )
+    replica_capacity: int = knob(
+        1, "event streams only: parallel transfers each storage replica serves at once"
+    )
+    replica_selection: str = knob(
+        "affinity",
+        "how a transfer picks its replica: the cluster's own site (affinity) or the "
+        "smallest estimated completion time, backlog per slot plus wire time (least-loaded)",
+        choices=REPLICA_SELECTIONS,
+    )
+    replication_mode: str = knob(
+        "eager",
+        "how uploads reach the other replicas: pushed to every peer after the upload "
+        "(eager), fetched when a download misses (lazy) or never (none)",
+        choices=REPLICATION_MODES,
+    )
+    wan_latency_s: float = knob(
+        0.05, "one-way latency of the WAN link between replica sites, in simulated seconds"
+    )
+    wan_bandwidth_mbytes_per_s: float = knob(
+        50.0, "bandwidth of the WAN link between replica sites, in megabytes per simulated second"
+    )
+    churn_rate: float = knob(
+        0.0,
+        "fault injection: probability a cluster drops out of a round, seeded per "
+        "(cluster, round) and on top of its availability (0: no churn)",
+    )
+    replica_outages: int = knob(
+        0,
+        "fault injection, event streams only: storage-replica outage episodes, dealt "
+        "round-robin over the replicas at seeded start times",
+    )
+    outage_duration_s: float = knob(60.0, "simulated seconds one replica outage lasts")
+    wan_partitions: int = knob(
+        0,
+        "fault injection, event streams only: pairwise WAN partition episodes between "
+        "replica sites (needs at least 2 storage replicas)",
+    )
+    partition_duration_s: float = knob(60.0, "simulated seconds one WAN partition lasts")
+    fault_seed: Optional[int] = knob(
+        None, "seed of the fault plan's streams (unset: the experiment seed)"
+    )
+    retry_max: int = knob(
+        3,
+        "resilience: failed transfer attempts retried with backoff before failing over "
+        "to another replica (0: neither retries nor failover, transfers wait out faults)",
+    )
+    backoff_base_s: float = knob(
+        0.5, "resilience: first backoff wait in simulated seconds (attempt n waits base * 2**n)"
+    )
+    backoff_jitter: float = knob(
+        0.1, "resilience: seeded uniform jitter fraction applied to each backoff wait"
+    )
+    breaker_threshold: int = knob(
+        3, "resilience: consecutive failures that trip a replica's circuit breaker open"
+    )
+    breaker_cooldown_s: float = knob(
+        60.0, "resilience: simulated seconds an open breaker fails fast before a half-open trial"
+    )
+    population: Optional[int] = knob(
+        None,
+        "cross-device scale: virtual clusters in the federation; the clusters become "
+        "round-robin templates and only each round's sampled cohort materialises",
+    )
+    clients_per_round: Optional[int] = knob(
+        None, "sampled mode: cohort size drawn each round (required with population)"
+    )
+    sampling_seed: Optional[int] = knob(
+        None,
+        "seed of the per-round cohort draw, kept apart from fault_seed so sampling never "
+        "shifts the churn stream (unset: the experiment seed)",
+    )
 
     def __post_init__(self) -> None:
-        if self.partitioning not in ("iid", "dirichlet", "shard"):
-            raise ValueError("partitioning must be 'iid', 'dirichlet' or 'shard'")
-        if self.scoring_algorithm not in ("accuracy", "loss", "multikrum", "cosine"):
-            raise ValueError(
-                "scoring_algorithm must be 'accuracy', 'loss', 'multikrum' or 'cosine'"
-            )
+        # Every declared closed set but the mode's, which the registry checks
+        # below together with what the mode itself cannot run.
+        for knob_field in knob_fields():
+            choices = None if knob_field.name == "mode" else knob_choices(knob_field)
+            if choices is not None and getattr(self, knob_field.name) not in choices:
+                raise ValueError(f"{knob_field.name} must be one of {choices}")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
         if not self.clusters:
@@ -370,10 +409,6 @@ class ExperimentConfig:
             raise ValueError("storage_replicas must be at least 1")
         if self.replica_capacity < 1:
             raise ValueError("replica_capacity must be at least 1")
-        if self.replica_selection not in REPLICA_SELECTIONS:
-            raise ValueError(f"replica_selection must be one of {REPLICA_SELECTIONS}")
-        if self.replication_mode not in REPLICATION_MODES:
-            raise ValueError(f"replication_mode must be one of {REPLICATION_MODES}")
         if self.wan_latency_s < 0:
             raise ValueError("wan_latency_s must be non-negative")
         if self.wan_bandwidth_mbytes_per_s <= 0:
@@ -428,6 +463,11 @@ class ExperimentConfig:
     def has_sampling(self) -> bool:
         """True when the run samples a per-round cohort from a virtual population."""
         return self.population is not None
+
+
+def knob_fields() -> Tuple[Field, ...]:
+    """The run knobs of :class:`ExperimentConfig`, in declaration order."""
+    return tuple(f for f in fields(ExperimentConfig) if "help" in f.metadata)
 
 
 def gpu_cluster_configs(

@@ -48,7 +48,7 @@ from repro.core.timing import ClusterTimingModel
 from repro.datasets.partition import DirichletPartitioner, IIDPartitioner, ShardPartitioner
 from repro.datasets.synthetic import Dataset, SyntheticCIFAR10, SyntheticTinyImageNet
 from repro.chain.clique import consensus_delay
-from repro.fl.client import Client, ClientConfig
+from repro.fl.client import Client, ClientConfig, FitResult, fit_and_replay
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model, build_model
@@ -179,6 +179,18 @@ class ExperimentRunner:
         self.timing_model = ClusterTimingModel(
             config.workload, block_period=config.block_period, seed=config.seed
         )
+        #: read-only invariant checker (``config.sanitize=True`` only),
+        #: hooked here into the run-wide memo tables and every client fit —
+        #: the aggregators' and the baselines' — and in :meth:`build` into
+        #: the kernel, the link scheduler, the fabric, the chain and the
+        #: swarm's verified-block table.
+        self.sanitizer: Optional[SimulationSanitizer] = (
+            SimulationSanitizer() if config.sanitize else None
+        )
+        self.evaluator.sanitizer = self.sanitizer
+        self.decoded_models.sanitizer = self.sanitizer
+        if self.round_scorer is not None:
+            self.round_scorer.sanitizer = self.sanitizer
 
         (
             self.cluster_train_data,
@@ -198,11 +210,6 @@ class ExperimentRunner:
         #: the run's deterministic fault schedule (``None`` unless the
         #: configuration injects churn, outages or partitions).
         self.fault_plan: Optional[FaultPlan] = None
-        #: read-only invariant checker (``config.sanitize=True`` only),
-        #: created in :meth:`build` and hooked into the kernel, the link
-        #: scheduler, the fabric, the run-wide memo tables, the swarm's
-        #: verified-block table and every aggregator's client fits.
-        self.sanitizer: Optional[SimulationSanitizer] = None
         #: sampled federations only: the lazy virtual-cluster factory
         #: (created in :meth:`build` when ``config.population`` is set).
         self.population: Optional[ClientPopulation] = None
@@ -449,16 +456,11 @@ class ExperimentRunner:
         self.swarm = IPFSSwarm()
         self.fault_plan = self._build_fault_plan()
         self.comm = self._build_comm_fabric()
-        if self.config.sanitize:
-            self.sanitizer = SimulationSanitizer()
+        if self.sanitizer is not None:
             self.comm.sanitizer = self.sanitizer
             self.comm.network.scheduler.sanitizer = self.sanitizer
-            self.evaluator.sanitizer = self.sanitizer
-            self.decoded_models.sanitizer = self.sanitizer
             self.swarm.verified_blocks.sanitizer = self.sanitizer
             self.chain.sanitizer = self.sanitizer
-            if self.round_scorer is not None:
-                self.round_scorer.sanitizer = self.sanitizer
         # Chain-side emission hook: every sealed block feeds the chain
         # actor's observed-block counters for the comm report.
         self.chain.add_block_listener(self.comm.chain.observe_block)
@@ -698,6 +700,10 @@ class ExperimentRunner:
         return self.config.partitioning
 
     # --------------------------------------------------------------- baselines
+    def _fit(self, client: Client, weights: List[np.ndarray]) -> FitResult:
+        """A baseline client's fit, replayed under the sanitizer."""
+        return fit_and_replay(client, weights, self.model_template, self.sanitizer)
+
     def _baseline_clients(self) -> Dict[str, List[Client]]:
         return {
             cluster.name: self._build_clients(cluster, i)
@@ -714,6 +720,7 @@ class ExperimentRunner:
             self.evaluator,
             self.test_data,
             timing_model=self.timing_model,
+            fit=self._fit,
         )
         return baseline.run(self._rounds(rounds))
 
@@ -727,6 +734,7 @@ class ExperimentRunner:
             self.evaluator,
             self.test_data,
             timing_model=self.timing_model,
+            fit=self._fit,
         )
         return baseline.run(self._rounds(rounds))
 
@@ -735,7 +743,9 @@ class ExperimentRunner:
         all_clients: List[Client] = []
         for i, cluster in enumerate(self.config.clusters):
             all_clients.extend(self._build_clients(cluster, i))
-        baseline = SingleLevelFL(all_clients, self.initial_weights, self.evaluator, self.test_data)
+        baseline = SingleLevelFL(
+            all_clients, self.initial_weights, self.evaluator, self.test_data, fit=self._fit
+        )
         return baseline.run(self._rounds(rounds))
 
 

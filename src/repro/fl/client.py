@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -176,3 +176,25 @@ class Client:
             num_samples=self.num_samples,
             metrics=metrics,
         )
+
+
+def fit_and_replay(
+    client: Client,
+    global_weights: List[np.ndarray],
+    template: Model,
+    sanitizer: Optional[Any] = None,
+) -> FitResult:
+    """``client.fit(global_weights)``, replayed when a sanitizer is attached.
+
+    A run's clients take turns on one network, which is sound only while
+    that network carries nothing between fits; under a
+    :class:`~repro.analysis.sanitizer.SimulationSanitizer` the client's
+    :meth:`~Client.private_twin` therefore replays the fit on a fresh clone
+    of ``template`` and must report the same bytes.
+    """
+    if sanitizer is None:
+        return client.fit(global_weights)
+    twin = client.private_twin(template.clone())
+    result = client.fit(global_weights)
+    sanitizer.check_shared_training(result, twin.fit(global_weights))
+    return result

@@ -280,12 +280,12 @@ class TestCLI:
         )
         assert args.testbed == "gpu"
         assert args.clusters == 4
-        assert args.scoring == "multikrum"
+        assert args.scoring_algorithm == "multikrum"
 
     def test_compare_accepts_common_arguments(self):
         args = build_parser().parse_args(["compare", "--rounds", "4", "--alpha", "0.1"])
         assert args.rounds == 4
-        assert args.alpha == 0.1
+        assert args.dirichlet_alpha == 0.1
 
     def test_parser_has_subcommands(self):
         parser = build_parser()
@@ -430,6 +430,16 @@ class TestCLIWiring:
         fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
         assert set(FIELD_ARGV).isdisjoint(CLI_EXEMPT_FIELDS)
         assert set(FIELD_ARGV) | set(CLI_EXEMPT_FIELDS) == fields
+
+    def test_no_flag_leaves_a_knob_off_its_declared_default(self):
+        # Only the run length and the mode differ from the declaration.
+        built = _config_from([])
+        assert built == ExperimentConfig("wiring", built.workload, built.clusters, mode="async", rounds=6)
+
+    @pytest.mark.parametrize("mode", ["sync", "async", "semi"])
+    def test_compare_leaves_no_knob_off_its_declared_default(self, mode):
+        built = _build_config(build_parser().parse_args(["compare"]), "wiring", mode=mode)
+        assert built == ExperimentConfig("wiring", built.workload, built.clusters, mode=mode, rounds=6)
 
     @pytest.mark.parametrize("field", sorted(FIELD_ARGV))
     def test_flag_moves_its_field(self, field):

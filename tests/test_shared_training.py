@@ -396,6 +396,22 @@ class TestSanitizerReplaysEveryFit:
         # Each check cost one more fit, on a network of its own.
         assert len(fit_calls) == 3 * issued
 
+    @pytest.mark.parametrize(
+        "baseline",
+        ["run_no_collab_baseline", "run_centralized_baseline", "run_single_level_baseline"],
+    )
+    def test_a_baseline_is_unchanged_and_every_fit_is_checked(self, baseline, fit_calls):
+        config = dense_config(clusters=3, clients=2)
+        plain = getattr(ExperimentRunner(config), baseline)()
+        issued = len(fit_calls)
+        assert issued > 0
+
+        sanitized_runner = ExperimentRunner(dataclasses.replace(config, sanitize=True))
+        sanitized = getattr(sanitized_runner, baseline)()
+        assert dataclasses.asdict(sanitized) == dataclasses.asdict(plain)
+        assert sanitized_runner.sanitizer.checks["shared_training"] == issued
+        assert len(fit_calls) == 3 * issued
+
     @staticmethod
     def runner_with(layer: Layer) -> ExperimentRunner:
         """A sanitized runner whose networks all carry ``layer`` before the head."""
@@ -414,6 +430,16 @@ class TestSanitizerReplaysEveryFit:
         # The first fit of the run starts where a fresh clone starts; the
         # second client is the first to inherit what the first left behind.
         assert "agg1-client1" in str(raised.value)
+        assert runner.sanitizer.checks["shared_training"] == 2
+
+    @pytest.mark.parametrize(
+        "baseline",
+        ["run_no_collab_baseline", "run_centralized_baseline", "run_single_level_baseline"],
+    )
+    def test_a_baseline_on_a_network_that_carries_state_raises(self, baseline):
+        runner = self.runner_with(LeakyLayer())
+        with pytest.raises(SanitizerViolation, match="agg1-client1"):
+            getattr(runner, baseline)()
         assert runner.sanitizer.checks["shared_training"] == 2
 
     def test_the_same_network_goes_unnoticed_without_the_sanitizer(self):
