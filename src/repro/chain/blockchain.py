@@ -166,11 +166,6 @@ class Blockchain:
         tx = Transaction.create(account, contract, method, args, gas_limit=gas_limit)
         return self.submit_transaction(tx)
 
-    @property
-    def pending_count(self) -> int:
-        """Number of transactions waiting to be included in a block."""
-        return len(self._pending)
-
     # -- block production ----------------------------------------------------
     def mine_block(self) -> Block:
         """Seal the pending transactions into a new block.

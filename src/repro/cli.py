@@ -42,12 +42,13 @@ import argparse
 import dataclasses
 import re
 import sys
-from typing import List, Optional, Sequence, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
 from repro.core.config import (
     EDGE_CLIENT_PROFILES,
     ClusterConfig,
     ExperimentConfig,
+    bounds_text,
     cifar10_workload,
     edge_cluster_configs,
     gpu_cluster_configs,
@@ -148,7 +149,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser, skip: Sequence[str] =
         hint = hints[knob.name]
         # ``Optional[X]`` takes an ``X``; unset is the default.
         kind = next(t for t in get_args(hint) or [hint] if t is not type(None))
-        options = dict(dest=knob.name, default=knob.default, help=knob.metadata["help"])
+        bounds = bounds_text(knob)
+        help_text = knob.metadata["help"] + (f" (range: {bounds})" if bounds else "")
+        options = dict(dest=knob.name, default=knob.default, help=help_text)
         if kind is bool:
             options["action"] = argparse.BooleanOptionalAction
         else:
@@ -189,6 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_sanitizer_reports(runners: Dict[str, ExperimentRunner]) -> None:
+    """One ``Sanitizer:`` line per sanitized runner, prefixed by its label: how
+    many checks of each kind its runs passed.  A blank line follows any."""
+    sanitizers = {label: r.sanitizer for label, r in runners.items() if r.sanitizer is not None}
+    for label, sanitizer in sanitizers.items():
+        checks = sanitizer.report()
+        detail = ", ".join(f"{name}={checks[name]}" for name in sorted(checks))
+        print(f"Sanitizer: {label}{sanitizer.total_checks} checks passed ({detail})")
+    if sanitizers:
+        print()
+
+
 def _command_run(args: argparse.Namespace) -> int:
     config = _build_config(args, name=f"cli-{args.workload}-{args.mode}")
     runner = ExperimentRunner(config)
@@ -197,11 +212,7 @@ def _command_run(args: argparse.Namespace) -> int:
         print(report)
     else:
         result = runner.run()
-    if runner.sanitizer is not None:
-        checks = runner.sanitizer.report()
-        detail = ", ".join(f"{name}={checks[name]}" for name in sorted(checks))
-        print(f"Sanitizer: {runner.sanitizer.total_checks} checks passed ({detail})")
-        print()
+    _print_sanitizer_reports({"": runner})
     print(format_run_table(result))
     print()
     print(f"Mean global accuracy : {result.mean_global_accuracy * 100:.2f} %")
@@ -225,16 +236,21 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    sync_result = ExperimentRunner(_build_config(args, "cli-sync", mode="sync")).run()
-    async_result = ExperimentRunner(_build_config(args, "cli-async", mode="async")).run()
-    semi_result = ExperimentRunner(_build_config(args, "cli-semi", mode="semi")).run()
-    baseline_runner = ExperimentRunner(_build_config(args, "cli-baseline", mode="sync"))
+    runners, results = {}, []
+    for mode in ("sync", "async", "semi"):
+        runner = ExperimentRunner(_build_config(args, f"cli-{mode}", mode=mode))
+        runners[f"{mode}: "] = runner
+        results.append(runner.run())
+    runners["baselines: "] = baseline_runner = ExperimentRunner(
+        _build_config(args, "cli-baseline", mode="sync")
+    )
     centralized = baseline_runner.run_centralized_baseline(rounds=args.rounds)
     no_collab = baseline_runner.run_no_collab_baseline(rounds=args.rounds)
 
+    _print_sanitizer_reports(runners)
     print(
         format_comparison(
-            [sync_result, async_result, semi_result],
+            results,
             labels=["Sync UnifyFL", "Async UnifyFL", "Semi-sync UnifyFL"],
         )
     )

@@ -9,7 +9,8 @@ orchestration mode (Sync / Async), per-aggregator aggregation strategy
 
 from __future__ import annotations
 
-from dataclasses import Field, dataclass, field, fields
+import operator
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.attacks import available_attacks
@@ -27,6 +28,36 @@ from repro.simnet.hardware import (
 )
 
 
+#: the bound keywords a field may declare (each names its :mod:`operator`), and their signs.
+BOUNDS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+
+def bounded(default: Any = MISSING, **bounds: Any) -> Any:
+    """A config field declared with its range: ``gt`` / ``ge`` / ``lt`` / ``le``
+    keywords, which :func:`check_bounds` enforces."""
+    return field(default=default, metadata=bounds)
+
+
+def bounds_text(config_field: Field) -> str:
+    """The field's declared range, such as ``>= 0.0, < 1.0`` (empty when it has none)."""
+    declared = config_field.metadata
+    return ", ".join(f"{sign} {declared[key]}" for key, sign in BOUNDS.items() if key in declared)
+
+
+def check_bounds(config: Any, where: str = "") -> None:
+    """Reject the first field of ``config`` outside its declared range.
+
+    The one range check of the config dataclasses; an unset ``Optional``
+    (``None``) is never checked.  The error names the field and the bound.
+    """
+    for config_field in fields(config):
+        name, value = config_field.name, getattr(config, config_field.name)
+        for key, sign in BOUNDS.items():
+            bound = config_field.metadata.get(key)
+            if value is not None and bound is not None and not getattr(operator, key)(value, bound):
+                raise ValueError(f"{where}{name} must be {sign} {bound}, got {value!r}")
+
+
 @dataclass
 class WorkloadConfig:
     """One row of the paper's Table 4 (scaled to the simulation substrate)."""
@@ -34,29 +65,24 @@ class WorkloadConfig:
     name: str
     model: str
     dataset: str
-    num_classes: int
+    num_classes: int = bounded(ge=2)
     image_size: int = 16
-    learning_rate: float = 0.01
-    rounds: int = 100
-    local_epochs: int = 2
-    batch_size: int = 5
-    samples_per_class: int = 100
-    test_samples_per_class: int = 20
+    learning_rate: float = bounded(0.01, gt=0.0)
+    rounds: int = bounded(100, ge=1)
+    local_epochs: int = bounded(2, ge=1)
+    batch_size: int = bounded(5, ge=1)
+    samples_per_class: int = bounded(100, ge=1)
+    test_samples_per_class: int = bounded(20, ge=1)
     #: reference parameter count used for timing (the paper's model size).
-    reference_parameters: int = 62_000
+    reference_parameters: int = bounded(62_000, ge=1)
     #: nominal number of training samples each client of the *paper's* testbed
     #: holds; drives the timing model, not the actual (scaled) training data.
-    nominal_samples_per_client: int = 2_000
+    nominal_samples_per_client: int = bounded(2_000, ge=1)
     #: nominal number of evaluation samples a scorer runs per candidate model.
-    nominal_test_samples: int = 1_000
+    nominal_test_samples: int = bounded(1_000, ge=1)
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0 or self.local_epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("rounds, local_epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.nominal_samples_per_client <= 0 or self.nominal_test_samples <= 0:
-            raise ValueError("nominal sample counts must be positive")
+        check_bounds(self)
 
 
 def cifar10_workload(
@@ -143,10 +169,10 @@ class ClusterConfig:
     """Configuration of one participating FL cluster (aggregator + its clients)."""
 
     name: str
-    num_clients: int = 3
+    num_clients: int = bounded(3, ge=1)
     strategy: str = "fedavg"
     aggregation_policy: str = "all"
-    policy_k: int = 2
+    policy_k: int = bounded(2, ge=1)
     scoring_policy: str = "mean"
     aggregator_profile: HardwareProfile = EDGE_CPU_NODE
     client_profile: HardwareProfile = DOCKER_CONTAINER
@@ -155,11 +181,11 @@ class ClusterConfig:
     attack: Optional[str] = None
     #: when set, this organisation's clients privatise their updates with the
     #: Gaussian DP mechanism (clip to this L2 norm, add calibrated noise).
-    dp_clip_norm: Optional[float] = None
-    dp_noise_multiplier: float = 0.0
+    dp_clip_norm: Optional[float] = bounded(None, gt=0.0)
+    dp_noise_multiplier: float = bounded(0.0, ge=0.0)
     #: probability that the organisation is up for a given round (fault
     #: injection); 1.0 means it never drops out.
-    availability: float = 1.0
+    availability: float = bounded(1.0, gt=0.0, le=1.0)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -171,18 +197,9 @@ class ClusterConfig:
         clusters again: a field edited after construction is checked too.
         """
         where = f"cluster {self.name!r}:"
-        if self.num_clients <= 0:
-            raise ValueError(f"{where} num_clients must be positive")
-        if self.policy_k <= 0:
-            raise ValueError(f"{where} policy_k must be positive")
-        if self.dp_clip_norm is not None and self.dp_clip_norm <= 0:
-            raise ValueError(f"{where} dp_clip_norm must be positive when set")
-        if self.dp_noise_multiplier < 0:
-            raise ValueError(f"{where} dp_noise_multiplier must be non-negative")
+        check_bounds(self, f"{where} ")
         if self.dp_noise_multiplier > 0 and self.dp_clip_norm is None:
             raise ValueError(f"{where} dp_noise_multiplier > 0 needs dp_clip_norm to be set")
-        if not 0.0 < self.availability <= 1.0:
-            raise ValueError(f"{where} availability must be in (0, 1]")
         if self.attack is not None and self.attack not in available_attacks():
             raise ValueError(f"{where} attack must be one of {available_attacks()}")
 
@@ -193,8 +210,9 @@ def knob(default: Any, help: str, **metadata: Any) -> Any:
     ``help`` is the knob's only description; ``repro run`` shows it and
     derives the knob's flag from the field (:mod:`repro.cli`).  Optional
     ``metadata``: ``choices`` closes the set of values — a collection, or a
-    callable returning one for a registry that may still grow — and
-    ``flag`` overrides the derived spelling.
+    callable returning one for a registry that may still grow — ``gt`` /
+    ``ge`` / ``lt`` / ``le`` declare a numeric range (:func:`check_bounds`),
+    and ``flag`` overrides the derived spelling.
     """
     return field(default=default, metadata={"help": help, **metadata})
 
@@ -212,8 +230,10 @@ class ExperimentConfig:
     """Everything needed to run one UnifyFL experiment end to end.
 
     Every field after ``clusters`` is a run knob (:func:`knob`): declared
-    once here, with its help and any closed set of values, and taken from
-    there by the ``repro run`` / ``repro compare`` flags.
+    once here, with its help and any closed set of values or range, and
+    taken from there by the ``repro run`` / ``repro compare`` flags.  A
+    bound is declared; a rule that spans fields is code in
+    ``__post_init__`` and names every field it reads.
     """
 
     name: str
@@ -226,19 +246,22 @@ class ExperimentConfig:
         "dirichlet", "how the training data is split across clusters",
         choices=("iid", "dirichlet", "shard"),
     )
-    dirichlet_alpha: float = knob(0.5, "Dirichlet concentration of the NIID split", flag="--alpha")
+    dirichlet_alpha: float = knob(
+        0.5, "Dirichlet concentration of the NIID split", flag="--alpha", gt=0.0
+    )
     scoring_algorithm: str = knob(
         "accuracy",
         "how a scorer rates a model; multikrum and cosine compare whole rounds, so sync only",
         choices=SCORERS,
         flag="--scoring",
     )
-    rounds: int = knob(10, "global rounds the run lasts")
-    seed: int = knob(0, "the experiment seed")
+    rounds: int = knob(10, "global rounds the run lasts", ge=1)
+    seed: int = knob(0, "the experiment seed", ge=0)
     phase_duration: Optional[float] = knob(
         None,
         "sync mode: fixed per-phase duration in simulated seconds (unset: the "
         "orchestrator waits for the slowest aggregator)",
+        ge=0.0,
     )
     semi_quorum_k: Optional[int] = knob(
         None, "semi mode: clusters that must submit before a round closes (unset: a majority)"
@@ -249,20 +272,23 @@ class ExperimentConfig:
         "quorum (unset: one expected sync training window)",
     )
     local_rounds_per_global: int = knob(
-        2, "hierarchical mode: LAN-priced local rounds each site group runs per global round"
+        2, "hierarchical mode: LAN-priced local rounds each site group runs per global round",
+        ge=1,
     )
     round_budget: Optional[int] = knob(
         None,
         "hierarchical mode: cap on the local training rounds each cluster contributes "
         "across the run (unset: unbounded); a spent cluster still receives group models",
+        ge=1,
     )
     gossip_fanout: int = knob(
-        2, "gossip mode: peers each cluster exchanges models with per round (0: isolated)"
+        2, "gossip mode: peers each cluster exchanges models with per round (0: isolated)", ge=0
     )
     block_period: float = knob(
         2.0,
         "simulated seconds between chain blocks: the Clique period, the timing model's "
         "seal time and the chain actor's block grid",
+        gt=0.0,
     )
     sanitize: bool = knob(
         False,
@@ -280,17 +306,19 @@ class ExperimentConfig:
         None,
         "cap of each cluster-to-storage link, in megabytes (not megabits) per simulated "
         "second (unset: the cluster's hardware profile bandwidth)",
+        gt=0.0,
     )
     link_latency_s: Optional[float] = knob(
-        None, "one-way latency of every cluster-to-storage link, in simulated seconds"
+        None, "one-way latency of every cluster-to-storage link, in simulated seconds", ge=0.0
     )
     storage_replicas: int = knob(
         1,
         "storage replica sites: 1 is the single shared endpoint; with more, clusters are "
         "assigned to sites round-robin and reach remote sites over WAN links",
+        ge=1,
     )
     replica_capacity: int = knob(
-        1, "event streams only: parallel transfers each storage replica serves at once"
+        1, "event streams only: parallel transfers each storage replica serves at once", ge=1
     )
     replica_selection: str = knob(
         "affinity",
@@ -305,60 +333,72 @@ class ExperimentConfig:
         choices=REPLICATION_MODES,
     )
     wan_latency_s: float = knob(
-        0.05, "one-way latency of the WAN link between replica sites, in simulated seconds"
+        0.05, "one-way latency of the WAN link between replica sites, in simulated seconds", ge=0.0
     )
     wan_bandwidth_mbytes_per_s: float = knob(
-        50.0, "bandwidth of the WAN link between replica sites, in megabytes per simulated second"
+        50.0,
+        "bandwidth of the WAN link between replica sites, in megabytes per simulated second",
+        gt=0.0,
     )
     churn_rate: float = knob(
         0.0,
         "fault injection: probability a cluster drops out of a round, seeded per "
         "(cluster, round) and on top of its availability (0: no churn)",
+        ge=0.0, lt=1.0,
     )
     replica_outages: int = knob(
         0,
         "fault injection, event streams only: storage-replica outage episodes, dealt "
         "round-robin over the replicas at seeded start times",
+        ge=0,
     )
-    outage_duration_s: float = knob(60.0, "simulated seconds one replica outage lasts")
+    outage_duration_s: float = knob(60.0, "simulated seconds one replica outage lasts", gt=0.0)
     wan_partitions: int = knob(
         0,
         "fault injection, event streams only: pairwise WAN partition episodes between "
         "replica sites (needs at least 2 storage replicas)",
+        ge=0,
     )
-    partition_duration_s: float = knob(60.0, "simulated seconds one WAN partition lasts")
+    partition_duration_s: float = knob(60.0, "simulated seconds one WAN partition lasts", gt=0.0)
     fault_seed: Optional[int] = knob(
-        None, "seed of the fault plan's streams (unset: the experiment seed)"
+        None, "seed of the fault plan's streams (unset: the experiment seed)", ge=0
     )
     retry_max: int = knob(
         3,
         "resilience: failed transfer attempts retried with backoff before failing over "
         "to another replica (0: neither retries nor failover, transfers wait out faults)",
+        ge=0,
     )
     backoff_base_s: float = knob(
-        0.5, "resilience: first backoff wait in simulated seconds (attempt n waits base * 2**n)"
+        0.5,
+        "resilience: first backoff wait in simulated seconds (attempt n waits base * 2**n)",
+        gt=0.0,
     )
     backoff_jitter: float = knob(
-        0.1, "resilience: seeded uniform jitter fraction applied to each backoff wait"
+        0.1, "resilience: seeded uniform jitter fraction applied to each backoff wait", ge=0.0
     )
     breaker_threshold: int = knob(
-        3, "resilience: consecutive failures that trip a replica's circuit breaker open"
+        3, "resilience: consecutive failures that trip a replica's circuit breaker open", ge=1
     )
     breaker_cooldown_s: float = knob(
-        60.0, "resilience: simulated seconds an open breaker fails fast before a half-open trial"
+        60.0,
+        "resilience: simulated seconds an open breaker fails fast before a half-open trial",
+        gt=0.0,
     )
     population: Optional[int] = knob(
         None,
         "cross-device scale: virtual clusters in the federation; the clusters become "
         "round-robin templates and only each round's sampled cohort materialises",
+        ge=1,
     )
     clients_per_round: Optional[int] = knob(
-        None, "sampled mode: cohort size drawn each round (required with population)"
+        None, "sampled mode: cohort size drawn each round (required with population)", ge=1
     )
     sampling_seed: Optional[int] = knob(
         None,
         "seed of the per-round cohort draw, kept apart from fault_seed so sampling never "
         "shifts the churn stream (unset: the experiment seed)",
+        ge=0,
     )
 
     def __post_init__(self) -> None:
@@ -368,8 +408,7 @@ class ExperimentConfig:
             choices = None if knob_field.name == "mode" else knob_choices(knob_field)
             if choices is not None and getattr(self, knob_field.name) not in choices:
                 raise ValueError(f"{knob_field.name} must be one of {choices}")
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
+        check_bounds(self)
         if not self.clusters:
             raise ValueError("clusters must hold at least one cluster")
         if len({c.name for c in self.clusters}) != len(self.clusters):
@@ -381,48 +420,15 @@ class ExperimentConfig:
                 raise ValueError("clients_per_round needs population to be set")
             if self.sampling_seed is not None:
                 raise ValueError("sampling_seed needs population to be set")
-        else:
-            if self.population < 1:
-                raise ValueError("population must be at least 1")
-            if self.clients_per_round is None:
-                raise ValueError("sampled mode needs clients_per_round")
-            if not 1 <= self.clients_per_round <= self.population:
-                raise ValueError("clients_per_round must be in [1, population]")
+        elif self.clients_per_round is None:
+            raise ValueError("population needs clients_per_round, the cohort drawn each round")
+        elif self.clients_per_round > self.population:
+            raise ValueError("clients_per_round must be at most population")
         # Semi-sync quorum bounds check against the per-round federation size:
         # the cohort in sampled mode, the static cluster list otherwise.
         validate_semi_params(
             self.semi_quorum_k, self.max_staleness, self.clients_per_round or len(self.clusters)
         )
-        if self.local_rounds_per_global < 1:
-            raise ValueError("local_rounds_per_global must be at least 1")
-        if self.round_budget is not None and self.round_budget < 1:
-            raise ValueError("round_budget must be at least 1 when set")
-        if self.gossip_fanout < 0:
-            raise ValueError("gossip_fanout must be non-negative")
-        if self.block_period <= 0:
-            raise ValueError("block_period must be positive")
-        if self.link_bandwidth_mbytes_per_s is not None and self.link_bandwidth_mbytes_per_s <= 0:
-            raise ValueError("link_bandwidth_mbytes_per_s must be positive when set")
-        if self.link_latency_s is not None and self.link_latency_s < 0:
-            raise ValueError("link_latency_s must be non-negative when set")
-        if self.storage_replicas < 1:
-            raise ValueError("storage_replicas must be at least 1")
-        if self.replica_capacity < 1:
-            raise ValueError("replica_capacity must be at least 1")
-        if self.wan_latency_s < 0:
-            raise ValueError("wan_latency_s must be non-negative")
-        if self.wan_bandwidth_mbytes_per_s <= 0:
-            raise ValueError("wan_bandwidth_mbytes_per_s must be positive")
-        if not 0.0 <= self.churn_rate < 1.0:
-            raise ValueError("churn_rate must be in [0, 1)")
-        if self.replica_outages < 0:
-            raise ValueError("replica_outages must be non-negative")
-        if self.outage_duration_s <= 0:
-            raise ValueError("outage_duration_s must be positive")
-        if self.wan_partitions < 0:
-            raise ValueError("wan_partitions must be non-negative")
-        if self.partition_duration_s <= 0:
-            raise ValueError("partition_duration_s must be positive")
         if not self.event_streams:
             # The constant-cost fabric has no queue for a capacity to bound
             # and no link-level faults.
@@ -434,16 +440,6 @@ class ExperimentConfig:
                 raise ValueError("wan_partitions need event_streams=True (link-level faults)")
         if self.wan_partitions > 0 and self.storage_replicas < 2:
             raise ValueError("wan_partitions need storage_replicas of at least 2")
-        if self.retry_max < 0:
-            raise ValueError("retry_max must be non-negative")
-        if self.backoff_base_s <= 0:
-            raise ValueError("backoff_base_s must be positive")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be non-negative")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError("breaker_cooldown_s must be positive")
         # Mode validation is registry-driven: an unknown mode fails here,
         # at construction, with the list of registered names — and each
         # mode's own validate hook rejects configurations it cannot run

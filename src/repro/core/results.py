@@ -70,11 +70,6 @@ class ExperimentResult:
         return sum(a.global_accuracy for a in self.aggregators) / len(self.aggregators)
 
     @property
-    def mean_total_time(self) -> float:
-        """Average total simulated time across aggregators."""
-        return sum(a.total_time for a in self.aggregators) / len(self.aggregators)
-
-    @property
     def max_total_time(self) -> float:
         """Slowest aggregator's total simulated time (the federation makespan)."""
         return max(a.total_time for a in self.aggregators)

@@ -77,11 +77,6 @@ class GaussianDPMechanism:
         self._rng = rng or np.random.default_rng(0)
         self._applications = 0
 
-    @property
-    def applications(self) -> int:
-        """How many updates have been privatised so far."""
-        return self._applications
-
     def privatize_update(self, update: Sequence[np.ndarray]) -> Weights:
         """Clip an update to ``clip_norm`` and add calibrated Gaussian noise."""
         clipped = clip_weights(list(update), self.clip_norm)

@@ -31,10 +31,6 @@ class ChunkedObject:
     chunk_cids: List[CID]
     total_size: int
 
-    def manifest_bytes(self) -> bytes:
-        """Canonical encoding of the root object (what the root CID addresses)."""
-        return encode_manifest(self.chunk_cids, self.total_size)
-
 
 class VerifiedBlocks:
     """Block CID -> the ``bytes`` object that was hashed and found equal to it.
@@ -167,11 +163,6 @@ class BlockStore:
                 self._blocks.pop(chunk_cid, None)
                 self.verified.entries.pop(chunk_cid, None)
         return True
-
-    @property
-    def object_count(self) -> int:
-        """Number of stored root objects."""
-        return len(self._objects)
 
     @property
     def stored_bytes(self) -> int:

@@ -115,10 +115,6 @@ class Model:
         with self._evaluation_mode():
             return self.network.forward(x)
 
-    def predict_classes(self, x: np.ndarray) -> np.ndarray:
-        """Return the argmax class label for each input."""
-        return self.predict(x).argmax(axis=1)
-
     def train_batch(
         self,
         x: np.ndarray,

@@ -910,14 +910,6 @@ class CommFabric:
         finality = self.chain.estimate(at + upload, 1)
         return upload + finality + self.network.estimate_replication_lag(endpoint, at + upload)
 
-    def estimate_pull(self, endpoint: str, at: float, object_id: Optional[str] = None) -> float:
-        """Predicted cost of downloading one model, availability included.
-
-        Pure and exact against the commit path: same replica choice, same
-        read-your-writes gate, same (planned) lazy fetch on a miss.
-        """
-        return self.network.estimate_download(endpoint, at, object_id=object_id)
-
     # ---------------------------------------------------------------- reporting
     def summary(self) -> Dict[str, float]:
         """Flat communication/chain accounting for result documents.

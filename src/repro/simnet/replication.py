@@ -30,7 +30,7 @@ callers that do not thread object identities bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: replication policies understood by :class:`~repro.sched.actors.NetworkActor`:
 #: ``eager`` — the origin pushes the object to every peer replica right after
@@ -93,10 +93,6 @@ class ReplicaDirectory:
         that has it.
         """
         return self._arrivals.get(object_id, {}).get(replica)
-
-    def replicas_holding(self, object_id: str) -> List[str]:
-        """Replicas with a recorded (possibly future) arrival, insertion-ordered."""
-        return list(self._arrivals.get(object_id, {}))
 
     def __len__(self) -> int:
         return len(self._origins)

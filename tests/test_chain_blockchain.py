@@ -242,9 +242,10 @@ class TestBlockchain:
         for i in range(3):
             blockchain.send(validator_accounts[i % 3], "counter", "increment", {"by": 1})
         blocks = blockchain.mine_until_empty()
-        assert blockchain.pending_count == 0
         assert len(blocks) >= 1
         assert blockchain.call("counter", "get") == 3
+        # Nothing is left pending: the next block seals no transaction.
+        assert blockchain.mine_block().transactions == []
 
     def test_sealer_rotation_across_blocks(self, blockchain, validator_accounts):
         blockchain.deploy_contract(Counter())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.config import (
     ClusterConfig,
     ExperimentConfig,
     WorkloadConfig,
+    bounds_text,
     cifar10_workload,
     edge_cluster_configs,
     gpu_cluster_configs,
@@ -104,19 +106,24 @@ class TestExperimentConfig:
             ExperimentConfig(name="x", workload=tiny_workload, clusters=[])
 
 
-#: one bad value per check of ``ExperimentConfig.__post_init__``, with the
-#: fields its rejection must name.
+#: one bad value per check of ``ExperimentConfig.__post_init__`` and per
+#: field with a declared range, with the fields its rejection must name.
 REJECTIONS = [
     (dict(partitioning="stripes"), ("partitioning",)),
+    (dict(dirichlet_alpha=0.0), ("dirichlet_alpha",)),
     (dict(scoring_algorithm="median"), ("scoring_algorithm",)),
     (dict(rounds=0), ("rounds",)),
+    (dict(seed=-1), ("seed",)),
+    (dict(phase_duration=-1.0), ("phase_duration",)),
     (dict(clusters=[]), ("clusters",)),
     (dict(clusters=[ClusterConfig(name="agg1"), ClusterConfig(name="agg1")]), ("clusters",)),
     (dict(clients_per_round=2), ("clients_per_round", "population")),
     (dict(sampling_seed=1), ("sampling_seed", "population")),
     (dict(population=0, clients_per_round=1), ("population",)),
-    (dict(population=10), ("clients_per_round",)),
-    (dict(population=10, clients_per_round=11), ("clients_per_round",)),
+    (dict(population=10), ("clients_per_round", "population")),
+    (dict(population=10, clients_per_round=0), ("clients_per_round",)),
+    (dict(population=10, clients_per_round=11), ("clients_per_round", "population")),
+    (dict(population=10, clients_per_round=2, sampling_seed=-1), ("sampling_seed",)),
     (dict(semi_quorum_k=4), ("semi_quorum_k",)),
     (dict(max_staleness=0.0), ("max_staleness",)),
     (dict(local_rounds_per_global=0), ("local_rounds_per_global",)),
@@ -136,6 +143,7 @@ REJECTIONS = [
     (dict(outage_duration_s=0.0), ("outage_duration_s",)),
     (dict(wan_partitions=-1), ("wan_partitions",)),
     (dict(partition_duration_s=0.0), ("partition_duration_s",)),
+    (dict(fault_seed=-1), ("fault_seed",)),
     (dict(event_streams=False, replica_capacity=2), ("replica_capacity", "event_streams")),
     (dict(event_streams=False, replica_outages=1), ("replica_outages", "event_streams")),
     (
@@ -154,9 +162,10 @@ REJECTIONS = [
 ]
 
 
-#: one bad value per check of ``ClusterConfig.validate``, set on a cluster
-#: *after* it was built (a cluster is mutable), with the field its rejection
-#: must name: ``(cluster index, field, value)``.
+#: one bad value per check of ``ClusterConfig.validate`` and per field with a
+#: declared range, set on a cluster *after* it was built (a cluster is
+#: mutable), with the field its rejection must name: ``(cluster index, field,
+#: value)``.
 CLUSTER_EDITS = [
     (0, "num_clients", 0),
     (1, "policy_k", 0),
@@ -167,6 +176,25 @@ CLUSTER_EDITS = [
     (2, "attack", "nope"),
 ]
 
+#: one bad value per ``WorkloadConfig`` field with a declared range.
+WORKLOAD_REJECTIONS = [
+    ("num_classes", 1),
+    ("learning_rate", 0.0),
+    ("rounds", 0),
+    ("local_epochs", 0),
+    ("batch_size", 0),
+    ("samples_per_class", 0),
+    ("test_samples_per_class", 0),
+    ("reference_parameters", 0),
+    ("nominal_samples_per_client", 0),
+    ("nominal_test_samples", 0),
+]
+
+
+def _bounded(config_class):
+    """The names of the fields of ``config_class`` that declare a range."""
+    return {f.name for f in dataclasses.fields(config_class) if bounds_text(f)}
+
 
 class TestEveryRejectionNamesItsField:
     def test_every_check_has_a_case(self):
@@ -174,10 +202,17 @@ class TestEveryRejectionNamesItsField:
         # One loop raise covers every declared closed set but the mode's.
         declared = sum(knob_choices(f) is not None for f in knob_fields())
         checks += declared - 1 - 1
+        # check_bounds covers every field with a declared range, each named by a row.
+        bounded = _bounded(ExperimentConfig)
+        assert bounded <= {field for overrides, _ in REJECTIONS for field in overrides}
+        checks += len(bounded)
         # validate_semi_params checks two fields; the mode registry adds two.
         assert len(REJECTIONS) == checks + 2 + 2
         cluster_checks = inspect.getsource(ClusterConfig.validate).count("raise ValueError")
-        assert len(CLUSTER_EDITS) == cluster_checks
+        assert {field for _, field, _ in CLUSTER_EDITS} >= _bounded(ClusterConfig)
+        assert len(CLUSTER_EDITS) == cluster_checks + len(_bounded(ClusterConfig))
+        assert "raise" not in inspect.getsource(WorkloadConfig.__post_init__)
+        assert sorted(field for field, _ in WORKLOAD_REJECTIONS) == sorted(_bounded(WorkloadConfig))
 
     @pytest.mark.parametrize(
         "overrides, fields", REJECTIONS, ids=[" ".join(sorted(o)) for o, _ in REJECTIONS]
@@ -202,6 +237,24 @@ class TestEveryRejectionNamesItsField:
         # The same check rejects the value at construction.
         with pytest.raises(ValueError, match=field):
             ClusterConfig(name="built", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", WORKLOAD_REJECTIONS, ids=[f"{f}={v}" for f, v in WORKLOAD_REJECTIONS]
+    )
+    def test_a_workload_out_of_range_is_named(self, tiny_workload, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            dataclasses.replace(tiny_workload, **{field: value})
+
+    def test_the_message_states_the_violated_bound(self, tiny_workload):
+        clusters = edge_cluster_configs()
+        with pytest.raises(ValueError, match=r"^churn_rate must be < 1\.0, got 1\.0$"):
+            ExperimentConfig("x", tiny_workload, clusters, churn_rate=1.0)
+        with pytest.raises(ValueError, match=r"^churn_rate must be >= 0\.0, got -0\.5$"):
+            ExperimentConfig("x", tiny_workload, clusters, churn_rate=-0.5)
+        with pytest.raises(ValueError, match=r"^cluster 'agg1': availability must be <= 1\.0"):
+            ClusterConfig(name="agg1", availability=1.5)
+        # An unset Optional is never range-checked.
+        assert ExperimentConfig("x", tiny_workload, clusters, round_budget=None).round_budget is None
 
 
 class TestClusterFactories:

@@ -26,7 +26,7 @@ from repro.core.reporting import result_to_dict
 from repro.core.runner import ExperimentRunner
 from repro.ipfs import blockstore as blockstore_module
 from repro.ipfs import cid as cid_module
-from repro.ipfs.blockstore import BlockStore
+from repro.ipfs.blockstore import BlockStore, encode_manifest
 from repro.ipfs.cid import CID, compute_cid, parse_cid
 from repro.ipfs.node import IPFSError, IPFSNode
 from repro.ipfs.swarm import IPFSSwarm
@@ -210,7 +210,8 @@ class TestBlockStore:
         assert str(three_blocks.cid) == (
             "Qm9f891531cd7488c999135ca8258080e0a7587ca4b10fc5cad741727371924895"
         )
-        assert compute_cid(three_blocks.manifest_bytes()) == three_blocks.cid
+        manifest = encode_manifest(three_blocks.chunk_cids, three_blocks.total_size)
+        assert compute_cid(manifest) == three_blocks.cid
 
     @settings(max_examples=25, deadline=None)
     @given(st.binary(min_size=0, max_size=4096), st.integers(1, 512))
@@ -227,7 +228,7 @@ class TestBlockStoreRepeatedPut:
         first = store.put(payload)
         second = store.put(b"x" * 30)
         assert first.cid == second.cid
-        assert store.object_count == 1
+        assert store.object_cids() == [first.cid]
 
     def test_put_after_delete_reinstalls_blocks(self):
         store = BlockStore(chunk_size=8)

@@ -115,11 +115,6 @@ class TestCNNModels:
         with pytest.raises(ValueError):
             SimpleCNN(image_size=2, num_classes=10)
 
-    def test_predict_classes_matches_argmax(self, small_cnn, tiny_image_dataset):
-        train, _ = tiny_image_dataset
-        logits = small_cnn.predict(train.x[:6])
-        assert np.array_equal(small_cnn.predict_classes(train.x[:6]), logits.argmax(axis=1))
-
 
 class TestEvaluationRetainsNothing:
     """Evaluation mode keeps no forward cache; training mode keeps what backward needs."""

@@ -72,7 +72,6 @@ class TestGaussianDPMechanism:
         mechanism = GaussianDPMechanism(clip_norm=1.0, noise_multiplier=0.5, rng=np.random.default_rng(4))
         for _ in range(3):
             mechanism.privatize_update([np.ones(4)])
-        assert mechanism.applications == 3
         assert mechanism.spent_epsilon() == pytest.approx(3 * mechanism.accountant.epsilon_per_round())
 
     def test_parameter_validation(self):

@@ -39,7 +39,6 @@ class TestReplicaDirectory:
         assert directory.origin("cid-1") == "site-a"
         assert directory.arrival("cid-1", "site-a") == 3.0
         assert directory.arrival("cid-1", "site-b") is None
-        assert directory.replicas_holding("cid-1") == ["site-a"]
         assert len(directory) == 1
 
     def test_reupload_keeps_first_origin_and_earliest_arrival(self):
@@ -292,10 +291,10 @@ class TestSubmissionEstimateIncludesLazyFetch:
         # Pure: nothing was committed by any estimate.
         assert lazy.network.transfers() == []
 
-    def test_estimate_pull_matches_the_committed_download(self):
+    def test_download_estimate_matches_the_committed_download(self):
         fabric = self.make_fabric("lazy")
         fabric.upload("agg1", 1, at=0.0, object_ids=["cid-1"])
-        estimate = fabric.estimate_pull("agg2", at=3.0, object_id="cid-1")
+        estimate = fabric.network.estimate_download("agg2", at=3.0, object_id="cid-1")
         assert fabric.network.transfers("replication") == []    # still pure
         elapsed = fabric.download("agg2", 1, at=3.0, object_ids=["cid-1"])
         assert elapsed == pytest.approx(estimate)

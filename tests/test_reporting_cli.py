@@ -12,7 +12,13 @@ import numpy
 import pytest
 
 from repro.cli import _build_config, build_parser, main
-from repro.core.config import ExperimentConfig, cifar10_workload, edge_cluster_configs
+from repro.core.config import (
+    ExperimentConfig,
+    bounds_text,
+    cifar10_workload,
+    edge_cluster_configs,
+    knob_fields,
+)
 from repro.core.reporting import (
     load_result_json,
     load_results_csv,
@@ -341,6 +347,18 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "Sync UnifyFL" in output
         assert "Centralized multilevel" in output
+        assert "Sanitizer:" not in output
+
+    def test_sanitized_compare_prints_what_each_runner_checked(self, capsys):
+        argv = ["--rounds", "1", "--samples-per-class", "8", "--clients", "1", "--clusters", "2"]
+        assert main(["compare", "--sanitize", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        reports = [line for line in lines if line.startswith("Sanitizer: ")]
+        labels = [line.split()[1] for line in reports]
+        assert labels == ["sync:", "async:", "semi:", "baselines:"]
+        # The baselines' fits are replayed too.
+        assert all("shared_training=" in line for line in reports)
+        assert "shared_training=0" not in reports[-1]
 
 
 # --------------------------------------------------------------- CLI wiring
@@ -496,6 +514,30 @@ class TestCLIWiring:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--clusters 5" in err and "edge testbed's 3 nodes" in err
+
+    def test_help_states_each_declared_range(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in subparsers.choices["run"]._actions}
+        bounded = [knob for knob in knob_fields() if bounds_text(knob)]
+        assert len(bounded) > 20
+        for knob in bounded:
+            assert helps[knob.name].endswith(f"(range: {bounds_text(knob)})"), knob.name
+        assert helps["churn_rate"].endswith("(range: >= 0.0, < 1.0)")
+        assert "range" not in helps["mode"]
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--alpha", "0"], "dirichlet_alpha"),
+            (["--samples-per-class", "0"], "samples_per_class"),
+            (["--workload", "tiny_imagenet", "--num-classes", "1"], "num_classes"),
+        ],
+    )
+    def test_an_out_of_range_flag_is_rejected_by_name(self, argv, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            main(["run", *argv])
 
     def test_cluster_count_is_honoured_within_each_testbed(self):
         assert len(_config_from(["--clusters", "2"]).clusters) == 2
