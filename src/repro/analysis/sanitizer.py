@@ -57,6 +57,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.simnet.reference import ReferenceLinkScheduler
 
+#: the fabric totals :meth:`SimulationSanitizer.observe_fabric` watermarks, in order.
+FABRIC_TOTALS = (
+    "scheduler.total_wire_time",
+    "scheduler.total_queued_time",
+    "network.wan_bytes",
+    "len(scheduler.log)",
+    "len(network.transfer_log)",
+    "len(network.decision_log)",
+    "len(chain.log)",
+)
+
 
 class SanitizerViolation(AssertionError):
     """A simulation invariant was broken.
@@ -94,7 +105,7 @@ class SimulationSanitizer:
             "decoded_model": 0, "shared_training": 0, "block_verification": 0,
             "placement_window": 0, "tx_identity": 0,
         }
-        self._fabric_watermarks: Dict[int, Tuple[float, float, float, int, int]] = {}
+        self._fabric_watermarks: Dict[int, Tuple[float, float, int, int, int, int, int]] = {}
 
     # ------------------------------------------------------------------ kernel
     def check_event(self, now: float, event_time: float) -> None:
@@ -211,27 +222,30 @@ class SimulationSanitizer:
 
     # ------------------------------------------------------------------ fabric
     def observe_fabric(self, fabric: Any) -> None:
-        """Assert the fabric's running totals only ever grow."""
+        """Assert the fabric's running totals only ever grow.
+
+        WAN bytes are a sum over the network actor's transfer log: each call
+        folds only the records appended since the last one, so checking a
+        run stays linear in its transfers.  The logs' lengths are totals
+        too — an append-only log never shrinks.
+        """
         self.checks["fabric"] += 1
-        scheduler = fabric.network.scheduler
+        network = fabric.network
+        scheduler = network.scheduler
+        key = id(fabric)
+        previous = self._fabric_watermarks.get(key)
+        wan_bytes, folded = (0, 0) if previous is None else (previous[2], previous[4])
         current = (
             scheduler.total_wire_time,
             scheduler.total_queued_time,
-            float(fabric.network.wan_bytes),
+            wan_bytes + sum(record.wan_bytes for record in network.transfer_log[folded:]),
             len(scheduler.log),
+            len(network.transfer_log),
+            len(network.decision_log),
             len(fabric.chain.log),
         )
-        key = id(fabric)
-        previous = self._fabric_watermarks.get(key)
         if previous is not None:
-            labels = (
-                "scheduler.total_wire_time",
-                "scheduler.total_queued_time",
-                "network.wan_bytes",
-                "len(scheduler.log)",
-                "len(chain.log)",
-            )
-            for label, before, after in zip(labels, previous, current):
+            for label, before, after in zip(FABRIC_TOTALS, previous, current):
                 if after < before:
                     raise SanitizerViolation(
                         f"fabric total {label} moved backwards: "

@@ -15,8 +15,10 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.attacks import available_attacks
 from repro.core.scorer import SCORERS
+from repro.datasets.synthetic import DATASETS
+from repro.ml.models import IMAGE_MODELS
 from repro.sched.actors import REPLICA_SELECTIONS
-from repro.sched.registry import registered_modes, validate_mode_config
+from repro.sched.registry import get_policy, registered_modes, validate_mode_config
 from repro.simnet.replication import REPLICATION_MODES
 from repro.simnet.hardware import (
     DOCKER_CONTAINER,
@@ -34,7 +36,8 @@ BOUNDS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
 
 def bounded(default: Any = MISSING, **bounds: Any) -> Any:
     """A config field declared with its range: ``gt`` / ``ge`` / ``lt`` / ``le``
-    keywords, which :func:`check_bounds` enforces."""
+    keywords, or its closed set of values, ``choices``; :func:`check_bounds`
+    enforces both."""
     return field(default=default, metadata=bounds)
 
 
@@ -44,14 +47,26 @@ def bounds_text(config_field: Field) -> str:
     return ", ".join(f"{sign} {declared[key]}" for key, sign in BOUNDS.items() if key in declared)
 
 
-def check_bounds(config: Any, where: str = "") -> None:
-    """Reject the first field of ``config`` outside its declared range.
+def knob_choices(config_field: Field) -> Optional[Tuple[str, ...]]:
+    """The values a field accepts, or ``None`` when its set is open."""
+    choices = config_field.metadata.get("choices")
+    if callable(choices):
+        choices = choices()
+    return None if choices is None else tuple(choices)
 
-    The one range check of the config dataclasses; an unset ``Optional``
-    (``None``) is never checked.  The error names the field and the bound.
+
+def check_bounds(config: Any, where: str = "") -> None:
+    """Reject the first field of ``config`` outside its declared range or set.
+
+    The one declared-value check of the config dataclasses; an unset
+    ``Optional`` (``None``) is never range-checked.  The error names the field
+    and the bound, or the values it accepts.
     """
     for config_field in fields(config):
         name, value = config_field.name, getattr(config, config_field.name)
+        choices = knob_choices(config_field)
+        if choices is not None and value not in choices:
+            raise ValueError(f"{where}{name} must be one of {choices}, got {value!r}")
         for key, sign in BOUNDS.items():
             bound = config_field.metadata.get(key)
             if value is not None and bound is not None and not getattr(operator, key)(value, bound):
@@ -63,10 +78,10 @@ class WorkloadConfig:
     """One row of the paper's Table 4 (scaled to the simulation substrate)."""
 
     name: str
-    model: str
-    dataset: str
+    model: str = bounded(choices=IMAGE_MODELS)
+    dataset: str = bounded(choices=DATASETS)
     num_classes: int = bounded(ge=2)
-    image_size: int = 16
+    image_size: int = bounded(16, ge=4)
     learning_rate: float = bounded(0.01, gt=0.0)
     rounds: int = bounded(100, ge=1)
     local_epochs: int = bounded(2, ge=1)
@@ -215,14 +230,6 @@ def knob(default: Any, help: str, **metadata: Any) -> Any:
     and ``flag`` overrides the derived spelling.
     """
     return field(default=default, metadata={"help": help, **metadata})
-
-
-def knob_choices(knob_field: Field) -> Optional[Tuple[str, ...]]:
-    """The values a knob accepts, or ``None`` when its set is open."""
-    choices = knob_field.metadata.get("choices")
-    if callable(choices):
-        choices = choices()
-    return None if choices is None else tuple(choices)
 
 
 @dataclass
@@ -402,12 +409,9 @@ class ExperimentConfig:
     )
 
     def __post_init__(self) -> None:
-        # Every declared closed set but the mode's, which the registry checks
-        # below together with what the mode itself cannot run.
-        for knob_field in knob_fields():
-            choices = None if knob_field.name == "mode" else knob_choices(knob_field)
-            if choices is not None and getattr(self, knob_field.name) not in choices:
-                raise ValueError(f"{knob_field.name} must be one of {choices}")
+        # The registry names an unknown mode, with every registered one, before
+        # the declared-value check would; what the mode cannot run is checked last.
+        get_policy(self.mode)
         check_bounds(self)
         if not self.clusters:
             raise ValueError("clusters must hold at least one cluster")

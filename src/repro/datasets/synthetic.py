@@ -181,6 +181,10 @@ class SyntheticTinyImageNet(SyntheticImageDataset):
         )
 
 
+#: the paper datasets a workload can name (``SyntheticCIFAR10``, ``SyntheticTinyImageNet``).
+DATASETS = ("cifar10", "tiny_imagenet")
+
+
 def make_classification_dataset(
     num_samples: int = 500,
     num_features: int = 20,

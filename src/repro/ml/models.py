@@ -378,6 +378,10 @@ _MODEL_REGISTRY: Dict[str, Callable[..., Model]] = {
     "vgg": MiniVGG,
 }
 
+#: the registry names of the image models, which take ``image_size``; each
+#: pools twice, so an image side below 4 leaves them nothing to classify.
+IMAGE_MODELS = ("simple_cnn", "cnn", "mini_vgg", "vgg")
+
 
 def available_models() -> List[str]:
     """Names accepted by :func:`build_model`."""

@@ -29,9 +29,11 @@ hides effects the middleware literature insists the middle tier must expose:
   quantises every contract interaction to the block-interval grid and adds
   the consensus delay of :func:`repro.chain.clique.consensus_delay`.
 
-Both actors keep an append-only event log, so a run can report *per-phase*
-communication and chain time (see ``CommFabric.summary``) instead of folding
-everything into one opaque number.
+Both actors keep append-only logs — the network actor one of transfers and
+one of resilience decisions — and the traffic and resilience totals a run
+reports (``CommFabric.summary``) are sums over them, so a run can report
+*per-phase* communication and chain time instead of folding everything into
+one opaque number.
 
 Constant-cost runs (``event_streams=False``: the paper's Table 5/6 numbers,
 the contention-free baselines) ride the *same* actors in the degenerate
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +88,55 @@ class ChainOp:
     def delay(self) -> float:
         """Seconds the caller waited from submission to finality."""
         return self.sealed_at - self.submitted_at
+
+
+class TransferRecord(NamedTuple):
+    """One transfer committed through a :class:`NetworkActor`.
+
+    Attributes:
+        transfer: the reservation the link scheduler placed.
+        phase: its reporting label (``"upload"``, ``"download"``,
+            ``"replication"`` or ``"exchange"``).
+        wan_bytes: the bytes it moved across a WAN hop — its size when its
+            two endpoints live at different topology sites, else 0.  Resolved
+            at commit time, so a later ``attach_cluster`` cannot re-label it.
+    """
+
+    transfer: ScheduledTransfer
+    phase: str
+    wan_bytes: int
+
+
+@dataclass(frozen=True)
+class ResilienceDecision:
+    """One decision of the resilience layer that moved a counter or a start.
+
+    Attributes:
+        kind: ``"retry"`` (a failed probe, backed off and retried),
+            ``"trip"`` (the replica's breaker opened), ``"fast_fail"`` (the
+            breaker rejected the attempt: already open, or just tripped),
+            ``"failover"`` (the transfer moved to ``target``) or
+            ``"degraded"`` (nowhere to fail over: the transfer waits for the
+            replica's scheduled recovery).
+        at: simulated time of the decision (a retry's is before its wait).
+        endpoint: the endpoint whose transfer was being placed.
+        replica: the replica the decision is about — the one probed,
+            tripped, rejected, left or waited for.
+        attempt: a retry's number, from 1 (0 for other kinds).
+        attempts: the retry budget ``retry_max`` it counts against.
+        seconds: a retry's backoff wait, a trip's guaranteed-open cooldown
+            or a degraded wait's length until recovery (0 otherwise).
+        target: a failover's new replica (``None`` for other kinds).
+    """
+
+    kind: str
+    at: float
+    endpoint: str
+    replica: str
+    attempt: int = 0
+    attempts: int = 0
+    seconds: float = 0.0
+    target: Optional[str] = None
 
 
 class NetworkActor:
@@ -159,23 +210,17 @@ class NetworkActor:
         #: per-object availability ledger; only populated in multi-replica
         #: layouts for transfers that carry object ids.
         self.directory = ReplicaDirectory()
-        #: bytes this actor moved across a WAN hop (any transfer whose two
-        #: endpoints live at different topology sites).
-        self.wan_bytes = 0
-        #: transfers committed *through this actor*, each paired with its
-        #: phase label ("upload" / "download" / "replication").  Owned here
-        #: rather than zipped against ``scheduler.log`` so direct commits on
-        #: the public scheduler cannot shift the labelling.
-        self._events: List[Tuple[ScheduledTransfer, str]] = []
+        #: append-only log of the transfers committed *through this actor*.
+        #: Owned here rather than zipped against ``scheduler.log`` so direct
+        #: commits on the public scheduler cannot shift the labelling.
+        self.transfer_log: List[TransferRecord] = []
+        #: append-only log of the resilience layer's decisions (empty on the
+        #: happy path); every resilience total is a sum over it.
+        self.decision_log: List[ResilienceDecision] = []
         #: live fault plan (``None`` when the plan is zero — one check
         #: guards every fault branch, keeping the happy path untouched).
         self.faults = faults if faults is not None and not faults.is_zero else None
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
-        #: resilience accounting, all zero on the happy path.
-        self.retries = 0
-        self.failovers = 0
-        self.fast_fails = 0
-        self.backoff_wait_s = 0.0
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._jitter_rng = None
         if self.faults is not None:
@@ -318,7 +363,9 @@ class NetworkActor:
         tripped or already-open breaker fails fast, and exhaustion falls
         over to the next-best reachable replica.  When *no* replica is
         reachable the caller degrades gracefully: the transfer targets the
-        primary no earlier than its scheduled recovery.
+        primary no earlier than its scheduled recovery.  Each of these
+        decisions is appended to :attr:`decision_log`; a successful probe
+        decides nothing and is not logged.
         """
         replica = self.select_replica(endpoint, at, object_id, phase=phase)
         faults = self.faults
@@ -335,28 +382,34 @@ class NetworkActor:
             if self._path_ok(endpoint, replica, cursor):
                 breaker.record_success(cursor)
                 return replica, cursor
-            attempt = 0
-            while attempt < policy.retry_max:
-                breaker.record_failure(cursor)
-                if breaker.state == CircuitBreaker.OPEN:
-                    self.fast_fails += 1
+            for attempt in range(policy.retry_max):
+                if breaker.record_failure(cursor):
+                    self._decide("trip", cursor, endpoint, replica, seconds=breaker.cooldown_s)
+                    self._decide("fast_fail", cursor, endpoint, replica)
                     break
                 assert self._jitter_rng is not None
                 wait = policy.backoff(attempt, float(self._jitter_rng.random()))
+                self._decide(
+                    "retry", cursor, endpoint, replica,
+                    attempt=attempt + 1, attempts=policy.retry_max, seconds=wait,
+                )
                 cursor += wait
-                self.backoff_wait_s += wait
-                self.retries += 1
-                attempt += 1
                 if self._path_ok(endpoint, replica, cursor):
                     breaker.record_success(cursor)
                     return replica, cursor
         else:
-            self.fast_fails += 1
+            self._decide("fast_fail", cursor, endpoint, replica)
         alternate = self._failover_replica(endpoint, cursor, object_id, phase, exclude=replica)
         if alternate is not None:
-            self.failovers += 1
+            self._decide("failover", cursor, endpoint, replica, target=alternate)
             return alternate, cursor
-        return replica, max(cursor, faults.recovery_time(replica, cursor))
+        start = max(cursor, faults.recovery_time(replica, cursor))
+        self._decide("degraded", cursor, endpoint, replica, seconds=start - cursor)
+        return replica, start
+
+    def _decide(self, kind: str, at: float, endpoint: str, replica: str, **fields) -> None:
+        """Append one resilience decision to the log."""
+        self.decision_log.append(ResilienceDecision(kind, at, endpoint, replica, **fields))
 
     # -------------------------------------------------------- replica selection
     def select_replica(
@@ -399,12 +452,12 @@ class NetworkActor:
             return None
 
     def _record(self, scheduled: ScheduledTransfer, phase: str) -> None:
-        """Log one committed transfer and account its WAN crossing, if any."""
-        self._events.append((scheduled, phase))
+        """Log one committed transfer with its WAN crossing, if any."""
         source_site = self._endpoint_site(scheduled.source)
         destination_site = self._endpoint_site(scheduled.destination)
-        if source_site is not None and destination_site is not None and source_site != destination_site:
-            self.wan_bytes += scheduled.num_bytes
+        crosses = None not in (source_site, destination_site) and source_site != destination_site
+        wan_bytes = scheduled.num_bytes if crosses else 0
+        self.transfer_log.append(TransferRecord(scheduled, phase, wan_bytes))
 
     def _availability_lag(self, object_id: str, replica: str, at: float) -> float:
         """Extra seconds before ``object_id`` could leave ``replica`` (closed form).
@@ -615,7 +668,7 @@ class NetworkActor:
     # ---------------------------------------------------------------- reporting
     def transfers(self, phase: Optional[str] = None) -> List[ScheduledTransfer]:
         """Transfers committed through this actor, optionally phase-filtered."""
-        return [t for t, p in self._events if phase is None or p == phase]
+        return [r.transfer for r in self.transfer_log if phase is None or r.phase == phase]
 
     def _totals(self, members, member_of) -> Dict[str, Dict[str, float]]:
         """``{member: {"time", "queued", "count"}}`` over the committed transfers.
@@ -626,7 +679,7 @@ class NetworkActor:
         each member's sums run in event order.
         """
         totals = {member: {"time": 0.0, "queued": 0.0, "count": 0.0} for member in members}
-        for transfer, phase in self._events:
+        for transfer, phase, _ in self.transfer_log:
             bucket = totals.get(member_of(transfer, phase))
             if bucket is not None:
                 bucket["time"] += transfer.duration
@@ -662,14 +715,51 @@ class NetworkActor:
         )
 
     @property
+    def wan_bytes(self) -> int:
+        """Bytes the committed transfers moved across a WAN hop."""
+        return sum(record.wan_bytes for record in self.transfer_log)
+
+    def _decisions(self, kind: str) -> List[ResilienceDecision]:
+        return [decision for decision in self.decision_log if decision.kind == kind]
+
+    @property
+    def retries(self) -> int:
+        """Re-probes after a failed replica attempt."""
+        return len(self._decisions("retry"))
+
+    @property
+    def backoff_wait_s(self) -> float:
+        """Seconds spent in backoff waits, summed in decision order."""
+        total = 0.0
+        for retry in self._decisions("retry"):
+            total += retry.seconds
+        return total
+
+    @property
+    def failovers(self) -> int:
+        """Transfers re-aimed at an alternate replica."""
+        return len(self._decisions("failover"))
+
+    @property
+    def fast_fails(self) -> int:
+        """Attempts a breaker rejected (already open, or tripped by the attempt)."""
+        return len(self._decisions("fast_fail"))
+
+    @property
     def breaker_trips(self) -> int:
         """Circuit-breaker trips over all replicas."""
-        return sum(breaker.trips for _, breaker in sorted(self._breakers.items()))
+        return len(self._decisions("trip"))
 
     @property
     def breaker_open_s(self) -> float:
-        """Seconds breakers spent open (each trip's guaranteed cooldown window)."""
-        return sum((breaker.open_seconds for _, breaker in sorted(self._breakers.items())), 0.0)
+        """Seconds breakers spent open (each trip's guaranteed cooldown window).
+
+        Summed per replica in trip order, then over the replicas in name order.
+        """
+        open_s: Dict[str, float] = {}
+        for trip in self._decisions("trip"):
+            open_s[trip.replica] = open_s.get(trip.replica, 0.0) + trip.seconds
+        return sum((open_s[replica] for replica in sorted(open_s)), 0.0)
 
 
 class ChainActor:

@@ -346,9 +346,10 @@ class CircuitBreaker:
     breaker and resets the failure count, failure re-trips it for another
     cooldown.
 
-    ``open_seconds`` accounts each trip's guaranteed-open window (one
-    cooldown per trip) — a deterministic measure that does not depend on
-    whether a trial ever probed the breaker again.
+    The breaker is only the state machine: :meth:`record_failure` reports a
+    trip to its caller, which logs it (and charges its cooldown as open
+    time — a deterministic measure that does not depend on whether a trial
+    ever probed the breaker again).
     """
 
     CLOSED = "closed"
@@ -365,10 +366,6 @@ class CircuitBreaker:
         self.state = self.CLOSED
         self.failures = 0
         self.opened_at: Optional[float] = None
-        #: times the breaker tripped open (closed→open or half-open→open).
-        self.trips = 0
-        #: total guaranteed-open seconds across all trips.
-        self.open_seconds = 0.0
 
     def would_allow(self, at: float) -> bool:
         """Pure query: would an attempt at ``at`` pass through?"""
@@ -396,18 +393,17 @@ class CircuitBreaker:
         self.failures = 0
         self.opened_at = None
 
-    def record_failure(self, at: float) -> None:
-        """A gated attempt failed: count it, trip when the threshold is hit."""
-        if self.state == self.HALF_OPEN:
-            self._trip(at)
-            return
-        self.failures += 1
-        if self.failures >= self.threshold:
-            self._trip(at)
+    def record_failure(self, at: float) -> bool:
+        """A gated attempt failed: count it, trip when the threshold is hit.
 
-    def _trip(self, at: float) -> None:
+        Returns whether this failure tripped the breaker open (closed→open
+        or half-open→open).
+        """
+        if self.state != self.HALF_OPEN:
+            self.failures += 1
+            if self.failures < self.threshold:
+                return False
         self.state = self.OPEN
         self.opened_at = at
         self.failures = 0
-        self.trips += 1
-        self.open_seconds += self.cooldown_s
+        return True

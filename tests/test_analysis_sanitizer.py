@@ -237,7 +237,11 @@ class TestFabricHook:
     def fake_fabric(self) -> SimpleNamespace:
         scheduler = SimpleNamespace(total_wire_time=1.0, total_queued_time=0.5, log=[1, 2])
         return SimpleNamespace(
-            network=SimpleNamespace(scheduler=scheduler, wan_bytes=100),
+            network=SimpleNamespace(
+                scheduler=scheduler,
+                transfer_log=[SimpleNamespace(wan_bytes=100)],
+                decision_log=[1],
+            ),
             chain=SimpleNamespace(log=[1]),
         )
 
@@ -247,7 +251,8 @@ class TestFabricHook:
         sanitizer.observe_fabric(fabric)
         fabric.network.scheduler.total_wire_time = 2.0
         fabric.network.scheduler.log.append(3)
-        fabric.network.wan_bytes = 250
+        fabric.network.transfer_log.append(SimpleNamespace(wan_bytes=150))
+        fabric.network.decision_log.append(2)
         sanitizer.observe_fabric(fabric)
         assert sanitizer.checks["fabric"] == 2
 
@@ -255,7 +260,7 @@ class TestFabricHook:
         sanitizer = SimulationSanitizer()
         fabric = self.fake_fabric()
         sanitizer.observe_fabric(fabric)
-        fabric.network.wan_bytes = 50
+        fabric.network.transfer_log.append(SimpleNamespace(wan_bytes=-50))
         with pytest.raises(SanitizerViolation, match="wan_bytes moved backwards"):
             sanitizer.observe_fabric(fabric)
 
@@ -265,6 +270,27 @@ class TestFabricHook:
         sanitizer.observe_fabric(fabric)
         fabric.network.scheduler.log.pop()
         with pytest.raises(SanitizerViolation, match="log.*moved backwards"):
+            sanitizer.observe_fabric(fabric)
+
+    def test_trips_when_the_decision_log_shrinks(self):
+        sanitizer = SimulationSanitizer()
+        fabric = self.fake_fabric()
+        sanitizer.observe_fabric(fabric)
+        fabric.network.decision_log.pop()
+        with pytest.raises(SanitizerViolation, match=r"decision_log\) moved backwards"):
+            sanitizer.observe_fabric(fabric)
+
+    def test_folds_only_the_transfers_logged_since_the_last_check(self):
+        sanitizer = SimulationSanitizer()
+        fabric = self.fake_fabric()
+        sanitizer.observe_fabric(fabric)
+        # An already-folded record is never read again: the running sum is the
+        # watermark plus the new tail, not a re-sum of the whole log.
+        fabric.network.transfer_log[0] = None
+        fabric.network.transfer_log.append(SimpleNamespace(wan_bytes=150))
+        sanitizer.observe_fabric(fabric)
+        fabric.network.transfer_log.append(SimpleNamespace(wan_bytes=-300))
+        with pytest.raises(SanitizerViolation, match="wan_bytes moved backwards: 250 -> -50"):
             sanitizer.observe_fabric(fabric)
 
 

@@ -16,7 +16,6 @@ from repro.core.config import (
     edge_cluster_configs,
     gpu_cluster_configs,
     knob_choices,
-    knob_fields,
     tiny_imagenet_workload,
 )
 from repro.core.timing import ClusterTimingModel, RoundTiming
@@ -176,9 +175,14 @@ CLUSTER_EDITS = [
     (2, "attack", "nope"),
 ]
 
-#: one bad value per ``WorkloadConfig`` field with a declared range.
+#: one bad value per ``WorkloadConfig`` field with a declared range or closed set.
 WORKLOAD_REJECTIONS = [
+    ("model", "mlp"),
+    ("model", "foo"),
+    ("dataset", "bar"),
     ("num_classes", 1),
+    ("image_size", 0),
+    ("image_size", 3),
     ("learning_rate", 0.0),
     ("rounds", 0),
     ("local_epochs", 0),
@@ -191,28 +195,30 @@ WORKLOAD_REJECTIONS = [
 ]
 
 
-def _bounded(config_class):
-    """The names of the fields of ``config_class`` that declare a range."""
-    return {f.name for f in dataclasses.fields(config_class) if bounds_text(f)}
+def _declared(config_class):
+    """The names of the fields of ``config_class`` that declare a range or a closed set."""
+    return {
+        f.name
+        for f in dataclasses.fields(config_class)
+        if bounds_text(f) or knob_choices(f) is not None
+    }
 
 
 class TestEveryRejectionNamesItsField:
     def test_every_check_has_a_case(self):
         checks = inspect.getsource(ExperimentConfig.__post_init__).count("raise ValueError")
-        # One loop raise covers every declared closed set but the mode's.
-        declared = sum(knob_choices(f) is not None for f in knob_fields())
-        checks += declared - 1 - 1
-        # check_bounds covers every field with a declared range, each named by a row.
-        bounded = _bounded(ExperimentConfig)
-        assert bounded <= {field for overrides, _ in REJECTIONS for field in overrides}
-        checks += len(bounded)
+        # check_bounds covers every field with a declared range or closed set,
+        # each named by a row; the registry names an unknown mode first.
+        declared = _declared(ExperimentConfig) - {"mode"}
+        assert declared <= {field for overrides, _ in REJECTIONS for field in overrides}
+        checks += len(declared)
         # validate_semi_params checks two fields; the mode registry adds two.
         assert len(REJECTIONS) == checks + 2 + 2
         cluster_checks = inspect.getsource(ClusterConfig.validate).count("raise ValueError")
-        assert {field for _, field, _ in CLUSTER_EDITS} >= _bounded(ClusterConfig)
-        assert len(CLUSTER_EDITS) == cluster_checks + len(_bounded(ClusterConfig))
+        assert {field for _, field, _ in CLUSTER_EDITS} >= _declared(ClusterConfig)
+        assert len(CLUSTER_EDITS) == cluster_checks + len(_declared(ClusterConfig))
         assert "raise" not in inspect.getsource(WorkloadConfig.__post_init__)
-        assert sorted(field for field, _ in WORKLOAD_REJECTIONS) == sorted(_bounded(WorkloadConfig))
+        assert {field for field, _ in WORKLOAD_REJECTIONS} == _declared(WorkloadConfig)
 
     @pytest.mark.parametrize(
         "overrides, fields", REJECTIONS, ids=[" ".join(sorted(o)) for o, _ in REJECTIONS]

@@ -962,7 +962,7 @@ class TestFaultFreeBitIdentity:
             actor.upload("b", 1, at=0.6)
             return [
                 (t.source, t.destination, t.started_at, t.finished_at)
-                for t, _ in actor._events
+                for t in actor.transfers()
             ]
 
         plain = NetworkActor(make_topology(), model_bytes=1_000_000)

@@ -181,13 +181,12 @@ class TestCircuitBreaker:
     def test_trips_after_threshold_consecutive_failures(self):
         breaker = CircuitBreaker(threshold=3, cooldown_s=10.0)
         assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
+        assert not breaker.record_failure(1.0)
+        assert not breaker.record_failure(2.0)
         assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure(3.0)
+        assert breaker.record_failure(3.0)  # reports the trip
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 1
-        assert breaker.open_seconds == pytest.approx(10.0)
+        assert breaker.opened_at == 3.0
 
     def test_success_resets_the_failure_streak(self):
         breaker = CircuitBreaker(threshold=2, cooldown_s=10.0)
@@ -208,17 +207,17 @@ class TestCircuitBreaker:
 
     def test_half_open_trial_outcomes(self):
         breaker = CircuitBreaker(threshold=1, cooldown_s=10.0)
-        breaker.record_failure(0.0)
+        trips = [breaker.record_failure(0.0)]
         assert breaker.allow(10.0)
         breaker.record_success(10.0)
         assert breaker.state == CircuitBreaker.CLOSED
         # Failure in half-open re-trips for another full cooldown.
-        breaker.record_failure(11.0)
+        trips.append(breaker.record_failure(11.0))
         assert breaker.allow(21.0)
-        breaker.record_failure(21.0)
+        trips.append(breaker.record_failure(21.0))
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 3
-        assert breaker.open_seconds == pytest.approx(30.0)
+        assert trips == [True, True, True]
+        assert not breaker.would_allow(30.9) and breaker.would_allow(31.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -384,7 +383,7 @@ class TestNetworkActorResilience:
             actor.download("agg2", 1, at=22.0, object_ids=["c1"])
             events = [
                 (t.source, t.destination, t.started_at, t.finished_at)
-                for t, _ in actor._events
+                for t in actor.transfers()
             ]
             return events, actor.retries, actor.backoff_wait_s, actor.failovers
 
@@ -398,6 +397,107 @@ class TestNetworkActorResilience:
         assert summary["fault_outage_s"] == pytest.approx(50.0)
         assert summary["fault_partition_s"] == 0.0
         assert summary["retries"] == summary["breaker_trips"] == 0.0
+
+
+# ------------------------------------------------------------------------- decision log
+def worked_example_actor(sites=("site-a", "site-b"), retry_max: int = 3) -> NetworkActor:
+    """The outage scenario of ``docs/faults.md`` ("A worked example")."""
+    topo = Topology()
+    for site in sites:
+        topo.add_replica(site)
+    for cluster, site in zip(("agg1", "agg2"), sites):
+        topo.add_cluster(cluster, site, NetworkLink(0.001, 100e6))
+    plan = FaultPlan(seed=1, outages=[ReplicaOutage("site-a", 10.0, 60.0)])
+    return NetworkActor(
+        topology=topo,
+        model_bytes=1_000_000,
+        faults=plan,
+        resilience=ResiliencePolicy(retry_max=retry_max),
+        resilience_seed=1,
+    )
+
+
+class TestDecisionLog:
+    def test_retries_then_trip_then_failover(self):
+        net = worked_example_actor()
+        net.upload("agg1", 1, at=20.0, object_ids=["cid-1"])
+        log = net.decision_log
+        assert [d.kind for d in log] == ["retry", "retry", "trip", "fast_fail", "failover"]
+        first, second, trip, fast_fail, failover = log
+        assert (first.attempt, first.attempts, second.attempt, second.attempts) == (1, 3, 2, 3)
+        # backoff_base_s * 2**attempt, scaled by 1 + backoff_jitter * u.
+        assert 0.5 <= first.seconds < 0.5 * 1.1 and 1.0 <= second.seconds < 1.0 * 1.1
+        # Each retry is decided before its wait; the trip ends the second one.
+        assert first.at == 20.0 and second.at == 20.0 + first.seconds
+        assert trip.at == fast_fail.at == failover.at == second.at + second.seconds
+        assert trip.seconds == ResiliencePolicy().breaker_cooldown_s
+        assert {d.replica for d in log} == {"site-a"} and {d.endpoint for d in log} == {"agg1"}
+        assert failover.target == "site-b"
+        assert net.transfers("upload")[0].started_at == failover.at
+
+    def test_an_open_breaker_fails_fast_without_retrying(self):
+        net = worked_example_actor()
+        net.upload("agg1", 1, at=20.0, object_ids=["cid-1"])
+        logged = len(net.decision_log)
+        net.upload("agg1", 1, at=21.0, object_ids=["cid-2"])
+        assert [(d.kind, d.at, d.target) for d in net.decision_log[logged:]] == [
+            ("fast_fail", 21.0, None),
+            ("failover", 21.0, "site-b"),
+        ]
+
+    def test_a_single_replica_records_the_degraded_wait(self):
+        net = worked_example_actor(sites=("site-a",))
+        net.upload("agg1", 1, at=20.0, object_ids=["cid-1"])
+        kinds = [d.kind for d in net.decision_log]
+        assert kinds == ["retry", "retry", "trip", "fast_fail", "degraded"]
+        degraded = net.decision_log[-1]
+        assert degraded.replica == "site-a" and degraded.target is None
+        assert degraded.at + degraded.seconds == pytest.approx(60.0)  # the scheduled recovery
+        assert net.transfers("upload")[0].started_at == 60.0
+
+    def test_nothing_is_recorded_without_a_decision(self):
+        off = worked_example_actor(retry_max=0)
+        off.upload("agg1", 1, at=20.0, object_ids=["cid-1"])
+        healthy = worked_example_actor()
+        healthy.upload("agg1", 1, at=0.0, object_ids=["cid-1"])  # a successful probe
+        assert off.decision_log == healthy.decision_log == []
+
+    def test_every_total_is_its_sum_over_the_records(self):
+        net = worked_example_actor()
+        net.upload("agg1", 2, at=20.0, object_ids=["cid-1", "cid-2"])
+        net.download("agg2", 1, at=22.0, object_ids=["cid-1"])
+        net.exchange("agg1", "agg2", 1, at=23.0)
+        lone = worked_example_actor(sites=("site-a",))
+        lone.upload("agg1", 1, at=20.0, object_ids=["cid-1"])
+        for actor in (net, lone):
+            kinds = [d.kind for d in actor.decision_log]
+            waits = [d.seconds for d in actor.decision_log if d.kind == "retry"]
+            backoff = 0.0
+            for wait in waits:
+                backoff += wait
+            assert actor.retries == kinds.count("retry") == len(waits)
+            assert actor.backoff_wait_s == backoff
+            assert actor.failovers == kinds.count("failover")
+            assert actor.fast_fails == kinds.count("fast_fail")
+            assert actor.breaker_trips == kinds.count("trip")
+            assert actor.breaker_open_s == sum(
+                d.seconds for d in actor.decision_log if d.kind == "trip"
+            )
+            assert actor.wan_bytes == sum(record.wan_bytes for record in actor.transfer_log)
+        assert (net.retries, net.failovers, net.breaker_trips, net.fast_fails) == (2, 2, 1, 2)
+        assert net.breaker_open_s == 60.0
+        # Upload to site-b and its push back to site-a, a second such pair,
+        # and the cross-site exchange; agg2's pull is served at home.
+        assert net.wan_bytes == 5 * 1_000_000
+        assert lone.wan_bytes == 0
+
+    def test_a_transfer_keeps_the_wan_crossing_it_committed_with(self):
+        net = worked_example_actor()
+        net.exchange("late", "agg1", 1, at=0.0)  # "late" has no site yet
+        net.attach_cluster("late", "site-b")
+        assert net.wan_bytes == 0
+        net.exchange("late", "agg1", 1, at=1.0)
+        assert [record.wan_bytes for record in net.transfer_log] == [0, 1_000_000]
 
 
 # ------------------------------------------------------------------------- configuration

@@ -533,6 +533,8 @@ class TestCLIWiring:
             (["--alpha", "0"], "dirichlet_alpha"),
             (["--samples-per-class", "0"], "samples_per_class"),
             (["--workload", "tiny_imagenet", "--num-classes", "1"], "num_classes"),
+            (["--image-size", "0"], "image_size"),
+            (["--image-size", "3"], "image_size"),
         ],
     )
     def test_an_out_of_range_flag_is_rejected_by_name(self, argv, field):
