@@ -72,12 +72,14 @@ from repro.sched.registry import get_policy, registered_modes
 
 def _build_workload(args: argparse.Namespace):
     if args.workload == "cifar10":
-        return cifar10_workload(
+        # The flag reaches this workload too, whose check rejects any count but 10.
+        workload = cifar10_workload(
             rounds=args.rounds,
             samples_per_class=args.samples_per_class,
             image_size=args.image_size,
             learning_rate=args.learning_rate,
         )
+        return dataclasses.replace(workload, num_classes=args.num_classes)
     return tiny_imagenet_workload(
         rounds=args.rounds,
         samples_per_class=args.samples_per_class,

@@ -9,11 +9,10 @@ decentralized cross-silo federated-learning framework described in the paper:
   (:mod:`repro.core.aggregator`),
 * accuracy and MultiKRUM scoring (:mod:`repro.core.scorer`),
 * aggregation and scoring policies (:mod:`repro.core.selection`),
-* the orchestrator that drives any registered round policy
-  (:mod:`repro.core.orchestrator`),
 * Byzantine attacks (:mod:`repro.core.attacks`),
 * the baselines UnifyFL is compared against (:mod:`repro.core.baselines`), and
-* the experiment runner and result/table utilities
+* the experiment runner, which drives the round policy the configured mode
+  registers (:mod:`repro.sched.policies`), and the result/table utilities
   (:mod:`repro.core.runner`, :mod:`repro.core.results`).
 """
 
@@ -56,7 +55,6 @@ from repro.core.multimodel import (
     MultiModelParticipant,
     MultiModelRoundRecord,
 )
-from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.selection import (
     AboveAverage,
     AboveMedian,
@@ -136,8 +134,6 @@ __all__ = [
     "MultiModelCollaboration",
     "MultiModelParticipant",
     "MultiModelRoundRecord",
-    "OrchestrationResult",
-    "Orchestrator",
     "AboveAverage",
     "AboveMedian",
     "AboveSelf",

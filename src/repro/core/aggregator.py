@@ -222,7 +222,7 @@ class UnifyFLAggregator:
     def is_available(self, round_number: Optional[int] = None) -> bool:
         """Draw whether the organisation is up for the coming round.
 
-        Used by the orchestrators for fault injection: with
+        Used by the round policies for fault injection: with
         ``config.availability < 1`` the organisation occasionally sits a whole
         round out (no training, no submission, no scoring).  When the run
         carries a :class:`~repro.simnet.faults.FaultPlan`, its seeded churn

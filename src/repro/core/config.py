@@ -98,6 +98,12 @@ class WorkloadConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
+        # SyntheticCIFAR10 always draws ten labels; a model with another
+        # output width would die at its first fit.
+        if self.dataset == "cifar10" and self.num_classes != 10:
+            raise ValueError(
+                f"num_classes must be 10 for dataset 'cifar10', got {self.num_classes}"
+            )
 
 
 def cifar10_workload(

@@ -23,10 +23,10 @@ same way.  In **semi** mode (bounded-staleness buffered-async) scorers are
 likewise assigned at submission, but the contract additionally *buffers* the
 round's submissions: ``closeSemiRound`` advances the round counter once a
 quorum of clusters has contributed or the driver decides the staleness bound
-expired, and ``getSemiRoundStatus`` exposes the buffer so the orchestrator
-can make that call.  In **gossip** mode submissions are pure publications:
-recorded and auditable, but nobody is assigned to score them — each cluster
-judges what it merges.
+expired, and ``getSemiRoundStatus`` exposes the buffer so the semi-sync round
+policy can make that call.  In **gossip** mode submissions are pure
+publications: recorded and auditable, but nobody is assigned to score them —
+each cluster judges what it merges.
 
 Submission and score records carry the submitting actor's simulated timestamp
 so asynchronous aggregators only observe state that existed at their local

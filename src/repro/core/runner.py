@@ -9,10 +9,10 @@
    the UnifyFL contract, and start one IPFS node per organisation joined into
    a swarm;
 3. build the clusters: clients, scorer, strategy, policies, optional attack;
-4. drive the federation with the :class:`~repro.core.orchestrator.Orchestrator`
-   under the round policy the registry builds for the configured mode (sync /
-   async / semi / hierarchical / gossip, plus anything registered
-   downstream); and
+4. drive the federation with the round policy the registry builds for the
+   configured mode (sync / async / semi / hierarchical / gossip, plus
+   anything registered downstream) from the run's
+   :class:`~repro.sched.policies.OrchestrationContext`; and
 5. collect an :class:`~repro.core.results.ExperimentResult` with per-aggregator
    metrics, chain/storage overhead counters and the resource report.
 
@@ -40,7 +40,6 @@ from repro.core.baselines import (
 )
 from repro.core.config import ClusterConfig, ExperimentConfig, WorkloadConfig
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.results import AggregatorResult, ExperimentResult
 from repro.core.sampling import ClientSampler
 from repro.core.scorer import FULL_ROUND_SCORERS, Scorer, build_scorer
@@ -55,6 +54,7 @@ from repro.ml.models import Model, build_model
 from repro.ml.serialization import DecodedModels
 from repro.ml.tensor_utils import read_only
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
+from repro.sched.policies import OrchestrationContext, RoundPolicy, StaticRoster
 from repro.sched.registry import get_policy
 from repro.simnet.faults import FaultPlan, ResiliencePolicy
 from repro.simnet.network import NetworkLink, Topology
@@ -468,8 +468,8 @@ class ExperimentRunner:
         self.aggregators = []
         if self.config.has_sampling:
             self.population = ClientPopulation(self)
-            # Materialise round 1's cohort eagerly so the orchestrator's
-            # constructor sees a non-empty aggregator list; later rounds
+            # Materialise round 1's cohort eagerly so the orchestration
+            # context sees a non-empty aggregator list; later rounds
             # materialise on demand from the round policies.
             self.population.round_aggregators(1)
             return
@@ -593,20 +593,22 @@ class ExperimentRunner:
         assert self.chain is not None and self._driver_account is not None
         rounds = self._rounds(rounds)
 
-        # No mode ladder: the registered spec's factory is the policy builder.
-        orchestrator = Orchestrator(
-            self.chain,
-            self._driver_account,
-            self.aggregators,
-            self.timing_model,
-            get_policy(self.config.mode).factory,
-            roster=self.population,
+        ctx = OrchestrationContext(
+            chain=self.chain,
+            driver=self._driver_account,
+            aggregators=self.aggregators,
+            timing=self.timing_model,
+            num_rounds=rounds,
+            roster=self.population or StaticRoster(self.aggregators),
+            comm=self.comm,
             config=self.config,
+            sanitizer=self.sanitizer,
         )
-        orchestrator.sanitizer = self.sanitizer
-        orchestration = orchestrator.run(rounds)
+        # No mode ladder: the registered spec's factory builds the policy.
+        policy = get_policy(self.config.mode).factory(ctx)
+        policy.run()
         self._record_daemon_overhead(rounds)
-        return self._collect_result(orchestration, rounds)
+        return self._collect_result(ctx, policy, rounds)
 
     def run_profiled(
         self, rounds: Optional[int] = None, top: int = 25, sort: str = "cumulative"
@@ -639,7 +641,9 @@ class ExperimentRunner:
                 self.monitor.record("geth", GETH_CPU_PERCENT + self._rng.normal(0, 0.03), GETH_MEMORY_MB + self._rng.normal(0, 0.4))
                 self.monitor.record("ipfs", IPFS_CPU_PERCENT + self._rng.normal(0, 0.3), IPFS_MEMORY_MB + self._rng.normal(0, 1.2))
 
-    def _collect_result(self, orchestration: OrchestrationResult, rounds: int) -> ExperimentResult:
+    def _collect_result(
+        self, ctx: OrchestrationContext, policy: RoundPolicy, rounds: int
+    ) -> ExperimentResult:
         assert self.chain is not None and self.swarm is not None
         aggregator_results = []
         for aggregator in self.aggregators:
@@ -654,8 +658,8 @@ class ExperimentRunner:
                     global_loss=record.global_loss if record else float("nan"),
                     local_accuracy=record.local_accuracy if record else float("nan"),
                     local_loss=record.local_loss if record else float("nan"),
-                    idle_time=orchestration.idle_times.get(aggregator.name, 0.0),
-                    straggler_count=orchestration.straggler_counts.get(aggregator.name, 0),
+                    idle_time=ctx.idle_totals.get(aggregator.name, 0.0),
+                    straggler_count=sum(r.straggled for r in aggregator.history),
                     history=list(aggregator.history),
                 )
             )
@@ -683,7 +687,7 @@ class ExperimentRunner:
             chain_metrics=self.chain.metrics.as_dict(),
             storage_metrics=storage_metrics,
             resource_reports=resource_reports,
-            orchestration_extras=dict(orchestration.extras),
+            orchestration_extras=dict(policy.extras()),
             comm_metrics=self.comm.summary(),
             sampling=sampling,
         )

@@ -31,9 +31,13 @@ Writing a new mode means subclassing :class:`RoundPolicy`, scheduling initial
 events in :meth:`~RoundPolicy.install`, letting handlers schedule their
 successors — and registering one :class:`~repro.sched.registry.PolicySpec`
 whose factory returns the policy, so the runner, config validation, CLI and
-contract all pick the mode up without edits.  The built-in modes register
-themselves at the bottom of this module.  See ``docs/scheduling.md`` for a
-walk-through.
+contract all pick the mode up without edits.  The shared plumbing is the
+base class's: :meth:`RoundPolicy.run` registers the clusters on the
+contract, runs the events on a fresh kernel and calls
+:meth:`~RoundPolicy.finalize`; the results stay where the run leaves them
+(aggregator histories and clocks, the context's ``idle_totals``,
+:meth:`~RoundPolicy.extras`).  The built-in modes register themselves at the
+bottom of this module.  See ``docs/scheduling.md`` for a walk-through.
 
 **One slot model.**  Every federation is a fixed number of *slots*; the
 context's :class:`Roster` says which cluster occupies slot ``j`` in round
@@ -68,6 +72,7 @@ from repro.sched.registry import ContractProfile, PolicySpec, register_policy
 # imported first.  Runtime needs are imported inside the handful of methods
 # that use them.
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.analysis.sanitizer import SimulationSanitizer
     from repro.chain.account import Account
     from repro.chain.blockchain import Blockchain
     from repro.core.aggregator import UnifyFLAggregator
@@ -138,13 +143,28 @@ class OrchestrationContext:
     #: closeSemiRound) and their peer exchanges to it and predict submission
     #: costs from its link schedule.
     comm: "CommFabric"
-    #: shared per-aggregator accumulators, owned by the orchestrator.
+    #: running barrier / quorum-wait total per aggregator (``add_idle``);
+    #: the result's ``idle_time``.
     idle_totals: Dict[str, float] = field(default_factory=dict)
-    straggles: Dict[str, int] = field(default_factory=dict)
     #: the experiment configuration registered factories read their knobs
-    #: from; ``None`` when an orchestrator is assembled by hand around an
-    #: explicit policy builder.
+    #: from; ``None`` when a policy is built by hand.
     config: Optional["ExperimentConfig"] = None
+    #: optional simulation sanitizer, installed on the kernel that
+    #: :meth:`RoundPolicy.run` creates.
+    sanitizer: Optional["SimulationSanitizer"] = None
+
+    def __post_init__(self) -> None:
+        if not self.aggregators:
+            raise ValueError("an orchestrator needs at least one aggregator")
+        names = [a.name for a in self.aggregators]
+        if len(set(names)) != len(names):
+            raise ValueError("aggregator names must be unique")
+        if any(a.comm is not self.comm for a in self.aggregators):
+            raise ValueError("the aggregators of one federation must share one CommFabric")
+        if self.num_rounds <= 0:
+            raise ValueError("num_rounds must be positive")
+        for name in names:
+            self.idle_totals.setdefault(name, 0.0)
 
     def add_idle(self, name: str, waited: float) -> None:
         """Accumulate ``waited`` idle seconds against aggregator ``name``."""
@@ -175,6 +195,25 @@ class RoundPolicy:
         #: underneath it.
         self._slot_round: Dict[int, int] = {}
         self._slot_time: Dict[int, float] = {}
+
+    def run(self) -> None:
+        """Drive the federation until every slot completed ``ctx.num_rounds``.
+
+        Registers every aggregator not yet on the contract, then runs the
+        policy's events on a fresh kernel (kept as :attr:`kernel`) carrying
+        the context's sanitizer.
+        """
+        chain = self.ctx.chain
+        registered = set(chain.call("unifyfl", "getAggregators"))
+        for aggregator in self.ctx.aggregators:
+            if aggregator.address not in registered:
+                aggregator.register(mine=False)
+        chain.mine_until_empty()
+        self.kernel = SimulationKernel()
+        self.kernel.sanitizer = self.ctx.sanitizer
+        self.install(self.kernel)
+        self.kernel.run()
+        self.finalize()
 
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the policy's initial events on ``kernel``."""
@@ -391,9 +430,6 @@ class SyncRoundPolicy(RoundPolicy):
                 # Missed the submission window: submit next round instead.
                 self._straggled[aggregator.name] = True
                 self.pending_late[aggregator.name] = True
-                self.ctx.straggles[aggregator.name] = (
-                    self.ctx.straggles.get(aggregator.name, 0) + 1
-                )
             self._round_timings[aggregator.name] = timing
 
         self.kernel.schedule_at(

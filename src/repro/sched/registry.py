@@ -6,9 +6,9 @@ optional config-validation hook and the contract-behaviour profile it needs
 — and every consumer derives its view from the registration:
 
 * :class:`~repro.core.runner.ExperimentRunner` looks the configured mode up
-  with :func:`get_policy` and hands the spec's ``factory`` to the one
-  :class:`~repro.core.orchestrator.Orchestrator`, which calls it with the
-  run's :class:`~repro.sched.policies.OrchestrationContext`;
+  with :func:`get_policy`, calls the spec's ``factory`` with the run's
+  :class:`~repro.sched.policies.OrchestrationContext` and runs the policy it
+  returns (:meth:`~repro.sched.policies.RoundPolicy.run`);
 * :class:`~repro.core.config.ExperimentConfig` validates ``mode`` against
   :func:`registered_modes` at construction time and runs the spec's
   ``validate`` hook, so an unknown mode fails fast with the list of

@@ -1,9 +1,8 @@
-"""Tests for the UnifyFL aggregator and the orchestrator under the sync/async/semi policies."""
+"""Tests for the UnifyFL aggregator and the round policies (sync/async/semi) driving it."""
 
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from repro.core.aggregator import UnifyFLAggregator
 from repro.core.attacks import SignFlipAttack
 from repro.core.config import ClusterConfig, cifar10_workload
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import Orchestrator
 from repro.core.runner import ExperimentRunner, run_experiment
 from repro.core.scorer import AccuracyScorer
 from repro.core.timing import ClusterTimingModel
@@ -39,7 +37,7 @@ from repro.simnet.resources import ResourceMonitor
 
 
 def policy_context(chain, driver, aggregators, timing, num_rounds=1):
-    """The context an orchestrator would hand a policy builder for a dense run."""
+    """The context the runner builds for a dense run."""
     return OrchestrationContext(
         chain=chain,
         driver=driver,
@@ -49,6 +47,11 @@ def policy_context(chain, driver, aggregators, timing, num_rounds=1):
         roster=StaticRoster(aggregators),
         comm=aggregators[0].comm,
     )
+
+
+def straggler_count(aggregator):
+    """What the runner reports as the aggregator's ``straggler_count``."""
+    return sum(record.straggled for record in aggregator.history)
 
 
 def build_federation(
@@ -290,7 +293,7 @@ class TestAggregatorUnit:
                 policy_k=1,
                 availability=0.6,
             )
-            Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(3)
+            AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=3)).run()
             return [a.history for a in aggregators]
 
         monitor = ResourceMonitor()
@@ -345,50 +348,68 @@ class TestAggregatorUnit:
 class TestSyncOrchestrator:
     def test_two_rounds_complete(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
-        result = orchestrator.run(2)
-        assert result.rounds_completed == 2
-        assert all(len(h) == 2 for h in result.histories.values())
+        SyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
+        assert all(len(a.history) == 2 for a in aggregators)
 
     def test_all_aggregators_share_the_same_total_time(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
-        result = orchestrator.run(2)
-        times = list(result.total_times.values())
+        SyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
+        times = [a.total_time() for a in aggregators]
         assert max(times) - min(times) < 1e-6
 
     def test_idle_time_recorded(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
-        result = orchestrator.run(1)
-        assert any(idle > 0 for idle in result.idle_times.values())
+        ctx = policy_context(chain, driver, aggregators, timing, num_rounds=1)
+        SyncRoundPolicy(ctx).run()
+        assert any(idle > 0 for idle in ctx.idle_totals.values())
 
     def test_every_aggregator_scored_peers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy).run(1)
+        SyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=1)).run()
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert len(records) == 3
         assert all(len(r["scores"]) == 2 for r in records)
 
     def test_tight_window_causes_stragglers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
-        )
-        result = orchestrator.run(2)
-        assert sum(result.straggler_counts.values()) > 0
+        SyncRoundPolicy(
+            policy_context(chain, driver, aggregators, timing, num_rounds=2),
+            training_window=0.5,
+            scoring_window=5.0,
+        ).run()
+        assert sum(straggler_count(a) for a in aggregators) > 0
 
     def test_requires_aggregators(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        with pytest.raises(ValueError):
-            Orchestrator(chain, driver, [], timing, SyncRoundPolicy)
+        with pytest.raises(ValueError, match="at least one aggregator"):
+            OrchestrationContext(
+                chain=chain,
+                driver=driver,
+                aggregators=[],
+                timing=timing,
+                num_rounds=1,
+                roster=StaticRoster([]),
+                comm=aggregators[0].comm,
+            )
+
+    def test_rejects_duplicate_aggregator_names(self):
+        chain, driver, aggregators, timing, _ = build_federation(mode="sync")
+        aggregators[1].config = dataclasses.replace(aggregators[1].config, name=aggregators[0].name)
+        with pytest.raises(ValueError, match="aggregator names must be unique"):
+            policy_context(chain, driver, aggregators, timing)
+
+    def test_rejects_aggregators_on_different_fabrics(self):
+        chain, driver, aggregators, timing, _ = build_federation(mode="sync")
+        aggregators[2].comm = CommFabric.constant_cost(
+            timing.nominal_model_bytes, timing.block_period
+        )
+        with pytest.raises(ValueError, match="share one CommFabric"):
+            policy_context(chain, driver, aggregators, timing)
 
     def test_rejects_zero_rounds(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
-        with pytest.raises(ValueError):
-            orchestrator.run(0)
+        with pytest.raises(ValueError, match="num_rounds must be positive"):
+            policy_context(chain, driver, aggregators, timing, num_rounds=0)
 
     def test_runner_does_not_mistake_zero_rounds_for_the_default(self, tiny_experiment_config):
         # Regression: `rounds or config.rounds` silently ran config.rounds.
@@ -405,28 +426,29 @@ class TestSyncStragglerPath:
 
     def test_stragglers_submit_their_stale_model_next_round(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
-        )
-        result = orchestrator.run(2)
+        SyncRoundPolicy(
+            policy_context(chain, driver, aggregators, timing, num_rounds=2),
+            training_window=0.5,
+            scoring_window=5.0,
+        ).run()
         # The window is far too tight for anyone: every cluster straggles in
         # round 1, so no model reaches the contract during that round...
         assert chain.call("unifyfl", "roundSubmissionCount", {"round_number": 1}) == 0
-        assert all(h[0].straggled for h in result.histories.values())
+        assert all(a.history[0].straggled for a in aggregators)
         # ...and every cluster opens round 2 by submitting its stale model.
         assert chain.call("unifyfl", "roundSubmissionCount", {"round_number": 2}) == len(aggregators)
-        for history in result.histories.values():
-            assert history[0].timing.store_time == 0.0
-            assert history[1].timing.store_time > 0.0
-        assert all(count == 2 for count in result.straggler_counts.values())
+        for aggregator in aggregators:
+            assert aggregator.history[0].timing.store_time == 0.0
+            assert aggregator.history[1].timing.store_time > 0.0
+        assert all(straggler_count(a) == 2 for a in aggregators)
 
     def test_late_submissions_carry_the_next_round_number(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
-        ).run(2)
+        SyncRoundPolicy(
+            policy_context(chain, driver, aggregators, timing, num_rounds=2),
+            training_window=0.5,
+            scoring_window=5.0,
+        ).run()
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert records and all(r["round"] == 2 for r in records)
 
@@ -434,22 +456,26 @@ class TestSyncStragglerPath:
         # Regression: `training_window=0.0` used to be silently replaced by the
         # provisioned default because of a truthiness check.
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        zero_windows = partial(SyncRoundPolicy, training_window=0.0, scoring_window=0.0)
-        policy = zero_windows(policy_context(chain, driver, aggregators, timing))
+        policy = SyncRoundPolicy(
+            policy_context(chain, driver, aggregators, timing),
+            training_window=0.0,
+            scoring_window=0.0,
+        )
         assert policy.training_window == 0.0
         assert policy.scoring_window == 0.0
-        result = Orchestrator(chain, driver, aggregators, timing, zero_windows).run(1)
+        policy.run()
         # A zero-length window means nobody can ever submit in time.
-        assert all(count == 1 for count in result.straggler_counts.values())
+        assert all(straggler_count(a) == 1 for a in aggregators)
 
     def test_generous_window_produces_no_stragglers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        result = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SyncRoundPolicy, training_window=10_000.0, scoring_window=10_000.0),
-        ).run(2)
-        assert all(count == 0 for count in result.straggler_counts.values())
-        assert not any(h.straggled for history in result.histories.values() for h in history)
+        SyncRoundPolicy(
+            policy_context(chain, driver, aggregators, timing, num_rounds=2),
+            training_window=10_000.0,
+            scoring_window=10_000.0,
+        ).run()
+        assert all(straggler_count(a) == 0 for a in aggregators)
+        assert not any(r.straggled for a in aggregators for r in a.history)
 
 
 class TestPolicyConstructorDefaults:
@@ -496,10 +522,8 @@ class TestPolicyConstructorDefaults:
 class TestAsyncOrchestrator:
     def test_two_rounds_complete(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        orchestrator = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy)
-        result = orchestrator.run(2)
-        assert result.rounds_completed == 2
-        assert all(len(h) == 2 for h in result.histories.values())
+        AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
+        assert all(len(a.history) == 2 for a in aggregators)
 
     def test_async_total_times_differ_across_clusters(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
@@ -509,27 +533,29 @@ class TestAsyncOrchestrator:
         aggregators[0].config = ClusterConfig(
             name=aggregators[0].config.name, num_clients=2, client_profile=RASPBERRY_PI_400
         )
-        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
-        times = sorted(result.total_times.values())
+        AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
+        times = sorted(a.total_time() for a in aggregators)
         assert times[-1] > times[0]
 
     def test_async_faster_than_sync(self):
-        sync_chain, sync_driver, sync_aggs, sync_timing, _ = build_federation(mode="sync", seed=2)
-        sync_result = Orchestrator(sync_chain, sync_driver, sync_aggs, sync_timing, SyncRoundPolicy).run(2)
-        async_chain, async_driver, async_aggs, async_timing, _ = build_federation(mode="async", seed=2)
-        async_result = Orchestrator(async_chain, async_driver, async_aggs, async_timing, AsyncRoundPolicy).run(2)
-        assert max(async_result.total_times.values()) < max(sync_result.total_times.values())
+        def makespan(mode, policy):
+            chain, driver, aggregators, timing, _ = build_federation(mode=mode, seed=2)
+            policy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
+            return max(a.total_time() for a in aggregators)
+
+        assert makespan("async", AsyncRoundPolicy) < makespan("sync", SyncRoundPolicy)
 
     def test_scores_eventually_submitted(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
+        AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert any(len(r["scores"]) > 0 for r in records)
 
     def test_no_idle_time_in_async(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
-        assert all(idle == 0.0 for idle in result.idle_times.values())
+        ctx = policy_context(chain, driver, aggregators, timing, num_rounds=2)
+        AsyncRoundPolicy(ctx).run()
+        assert ctx.idle_totals == {a.name: 0.0 for a in aggregators}
 
     def test_round_timings_account_for_every_clock_second(self):
         # Regression: the end-of-run scoring drain advanced each cluster's
@@ -537,19 +563,19 @@ class TestAsyncOrchestrator:
         # the cluster's total time.  The drain is now folded into the last
         # round record and the books balance exactly.
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
+        AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
         for aggregator in aggregators:
-            recorded = sum(r.timing.total_time for r in result.histories[aggregator.name])
+            recorded = sum(r.timing.total_time for r in aggregator.history)
             assert recorded == pytest.approx(aggregator.total_time(), abs=1e-9)
 
     def test_scheduling_goes_through_the_event_kernel(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        orchestrator = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy)
-        orchestrator.run(2)
-        assert orchestrator.kernel is not None
+        policy = AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2))
+        policy.run()
+        assert policy.kernel is not None
         # One activation event per cluster round, all dispatched via the heap.
-        assert orchestrator.kernel.events_processed == len(aggregators) * 2
-        stats = orchestrator.kernel.queue.stats
+        assert policy.kernel.events_processed == len(aggregators) * 2
+        stats = policy.kernel.queue.stats
         assert stats["pushes"] == stats["pops"] == len(aggregators) * 2
 
 
@@ -564,82 +590,82 @@ class TestSemiSyncOrchestrator:
         )
         return chain, driver, aggregators, timing
 
+    def _run(self, chain, driver, aggregators, timing, num_rounds, **options):
+        """Run semi-sync to completion; returns the context and the policy."""
+        ctx = policy_context(chain, driver, aggregators, timing, num_rounds=num_rounds)
+        policy = SemiSyncRoundPolicy(ctx, **options)
+        policy.run()
+        return ctx, policy
+
     def test_rounds_complete_for_every_cluster(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
-        assert result.mode == "semi"
-        assert result.rounds_completed == 2
-        assert all(len(h) == 2 for h in result.histories.values())
+        _, policy = self._run(chain, driver, aggregators, timing, 2)
+        assert policy.mode == "semi"
+        assert all(len(a.history) == 2 for a in aggregators)
 
     def test_quorum_waits_produce_bounded_idle(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SemiSyncRoundPolicy, quorum_k=2),
-        ).run(3)
+        ctx, _ = self._run(chain, driver, aggregators, timing, 3, quorum_k=2)
         # Someone waited for a round to close (unlike async)...
-        assert sum(result.idle_times.values()) > 0.0
+        assert sum(ctx.idle_totals.values()) > 0.0
         # ...but nobody waited longer than the default staleness bound (one
         # provisioned sync training window) per round.
         bound = timing.expected_training_window([a.config for a in aggregators])
-        for history in result.histories.values():
-            for record in history:
+        for aggregator in aggregators:
+            for record in aggregator.history:
                 assert record.timing.idle_time <= bound + 1e-9
 
     def test_quorum_of_one_degenerates_to_async(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SemiSyncRoundPolicy, quorum_k=1),
-        ).run(2)
-        assert all(idle == 0.0 for idle in result.idle_times.values())
-        assert result.extras["staleness_closures"] == 0
+        ctx, policy = self._run(chain, driver, aggregators, timing, 2, quorum_k=1)
+        assert ctx.idle_totals == {a.name: 0.0 for a in aggregators}
+        assert policy.extras()["staleness_closures"] == 0
 
     def test_small_staleness_bound_forces_staleness_closures(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SemiSyncRoundPolicy, quorum_k=3, max_staleness=4.0),
-        ).run(2)
-        assert result.extras["staleness_closures"] > 0
+        _, policy = self._run(
+            chain, driver, aggregators, timing, 2, quorum_k=3, max_staleness=4.0
+        )
+        assert policy.extras()["staleness_closures"] > 0
 
     def test_expired_deadline_closes_at_the_first_landing(self):
         # With a staleness bound far smaller than any round, every deadline
         # expires on an empty round; the round must then close as soon as one
         # submission lands, never by quorum.
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(
-            chain, driver, aggregators, timing,
-            partial(SemiSyncRoundPolicy, quorum_k=3, max_staleness=0.5),
-        ).run(2)
-        assert result.extras["quorum_closures"] == 0
-        assert result.extras["staleness_closures"] == result.extras["rounds_closed"] > 0
+        _, policy = self._run(
+            chain, driver, aggregators, timing, 2, quorum_k=3, max_staleness=0.5
+        )
+        extras = policy.extras()
+        assert extras["quorum_closures"] == 0
+        assert extras["staleness_closures"] == extras["rounds_closed"] > 0
 
     def test_closures_are_recorded_in_time_order(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(3)
-        closures = result.extras["closures"]
-        assert len(closures) == result.extras["rounds_closed"] >= 1
+        _, policy = self._run(chain, driver, aggregators, timing, 3)
+        extras = policy.extras()
+        closures = extras["closures"]
+        assert len(closures) == extras["rounds_closed"] >= 1
         close_times = [c[1] for c in closures]
         assert close_times == sorted(close_times)
         assert all(c[2] in ("quorum", "staleness") for c in closures)
 
     def test_round_timings_account_for_every_clock_second(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
+        self._run(chain, driver, aggregators, timing, 2)
         for aggregator in aggregators:
-            recorded = sum(r.timing.total_time for r in result.histories[aggregator.name])
+            recorded = sum(r.timing.total_time for r in aggregator.history)
             assert recorded == pytest.approx(aggregator.total_time(), abs=1e-9)
 
     def test_deterministic_for_a_fixed_seed(self):
         def run(seed):
             chain, driver, aggregators, timing = self._heterogeneous(seed=seed)
-            result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
+            ctx, policy = self._run(chain, driver, aggregators, timing, 2)
             return (
-                result.total_times,
-                result.idle_times,
-                {n: [r.global_accuracy for r in h] for n, h in result.histories.items()},
-                result.extras["closures"],
+                {a.name: a.total_time() for a in aggregators},
+                ctx.idle_totals,
+                {a.name: [r.global_accuracy for r in a.history] for a in aggregators},
+                policy.extras()["closures"],
             )
 
         assert run(5) == run(5)
@@ -657,7 +683,7 @@ class TestSemiSyncOrchestrator:
 
     def test_scores_eventually_submitted(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
+        self._run(chain, driver, aggregators, timing, 2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert any(len(r["scores"]) > 0 for r in records)
 

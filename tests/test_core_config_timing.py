@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 
@@ -12,6 +13,7 @@ from repro.core.config import (
     ExperimentConfig,
     WorkloadConfig,
     bounds_text,
+    check_bounds,
     cifar10_workload,
     edge_cluster_configs,
     gpu_cluster_configs,
@@ -181,6 +183,8 @@ WORKLOAD_REJECTIONS = [
     ("model", "foo"),
     ("dataset", "bar"),
     ("num_classes", 1),
+    # In range, but the cifar10 workload draws exactly ten labels.
+    ("num_classes", 5),
     ("image_size", 0),
     ("image_size", 3),
     ("learning_rate", 0.0),
@@ -205,7 +209,7 @@ def _declared(config_class):
 
 
 class TestEveryRejectionNamesItsField:
-    def test_every_check_has_a_case(self):
+    def test_every_check_has_a_case(self, tiny_workload):
         checks = inspect.getsource(ExperimentConfig.__post_init__).count("raise ValueError")
         # check_bounds covers every field with a declared range or closed set,
         # each named by a row; the registry names an unknown mode first.
@@ -217,8 +221,19 @@ class TestEveryRejectionNamesItsField:
         cluster_checks = inspect.getsource(ClusterConfig.validate).count("raise ValueError")
         assert {field for _, field, _ in CLUSTER_EDITS} >= _declared(ClusterConfig)
         assert len(CLUSTER_EDITS) == cluster_checks + len(_declared(ClusterConfig))
-        assert "raise" not in inspect.getsource(WorkloadConfig.__post_init__)
         assert {field for field, _ in WORKLOAD_REJECTIONS} == _declared(WorkloadConfig)
+        # Each hand-written workload check has a row whose value is in range.
+        def in_range(field, value):
+            workload = copy.copy(tiny_workload)
+            setattr(workload, field, value)
+            try:
+                check_bounds(workload)
+            except ValueError:
+                return False
+            return True
+
+        workload_checks = inspect.getsource(WorkloadConfig.__post_init__).count("raise ValueError")
+        assert sum(in_range(*row) for row in WORKLOAD_REJECTIONS) == workload_checks
 
     @pytest.mark.parametrize(
         "overrides, fields", REJECTIONS, ids=[" ".join(sorted(o)) for o, _ in REJECTIONS]

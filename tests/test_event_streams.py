@@ -791,8 +791,7 @@ class TestSemiSyncReleaseTiming:
         """Regression: the quorum-triggering cluster must wait for
         closeSemiRound finality exactly like every blocked waiter — it used
         to be reactivated from its own clock, skipping the consensus wait."""
-        from repro.core.orchestrator import Orchestrator
-        from repro.sched.policies import SemiSyncRoundPolicy
+        from repro.sched.policies import OrchestrationContext, SemiSyncRoundPolicy, StaticRoster
 
         resumed = []
 
@@ -815,15 +814,20 @@ class TestSemiSyncReleaseTiming:
         config = tiny_config("semi", event_streams=True)
         runner = ExperimentRunner(config)
         runner.build()
-        orchestration = Orchestrator(
-            runner.chain,
-            runner._driver_account,
-            runner.aggregators,
-            runner.timing_model,
-            RecordingPolicy,
-        ).run(config.rounds)
+        policy = RecordingPolicy(
+            OrchestrationContext(
+                chain=runner.chain,
+                driver=runner._driver_account,
+                aggregators=runner.aggregators,
+                timing=runner.timing_model,
+                num_rounds=config.rounds,
+                roster=StaticRoster(runner.aggregators),
+                comm=runner.comm,
+            )
+        )
+        policy.run()
 
-        closures = orchestration.extras["closures"]
+        closures = policy.extras()["closures"]
         # Finality is strictly later than the close in event-stream mode, so
         # the resume assertion below is not vacuous.
         assert any(release > close for _, close, _, _, release in closures)

@@ -533,6 +533,7 @@ class TestCLIWiring:
             (["--alpha", "0"], "dirichlet_alpha"),
             (["--samples-per-class", "0"], "samples_per_class"),
             (["--workload", "tiny_imagenet", "--num-classes", "1"], "num_classes"),
+            (["--workload", "cifar10", "--num-classes", "5"], "num_classes"),
             (["--image-size", "0"], "image_size"),
             (["--image-size", "3"], "image_size"),
         ],

@@ -159,8 +159,8 @@ class TestSimulationKernel:
         assert kernel.events_processed == 5
 
     def test_sched_package_imports_before_core(self):
-        # Regression: repro.core.__init__ imports the orchestrators, which
-        # import repro.sched.policies — importing repro.sched *first* used to
+        # Regression: repro.core.__init__ imports the runner, which
+        # imports repro.sched.policies — importing repro.sched *first* used to
         # blow up on the resulting cycle in a fresh interpreter.
         import os
         import subprocess
