@@ -18,7 +18,7 @@ CIDs and scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.chain.account import Account
@@ -206,16 +206,18 @@ class Blockchain:
 
         for receipt in receipts:
             self._receipts[receipt.tx_hash] = receipt
-            for event in receipt.events:
+            # Each event is stamped once; the receipt and the log hold it.
+            receipt.events = [
                 self.event_bus.append(
-                    Event(
-                        contract=event.contract,
-                        name=event.name,
-                        payload=event.payload,
+                    replace(
+                        event,
                         block_number=number,
                         tx_hash=receipt.tx_hash,
+                        log_index=len(self.event_bus),
                     )
                 )
+                for event in receipt.events
+            ]
         self.metrics.blocks_mined += 1
         self.metrics.total_gas_used += block_gas
         self.metrics.total_bytes += block.estimated_size_bytes()

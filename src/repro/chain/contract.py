@@ -91,7 +91,7 @@ class Contract:
 
     def emit(self, event_name: str, **payload: Any) -> None:
         """Emit an event from the current call."""
-        self.ctx.events.append(Event(contract=self.name, name=event_name, payload=dict(payload)))
+        self.ctx.events.append(Event(contract=self.name, name=event_name, payload=payload))
         self.ctx.charge(375 + 8 * len(str(payload)))
 
     def require(self, condition: bool, message: str) -> None:

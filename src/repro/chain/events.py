@@ -9,13 +9,18 @@ subscribers receive callbacks as new events are sealed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """A single log entry emitted by a contract method."""
+    """A single log entry emitted by a contract method.
+
+    Sealing stamps it once with its block, transaction and log position; the
+    stamped event is the one object its receipt and the :class:`EventBus`
+    both hold.
+    """
 
     contract: str
     name: str
@@ -54,20 +59,18 @@ class EventBus:
         self._subscribers: List[tuple[EventFilter, Callable[[Event], None]]] = []
 
     def append(self, event: Event) -> Event:
-        """Record an event (already stamped with block metadata) and notify."""
-        stamped = Event(
-            contract=event.contract,
-            name=event.name,
-            payload=dict(event.payload),
-            block_number=event.block_number,
-            tx_hash=event.tx_hash,
-            log_index=len(self._events),
-        )
-        self._events.append(stamped)
+        """Record an event (already stamped with block metadata) and notify.
+
+        An event whose ``log_index`` is its position in the log is held as
+        it is; any other is held as a copy stamped with that position.
+        """
+        if event.log_index != len(self._events):
+            event = replace(event, log_index=len(self._events))
+        self._events.append(event)
         for event_filter, callback in list(self._subscribers):
-            if event_filter.matches(stamped):
-                callback(stamped)
-        return stamped
+            if event_filter.matches(event):
+                callback(event)
+        return event
 
     def query(self, event_filter: Optional[EventFilter] = None) -> List[Event]:
         """Return all events matching a filter, in log order."""

@@ -2,8 +2,8 @@
 
 A transaction carries a smart-contract call: the target contract name, the
 method, and JSON-serialisable arguments.  It is signed by the sender and
-ordered by the sender's nonce.  A receipt records execution status, gas used,
-the return value and any events emitted.
+ordered by the sender's nonce.  A receipt records what an Ethereum receipt
+does: execution status, gas used and the events (logs) emitted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.chain.crypto import KeyPair, canonical_bytes, hash_payload, sign_byte
 from repro.chain.events import Event
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A signed contract-call transaction, immutable once built.
 
@@ -100,9 +100,16 @@ class Transaction:
         return len(self.signing_bytes) + 64
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionReceipt:
-    """Execution outcome of a transaction included in a block."""
+    """Execution outcome of a transaction included in a block.
+
+    It holds status, gas and logs: ``events`` are the stamped events the
+    chain's event log holds, the same objects.  ``return_value`` is what the
+    method returned; the UnifyFL contract's ``submitModel`` and
+    ``submitScore`` return nothing, so their receipts keep no snapshot of
+    the contract's state.
+    """
 
     tx_hash: str
     block_number: int

@@ -71,22 +71,18 @@ from repro.sched.registry import get_policy, registered_modes
 
 
 def _build_workload(args: argparse.Namespace):
-    if args.workload == "cifar10":
-        # The flag reaches this workload too, whose check rejects any count but 10.
-        workload = cifar10_workload(
-            rounds=args.rounds,
-            samples_per_class=args.samples_per_class,
-            image_size=args.image_size,
-            learning_rate=args.learning_rate,
-        )
-        return dataclasses.replace(workload, num_classes=args.num_classes)
-    return tiny_imagenet_workload(
+    # ``--num-classes`` reaches the workload only when given: each workload
+    # has its own default, and cifar10's check rejects any count but 10.
+    classes = {} if args.num_classes is None else {"num_classes": args.num_classes}
+    common = dict(
         rounds=args.rounds,
         samples_per_class=args.samples_per_class,
-        num_classes=args.num_classes,
         image_size=args.image_size,
         learning_rate=args.learning_rate,
     )
+    if args.workload == "cifar10":
+        return dataclasses.replace(cifar10_workload(**common), **classes)
+    return tiny_imagenet_workload(**common, **classes)
 
 
 def _build_clusters(args: argparse.Namespace) -> List[ClusterConfig]:
@@ -142,7 +138,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser, skip: Sequence[str] =
     )
     parser.add_argument("--samples-per-class", type=int, default=24, dest="samples_per_class")
     parser.add_argument("--image-size", type=int, default=8, dest="image_size")
-    parser.add_argument("--num-classes", type=int, default=10, dest="num_classes")
+    parser.add_argument(
+        "--num-classes", type=int, default=None, dest="num_classes",
+        help=f"classes to train (default: {cifar10_workload().num_classes} for cifar10, "
+        f"{tiny_imagenet_workload().num_classes} for tiny_imagenet)",
+    )
     parser.add_argument("--learning-rate", type=float, default=0.05, dest="learning_rate")
     hints = get_type_hints(ExperimentConfig)
     for knob in knob_fields():

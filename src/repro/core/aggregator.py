@@ -299,9 +299,9 @@ class UnifyFLAggregator:
         """Retrieve and deserialize a model from the storage swarm.
 
         Every fetch pulls the payload through this silo's IPFS node; the
-        decoded list is the run's one read-only copy of that CID
-        (:class:`DecodedModels`), decoded again only if the store has
-        evicted it.
+        decoded list is the run's one list of read-only views into that
+        CID's payload (:class:`DecodedModels`), decoded again only if the
+        store has evicted it.
         """
         return self.decoded_models.decode(cid, self.ipfs.get(parse_cid(cid)))
 

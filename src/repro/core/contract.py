@@ -174,7 +174,7 @@ class UnifyFLContract(Contract):
         return self.current_round
 
     @contract_method
-    def submitModel(self, cid: str, timestamp: float = 0.0) -> Dict[str, Any]:
+    def submitModel(self, cid: str, timestamp: float = 0.0) -> None:
         """Submit the CID of an aggregated local model (valid trainers only)."""
         sender = self.ctx.sender
         self.require(sender in self.aggregators, "sender is not a registered aggregator")
@@ -214,7 +214,6 @@ class UnifyFLContract(Contract):
                     submitters=len(self.semi_submitters),
                     quorum=quorum,
                 )
-        return submission.as_record()
 
     # ---------------------------------------------------------------- scoring
     @contract_method
@@ -234,7 +233,7 @@ class UnifyFLContract(Contract):
         return assignments
 
     @contract_method
-    def submitScore(self, cid: str, score: float, timestamp: float = 0.0) -> Dict[str, Any]:
+    def submitScore(self, cid: str, score: float, timestamp: float = 0.0) -> None:
         """Submit a score for a model CID (valid assigned scorers only)."""
         sender = self.ctx.sender
         self.require(cid in self.submissions, "unknown model CID")
@@ -253,7 +252,6 @@ class UnifyFLContract(Contract):
             pending.remove(cid)
         self.emit("ScoreSubmitted", cid=cid, scorer=sender, score=float(score))
         self.ctx.charge(15_000)
-        return submission.as_record()
 
     @contract_method
     def endRound(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 _PREFIX = "Qm"  # the familiar CIDv0-style prefix
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CID:
     """An immutable content identifier."""
 

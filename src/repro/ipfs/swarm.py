@@ -10,7 +10,7 @@ from repro.ipfs.cid import CID
 from repro.ipfs.node import IPFSError, IPFSNode
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     """One peer-to-peer content transfer, consumed by the timing simulation."""
 

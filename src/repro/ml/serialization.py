@@ -10,8 +10,8 @@ identical model.
 
 Serialization packs on every call: a round's model is a new model, so no
 workload serializes the same weights twice.  Deserialization is shared by
-content address: a run's :class:`DecodedModels` store holds one decoded copy
-of each recently fetched CID.
+content address: a run's :class:`DecodedModels` store holds one decoded
+model of each recently fetched CID, as read-only views into its payload.
 """
 
 from __future__ import annotations
@@ -92,8 +92,13 @@ def weights_to_bytes(weights: Sequence[np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
-    """Deserialize a payload produced by :func:`weights_to_bytes`.
+def weights_views(payload: bytes) -> List[np.ndarray]:
+    """The tensors of a payload produced by :func:`weights_to_bytes`, in place.
+
+    Each tensor is a read-only ``np.frombuffer`` view into ``payload``: it
+    costs its array header, keeps ``payload`` alive, and is not aligned (the
+    first tensor starts at byte 35), so code that computes on it copies
+    first, as every consumer of a weight list does.
 
     Raises:
         SerializationError: when the payload is truncated or malformed.
@@ -128,18 +133,28 @@ def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
             raise SerializationError(
                 f"tensor byte length {nbytes} does not match shape {shape} and dtype {dtype}"
             )
-        # frombuffer views the payload in place (read-only); the one copy
-        # makes the tensor writable and independent of the payload.
         view = np.frombuffer(payload, dtype=dtype, count=size, offset=offset)
-        weights.append(view.reshape(shape).copy())
+        weights.append(view.reshape(shape))
         offset += nbytes
     if offset != len(payload):
         raise SerializationError("trailing bytes after the final tensor")
     return weights
 
 
+def weights_from_bytes(payload: bytes) -> List[np.ndarray]:
+    """Deserialize a payload produced by :func:`weights_to_bytes`.
+
+    The tensors are writable and own their data: each is a copy of its
+    read-only view (:func:`weights_views`), independent of the payload.
+
+    Raises:
+        SerializationError: when the payload is truncated or malformed.
+    """
+    return [view.copy() for view in weights_views(payload)]
+
+
 class DecodedModels:
-    """The one decoded copy of each content-addressed model, per run.
+    """The one decoded model of each content-addressed payload, per run.
 
     Every silo pulls "the latest set of models" by CID, and equal CIDs are
     equal bytes, so the ``n`` aggregators of a wide round would each decode
@@ -148,11 +163,18 @@ class DecodedModels:
     are modelled and stay per silo); the store only makes the *decoded*
     weight list of a CID one shared, read-only object.
 
+    A decoded model is a list of views into the payload it was decoded from
+    (:func:`weights_views`), not a copy.  A payload of one IPFS block (every
+    model under 256 KiB) is the ``bytes`` object the swarm's block stores
+    already hold, so an entry costs its array headers and nothing else.
+
     The store is a CID-keyed LRU of at most ``capacity`` models.  The runner
     sizes it from the configuration: two rounds of submissions (this round's
-    and the one before), the models a round mostly reads.  A CID that was
-    evicted is simply decoded again on its next fetch, to equal tensors, so
-    the bound decides memory and never a result.
+    and the one before), the models a round mostly reads.  The bound limits
+    only the array headers the store holds (and keeps alive the payloads the
+    block stores have dropped).  A CID that was evicted is simply decoded
+    again on its next fetch, to equal tensors, so the bound decides memory
+    and never a result.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -171,16 +193,16 @@ class DecodedModels:
     def decode(self, cid: str, payload: bytes) -> List[np.ndarray]:
         """The decoded model of ``cid``, whose stored bytes are ``payload``.
 
-        The arrays are not writeable: every holder of the CID reads the same
-        memory.
+        The arrays are not writeable views into ``payload``: every holder of
+        the CID reads the same memory.
         """
         weights = self._models.get(cid)
         if weights is not None:
             self._models.move_to_end(cid)
             if self.sanitizer is not None:
-                self.sanitizer.check_decoded_model(cid, weights, weights_from_bytes(payload))
+                self.sanitizer.check_decoded_model(cid, weights, weights_views(payload))
             return weights
-        weights = read_only(weights_from_bytes(payload))
+        weights = read_only(weights_views(payload))
         self._models[cid] = weights
         if len(self._models) > self.capacity:
             self._models.popitem(last=False)

@@ -61,7 +61,7 @@ STORAGE_ENDPOINT = "storage"
 REPLICA_SELECTIONS = ("affinity", "least-loaded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainOp:
     """One contract interaction placed on the chain's block timeline.
 
@@ -107,7 +107,7 @@ class TransferRecord(NamedTuple):
     wan_bytes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResilienceDecision:
     """One decision of the resilience layer that moved a counter or a start.
 

@@ -111,7 +111,7 @@ class NetworkModel:
         return self.link(source, destination).transfer_time(num_bytes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledTransfer:
     """One transfer placed on the contended network timeline.
 

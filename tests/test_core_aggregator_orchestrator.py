@@ -248,7 +248,7 @@ class TestAggregatorUnit:
         def broken_decoder(payload):
             raise TypeError("a bug, not an unavailable model")
 
-        monkeypatch.setattr("repro.ml.serialization.weights_from_bytes", broken_decoder)
+        monkeypatch.setattr("repro.ml.serialization.weights_views", broken_decoder)
         with pytest.raises(TypeError, match="a bug"):
             scorer_agg.score_assigned()
 

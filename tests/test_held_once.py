@@ -1,29 +1,46 @@
-"""Tests for what a cluster owns: each model once, each data row once.
+"""Tests for what a run holds: each model once, each data row once, each
+chain record once.
 
 Weight lists are shared, read-only values: every aggregator starts on the
 runner's one initial list, policies hand models over by reference, and an
 in-place write raises instead of changing the model under another holder.
-An honest cluster holds its published model as the run's one decoded copy.
-A runner-built client holds its partition as row indices into its cluster's
-shard and gathers the rows only while it fits.  A cluster's global model
-lives only until ``record_round`` closes its round.  The baselines train
-on the runner's one network and score with its one evaluator.
+An honest cluster holds its published model as the run's one decoded copy,
+and a decoded model is a set of views into the payload the IPFS block
+stores already hold.  A runner-built client holds its partition as row
+indices into its cluster's shard and gathers the rows only while it fits.
+A cluster's global model lives only until ``record_round`` closes its
+round.  The baselines train on the runner's one network and score with its
+one evaluator.  A sealed contract event is one object, held by its receipt
+and the event log alike; a receipt keeps no snapshot of contract state, and
+the per-event records carry no instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.chain.account import Account
+from repro.chain.blockchain import Blockchain
+from repro.chain.events import Event
+from repro.chain.transaction import Transaction, TransactionReceipt
 from repro.core.aggregator import UnifyFLAggregator
 from repro.core.config import ExperimentConfig, cifar10_workload, gpu_cluster_configs
+from repro.core.contract import UnifyFLContract
 from repro.core.runner import ExperimentRunner
 from repro.core.timing import RoundTiming
 from repro.datasets.partition import IIDPartitioner
+from repro.ipfs.cid import compute_cid, parse_cid
+from repro.ipfs.swarm import TransferRecord
 from repro.ml.evaluation import Evaluator
 from repro.ml.models import Model
+from repro.ml.serialization import DecodedModels, weights_to_bytes
+from repro.sched.actors import ChainOp, ResilienceDecision
+from repro.simnet.network import ScheduledTransfer
 
 ALL_MODES = ("sync", "async", "semi", "hierarchical", "gossip")
 
@@ -212,6 +229,9 @@ class TestPublishedOnce:
         assert [w.tobytes() for w in aggregator.local_weights] == [w.tobytes() for w in trained]
         assert aggregator._local_cid == cid
         assert_read_only(aggregator.local_weights)
+        # ...and views the payload the silo's block store holds under it.
+        stored = np.frombuffer(aggregator.ipfs.get(parse_cid(cid)), dtype=np.uint8)
+        assert all(np.shares_memory(w, stored) for w in aggregator.local_weights)
 
     def test_a_poisoned_submission_keeps_the_trained_list(self):
         aggregator = self.trained_aggregator(attack="sign_flip")
@@ -235,3 +255,141 @@ class TestBaselinesHoldNoNetwork:
         monkeypatch.setattr(Model, "clone", lambda self: clones.append(self) or clone(self))
         getattr(runner, baseline)()
         assert clones == []
+
+
+# ------------------------------------------------------ models and records
+def views_the_payload(weights, payload: bytes) -> bool:
+    buffer = np.frombuffer(payload, dtype=np.uint8)
+    return all(
+        not tensor.flags.writeable and np.shares_memory(tensor, buffer) for tensor in weights
+    )
+
+
+class TestDecodedModelsViewThePayload:
+    def test_a_miss_and_a_hit_return_views_of_the_payload(self):
+        weights = [np.arange(6.0).reshape(2, 3), np.ones(4, dtype=np.float32), np.int64(7)]
+        payload = weights_to_bytes(weights)
+        table = DecodedModels(capacity=2)
+        decoded = table.decode("cid-a", payload)
+        assert views_the_payload(decoded, payload)
+        assert table.decode("cid-a", payload) is decoded
+        assert [t.tobytes() for t in decoded] == [np.asarray(w).tobytes() for w in weights]
+
+    def test_every_model_a_wide_run_fetches_views_its_payload(self):
+        runner = ExperimentRunner(config())
+        runner.run()
+        for aggregator in runner.aggregators:
+            for cid in aggregator.own_cids[-1:]:
+                payload = aggregator.ipfs.get(parse_cid(cid))
+                assert views_the_payload(aggregator.fetch_weights(cid), payload)
+
+
+def scored_chain():
+    """An async UnifyFL chain after one submission and one score, and the
+    hashes of every transaction it sealed."""
+    accounts = [Account.create(label=f"held{i}", seed=300 + i) for i in range(3)]
+    chain = Blockchain(accounts, block_period=1.0)
+    chain.deploy_contract(UnifyFLContract(mode="async", scorer_seed=1))
+    hashes = [chain.send(account, "unifyfl", "registerAggregator") for account in accounts]
+    chain.mine_until_empty()
+    cid = "Qm" + "4" * 64
+    hashes.append(chain.send(accounts[0], "unifyfl", "submitModel", {"cid": cid}))
+    chain.mine_until_empty()
+    scorer_address = chain.call("unifyfl", "getSubmission", {"cid": cid})["assigned_scorers"][0]
+    scorer = next(a for a in accounts if a.address == scorer_address)
+    score_hash = chain.send(scorer, "unifyfl", "submitScore", {"cid": cid, "score": 0.5})
+    chain.mine_until_empty()
+    return chain, hashes + [score_hash]
+
+
+class TestChainRecordsHeldOnce:
+    def test_a_receipts_events_are_the_logs_own_objects(self):
+        chain, hashes = scored_chain()
+        log = chain.event_bus.events
+        held = 0
+        for tx_hash in hashes:
+            receipt = chain.receipt(tx_hash)
+            assert receipt.success and receipt.events
+            for event in receipt.events:
+                assert log[event.log_index] is event
+                assert event.block_number == receipt.block_number
+                assert event.tx_hash == tx_hash
+                held += 1
+        assert held == len(log)
+
+    def test_a_score_receipt_keeps_no_submission_snapshot(self):
+        chain, hashes = scored_chain()
+        for tx_hash in hashes[-2:]:  # submitModel, submitScore
+            assert chain.receipt(tx_hash).return_value is None
+
+    def test_the_per_event_records_carry_no_instance_dict(self):
+        account = Account.create(label="slots", seed=7)
+        cid = compute_cid(b"slots")
+        records = [
+            ScheduledTransfer("a", "b", 1, 0.0, 0.0, 1.0),
+            TransferRecord(cid, "a", "b", 1),
+            cid,
+            Event("unifyfl", "ModelSubmitted", {}),
+            Transaction.create(account, "unifyfl", "submitModel", {"cid": str(cid)}),
+            TransactionReceipt("0x0", 1, True, 21_000),
+            ChainOp("submitModel", "agg1", 1, 0.0, 1.0, 0),
+            ResilienceDecision("retry", 0.0, "agg1", "replica0"),
+        ]
+        assert len({type(record) for record in records}) == 8
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+class TestRetainedBytesPerSubmission:
+    @staticmethod
+    def wide_config(rounds: int) -> ExperimentConfig:
+        """The federation of CI's wide Multi-KRUM leg: 12 single-client
+        clusters, sync, four storage replicas of capacity 2, least-loaded."""
+        return ExperimentConfig(
+            name=f"held-wide-{rounds}",
+            workload=cifar10_workload(rounds=rounds, samples_per_class=8, image_size=8),
+            clusters=gpu_cluster_configs(num_clusters=12, num_clients=1),
+            mode="sync",
+            scoring_algorithm="multikrum",
+            rounds=rounds,
+            seed=0,
+            storage_replicas=4,
+            replica_capacity=2,
+            replica_selection="least-loaded",
+        )
+
+    def test_a_submission_costs_under_95_kib_of_retained_memory(self):
+        """What a wide run holds per published model, host-independent.
+
+        ``tracemalloc`` counts the bytes a finished run (its runner and
+        result) still holds after a ``gc.collect()``, at 2 and at 4 rounds
+        of the CI wide shape; their difference over the submissions added
+        (14 to 37) is what one published model and its chain records cost.
+        A payload is 46.9 KiB.  It read 108.8 KiB while every decoded model
+        was a copy of its payload, each score receipt kept a submission
+        snapshot, each event was held twice and the per-event records had
+        an instance ``__dict__``; 78.7 KiB without them (Python 3.11.7,
+        numpy 2.4.6).  The ceiling sits between the two.
+        """
+        ExperimentRunner(self.wide_config(2)).run()
+        held, submissions = {}, {}
+        for rounds in (2, 4):
+            was_tracing = tracemalloc.is_tracing()
+            if not was_tracing:
+                tracemalloc.start()
+            try:
+                gc.collect()
+                before, _ = tracemalloc.get_traced_memory()
+                runner = ExperimentRunner(self.wide_config(rounds))
+                result = runner.run()
+                gc.collect()
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            held[rounds] = after - before
+            submissions[rounds] = sum(len(a.own_cids) for a in runner.aggregators)
+            del runner, result
+        assert (submissions[2], submissions[4]) == (14, 37)
+        kib = (held[4] - held[2]) / 1024 / (submissions[4] - submissions[2])
+        assert kib <= 95, kib

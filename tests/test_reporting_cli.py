@@ -542,6 +542,17 @@ class TestCLIWiring:
         with pytest.raises(ValueError, match=f"{field} must be"):
             main(["run", *argv])
 
+    @pytest.mark.parametrize(
+        "argv, classes",
+        [
+            (["--workload", "tiny_imagenet"], 20),
+            (["--workload", "tiny_imagenet", "--num-classes", "7"], 7),
+            (["--workload", "cifar10"], 10),
+        ],
+    )
+    def test_num_classes_defaults_to_the_workloads_own(self, argv, classes):
+        assert _config_from(argv).workload.num_classes == classes
+
     def test_cluster_count_is_honoured_within_each_testbed(self):
         assert len(_config_from(["--clusters", "2"]).clusters) == 2
         assert len(_config_from(["--testbed", "gpu", "--clusters", "5"]).clusters) == 5

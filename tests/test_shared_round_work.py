@@ -92,7 +92,7 @@ class TestExactCountersOnAWideRun:
         analysed, requested, decodes = [], [], []
         runner = ExperimentRunner(wide_config(seed))
         score_round, score = MultiKRUMScorer.score_round, _FullRoundScorer.score
-        decode, from_bytes = DecodedModels.decode, serialization.weights_from_bytes
+        decode, views = DecodedModels.decode, serialization.weights_views
         decoding = []
 
         def counting_score_round(self, round_weights):
@@ -110,14 +110,14 @@ class TestExactCountersOnAWideRun:
             finally:
                 decoding.pop()
 
-        def counting_from_bytes(payload):
+        def counting_views(payload):
             decodes.append(decoding[-1])
-            return from_bytes(payload)
+            return views(payload)
 
         monkeypatch.setattr(MultiKRUMScorer, "score_round", counting_score_round)
         monkeypatch.setattr(_FullRoundScorer, "score", recording_score)
         monkeypatch.setattr(DecodedModels, "decode", tracking_decode)
-        monkeypatch.setattr(serialization, "weights_from_bytes", counting_from_bytes)
+        monkeypatch.setattr(serialization, "weights_views", counting_views)
         runner.run()
 
         # One analysis per distinct round, however many scorers asked.
@@ -180,13 +180,13 @@ class TestExactCountersOnAWideRun:
 
     def test_the_bound_never_changes_a_result(self, monkeypatch):
         decodes = []
-        from_bytes = serialization.weights_from_bytes
+        views = serialization.weights_views
 
-        def counting_from_bytes(payload):
+        def counting_views(payload):
             decodes.append(payload)
-            return from_bytes(payload)
+            return views(payload)
 
-        monkeypatch.setattr(serialization, "weights_from_bytes", counting_from_bytes)
+        monkeypatch.setattr(serialization, "weights_views", counting_views)
         default = ExperimentRunner(wide_config()).run()
         default_decodes = len(decodes)
         decodes.clear()
@@ -439,8 +439,9 @@ class TestSanitizerIsTheOracle:
         table.sanitizer = SimulationSanitizer()
         payload = weights_to_bytes(small_weights(1))
         held = table.decode("cid-a", payload)
-        held[1].setflags(write=True)
-        held[1][0] += 1.0
+        # The held tensors view the payload's bytes and cannot be written:
+        # tamper by putting a changed copy in the held list.
+        held[1] = held[1] + 1.0
         with pytest.raises(SanitizerViolation, match="cid-a.*tensor 1"):
             table.decode("cid-a", payload)
 
