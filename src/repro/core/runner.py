@@ -658,7 +658,7 @@ class ExperimentRunner:
                     global_loss=record.global_loss if record else float("nan"),
                     local_accuracy=record.local_accuracy if record else float("nan"),
                     local_loss=record.local_loss if record else float("nan"),
-                    idle_time=ctx.idle_totals.get(aggregator.name, 0.0),
+                    idle_time=sum(r.timing.idle_time for r in aggregator.history),
                     straggler_count=sum(r.straggled for r in aggregator.history),
                     history=list(aggregator.history),
                 )
