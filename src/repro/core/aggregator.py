@@ -190,7 +190,7 @@ class UnifyFLAggregator:
     def global_weights(self) -> Optional[Weights]:
         """The global model of the round in flight.
 
-        Set by :meth:`build_global_model` (or handed over by a round policy)
+        Set by :meth:`merge_pulled` (or handed over by a round policy)
         and dropped by :meth:`record_round` once an online round closes;
         ``None`` between rounds.
         """
@@ -328,20 +328,9 @@ class UnifyFLAggregator:
         )
         selected = self.aggregation_policy.select(usable, self_candidate=self_candidate, rng=self._rng)
 
-        peer_candidates = [c for c in selected if not c.is_self]
-        pulled_cids = [c.cid for c in peer_candidates]
-
-        num_pulled = len(peer_candidates)
-        if peer_candidates:
-            # The paper's step (5): the pulled models and, after them, the
-            # local model, merged with equal coefficients.
-            contributions = [(self.fetch_weights(c.cid), 1.0) for c in peer_candidates]
-            contributions.append((self.local_weights, 1.0))
-            self.global_weights = self.strategy.aggregate_stream(
-                self.local_weights, contributions
-            )
-        else:
-            self.global_weights = self.local_weights
+        pulled_cids = [c.cid for c in selected if not c.is_self]
+        num_pulled = len(pulled_cids)
+        self.merge_pulled([self.fetch_weights(cid) for cid in pulled_cids])
 
         # CIDs identify the artifacts so the fabric can gate each fetch on the
         # object's availability at the serving replica.
@@ -351,8 +340,23 @@ class UnifyFLAggregator:
         timing.aggregation_time = self.timing.aggregation_time(self.config, num_pulled + 1)
         self.clock.advance(timing.pull_time + timing.aggregation_time)
         self._record_resources("agg", cpu=self.config.aggregator_profile.train_cpu_percent * 0.12)
-        self._pulled_this_round = num_pulled
         return timing
+
+    def merge_pulled(self, pulled: List[Weights]) -> None:
+        """Merge pulled peer models into the global model of the round in flight.
+
+        The paper's step (5): the pulled models and, after them, the local
+        model, merged with equal coefficients.  With nothing pulled the local
+        model is the global one.  Counts the pulled models for the round's
+        record.
+        """
+        if pulled:
+            self.global_weights = self.strategy.aggregate_stream(
+                self.local_weights, [(w, 1.0) for w in [*pulled, self.local_weights]]
+            )
+        else:
+            self.global_weights = self.local_weights
+        self._pulled_this_round = len(pulled)
 
     # ------------------------------------------------------------- local training
     def local_training_round(self) -> RoundTiming:
@@ -526,6 +530,7 @@ class UnifyFLAggregator:
             offline=offline,
         )
         self.history.append(record)
+        self._pulled_this_round = 0
         self._scored_this_round = 0
         return record
 

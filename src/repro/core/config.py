@@ -174,10 +174,14 @@ def majority_quorum(num_clusters: int) -> int:
 def validate_semi_params(
     quorum_k: Optional[int], max_staleness: Optional[float], num_clusters: int
 ) -> None:
-    """Shared bounds check for the semi-sync knobs (single source of truth).
+    """Bounds check of the semi-sync knobs against the per-round cluster count.
 
-    ``None`` values are skipped — config-level validation passes through
-    unresolved optionals, while the semi policy validates resolved values.
+    The quorum cannot exceed the clusters of a round, a bound across fields
+    that no declared range expresses.  The lower bounds repeat the knobs'
+    declared ranges for a :class:`~repro.sched.policies.SemiSyncRoundPolicy`
+    built by hand, without a config.  ``None`` values are skipped —
+    config-level validation passes through unresolved optionals, while the
+    semi policy validates resolved values.
     """
     if quorum_k is not None and not 1 <= quorum_k <= num_clusters:
         raise ValueError("semi_quorum_k must be between 1 and the number of clusters")
@@ -277,12 +281,14 @@ class ExperimentConfig:
         ge=0.0,
     )
     semi_quorum_k: Optional[int] = knob(
-        None, "semi mode: clusters that must submit before a round closes (unset: a majority)"
+        None, "semi mode: clusters that must submit before a round closes (unset: a majority)",
+        ge=1,
     )
     max_staleness: Optional[float] = knob(
         None,
         "semi mode: simulated seconds after which an open round closes without a "
         "quorum (unset: one expected sync training window)",
+        gt=0.0,
     )
     local_rounds_per_global: int = knob(
         2, "hierarchical mode: LAN-priced local rounds each site group runs per global round",

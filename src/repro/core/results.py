@@ -27,11 +27,10 @@ class AggregatorResult:
     global_loss: float
     local_accuracy: float
     local_loss: float
-    #: seconds spent waiting on the federation: barriers, phase windows,
-    #: quorum closes and site leaders (``OrchestrationContext.add_idle``).
-    #: An offline round's downtime in the free-running modes (async, semi,
-    #: gossip) is booked as that record's ``timing.idle_time`` but not here,
-    #: so a faulted cluster's records can sum to more than this.
+    #: seconds the cluster's clock advanced with no work done: the sum of its
+    #: records' ``timing.idle_time`` (barriers, phase windows, quorum closes,
+    #: site leaders, and offline rounds' downtime).  The round records are
+    #: the one ledger of a cluster's time.
     idle_time: float = 0.0
     #: rounds whose record is ``straggled`` (missed the sync submission window).
     straggler_count: int = 0

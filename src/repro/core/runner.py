@@ -608,7 +608,7 @@ class ExperimentRunner:
         policy = get_policy(self.config.mode).factory(ctx)
         policy.run()
         self._record_daemon_overhead(rounds)
-        return self._collect_result(ctx, policy, rounds)
+        return self._collect_result(policy, rounds)
 
     def run_profiled(
         self, rounds: Optional[int] = None, top: int = 25, sort: str = "cumulative"
@@ -641,9 +641,7 @@ class ExperimentRunner:
                 self.monitor.record("geth", GETH_CPU_PERCENT + self._rng.normal(0, 0.03), GETH_MEMORY_MB + self._rng.normal(0, 0.4))
                 self.monitor.record("ipfs", IPFS_CPU_PERCENT + self._rng.normal(0, 0.3), IPFS_MEMORY_MB + self._rng.normal(0, 1.2))
 
-    def _collect_result(
-        self, ctx: OrchestrationContext, policy: RoundPolicy, rounds: int
-    ) -> ExperimentResult:
+    def _collect_result(self, policy: RoundPolicy, rounds: int) -> ExperimentResult:
         assert self.chain is not None and self.swarm is not None
         aggregator_results = []
         for aggregator in self.aggregators:

@@ -35,8 +35,11 @@ contract all pick the mode up without edits.  The shared plumbing is the
 base class's: :meth:`RoundPolicy.run` registers the clusters on the
 contract, runs the events on a fresh kernel and calls
 :meth:`~RoundPolicy.finalize`; the results stay where the run leaves them
-(aggregator histories and clocks, the context's ``idle_totals``,
-:meth:`~RoundPolicy.extras`).  The built-in modes register themselves at the
+(aggregator histories and clocks, :meth:`~RoundPolicy.extras`).  A
+cluster's round records are the one ledger of its time: every wait a policy
+imposes is booked on the record of the round it belongs to
+(:meth:`~RoundPolicy._idle_until`), and the result's ``idle_time`` is their
+sum.  The built-in modes register themselves at the
 bottom of this module.  See ``docs/scheduling.md`` for a walk-through.
 
 **One slot model.**  Every federation is a fixed number of *slots*; the
@@ -59,7 +62,7 @@ policies never ask which fabric they are on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -143,9 +146,6 @@ class OrchestrationContext:
     #: closeSemiRound) and their peer exchanges to it and predict submission
     #: costs from its link schedule.
     comm: "CommFabric"
-    #: running barrier / quorum-wait total per aggregator (``add_idle``);
-    #: the result's ``idle_time``.
-    idle_totals: Dict[str, float] = field(default_factory=dict)
     #: the experiment configuration registered factories read their knobs
     #: from; ``None`` when a policy is built by hand.
     config: Optional["ExperimentConfig"] = None
@@ -163,12 +163,6 @@ class OrchestrationContext:
             raise ValueError("the aggregators of one federation must share one CommFabric")
         if self.num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
-        for name in names:
-            self.idle_totals.setdefault(name, 0.0)
-
-    def add_idle(self, name: str, waited: float) -> None:
-        """Accumulate ``waited`` idle seconds against aggregator ``name``."""
-        self.idle_totals[name] = self.idle_totals.get(name, 0.0) + waited
 
     def cluster_configs(self) -> list:
         """The configs of the clusters that exist so far (window provisioning)."""
@@ -216,8 +210,13 @@ class RoundPolicy:
         self.finalize()
 
     def install(self, kernel: SimulationKernel) -> None:
-        """Schedule the policy's initial events on ``kernel``."""
-        raise NotImplementedError
+        """Schedule the policy's initial events on ``kernel``.
+
+        The default starts the free-running modes: every slot's first
+        activation, at its first occupant's clock.
+        """
+        for slot, occupant in enumerate(self.ctx.roster.round_aggregators(1)):
+            self._schedule_slot(slot, occupant)
 
     def finalize(self) -> None:
         """Run once after the kernel drains (e.g. leftover-scoring cleanup)."""
@@ -248,25 +247,56 @@ class RoundPolicy:
         )
         self.ctx.chain.mine_until_empty()
 
-    def _barrier_wait(self, aggregator: "UnifyFLAggregator", barrier: float) -> float:
+    def _driver_phase(self, method: str, at: float, args: Optional[dict] = None) -> float:
+        """Send and seal the driver's ``method`` transaction at ``at``; returns its finality."""
+        self.ctx.chain.send(self.ctx.driver, "unifyfl", method, args)
+        self.ctx.chain.mine_until_empty()
+        return at + self.ctx.comm.driver_op(method, at)
+
+    def _idle_until(
+        self, aggregator: "UnifyFLAggregator", until: float, timing: "RoundTiming"
+    ) -> float:
+        """Idle ``aggregator`` until ``until``, booked on its round's ``timing``.
+
+        The round records are the one ledger of a cluster's time.  Returns
+        the seconds waited.
+        """
+        waited = aggregator.clock.advance_to(until)
+        timing.idle_time += waited
+        return waited
+
+    def _barrier_wait(
+        self, aggregator: "UnifyFLAggregator", barrier: float, timing: "RoundTiming"
+    ) -> float:
         """Advance a participant to a round-start barrier; returns its idle.
 
         A cluster the roster materialised for this round advances from
         clock 0 without having waited — it did not exist before.
         """
-        fresh = self.ctx.roster.joined_mid_run(aggregator)
-        waited = aggregator.clock.advance_to(barrier)
-        return 0.0 if fresh else waited
+        if self.ctx.roster.joined_mid_run(aggregator):
+            aggregator.clock.advance_to(barrier)
+            return 0.0
+        return self._idle_until(aggregator, barrier, timing)
+
+    def _sat_out(self, aggregator: "UnifyFLAggregator", round_number: int) -> bool:
+        """Whether a free-running cluster is down for the round (fault injection).
+
+        A cluster that is down idles for one round's training time and
+        records the round offline.
+        """
+        from repro.core.timing import RoundTiming
+
+        if aggregator.is_available(round_number):
+            return False
+        downtime = self.ctx.timing.client_training_time(aggregator.config, jitter=False)
+        aggregator.clock.advance(downtime)
+        aggregator.record_round(round_number, RoundTiming(idle_time=downtime), offline=True)
+        return True
 
     # ------------------------------------------------------ free-running slots
     def _activate(self, slot: int) -> None:
         """One self-paced round of ``slot`` (free-running modes implement it)."""
         raise NotImplementedError
-
-    def _arm_slots(self) -> None:
-        """Arm every slot's first activation at its first occupant's clock."""
-        for slot, occupant in enumerate(self.ctx.roster.round_aggregators(1)):
-            self._schedule_slot(slot, occupant)
 
     def _schedule_slot(self, slot: int, occupant: "UnifyFLAggregator") -> None:
         """Continue ``slot``'s timeline from its current occupant's clock.
@@ -303,16 +333,10 @@ class RoundPolicy:
         Returns True when the cluster actually trained and submitted, False
         when it sat the round out offline (fault injection).
         """
-        from repro.core.timing import RoundTiming
-
-        now = aggregator.clock.now()
-        if not aggregator.is_available(round_number):
-            downtime = self.ctx.timing.client_training_time(aggregator.config, jitter=False)
-            aggregator.clock.advance(downtime)
-            aggregator.record_round(round_number, RoundTiming(idle_time=downtime), offline=True)
+        if self._sat_out(aggregator, round_number):
             return False
         # Idle clusters first serve the scoring requests assigned to them.
-        timing = aggregator.score_assigned(before_time=now)
+        timing = aggregator.score_assigned(before_time=aggregator.clock.now())
         timing += aggregator.build_global_model(before_time=aggregator.clock.now())
         timing += aggregator.local_training_round()
         timing += aggregator.submit_local_model()[1]
@@ -329,8 +353,7 @@ class RoundPolicy:
         for aggregator in sorted(self.ctx.aggregators, key=lambda a: a.clock.now()):
             drain_timing = aggregator.score_assigned(before_time=aggregator.clock.now())
             if aggregator.history and drain_timing.total_time > 0:
-                last = aggregator.history[-1].timing
-                last += drain_timing
+                aggregator.history[-1].timing += drain_timing
 
 
 class SyncRoundPolicy(RoundPolicy):
@@ -358,16 +381,16 @@ class SyncRoundPolicy(RoundPolicy):
         self.training_window = training_window
         self.scoring_window = scoring_window
         #: clusters that missed the submission window and owe a late submission.
-        self.pending_late: Dict[str, bool] = {}
+        self.pending_late: set = set()
+        #: the round in flight's records, and who straggled or is offline in it.
         self._round_timings: Dict[str, "RoundTiming"] = {}
-        self._straggled: Dict[str, bool] = {}
-        self._offline: Dict[str, bool] = {}
+        self._straggled: set = set()
+        self._offline: set = set()
         #: the occupants of the round in flight.
         self._active: Sequence["UnifyFLAggregator"] = ()
 
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the first round start at the initial barrier time."""
-        self.kernel = kernel
         barrier = max(a.clock.now() for a in self.ctx.roster.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="sync-round")
 
@@ -384,36 +407,28 @@ class SyncRoundPolicy(RoundPolicy):
         # the federation (fresh, or idle since an earlier round); the round
         # still starts no earlier than the previous round end.
         barrier = max(self.kernel.now(), *(a.clock.now() for a in participants))
-        self.ctx.chain.send(self.ctx.driver, "unifyfl", "startTraining")
-        self.ctx.chain.mine_until_empty()
         # Training starts when the startTraining transaction is final
         # on-chain, not the instant the driver broadcast it.
-        phase_start = barrier + self.ctx.comm.driver_op("startTraining", barrier)
-        barrier_waits: Dict[str, float] = {}
-        for aggregator in participants:
-            waited = self._barrier_wait(aggregator, phase_start)
-            self.ctx.add_idle(aggregator.name, waited)
-            barrier_waits[aggregator.name] = waited
-        self._round_timings = {}
-        self._straggled = {}
-        self._offline = {}
+        phase_start = self._driver_phase("startTraining", barrier)
+        self._round_timings = {a.name: RoundTiming() for a in participants}
         for aggregator in participants:
             # The wait for the barrier / startTraining finality belongs to this
             # round's books (zero with free phase control, where clusters are
             # already aligned when a round begins).
-            timing = RoundTiming(idle_time=barrier_waits[aggregator.name])
+            self._barrier_wait(aggregator, phase_start, self._round_timings[aggregator.name])
+        self._straggled = set()
+        self._offline = set()
+        for aggregator in participants:
+            timing = self._round_timings[aggregator.name]
             # Fault injection: an unavailable organisation (availability draw
             # or fault-plan churn) sits the round out.
             if not aggregator.is_available(round_number):
-                self._offline[aggregator.name] = True
-                self._straggled[aggregator.name] = False
-                self._round_timings[aggregator.name] = timing
+                self._offline.add(aggregator.name)
                 continue
-            self._offline[aggregator.name] = False
             # A cluster that straggled last round submits its stale model first.
-            if self.pending_late.get(aggregator.name, False):
+            if aggregator.name in self.pending_late:
                 timing += aggregator.submit_local_model()[1]
-                self.pending_late[aggregator.name] = False
+                self.pending_late.discard(aggregator.name)
             timing += aggregator.build_global_model()
             timing += aggregator.local_training_round()
             elapsed = aggregator.clock.now() - phase_start
@@ -425,12 +440,10 @@ class SyncRoundPolicy(RoundPolicy):
             )
             if elapsed + submit_cost <= self.training_window:
                 timing += aggregator.submit_local_model()[1]
-                self._straggled[aggregator.name] = False
             else:
                 # Missed the submission window: submit next round instead.
-                self._straggled[aggregator.name] = True
-                self.pending_late[aggregator.name] = True
-            self._round_timings[aggregator.name] = timing
+                self._straggled.add(aggregator.name)
+                self.pending_late.add(aggregator.name)
 
         self.kernel.schedule_at(
             phase_start + self.training_window,
@@ -441,20 +454,14 @@ class SyncRoundPolicy(RoundPolicy):
     def _close_training(self, round_number: int) -> None:
         """Training window elapses: everyone idles to it, scoring begins."""
         assert self.kernel is not None
-        window_end = self.kernel.now()
-        self.ctx.chain.send(self.ctx.driver, "unifyfl", "startScoring")
-        self.ctx.chain.mine_until_empty()
         # Scoring starts once startScoring is sealed on-chain.
-        scoring_start = window_end + self.ctx.comm.driver_op("startScoring", window_end)
+        scoring_start = self._driver_phase("startScoring", self.kernel.now())
         for aggregator in self._active:
-            waited = aggregator.clock.advance_to(scoring_start)
-            self.ctx.add_idle(aggregator.name, waited)
-            self._round_timings[aggregator.name].idle_time += waited
+            self._idle_until(aggregator, scoring_start, self._round_timings[aggregator.name])
 
         for aggregator in self._active:
-            if self._offline.get(aggregator.name, False):
-                continue
-            self._round_timings[aggregator.name] += aggregator.score_assigned()
+            if aggregator.name not in self._offline:
+                self._round_timings[aggregator.name] += aggregator.score_assigned()
 
         self.kernel.schedule_at(
             scoring_start + self.scoring_window,
@@ -465,23 +472,18 @@ class SyncRoundPolicy(RoundPolicy):
     def _close_scoring(self, round_number: int) -> None:
         """Scoring window elapses: close the round and start the next one."""
         assert self.kernel is not None
-        scoring_end = self.kernel.now()
-        self.ctx.chain.send(self.ctx.driver, "unifyfl", "endRound")
-        self.ctx.chain.mine_until_empty()
         # The round (and its reward bookkeeping) is only over once the
         # endRound transaction is sealed.
-        round_end = scoring_end + self.ctx.comm.driver_op("endRound", scoring_end)
+        round_end = self._driver_phase("endRound", self.kernel.now())
         for aggregator in self._active:
-            waited = aggregator.clock.advance_to(round_end)
-            self.ctx.add_idle(aggregator.name, waited)
-            self._round_timings[aggregator.name].idle_time += waited
+            self._idle_until(aggregator, round_end, self._round_timings[aggregator.name])
 
         for aggregator in self._active:
             aggregator.record_round(
                 round_number,
                 self._round_timings[aggregator.name],
-                straggled=self._straggled.get(aggregator.name, False),
-                offline=self._offline.get(aggregator.name, False),
+                straggled=aggregator.name in self._straggled,
+                offline=aggregator.name in self._offline,
             )
 
         if round_number < self.ctx.num_rounds:
@@ -495,11 +497,6 @@ class AsyncRoundPolicy(RoundPolicy):
     """Free-running slots; the earliest heap event is always next (3.3)."""
 
     mode = "async"
-
-    def install(self, kernel: SimulationKernel) -> None:
-        """Arm every slot's first activation at its occupant's local clock."""
-        self.kernel = kernel
-        self._arm_slots()
 
     def _activate(self, slot: int) -> None:
         """One self-paced round by the slot's occupant."""
@@ -579,15 +576,10 @@ class SemiSyncRoundPolicy(RoundPolicy):
     # ----------------------------------------------------------------- install
     def install(self, kernel: SimulationKernel) -> None:
         """Configure the contract's quorum, arm every slot and the timeout."""
-        self.kernel = kernel
-        self.ctx.chain.send(
-            self.ctx.driver, "unifyfl", "configureSemiRound", {"quorum_k": self.quorum_k}
-        )
-        self.ctx.chain.mine_until_empty()
         # Recorded for the chain accounting; nobody waits on the configuration
         # transaction (clusters start from their own clocks regardless).
-        self.ctx.comm.driver_op("configureSemiRound", 0.0)
-        self._arm_slots()
+        self._driver_phase("configureSemiRound", 0.0, {"quorum_k": self.quorum_k})
+        super().install(kernel)
         self._arm_timeout()
 
     # ------------------------------------------------------------------ events
@@ -636,18 +628,15 @@ class SemiSyncRoundPolicy(RoundPolicy):
                 self._schedule_slot(slot, aggregator)
             return
         self._landed += 1
-        if self._landed >= self.quorum_k:
-            release_time = self._close_round(reason="quorum")
+        # A round closes on quorum, or at once when it is already past its
+        # staleness deadline and this first landing gives it content.
+        if self._landed >= self.quorum_k or self._deadline_passed:
+            reason = "quorum" if self._landed >= self.quorum_k else "staleness"
+            release_time = self._close_round(reason=reason)
             if not done:
-                # The quorum-triggering cluster waits for closeSemiRound
-                # finality exactly like every blocked waiter — closing the
-                # round is not a licence to skip the consensus wait.
-                self._release(aggregator, slot, release_time)
-        elif self._deadline_passed:
-            # The round is already past its staleness deadline; this first
-            # landing gives it content, so it closes right away.
-            release_time = self._close_round(reason="staleness")
-            if not done:
+                # The triggering cluster waits for closeSemiRound finality
+                # exactly like every blocked waiter — closing the round is
+                # not a licence to skip the consensus wait.
                 self._release(aggregator, slot, release_time)
         elif not done:
             # Submitted to a round that is still open: wait for the close.
@@ -672,9 +661,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
             self.max_staleness, self._on_timeout, priority=1, key="semi-timeout"
         )
 
-    def _release(
-        self, aggregator: "UnifyFLAggregator", slot: int, release_time: float
-    ) -> None:
+    def _release(self, aggregator: "UnifyFLAggregator", slot: int, release_time: float) -> None:
         """Advance a same-round submitter to the close's finality and re-arm its slot.
 
         Shared by blocked waiters and the cluster whose landing triggered the
@@ -682,10 +669,8 @@ class SemiSyncRoundPolicy(RoundPolicy):
         ``release_time`` (with free phase control finality is instant and the
         wait degenerates to zero).
         """
-        waited = aggregator.clock.advance_to(release_time)
-        self.ctx.add_idle(aggregator.name, waited)
-        if aggregator.history:
-            aggregator.history[-1].timing.idle_time += waited
+        # The wait closes the round the cluster submitted in: its last record.
+        self._idle_until(aggregator, release_time, aggregator.history[-1].timing)
         self._schedule_slot(slot, aggregator)
 
     def _close_round(self, reason: str) -> float:
@@ -697,24 +682,19 @@ class SemiSyncRoundPolicy(RoundPolicy):
         assert self.kernel is not None
         close_time = self.kernel.now()
         status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
-        self.ctx.chain.send(
-            self.ctx.driver, "unifyfl", "closeSemiRound", {"timestamp": close_time}
-        )
-        self.ctx.chain.mine_until_empty()
         # Blocked clusters only learn of the close once the
         # closeSemiRound transaction is sealed — the quorum close is itself a
         # chain event, so its consensus latency is part of their wait.
-        release_time = close_time + self.ctx.comm.driver_op("closeSemiRound", close_time)
+        release_time = self._driver_phase("closeSemiRound", close_time, {"timestamp": close_time})
         self.closures.append((status["round"], close_time, reason, self._landed, release_time))
         self._landed = 0
         self._deadline_passed = False
 
         if self._timeout_event is not None:
             self._timeout_event.cancel()
+        self._timeout_event = None
         if not self._all_finished():
             self._arm_timeout()
-        else:
-            self._timeout_event = None
 
         blocked = [self._blocked.pop(name) for name in sorted(self._blocked)]
         for aggregator, slot in blocked:
@@ -820,7 +800,6 @@ class HierarchicalRoundPolicy(RoundPolicy):
     # ----------------------------------------------------------------- install
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the first global round at the initial barrier time."""
-        self.kernel = kernel
         barrier = max(a.clock.now() for a in self.ctx.roster.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="hier-round")
 
@@ -851,37 +830,29 @@ class HierarchicalRoundPolicy(RoundPolicy):
         timings: Dict[str, "RoundTiming"] = {}
         available: Dict[str, bool] = {}
         for aggregator in participants:
-            waited = self._barrier_wait(aggregator, barrier)
-            self.ctx.add_idle(aggregator.name, waited)
-            self.tier_totals["global_idle_time"] += waited
-            timings[aggregator.name] = RoundTiming(idle_time=waited)
+            timings[aggregator.name] = RoundTiming()
+            self.tier_totals["global_idle_time"] += self._barrier_wait(
+                aggregator, barrier, timings[aggregator.name]
+            )
             available[aggregator.name] = aggregator.is_available(global_round)
-            aggregator._pulled_this_round = 0
 
         # Serve the scoring the previous round's leader submissions assigned.
         for aggregator in participants:
-            if not available[aggregator.name]:
-                continue
-            score_timing = aggregator.score_assigned(before_time=aggregator.clock.now())
-            timings[aggregator.name] += score_timing
-            self.tier_totals["global_scoring_time"] += score_timing.total_time
+            if available[aggregator.name]:
+                score_timing = aggregator.score_assigned(before_time=aggregator.clock.now())
+                timings[aggregator.name] += score_timing
+                self.tier_totals["global_scoring_time"] += score_timing.total_time
 
         for site_index, group in enumerate(self.groups):
             members = [m for m in group if available[m.name]]
             if not members:
                 continue
-            leader = group[(global_round - 1) % len(group)]
-            if not available[leader.name]:
-                # Deterministic fallback: the next available member in
-                # rotation order takes the round.
-                offset = (global_round - 1) % len(group)
-                leader = next(
-                    group[(offset + j) % len(group)]
-                    for j in range(len(group))
-                    if available[group[(offset + j) % len(group)].name]
-                )
+            # The rotation's member leads; if it is offline, the next
+            # available member in rotation order takes the round.
+            offset = (global_round - 1) % len(group)
+            leader = next(m for m in group[offset:] + group[:offset] if available[m.name])
             self.leader_log.append((global_round, site_index, leader.name))
-            self._run_group_round(global_round, group, members, leader, timings)
+            self._run_group_round(global_round, members, leader, timings)
 
         for aggregator in participants:
             aggregator.record_round(
@@ -899,7 +870,6 @@ class HierarchicalRoundPolicy(RoundPolicy):
     def _run_group_round(
         self,
         global_round: int,
-        group: List["UnifyFLAggregator"],
         members: List["UnifyFLAggregator"],
         leader: "UnifyFLAggregator",
         timings: Dict[str, "RoundTiming"],
@@ -917,16 +887,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
         # it: by then the payload exists (a pusher just trained, a receiver
         # was first advanced to the leader's clock).
         followers = [m for m in members if m.name != leader.name]
-        for member in followers:
-            waited = member.clock.advance_to(leader.clock.now())
-            self.ctx.add_idle(member.name, waited)
-            timings[member.name].idle_time += waited
-            self.tier_totals["local_idle_time"] += waited
-            elapsed = self.ctx.comm.exchange(leader.name, member.name, at=member.clock.now())
-            member.clock.advance(elapsed)
-            timings[member.name].exchange_time += elapsed
-            self.tier_totals["global_broadcast_time"] += elapsed
-            member.global_weights = leader.global_weights
+        self._broadcast(leader, followers, timings, "global_broadcast_time")
 
         # --- local tier: LAN-priced aggregation rounds around the leader.
         for local_round in range(1, self.local_rounds + 1):
@@ -949,10 +910,9 @@ class HierarchicalRoundPolicy(RoundPolicy):
                 self.tier_totals["local_exchange_time"] += elapsed
             # ...the leader waits for the slowest shuttle and merges...
             arrival = max([leader.clock.now()] + [m.clock.now() for m in trained])
-            waited = leader.clock.advance_to(arrival)
-            self.ctx.add_idle(leader.name, waited)
-            leader_timing.idle_time += waited
-            self.tier_totals["local_idle_time"] += waited
+            self.tier_totals["local_idle_time"] += self._idle_until(
+                leader, arrival, leader_timing
+            )
             weight_sets = [m.local_weights for m in trained if m.name != leader.name]
             weight_sets.append(leader.local_weights)
             group_model = leader.strategy.aggregate_stream(
@@ -965,22 +925,35 @@ class HierarchicalRoundPolicy(RoundPolicy):
             leader.local_weights = group_model
             leader.global_weights = group_model
             # ...and shuttles the merged group model back.
-            for member in followers:
-                waited = member.clock.advance_to(leader.clock.now())
-                self.ctx.add_idle(member.name, waited)
-                timings[member.name].idle_time += waited
-                self.tier_totals["local_idle_time"] += waited
-                elapsed = self.ctx.comm.exchange(leader.name, member.name, at=member.clock.now())
-                member.clock.advance(elapsed)
-                timings[member.name].exchange_time += elapsed
-                self.tier_totals["local_exchange_time"] += elapsed
-                member.global_weights = group_model
+            self._broadcast(leader, followers, timings, "local_exchange_time")
 
         # --- global tier: only the leader crosses WAN/chain.
         _, submit_timing = leader.submit_local_model()
         leader_timing += submit_timing
         self.tier_totals["global_store_time"] += submit_timing.store_time
         self.tier_totals["global_chain_time"] += submit_timing.chain_time
+
+    def _broadcast(
+        self,
+        leader: "UnifyFLAggregator",
+        followers: List["UnifyFLAggregator"],
+        timings: Dict[str, "RoundTiming"],
+        tier: str,
+    ) -> None:
+        """Shuttle the leader's global model to every follower over the LAN.
+
+        A follower first idles to the leader's clock — the model exists from
+        then — and pays for its shuttle, charged to the ``tier`` total.
+        """
+        for member in followers:
+            self.tier_totals["local_idle_time"] += self._idle_until(
+                member, leader.clock.now(), timings[member.name]
+            )
+            elapsed = self.ctx.comm.exchange(leader.name, member.name, at=member.clock.now())
+            member.clock.advance(elapsed)
+            timings[member.name].exchange_time += elapsed
+            self.tier_totals[tier] += elapsed
+            member.global_weights = leader.global_weights
 
     # ----------------------------------------------------------------- results
     def finalize(self) -> None:
@@ -1047,12 +1020,6 @@ class GossipRoundPolicy(RoundPolicy):
         #: exchanges skipped because the peer had published nothing visible.
         self.missed_exchanges = 0
 
-    # ----------------------------------------------------------------- install
-    def install(self, kernel: SimulationKernel) -> None:
-        """Arm every slot's first activation at its occupant's local clock."""
-        self.kernel = kernel
-        self._arm_slots()
-
     # ------------------------------------------------------------------ events
     def _select_peers(self, slot: int, round_number: int) -> List["UnifyFLAggregator"]:
         """The deterministic seeded fanout draw for one (slot, round).
@@ -1086,14 +1053,10 @@ class GossipRoundPolicy(RoundPolicy):
         """One cluster's complete gossip round: pull peers, merge, train, publish."""
         from repro.core.timing import RoundTiming
 
-        if not aggregator.is_available(round_number):
-            downtime = self.ctx.timing.client_training_time(aggregator.config, jitter=False)
-            aggregator.clock.advance(downtime)
-            aggregator.record_round(round_number, RoundTiming(idle_time=downtime), offline=True)
+        if self._sat_out(aggregator, round_number):
             return
-
         timing = RoundTiming()
-        peer_weight_sets = []
+        pulled = []
         for peer in peers:
             cid = self._latest_visible(peer.name, aggregator.clock.now())
             if cid is None:
@@ -1106,27 +1069,17 @@ class GossipRoundPolicy(RoundPolicy):
             aggregator.clock.advance(elapsed)
             timing.exchange_time += elapsed
             self.exchange_log.append((round_number, aggregator.name, peer.name, elapsed))
-            peer_weight_sets.append(weights)
+            pulled.append(weights)
 
-        if peer_weight_sets:
-            aggregator.global_weights = aggregator.strategy.aggregate_stream(
-                aggregator.local_weights,
-                [(w, 1.0) for w in peer_weight_sets + [aggregator.local_weights]],
-            )
-        else:
-            aggregator.global_weights = aggregator.local_weights
-        merge_time = self.ctx.timing.aggregation_time(aggregator.config, len(peer_weight_sets) + 1)
+        aggregator.merge_pulled(pulled)
+        merge_time = self.ctx.timing.aggregation_time(aggregator.config, len(pulled) + 1)
         aggregator.clock.advance(merge_time)
         timing.aggregation_time += merge_time
 
         timing += aggregator.local_training_round()
         cid, submit_timing = aggregator.submit_local_model()
         timing += submit_timing
-        self._published.setdefault(aggregator.name, []).append(
-            (cid, aggregator.clock.now())
-        )
-
-        aggregator._pulled_this_round = len(peer_weight_sets)
+        self._published.setdefault(aggregator.name, []).append((cid, aggregator.clock.now()))
         aggregator.record_round(round_number, timing)
 
     def _latest_visible(self, peer: str, now: float) -> Optional[str]:

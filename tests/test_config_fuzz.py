@@ -30,17 +30,11 @@ from repro.core.config import (
 from repro.core.reporting import result_to_dict
 from repro.core.runner import run_experiment
 
-#: values for a numeric knob that declares no range of its own (the semi
-#: knobs, whose bounds ``validate_semi_params`` checks).
-UNDECLARED_NUMBERS = {int: [-1, 0, 1, 2, 3], float: [-1.0, 0.0, 0.5, 30.0]}
-
 
 def _numbers(kind: type, declared: Dict[str, Any]) -> List[Any]:
     """Values at and just past each declared bound of a numeric knob, and
     values inside every bound a little and a long way in from each."""
     bounds = {key: declared[key] for key in BOUNDS if key in declared}
-    if not bounds:
-        return UNDECLARED_NUMBERS[kind]
     edges, inside = [], []
     for key, bound in bounds.items():
         inwards = 1 if key in ("gt", "ge") else -1

@@ -54,6 +54,11 @@ def straggler_count(aggregator):
     return sum(record.straggled for record in aggregator.history)
 
 
+def idle_times(aggregators):
+    """What the runner reports as each aggregator's ``idle_time``."""
+    return {a.name: sum(r.timing.idle_time for r in a.history) for a in aggregators}
+
+
 def build_federation(
     mode="sync", num_clusters=3, malicious=(), monitor=None, seed=0, **cluster_options
 ):
@@ -359,9 +364,8 @@ class TestSyncOrchestrator:
 
     def test_idle_time_recorded(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        ctx = policy_context(chain, driver, aggregators, timing, num_rounds=1)
-        SyncRoundPolicy(ctx).run()
-        assert any(idle > 0 for idle in ctx.idle_totals.values())
+        SyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=1)).run()
+        assert any(idle > 0 for idle in idle_times(aggregators).values())
 
     def test_every_aggregator_scored_peers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
@@ -553,9 +557,8 @@ class TestAsyncOrchestrator:
 
     def test_no_idle_time_in_async(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        ctx = policy_context(chain, driver, aggregators, timing, num_rounds=2)
-        AsyncRoundPolicy(ctx).run()
-        assert ctx.idle_totals == {a.name: 0.0 for a in aggregators}
+        AsyncRoundPolicy(policy_context(chain, driver, aggregators, timing, num_rounds=2)).run()
+        assert idle_times(aggregators) == {a.name: 0.0 for a in aggregators}
 
     def test_round_timings_account_for_every_clock_second(self):
         # Regression: the end-of-run scoring drain advanced each cluster's
@@ -605,9 +608,9 @@ class TestSemiSyncOrchestrator:
 
     def test_quorum_waits_produce_bounded_idle(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        ctx, _ = self._run(chain, driver, aggregators, timing, 3, quorum_k=2)
+        self._run(chain, driver, aggregators, timing, 3, quorum_k=2)
         # Someone waited for a round to close (unlike async)...
-        assert sum(ctx.idle_totals.values()) > 0.0
+        assert sum(idle_times(aggregators).values()) > 0.0
         # ...but nobody waited longer than the default staleness bound (one
         # provisioned sync training window) per round.
         bound = timing.expected_training_window([a.config for a in aggregators])
@@ -617,8 +620,8 @@ class TestSemiSyncOrchestrator:
 
     def test_quorum_of_one_degenerates_to_async(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        ctx, policy = self._run(chain, driver, aggregators, timing, 2, quorum_k=1)
-        assert ctx.idle_totals == {a.name: 0.0 for a in aggregators}
+        _, policy = self._run(chain, driver, aggregators, timing, 2, quorum_k=1)
+        assert idle_times(aggregators) == {a.name: 0.0 for a in aggregators}
         assert policy.extras()["staleness_closures"] == 0
 
     def test_small_staleness_bound_forces_staleness_closures(self):
@@ -660,10 +663,10 @@ class TestSemiSyncOrchestrator:
     def test_deterministic_for_a_fixed_seed(self):
         def run(seed):
             chain, driver, aggregators, timing = self._heterogeneous(seed=seed)
-            ctx, policy = self._run(chain, driver, aggregators, timing, 2)
+            _, policy = self._run(chain, driver, aggregators, timing, 2)
             return (
                 {a.name: a.total_time() for a in aggregators},
-                ctx.idle_totals,
+                idle_times(aggregators),
                 {a.name: [r.global_accuracy for r in a.history] for a in aggregators},
                 policy.extras()["closures"],
             )

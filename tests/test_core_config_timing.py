@@ -125,6 +125,7 @@ REJECTIONS = [
     (dict(population=10, clients_per_round=0), ("clients_per_round",)),
     (dict(population=10, clients_per_round=11), ("clients_per_round", "population")),
     (dict(population=10, clients_per_round=2, sampling_seed=-1), ("sampling_seed",)),
+    (dict(semi_quorum_k=0), ("semi_quorum_k",)),
     (dict(semi_quorum_k=4), ("semi_quorum_k",)),
     (dict(max_staleness=0.0), ("max_staleness",)),
     (dict(local_rounds_per_global=0), ("local_rounds_per_global",)),
@@ -216,8 +217,9 @@ class TestEveryRejectionNamesItsField:
         declared = _declared(ExperimentConfig) - {"mode"}
         assert declared <= {field for overrides, _ in REJECTIONS for field in overrides}
         checks += len(declared)
-        # validate_semi_params checks two fields; the mode registry adds two.
-        assert len(REJECTIONS) == checks + 2 + 2
+        # validate_semi_params adds the quorum's bound by the cohort; the mode
+        # registry adds two.
+        assert len(REJECTIONS) == checks + 1 + 2
         cluster_checks = inspect.getsource(ClusterConfig.validate).count("raise ValueError")
         assert {field for _, field, _ in CLUSTER_EDITS} >= _declared(ClusterConfig)
         assert len(CLUSTER_EDITS) == cluster_checks + len(_declared(ClusterConfig))
