@@ -406,8 +406,8 @@ class ExperimentConfig:
     )
     population: Optional[int] = knob(
         None,
-        "cross-device scale: virtual clusters in the federation; the clusters become "
-        "round-robin templates and only each round's sampled cohort materialises",
+        "cross-device scale: members of the federation; members past the configured "
+        "clusters copy them round-robin and only each round's sampled cohort materialises",
         ge=1,
     )
     clients_per_round: Optional[int] = knob(
@@ -440,11 +440,8 @@ class ExperimentConfig:
             raise ValueError("population needs clients_per_round, the cohort drawn each round")
         elif self.clients_per_round > self.population:
             raise ValueError("clients_per_round must be at most population")
-        # Semi-sync quorum bounds check against the per-round federation size:
-        # the cohort in sampled mode, the static cluster list otherwise.
-        validate_semi_params(
-            self.semi_quorum_k, self.max_staleness, self.clients_per_round or len(self.clusters)
-        )
+        # Semi-sync quorum bounds check against the per-round federation size.
+        validate_semi_params(self.semi_quorum_k, self.max_staleness, self.cohort_size)
         if not self.event_streams:
             # The constant-cost fabric has no queue for a capacity to bound
             # and no link-level faults.
@@ -472,9 +469,9 @@ class ExperimentConfig:
         return self.churn_rate > 0 or self.replica_outages > 0 or self.wan_partitions > 0
 
     @property
-    def has_sampling(self) -> bool:
-        """True when the run samples a per-round cohort from a virtual population."""
-        return self.population is not None
+    def cohort_size(self) -> int:
+        """Clusters drawn each round: ``clients_per_round``, or every configured one."""
+        return self.clients_per_round or len(self.clusters)
 
 
 def knob_fields() -> Tuple[Field, ...]:

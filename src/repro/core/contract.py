@@ -144,8 +144,8 @@ class UnifyFLContract(Contract):
         only a cohort participates per round; the driver publishes the drawn
         addresses so scorer assignment stays inside the cohort instead of
         drafting idle (unmaterialised-next-round) clusters.  Passing an empty
-        list clears the restriction.  Non-sampled runs never call this, so
-        their assignment behaviour is untouched.
+        list clears the restriction.  A cohort that is the whole population
+        is never declared, so a dense run's assignment behaviour is untouched.
         """
         for address in addresses:
             self.require(

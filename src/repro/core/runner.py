@@ -23,7 +23,7 @@ benchmark comparisons are apples to apples.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.ml.models import Model, build_model
 from repro.ml.serialization import DecodedModels
 from repro.ml.tensor_utils import read_only
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
-from repro.sched.policies import OrchestrationContext, RoundPolicy, StaticRoster
+from repro.sched.policies import OrchestrationContext, RoundPolicy
 from repro.sched.registry import get_policy
 from repro.simnet.faults import FaultPlan, ResiliencePolicy
 from repro.simnet.network import NetworkLink, Topology
@@ -68,52 +68,64 @@ IPFS_MEMORY_MB = 19.0
 
 
 class ClientPopulation:
-    """Lazy virtual-cluster factory over a sampled federation's population.
+    """The federation's roster: which member occupies which slot in which round.
 
-    The population itself is only a number (``config.population``); what
-    exists in memory is the set of virtual clusters some round's cohort has
-    actually drawn.  ``round_aggregators`` materialises a round's cohort on
-    first request (clients, IPFS node, contract registration) and memoises
-    both the cohort and every member, so a cluster re-sampled in a later
-    round is reused with its clock and history intact.  A materialised
-    cluster holds no network — its clients train on the runner's one
-    ``training_model`` — and no data rows: its clients hold row indices into
-    their template's shard and gather them only while they fit.  Between
-    rounds it holds one model of its own, its local one (it starts on the
-    run's shared, read-only initial list, and the global model of a round
-    lives only until ``record_round`` closes that round), so what it costs
-    is that model, its clients' indices, generators and optimizers, and its
-    storage node.  Peak memory is therefore O(distinct sampled clusters),
-    not O(population).
+    Every federation is a population of members drawn into a fixed number
+    of *slots* each round.  A cross-silo run is the degenerate population
+    whose cohort is everyone: its members are the configured clusters and
+    every round draws them all, so slot ``j`` is permanently cluster ``j``.
+    A sampled run (``config.population`` set) draws ``clients_per_round``
+    of a larger population, and its occupants rotate.  The round policies
+    only ever iterate slots, so there is one code path for both shapes.
 
     Cohorts come from :class:`~repro.core.sampling.ClientSampler`, so *who*
     participates in round ``r`` is a pure function of ``(sampling_seed, r)``
     — independent of materialisation order and of any other RNG stream.
+    ``round_aggregators`` materialises a round's cohort on first request
+    through ``materialise`` and memoises both the cohort and every member,
+    so a member drawn again in a later round is reused with its clock and
+    history intact.  Round 1's cohort is drawn here, and its occupants'
+    names key the slots' events for the whole run.  A member drawn later
+    joins mid-run: it registers on the contract when it is materialised
+    (round 1's cohort is registered by :meth:`RoundPolicy.run
+    <repro.sched.policies.RoundPolicy.run>`).
 
-    This is the rotating implementation of the round policies'
-    :class:`~repro.sched.policies.Roster` seam (the dense one is
-    :class:`~repro.sched.policies.StaticRoster`): member ``j`` of a round's
-    cohort occupies slot ``j``.
+    A runner-built member holds no network — its clients train on the
+    runner's one ``training_model`` — and no data rows: its clients hold
+    row indices into their template's shard and gather them only while
+    they fit.  Between rounds it holds one model of its own, its local one,
+    so peak memory is O(distinct drawn members), not O(population).
     """
 
-    def __init__(self, runner: "ExperimentRunner"):
-        config = runner.config
-        assert config.population is not None and config.clients_per_round is not None
-        self.runner = runner
-        self.population_size = config.population
-        self.cohort_size = config.clients_per_round
-        seed = config.sampling_seed if config.sampling_seed is not None else config.seed
-        self.sampler = ClientSampler(config.population, self.cohort_size, seed)
+    def __init__(
+        self,
+        materialise: Callable[[int], UnifyFLAggregator],
+        population_size: int,
+        cohort_size: int,
+        sampling_seed: int = 0,
+    ):
+        self._build = materialise
+        self.population_size = population_size
+        self.cohort_size = cohort_size
+        self.sampler = ClientSampler(population_size, cohort_size, sampling_seed)
         self._by_index: Dict[int, UnifyFLAggregator] = {}
         self._rounds: Dict[int, List[UnifyFLAggregator]] = {}
+        #: the names of round 1's occupants, by slot: the slots' event keys.
+        self.slot_keys = tuple(a.name for a in self.round_aggregators(1))
+        self._founders = frozenset(self.slot_keys)
+
+    @classmethod
+    def over(cls, aggregators: Sequence[UnifyFLAggregator]) -> "ClientPopulation":
+        """A hand-assembled federation: ``aggregators``, drawn whole every round."""
+        return cls(aggregators.__getitem__, len(aggregators), len(aggregators))
 
     @property
     def materialized_count(self) -> int:
-        """Number of distinct virtual clusters built so far."""
+        """Number of distinct members built so far."""
         return len(self._by_index)
 
     def round_aggregators(self, round_number: int) -> List[UnifyFLAggregator]:
-        """The round's cohort as live aggregators, materialising on demand."""
+        """The round's cohort as live aggregators, indexed by slot."""
         cached = self._rounds.get(round_number)
         if cached is not None:
             return cached
@@ -122,22 +134,29 @@ class ClientPopulation:
         return members
 
     def slot_key(self, slot: int) -> str:
-        """Slots outlive their occupants, so events are keyed by slot index."""
-        return f"lane-{slot}"
+        """The kernel tie-break key of the slot's events."""
+        return self.slot_keys[slot]
 
-    def cohort_addresses(self, round_number: int) -> List[str]:
-        """The chain addresses of a round's cohort (declared on-chain per round)."""
+    def cohort_addresses(self, round_number: int) -> Optional[List[str]]:
+        """The addresses to declare on-chain for the round, or ``None`` when
+        the cohort is the whole population (the contract's default scope)."""
+        if self.cohort_size == self.population_size:
+            return None
         return [a.address for a in self.round_aggregators(round_number)]
 
     def joined_mid_run(self, aggregator: UnifyFLAggregator) -> bool:
-        """A cluster with no history was materialised for the round in flight."""
-        return not aggregator.history
+        """Whether catching ``aggregator``'s clock up is *not* idle waiting:
+        it is in its first round and was drawn after round 1."""
+        return not aggregator.history and aggregator.name not in self._founders
 
     def _materialise(self, index: int) -> UnifyFLAggregator:
         existing = self._by_index.get(index)
         if existing is not None:
             return existing
-        aggregator = self.runner._materialise_virtual_cluster(index)
+        aggregator = self._build(index)
+        if self._rounds:
+            # Drawn after round 1: the member joins the contract now.
+            aggregator.register(mine=True)
         self._by_index[index] = aggregator
         return aggregator
 
@@ -166,7 +185,7 @@ class ExperimentRunner:
         #: the run's one decoded copy of each model, for the models of two
         #: rounds: this round's submissions and the previous round's.
         self.decoded_models = DecodedModels(
-            capacity=2 * (config.clients_per_round or len(config.clusters))
+            capacity=2 * config.cohort_size
         )
         #: a scorer that analyses whole rounds owns no test set, so one
         #: instance serves every cluster and its round memo is the run's:
@@ -192,11 +211,7 @@ class ExperimentRunner:
         if self.round_scorer is not None:
             self.round_scorer.sanitizer = self.sanitizer
 
-        (
-            self.cluster_train_data,
-            self.cluster_client_indices,
-            self.cluster_score_data,
-        ) = self._partition_data()
+        self.cluster_train_data, self.cluster_score_data = self._partition_data()
 
         self.accounts: Dict[str, Account] = {}
         self.chain: Optional[Blockchain] = None
@@ -210,9 +225,8 @@ class ExperimentRunner:
         #: the run's deterministic fault schedule (``None`` unless the
         #: configuration injects churn, outages or partitions).
         self.fault_plan: Optional[FaultPlan] = None
-        #: sampled federations only: the lazy virtual-cluster factory
-        #: (created in :meth:`build` when ``config.population`` is set).
-        self.population: Optional[ClientPopulation] = None
+        #: the federation's roster over its members, created by :meth:`build`.
+        self.population: ClientPopulation
 
     # ------------------------------------------------------------------- data
     @staticmethod
@@ -257,57 +271,48 @@ class ExperimentRunner:
             )
         return ShardPartitioner(num_partitions, seed=self.config.seed)
 
-    def _partition_data(self):
-        """Split the training data across clusters, clients and scorer test sets.
-
-        A cluster's shard and its scorer's test set are datasets of their
-        own; a client's partition is row indices into its cluster's shard.
-        """
+    def _partition_data(self) -> Tuple[Dict[str, Dataset], Dict[str, Dataset]]:
+        """Split the training data across clusters, and the test data across
+        their scorers: each cluster's shard and scorer test set, by name."""
         clusters = self.config.clusters
         cluster_partitioner = self._cluster_partitioner(len(clusters))
         cluster_train = cluster_partitioner.partition(self.train_data)
-
-        cluster_train_data: Dict[str, Dataset] = {}
-        cluster_client_indices: Dict[str, List[np.ndarray]] = {}
-        cluster_score_data: Dict[str, Dataset] = {}
 
         # Scorer test sets: an IID slice of the held-out test data per cluster,
         # modelling each organisation's private evaluation set.
         score_partitioner = IIDPartitioner(len(clusters), seed=self.config.seed + 17)
         score_parts = score_partitioner.partition(self.test_data)
+        names = [cluster.name for cluster in clusters]
+        return dict(zip(names, cluster_train)), dict(zip(names, score_parts))
 
-        for i, cluster in enumerate(clusters):
-            data = cluster_train[i]
-            cluster_train_data[cluster.name] = data
-            client_partitioner = IIDPartitioner(cluster.num_clients, seed=self.config.seed + 100 + i)
-            cluster_client_indices[cluster.name] = client_partitioner.partition_indices(data)
-            cluster_score_data[cluster.name] = score_parts[i]
-        return cluster_train_data, cluster_client_indices, cluster_score_data
+    def _seed_offset(self, index: int) -> int:
+        """Member ``index``'s offset into the run's seed ranges.
+
+        A configured cluster keeps its own index; a copy of one draws from
+        a range disjoint from every configured cluster's.
+        """
+        return index if index < len(self.config.clusters) else 1000 + index
 
     # ------------------------------------------------------------------ setup
-    def _build_clients(
-        self,
-        cluster: ClusterConfig,
-        index: int,
-        shard: Optional[Dataset] = None,
-        partitions: Optional[List[np.ndarray]] = None,
-    ) -> List[Client]:
-        """A cluster's clients: each its partition (row indices into the
-        cluster's ``shard``), generator, optimizer and DP mechanism — and all
-        of them the run's one ``training_model``."""
-        workload = self.config.workload
+    def _build_clients(self, cluster: ClusterConfig, index: int) -> List[Client]:
+        """Member ``index``'s clients: each its partition (row indices into
+        its template's shard), generator, optimizer and DP mechanism — and
+        all of them the run's one ``training_model``."""
+        config = self.config
+        workload = config.workload
         client_config = ClientConfig(
             local_epochs=workload.local_epochs,
             batch_size=workload.batch_size,
             learning_rate=workload.learning_rate,
             optimizer="sgd",
-            seed=self.config.seed + index,
+            seed=config.seed + self._seed_offset(index),
             dp_clip_norm=cluster.dp_clip_norm,
             dp_noise_multiplier=cluster.dp_noise_multiplier,
         )
-        if shard is None:
-            shard = self.cluster_train_data[cluster.name]
-            partitions = self.cluster_client_indices[cluster.name]
+        shard = self.cluster_train_data[config.clusters[index % len(config.clusters)].name]
+        partitions = IIDPartitioner(
+            cluster.num_clients, seed=config.seed + 100 + index
+        ).partition_indices(shard)
         return [
             Client(
                 client_id=f"{cluster.name}-client{j}",
@@ -369,7 +374,7 @@ class ExperimentRunner:
         ``storage_replicas`` replica sites (each serving ``replica_capacity``
         parallel transfers) and WAN links between sites (``wan_latency_s`` /
         ``wan_bandwidth_mbytes_per_s``); clusters join as they materialise
-        (:meth:`_materialise_cluster`).  With one replica of capacity 1 this
+        (:meth:`_materialise_member`).  With one replica of capacity 1 this
         is the single serial :data:`~repro.sched.actors.STORAGE_ENDPOINT`.
 
         With several replicas, replication is on the books: an upload lands
@@ -410,49 +415,35 @@ class ExperimentRunner:
         )
         if not config.event_streams:
             return CommFabric.constant_cost(block_period=config.block_period, **network_options)
-        # Consensus scales with the organisations active at once: the static
-        # cluster count, or — sampled — the per-round cohort size.
-        organisations = config.clients_per_round or len(config.clusters)
+        # Consensus scales with the organisations active at once: the cohort.
         chain_actor = ChainActor(
             block_interval=config.block_period,
-            consensus_delay=consensus_delay(organisations, config.block_period),
+            consensus_delay=consensus_delay(config.cohort_size, config.block_period),
         )
         return CommFabric(NetworkActor(**network_options), chain_actor)
 
     def build(self) -> None:
-        """Instantiate the chain, storage swarm and every aggregator.
+        """Instantiate the chain, storage swarm and the federation's roster.
 
-        Sampled federations (``config.population`` set) build the shared
-        substrates but materialise no clusters up front: a
-        :class:`ClientPopulation` creates each round's cohort lazily, so
-        peak memory is O(active cohort) instead of O(population).
+        The configured clusters' accounts are the chain's validators.  The
+        roster (:class:`ClientPopulation`) materialises round 1's cohort
+        here and every later member when a round first draws it, so a
+        sampled run's peak memory is O(drawn members), not O(population).
 
-        Either way a cluster is built around the run-wide structures made in
+        Every member is built around the run-wide structures made in
         ``__init__`` — ``evaluator``, ``decoded_models``, ``round_scorer``,
         ``training_model`` — and owns none of its own: the only networks a
         run holds are the evaluator's and the training one.
         """
-        clusters = self.config.clusters
-        if self.config.has_sampling:
-            self._driver_account = Account.create(
-                label="driver", seed=self.config.seed * 1000 + 999
-            )
-            self.accounts = {}
-            # The driver seals blocks alone: virtual clusters come and go
-            # per round, so none of them can be a standing validator.
-            self.chain = Blockchain([self._driver_account], block_period=self.config.block_period)
-        else:
-            self.accounts = {
-                cluster.name: Account.create(label=cluster.name, seed=self.config.seed * 1000 + i)
-                for i, cluster in enumerate(clusters)
-            }
-            self._driver_account = Account.create(label="driver", seed=self.config.seed * 1000 + 999)
-            validators = list(self.accounts.values())
-            self.chain = Blockchain(validators, block_period=self.config.block_period)
-            self.chain.register_account(self._driver_account)
-        self.chain.deploy_contract(
-            UnifyFLContract(mode=self.config.mode, scorer_seed=self.config.seed)
-        )
+        config = self.config
+        self.accounts = {
+            cluster.name: Account.create(label=cluster.name, seed=config.seed * 1000 + i)
+            for i, cluster in enumerate(config.clusters)
+        }
+        self._driver_account = Account.create(label="driver", seed=config.seed * 1000 + 999)
+        self.chain = Blockchain(list(self.accounts.values()), block_period=config.block_period)
+        self.chain.register_account(self._driver_account)
+        self.chain.deploy_contract(UnifyFLContract(mode=config.mode, scorer_seed=config.seed))
         self.swarm = IPFSSwarm()
         self.fault_plan = self._build_fault_plan()
         self.comm = self._build_comm_fabric()
@@ -466,63 +457,54 @@ class ExperimentRunner:
         self.chain.add_block_listener(self.comm.chain.observe_block)
 
         self.aggregators = []
-        if self.config.has_sampling:
-            self.population = ClientPopulation(self)
-            # Materialise round 1's cohort eagerly so the orchestration
-            # context sees a non-empty aggregator list; later rounds
-            # materialise on demand from the round policies.
-            self.population.round_aggregators(1)
-            return
-        for i, cluster in enumerate(clusters):
-            self.aggregators.append(
-                self._materialise_cluster(
-                    cluster,
-                    account=self.accounts[cluster.name],
-                    score_data=self.cluster_score_data[cluster.name],
-                    seed=self.config.seed + i,
-                    client_index=i,
-                    site=i,
-                )
-            )
+        self.population = ClientPopulation(
+            self._materialise_member,
+            population_size=config.population or len(config.clusters),
+            cohort_size=config.cohort_size,
+            sampling_seed=config.seed if config.sampling_seed is None else config.sampling_seed,
+        )
 
-    def _materialise_cluster(
-        self,
-        cluster: ClusterConfig,
-        account: Account,
-        score_data: Dataset,
-        seed: int,
-        client_index: int,
-        site: int,
-        shard: Optional[Dataset] = None,
-        client_partitions: Optional[List[np.ndarray]] = None,
-    ) -> UnifyFLAggregator:
-        """Stand up one cluster: fabric endpoint, IPFS node, clients, scorer, aggregator.
+    def _materialise_member(self, index: int) -> UnifyFLAggregator:
+        """Stand up member ``index``: fabric endpoint, IPFS node, clients, scorer, aggregator.
 
-        The cluster joins the fabric at storage replica ``site`` modulo the
-        replica count — the round-robin the hierarchical policy groups by —
-        over the LAN link its aggregator profile implies.
+        Member ``i < N`` (``N`` configured clusters) is configured cluster
+        ``i`` with its validator account.  Member ``i >= N`` copies cluster
+        ``i % N`` as ``<name>-p<i>``, with seeds from a range disjoint from
+        the configured clusters' and an account of its own.  Either way the
+        member's clients re-partition its template's shard, and it joins
+        the fabric at storage replica ``i`` modulo the replica count — the
+        round-robin the hierarchical policy groups by — over the LAN link
+        its aggregator profile implies.
         """
         assert self.chain is not None and self.swarm is not None
+        config = self.config
+        template = config.clusters[index % len(config.clusters)]
+        seed_offset = self._seed_offset(index)
+        if index < len(config.clusters):
+            cluster, account = template, self.accounts[template.name]
+        else:
+            cluster = dataclasses.replace(template, name=f"{template.name}-p{index}")
+            account = Account.create(label=cluster.name, seed=config.seed * 1000 + seed_offset)
+            self.accounts[cluster.name] = account
+            self.chain.register_account(account)
         replicas = self.comm.network.replicas
         self.comm.network.attach_cluster(
-            cluster.name, replicas[site % len(replicas)], self._cluster_link(cluster)
+            cluster.name, replicas[index % len(replicas)], self._cluster_link(cluster)
         )
         node = self.swarm.create_node(f"{cluster.name}-ipfs")
-        clients = self._build_clients(
-            cluster, client_index, shard=shard, partitions=client_partitions
-        )
+        clients = self._build_clients(cluster, index)
         scorer = self.round_scorer
         if scorer is None:
             scorer = build_scorer(
-                self.config.scoring_algorithm,
+                config.scoring_algorithm,
                 model_template=self.model_template,
-                test_data=score_data,
+                test_data=self.cluster_score_data[template.name],
                 evaluator=self.evaluator,
             )
         attack = build_attack(cluster.attack) if cluster.attack is not None else None
         aggregator = UnifyFLAggregator(
             config=cluster,
-            workload=self.config.workload,
+            workload=config.workload,
             account=account,
             chain=self.chain,
             ipfs_node=node,
@@ -534,49 +516,13 @@ class ExperimentRunner:
             attack=attack,
             resource_monitor=self.monitor,
             comm=self.comm,
-            seed=seed,
+            seed=config.seed + seed_offset,
             faults=self.fault_plan,
             evaluator=self.evaluator,
             decoded_models=self.decoded_models,
             initial_weights=self.initial_weights,
         )
         aggregator.sanitizer = self.sanitizer
-        return aggregator
-
-    def _materialise_virtual_cluster(self, index: int) -> UnifyFLAggregator:
-        """Create virtual cluster ``index`` of a sampled population.
-
-        The virtual cluster clones the template at ``index % len(clusters)``
-        (round-robin over the configured cluster shapes), draws its own
-        account/aggregator/client seeds from ranges disjoint from the eager
-        path's, re-partitions the template's data shard for its clients (as
-        row indices into it), and registers itself on the contract.
-        """
-        assert self.chain is not None
-        config = self.config
-        templates = config.clusters
-        template = templates[index % len(templates)]
-        cluster = dataclasses.replace(template, name=f"{template.name}-p{index}")
-        account = Account.create(
-            label=cluster.name, seed=config.seed * 1000 + 1000 + index
-        )
-        self.accounts[cluster.name] = account
-        self.chain.register_account(account)
-        client_partitioner = IIDPartitioner(
-            cluster.num_clients, seed=config.seed + 100 + index
-        )
-        shard = self.cluster_train_data[template.name]
-        aggregator = self._materialise_cluster(
-            cluster,
-            account=account,
-            score_data=self.cluster_score_data[template.name],
-            seed=config.seed + 1000 + index,
-            client_index=1000 + index,
-            site=index,
-            shard=shard,
-            client_partitions=client_partitioner.partition_indices(shard),
-        )
-        aggregator.register(mine=True)
         self.aggregators.append(aggregator)
         return aggregator
 
@@ -599,7 +545,7 @@ class ExperimentRunner:
             aggregators=self.aggregators,
             timing=self.timing_model,
             num_rounds=rounds,
-            roster=self.population or StaticRoster(self.aggregators),
+            roster=self.population,
             comm=self.comm,
             config=self.config,
             sanitizer=self.sanitizer,
@@ -668,7 +614,7 @@ class ExperimentRunner:
         }
         resource_reports = self.monitor.full_report()
         sampling: Dict[str, float] = {}
-        if self.population is not None:
+        if self.config.population is not None:
             sampling = {
                 "population": float(self.population.population_size),
                 "clients_per_round": float(self.population.cohort_size),

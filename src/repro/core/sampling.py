@@ -1,18 +1,20 @@
 """Per-round client sampling for cross-device-scale federations.
 
-The cross-silo shape materialises every cluster of ``ExperimentConfig`` up
-front, so memory is O(population) and a realistic cross-device federation
-(10⁵–10⁶ clients, of which a few hundred participate per round) is
-unreachable.  Sampled mode splits the two concerns:
+A cross-silo federation draws every configured cluster every round; a
+realistic cross-device one (10⁵–10⁶ clients, of which a few hundred
+participate per round) cannot afford to build its whole population.  Two
+concerns are kept apart:
 
 * :class:`ClientSampler` (this module) decides *who* participates in each
   round — a seeded draw without replacement, keyed on ``[seed, round]`` in
   the same style as the fault plan's churn stream, so the cohort of round
   ``r`` is a pure function of ``(seed, r)`` and therefore independent of
   the order in which round policies ask for it;
-* the lazy cluster factory in :mod:`repro.core.runner` decides *what* gets
-  built — only sampled virtual clusters materialise actors, models and
-  datasets, so peak memory is O(active cohort).
+* the roster in :mod:`repro.core.runner`
+  (:class:`~repro.core.runner.ClientPopulation`) decides *what* gets built
+  — only drawn members materialise actors, models and datasets, so peak
+  memory is O(active cohort).  A cross-silo run is its degenerate case: a
+  population of the configured clusters, each round's cohort all of them.
 
 The sampler draws from its own stream tag with its own seed knob
 (``sampling_seed``), deliberately disjoint from the fault plan's streams:

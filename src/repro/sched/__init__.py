@@ -36,10 +36,8 @@ from repro.sched.policies import (
     GossipRoundPolicy,
     HierarchicalRoundPolicy,
     OrchestrationContext,
-    Roster,
     RoundPolicy,
     SemiSyncRoundPolicy,
-    StaticRoster,
     SyncRoundPolicy,
 )
 from repro.sched.registry import (
@@ -63,10 +61,8 @@ __all__ = [
     "NetworkActor",
     "OrchestrationContext",
     "PolicySpec",
-    "Roster",
     "RoundPolicy",
     "SemiSyncRoundPolicy",
-    "StaticRoster",
     "SyncRoundPolicy",
     "get_policy",
     "register_policy",

@@ -43,12 +43,12 @@ sum.  The built-in modes register themselves at the
 bottom of this module.  See ``docs/scheduling.md`` for a walk-through.
 
 **One slot model.**  Every federation is a fixed number of *slots*; the
-context's :class:`Roster` says which cluster occupies slot ``j`` in round
-``r``.  A dense cross-silo run is the degenerate roster whose slot ``j`` is
-permanently cluster ``j`` (:class:`StaticRoster`); a sampled run's roster is
-the lazy :class:`~repro.core.runner.ClientPopulation`, whose occupants rotate
-as the sampler draws them.  Policies only ever iterate slots, so there is one
-code path for both shapes.
+context's roster, a :class:`~repro.core.runner.ClientPopulation`, says which
+member occupies slot ``j`` in round ``r``.  A dense cross-silo run is the
+degenerate population whose cohort is everyone, so slot ``j`` is
+permanently cluster ``j``; a sampled run's occupants rotate as the sampler
+draws them.  Policies only ever iterate slots, so there is one code path for
+both shapes.
 
 The policies consume the network and chain *event streams* of the context's
 :class:`~repro.sched.actors.CommFabric`: phase transitions wait for their
@@ -63,7 +63,7 @@ policies never ask which fabric they are on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -80,52 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.chain.blockchain import Blockchain
     from repro.core.aggregator import UnifyFLAggregator
     from repro.core.config import ExperimentConfig
+    from repro.core.runner import ClientPopulation
     from repro.core.timing import ClusterTimingModel, RoundTiming
     from repro.sched.actors import CommFabric
-
-
-class Roster(Protocol):
-    """Who occupies which slot in which round — the dense/sampled seam."""
-
-    #: number of slots, i.e. clusters active in any one round.
-    cohort_size: int
-
-    def round_aggregators(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
-        """The round's occupants, indexed by slot."""
-
-    def slot_key(self, slot: int) -> str:
-        """The kernel tie-break key of the slot's events."""
-
-    def cohort_addresses(self, round_number: int) -> Optional[List[str]]:
-        """The addresses to declare on-chain for the round; ``None`` if fixed."""
-
-    def joined_mid_run(self, aggregator: "UnifyFLAggregator") -> bool:
-        """Whether catching ``aggregator``'s clock up is *not* idle waiting."""
-
-
-class StaticRoster:
-    """The dense roster: slot ``j`` is permanently cluster ``j``.
-
-    Events keep the cluster *name* as tie-break key, no cohort is ever
-    published (the contract's default scope is every registered cluster) and
-    every wait is real idle time — the clusters exist from the start.
-    """
-
-    def __init__(self, aggregators: Sequence["UnifyFLAggregator"]):
-        self.aggregators = aggregators
-        self.cohort_size = len(aggregators)
-
-    def round_aggregators(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
-        return self.aggregators
-
-    def slot_key(self, slot: int) -> str:
-        return self.aggregators[slot].name
-
-    def cohort_addresses(self, round_number: int) -> Optional[List[str]]:
-        return None
-
-    def joined_mid_run(self, aggregator: "UnifyFLAggregator") -> bool:
-        return False
 
 
 @dataclass
@@ -134,13 +91,13 @@ class OrchestrationContext:
 
     chain: "Blockchain"
     driver: "Account"
-    #: the clusters that exist *so far*: the whole federation in a dense
+    #: the members that exist *so far*: the whole federation in a dense
     #: run, the live list a sampled roster appends to as it materialises.
     #: Per-round participants always come from ``roster``.
     aggregators: Sequence["UnifyFLAggregator"]
     timing: "ClusterTimingModel"
     num_rounds: int
-    roster: Roster
+    roster: "ClientPopulation"
     #: the federation's communication fabric: policies charge the driver's
     #: phase-control transactions (startTraining / startScoring / endRound /
     #: closeSemiRound) and their peer exchanges to it and predict submission
@@ -234,7 +191,7 @@ class RoundPolicy:
         every round start but published at most once per round (free-running
         slots all pass through here); bookkeeping only — no simulated cost
         is charged, the declaration piggybacks on the round's driver
-        traffic.  A fixed roster declares nothing.
+        traffic.  A cohort that is the whole population declares nothing.
         """
         if round_number <= self._cohort_round_sent:
             return
@@ -270,8 +227,8 @@ class RoundPolicy:
     ) -> float:
         """Advance a participant to a round-start barrier; returns its idle.
 
-        A cluster the roster materialised for this round advances from
-        clock 0 without having waited — it did not exist before.
+        A cluster the roster drew after round 1 advances from clock 0 in its
+        first round without having waited — it did not exist before.
         """
         if self.ctx.roster.joined_mid_run(aggregator):
             aggregator.clock.advance_to(barrier)

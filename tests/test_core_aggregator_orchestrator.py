@@ -13,7 +13,7 @@ from repro.core.aggregator import UnifyFLAggregator
 from repro.core.attacks import SignFlipAttack
 from repro.core.config import ClusterConfig, cifar10_workload
 from repro.core.contract import UnifyFLContract
-from repro.core.runner import ExperimentRunner, run_experiment
+from repro.core.runner import ClientPopulation, ExperimentRunner, run_experiment
 from repro.core.scorer import AccuracyScorer
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.partition import IIDPartitioner
@@ -29,7 +29,6 @@ from repro.sched.policies import (
     HierarchicalRoundPolicy,
     OrchestrationContext,
     SemiSyncRoundPolicy,
-    StaticRoster,
     SyncRoundPolicy,
 )
 from repro.simnet.hardware import DOCKER_CONTAINER, EDGE_CPU_NODE
@@ -44,7 +43,7 @@ def policy_context(chain, driver, aggregators, timing, num_rounds=1):
         aggregators=aggregators,
         timing=timing,
         num_rounds=num_rounds,
-        roster=StaticRoster(aggregators),
+        roster=ClientPopulation.over(aggregators),
         comm=aggregators[0].comm,
     )
 
@@ -392,7 +391,7 @@ class TestSyncOrchestrator:
                 aggregators=[],
                 timing=timing,
                 num_rounds=1,
-                roster=StaticRoster([]),
+                roster=ClientPopulation.over(aggregators),
                 comm=aggregators[0].comm,
             )
 

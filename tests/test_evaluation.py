@@ -194,7 +194,7 @@ class TestExactCounters:
         index = next(
             i for i in range(runner.config.population) if i not in runner.population._by_index
         )
-        aggregator = runner._materialise_virtual_cluster(index)
+        aggregator = runner._materialise_member(index)
         assert clones == []
         assert len(aggregator.clients) == aggregator.config.num_clients
         assert all(client.model is runner.training_model for client in aggregator.clients)

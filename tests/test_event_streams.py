@@ -791,7 +791,7 @@ class TestSemiSyncReleaseTiming:
         """Regression: the quorum-triggering cluster must wait for
         closeSemiRound finality exactly like every blocked waiter — it used
         to be reactivated from its own clock, skipping the consensus wait."""
-        from repro.sched.policies import OrchestrationContext, SemiSyncRoundPolicy, StaticRoster
+        from repro.sched.policies import OrchestrationContext, SemiSyncRoundPolicy
 
         resumed = []
 
@@ -821,7 +821,7 @@ class TestSemiSyncReleaseTiming:
                 aggregators=runner.aggregators,
                 timing=runner.timing_model,
                 num_rounds=config.rounds,
-                roster=StaticRoster(runner.aggregators),
+                roster=runner.population,
                 comm=runner.comm,
             )
         )

@@ -72,9 +72,7 @@ class TestOneInitialList:
     def test_every_cluster_starts_on_the_runners_read_only_list(self, sampled):
         runner = ExperimentRunner(config(sampled=sampled))
         runner.build()
-        aggregators = (
-            runner.population.round_aggregators(1) if sampled else runner.aggregators
-        )
+        aggregators = runner.population.round_aggregators(1)
         assert len(aggregators) >= 2
         for aggregator in aggregators:
             assert aggregator.global_weights is runner.initial_weights
@@ -138,9 +136,7 @@ class TestIndexHeldPartitions:
     def test_a_gathered_partition_is_the_subset_in_bytes(self, sampled):
         runner = ExperimentRunner(config(sampled=sampled))
         runner.build()
-        aggregators = (
-            runner.population.round_aggregators(1) if sampled else runner.aggregators
-        )
+        aggregators = runner.population.round_aggregators(1)
         shards = {id(shard) for shard in runner.cluster_train_data.values()}
         for aggregator in aggregators:
             for client in aggregator.clients:
@@ -154,19 +150,22 @@ class TestIndexHeldPartitions:
                 assert client.num_samples == len(subset)
 
     def test_a_virtual_clusters_partitions_are_the_partitioners(self):
-        runner = ExperimentRunner(config(sampled=True))
-        runner.build()
-        index = runner.population.sampler.cohort(1)[0]
-        aggregator = runner.population.round_aggregators(1)[0]
-        template = runner.config.clusters[index % len(runner.config.clusters)]
-        parts = IIDPartitioner(
-            template.num_clients, seed=runner.config.seed + 100 + index
-        ).partition(runner.cluster_train_data[template.name])
-        assert len(parts) == len(aggregator.clients)
-        for client, part in zip(aggregator.clients, parts):
-            x, y = client.partition()
-            self.assert_same_arrays(x, part.x)
-            self.assert_same_arrays(y, part.y)
+        """One formula, dense or sampled: member ``i``'s clients split its
+        template's shard with ``IIDPartitioner(num_clients, seed + 100 + i)``."""
+        for sampled in (False, True):
+            runner = ExperimentRunner(config(sampled=sampled))
+            runner.build()
+            members = zip(runner.population.sampler.cohort(1), runner.population.round_aggregators(1))
+            for index, aggregator in members:
+                template = runner.config.clusters[index % len(runner.config.clusters)]
+                parts = IIDPartitioner(
+                    template.num_clients, seed=runner.config.seed + 100 + index
+                ).partition(runner.cluster_train_data[template.name])
+                assert len(parts) == len(aggregator.clients)
+                for client, part in zip(aggregator.clients, parts):
+                    x, y = client.partition()
+                    self.assert_same_arrays(x, part.x)
+                    self.assert_same_arrays(y, part.y)
 
 
 class TestRoundScopedGlobalModel:

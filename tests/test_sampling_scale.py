@@ -334,6 +334,33 @@ class TestSampledExperiments:
         assert abs(large - small) <= 0.05 * small, kib_per_cluster
         assert max(small, large) <= 105, kib_per_cluster
 
+    def test_a_member_is_its_configured_cluster_or_a_named_copy(self):
+        """Member ``i < N`` is configured cluster ``i`` with its validator
+        account; member ``i >= N`` copies cluster ``i % N`` as ``<name>-p<i>``."""
+        runner = ExperimentRunner(_sampled_config("sync", population=6, cohort=6))
+        runner.build()
+        members = runner.population.round_aggregators(1)
+        assert [a.name for a in members] == ["agg1", "agg2", "agg3", "agg1-p3", "agg2-p4", "agg3-p5"]
+        assert runner.chain.validators == [a.account for a in members[:3]]
+        assert [a.config for a in members[:3]] == runner.config.clusters
+
+    def test_only_members_drawn_after_round_one_register_when_built(self):
+        """Round 1's cohort registers when the policy runs; a member a later
+        round draws registers as it is built, and joins mid-run."""
+        runner = ExperimentRunner(_sampled_config("sync", rounds=3))
+        runner.build()
+        population = runner.population
+
+        def registered():
+            return set(runner.chain.call("unifyfl", "getAggregators"))
+
+        assert registered() == set()
+        founders = population.round_aggregators(1)
+        later = [a for a in population.round_aggregators(2) if a not in founders]
+        assert later and registered() == {a.address for a in later}
+        assert not any(population.joined_mid_run(a) for a in founders)
+        assert all(population.joined_mid_run(a) for a in later)
+
     def test_sampled_runs_are_reproducible(self):
         first = ExperimentRunner(_sampled_config("sync")).run()
         second = ExperimentRunner(_sampled_config("sync")).run()
@@ -393,4 +420,4 @@ class TestSamplingConfigValidation:
         with pytest.raises(ValueError):
             self._base(population=100, clients_per_round=101)
         config = self._base(population=100, clients_per_round=8)
-        assert config.has_sampling
+        assert config.cohort_size == 8
